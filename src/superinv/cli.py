@@ -81,7 +81,7 @@ def _load_matrix(path):
             obj = json.load(handle)
     except OSError as exc:
         raise ValidationError("cannot read %s: %s" % (path, exc)) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
         raise ValidationError("invalid JSON in %s: %s" % (path, exc)) from exc
     return SuperMatrix.from_obj(obj)
 
@@ -248,7 +248,6 @@ def build_parser():
     p_red.add_argument("--mode", choices=("blockdiag", "diagonalize", "odd", "antidiag"),
                        required=True)
     p_red.add_argument("--out", default=None)
-    p_red.add_argument("--format", choices=("json", "text"), default="json")
     p_red.set_defaults(func=cmd_reduce)
 
     p_ver = sub.add_parser("verify", help="run a seeded property suite")

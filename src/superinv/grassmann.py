@@ -82,11 +82,19 @@ def prune_terms(terms):
 _COEFF_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
+def is_int(x):
+    """True for a plain int; JSON true/false load as bools, an int subclass."""
+    return type(x) is int
+
+
 def parse_coeff(text):
     """Parse a decimal-free rational string such as "-3/2" or "7"."""
     if not isinstance(text, str) or not _COEFF_RE.match(text):
         raise ValidationError("coefficient must be a decimal-free rational string: %r" % (text,))
-    return _norm(Fraction(text))
+    try:
+        return _norm(Fraction(text))
+    except ValueError as exc:  # beyond the interpreter's integer string-conversion limit
+        raise ValidationError("coefficient has too many digits (%d characters)" % len(text)) from exc
 
 
 def mask_to_indices(mask):
@@ -104,7 +112,7 @@ def indices_to_mask(indices, q):
     mask = 0
     prev = 0
     for i in indices:
-        if not isinstance(i, int) or i <= prev or i > q:
+        if not is_int(i) or i <= prev or i > q:
             raise ValidationError(
                 "generator indices must be strictly increasing integers in 1..%d: %r" % (q, indices)
             )
@@ -150,7 +158,7 @@ class GrassmannScalar:
 
     @staticmethod
     def _check_q(q):
-        if not isinstance(q, int) or q < 0:
+        if not is_int(q) or q < 0:
             raise ValidationError("generator count must be a non-negative integer")
         if q > _generator_cap:
             raise ValidationError("generator count %d exceeds the cap %d" % (q, _generator_cap))
@@ -370,7 +378,7 @@ class GrassmannScalar:
         if not isinstance(obj, dict) or "q" not in obj or "terms" not in obj:
             raise ValidationError("scalar object must have 'q' and 'terms' fields")
         q = obj["q"]
-        if not isinstance(q, int) or q < 0:
+        if not is_int(q) or q < 0:
             raise ValidationError("scalar field 'q' must be a non-negative integer")
         terms = {}
         if not isinstance(obj["terms"], list):

@@ -1,12 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of row lists with int or Fraction entries.  Everything here
-is pivoted Gaussian elimination or classical adjugate-free recursions; no
-floating point anywhere.
+Matrices are lists of row lists with int or Fraction entries.  Elimination is
+pivoted Gauss-Jordan, the characteristic polynomial comes from the
+Faddeev-LeVerrier recursion, and rational roots from Sturm-sequence bisection
+on integer polynomials; no floating point anywhere.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -175,53 +177,96 @@ def poly_eval(coeffs, x):
     return acc
 
 
-def _poly_divide_linear(coeffs, root):
-    """Synthetic division of an ascending-coefficient polynomial by (x - root)."""
-    n = len(coeffs) - 1
-    out = [0] * n
-    acc = coeffs[n]
-    for i in range(n - 1, -1, -1):
-        out[i] = acc
-        acc = coeffs[i] + acc * root
-    return out  # remainder acc is zero for exact roots
+def _int_primitive(p):
+    """Divide an integer polynomial by the (positive) gcd of its coefficients."""
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
 
 
-def _divisors(n):
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _int_prem(a, b):
+    """Positive multiple of a, reduced modulo b; ascending integer lists.
+
+    Pseudo-division by b with its leading coefficient made positive, so the
+    multiplier |lc(b)|**k is positive and signs of a are preserved.
+    """
+    if b[-1] < 0:
+        b = [-c for c in b]
+    lead, db = b[-1], len(b) - 1
+    r = list(a)
+    while len(r) > db:
+        f, shift = r[-1], len(r) - 1 - db
+        r = [c * lead for c in r]
+        for i, c in enumerate(b):
+            r[shift + i] -= f * c
+        while r and r[-1] == 0:
+            r.pop()
+    return r
 
 
-def _candidate_roots(coeffs):
-    """Rational root candidates p/q for an ascending rational polynomial."""
-    denl = 1
-    for c in coeffs:
-        if isinstance(c, Fraction):
-            denl = denl * c.denominator // _gcd(denl, c.denominator)
-    ints = [int(c * denl) for c in coeffs]
-    lead = ints[-1]
-    const = ints[0]
-    if const == 0:
-        return [Fraction(0)]
-    cands = set()
-    for p in _divisors(const):
-        for qd in _divisors(lead):
-            cands.add(Fraction(p, qd))
-            cands.add(Fraction(-p, qd))
-    return sorted(cands)
+def _int_divide(p, a):
+    """Integer quotient p / a, or None when a does not divide p over the integers."""
+    r, q = list(p), [0] * (len(p) - len(a) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[k + len(a) - 1], a[-1])
+        if rem:
+            return None
+        q[k] = c
+        for i, x in enumerate(a):
+            r[k + i] -= c * x
+    return None if any(r) else q
 
 
-def _gcd(a, b):
+def _derivative(p):
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def _sign_changes(chain, x):
+    count, prev = 0, 0
+    for p in chain:
+        v = poly_eval(p, x)
+        if v:
+            if prev and (v < 0) != (prev < 0):
+                count += 1
+            prev = v
+    return count
+
+
+def _distinct_rational_roots(p):
+    """Sorted distinct rational roots of a primitive integer polynomial, degree >= 1.
+
+    The square-free part f = p / gcd(p, p') with leading coefficient l
+    becomes the monic g(y) = l**(d-1) f(y/l), whose rational roots are
+    integers.  Its Sturm chain (pseudo-remainders, each made primitive, so
+    only positive factors are dropped) counts the real roots in (lo, hi] as
+    V(lo) - V(hi); bisecting (-B, B] for the Cauchy bound B isolates them in
+    unit intervals, and only the right end of such an interval can be an
+    integer root.
+    """
+    a, b = p, _int_primitive(_derivative(p))
     while b:
-        a, b = b, a % b
-    return a
+        a, b = b, _int_primitive(_int_prem(a, b))
+    f = _int_divide(p, a)  # exact: a is primitive (Gauss's lemma)
+    lead, d = f[-1], len(f) - 1
+    g = [c * lead ** (d - 1 - i) for i, c in enumerate(f[:-1])] + [1]
+    chain = [g, _derivative(g)]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in _int_primitive(_int_prem(chain[-2], chain[-1]))])
+    bound = 1 + max(abs(c) for c in g[:-1])
+    roots = []
+    stack = [(-bound, bound, _sign_changes(chain, -bound), _sign_changes(chain, bound))]
+    while stack:
+        lo, hi, vlo, vhi = stack.pop()
+        if vlo == vhi:
+            continue
+        if hi - lo == 1:
+            if poly_eval(g, hi) == 0:
+                roots.append(Fraction(hi, lead))
+            continue
+        mid = (lo + hi) // 2
+        vmid = _sign_changes(chain, mid)
+        stack.append((lo, mid, vlo, vmid))
+        stack.append((mid, hi, vmid, vhi))
+    return sorted(roots)
 
 
 def rational_roots(coeffs):
@@ -230,23 +275,28 @@ def rational_roots(coeffs):
     Returns (sorted [(root, multiplicity)], residual) where residual is the
     ascending coefficient list of the rational-root-free factor, or None when
     the polynomial splits completely over the rationals.
+
+    Integer arithmetic throughout, in time polynomial in the bit size of the
+    coefficients: the distinct roots come from exact real-root isolation by
+    Sturm-sequence bisection (Collins-Akritas), O(d log B) chain evaluations
+    for degree d and Cauchy bound B, instead of from the divisors of the
+    constant term.  Each root p/q is then divided out of the integer
+    polynomial, as (q x - p), as often as it divides.
     """
     cur = [Fraction(c) for c in coeffs]
     while len(cur) > 1 and cur[-1] == 0:
         cur.pop()
-    found = {}
-    zero = Fraction(0)
-    while len(cur) > 1 and cur[0] == 0:
-        found[zero] = found.get(zero, 0) + 1
-        cur = cur[1:]
-    while len(cur) > 1:
-        hit = None
-        for cand in _candidate_roots(cur):
-            if poly_eval(cur, cand) == 0:
-                hit = cand
-                break
-        if hit is None:
-            return sorted(found.items()), cur
-        found[hit] = found.get(hit, 0) + 1
-        cur = _poly_divide_linear(cur, hit)
-    return sorted(found.items()), None
+    if len(cur) == 1:
+        return [], None
+    den = math.lcm(*(c.denominator for c in cur))
+    ints = [c.numerator * (den // c.denominator) for c in cur]
+    content = math.gcd(*ints)
+    poly = [c // content for c in ints]
+    scale = Fraction(content, den)  # cur == scale * poly
+    found = []
+    for root in _distinct_rational_roots(poly):
+        factor, mult = [-root.numerator, root.denominator], 0
+        while (quot := _int_divide(poly, factor)) is not None:
+            poly, mult, scale = quot, mult + 1, scale * root.denominator
+        found.append((root, mult))
+    return found, None if len(poly) == 1 else [scale * c for c in poly]

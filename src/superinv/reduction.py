@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
     ZeroEigenvalue,
 )
-from .grassmann import GrassmannScalar, parse_coeff
+from .grassmann import GrassmannScalar, is_int, parse_coeff
 from .supermatrix import ANY, EVEN, ODD, GroupElement, Queer, Standard, SuperMatrix
 
 
@@ -151,7 +151,7 @@ class SpectralDecomposition:
         conjugator = GroupElement(SuperMatrix.from_obj(obj["conjugator"]))
         partition = obj["partition"]
         if not isinstance(partition, list) or not all(
-            isinstance(part, list) and all(isinstance(i, int) and i >= 1 for i in part)
+            isinstance(part, list) and all(is_int(i) and i >= 1 for i in part)
             for part in partition
         ):
             raise ValidationError("partition must be lists of 1-based indices")

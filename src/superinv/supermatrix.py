@@ -26,7 +26,7 @@ from .errors import (
     UnconstrainedParity,
     ValidationError,
 )
-from .grassmann import GrassmannScalar, mul_terms_into, prune_terms
+from .grassmann import GrassmannScalar, is_int, mul_terms_into, prune_terms
 from . import linalg
 
 EVEN = "even"
@@ -66,12 +66,12 @@ def shape_from_obj(obj):
         raise ValidationError("shape object must have a 'kind' field")
     if obj["kind"] == "queer":
         n = obj.get("n")
-        if not isinstance(n, int) or n < 1:
+        if not is_int(n) or n < 1:
             raise ValidationError("queer shape needs a positive integer 'n'")
         return Queer(n)
     if obj["kind"] == "standard":
         p, q = obj.get("p"), obj.get("q_odd")
-        if not isinstance(p, int) or not isinstance(q, int) or p < 0 or q < 0 or p + q < 1:
+        if not is_int(p) or not is_int(q) or p < 0 or q < 0 or p + q < 1:
             raise ValidationError("standard shape needs non-negative 'p' and 'q_odd', not both zero")
         return Standard(p, q)
     raise ValidationError("unknown shape kind %r" % (obj["kind"],))
@@ -428,7 +428,7 @@ class SuperMatrix:
         if parity not in _PARITIES:
             raise ValidationError("parity must be 'even', 'odd' or 'any'")
         gq = obj["grassmann_q"]
-        if not isinstance(gq, int) or gq < 0:
+        if not is_int(gq) or gq < 0:
             raise ValidationError("grassmann_q must be a non-negative integer")
         entries = obj["entries"]
         dim = shape.dim

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import NotInvariant, NotSymmetric, ValidationError
-from .grassmann import GrassmannScalar, merge_sign, parse_coeff
+from .grassmann import GrassmannScalar, is_int, merge_sign, parse_coeff
 
 def _norm(c):
     return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
@@ -58,13 +58,13 @@ class SuperPolynomial:
     __slots__ = ("n", "terms")
 
     def __init__(self, n, terms=None):
-        if not isinstance(n, int) or n < 0:
+        if not is_int(n) or n < 0:
             raise ValidationError("variable count must be a non-negative integer")
         clean = {}
         if terms:
             for (exps, mask), c in terms.items():
                 exps = tuple(exps)
-                if len(exps) != n or any(not isinstance(e, int) or e < 0 for e in exps):
+                if len(exps) != n or any(not is_int(e) or e < 0 for e in exps):
                     raise ValidationError("exponent vector must be %d non-negative ints" % n)
                 if not isinstance(mask, int) or mask < 0 or mask >= (1 << n):
                     raise ValidationError("odd index mask out of range")
@@ -359,7 +359,7 @@ class SuperPolynomial:
         if not isinstance(obj, dict) or "n" not in obj or "terms" not in obj:
             raise ValidationError("polynomial object must have 'n' and 'terms' fields")
         n = obj["n"]
-        if not isinstance(n, int) or n < 0:
+        if not is_int(n) or n < 0:
             raise ValidationError("'n' must be a non-negative integer")
         terms = {}
         for item in obj["terms"]:
@@ -370,7 +370,7 @@ class SuperPolynomial:
             mask = 0
             prev = 0
             for i in odd:
-                if not isinstance(i, int) or i <= prev or i > n:
+                if not is_int(i) or i <= prev or i > n:
                     raise ValidationError("'odd' must be strictly increasing indices in 1..%d" % n)
                 mask |= 1 << (i - 1)
                 prev = i
@@ -460,7 +460,7 @@ class TTauExpression:
         if terms:
             for (exps, mask), c in terms.items():
                 exps = tuple(exps)
-                if len(exps) != symbol_range or any(not isinstance(e, int) or e < 0 for e in exps):
+                if len(exps) != symbol_range or any(not is_int(e) or e < 0 for e in exps):
                     raise ValidationError("exponent vector must be %d non-negative ints" % symbol_range)
                 if not isinstance(mask, int) or mask < 0 or mask >= (1 << symbol_range):
                     raise ValidationError("odd symbol mask out of range")
@@ -695,7 +695,7 @@ class TTauExpression:
             raise ValidationError("expression object must have 'n' and 'symbol_range'")
         n = obj["n"]
         sr = obj["symbol_range"]
-        if not isinstance(n, int) or n < 0 or not isinstance(sr, int) or sr < 0:
+        if not is_int(n) or n < 0 or not is_int(sr) or sr < 0:
             raise ValidationError("'n' and 'symbol_range' must be non-negative integers")
         terms = {}
         for item in obj.get("terms", []):
@@ -706,7 +706,7 @@ class TTauExpression:
             mask = 0
             prev = 0
             for i in odd:
-                if not isinstance(i, int) or i <= prev or i > sr:
+                if not is_int(i) or i <= prev or i > sr:
                     raise ValidationError("'odd' must be strictly increasing indices in 1..%d" % sr)
                 mask |= 1 << (i - 1)
                 prev = i

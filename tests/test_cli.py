@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -181,3 +182,76 @@ def test_env_q_cap_override(tmp_path, q1_file):
 
 def test_missing_file_exit_code(capsys):
     assert main(["invariants", "/nonexistent/file.json"]) == 3
+
+
+def test_reduce_large_body_eigenvalues(tmp_path):
+    # body g^-1 diag(a, b) g with g = [[1, 1], [1, 2]], plus a small soul
+    a, b = 1000000007, -999999937
+    q = 2
+    e1, e2 = G.generator(q, 1), G.generator(q, 2)
+    body = [[2 * a - b, 2 * a - 2 * b], [b - a, 2 * b - a]]
+    soul = [[e1, e2], [e1 * e2, G.zero(q)]]
+    m = SuperMatrix(Queer(2), ANY,
+                    [[G.rational(q, body[i][j]) + soul[i][j] for j in range(2)] for i in range(2)])
+    path = write_matrix(tmp_path / "wide.json", m)
+    out = tmp_path / "wide_dec.json"
+    start = time.perf_counter()
+    assert main(["reduce", path, "--mode", "diagonalize", "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 5
+    dec = SpectralDecomposition.from_obj(json.loads(out.read_text()))
+    assert dec.verify(m)
+    assert sorted(lam for lam, _ in dec.blocks) == [b, a]
+
+
+def test_reduce_rejects_format_option(q1_file):
+    with pytest.raises(SystemExit) as err:
+        main(["reduce", q1_file, "--mode", "diagonalize", "--format", "text"])
+    assert err.value.code == 2
+
+
+def _set_grassmann_q(obj):
+    obj["grassmann_q"] = True
+
+
+def _set_shape_n(obj):
+    obj["shape"]["n"] = True
+
+
+def _set_shape_p(obj):
+    obj["shape"] = {"kind": "standard", "p": True, "q_odd": 0}
+
+
+def _set_scalar_q(obj):
+    obj["entries"][0][0]["q"] = True
+
+
+def _set_index(obj):
+    obj["entries"][0][0]["terms"][1]["idx"] = [True]
+
+
+@pytest.mark.parametrize("mutate", [_set_grassmann_q, _set_shape_n, _set_shape_p,
+                                    _set_scalar_q, _set_index])
+def test_json_booleans_are_not_integers(q1_file, tmp_path, capsys, mutate):
+    # q1_file is 1x1 with q = 1, so `true` would pass as the integer 1
+    obj = json.loads(open(q1_file).read())
+    mutate(obj)
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(obj))
+    assert main(["invariants", str(path)]) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_overlong_coefficient_exit_code(q1_file, tmp_path, capsys):
+    obj = json.loads(open(q1_file).read())
+    obj["entries"][0][0]["terms"][0]["coeff"] = "7" * 5000
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(obj))
+    assert main(["invariants", str(path)]) == 3
+    assert "too many digits" in capsys.readouterr().err
+
+
+def test_overlong_json_integer_exit_code(q1_file, tmp_path):
+    text = open(q1_file).read().replace('"grassmann_q": 1', '"grassmann_q": 1' + "0" * 5000)
+    path = tmp_path / "longint.json"
+    path.write_text(text)
+    assert main(["invariants", str(path)]) == 3

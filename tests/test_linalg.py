@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 from superinv import linalg
@@ -53,6 +54,10 @@ def test_rational_roots_examples():
     assert roots == [(Fraction(-1), 1), (Fraction(1), 1)] and residual is None
     roots, residual = linalg.rational_roots([Fraction(1), Fraction(0), Fraction(1)])
     assert roots == [] and residual == [Fraction(1), Fraction(0), Fraction(1)]
+    # (x - 1)(x^3 + x^2 + x + 3): the Sturm chain skips a degree, so a
+    # pseudo-remainder step multiplies by an odd power of the leading coefficient
+    roots, residual = linalg.rational_roots([Fraction(-3), Fraction(2), Fraction(0), Fraction(0), Fraction(1)])
+    assert roots == [(Fraction(1), 1)] and residual == [Fraction(3), Fraction(1), Fraction(1), Fraction(1)]
 
 
 def test_rational_roots_multiplicity_and_fractions():
@@ -96,3 +101,18 @@ def test_solve_general_consistency():
     assert x is not None and free == [1]
     x, free = linalg.solve_general(a, [Fraction(1), Fraction(3)])
     assert x is None and free is None
+
+
+def test_rational_roots_large_constant_term():
+    # constant term about -1e18: divisor enumeration would need ~1e9 trial divisions
+    a, b = 1000000007, -999999937
+    start = time.perf_counter()
+    roots, residual = linalg.rational_roots([Fraction(a * b), Fraction(-(a + b)), Fraction(1)])
+    assert roots == [(Fraction(b), 1), (Fraction(a), 1)] and residual is None
+    # a fractional root next to an irreducible quadratic with a constant near 1e18
+    root = Fraction(10**9 + 9, 3)
+    quad = [Fraction(10**18 + 3), Fraction(0), Fraction(1)]
+    coeffs = [-root * quad[0], quad[0], -root, Fraction(1)]
+    roots, residual = linalg.rational_roots([2 * c for c in coeffs])
+    assert roots == [(root, 1)] and residual == [2 * c for c in quad]
+    assert time.perf_counter() - start < 5

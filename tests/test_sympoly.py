@@ -416,3 +416,16 @@ def test_polynomial_serialization_round_trip():
     expr = TTauExpression(2, 3, {((1, 0, 2), 0b101): Fraction(3, 7)})
     obj = json.loads(json.dumps(expr.to_obj()))
     assert TTauExpression.from_obj(obj) == expr
+    # JSON true/false are not integers
+    for field, value in (("n", True), ("even", [True, 0]), ("odd", [True])):
+        bad = {"n": 2, "terms": [{"even": [1, 0], "odd": [1], "coeff": "1"}]}
+        if field == "n":
+            bad["n"] = value
+        else:
+            bad["terms"][0][field] = value
+        with pytest.raises(ValidationError):
+            SuperPolynomial.from_obj(bad)
+    bad = TTauExpression(1, 1, {((2,), 0b1): Fraction(3, 7)}).to_obj()
+    bad["symbol_range"] = True
+    with pytest.raises(ValidationError):
+        TTauExpression.from_obj(bad)
