@@ -36,8 +36,6 @@ from .supermatrix import (
     Standard,
     SuperMatrix,
     conjugate,
-    mat_invert,
-    mat_mul,
     qet,
     qtr,
     queer_split,

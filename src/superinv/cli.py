@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import grassmann
 from .errors import (
@@ -188,37 +187,10 @@ def _format_records(records, fmt, seed, trials):
 
 
 def cmd_verify(args):
-    workers = _worker_count()
-    if args.suite == "all" and workers > 1:
-        names = sorted(SUITES)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(SUITES[name], args.seed + idx * 1000, args.trials)
-                for idx, name in enumerate(names)
-            ]
-            records = []
-            for name, future in zip(names, futures):
-                for record in future.result():
-                    record["suite"] = name
-                    records.append(record)
-    else:
-        records = run_suite(args.suite, args.seed, args.trials)
+    records = run_suite(args.suite, args.seed, args.trials)
     text, failures = _format_records(records, args.format, args.seed, args.trials)
     _emit(text, args.out)
     return EXIT_FAILURE if failures else EXIT_OK
-
-
-def _worker_count():
-    raw = os.environ.get("SUPERINV_WORKERS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValidationError("SUPERINV_WORKERS must be an integer") from exc
-    if value < 1:
-        raise ValidationError("SUPERINV_WORKERS must be at least 1")
-    return value
 
 
 def _apply_env():
@@ -269,6 +241,7 @@ def main(argv=None):
                          % (args.suite, ", ".join(sorted(SUITES))))
         if args.trials < 1:
             parser.error("--trials must be at least 1")
+    cap = grassmann.generator_cap()  # SUPERINV_MAX_Q holds for this call only
     try:
         _apply_env()
         return args.func(args)
@@ -281,6 +254,8 @@ def main(argv=None):
     except SuperInvError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_FAILURE
+    finally:
+        grassmann.set_generator_cap(cap)
 
 
 if __name__ == "__main__":

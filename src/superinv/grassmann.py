@@ -97,6 +97,14 @@ def parse_coeff(text):
         raise ValidationError("coefficient has too many digits (%d characters)" % len(text)) from exc
 
 
+def coeff_text(c):
+    """The exact string form of a coefficient, the inverse of parse_coeff."""
+    try:
+        return str(c)
+    except ValueError as exc:  # beyond the interpreter's integer string-conversion limit
+        raise ValidationError("result coefficient has too many digits to write out") from exc
+
+
 def mask_to_indices(mask):
     out = []
     i = 1
@@ -370,7 +378,7 @@ class GrassmannScalar:
         items = sorted(self.terms.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
         return {
             "q": self.q,
-            "terms": [{"idx": mask_to_indices(m), "coeff": str(c)} for m, c in items],
+            "terms": [{"idx": mask_to_indices(m), "coeff": coeff_text(c)} for m, c in items],
         }
 
     @classmethod

@@ -29,7 +29,9 @@ from .reduction import diagonalize, rational_spectrum, reduce_odd
 from .supermatrix import ODD, Queer, Standard, SuperMatrix
 from .sympoly import (
     BalancedExpression,
+    SuperPolynomial,
     TTauExpression,
+    coefficient_matrix,
     elementary_from_roots,
     signed_elementary_poly,
     verify_recurrence,
@@ -144,33 +146,36 @@ def q2_closed_form(b, beta):
     return SemiInvariants((s1, s2))
 
 
+def _relevant_body(a):
+    """The body matrix whose spectrum the reductions use.
+
+    The body itself for a queer matrix; for an odd square, the top-left
+    n x n block of the body of its square.
+    """
+    if isinstance(a.shape, Queer):
+        return a.body_rows()
+    n = family_size(a)
+    return [row[:n] for row in (a @ a).body_rows()[:n]]
+
+
 def body_signed_elementary(a):
     """Bodies of the semi-invariants, straight from the body spectrum.
 
     For the monic characteristic polynomial sum_i c_i x^i of the relevant
     body matrix, the recurrence convention pins body(s_j) = -c_{n-j}.
     """
-    if isinstance(a.shape, Queer):
-        n = a.shape.n
-        body = a.body_rows()
-    else:
-        n = family_size(a)
-        sq = (a @ a).body_rows()
-        body = [row[:n] for row in sq[:n]]
-    coeffs = linalg.charpoly(body)
+    n = family_size(a)
+    coeffs = linalg.charpoly(_relevant_body(a))
     return [-coeffs[n - j] for j in range(1, n + 1)]
 
 
 def _check_eligible(a):
     """Raise the appropriate reduction error when a admits no eigendata."""
+    spectrum = rational_spectrum(_relevant_body(a))
     if isinstance(a.shape, Queer):
-        spectrum = rational_spectrum(a.body_rows())
         if not spectrum.is_simple():
             raise MultipleEigenvalue("body has a repeated eigenvalue")
         return
-    n = family_size(a)
-    sq = (a @ a).body_rows()
-    spectrum = rational_spectrum([row[:n] for row in sq[:n]])
     if not spectrum.is_simple():
         raise MultipleEigenvalue("the square's body has a repeated eigenvalue")
     if any(lam == 0 for lam, _ in spectrum.pairs):
@@ -270,12 +275,7 @@ def s_body_convention_report(a):
     """
     values = compute_s(a).s
     n = len(values)
-    if isinstance(a.shape, Queer):
-        body = a.body_rows()
-    else:
-        sq = (a @ a).body_rows()
-        body = [row[:n] for row in sq[:n]]
-    spectrum = rational_spectrum(body)
+    spectrum = rational_spectrum(_relevant_body(a))
     eigs = []
     for lam, mult in spectrum.pairs:
         eigs.extend([lam] * mult)
@@ -301,44 +301,41 @@ def s_body_convention_report(a):
 # balanced corpus for property testing
 
 
-def _pullback_residual_rows(polys, n):
-    """Stack the invariance residual coefficients of candidate pullbacks."""
-    rows_index = {}
-    columns = []
-    for poly in polys:
-        residuals = [poly.derivative(i).odd_multiply(i) for i in range(1, n + 1)]
-        columns.append(residuals)
-        for i, res in enumerate(residuals):
-            for key in res.terms:
-                rows_index.setdefault((i, key), len(rows_index))
-    matrix = [[0] * len(columns) for _ in range(len(rows_index))]
-    for col, residuals in enumerate(columns):
-        for i, res in enumerate(residuals):
-            for key, c in res.terms.items():
-                matrix[rows_index[(i, key)]][col] = c
-    return matrix
+def _residual_rows(polys, den, n):
+    """Coefficient matrix of the residuals b_i (dN/da_i D - N dD/da_i).
 
-
-def _twisted_residual_rows(polys, den, n):
-    """Residuals of N/D invariance with the denominator cleared."""
-    rows_index = {}
-    columns = []
+    One column per candidate numerator N; its kernel holds the combinations
+    N for which N/D is invariant.
+    """
     dprimes = [den.derivative(i) for i in range(1, n + 1)]
+    columns = []
     for poly in polys:
-        residuals = [
-            (poly.derivative(i) * den - poly * dprimes[i - 1]).odd_multiply(i)
-            for i in range(1, n + 1)
-        ]
-        columns.append(residuals)
-        for i, res in enumerate(residuals):
-            for key in res.terms:
-                rows_index.setdefault((i, key), len(rows_index))
-    matrix = [[0] * len(columns) for _ in range(len(rows_index))]
-    for col, residuals in enumerate(columns):
-        for i, res in enumerate(residuals):
-            for key, c in res.terms.items():
-                matrix[rows_index[(i, key)]][col] = c
-    return matrix
+        column = {}
+        for i in range(1, n + 1):
+            residual = (poly.derivative(i) * den - poly * dprimes[i - 1]).odd_multiply(i)
+            for key, c in residual.terms.items():
+                column[(i, key)] = c
+        columns.append(column)
+    return coefficient_matrix(columns)
+
+
+def _kernel_combinations(rng, kernel, candidates, count, n):
+    """Up to count nonzero random integer combinations of kernel vectors."""
+    out = []
+    for _ in range(count):
+        combo = TTauExpression.zero(n, n)
+        nonzero = False
+        for vec in kernel:
+            c = rng.randint(-2, 2)
+            if c == 0:
+                continue
+            nonzero = True
+            for cand, weight in zip(candidates, vec):
+                if weight != 0:
+                    combo = combo + cand * (weight * c)
+        if nonzero and not combo.is_zero():
+            out.append(combo)
+    return out
 
 
 def balanced_corpus(n, seed, combos=4, weight_cap=None):
@@ -371,38 +368,11 @@ def balanced_corpus(n, seed, combos=4, weight_cap=None):
             monos.append((exps, mask))
     candidates = [TTauExpression.monomial(n, n, e, m) for e, m in monos]
     pullbacks = [c.expand(even_basis="s") for c in candidates]
-    kernel = linalg.nullspace(_pullback_residual_rows(pullbacks, n))
-    for _ in range(combos):
-        if not kernel:
-            break
-        combo = TTauExpression.zero(n, n)
-        nonzero = False
-        for vec in kernel:
-            c = rng.randint(-2, 2)
-            if c == 0:
-                continue
-            nonzero = True
-            for cand, weight in zip(candidates, vec):
-                if weight != 0:
-                    combo = combo + cand * (weight * c)
-        if nonzero and not combo.is_zero():
-            corpus.append(BalancedExpression(combo))
-    den_poly = signed_elementary_poly(n, n)
+    kernel = linalg.nullspace(_residual_rows(pullbacks, SuperPolynomial.one(n), n))
+    for combo in _kernel_combinations(rng, kernel, candidates, combos, n):
+        corpus.append(BalancedExpression(combo))
     den_expr = TTauExpression.even_symbol(n, n, n)
-    kernel = linalg.nullspace(_twisted_residual_rows(pullbacks, den_poly, n))
-    for _ in range(max(1, combos // 2)):
-        if not kernel:
-            break
-        combo = TTauExpression.zero(n, n)
-        nonzero = False
-        for vec in kernel:
-            c = rng.randint(-2, 2)
-            if c == 0:
-                continue
-            nonzero = True
-            for cand, weight in zip(candidates, vec):
-                if weight != 0:
-                    combo = combo + cand * (weight * c)
-        if nonzero and not combo.is_zero():
-            corpus.append(BalancedExpression(combo, den_expr))
+    kernel = linalg.nullspace(_residual_rows(pullbacks, signed_elementary_poly(n, n), n))
+    for combo in _kernel_combinations(rng, kernel, candidates, max(1, combos // 2), n):
+        corpus.append(BalancedExpression(combo, den_expr))
     return corpus

@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
     ZeroEigenvalue,
 )
-from .grassmann import GrassmannScalar, is_int, parse_coeff
+from .grassmann import GrassmannScalar, coeff_text, is_int, parse_coeff
 from .supermatrix import ANY, EVEN, ODD, GroupElement, Queer, Standard, SuperMatrix
 
 
@@ -134,7 +134,7 @@ class SpectralDecomposition:
             "partition": [list(part) for part in self.partition],
             "blocks": [
                 {
-                    "eigenvalue": None if lam is None else str(lam),
+                    "eigenvalue": None if lam is None else coeff_text(lam),
                     "block": block.to_obj(),
                 }
                 for lam, block in self.blocks

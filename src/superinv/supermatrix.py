@@ -499,14 +499,6 @@ class GroupElement:
 # ----------------------------------------------------------------------
 # module-level operation aliases
 
-def mat_mul(a, b):
-    return a @ b
-
-
-def mat_invert(a):
-    return a.invert()
-
-
 def queer_split(a):
     return a.queer_split()
 

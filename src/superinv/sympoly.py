@@ -1,28 +1,34 @@
-"""Exact polynomial algebra in n even and n odd formal variables.
+"""Exact polynomial algebra in even and odd formal variables.
 
 A SuperPolynomial lives in variables a_1..a_n (even) and b_1..b_n (odd,
 anticommuting, square zero).  Monomials are keyed by the even exponent vector
 together with a bitmask of odd indices; odd factors are normalized to
 increasing index order, so the stored coefficient absorbs the reordering
-sign.  TTauExpression is the same structure over formal symbols u_k (even)
-and x_k (odd) standing for the symmetric kernels the algebra rewrites into.
+sign.  TTauExpression is a SuperPolynomial whose keys range over formal
+symbols u_1..u_K (even) and x_1..x_K (odd) standing for the symmetric kernels
+the algebra rewrites into: the one ring implementation serves both, and
+`expand` maps an expression onto the polynomial it names.
+`coefficient_matrix` turns term dicts into the exact linear systems that
+rewriting and the balance conditions solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from . import linalg
 from .errors import NotInvariant, NotSymmetric, ValidationError
-from .grassmann import GrassmannScalar, is_int, merge_sign, parse_coeff
-
-def _norm(c):
-    return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
-
-
-def _prune(terms):
-    return {k: _norm(c) for k, c in terms.items() if c != 0}
+from .grassmann import (
+    GrassmannScalar,
+    _norm,
+    coeff_text,
+    is_int,
+    merge_sign,
+    parse_coeff,
+    prune_terms,
+)
 
 
 def _mask_bits(mask):
@@ -53,20 +59,28 @@ def _sort_sign(seq):
 
 
 class SuperPolynomial:
-    """Sparse exact polynomial with n even and n odd variables."""
+    """Sparse exact polynomial with n even and n odd variables.
+
+    Keys range over `width` even and `width` odd variables; here the width is
+    n, and a subclass may widen it.  Every result is built through `_like`,
+    so it keeps the class and shape of its left operand.
+    """
 
     __slots__ = ("n", "terms")
+    _letters = ("a", "b")
 
     def __init__(self, n, terms=None):
         if not is_int(n) or n < 0:
             raise ValidationError("variable count must be a non-negative integer")
+        object.__setattr__(self, "n", n)
+        width = self.width
         clean = {}
         if terms:
             for (exps, mask), c in terms.items():
                 exps = tuple(exps)
-                if len(exps) != n or any(not is_int(e) or e < 0 for e in exps):
-                    raise ValidationError("exponent vector must be %d non-negative ints" % n)
-                if not isinstance(mask, int) or mask < 0 or mask >= (1 << n):
+                if len(exps) != width or any(not is_int(e) or e < 0 for e in exps):
+                    raise ValidationError("exponent vector must be %d non-negative ints" % width)
+                if not isinstance(mask, int) or mask < 0 or mask >= (1 << width):
                     raise ValidationError("odd index mask out of range")
                 if isinstance(c, float):
                     raise ValidationError("floating point coefficients are not exact")
@@ -75,30 +89,37 @@ class SuperPolynomial:
                     clean[key] = _norm(clean.get(key, 0) + c)
                     if clean[key] == 0:
                         del clean[key]
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
-        raise AttributeError("SuperPolynomial is immutable")
+        raise AttributeError("%s is immutable" % type(self).__name__)
 
-    @classmethod
-    def _raw(cls, n, terms):
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", terms)
-        return self
+    @property
+    def width(self):
+        """How many even (and odd) variables the monomial keys range over."""
+        return self.n
+
+    def _like(self, terms):
+        """A polynomial of this class and shape with already-pruned terms."""
+        new = object.__new__(type(self))
+        object.__setattr__(new, "n", self.n)
+        object.__setattr__(new, "terms", terms)
+        return new
+
+    def _const(self, c):
+        c = _norm(Fraction(c)) if not isinstance(c, int) else c
+        return self._like({((0,) * self.width, 0): c} if c != 0 else {})
 
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
     def zero(cls, n):
-        return cls._raw(n, {})
+        return cls(n)
 
     @classmethod
     def constant(cls, n, c):
-        c = _norm(Fraction(c)) if not isinstance(c, int) else c
-        return cls._raw(n, {((0,) * n, 0): c} if c != 0 else {})
+        return cls.zero(n)._const(c)
 
     @classmethod
     def one(cls, n):
@@ -109,24 +130,29 @@ class SuperPolynomial:
         if not 1 <= i <= n:
             raise ValidationError("even variable index out of range")
         exps = tuple(1 if j == i - 1 else 0 for j in range(n))
-        return cls._raw(n, {(exps, 0): 1})
+        return cls.zero(n)._like({(exps, 0): 1})
 
     @classmethod
     def odd_var(cls, n, i):
         if not 1 <= i <= n:
             raise ValidationError("odd variable index out of range")
-        return cls._raw(n, {((0,) * n, 1 << (i - 1)): 1})
+        return cls.zero(n)._like({((0,) * n, 1 << (i - 1)): 1})
 
     # ------------------------------------------------------------------
     # ring structure
 
+    def _same_shape(self, other):
+        return self.n == other.n
+
     def _coerce(self, other):
-        if isinstance(other, SuperPolynomial):
-            if other.n != self.n:
-                raise ValidationError("variable counts differ: %d vs %d" % (self.n, other.n))
+        # an exact type match: a subclass never mixes with its base
+        if type(other) is type(self):
+            if not self._same_shape(other):
+                raise ValidationError("operand shapes differ: %r vs %r" % (
+                    (self.n, self.width), (other.n, other.width)))
             return other
         if isinstance(other, (int, Fraction)):
-            return SuperPolynomial.constant(self.n, other)
+            return self._const(other)
         return None
 
     def __add__(self, other):
@@ -137,12 +163,12 @@ class SuperPolynomial:
         for k, c in other.terms.items():
             v = terms.get(k)
             terms[k] = c if v is None else v + c
-        return self._raw(self.n, _prune(terms))
+        return self._like(prune_terms(terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._raw(self.n, {k: -c for k, c in self.terms.items()})
+        return self._like({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -159,8 +185,8 @@ class SuperPolynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 0:
-                return self.zero(self.n)
-            return self._raw(self.n, {k: _norm(c * other) for k, c in self.terms.items()})
+                return self._like({})
+            return self._like({k: _norm(c * other) for k, c in self.terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -172,10 +198,10 @@ class SuperPolynomial:
                 c = c1 * c2
                 if merge_sign(m1, m2) < 0:
                     c = -c
-                key = (tuple(x + y for x, y in zip(e1, e2)), m1 | m2)
+                key = (tuple(map(add, e1, e2)), m1 | m2)
                 v = acc.get(key)
                 acc[key] = c if v is None else v + c
-        return self._raw(self.n, _prune(acc))
+        return self._like(prune_terms(acc))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -185,18 +211,18 @@ class SuperPolynomial:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValidationError("exponent must be a non-negative integer")
-        out = self.one(self.n)
+        out = self._const(1)
         for _ in range(k):
             out = out * self
         return out
 
     def __eq__(self, other):
-        if isinstance(other, SuperPolynomial):
-            return self.n == other.n and self.terms == other.terms
+        if type(other) is type(self):
+            return self._same_shape(other) and self.terms == other.terms
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return not self.terms
-            return self.terms == {((0,) * self.n, 0): other}
+            return self.terms == {((0,) * self.width, 0): other}
         return NotImplemented
 
     __hash__ = None
@@ -211,13 +237,13 @@ class SuperPolynomial:
         return not self.terms
 
     def constant_term(self):
-        return self.terms.get(((0,) * self.n, 0), 0)
+        return self.terms.get(((0,) * self.width, 0), 0)
 
     def even_part(self):
-        return self._raw(self.n, {k: c for k, c in self.terms.items() if not k[1].bit_count() & 1})
+        return self._like({k: c for k, c in self.terms.items() if not k[1].bit_count() & 1})
 
     def odd_part(self):
-        return self._raw(self.n, {k: c for k, c in self.terms.items() if k[1].bit_count() & 1})
+        return self._like({k: c for k, c in self.terms.items() if k[1].bit_count() & 1})
 
     def is_even_polynomial(self):
         """True when no odd variable appears at all."""
@@ -229,9 +255,8 @@ class SuperPolynomial:
         return max(sum(e) + m.bit_count() for e, m in self.terms)
 
     def homogeneous_component(self, d):
-        return self._raw(
-            self.n,
-            {k: c for k, c in self.terms.items() if sum(k[0]) + k[1].bit_count() == d},
+        return self._like(
+            {k: c for k, c in self.terms.items() if sum(k[0]) + k[1].bit_count() == d}
         )
 
     def degrees(self):
@@ -239,13 +264,11 @@ class SuperPolynomial:
 
     def coefficient_of_odd(self, mask):
         """The even-variable polynomial multiplying the given odd monomial."""
-        return self._raw(
-            self.n, {(e, 0): c for (e, m), c in self.terms.items() if m == mask}
-        )
+        return self._like({(e, 0): c for (e, m), c in self.terms.items() if m == mask})
 
     def derivative(self, i):
         """Partial derivative in the i-th even variable (1-based)."""
-        if not 1 <= i <= self.n:
+        if not 1 <= i <= self.width:
             raise ValidationError("even variable index out of range")
         out = {}
         idx = i - 1
@@ -257,11 +280,11 @@ class SuperPolynomial:
             new[idx] = e - 1
             key = (tuple(new), mask)
             out[key] = out.get(key, 0) + c * e
-        return self._raw(self.n, _prune(out))
+        return self._like(prune_terms(out))
 
     def odd_multiply(self, i):
         """Left multiplication by the i-th odd variable."""
-        if not 1 <= i <= self.n:
+        if not 1 <= i <= self.width:
             raise ValidationError("odd variable index out of range")
         bit = 1 << (i - 1)
         out = {}
@@ -271,21 +294,22 @@ class SuperPolynomial:
             if merge_sign(bit, mask) < 0:
                 c = -c
             out[(exps, mask | bit)] = c
-        return self._raw(self.n, _prune(out))
+        return self._like(prune_terms(out))
 
     def permute(self, perm):
         """Apply a permutation of variable indices (0-based image list)."""
-        if sorted(perm) != list(range(self.n)):
+        width = self.width
+        if sorted(perm) != list(range(width)):
             raise ValidationError("perm must be a permutation of 0..n-1")
         out = {}
         for (exps, mask), c in self.terms.items():
-            new_exps = [0] * self.n
+            new_exps = [0] * width
             for i, e in enumerate(exps):
                 new_exps[perm[i]] = e
             sign, new_mask = _sort_sign(perm[i] for i in _mask_bits(mask))
             key = (tuple(new_exps), new_mask)
             out[key] = out.get(key, 0) + (c if sign > 0 else -c)
-        return self._raw(self.n, _prune(out))
+        return self._like(prune_terms(out))
 
     def is_symmetric(self):
         """Check invariance under all adjacent transpositions.
@@ -293,8 +317,8 @@ class SuperPolynomial:
         Returns (True, None) or (False, (i, i+1)) with the witnessing
         transposition (1-based).
         """
-        for i in range(self.n - 1):
-            perm = list(range(self.n))
+        for i in range(self.width - 1):
+            perm = list(range(self.width))
             perm[i], perm[i + 1] = perm[i + 1], perm[i]
             if self.permute(perm) != self:
                 return False, (i + 1, i + 2)
@@ -304,18 +328,18 @@ class SuperPolynomial:
         """Exact evaluation at Grassmann scalar arguments."""
         if len(a_vals) != self.n or len(alpha_vals) != self.n:
             raise ValidationError("need %d even and %d odd values" % (self.n, self.n))
-        if self.n:
-            q = a_vals[0].q
-        else:
-            q = 0
+        q = a_vals[0].q if self.n else 0
+        return self._evaluate_at(q, a_vals, alpha_vals)
+
+    def _evaluate_at(self, q, even_vals, odd_vals):
         acc = GrassmannScalar.zero(q)
         for (exps, mask), c in self.terms.items():
             term = GrassmannScalar.rational(q, c)
             for i, e in enumerate(exps):
                 for _ in range(e):
-                    term = term * a_vals[i]
+                    term = term * even_vals[i]
             for i in _mask_bits(mask):
-                term = term * alpha_vals[i]
+                term = term * odd_vals[i]
             acc = acc + term
         return acc
 
@@ -325,11 +349,12 @@ class SuperPolynomial:
     def __str__(self):
         if not self.terms:
             return "0"
+        even, odd = self._letters
         parts = []
         for (exps, mask), c in sorted(self.terms.items()):
-            bits = ["a%d^%d" % (i + 1, e) if e > 1 else "a%d" % (i + 1)
+            bits = ["%s%d^%d" % (even, i + 1, e) if e > 1 else "%s%d" % (even, i + 1)
                     for i, e in enumerate(exps) if e]
-            bits += ["b%d" % (i + 1) for i in _mask_bits(mask)]
+            bits += ["%s%d" % (odd, i + 1) for i in _mask_bits(mask)]
             body = "*".join(bits)
             if not body:
                 parts.append(str(c))
@@ -344,15 +369,35 @@ class SuperPolynomial:
     def __repr__(self):
         return "SuperPolynomial(n=%d, %s)" % (self.n, self)
 
+    def _terms_obj(self):
+        return [
+            {"even": list(e), "odd": [i + 1 for i in _mask_bits(m)], "coeff": coeff_text(c)}
+            for (e, m), c in sorted(self.terms.items())
+        ]
+
     def to_obj(self):
-        items = sorted(self.terms.items())
-        return {
-            "n": self.n,
-            "terms": [
-                {"even": list(e), "odd": [i + 1 for i in _mask_bits(m)], "coeff": str(c)}
-                for (e, m), c in items
-            ],
-        }
+        return {"n": self.n, "terms": self._terms_obj()}
+
+    @staticmethod
+    def _terms_from_obj(items, width):
+        terms = {}
+        for item in items:
+            exps = item.get("even")
+            odd = item.get("odd")
+            if not isinstance(exps, list) or len(exps) != width:
+                raise ValidationError("'even' must list %d exponents" % width)
+            mask = 0
+            prev = 0
+            for i in odd:
+                if not is_int(i) or i <= prev or i > width:
+                    raise ValidationError("'odd' must be strictly increasing indices in 1..%d" % width)
+                mask |= 1 << (i - 1)
+                prev = i
+            key = (tuple(exps), mask)
+            if key in terms:
+                raise ValidationError("duplicate monomial in polynomial object")
+            terms[key] = parse_coeff(item.get("coeff"))
+        return terms
 
     @classmethod
     def from_obj(cls, obj):
@@ -361,25 +406,7 @@ class SuperPolynomial:
         n = obj["n"]
         if not is_int(n) or n < 0:
             raise ValidationError("'n' must be a non-negative integer")
-        terms = {}
-        for item in obj["terms"]:
-            exps = item.get("even")
-            odd = item.get("odd")
-            if not isinstance(exps, list) or len(exps) != n:
-                raise ValidationError("'even' must list %d exponents" % n)
-            mask = 0
-            prev = 0
-            for i in odd:
-                if not is_int(i) or i <= prev or i > n:
-                    raise ValidationError("'odd' must be strictly increasing indices in 1..%d" % n)
-                mask |= 1 << (i - 1)
-                prev = i
-            coeff = parse_coeff(item.get("coeff"))
-            key = (tuple(exps), mask)
-            if key in terms:
-                raise ValidationError("duplicate monomial in polynomial object")
-            terms[key] = coeff
-        return cls(n, terms)
+        return cls(n, cls._terms_from_obj(obj["terms"], n))
 
 
 # ----------------------------------------------------------------------
@@ -444,160 +471,55 @@ class PowerSums:
 # expressions in the rewritten symbols
 
 
-class TTauExpression:
+class TTauExpression(SuperPolynomial):
     """Polynomial in formal even symbols u_1..u_K and odd symbols x_1..x_K.
 
     n is the even/odd variable count of the expansion target; K, the symbol
-    range, may exceed n (balanced-function work uses indices up to 2n-1).
+    range, is the width of the keys and may exceed n (balanced-function work
+    uses indices up to 2n-1).
     """
 
-    __slots__ = ("n", "symbol_range", "terms")
+    __slots__ = ("symbol_range",)
+    _letters = ("u", "x")
 
     def __init__(self, n, symbol_range, terms=None):
-        if not isinstance(symbol_range, int) or symbol_range < 0:
+        if not is_int(symbol_range) or symbol_range < 0:
             raise ValidationError("symbol range must be a non-negative integer")
-        clean = {}
-        if terms:
-            for (exps, mask), c in terms.items():
-                exps = tuple(exps)
-                if len(exps) != symbol_range or any(not is_int(e) or e < 0 for e in exps):
-                    raise ValidationError("exponent vector must be %d non-negative ints" % symbol_range)
-                if not isinstance(mask, int) or mask < 0 or mask >= (1 << symbol_range):
-                    raise ValidationError("odd symbol mask out of range")
-                if isinstance(c, float):
-                    raise ValidationError("floating point coefficients are not exact")
-                if c != 0:
-                    key = (exps, mask)
-                    clean[key] = _norm(clean.get(key, 0) + c)
-                    if clean[key] == 0:
-                        del clean[key]
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "symbol_range", symbol_range)
-        object.__setattr__(self, "terms", clean)
+        super().__init__(n, terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TTauExpression is immutable")
+    @property
+    def width(self):
+        return self.symbol_range
 
-    @classmethod
-    def _raw(cls, n, symbol_range, terms):
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "symbol_range", symbol_range)
-        object.__setattr__(self, "terms", terms)
-        return self
+    def _like(self, terms):
+        new = super()._like(terms)
+        object.__setattr__(new, "symbol_range", self.symbol_range)
+        return new
+
+    def _same_shape(self, other):
+        return self.n == other.n and self.symbol_range == other.symbol_range
 
     @classmethod
     def zero(cls, n, symbol_range):
-        return cls._raw(n, symbol_range, {})
+        return cls(n, symbol_range)
 
     @classmethod
     def constant(cls, n, symbol_range, c):
-        c = _norm(Fraction(c)) if not isinstance(c, int) else c
-        return cls._raw(n, symbol_range, {((0,) * symbol_range, 0): c} if c != 0 else {})
+        return cls.zero(n, symbol_range)._const(c)
 
     @classmethod
     def even_symbol(cls, n, symbol_range, k):
         exps = tuple(1 if j == k - 1 else 0 for j in range(symbol_range))
-        return cls._raw(n, symbol_range, {(exps, 0): 1})
+        return cls.zero(n, symbol_range)._like({(exps, 0): 1})
 
     @classmethod
     def odd_symbol(cls, n, symbol_range, k):
-        return cls._raw(n, symbol_range, {((0,) * symbol_range, 1 << (k - 1)): 1})
+        return cls.zero(n, symbol_range)._like({((0,) * symbol_range, 1 << (k - 1)): 1})
 
     @classmethod
     def monomial(cls, n, symbol_range, exps, mask, coeff=1):
         return cls(n, symbol_range, {(tuple(exps), mask): coeff})
-
-    def _coerce(self, other):
-        if isinstance(other, TTauExpression):
-            if other.n != self.n or other.symbol_range != self.symbol_range:
-                raise ValidationError("expression shapes differ")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return TTauExpression.constant(self.n, self.symbol_range, other)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            v = terms.get(k)
-            terms[k] = c if v is None else v + c
-        return self._raw(self.n, self.symbol_range, _prune(terms))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._raw(self.n, self.symbol_range, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return self.zero(self.n, self.symbol_range)
-            return self._raw(self.n, self.symbol_range,
-                             {k: _norm(c * other) for k, c in self.terms.items()})
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        acc = {}
-        for (e1, m1), c1 in self.terms.items():
-            for (e2, m2), c2 in other.terms.items():
-                if m1 & m2:
-                    continue
-                c = c1 * c2
-                if merge_sign(m1, m2) < 0:
-                    c = -c
-                key = (tuple(x + y for x, y in zip(e1, e2)), m1 | m2)
-                v = acc.get(key)
-                acc[key] = c if v is None else v + c
-        return self._raw(self.n, self.symbol_range, _prune(acc))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, TTauExpression):
-            return (self.n == other.n and self.symbol_range == other.symbol_range
-                    and self.terms == other.terms)
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return not self.terms
-            return self.terms == {((0,) * self.symbol_range, 0): other}
-        return NotImplemented
-
-    __hash__ = None
-
-    def is_zero(self):
-        return not self.terms
-
-    def has_even_symbols_only(self):
-        return all(mask == 0 for _, mask in self.terms)
-
-    def derivative_u(self, s):
-        """Partial derivative in the s-th even symbol."""
-        if not 1 <= s <= self.symbol_range:
-            raise ValidationError("even symbol index out of range")
-        out = {}
-        idx = s - 1
-        for (exps, mask), c in self.terms.items():
-            e = exps[idx]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[idx] = e - 1
-            key = (tuple(new), mask)
-            out[key] = out.get(key, 0) + c * e
-        return self._raw(self.n, self.symbol_range, _prune(out))
 
     def expand(self, even_basis="t"):
         """Substitute the concrete kernels for the formal symbols.
@@ -645,49 +567,13 @@ class TTauExpression:
                     "need %d even and %d odd symbol values" % (used_e, used_o)
                 )
         q = even_vals[0].q if even_vals else odd_vals[0].q
-        acc = GrassmannScalar.zero(q)
-        for (exps, mask), c in self.terms.items():
-            term = GrassmannScalar.rational(q, c)
-            for k, e in enumerate(exps):
-                for _ in range(e):
-                    term = term * even_vals[k]
-            for k in _mask_bits(mask):
-                term = term * odd_vals[k]
-            acc = acc + term
-        return acc
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (exps, mask), c in sorted(self.terms.items()):
-            bits = ["u%d^%d" % (i + 1, e) if e > 1 else "u%d" % (i + 1)
-                    for i, e in enumerate(exps) if e]
-            bits += ["x%d" % (i + 1) for i in _mask_bits(mask)]
-            body = "*".join(bits)
-            if not body:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append("-" + body)
-            else:
-                parts.append("%s*%s" % (c, body))
-        return (" + ".join(parts)).replace("+ -", "- ")
+        return self._evaluate_at(q, even_vals, odd_vals)
 
     def __repr__(self):
         return "TTauExpression(n=%d, K=%d, %s)" % (self.n, self.symbol_range, self)
 
     def to_obj(self):
-        items = sorted(self.terms.items())
-        return {
-            "n": self.n,
-            "symbol_range": self.symbol_range,
-            "terms": [
-                {"even": list(e), "odd": [i + 1 for i in _mask_bits(m)], "coeff": str(c)}
-                for (e, m), c in items
-            ],
-        }
+        return {"n": self.n, "symbol_range": self.symbol_range, "terms": self._terms_obj()}
 
     @classmethod
     def from_obj(cls, obj):
@@ -697,24 +583,7 @@ class TTauExpression:
         sr = obj["symbol_range"]
         if not is_int(n) or n < 0 or not is_int(sr) or sr < 0:
             raise ValidationError("'n' and 'symbol_range' must be non-negative integers")
-        terms = {}
-        for item in obj.get("terms", []):
-            exps = item.get("even")
-            odd = item.get("odd")
-            if not isinstance(exps, list) or len(exps) != sr:
-                raise ValidationError("'even' must list %d exponents" % sr)
-            mask = 0
-            prev = 0
-            for i in odd:
-                if not is_int(i) or i <= prev or i > sr:
-                    raise ValidationError("'odd' must be strictly increasing indices in 1..%d" % sr)
-                mask |= 1 << (i - 1)
-                prev = i
-            key = (tuple(exps), mask)
-            if key in terms:
-                raise ValidationError("duplicate monomial in expression object")
-            terms[key] = parse_coeff(item.get("coeff"))
-        return cls(n, sr, terms)
+        return cls(n, sr, cls._terms_from_obj(obj.get("terms", []), sr))
 
 
 class BalancedExpression:
@@ -732,7 +601,7 @@ class BalancedExpression:
             denominator = TTauExpression.constant(numerator.n, numerator.symbol_range, 1)
         if denominator.is_zero():
             raise ValidationError("denominator must be nonzero")
-        if not denominator.has_even_symbols_only():
+        if not denominator.is_even_polynomial():
             raise ValidationError("denominator must use even symbols only")
         if (numerator.n, numerator.symbol_range) != (denominator.n, denominator.symbol_range):
             raise ValidationError("numerator and denominator shapes differ")
@@ -918,6 +787,19 @@ def _ttau_monomials(symbol_range, weight, max_odd=None):
     return out
 
 
+def coefficient_matrix(columns):
+    """The matrix with one term dict per column, rows keyed by first appearance."""
+    rows_index = {}
+    for terms in columns:
+        for key in terms:
+            rows_index.setdefault(key, len(rows_index))
+    matrix = [[0] * len(columns) for _ in range(len(rows_index))]
+    for col, terms in enumerate(columns):
+        for key, c in terms.items():
+            matrix[rows_index[key]][col] = c
+    return matrix
+
+
 def _solve_coefficient_matching(targets, candidates):
     """Exact solve for coefficients expressing a target in given expansions.
 
@@ -925,21 +807,9 @@ def _solve_coefficient_matching(targets, candidates):
     Returns {key: coeff}; raises AssertionError when the system is not
     uniquely solvable (the rewriting theorems guarantee it is).
     """
-    rows_index = {}
-    for _key, poly in candidates:
-        for k in poly.terms:
-            rows_index.setdefault(k, len(rows_index))
-    for k in targets.terms:
-        rows_index.setdefault(k, len(rows_index))
-    nrows = len(rows_index)
-    ncols = len(candidates)
-    a = [[0] * ncols for _ in range(nrows)]
-    for col, (_key, poly) in enumerate(candidates):
-        for k, c in poly.terms.items():
-            a[rows_index[k]][col] = c
-    b = [0] * nrows
-    for k, c in targets.terms.items():
-        b[rows_index[k]] = c
+    matrix = coefficient_matrix([poly.terms for _key, poly in candidates] + [targets.terms])
+    a = [row[:-1] for row in matrix]
+    b = [row[-1] for row in matrix]
     solution, free = linalg.solve_general(a, b)
     if solution is None:
         raise AssertionError("internal: coefficient matching is inconsistent")
@@ -982,12 +852,12 @@ def is_balanced(h):
     """
     n = h.n
     for k in range(n + 1, h.symbol_range + 1):
-        if not h.derivative_u(k).is_zero():
+        if not h.derivative(k).is_zero():
             raise ValidationError("even symbols beyond u_%d may not appear" % n)
     for i in range(1, n + 1):
         cond = SuperPolynomial.zero(n)
         for s in range(1, n + 1):
-            dh = h.derivative_u(s)
+            dh = h.derivative(s)
             if dh.is_zero():
                 continue
             cond = cond + power_sum_odd(n, i + s - 1) * dh.expand(even_basis="t") * s

@@ -46,6 +46,7 @@ from .supermatrix import (
 from .sympoly import (
     SuperPolynomial,
     TTauExpression,
+    coefficient_matrix,
     invariant_normal_form,
     power_sum_odd,
     rewrite_symmetric,
@@ -623,20 +624,13 @@ def tau_monomial_matrix(n, max_index):
     for size in range(1, n + 1):
         for tup in combinations(range(1, max_index + 1), size):
             monos.append(tup)
-    rows_index = {}
     columns = []
     for tup in monos:
         poly = SuperPolynomial.one(n)
         for i in tup:
             poly = poly * power_sum_odd(n, i)
-        columns.append(poly)
-        for key in poly.terms:
-            rows_index.setdefault(key, len(rows_index))
-    matrix = [[0] * len(columns) for _ in range(len(rows_index))]
-    for c, poly in enumerate(columns):
-        for key, value in poly.terms.items():
-            matrix[rows_index[key]][c] = value
-    return monos, matrix
+        columns.append(poly.terms)
+    return monos, coefficient_matrix(columns)
 
 
 def suite_thm_3_3(seed, trials):

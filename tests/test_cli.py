@@ -156,28 +156,21 @@ def test_verify_deterministic_output(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_verify_worker_pool_matches_sequential(tmp_path):
-    out1 = tmp_path / "seq.ndjson"
-    out2 = tmp_path / "par.ndjson"
-    assert main(["verify", "all", "--seed", "1", "--trials", "1", "--out", str(out1)]) == 0
-    os.environ["SUPERINV_WORKERS"] = "3"
-    try:
-        assert main(["verify", "all", "--seed", "1", "--trials", "1", "--out", str(out2)]) == 0
-    finally:
-        del os.environ["SUPERINV_WORKERS"]
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_env_q_cap_override(tmp_path, q1_file):
+    q2 = 2
+    a = SuperMatrix(Queer(1), ANY, [[G.rational(q2, 2) + G.generator(q2, 1) * G.generator(q2, 2)]])
+    q2_file = write_matrix(tmp_path / "q2.json", a)
     os.environ["SUPERINV_MAX_Q"] = "1"
     try:
         assert main(["invariants", q1_file]) == 0
+        assert main(["invariants", q2_file]) == 3
     finally:
         del os.environ["SUPERINV_MAX_Q"]
-    from superinv.grassmann import generator_cap, set_generator_cap
+    from superinv.grassmann import DEFAULT_GENERATOR_CAP, generator_cap
 
-    assert generator_cap() == 1
-    set_generator_cap(16)
+    # the override holds for one call only
+    assert generator_cap() == DEFAULT_GENERATOR_CAP == 16
+    assert main(["invariants", q2_file]) == 0
 
 
 def test_missing_file_exit_code(capsys):
@@ -247,6 +240,19 @@ def test_overlong_coefficient_exit_code(q1_file, tmp_path, capsys):
     path = tmp_path / "long.json"
     path.write_text(json.dumps(obj))
     assert main(["invariants", str(path)]) == 3
+    assert "too many digits" in capsys.readouterr().err
+
+
+def test_overlong_result_coefficient_exit_code(tmp_path, capsys):
+    # 2,200-digit inputs parse, but the odd moments square them past the
+    # interpreter's 4,300-digit limit for printing an integer
+    q = 1
+    big = int("9" * 2200)
+    e1 = G.generator(q, 1)
+    a = SuperMatrix(Queer(2), ANY, [[G.rational(q, big) + e1, G.zero(q)],
+                                    [G.zero(q), G.rational(q, big + 1) + e1]])
+    path = write_matrix(tmp_path / "big.json", a)
+    assert main(["invariants", path]) == 3
     assert "too many digits" in capsys.readouterr().err
 
 

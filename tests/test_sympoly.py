@@ -429,3 +429,77 @@ def test_polynomial_serialization_round_trip():
     bad["symbol_range"] = True
     with pytest.raises(ValidationError):
         TTauExpression.from_obj(bad)
+
+
+# ----------------------------------------------------------------------
+# the shared ring core: TTauExpression is a SuperPolynomial of width K
+
+
+def _sample_pair():
+    a1, a2, b1, b2 = ev(2, 1), ev(2, 2), ov(2, 1), ov(2, 2)
+    f = a1 ** 2 * b2 - Fraction(3, 2) * a2 * b1 * b2 + 5 - a1
+    e = TTauExpression(2, 3, {((1, 0, 2), 0b101): Fraction(3, 7), ((0, 0, 0), 0b010): -1,
+                              ((0, 1, 0), 0): 4, ((0, 0, 0), 0): -2})
+    return f, e
+
+
+def test_cross_type_arithmetic_rejected():
+    f = SuperPolynomial.one(2)
+    e = TTauExpression.constant(2, 2, 1)
+    assert f.terms == e.terms
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        with pytest.raises(TypeError):
+            op(f, e)
+        with pytest.raises(TypeError):
+            op(e, f)
+    assert not f == e and not e == f
+    assert f != e
+    with pytest.raises(ValidationError):
+        TTauExpression.zero(2, 2) + TTauExpression.zero(2, 3)
+    assert TTauExpression.zero(2, 3) != TTauExpression.zero(3, 3)
+
+
+def test_inherited_operations_keep_expression_shape():
+    _f, e = _sample_pair()
+    u1 = TTauExpression.even_symbol(2, 3, 1)
+    x3 = TTauExpression.odd_symbol(2, 3, 3)
+    results = [e ** 2, e ** 0, e.even_part(), e.odd_part(), e.homogeneous_component(1),
+               e.derivative(3), e.odd_multiply(1), -e, e - 1, 2 - e, e * 3, e * 0,
+               (u1 + x3) ** 2]
+    for r in results:
+        assert type(r) is TTauExpression
+        assert (r.n, r.symbol_range, r.width) == (2, 3, 3)
+        assert all(len(exps) == 3 for exps, _mask in r.terms)
+    assert e ** 0 == 1 and e ** 0 == TTauExpression.constant(2, 3, 1)
+    assert e ** 2 == e * e
+    assert e.odd_part() == -TTauExpression.odd_symbol(2, 3, 2)
+    assert e.even_part() == e - e.odd_part()
+    assert e.degrees() == [0, 1, 5]
+    u2, x2 = TTauExpression.even_symbol(2, 3, 2), TTauExpression.odd_symbol(2, 3, 2)
+    assert e.homogeneous_component(1) == 4 * u2 - x2
+    assert e.homogeneous_component(5) == TTauExpression(2, 3, {((1, 0, 2), 0b101): Fraction(3, 7)})
+    assert e.constant_term() == -2
+    assert e.derivative(3) == TTauExpression(2, 3, {((1, 0, 1), 0b101): Fraction(6, 7)})
+    assert (u1 + x3) ** 2 == u1 * u1 + 2 * u1 * x3
+    assert not e.is_even_polynomial()
+    assert e.coefficient_of_odd(0).is_even_polynomial()
+
+
+def test_text_and_json_forms_unchanged():
+    f, e = _sample_pair()
+    assert str(f) == "5 - 3/2*a2*b1*b2 - a1 + a1^2*b2"
+    assert repr(f) == "SuperPolynomial(n=2, 5 - 3/2*a2*b1*b2 - a1 + a1^2*b2)"
+    assert f.to_obj() == {"n": 2, "terms": [
+        {"even": [0, 0], "odd": [], "coeff": "5"},
+        {"even": [0, 1], "odd": [1, 2], "coeff": "-3/2"},
+        {"even": [1, 0], "odd": [], "coeff": "-1"},
+        {"even": [2, 0], "odd": [2], "coeff": "1"}]}
+    assert str(e) == "-2 - x2 + 4*u2 + 3/7*u1*u3^2*x1*x3"
+    assert repr(e) == "TTauExpression(n=2, K=3, -2 - x2 + 4*u2 + 3/7*u1*u3^2*x1*x3)"
+    assert json.dumps(e.to_obj()) == json.dumps({"n": 2, "symbol_range": 3, "terms": [
+        {"even": [0, 0, 0], "odd": [], "coeff": "-2"},
+        {"even": [0, 0, 0], "odd": [2], "coeff": "-1"},
+        {"even": [0, 1, 0], "odd": [], "coeff": "4"},
+        {"even": [1, 0, 2], "odd": [1, 3], "coeff": "3/7"}]})
+    assert str(SuperPolynomial.zero(1)) == "0"
+    assert repr(TTauExpression.zero(1, 2)) == "TTauExpression(n=1, K=2, 0)"
