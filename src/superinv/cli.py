@@ -85,26 +85,22 @@ def _load_matrix(path):
     return SuperMatrix.from_obj(obj)
 
 
-def _scalar_obj(x):
-    return x.to_obj()
-
-
 def cmd_invariants(args):
     a = _load_matrix(args.matrix)
     report = {"shape": a.shape.to_obj(), "parity": a.parity, "grassmann_q": a.gq}
     if isinstance(a.shape, Queer):
         n = a.shape.n
-        report["qtr"] = _scalar_obj(a.qtr())
+        report["qtr"] = a.qtr().to_obj()
         try:
-            report["qet"] = _scalar_obj(a.qet())
+            report["qet"] = a.qet().to_obj()
         except SingularBody:
             report["qet"] = None
-        report["tau"] = [_scalar_obj(v) for v in a.tau_values(2 * n)]
+        report["tau"] = [v.to_obj() for v in a.tau_values(2 * n)]
     else:
         if a.parity != ANY:
-            report["str"] = _scalar_obj(a.supertrace())
+            report["str"] = a.supertrace().to_obj()
         if a.shape.p == a.shape.q and a.parity == ODD:
-            report["tau"] = [_scalar_obj(v) for v in a.tau_values(2 * a.shape.p)]
+            report["tau"] = [v.to_obj() for v in a.tau_values(2 * a.shape.p)]
     if args.format == "json":
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:

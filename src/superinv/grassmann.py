@@ -4,7 +4,8 @@ A scalar is a finite sum of monomials e_{i1}...e_{ik} (1 <= i1 < ... < ik <= q)
 with exact rational coefficients.  Monomials are stored as bitmasks over the
 generators (bit j set means generator j+1 is present); the empty monomial
 carries the body.  Coefficients are ints or Fractions, never floats, so
-equality testing is exact and structural.
+equality testing is exact and structural.  `geometric_sum` is the one
+(1 + nilpotent)^-1 series that scalar and matrix inverses share.
 """
 
 from __future__ import annotations
@@ -103,6 +104,23 @@ def coeff_text(c):
         return str(c)
     except ValueError as exc:  # beyond the interpreter's integer string-conversion limit
         raise ValidationError("result coefficient has too many digits to write out") from exc
+
+
+def geometric_sum(one, x, order):
+    """1 + x + ... + x^order, stopping at the first power that is zero.
+
+    The result is exactly (1 - x)^-1 when x^(order+1) = 0, as it is for a
+    nilpotent x whose terms all have monomial degree > q / (order + 1).
+    Scalars and matrices alike: it only uses `*`, `+` and `is_zero`.
+    """
+    acc = one
+    term = one
+    for _ in range(order):
+        term = term * x
+        if term.is_zero():
+            break
+        acc = acc + term
+    return acc
 
 
 def mask_to_indices(mask):
@@ -237,9 +255,6 @@ class GrassmannScalar:
             return None
         return min(m.bit_count() for m in self.terms)
 
-    def degree_component(self, d):
-        return self._raw(self.q, {m: c for m, c in self.terms.items() if m.bit_count() == d})
-
     # ------------------------------------------------------------------
     # arithmetic
 
@@ -327,15 +342,7 @@ class GrassmannScalar:
         if b == 0:
             raise ZeroBody("cannot invert a scalar with zero body")
         binv = _norm(Fraction(1, 1) / b)
-        neg_u = 1 - (self * binv)
-        acc = self.one(self.q)
-        term = self.one(self.q)
-        for _ in range(self.q):
-            term = term * neg_u
-            if term.is_zero():
-                break
-            acc = acc + term
-        return acc * binv
+        return geometric_sum(self.one(self.q), 1 - (self * binv), self.q) * binv
 
     # ------------------------------------------------------------------
     # comparison / io

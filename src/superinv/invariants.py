@@ -29,8 +29,8 @@ from .reduction import diagonalize, rational_spectrum, reduce_odd
 from .supermatrix import ODD, Queer, Standard, SuperMatrix
 from .sympoly import (
     BalancedExpression,
-    SuperPolynomial,
     TTauExpression,
+    balance_residual,
     coefficient_matrix,
     elementary_from_roots,
     signed_elementary_poly,
@@ -67,10 +67,9 @@ class EigenData:
             acc = acc + alpha * a ** (k - 1)
         return acc
 
-    def matches_tau(self, a, upto=None):
-        upto = upto or 2 * self.n
-        taus = a.tau_values(upto)
-        return all(self.tau_value(k) == taus[k - 1] for k in range(1, upto + 1))
+    def matches_tau(self, a):
+        taus = a.tau_values(2 * self.n)
+        return all(self.tau_value(k) == value for k, value in enumerate(taus, start=1))
 
 
 @dataclass(frozen=True)
@@ -99,14 +98,10 @@ def eigendata(a):
     raise ShapeMismatch("expected a queer matrix or an odd standard square matrix")
 
 
-def semi_invariants_from_eigendata(data):
-    return SemiInvariants(tuple(elementary_from_roots([a for a, _ in data.pairs])))
-
-
 def compute_s(a):
     """Semi-invariants through the spectral route; recurrence-checked."""
     data = eigendata(a)
-    result = semi_invariants_from_eigendata(data)
+    result = SemiInvariants(tuple(elementary_from_roots([x for x, _ in data.pairs])))
     n = data.n
     if not verify_recurrence(a.tau_values(2 * n), list(result.s)):
         raise AssertionError("internal: spectral semi-invariants fail the recurrence")
@@ -170,16 +165,17 @@ def body_signed_elementary(a):
 
 
 def _check_eligible(a):
-    """Raise the appropriate reduction error when a admits no eigendata."""
+    """The relevant body spectrum; raises the reduction error if a has no eigendata."""
     spectrum = rational_spectrum(_relevant_body(a))
     if isinstance(a.shape, Queer):
         if not spectrum.is_simple():
             raise MultipleEigenvalue("body has a repeated eigenvalue")
-        return
+        return spectrum
     if not spectrum.is_simple():
         raise MultipleEigenvalue("the square's body has a repeated eigenvalue")
     if any(lam == 0 for lam, _ in spectrum.pairs):
         raise ZeroEigenvalue("the square's body has a zero eigenvalue")
+    return spectrum
 
 
 def evaluate_invariant(a, f, s_values=None):
@@ -215,16 +211,17 @@ def indistinguishable(a1, a2):
     """Whether all invariant functions agree on the two matrices.
 
     True exactly when the first 2n odd moments coincide and the bodies of the
-    semi-invariants do.
+    semi-invariants do; those bodies are the signed elementary values of the
+    body spectrum, so they agree exactly when the spectra do.
     """
     n = family_size(a1)
     if family_size(a2) != n:
         raise ShapeMismatch("the two matrices belong to different families")
-    _check_eligible(a1)
-    _check_eligible(a2)
+    spectrum1 = _check_eligible(a1)
+    spectrum2 = _check_eligible(a2)
     if a1.tau_values(2 * n) != a2.tau_values(2 * n):
         return False
-    return body_signed_elementary(a1) == body_signed_elementary(a2)
+    return spectrum1 == spectrum2
 
 
 def l_invariants(a):
@@ -274,18 +271,8 @@ def s_body_convention_report(a):
     Both are reported, neither asserted.
     """
     values = compute_s(a).s
-    n = len(values)
-    spectrum = rational_spectrum(_relevant_body(a))
-    eigs = []
-    for lam, mult in spectrum.pairs:
-        eigs.extend([lam] * mult)
-    elementary = [1] + [0] * n
-    for v in eigs:
-        for j in range(n, 0, -1):
-            elementary[j] = elementary[j] + elementary[j - 1] * v
     report = []
-    for j in range(1, n + 1):
-        recurrence_sign = elementary[j] if j % 2 == 1 else -elementary[j]
+    for j, recurrence_sign in enumerate(body_signed_elementary(a), start=1):
         report.append(
             {
                 "j": j,
@@ -307,13 +294,11 @@ def _residual_rows(polys, den, n):
     One column per candidate numerator N; its kernel holds the combinations
     N for which N/D is invariant.
     """
-    dprimes = [den.derivative(i) for i in range(1, n + 1)]
     columns = []
     for poly in polys:
         column = {}
         for i in range(1, n + 1):
-            residual = (poly.derivative(i) * den - poly * dprimes[i - 1]).odd_multiply(i)
-            for key, c in residual.terms.items():
+            for key, c in balance_residual(poly, den, i).terms.items():
                 column[(i, key)] = c
         columns.append(column)
     return coefficient_matrix(columns)
@@ -338,7 +323,7 @@ def _kernel_combinations(rng, kernel, candidates, count, n):
     return out
 
 
-def balanced_corpus(n, seed, combos=4, weight_cap=None):
+def balanced_corpus(n, seed, combos=4):
     """A deterministic family of balanced expressions for property tests.
 
     Contains the plain odd symbols, the small worked closed forms, and random
@@ -346,7 +331,7 @@ def balanced_corpus(n, seed, combos=4, weight_cap=None):
     conditions, with and without an even denominator.
     """
     rng = random.Random(seed)
-    cap = weight_cap if weight_cap is not None else min(2 * n, n + 2)
+    cap = min(2 * n, n + 2)
     corpus = []
     for i in range(1, n + 1):
         corpus.append(BalancedExpression(TTauExpression.odd_symbol(n, n, i)))
@@ -368,7 +353,7 @@ def balanced_corpus(n, seed, combos=4, weight_cap=None):
             monos.append((exps, mask))
     candidates = [TTauExpression.monomial(n, n, e, m) for e, m in monos]
     pullbacks = [c.expand(even_basis="s") for c in candidates]
-    kernel = linalg.nullspace(_residual_rows(pullbacks, SuperPolynomial.one(n), n))
+    kernel = linalg.nullspace(_residual_rows(pullbacks, 1, n))
     for combo in _kernel_combinations(rng, kernel, candidates, combos, n):
         corpus.append(BalancedExpression(combo))
     den_expr = TTauExpression.even_symbol(n, n, n)

@@ -16,10 +16,6 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zero_matrix(rows, cols):
-    return [[0] * cols for _ in range(rows)]
-
-
 def copy_rows(m):
     return [list(row) for row in m]
 

@@ -25,8 +25,8 @@ from .errors import (
     ValidationError,
     ZeroEigenvalue,
 )
-from .grassmann import GrassmannScalar, coeff_text, is_int, parse_coeff
-from .supermatrix import ANY, EVEN, ODD, GroupElement, Queer, Standard, SuperMatrix
+from .grassmann import GrassmannScalar, coeff_text, geometric_sum, is_int, parse_coeff
+from .supermatrix import _PARITIES, ANY, EVEN, ODD, GroupElement, Queer, Standard, SuperMatrix
 
 
 @dataclass(frozen=True)
@@ -65,14 +65,7 @@ def rational_spectrum(rows):
 
 def solve_sylvester(b, d, r):
     """Unique rational X with bX - Xd = r, for disjoint spectra of b and d."""
-    kron = _sylvester_operator(b, d)
-    n1 = len(b)
-    n2 = len(d)
-    vec = [r[i][j] for j in range(n2) for i in range(n1)]
-    x = linalg.solve_unique(kron, vec)
-    if x is None:
-        raise SharedEigenvalue("the two coefficient matrices share an eigenvalue")
-    return [[x[j * n1 + i] for j in range(n2)] for i in range(n1)]
+    return _PairSolvers([b, d]).solve(0, 1, r)
 
 
 def _sylvester_operator(b, d):
@@ -155,12 +148,18 @@ class SpectralDecomposition:
             for part in partition
         ):
             raise ValidationError("partition must be lists of 1-based indices")
+        if not isinstance(obj["blocks"], list):
+            raise ValidationError("decomposition field 'blocks' must be a list")
         blocks = []
         for item in obj["blocks"]:
+            if not isinstance(item, dict) or "block" not in item:
+                raise ValidationError("decomposition block must be an object with a 'block' field")
             lam = item.get("eigenvalue")
             lam = None if lam is None else parse_coeff(lam)
             blocks.append((lam if lam is None else Fraction(lam), SuperMatrix.from_obj(item["block"])))
         parity = obj["parity"]
+        if parity not in _PARITIES:
+            raise ValidationError("parity must be 'even', 'odd' or 'any'")
         dim = conjugator.matrix.dim
         seen = sorted(i for part in partition for i in part)
         if seen != list(range(1, dim + 1)):
@@ -262,7 +261,7 @@ class _PairSolvers:
             kron = _sylvester_operator(self.body_blocks[r], self.body_blocks[s])
             inv = linalg.inverse(kron)
             if inv is None:
-                raise SharedEigenvalue("internal: Sylvester operator unexpectedly singular")
+                raise SharedEigenvalue("the two coefficient matrices share an eigenvalue")
             self._inv[key] = inv
         n1 = len(self.body_blocks[r])
         n2 = len(self.body_blocks[s])
@@ -290,8 +289,7 @@ def _refine(m, parts, filtration_log=None):
     shape = m.shape
     step_parity = EVEN if isinstance(shape, Standard) else ANY
     ident = SuperMatrix.identity(shape, gq)
-    right = ident
-    left = ident
+    g = GroupElement.identity(shape, gq)
     for level in range(1, gq + 1):
         cross_min = None
         masks = set()
@@ -338,23 +336,15 @@ def _refine(m, parts, filtration_log=None):
                                     gq, {mask: sol[a][b]}
                                 )
         step = ident + SuperMatrix(shape, step_parity, delta)
-        # inverse by the terminating series in -delta
-        neg = ident - step
-        inv = ident
-        term = ident
-        for _ in range(gq // level + 1):
-            term = term @ neg
-            if term.is_zero():
-                break
-            inv = inv + term
+        # delta has degree >= level, so its powers past gq // level vanish
+        inv = geometric_sum(ident, ident - step, gq // level)
         m = inv @ m @ step
-        right = right @ step
-        left = inv @ left
+        g = g.compose(GroupElement(step, inv, _trusted=True))
     for i in range(dim):
         for j in range(dim):
             if owner[i] != owner[j] and m.rows[i][j].terms:
                 raise AssertionError("internal: cross terms survived the filtration")
-    return m, right, left
+    return m, g
 
 
 def block_diagonalize(a, filtration_log=None):
@@ -372,8 +362,8 @@ def block_diagonalize(a, filtration_log=None):
     conj0, parts, eigs, block_shapes = _body_stage(a)
     g0 = GroupElement(conj0)
     m = a.conjugate(g0)
-    m, right, left = _refine(m, parts, filtration_log=filtration_log)
-    conjugator = GroupElement(conj0 @ right, left @ g0.inverse, _trusted=True)
+    m, g = _refine(m, parts, filtration_log=filtration_log)
+    conjugator = g0.compose(g)
     blocks = []
     partition = []
     for part, lam, bshape in zip(parts, eigs, block_shapes):

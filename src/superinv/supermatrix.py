@@ -26,7 +26,7 @@ from .errors import (
     UnconstrainedParity,
     ValidationError,
 )
-from .grassmann import GrassmannScalar, is_int, mul_terms_into, prune_terms
+from .grassmann import GrassmannScalar, geometric_sum, is_int, mul_terms_into, prune_terms
 from . import linalg
 
 EVEN = "even"
@@ -182,10 +182,6 @@ class SuperMatrix:
             for j, x in enumerate(row)
         )
 
-    def map_entries(self, fn, parity=None):
-        grid = [[fn(x) for x in row] for row in self.rows]
-        return SuperMatrix(self.shape, self.parity if parity is None else parity, grid)
-
     def queer_split(self):
         """Unique decomposition into an all-even and an all-odd entry part."""
         if not isinstance(self.shape, Queer):
@@ -286,15 +282,7 @@ class SuperMatrix:
             validate=False,
         )
         neg_u = -(binv @ self.soul())
-        # sum the terminating geometric series in -B^-1 S
-        acc = SuperMatrix.identity(self.shape, gq)
-        term = SuperMatrix.identity(self.shape, gq)
-        for _ in range(gq):
-            term = term @ neg_u
-            if term.is_zero():
-                break
-            acc = acc + term
-        return acc @ binv
+        return geometric_sum(SuperMatrix.identity(self.shape, gq), neg_u, gq) @ binv
 
     # ------------------------------------------------------------------
     # invariant functions
@@ -537,7 +525,7 @@ def _random_mask(rng, q, degree):
     return mask
 
 
-def random_scalar(rng, q, bound, parity=None, max_terms=2, max_degree=None):
+def random_scalar(rng, q, bound, parity=None, max_terms=2):
     """Sparse random scalar with integer coefficients in [-bound, bound]."""
     if parity == EVEN:
         degrees = list(range(0, q + 1, 2))
@@ -545,8 +533,6 @@ def random_scalar(rng, q, bound, parity=None, max_terms=2, max_degree=None):
         degrees = list(range(1, q + 1, 2))
     else:
         degrees = list(range(0, q + 1))
-    if max_degree is not None:
-        degrees = [d for d in degrees if d <= max_degree]
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
         if not degrees:
@@ -569,7 +555,7 @@ def _entry_parity(shape, parity, i, j):
     return ODD if diagonal_block else EVEN
 
 
-def random_matrix(shape, parity, q, seed, coefficient_bound, max_terms=2, max_degree=None):
+def random_matrix(shape, parity, q, seed, coefficient_bound, max_terms=2):
     """Deterministic random matrix honoring the declared parity class."""
     if coefficient_bound < 1:
         raise ValidationError("coefficient_bound must be at least 1")
@@ -581,7 +567,7 @@ def random_matrix(shape, parity, q, seed, coefficient_bound, max_terms=2, max_de
         for j in range(dim):
             row.append(random_scalar(rng, q, coefficient_bound,
                                      parity=_entry_parity(shape, parity, i, j),
-                                     max_terms=max_terms, max_degree=max_degree))
+                                     max_terms=max_terms))
         grid.append(row)
     return SuperMatrix(shape, parity, grid)
 

@@ -24,22 +24,13 @@ from .grassmann import (
     GrassmannScalar,
     _norm,
     coeff_text,
+    indices_to_mask,
     is_int,
+    mask_to_indices,
     merge_sign,
     parse_coeff,
     prune_terms,
 )
-
-
-def _mask_bits(mask):
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
 
 
 def _sort_sign(seq):
@@ -249,11 +240,6 @@ class SuperPolynomial:
         """True when no odd variable appears at all."""
         return all(mask == 0 for _, mask in self.terms)
 
-    def total_degree(self):
-        if not self.terms:
-            return None
-        return max(sum(e) + m.bit_count() for e, m in self.terms)
-
     def homogeneous_component(self, d):
         return self._like(
             {k: c for k, c in self.terms.items() if sum(k[0]) + k[1].bit_count() == d}
@@ -306,7 +292,7 @@ class SuperPolynomial:
             new_exps = [0] * width
             for i, e in enumerate(exps):
                 new_exps[perm[i]] = e
-            sign, new_mask = _sort_sign(perm[i] for i in _mask_bits(mask))
+            sign, new_mask = _sort_sign(perm[i - 1] for i in mask_to_indices(mask))
             key = (tuple(new_exps), new_mask)
             out[key] = out.get(key, 0) + (c if sign > 0 else -c)
         return self._like(prune_terms(out))
@@ -338,8 +324,8 @@ class SuperPolynomial:
             for i, e in enumerate(exps):
                 for _ in range(e):
                     term = term * even_vals[i]
-            for i in _mask_bits(mask):
-                term = term * odd_vals[i]
+            for i in mask_to_indices(mask):
+                term = term * odd_vals[i - 1]
             acc = acc + term
         return acc
 
@@ -354,7 +340,7 @@ class SuperPolynomial:
         for (exps, mask), c in sorted(self.terms.items()):
             bits = ["%s%d^%d" % (even, i + 1, e) if e > 1 else "%s%d" % (even, i + 1)
                     for i, e in enumerate(exps) if e]
-            bits += ["%s%d" % (odd, i + 1) for i in _mask_bits(mask)]
+            bits += ["%s%d" % (odd, i) for i in mask_to_indices(mask)]
             body = "*".join(bits)
             if not body:
                 parts.append(str(c))
@@ -371,7 +357,7 @@ class SuperPolynomial:
 
     def _terms_obj(self):
         return [
-            {"even": list(e), "odd": [i + 1 for i in _mask_bits(m)], "coeff": coeff_text(c)}
+            {"even": list(e), "odd": mask_to_indices(m), "coeff": coeff_text(c)}
             for (e, m), c in sorted(self.terms.items())
         ]
 
@@ -380,20 +366,20 @@ class SuperPolynomial:
 
     @staticmethod
     def _terms_from_obj(items, width):
+        if not isinstance(items, list):
+            raise ValidationError("'terms' must be a list")
         terms = {}
         for item in items:
+            if not isinstance(item, dict):
+                raise ValidationError("polynomial term must be an object")
             exps = item.get("even")
             odd = item.get("odd")
-            if not isinstance(exps, list) or len(exps) != width:
-                raise ValidationError("'even' must list %d exponents" % width)
-            mask = 0
-            prev = 0
-            for i in odd:
-                if not is_int(i) or i <= prev or i > width:
-                    raise ValidationError("'odd' must be strictly increasing indices in 1..%d" % width)
-                mask |= 1 << (i - 1)
-                prev = i
-            key = (tuple(exps), mask)
+            if (not isinstance(exps, list) or len(exps) != width
+                    or not all(is_int(e) and e >= 0 for e in exps)):
+                raise ValidationError("'even' must list %d non-negative integer exponents" % width)
+            if not isinstance(odd, list):
+                raise ValidationError("'odd' must be a list of indices")
+            key = (tuple(exps), indices_to_mask(odd, width))
             if key in terms:
                 raise ValidationError("duplicate monomial in polynomial object")
             terms[key] = parse_coeff(item.get("coeff"))
@@ -429,23 +415,25 @@ def power_sum_odd(n, k):
     return acc
 
 
-def elementary_poly(n, j, exclude=None):
-    """Elementary symmetric polynomial e_j, optionally omitting one variable."""
-    vars_ = [i for i in range(1, n + 1) if i != exclude]
-    e = [SuperPolynomial.one(n)] + [SuperPolynomial.zero(n) for _ in range(len(vars_))]
-    for i in vars_:
-        v = SuperPolynomial.even_var(n, i)
-        for jj in range(len(vars_), 0, -1):
-            e[jj] = e[jj] + e[jj - 1] * v
-    if j > len(vars_):
-        return SuperPolynomial.zero(n)
-    return e[j]
+def signed_elementary(values, one):
+    """s_1..s_n, s_j = (-1)^(j-1) e_j, of n commuting values with unit `one`.
+
+    The sign convention is the one the odd-moment recurrence forces.
+    """
+    n = len(values)
+    e = [one] + [one * 0] * n
+    for v in values:
+        for j in range(n, 0, -1):
+            e[j] = e[j] + e[j - 1] * v
+    return [e[j] if j % 2 == 1 else -e[j] for j in range(1, n + 1)]
 
 
 def signed_elementary_poly(n, j):
-    """s_j = (-1)^(j-1) e_j, the sign convention the recurrence forces."""
-    e = elementary_poly(n, j)
-    return e if j % 2 == 1 else -e
+    """s_j in the even variables a_1..a_n; zero for j > n."""
+    if j > n:
+        return SuperPolynomial.zero(n)
+    variables = [SuperPolynomial.even_var(n, i) for i in range(1, n + 1)]
+    return signed_elementary(variables, SuperPolynomial.one(n))[j - 1]
 
 
 @dataclass(frozen=True)
@@ -546,9 +534,9 @@ class TTauExpression(SuperPolynomial):
                 if k not in cache_even:
                     cache_even[k] = even_of(k)
                 term = term * cache_even[k] ** e
-            for k in _mask_bits(mask):
+            for k in mask_to_indices(mask):
                 if k not in cache_tau:
-                    cache_tau[k] = power_sum_odd(n, k + 1)
+                    cache_tau[k] = power_sum_odd(n, k)
                 term = term * cache_tau[k]
             acc = acc + term
         return acc
@@ -557,16 +545,18 @@ class TTauExpression(SuperPolynomial):
         """Exact evaluation at Grassmann scalar symbol values.
 
         Supplying fewer values than the symbol range is fine as long as every
-        symbol that actually appears is covered.
+        symbol that actually appears is covered; with no values at all, a
+        constant evaluates over q = 0.
         """
         if len(even_vals) < self.symbol_range or len(odd_vals) < self.symbol_range:
             used_e = max([k + 1 for (e, m) in self.terms for k, x in enumerate(e) if x] or [0])
-            used_o = max([k + 1 for (e, m) in self.terms for k in _mask_bits(m)] or [0])
+            used_o = max([k for (e, m) in self.terms for k in mask_to_indices(m)] or [0])
             if len(even_vals) < used_e or len(odd_vals) < used_o:
                 raise ValidationError(
                     "need %d even and %d odd symbol values" % (used_e, used_o)
                 )
-        q = even_vals[0].q if even_vals else odd_vals[0].q
+        given = even_vals or odd_vals
+        q = given[0].q if given else 0
         return self._evaluate_at(q, even_vals, odd_vals)
 
     def __repr__(self):
@@ -628,7 +618,7 @@ class BalancedExpression:
         num = self.numerator.expand(even_basis="s")
         den = self.denominator.expand(even_basis="s")
         for i in range(1, self.n + 1):
-            residual = (num.derivative(i) * den - num * den.derivative(i)).odd_multiply(i)
+            residual = balance_residual(num, den, i)
             if not residual.is_zero():
                 object.__setattr__(self, "_balance_memo", False)
                 return False, (i, residual)
@@ -658,10 +648,22 @@ class BalancedExpression:
 # the structure and rewriting operations
 
 
+def balance_residual(num, den, i):
+    """b_i (dN/da_i D - N dD/da_i), the quotient rule with D cleared.
+
+    For a nonzero D, N/D is invariant under the odd action exactly when
+    this vanishes for every i.  A denominator equal to 1, as a polynomial
+    or the integer, leaves b_i dN/da_i.
+    """
+    if den == 1:
+        return num.derivative(i).odd_multiply(i)
+    return (num.derivative(i) * den - num * den.derivative(i)).odd_multiply(i)
+
+
 def check_diag_invariance(f):
     """Whether b_i df/da_i vanishes for every i; returns (ok, witness)."""
     for i in range(1, f.n + 1):
-        residual = f.derivative(i).odd_multiply(i)
+        residual = balance_residual(f, 1, i)
         if not residual.is_zero():
             return False, (i, residual)
     return True, None
@@ -737,19 +739,12 @@ def vandermonde_adjoint(n):
     if n < 1:
         raise ValidationError("need at least one variable")
     m = [[SuperPolynomial.even_var(n, l + 1) ** k for l in range(n)] for k in range(n)]
+    one = SuperPolynomial.one(n)
     mp = []
     for s in range(1, n + 1):
-        coeffs = [SuperPolynomial.one(n)]
-        for i in range(1, n + 1):
-            if i == s:
-                continue
-            ai = SuperPolynomial.even_var(n, i)
-            new = [SuperPolynomial.zero(n) for _ in range(len(coeffs) + 1)]
-            for j, c in enumerate(coeffs):
-                new[j + 1] = new[j + 1] + c
-                new[j] = new[j] - c * ai
-            coeffs = new
-        mp.append(coeffs)
+        others = [SuperPolynomial.even_var(n, i) for i in range(1, n + 1) if i != s]
+        # the coefficient of x^k is (-1)^(n-1-k) e_(n-1-k) = -s_(n-1-k)
+        mp.append([-c for c in reversed(signed_elementary(others, one))] + [one])
     return m, mp
 
 
@@ -907,12 +902,7 @@ def elementary_from_roots(values):
             raise ValidationError("values must be scalars over one algebra")
         if not v.is_even():
             raise ValidationError("values must be even scalars")
-    n = len(values)
-    e = [GrassmannScalar.one(q)] + [GrassmannScalar.zero(q) for _ in range(n)]
-    for v in values:
-        for j in range(n, 0, -1):
-            e[j] = e[j] + e[j - 1] * v
-    return [e[j] if j % 2 == 1 else -e[j] for j in range(1, n + 1)]
+    return signed_elementary(values, GrassmannScalar.one(q))
 
 
 def verify_recurrence(taus, s):

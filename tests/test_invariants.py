@@ -14,6 +14,7 @@ from superinv import (
     ShapeMismatch,
     Standard,
     SuperMatrix,
+    SuperPolynomial,
     TTauExpression,
     ValidationError,
     ZeroDiscriminant,
@@ -30,7 +31,8 @@ from superinv import (
     s_body_convention_report,
     verify_recurrence,
 )
-from superinv.sympoly import BalancedExpression
+from superinv.invariants import _residual_rows
+from superinv.sympoly import BalancedExpression, _ttau_monomials
 from superinv.verify import (
     pick_distinct,
     random_locus_member,
@@ -261,6 +263,15 @@ def test_balanced_corpus_members_are_balanced():
         assert len(corpus) >= n + 1
         for f in corpus:
             assert f.is_balanced()[0]
+
+
+def test_residual_rows_same_for_integer_one():
+    # the den == 1 shortcut builds the matrix the general quotient rule gives
+    for n in (2, 3):
+        pullbacks = [TTauExpression.monomial(n, n, e, m).expand(even_basis="s")
+                     for weight in range(1, min(2 * n, n + 2) + 1)
+                     for e, m in _ttau_monomials(n, weight, max_odd=n)]
+        assert _residual_rows(pullbacks, 1, n) == _residual_rows(pullbacks, SuperPolynomial.one(n), n)
 
 
 def test_dual_route_agreement():

@@ -17,6 +17,7 @@ from superinv import (
     SingularZ,
     Standard,
     SuperMatrix,
+    ValidationError,
     ZeroEigenvalue,
     antidiagonalize,
     block_diagonalize,
@@ -345,3 +346,17 @@ def test_decomposition_serialization_round_trip():
     assert back.partition == dec.partition
     assert [lam for lam, _ in back.blocks] == [lam for lam, _ in dec.blocks]
     assert back.assembled() == dec.assembled()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("blocks", 5),                        # not a list
+    ("blocks", [5]),                      # a block item that is not an object
+    ("blocks", [{"eigenvalue": "1"}]),    # no "block" field
+    ("parity", "weird"),                  # not a parity class
+])
+def test_decomposition_json_shape_errors(field, value):
+    a = random_queer_with_spectrum(2, [0, 1], 2, seed=22)
+    obj = json.loads(json.dumps(diagonalize(a).to_obj()))
+    obj[field] = value
+    with pytest.raises(ValidationError):
+        SpectralDecomposition.from_obj(obj)

@@ -373,6 +373,7 @@ def test_signed_elementary_polynomials_match_recurrence():
             for j in range(1, n + 1):
                 rhs = rhs + power_sum_odd(n, n + k - j) * signed_elementary_poly(n, j)
             assert lhs == rhs
+        assert signed_elementary_poly(n, n + 1).is_zero()
 
 
 def test_power_sums_bundle():
@@ -429,6 +430,27 @@ def test_polynomial_serialization_round_trip():
     bad["symbol_range"] = True
     with pytest.raises(ValidationError):
         TTauExpression.from_obj(bad)
+
+
+@pytest.mark.parametrize("terms", [
+    [{"even": [0]}],                              # no "odd" list
+    [5],                                          # a term that is not an object
+    {},                                           # "terms" not a list
+    [{"even": [0], "odd": 5, "coeff": "1"}],      # "odd" not a list
+    [{"even": [[1]], "odd": [], "coeff": "1"}],   # an exponent that is not an int
+])
+def test_polynomial_json_shape_errors(terms):
+    with pytest.raises(ValidationError):
+        SuperPolynomial.from_obj({"n": 1, "terms": terms})
+    expr = {"n": 1, "symbol_range": 1, "terms": terms}
+    with pytest.raises(ValidationError):
+        TTauExpression.from_obj(expr)
+    with pytest.raises(ValidationError):
+        BalancedExpression.from_obj({"numerator": expr, "denominator": expr})
+
+
+def test_constant_expression_evaluates_without_values():
+    assert TTauExpression(0, 0, {((), 0): 5}).evaluate([], []) == G.rational(0, 5)
 
 
 # ----------------------------------------------------------------------
