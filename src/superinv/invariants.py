@@ -82,20 +82,11 @@ class SemiInvariants:
 def eigendata(a):
     """Extract the diagonal data through the exact canonical reduction."""
     if isinstance(a.shape, Queer):
-        dec = diagonalize(a)
-        pairs = []
-        for _lam, block in dec.blocks:
-            entry = block.rows[0][0]
-            even, odd = entry.parity_split()
-            pairs.append((even, odd))
-        return EigenData(tuple(pairs), a.shape)
-    if isinstance(a.shape, Standard) and a.shape.p == a.shape.q and a.parity == ODD:
-        dec = reduce_odd(a)
-        pairs = []
-        for _lam, block in dec.blocks:
-            pairs.append((block.rows[0][1], block.rows[0][0]))
-        return EigenData(tuple(pairs), a.shape)
-    raise ShapeMismatch("expected a queer matrix or an odd standard square matrix")
+        pairs = [block.rows[0][0].parity_split() for _lam, block in diagonalize(a).blocks]
+    else:
+        family_size(a)
+        pairs = [(block.rows[0][1], block.rows[0][0]) for _lam, block in reduce_odd(a).blocks]
+    return EigenData(tuple(pairs), a.shape)
 
 
 def compute_s(a):

@@ -121,14 +121,6 @@ def solve_general(a, b):
     return x, free
 
 
-def solve_unique(a, b):
-    """Solve a @ x = b when the solution is unique; None otherwise."""
-    x, free = solve_general(a, b)
-    if x is None or free:
-        return None
-    return x
-
-
 def nullspace(a):
     """Basis of the right kernel as a list of column vectors."""
     rows = len(a)

@@ -7,6 +7,11 @@ degree by degree: at filtration level d every cross entry is supported on
 monomials of degree >= d, and conjugating by 1 + D with D solving the
 per-monomial Sylvester equations pushes the support to degree d + 1.  After q
 levels the cross terms vanish identically.
+
+One body stage serves both shapes: a queer body is a single half, a standard
+body the two halves X and T.  reduce_odd reads its preconditions off the
+block reduction of its square instead of computing the square's spectrum
+twice.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .errors import (
     ZeroEigenvalue,
 )
 from .grassmann import GrassmannScalar, coeff_text, geometric_sum, is_int, parse_coeff
-from .supermatrix import _PARITIES, ANY, EVEN, ODD, GroupElement, Queer, Standard, SuperMatrix
+from .supermatrix import _PARITIES, EVEN, ODD, GroupElement, Queer, Standard, SuperMatrix
 
 
 @dataclass(frozen=True)
@@ -34,14 +39,6 @@ class RationalSpectrum:
     """Eigenvalues with algebraic multiplicities, sorted ascending."""
 
     pairs: tuple
-
-    @property
-    def eigenvalues(self):
-        return [lam for lam, _ in self.pairs]
-
-    @property
-    def dimension(self):
-        return sum(m for _, m in self.pairs)
 
     def is_simple(self):
         return all(m == 1 for _, m in self.pairs)
@@ -164,6 +161,15 @@ class SpectralDecomposition:
         seen = sorted(i for part in partition for i in part)
         if seen != list(range(1, dim + 1)):
             raise ValidationError("partition must cover 1..%d exactly once" % dim)
+        if len(blocks) != len(partition):
+            raise ValidationError("%d blocks for %d partition parts"
+                                  % (len(blocks), len(partition)))
+        for part, (_lam, block) in zip(partition, blocks):
+            if block.dim != len(part):
+                raise ValidationError("a block of dimension %d for a part of size %d"
+                                      % (block.dim, len(part)))
+            if block.gq != conjugator.matrix.gq:
+                raise ValidationError("a block's grassmann_q differs from the conjugator's")
         return cls(conjugator, blocks, partition, parity)
 
 
@@ -175,7 +181,6 @@ def _grouped_basis(body, spectrum):
     """Columns grouping the generalized eigenspaces, eigenvalue-sorted."""
     n = len(body)
     columns = []
-    sizes = []
     for lam, mult in spectrum.pairs:
         shifted = [[body[i][j] - (lam if i == j else 0) for j in range(n)] for i in range(n)]
         power = linalg.identity(n)
@@ -188,58 +193,42 @@ def _grouped_basis(body, spectrum):
                 % (len(basis), mult)
             )
         columns.extend(basis)
-        sizes.append(mult)
-    p_rows = [[columns[c][i] for c in range(n)] for i in range(n)]
-    return p_rows, sizes
+    return [[columns[c][i] for c in range(n)] for i in range(n)]
 
 
 def _body_stage(a):
-    """Rational conjugator grouping body eigenvalues; returns partition data."""
-    if isinstance(a.shape, Queer):
-        spectrum = rational_spectrum(a.body_rows())
-        p_rows, sizes = _grouped_basis(a.body_rows(), spectrum)
-        parts = []
-        offset = 0
-        for size in sizes:
-            parts.append(list(range(offset, offset + size)))
-            offset += size
-        eigs = spectrum.eigenvalues
-        block_shapes = [Queer(size) for size in sizes]
-        conj = SuperMatrix.from_rationals(a.shape, ANY, p_rows, a.gq)
-        return conj, parts, eigs, block_shapes
-    p, q = a.shape.p, a.shape.q
+    """Rational conjugator grouping body eigenvalues; returns partition data.
+
+    The body splits into the halves (0, split) and (split, dim): a queer body
+    is one half, a standard one the X and T halves.  Each half is grouped by
+    its own spectrum, and one eigenvalue's indices in both halves form a part.
+    """
+    queer = isinstance(a.shape, Queer)
+    dim = a.dim
+    split = dim if queer else a.shape.p
     body = a.body_rows()
-    x_body = [row[:p] for row in body[:p]]
-    t_body = [row[p:] for row in body[p:]]
-    spec_x = rational_spectrum(x_body)
-    spec_t = rational_spectrum(t_body)
-    mult_x = dict(spec_x.pairs)
-    mult_t = dict(spec_t.pairs)
+    p_rows = [[0] * dim for _ in range(dim)]
+    mults = []
+    for lo, hi in ((0, split), (split, dim)):
+        half = [row[lo:hi] for row in body[lo:hi]]
+        spectrum = rational_spectrum(half) if half else RationalSpectrum(())
+        mults.append(dict(spectrum.pairs))
+        for i, row in enumerate(_grouped_basis(half, spectrum)):
+            p_rows[lo + i][lo:hi] = row
+    mult_x, mult_t = mults
     eigs = sorted(set(mult_x) | set(mult_t))
-    ordered_x = [(lam, mult_x[lam]) for lam in eigs if lam in mult_x]
-    ordered_t = [(lam, mult_t[lam]) for lam in eigs if lam in mult_t]
-    px_rows, _ = _grouped_basis(x_body, RationalSpectrum(tuple(ordered_x))) if p else ([], [])
-    pt_rows, _ = _grouped_basis(t_body, RationalSpectrum(tuple(ordered_t))) if q else ([], [])
-    p_rows = [[0] * (p + q) for _ in range(p + q)]
-    for i in range(p):
-        for j in range(p):
-            p_rows[i][j] = px_rows[i][j]
-    for i in range(q):
-        for j in range(q):
-            p_rows[p + i][p + j] = pt_rows[i][j]
     parts = []
     block_shapes = []
     off_x = 0
-    off_t = 0
+    off_t = split
     for lam in eigs:
         mx = mult_x.get(lam, 0)
         mt = mult_t.get(lam, 0)
-        part = list(range(off_x, off_x + mx)) + list(range(p + off_t, p + off_t + mt))
-        parts.append(part)
-        block_shapes.append(Standard(mx, mt))
+        parts.append(list(range(off_x, off_x + mx)) + list(range(off_t, off_t + mt)))
+        block_shapes.append(Queer(mx) if queer else Standard(mx, mt))
         off_x += mx
         off_t += mt
-    conj = SuperMatrix.from_rationals(a.shape, EVEN, p_rows, a.gq)
+    conj = SuperMatrix.from_rationals(a.shape, a.shape.group_parity, p_rows, a.gq)
     return conj, parts, eigs, block_shapes
 
 
@@ -270,40 +259,41 @@ class _PairSolvers:
         return [[x[j * n1 + i] for j in range(n2)] for i in range(n1)]
 
 
-def _cross_positions(parts, dim):
-    owner = [None] * dim
+def _cross_terms(parts, m):
+    """The nonzero entries of m outside the diagonal blocks of the partition."""
+    owner = [None] * m.dim
     for r, part in enumerate(parts):
         for i in part:
             owner[i] = r
-    return owner
+    return [x for i, row in enumerate(m.rows) for j, x in enumerate(row)
+            if owner[i] != owner[j] and x.terms]
+
+
+def _identity_grid(a):
+    """A fresh, mutable identity entry grid of a's shape and generator count."""
+    return [list(row) for row in SuperMatrix.identity(a.shape, a.gq).rows]
+
+
+def _require_odd_square(a):
+    if not (isinstance(a.shape, Standard) and a.shape.p == a.shape.q):
+        raise ShapeMismatch("input must be a standard square matrix")
+    if a.parity != ODD:
+        raise ShapeMismatch("input must have odd parity class")
 
 
 def _refine(m, parts, filtration_log=None):
     """Remove cross-partition terms degree by degree; exact conjugators."""
     gq = m.gq
     dim = m.dim
-    owner = _cross_positions(parts, dim)
     body = m.body_rows()
     body_blocks = [[[body[i][j] for j in part] for i in part] for part in parts]
     solvers = _PairSolvers(body_blocks)
     shape = m.shape
-    step_parity = EVEN if isinstance(shape, Standard) else ANY
     ident = SuperMatrix.identity(shape, gq)
     g = GroupElement.identity(shape, gq)
     for level in range(1, gq + 1):
-        cross_min = None
-        masks = set()
-        for i in range(dim):
-            for j in range(dim):
-                if owner[i] == owner[j]:
-                    continue
-                entry = m.rows[i][j]
-                if entry.terms:
-                    d = entry.min_degree()
-                    cross_min = d if cross_min is None else min(cross_min, d)
-                    for mask in entry.terms:
-                        if mask.bit_count() == level:
-                            masks.add(mask)
+        cross = _cross_terms(parts, m)
+        cross_min = min((x.min_degree() for x in cross), default=None)
         if filtration_log is not None:
             filtration_log.append(cross_min)
         if cross_min is None:
@@ -313,6 +303,7 @@ def _refine(m, parts, filtration_log=None):
                 "filtration contract violated: cross term of degree %d at level %d"
                 % (cross_min, level)
             )
+        masks = {mask for x in cross for mask in x.terms if mask.bit_count() == level}
         if not masks:
             continue
         zero = GrassmannScalar.zero(gq)
@@ -335,15 +326,13 @@ def _refine(m, parts, filtration_log=None):
                                 delta[i][j] = delta[i][j] + GrassmannScalar(
                                     gq, {mask: sol[a][b]}
                                 )
-        step = ident + SuperMatrix(shape, step_parity, delta)
+        step = ident + SuperMatrix(shape, shape.group_parity, delta)
         # delta has degree >= level, so its powers past gq // level vanish
         inv = geometric_sum(ident, ident - step, gq // level)
         m = inv @ m @ step
         g = g.compose(GroupElement(step, inv, _trusted=True))
-    for i in range(dim):
-        for j in range(dim):
-            if owner[i] != owner[j] and m.rows[i][j].terms:
-                raise AssertionError("internal: cross terms survived the filtration")
+    if _cross_terms(parts, m):
+        raise AssertionError("internal: cross terms survived the filtration")
     return m, g
 
 
@@ -367,57 +356,44 @@ def block_diagonalize(a, filtration_log=None):
     blocks = []
     partition = []
     for part, lam, bshape in zip(parts, eigs, block_shapes):
-        block = m.submatrix(part, part, bshape, a.parity if isinstance(a.shape, Queer) else EVEN)
-        blocks.append((lam, block))
+        blocks.append((lam, m.submatrix(part, part, bshape, a.parity)))
         partition.append([i + 1 for i in part])
     return SpectralDecomposition(conjugator, blocks, partition, a.parity)
 
 
-def diagonalize(a, filtration_log=None):
+def diagonalize(a):
     """Full diagonalization; body eigenvalues must be pairwise distinct."""
-    dec = block_diagonalize(a, filtration_log=filtration_log)
+    dec = block_diagonalize(a)
     for part in dec.partition:
         if len(part) != 1:
             raise MultipleEigenvalue("body has a repeated eigenvalue; blocks stay %d-dimensional" % len(part))
     return dec
 
 
-def reduce_odd(a, filtration_log=None):
+def reduce_odd(a):
     """Reduce an odd standard square matrix to the paired canonical form.
 
     The square's body must have pairwise distinct nonzero rational
     eigenvalues.  The result assembles to rows (R T; 1 0) with R odd diagonal
     and T even diagonal.
     """
-    if not (isinstance(a.shape, Standard) and a.shape.p == a.shape.q):
-        raise ShapeMismatch("input must be a standard square matrix")
-    if a.parity != ODD:
-        raise ShapeMismatch("input must have odd parity class")
+    _require_odd_square(a)
     n = a.shape.p
-    squared = a @ a
-    body = squared.body_rows()
-    spec_x = rational_spectrum([row[:n] for row in body[:n]])
-    spec_t = rational_spectrum([row[n:] for row in body[n:]])
-    if spec_x.pairs != spec_t.pairs:
-        raise MultipleEigenvalue("the two body spectra of the square disagree")
-    for lam, mult in spec_x.pairs:
+    dec2 = block_diagonalize(a @ a)
+    # For A = (X Y; Z T) the square's body is diag(b(Y)b(Z), b(Z)b(Y)), and YZ
+    # and ZY share a characteristic polynomial: both halves of the square's
+    # body have one spectrum, so each eigenvalue's part is twice its multiplicity.
+    for lam, block in dec2.blocks:
         if lam == 0:
             raise ZeroEigenvalue("the square's body has a zero eigenvalue")
-        if mult != 1:
+        if block.dim != 2:
             raise MultipleEigenvalue("the square's body has a repeated eigenvalue")
-    dec2 = block_diagonalize(squared, filtration_log=filtration_log)
     g1 = dec2.conjugator
     m = a.conjugate(g1)
-    owner = _cross_positions([[i - 1 for i in part] for part in dec2.partition], 2 * n)
-    for i in range(2 * n):
-        for j in range(2 * n):
-            if owner[i] != owner[j] and m.rows[i][j].terms:
-                raise AssertionError("internal: the matrix does not respect its square's blocks")
-    gq = a.gq
-    zero = GrassmannScalar.zero(gq)
-    one = GrassmannScalar.one(gq)
-    h = [[one if i == j else zero for j in range(2 * n)] for i in range(2 * n)]
-    hinv = [[one if i == j else zero for j in range(2 * n)] for i in range(2 * n)]
+    if _cross_terms([[i - 1 for i in part] for part in dec2.partition], m):
+        raise AssertionError("internal: the matrix does not respect its square's blocks")
+    h = _identity_grid(a)
+    hinv = _identity_grid(a)
     blocks = []
     partition = []
     for r, part in enumerate(dec2.partition):
@@ -453,10 +429,7 @@ def antidiagonalize(a):
     Returns the group element g with g^-1 a g antidiagonal with identity
     lower-left block.
     """
-    if not (isinstance(a.shape, Standard) and a.shape.p == a.shape.q):
-        raise ShapeMismatch("input must be a standard square matrix")
-    if a.parity != ODD:
-        raise ShapeMismatch("input must have odd parity class")
+    _require_odd_square(a)
     n = a.shape.p
     squared = a @ a
     for i in range(2 * n):
@@ -465,14 +438,11 @@ def antidiagonalize(a):
                 raise NotBlockDiagonalSquare(
                     "the square has a nonzero off-diagonal block at (%d, %d)" % (i + 1, j + 1)
                 )
-    gq = a.gq
-    zero = GrassmannScalar.zero(gq)
-    one = GrassmannScalar.one(gq)
     z_rows = [[a.rows[n + i][j] for j in range(n)] for i in range(n)]
     z_body = [[x.body() for x in row] for row in z_rows]
     if linalg.inverse(z_body) is None:
         raise SingularZ("the lower-left block has a singular body")
-    g1_grid = [[one if i == j else zero for j in range(2 * n)] for i in range(2 * n)]
+    g1_grid = _identity_grid(a)
     for i in range(n):
         for j in range(n):
             g1_grid[n + i][n + j] = z_rows[i][j]
@@ -485,8 +455,8 @@ def antidiagonalize(a):
                 raise AssertionError("internal: lower-left block is not the identity")
             if not (m.rows[i][j] + m.rows[n + i][n + j]).is_zero():
                 raise AssertionError("internal: diagonal blocks do not cancel")
-    g2_grid = [[one if i == j else zero for j in range(2 * n)] for i in range(2 * n)]
-    g2_inv_grid = [[one if i == j else zero for j in range(2 * n)] for i in range(2 * n)]
+    g2_grid = _identity_grid(a)
+    g2_inv_grid = _identity_grid(a)
     for i in range(n):
         for j in range(n):
             g2_grid[i][n + j] = m.rows[i][j]

@@ -39,6 +39,7 @@ _PARITIES = (EVEN, ODD, ANY)
 @dataclass(frozen=True)
 class Queer:
     n: int
+    group_parity = ANY  # parity class of the group elements of this shape
 
     @property
     def dim(self):
@@ -52,6 +53,7 @@ class Queer:
 class Standard:
     p: int
     q: int
+    group_parity = EVEN
 
     @property
     def dim(self):
@@ -118,14 +120,11 @@ class SuperMatrix:
                         "entry (%d, %d) has generator count %d, expected %d"
                         % (i + 1, j + 1, x.q, self.gq)
                     )
-        if isinstance(self.shape, Standard) and self.parity in (EVEN, ODD):
-            p = self.shape.p
+        if isinstance(self.shape, Standard) and self.parity != ANY:
             for i, row in enumerate(self.rows):
                 for j, x in enumerate(row):
-                    diagonal_block = (i < p) == (j < p)
-                    want_even = diagonal_block if self.parity == EVEN else not diagonal_block
-                    ok = x.is_even() if want_even else x.is_odd()
-                    if not ok:
+                    want = _entry_parity(self.shape, self.parity, i, j)
+                    if not (x.is_even() if want == EVEN else x.is_odd()):
                         raise ValidationError(
                             "entry (%d, %d) violates the declared %s parity class"
                             % (i + 1, j + 1, self.parity),
@@ -141,8 +140,7 @@ class SuperMatrix:
         zero = GrassmannScalar.zero(gq)
         dim = shape.dim
         rows = [[one if i == j else zero for j in range(dim)] for i in range(dim)]
-        parity = EVEN if isinstance(shape, Standard) else ANY
-        return cls(shape, parity, rows, validate=False)
+        return cls(shape, shape.group_parity, rows, validate=False)
 
     @classmethod
     def zeros(cls, shape, gq, parity=ANY):
@@ -277,7 +275,7 @@ class SuperMatrix:
         gq = self.gq
         binv = SuperMatrix(
             self.shape,
-            EVEN if isinstance(self.shape, Standard) else ANY,
+            self.shape.group_parity,
             [[GrassmannScalar.rational(gq, x) for x in row] for row in body_inv],
             validate=False,
         )
@@ -577,7 +575,7 @@ def random_group_element(shape, q, seed, coefficient_bound, max_terms=1, max_tri
     if coefficient_bound < 1:
         raise ValidationError("coefficient_bound must be at least 1")
     rng = random.Random(seed)
-    parity = EVEN if isinstance(shape, Standard) else ANY
+    parity = shape.group_parity
     dim = shape.dim
     for _ in range(max_tries):
         grid = []

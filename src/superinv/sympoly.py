@@ -748,8 +748,8 @@ def vandermonde_adjoint(n):
     return m, mp
 
 
-def _ttau_monomials(symbol_range, weight, max_odd=None):
-    """All (exps, mask) with sum k*E_k + sum_{k in mask} k == weight."""
+def _ttau_monomials(symbol_range, weight, max_odd):
+    """All (exps, mask) with sum k*E_k + sum_{k in mask} k == weight, |mask| <= max_odd."""
     masks = []
 
     def rec_mask(k, mask, w, count):
@@ -759,7 +759,7 @@ def _ttau_monomials(symbol_range, weight, max_odd=None):
             masks.append((mask, w))
             return
         rec_mask(k + 1, mask, w, count)
-        if max_odd is None or count < max_odd:
+        if count < max_odd:
             rec_mask(k + 1, mask | (1 << (k - 1)), w + k, count + 1)
 
     rec_mask(1, 0, 0, 0)

@@ -58,6 +58,8 @@ from .sympoly import (
 # ----------------------------------------------------------------------
 # eligible-input samplers
 
+_BOUND = 2  # coefficient bound of every sampler's random entries
+
 
 def pick_distinct(rng, count, low=-6, high=6, nonzero=False):
     """Deterministically pick pairwise distinct rational integers."""
@@ -72,39 +74,30 @@ def pick_distinct(rng, count, low=-6, high=6, nonzero=False):
     return out
 
 
-def random_queer_with_spectrum(n, eigenvalues, gq, seed, bound=2, soul_terms=1):
-    """Random queer matrix whose body spectrum is the given rational list."""
+def _random_with_spectrum(shape, eigenvalues, gq, seed, soul_terms=1):
+    """Random group-parity matrix with the given body diagonal, conjugated."""
     rng = random.Random(seed)
-    rows = [
-        [
-            GrassmannScalar.rational(gq, eigenvalues[i]) if i == j else GrassmannScalar.zero(gq)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    diag = SuperMatrix(Queer(n), ANY, rows)
-    soul = random_matrix(Queer(n), ANY, gq, rng.randrange(1 << 30), bound,
-                         max_terms=soul_terms).soul()
-    g = random_group_element(Queer(n), gq, rng.randrange(1 << 30), bound)
-    return (diag + soul).conjugate(g)
-
-
-def random_standard_even_with_spectrum(p, q, eigs_x, eigs_t, gq, seed, bound=2, soul_terms=1):
-    rng = random.Random(seed)
-    dim = p + q
+    dim = shape.dim
     rows = [[GrassmannScalar.zero(gq)] * dim for _ in range(dim)]
-    for i in range(p):
-        rows[i][i] = GrassmannScalar.rational(gq, eigs_x[i])
-    for i in range(q):
-        rows[p + i][p + i] = GrassmannScalar.rational(gq, eigs_t[i])
-    diag = SuperMatrix(Standard(p, q), EVEN, rows)
-    soul = random_matrix(Standard(p, q), EVEN, gq, rng.randrange(1 << 30), bound,
+    for i in range(dim):
+        rows[i][i] = GrassmannScalar.rational(gq, eigenvalues[i])
+    diag = SuperMatrix(shape, shape.group_parity, rows)
+    soul = random_matrix(shape, shape.group_parity, gq, rng.randrange(1 << 30), _BOUND,
                          max_terms=soul_terms).soul()
-    g = random_group_element(Standard(p, q), gq, rng.randrange(1 << 30), bound)
+    g = random_group_element(shape, gq, rng.randrange(1 << 30), _BOUND)
     return (diag + soul).conjugate(g)
 
 
-def random_odd_reducible(n, body_values, gq, seed, bound=2, soul_terms=1):
+def random_queer_with_spectrum(n, eigenvalues, gq, seed, soul_terms=1):
+    """Random queer matrix whose body spectrum is the given rational list."""
+    return _random_with_spectrum(Queer(n), eigenvalues, gq, seed, soul_terms)
+
+
+def random_standard_even_with_spectrum(p, q, eigs_x, eigs_t, gq, seed):
+    return _random_with_spectrum(Standard(p, q), list(eigs_x[:p]) + list(eigs_t), gq, seed)
+
+
+def random_odd_reducible(n, body_values, gq, seed):
     """Random odd matrix reducible to the paired canonical form.
 
     body_values are the distinct nonzero body eigenvalues of the square.
@@ -113,42 +106,42 @@ def random_odd_reducible(n, body_values, gq, seed, bound=2, soul_terms=1):
     dim = 2 * n
     rows = [[GrassmannScalar.zero(gq)] * dim for _ in range(dim)]
     for i in range(n):
-        rows[i][i] = random_scalar(rng, gq, bound, parity=ODD, max_terms=soul_terms)
-        even_soul = random_scalar(rng, gq, bound, parity=EVEN, max_terms=soul_terms).soul()
+        rows[i][i] = random_scalar(rng, gq, _BOUND, parity=ODD, max_terms=1)
+        even_soul = random_scalar(rng, gq, _BOUND, parity=EVEN, max_terms=1).soul()
         rows[i][n + i] = GrassmannScalar.rational(gq, body_values[i]) + even_soul
         rows[n + i][i] = GrassmannScalar.one(gq)
     canonical = SuperMatrix(Standard(n, n), ODD, rows)
-    g = random_group_element(Standard(n, n), gq, rng.randrange(1 << 30), bound)
+    g = random_group_element(Standard(n, n), gq, rng.randrange(1 << 30), _BOUND)
     return canonical.conjugate(g)
 
 
-def random_locus_member(n, gq, seed, bound=2):
+def random_locus_member(n, gq, seed):
     """Random matrix on which all the odd moments vanish."""
     rng = random.Random(seed)
     eigs = pick_distinct(rng, n)
     rows = [[GrassmannScalar.zero(gq)] * n for _ in range(n)]
     for i in range(n):
-        even_soul = random_scalar(rng, gq, bound, parity=EVEN, max_terms=1).soul()
+        even_soul = random_scalar(rng, gq, _BOUND, parity=EVEN, max_terms=1).soul()
         rows[i][i] = GrassmannScalar.rational(gq, eigs[i]) + even_soul
     diag = SuperMatrix(Queer(n), ANY, rows)
-    g = random_group_element(Queer(n), gq, rng.randrange(1 << 30), bound)
+    g = random_group_element(Queer(n), gq, rng.randrange(1 << 30), _BOUND)
     return diag.conjugate(g)
 
 
-def random_commuting_odd_pair(n, gq, seed, bound=2):
+def random_commuting_odd_pair(n, gq, seed):
     """An odd matrix of the shape (X Y; 1 -X) whose square is block diagonal.
 
     Y is built from a polynomial in X^2 plus a nonzero rational scalar, so X
     and Y commute and the square is exactly block diagonal.
     """
     rng = random.Random(seed)
-    x = random_matrix(Queer(n), ANY, gq, rng.randrange(1 << 30), bound, max_terms=1)
+    x = random_matrix(Queer(n), ANY, gq, rng.randrange(1 << 30), _BOUND, max_terms=1)
     x = SuperMatrix(Queer(n), ANY, [[e.odd_part() for e in row] for row in x.rows])
-    c = rng.randint(1, bound)
+    c = rng.randint(1, _BOUND)
     if rng.random() < 0.5:
         c = -c
     x2 = x @ x
-    y = SuperMatrix.identity(Queer(n), gq) * c + x2 * rng.randint(-bound, bound)
+    y = SuperMatrix.identity(Queer(n), gq) * c + x2 * rng.randint(-_BOUND, _BOUND)
     dim = 2 * n
     rows = [[GrassmannScalar.zero(gq)] * dim for _ in range(dim)]
     for i in range(n):
@@ -160,9 +153,9 @@ def random_commuting_odd_pair(n, gq, seed, bound=2):
     return SuperMatrix(Standard(n, n), ODD, rows)
 
 
-def random_sector_conjugator(n, gq, seed, bound=2):
+def random_sector_conjugator(n, gq, seed):
     """Group element of the form diag(P, Q); preserves sector splits."""
-    g = random_group_element(Standard(n, n), gq, seed, bound)
+    g = random_group_element(Standard(n, n), gq, seed, _BOUND)
     zero = GrassmannScalar.zero(gq)
     rows = [
         [g.matrix.rows[i][j] if (i < n) == (j < n) else zero for j in range(2 * n)]

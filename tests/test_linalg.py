@@ -82,7 +82,8 @@ def test_inverse_and_solve():
             continue
         assert linalg.matmul(a, inv) == linalg.identity(n)
         b = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
-        x = linalg.solve_unique(a, b)
+        x, free = linalg.solve_general(a, b)
+        assert free == []
         assert linalg.matvec(a, x) == b
 
 

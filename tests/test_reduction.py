@@ -353,10 +353,17 @@ def test_decomposition_serialization_round_trip():
     ("blocks", [5]),                      # a block item that is not an object
     ("blocks", [{"eigenvalue": "1"}]),    # no "block" field
     ("parity", "weird"),                  # not a parity class
+    ("partition", [[1, 2]]),              # one part for two blocks
+    ("blocks", lambda obj: obj["blocks"][:1]),  # one block for two parts
+    # a 2x2 block for a part of size 1
+    ("blocks", lambda obj: [obj["blocks"][0], {"eigenvalue": "1", "block": obj["conjugator"]}]),
+    # a block over three generators under a conjugator over two
+    ("blocks", lambda obj: [obj["blocks"][0], {
+        "eigenvalue": "1", "block": SuperMatrix.identity(Queer(1), 3).to_obj()}]),
 ])
 def test_decomposition_json_shape_errors(field, value):
     a = random_queer_with_spectrum(2, [0, 1], 2, seed=22)
     obj = json.loads(json.dumps(diagonalize(a).to_obj()))
-    obj[field] = value
+    obj[field] = value(obj) if callable(value) else value
     with pytest.raises(ValidationError):
         SpectralDecomposition.from_obj(obj)
