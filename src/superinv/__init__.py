@@ -8,12 +8,15 @@ library claims is checked by seeded property suites (`superinv verify`).
 
 from .errors import (
     GeneratorCountMismatch,
+    InputError,
+    InternalError,
     MultipleEigenvalue,
     NonSplitting,
     NotBlockDiagonalSquare,
     NotInL,
     NotInvariant,
     NotSymmetric,
+    PreconditionError,
     SamplingError,
     ShapeMismatch,
     SharedEigenvalue,
@@ -35,14 +38,8 @@ from .supermatrix import (
     Queer,
     Standard,
     SuperMatrix,
-    conjugate,
-    qet,
-    qtr,
-    queer_split,
     random_group_element,
     random_matrix,
-    supertrace,
-    tau,
 )
 from .reduction import (
     RationalSpectrum,
@@ -56,7 +53,6 @@ from .reduction import (
 )
 from .sympoly import (
     BalancedExpression,
-    PowerSums,
     SuperPolynomial,
     TTauExpression,
     assemble_invariant,

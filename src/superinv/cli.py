@@ -2,8 +2,9 @@
 
 Three subcommands: `invariants` reports the invariant functions of a matrix
 file, `reduce` emits a canonical decomposition, and `verify` runs the seeded
-property suites.  Exit codes: 0 success, 1 property failure, 2 usage,
-3 input validation, 4 violated mathematical precondition.
+property suites.  Exit codes: 0 success, 1 property failure, 2 usage; every
+library error exits with the code its class in `errors` carries (3 input,
+4 violated mathematical precondition, 5 failed internal self-check).
 """
 
 from __future__ import annotations
@@ -14,25 +15,7 @@ import os
 import sys
 
 from . import grassmann
-from .errors import (
-    GeneratorCountMismatch,
-    MultipleEigenvalue,
-    NonSplitting,
-    NotBlockDiagonalSquare,
-    NotInL,
-    NotInvariant,
-    NotSymmetric,
-    ShapeMismatch,
-    SharedEigenvalue,
-    SingularBody,
-    SingularZ,
-    SuperInvError,
-    UnconstrainedParity,
-    ValidationError,
-    ZeroBody,
-    ZeroDiscriminant,
-    ZeroEigenvalue,
-)
+from .errors import InternalError, SingularBody, SuperInvError, ValidationError
 from .reduction import (
     SpectralDecomposition,
     antidiagonalize,
@@ -45,25 +28,6 @@ from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
-EXIT_USAGE = 2
-EXIT_VALIDATION = 3
-EXIT_PRECONDITION = 4
-
-_VALIDATION = (ValidationError, GeneratorCountMismatch, ShapeMismatch, UnconstrainedParity)
-_PRECONDITION = (
-    NonSplitting,
-    SharedEigenvalue,
-    MultipleEigenvalue,
-    ZeroEigenvalue,
-    NotBlockDiagonalSquare,
-    SingularZ,
-    SingularBody,
-    ZeroBody,
-    ZeroDiscriminant,
-    NotInL,
-    NotSymmetric,
-    NotInvariant,
-)
 
 
 def _emit(text, out_path):
@@ -80,7 +44,9 @@ def _load_matrix(path):
             obj = json.load(handle)
     except OSError as exc:
         raise ValidationError("cannot read %s: %s" % (path, exc)) from exc
-    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer literal too long to convert, or nesting
+        # deeper than the decoder's recursion limit
         raise ValidationError("invalid JSON in %s: %s" % (path, exc)) from exc
     return SuperMatrix.from_obj(obj)
 
@@ -151,7 +117,7 @@ def cmd_reduce(args):
     # the emitted document must re-verify after a parse round trip
     reparsed = SpectralDecomposition.from_obj(json.loads(json.dumps(obj)))
     if not reparsed.verify(a):
-        raise AssertionError("internal: emitted decomposition does not re-verify")
+        raise InternalError("emitted decomposition does not re-verify")
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     _emit(text, args.out)
     return EXIT_OK
@@ -241,15 +207,13 @@ def main(argv=None):
     try:
         _apply_env()
         return args.func(args)
-    except _VALIDATION as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return EXIT_VALIDATION
-    except _PRECONDITION as exc:
-        print("precondition error: %s" % exc, file=sys.stderr)
-        return EXIT_PRECONDITION
+    except InternalError as exc:
+        subject = args.suite if args.command == "verify" else args.matrix
+        print("%s: %s (%s %s)" % (exc.label, exc, args.command, subject), file=sys.stderr)
+        return exc.exit_code
     except SuperInvError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_FAILURE
+        print("%s: %s" % (exc.label, exc), file=sys.stderr)
+        return exc.exit_code
     finally:
         grassmann.set_generator_cap(cap)
 

@@ -401,6 +401,8 @@ class GrassmannScalar:
         for item in obj["terms"]:
             if not isinstance(item, dict) or "idx" not in item or "coeff" not in item:
                 raise ValidationError("scalar term must have 'idx' and 'coeff' fields")
+            if not isinstance(item["idx"], list):
+                raise ValidationError("scalar field 'idx' must be a list")
             mask = indices_to_mask(item["idx"], q)
             coeff = parse_coeff(item["coeff"])
             if coeff == 0:

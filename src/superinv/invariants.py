@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import (
+    InternalError,
     MultipleEigenvalue,
     NotInL,
     NotInvariant,
@@ -95,7 +96,7 @@ def compute_s(a):
     result = SemiInvariants(tuple(elementary_from_roots([x for x, _ in data.pairs])))
     n = data.n
     if not verify_recurrence(a.tau_values(2 * n), list(result.s)):
-        raise AssertionError("internal: spectral semi-invariants fail the recurrence")
+        raise InternalError("spectral semi-invariants fail the recurrence")
     return result
 
 

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import (
+    InternalError,
     MultipleEigenvalue,
     NonSplitting,
     NotBlockDiagonalSquare,
@@ -299,7 +300,7 @@ def _refine(m, parts, filtration_log=None):
         if cross_min is None:
             break
         if cross_min < level:
-            raise AssertionError(
+            raise InternalError(
                 "filtration contract violated: cross term of degree %d at level %d"
                 % (cross_min, level)
             )
@@ -332,7 +333,7 @@ def _refine(m, parts, filtration_log=None):
         m = inv @ m @ step
         g = g.compose(GroupElement(step, inv, _trusted=True))
     if _cross_terms(parts, m):
-        raise AssertionError("internal: cross terms survived the filtration")
+        raise InternalError("cross terms survived the filtration")
     return m, g
 
 
@@ -391,14 +392,14 @@ def reduce_odd(a):
     g1 = dec2.conjugator
     m = a.conjugate(g1)
     if _cross_terms([[i - 1 for i in part] for part in dec2.partition], m):
-        raise AssertionError("internal: the matrix does not respect its square's blocks")
+        raise InternalError("the matrix does not respect its square's blocks")
     h = _identity_grid(a)
     hinv = _identity_grid(a)
     blocks = []
     partition = []
     for r, part in enumerate(dec2.partition):
         if len(part) != 2 or part[0] + n != part[1]:
-            raise AssertionError("internal: unexpected partition for an odd reduction")
+            raise InternalError("unexpected partition for an odd reduction")
         e, o = part[0] - 1, part[1] - 1
         t = m.rows[o][o]
         z = m.rows[o][e]
@@ -417,7 +418,7 @@ def reduce_odd(a):
         e, o = part[0] - 1, part[1] - 1
         block = final.submatrix([e, o], [e, o], Standard(1, 1), ODD)
         if block.rows[1][0] != 1 or not block.rows[1][1].is_zero():
-            raise AssertionError("internal: block did not reach the (R T; 1 0) form")
+            raise InternalError("block did not reach the (R T; 1 0) form")
         blocks.append((lams[r], block))
     conjugator = g1.compose(step)
     return SpectralDecomposition(conjugator, blocks, partition, ODD)
@@ -452,9 +453,9 @@ def antidiagonalize(a):
         for j in range(n):
             low = m.rows[n + i][j]
             if low != (1 if i == j else 0):
-                raise AssertionError("internal: lower-left block is not the identity")
+                raise InternalError("lower-left block is not the identity")
             if not (m.rows[i][j] + m.rows[n + i][n + j]).is_zero():
-                raise AssertionError("internal: diagonal blocks do not cancel")
+                raise InternalError("diagonal blocks do not cancel")
     g2_grid = _identity_grid(a)
     g2_inv_grid = _identity_grid(a)
     for i in range(n):
@@ -468,7 +469,7 @@ def antidiagonalize(a):
     for i in range(n):
         for j in range(n):
             if final.rows[i][j].terms or final.rows[n + i][n + j].terms:
-                raise AssertionError("internal: diagonal blocks survived")
+                raise InternalError("diagonal blocks survived")
             if final.rows[n + i][j] != (1 if i == j else 0):
-                raise AssertionError("internal: lower-left block is not the identity")
+                raise InternalError("lower-left block is not the identity")
     return g

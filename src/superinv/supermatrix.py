@@ -160,9 +160,6 @@ class SuperMatrix:
     def dim(self):
         return self.shape.dim
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
     def body_rows(self):
         return [[x.body() for x in row] for row in self.rows]
 
@@ -338,11 +335,7 @@ class SuperMatrix:
         str(A^(2k-1))/(2k-1) on odd standard square ones."""
         if not isinstance(k, int) or k < 1:
             raise ValidationError("invariant index must be a positive integer")
-        if isinstance(self.shape, Queer):
-            return (self ** k).qtr() * Fraction(1, k)
-        if isinstance(self.shape, Standard) and self.shape.p == self.shape.q and self.parity == ODD:
-            return (self ** (2 * k - 1)).supertrace() * Fraction(1, 2 * k - 1)
-        raise ShapeMismatch("tau needs a queer matrix or an odd standard square matrix")
+        return self.tau_values(k)[-1]
 
     def tau_values(self, upto):
         """tau(1..upto) with the matrix powers computed incrementally."""
@@ -480,33 +473,6 @@ class GroupElement:
 
     def __repr__(self):
         return "GroupElement(%r)" % (self.matrix,)
-
-
-# ----------------------------------------------------------------------
-# module-level operation aliases
-
-def queer_split(a):
-    return a.queer_split()
-
-
-def supertrace(a):
-    return a.supertrace()
-
-
-def qtr(a):
-    return a.qtr()
-
-
-def qet(a):
-    return a.qet()
-
-
-def tau(a, k):
-    return a.tau(k)
-
-
-def conjugate(a, g):
-    return a.conjugate(g)
 
 
 # ----------------------------------------------------------------------

@@ -14,12 +14,11 @@ rewriting and the balance conditions solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
 from . import linalg
-from .errors import NotInvariant, NotSymmetric, ValidationError
+from .errors import InternalError, NotInvariant, NotSymmetric, ValidationError
 from .grassmann import (
     GrassmannScalar,
     _norm,
@@ -436,25 +435,6 @@ def signed_elementary_poly(n, j):
     return signed_elementary(variables, SuperPolynomial.one(n))[j - 1]
 
 
-@dataclass(frozen=True)
-class PowerSums:
-    """The concrete kernels t_1..t_K and tau_1..tau_K as polynomials."""
-
-    n: int
-    upto: int
-    t: tuple
-    tau: tuple
-
-    @classmethod
-    def build(cls, n, upto):
-        return cls(
-            n,
-            upto,
-            tuple(power_sum_even(n, k) for k in range(1, upto + 1)),
-            tuple(power_sum_odd(n, k) for k in range(1, upto + 1)),
-        )
-
-
 # ----------------------------------------------------------------------
 # expressions in the rewritten symbols
 
@@ -669,6 +649,16 @@ def check_diag_invariance(f):
     return True, None
 
 
+def _require_invariant(f):
+    """Raise NotInvariant, with its witness, unless f is symmetric and odd-invariant."""
+    ok, witness = f.is_symmetric()
+    if not ok:
+        raise NotInvariant("polynomial is not symmetric", witness=witness)
+    ok, witness = check_diag_invariance(f)
+    if not ok:
+        raise NotInvariant("polynomial is not invariant under the odd action", witness=witness)
+
+
 def invariant_decomposition(f):
     """Split an invariant polynomial into its canonical components.
 
@@ -678,12 +668,7 @@ def invariant_decomposition(f):
     over increasing index tuples.
     """
     n = f.n
-    ok, witness = f.is_symmetric()
-    if not ok:
-        raise NotInvariant("polynomial is not symmetric", witness=witness)
-    ok, witness = check_diag_invariance(f)
-    if not ok:
-        raise NotInvariant("polynomial is not invariant under the odd action", witness=witness)
+    _require_invariant(f)
     constant = f.constant_term()
     components = []
     for s in range(1, n + 1):
@@ -692,7 +677,7 @@ def invariant_decomposition(f):
         comp_terms = {}
         for (exps, _zero), c in g.terms.items():
             if any(exps[i] for i in range(s, n)):
-                raise AssertionError("internal: component depends on excluded variables")
+                raise InternalError("component depends on excluded variables")
             comp_terms[(exps[:s], 0)] = c
         comp = SuperPolynomial(s, comp_terms)
         if s >= 2:
@@ -700,10 +685,10 @@ def invariant_decomposition(f):
                 perm = list(range(s))
                 perm[i], perm[i + 1] = perm[i + 1], perm[i]
                 if comp.permute(perm) != -comp:
-                    raise AssertionError("internal: component is not skew-symmetric")
+                    raise InternalError("component is not skew-symmetric")
         components.append(comp)
     if assemble_invariant(n, constant, components) != f:
-        raise AssertionError("internal: decomposition does not reassemble")
+        raise InternalError("decomposition does not reassemble")
     return constant, components
 
 
@@ -799,7 +784,7 @@ def _solve_coefficient_matching(targets, candidates):
     """Exact solve for coefficients expressing a target in given expansions.
 
     targets: SuperPolynomial; candidates: list of (key, SuperPolynomial).
-    Returns {key: coeff}; raises AssertionError when the system is not
+    Returns {key: coeff}; raises InternalError when the system is not
     uniquely solvable (the rewriting theorems guarantee it is).
     """
     matrix = coefficient_matrix([poly.terms for _key, poly in candidates] + [targets.terms])
@@ -807,9 +792,9 @@ def _solve_coefficient_matching(targets, candidates):
     b = [row[-1] for row in matrix]
     solution, free = linalg.solve_general(a, b)
     if solution is None:
-        raise AssertionError("internal: coefficient matching is inconsistent")
+        raise InternalError("coefficient matching is inconsistent")
     if free:
-        raise AssertionError("internal: coefficient matching is underdetermined")
+        raise InternalError("coefficient matching is underdetermined")
     return {key: c for (key, _), c in zip(candidates, solution) if c != 0}
 
 
@@ -869,12 +854,7 @@ def invariant_normal_form(f):
     moments reproduces f exactly, and the coefficients are unique.
     """
     n = f.n
-    ok, witness = f.is_symmetric()
-    if not ok:
-        raise NotInvariant("polynomial is not symmetric", witness=witness)
-    ok, witness = check_diag_invariance(f)
-    if not ok:
-        raise NotInvariant("polynomial is not invariant under the odd action", witness=witness)
+    _require_invariant(f)
     degrees = [d for d in f.degrees() if d > 0]
     max_index = max(degrees) if degrees else 1
     symbol_range = max(max_index, n)

@@ -13,6 +13,7 @@ from superinv import (
     Standard,
     SuperMatrix,
 )
+from superinv import cli, errors
 from superinv.cli import main
 from superinv.reduction import SpectralDecomposition
 
@@ -261,3 +262,66 @@ def test_overlong_json_integer_exit_code(q1_file, tmp_path):
     path = tmp_path / "longint.json"
     path.write_text(text)
     assert main(["invariants", str(path)]) == 3
+
+
+@pytest.mark.parametrize("command", [["invariants"], ["reduce", "--mode", "odd"]])
+def test_deeply_nested_json_exit_code(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    assert main([command[0], str(path)] + command[1:]) == 3
+    assert "invalid JSON" in capsys.readouterr().err
+
+
+EXIT_CODES = {
+    "SuperInvError": 1,
+    "SamplingError": 1,
+    "InputError": 3,
+    "ValidationError": 3,
+    "GeneratorCountMismatch": 3,
+    "ShapeMismatch": 3,
+    "UnconstrainedParity": 3,
+    "PreconditionError": 4,
+    "NonSplitting": 4,
+    "SharedEigenvalue": 4,
+    "MultipleEigenvalue": 4,
+    "ZeroEigenvalue": 4,
+    "NotBlockDiagonalSquare": 4,
+    "SingularZ": 4,
+    "SingularBody": 4,
+    "ZeroBody": 4,
+    "ZeroDiscriminant": 4,
+    "NotInL": 4,
+    "NotSymmetric": 4,
+    "NotInvariant": 4,
+    "InternalError": 5,
+}
+
+ERROR_CLASSES = sorted(
+    (c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.SuperInvError)),
+    key=lambda c: c.__name__,
+)
+
+
+def test_exit_code_table_names_every_error_class():
+    assert sorted(EXIT_CODES) == [c.__name__ for c in ERROR_CLASSES]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_error_class_exit_code(q1_file, monkeypatch, capsys, cls):
+    def fail(_path):
+        raise cls("planted failure")
+
+    monkeypatch.setattr(cli, "_load_matrix", fail)
+    assert main(["invariants", q1_file]) == EXIT_CODES[cls.__name__]
+    err = capsys.readouterr().err
+    assert "planted failure" in err
+    assert ("invariants %s" % q1_file in err) == (cls is errors.InternalError)
+
+
+def test_failed_self_check_exit_code(odd_file, monkeypatch, capsys):
+    monkeypatch.setattr(SpectralDecomposition, "verify", lambda self, a: False)
+    assert main(["reduce", odd_file, "--mode", "odd"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal error: emitted decomposition does not re-verify "
+                            "(reduce %s)\n" % odd_file)

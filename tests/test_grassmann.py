@@ -210,3 +210,7 @@ def test_serialization_rejects_bad_input():
         GrassmannScalar.from_obj({"q": 2, "terms": [{"idx": [1], "coeff": "0"}]})
     with pytest.raises(ValidationError):
         GrassmannScalar.from_obj({"q": 2, "terms": [{"idx": [3], "coeff": "1"}]})
+    # a dict or a string is iterable but is not an index list
+    for idx in ({}, ""):
+        with pytest.raises(ValidationError, match="'idx' must be a list"):
+            GrassmannScalar.from_obj({"q": 2, "terms": [{"idx": idx, "coeff": "1"}]})

@@ -310,10 +310,14 @@ def test_tau_single_and_batch_agree():
     for _ in range(6):
         gq = rng.randint(2, 3)
         a = random_queer_with_spectrum(2, pick_distinct(rng, 2), gq, rng.randrange(1 << 30))
+        # tau_k = qtr(A^k)/k and str(B^(2k-1))/(2k-1), from whole powers
         assert a.tau_values(4) == [a.tau(k) for k in range(1, 5)]
+        assert a.tau_values(4) == [(a ** k).qtr() * Fraction(1, k) for k in range(1, 5)]
         b = random_odd_reducible(2, pick_distinct(rng, 2, nonzero=True), gq,
                                  rng.randrange(1 << 30))
         assert b.tau_values(4) == [b.tau(k) for k in range(1, 5)]
+        assert b.tau_values(4) == [(b ** (2 * k - 1)).supertrace() * Fraction(1, 2 * k - 1)
+                                   for k in range(1, 5)]
 
 
 def test_odd_family_pipeline():

@@ -1,4 +1,4 @@
-"""Differential tests of charpoly and rational_roots against sympy.
+"""Differential tests of charpoly, rational_roots, inverse and nullspace against sympy.
 
 sympy shares no code with superinv; the tests are skipped when it is absent.
 """
@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from superinv import linalg
+from superinv import TTauExpression, linalg
+from superinv.invariants import _residual_rows
+from superinv.sympoly import _ttau_monomials
 
 sympy = pytest.importorskip("sympy")
 
@@ -141,3 +143,68 @@ def test_spectra_of_random_matrices():
         n = rng.randint(1, 4)
         a = [[Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
         check(linalg.charpoly(a))
+
+
+def to_sympy_matrix(a):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in a])
+
+
+def to_fractions(m):
+    return [[to_fraction(x) for x in m.row(i)] for i in range(m.rows)]
+
+
+def random_rational_matrix(rng, rows, cols, rank):
+    """A rows x cols matrix of the given rank: a product of two random factors."""
+    left = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rank)] for _ in range(rows)]
+    right = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(cols)] for _ in range(rank)]
+    return linalg.matmul(left, right) if rank else [[Fraction(0)] * cols for _ in range(rows)]
+
+
+def test_inverse_against_sympy():
+    rng = random.Random(18)
+    singular = 0
+    for trial in range(60):
+        n = rng.randint(1, 5)
+        rank = n if trial % 3 else rng.randint(0, n - 1)
+        a = random_rational_matrix(rng, n, n, rank)
+        m = to_sympy_matrix(a)
+        inv, got_rank = linalg.inverse_with_rank(a)
+        assert got_rank == m.rank()
+        if m.det() == 0:
+            singular += 1
+            assert inv is None and linalg.inverse(a) is None
+        else:
+            assert inv == to_fractions(m.inv())
+            assert linalg.inverse(a) == inv
+    assert singular >= 20
+
+
+def check_kernel(a):
+    """The nullspace basis spans the kernel sympy finds, with one vector per free column."""
+    m = to_sympy_matrix(a)
+    basis = linalg.nullspace(a)
+    expected = m.nullspace()
+    assert len(basis) == len(expected) == m.cols - m.rank()
+    if basis:
+        ours = sympy.Matrix([[sympy.Rational(x) for x in v] for v in basis])
+        assert (m * ours.T).is_zero_matrix
+        assert ours.rref()[0] == sympy.Matrix.hstack(*expected).T.rref()[0]
+
+
+def test_nullspace_against_sympy():
+    rng = random.Random(19)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        check_kernel(random_rational_matrix(rng, rows, cols, rng.randint(0, min(rows, cols))))
+
+
+def test_corpus_kernel_against_sympy():
+    # the balance-condition matrix behind balanced_corpus at n = 3
+    n = 3
+    pullbacks = [TTauExpression.monomial(n, n, e, m).expand(even_basis="s")
+                 for weight in range(1, min(2 * n, n + 2) + 1)
+                 for e, m in _ttau_monomials(n, weight, max_odd=n)]
+    a = _residual_rows(pullbacks, 1, n)
+    assert (len(a), len(a[0])) == (243, 44)
+    assert linalg.nullspace(a)
+    check_kernel(a)

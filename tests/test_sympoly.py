@@ -10,7 +10,6 @@ from superinv import (
     GrassmannScalar,
     NotInvariant,
     NotSymmetric,
-    PowerSums,
     SuperPolynomial,
     TTauExpression,
     ValidationError,
@@ -137,11 +136,18 @@ def test_invariant_decomposition_skew_and_reassembly():
                     assert comp.permute(perm) == -comp
 
 
+def check_invariant_precondition(operation):
+    with pytest.raises(NotInvariant, match="^polynomial is not symmetric$") as err:
+        operation(ev(2, 1))
+    assert err.value.witness == (1, 2)
+    with pytest.raises(NotInvariant,
+                       match="^polynomial is not invariant under the odd action$") as err:
+        operation(power_sum_even(2, 1))
+    assert err.value.witness == (1, ov(2, 1))
+
+
 def test_invariant_decomposition_rejects():
-    with pytest.raises(NotInvariant):
-        invariant_decomposition(ev(2, 1))
-    with pytest.raises(NotInvariant):
-        invariant_decomposition(power_sum_even(2, 1))
+    check_invariant_precondition(invariant_decomposition)
 
 
 # ----------------------------------------------------------------------
@@ -326,8 +332,7 @@ def test_monomial_linear_independence():
 
 
 def test_normal_form_rejects_non_invariant():
-    with pytest.raises(NotInvariant):
-        invariant_normal_form(power_sum_even(2, 1))
+    check_invariant_precondition(invariant_normal_form)
 
 
 # ----------------------------------------------------------------------
@@ -374,13 +379,6 @@ def test_signed_elementary_polynomials_match_recurrence():
                 rhs = rhs + power_sum_odd(n, n + k - j) * signed_elementary_poly(n, j)
             assert lhs == rhs
         assert signed_elementary_poly(n, n + 1).is_zero()
-
-
-def test_power_sums_bundle():
-    ps = PowerSums.build(2, 4)
-    assert ps.t[0] == power_sum_even(2, 1)
-    assert ps.tau[3] == power_sum_odd(2, 4)
-    assert len(ps.t) == len(ps.tau) == 4
 
 
 def test_no_root_realization_counterexample():
