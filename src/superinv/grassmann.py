@@ -27,7 +27,7 @@ def generator_cap():
 def set_generator_cap(limit):
     """Set the global bound on generator counts (dense size is 2**q)."""
     global _generator_cap
-    if not isinstance(limit, int) or limit < 0:
+    if not is_int(limit) or limit < 0:
         raise ValidationError("generator cap must be a non-negative integer")
     _generator_cap = limit
 
@@ -314,7 +314,7 @@ class GrassmannScalar:
         return NotImplemented
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
+        if not is_int(k) or k < 0:
             raise ValidationError("exponent must be a non-negative integer")
         out = self.one(self.q)
         for _ in range(k):

@@ -25,7 +25,7 @@ from .errors import (
     ZeroDiscriminant,
     ZeroEigenvalue,
 )
-from .grassmann import GrassmannScalar
+from .grassmann import GrassmannScalar, is_int
 from .reduction import diagonalize, rational_spectrum, reduce_odd
 from .supermatrix import ODD, Queer, Standard, SuperMatrix
 from .sympoly import (
@@ -237,7 +237,7 @@ def qet_generating_coefficients(a, count):
     matrices odd-order coefficients vanish and the 2k-th equals
     -(2k-1) tau_k.
     """
-    if not isinstance(count, int) or count < 1:
+    if not is_int(count) or count < 1:
         raise ValidationError("count must be a positive integer")
     data = eigendata(a)
     out = []

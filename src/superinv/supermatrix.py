@@ -253,7 +253,7 @@ class SuperMatrix:
         return NotImplemented
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
+        if not is_int(k) or k < 0:
             raise ValidationError("matrix exponent must be a non-negative integer")
         out = SuperMatrix.identity(self.shape, self.gq)
         for _ in range(k):
@@ -333,12 +333,14 @@ class SuperMatrix:
     def tau(self, k):
         """k-th odd invariant: qtr(A^k)/k on queer matrices, and
         str(A^(2k-1))/(2k-1) on odd standard square ones."""
-        if not isinstance(k, int) or k < 1:
+        if not is_int(k) or k < 1:
             raise ValidationError("invariant index must be a positive integer")
         return self.tau_values(k)[-1]
 
     def tau_values(self, upto):
         """tau(1..upto) with the matrix powers computed incrementally."""
+        if not is_int(upto) or upto < 0:
+            raise ValidationError("invariant count must be a non-negative integer")
         if isinstance(self.shape, Queer):
             out = []
             power = SuperMatrix.identity(self.shape, self.gq)
@@ -536,21 +538,25 @@ def random_matrix(shape, parity, q, seed, coefficient_bound, max_terms=2):
     return SuperMatrix(shape, parity, grid)
 
 
-def random_group_element(shape, q, seed, coefficient_bound, max_terms=1, max_tries=64):
+_GROUP_TERMS = 1  # random_scalar max_terms of each group-element entry
+_GROUP_TRIES = 64  # rejection draws before giving up on an invertible body
+
+
+def random_group_element(shape, q, seed, coefficient_bound):
     """Deterministic random group element: invertible body by rejection."""
     if coefficient_bound < 1:
         raise ValidationError("coefficient_bound must be at least 1")
     rng = random.Random(seed)
     parity = shape.group_parity
     dim = shape.dim
-    for _ in range(max_tries):
+    for _ in range(_GROUP_TRIES):
         grid = []
         for i in range(dim):
             row = []
             for j in range(dim):
                 x = random_scalar(rng, q, coefficient_bound,
                                   parity=_entry_parity(shape, parity, i, j),
-                                  max_terms=max_terms)
+                                  max_terms=_GROUP_TERMS)
                 if i == j:
                     x = x + rng.randint(-coefficient_bound, coefficient_bound)
                 row.append(x)
@@ -559,4 +565,4 @@ def random_group_element(shape, q, seed, coefficient_bound, max_terms=1, max_tri
         inv, _rk = linalg.inverse_with_rank(candidate.body_rows())
         if inv is not None:
             return GroupElement(candidate)
-    raise SamplingError("could not sample an invertible body in %d tries" % max_tries)
+    raise SamplingError("could not sample an invertible body in %d tries" % _GROUP_TRIES)

@@ -199,7 +199,7 @@ class SuperPolynomial:
         return NotImplemented
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
+        if not is_int(k) or k < 0:
             raise ValidationError("exponent must be a non-negative integer")
         out = self._const(1)
         for _ in range(k):

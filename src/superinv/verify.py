@@ -3,13 +3,16 @@
 Each suite checks one family of exact identities on deterministic random
 inputs and returns per-claim records; the command line front end serializes
 them.  All randomness flows through explicit seeds, so a rerun with the same
-seed reproduces the report byte for byte.
+seed reproduces the report byte for byte.  Claims draw their matrices through
+_queer_sample, _odd_sample and _conjugated, which consume the trial rng in a
+fixed order.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 from . import linalg
 from .errors import NotInL, ValidationError, ZeroDiscriminant
@@ -48,6 +51,7 @@ from .sympoly import (
     TTauExpression,
     coefficient_matrix,
     invariant_normal_form,
+    power_sum_even,
     power_sum_odd,
     rewrite_symmetric,
     vandermonde_adjoint,
@@ -74,18 +78,26 @@ def pick_distinct(rng, count, low=-6, high=6, nonzero=False):
     return out
 
 
+def _diagonal(shape, parity, entries):
+    """Matrix with the given diagonal entries and zeros elsewhere."""
+    zero = GrassmannScalar.zero(entries[0].q)
+    return SuperMatrix(shape, parity, [[x if i == j else zero for j in range(len(entries))]
+                                       for i, x in enumerate(entries)])
+
+
+def _conjugated(rng, a):
+    """a conjugated by a random group element seeded from the next draw."""
+    return a.conjugate(random_group_element(a.shape, a.gq, rng.randrange(1 << 30), _BOUND))
+
+
 def _random_with_spectrum(shape, eigenvalues, gq, seed, soul_terms=1):
     """Random group-parity matrix with the given body diagonal, conjugated."""
     rng = random.Random(seed)
-    dim = shape.dim
-    rows = [[GrassmannScalar.zero(gq)] * dim for _ in range(dim)]
-    for i in range(dim):
-        rows[i][i] = GrassmannScalar.rational(gq, eigenvalues[i])
-    diag = SuperMatrix(shape, shape.group_parity, rows)
+    diag = _diagonal(shape, shape.group_parity,
+                     [GrassmannScalar.rational(gq, eigenvalues[i]) for i in range(shape.dim)])
     soul = random_matrix(shape, shape.group_parity, gq, rng.randrange(1 << 30), _BOUND,
                          max_terms=soul_terms).soul()
-    g = random_group_element(shape, gq, rng.randrange(1 << 30), _BOUND)
-    return (diag + soul).conjugate(g)
+    return _conjugated(rng, diag + soul)
 
 
 def random_queer_with_spectrum(n, eigenvalues, gq, seed, soul_terms=1):
@@ -110,22 +122,16 @@ def random_odd_reducible(n, body_values, gq, seed):
         even_soul = random_scalar(rng, gq, _BOUND, parity=EVEN, max_terms=1).soul()
         rows[i][n + i] = GrassmannScalar.rational(gq, body_values[i]) + even_soul
         rows[n + i][i] = GrassmannScalar.one(gq)
-    canonical = SuperMatrix(Standard(n, n), ODD, rows)
-    g = random_group_element(Standard(n, n), gq, rng.randrange(1 << 30), _BOUND)
-    return canonical.conjugate(g)
+    return _conjugated(rng, SuperMatrix(Standard(n, n), ODD, rows))
 
 
 def random_locus_member(n, gq, seed):
     """Random matrix on which all the odd moments vanish."""
     rng = random.Random(seed)
     eigs = pick_distinct(rng, n)
-    rows = [[GrassmannScalar.zero(gq)] * n for _ in range(n)]
-    for i in range(n):
-        even_soul = random_scalar(rng, gq, _BOUND, parity=EVEN, max_terms=1).soul()
-        rows[i][i] = GrassmannScalar.rational(gq, eigs[i]) + even_soul
-    diag = SuperMatrix(Queer(n), ANY, rows)
-    g = random_group_element(Queer(n), gq, rng.randrange(1 << 30), _BOUND)
-    return diag.conjugate(g)
+    entries = [GrassmannScalar.rational(gq, e)
+               + random_scalar(rng, gq, _BOUND, parity=EVEN, max_terms=1).soul() for e in eigs]
+    return _conjugated(rng, _diagonal(Queer(n), ANY, entries))
 
 
 def random_commuting_odd_pair(n, gq, seed):
@@ -164,18 +170,20 @@ def random_sector_conjugator(n, gq, seed):
     return GroupElement(SuperMatrix(Standard(n, n), EVEN, rows))
 
 
+def _queer_sample(rng, n, gq, soul_terms=1):
+    """Queer matrix with distinct nonzero body eigenvalues drawn from rng."""
+    eigs = pick_distinct(rng, n, nonzero=True)
+    return random_queer_with_spectrum(n, eigs, gq, rng.randrange(1 << 30), soul_terms)
+
+
+def _odd_sample(rng, n, gq):
+    """Reducible odd matrix with distinct nonzero square eigenvalues."""
+    vals = pick_distinct(rng, n, nonzero=True)
+    return random_odd_reducible(n, vals, gq, rng.randrange(1 << 30))
+
+
 # ----------------------------------------------------------------------
 # report plumbing
-
-
-def _record(claim, trials, seed, failure=None):
-    return {
-        "claim": claim,
-        "trials": trials,
-        "seed": seed,
-        "status": "fail" if failure is not None else "pass",
-        "counterexample": failure,
-    }
 
 
 def _run_trials(claim, trials, seed, one_trial):
@@ -188,7 +196,19 @@ def _run_trials(claim, trials, seed, one_trial):
         if detail is not None:
             failure = {"trial": t, "info": detail}
             break
-    return _record(claim, trials, seed, failure)
+    return {
+        "claim": claim,
+        "trials": trials,
+        "seed": seed,
+        "status": "fail" if failure is not None else "pass",
+        "counterexample": failure,
+    }
+
+
+def _corpus_agrees(corpus, a1, a2, s1=None, s2=None):
+    """True when every corpus expression evaluates equally on both sides."""
+    return all(evaluate_invariant(a1, f, s_values=s1) == evaluate_invariant(a2, f, s_values=s2)
+               for f in corpus)
 
 
 # ----------------------------------------------------------------------
@@ -237,8 +257,6 @@ def suite_grassmann(seed, trials):
     def invert_back(t, rng):
         q, (x, _, _) = sample(rng)
         x = x + (1 if x.body() == 0 else 0)
-        if x.body() == 0:
-            x = x + 1
         inv = x.invert()
         if x * inv != 1 or inv * x != 1:
             return "inverse does not multiply back to one"
@@ -264,10 +282,8 @@ def suite_invariance(seed, trials):
     def queer_case(n):
         def one(t, rng):
             gq = rng.choice([2, 2, 3, 3, 4] if n >= 3 else [2, 3, 3, 4, 6])
-            eigs = pick_distinct(rng, n, nonzero=True)
-            a = random_queer_with_spectrum(n, eigs, gq, rng.randrange(1 << 30))
-            g = random_group_element(Queer(n), gq, rng.randrange(1 << 30), 2)
-            conj = a.conjugate(g)
+            a = _queer_sample(rng, n, gq)
+            conj = _conjugated(rng, a)
             if conj.qtr() != a.qtr():
                 return "qtr moved under conjugation"
             if conj.qet() != a.qet():
@@ -284,10 +300,8 @@ def suite_invariance(seed, trials):
     def odd_case(n):
         def one(t, rng):
             gq = rng.choice([2, 3, 3, 4] if n >= 2 else [2, 3, 4, 6])
-            vals = pick_distinct(rng, n, nonzero=True)
-            a = random_odd_reducible(n, vals, gq, rng.randrange(1 << 30))
-            g = random_group_element(Standard(n, n), gq, rng.randrange(1 << 30), 2)
-            conj = a.conjugate(g)
+            a = _odd_sample(rng, n, gq)
+            conj = _conjugated(rng, a)
             if conj.tau_values(2 * n) != a.tau_values(2 * n):
                 return "an odd moment moved under conjugation"
             if conj.supertrace() != a.supertrace():
@@ -388,7 +402,7 @@ def suite_thm_1_3(seed, trials):
         q_odd = rng.randint(1, 2)
         gq = rng.choice([2, 3, 3])
         shared = rng.random() < 0.5
-        if shared and p >= 1 and q_odd >= 1:
+        if shared:
             common = pick_distinct(rng, 1)[0]
             eigs_x = [common] + pick_distinct(rng, p - 1, low=7, high=12)
             eigs_t = [common] + pick_distinct(rng, q_odd - 1, low=-12, high=-7)
@@ -406,8 +420,7 @@ def suite_thm_1_3(seed, trials):
     def odd_reduction(t, rng):
         n = rng.randint(1, 3)
         gq = 2 if n == 3 else rng.choice([2, 3, 3])
-        vals = pick_distinct(rng, n, nonzero=True)
-        a = random_odd_reducible(n, vals, gq, rng.randrange(1 << 30))
+        a = _odd_sample(rng, n, gq)
         dec = reduce_odd(a)
         if not dec.verify(a):
             return "plug-back identity fails"
@@ -429,9 +442,8 @@ def suite_thm_1_3(seed, trials):
         gq = rng.choice([2, 3])
         eigs = pick_distinct(rng, n)
         a = random_queer_with_spectrum(n, eigs, gq, rng.randrange(1 << 30))
-        g = random_group_element(Queer(n), gq, rng.randrange(1 << 30), 2)
         dec1 = block_diagonalize(a)
-        dec2 = block_diagonalize(a.conjugate(g))
+        dec2 = block_diagonalize(_conjugated(rng, a))
         for (l1, b1), (l2, b2) in zip(dec1.blocks, dec2.blocks):
             if l1 != l2:
                 return "eigenvalue lists diverge"
@@ -520,8 +532,6 @@ def suite_lemma_3_2(seed, trials):
 
 def _random_symmetric_polynomial(n, rng, max_degree=6):
     """Symmetrize a few random monomials of bounded total degree."""
-    from itertools import permutations
-
     acc = SuperPolynomial.zero(n)
     for _ in range(rng.randint(1, 3)):
         odd_count = rng.randint(0, n)
@@ -599,8 +609,6 @@ def suite_thm_3_2(seed, trials):
         acc = SuperPolynomial.zero(n)
         for i in range(1, n + 1):
             acc = acc + (SuperPolynomial.even_var(n, i) + SuperPolynomial.odd_var(n, i)) ** k
-        from .sympoly import power_sum_even
-
         if acc != power_sum_even(n, k) + k * power_sum_odd(n, k):
             return "nonhomogeneous power sum identity fails"
         return None
@@ -611,8 +619,6 @@ def suite_thm_3_2(seed, trials):
 
 def tau_monomial_matrix(n, max_index):
     """Coefficient matrix of all odd-moment products of length <= n."""
-    from itertools import combinations
-
     monos = []
     for size in range(1, n + 1):
         for tup in combinations(range(1, max_index + 1), size):
@@ -630,8 +636,6 @@ def suite_thm_3_3(seed, trials):
     records = []
 
     def vanishing(t, rng):
-        from itertools import combinations
-
         n = t % 3 + 1
         for tup in combinations(range(1, 2 * n + 2), n + 1):
             poly = SuperPolynomial.one(n)
@@ -653,8 +657,6 @@ def suite_thm_3_3(seed, trials):
     records.append(_run_trials("monomial-expansions-independent", min(trials, 3), seed + 1, independence))
 
     def normal_form_round_trip(t, rng):
-        from itertools import combinations
-
         n = rng.randint(1, 3)
         all_monos = []
         for size in range(1, n + 1):
@@ -689,8 +691,7 @@ def suite_eq_4_1(seed, trials):
     def queer_residuals(t, rng):
         n = rng.randint(1, 3)
         gq = rng.choice([2, 3, 3, 4])
-        eigs = pick_distinct(rng, n, nonzero=True)
-        a = random_queer_with_spectrum(n, eigs, gq, rng.randrange(1 << 30))
+        a = _queer_sample(rng, n, gq)
         s = compute_s(a)
         if not verify_recurrence(a.tau_values(2 * n), list(s.s)):
             return "recurrence residual is nonzero"
@@ -704,8 +705,7 @@ def suite_eq_4_1(seed, trials):
     def odd_residuals(t, rng):
         n = rng.randint(1, 2)
         gq = rng.choice([2, 3, 3])
-        vals = pick_distinct(rng, n, nonzero=True)
-        a = random_odd_reducible(n, vals, gq, rng.randrange(1 << 30))
+        a = _odd_sample(rng, n, gq)
         s = compute_s(a)
         if not verify_recurrence(a.tau_values(2 * n), list(s.s)):
             return "recurrence residual is nonzero"
@@ -715,8 +715,7 @@ def suite_eq_4_1(seed, trials):
 
     def closed_form_residuals(t, rng):
         gq = rng.choice([2, 3, 4])
-        eigs = pick_distinct(rng, 2, nonzero=True)
-        a = random_queer_with_spectrum(2, eigs, gq, rng.randrange(1 << 30))
+        a = _queer_sample(rng, 2, gq)
         b, beta = a.queer_split()
         s = q2_closed_form(b, beta)
         if not verify_recurrence(a.tau_values(4), list(s.s)):
@@ -734,15 +733,10 @@ def suite_thm_4_5(seed, trials):
     def conjugation(t, rng):
         n = rng.randint(1, 3)
         gq = rng.choice([2, 3])
-        eigs = pick_distinct(rng, n, nonzero=True)
-        a = random_queer_with_spectrum(n, eigs, gq, rng.randrange(1 << 30))
-        g = random_group_element(Queer(n), gq, rng.randrange(1 << 30), 2)
-        conj = a.conjugate(g)
-        s1 = compute_s(a).s
-        s2 = compute_s(conj).s
-        for f in corpora[n]:
-            if evaluate_invariant(a, f, s_values=s1) != evaluate_invariant(conj, f, s_values=s2):
-                return "evaluation moved under conjugation"
+        a = _queer_sample(rng, n, gq)
+        conj = _conjugated(rng, a)
+        if not _corpus_agrees(corpora[n], a, conj, compute_s(a).s, compute_s(conj).s):
+            return "evaluation moved under conjugation"
         return None
 
     records.append(_run_trials("evaluation-conjugation-invariance", trials, seed, conjugation))
@@ -750,28 +744,23 @@ def suite_thm_4_5(seed, trials):
     def admissible_choice(t, rng):
         n = rng.randint(1, 3)
         gq = rng.choice([2, 3])
-        eigs = pick_distinct(rng, n, nonzero=True)
-        a = random_queer_with_spectrum(n, eigs, gq, rng.randrange(1 << 30))
-        g = random_group_element(Queer(n), gq, rng.randrange(1 << 30), 2)
+        a = _queer_sample(rng, n, gq)
         s1 = list(compute_s(a).s)
-        s2 = list(compute_s(a.conjugate(g)).s)
-        for f in corpora[n]:
-            if evaluate_invariant(a, f, s_values=s1) != evaluate_invariant(a, f, s_values=s2):
-                return "two admissible solutions give different values"
+        s2 = list(compute_s(_conjugated(rng, a)).s)
+        if not _corpus_agrees(corpora[n], a, a, s1, s2):
+            return "two admissible solutions give different values"
         return None
 
     records.append(_run_trials("admissible-solution-independence", trials, seed + 1, admissible_choice))
 
     def dual_route_n2(t, rng):
         gq = rng.choice([2, 3, 4])
-        eigs = pick_distinct(rng, 2, nonzero=True)
-        a = random_queer_with_spectrum(2, eigs, gq, rng.randrange(1 << 30))
+        a = _queer_sample(rng, 2, gq)
         b, beta = a.queer_split()
         s_spec = list(compute_s(a).s)
         s_closed = list(q2_closed_form(b, beta).s)
-        for f in corpora[2]:
-            if evaluate_invariant(a, f, s_values=s_spec) != evaluate_invariant(a, f, s_values=s_closed):
-                return "spectral and closed-form routes disagree"
+        if not _corpus_agrees(corpora[2], a, a, s_spec, s_closed):
+            return "spectral and closed-form routes disagree"
         return None
 
     records.append(_run_trials("dual-route-evaluations", trials, seed + 2, dual_route_n2))
@@ -786,9 +775,8 @@ def suite_thm_4_5(seed, trials):
                          [GrassmannScalar.one(gq), GrassmannScalar.zero(gq)]])
         h_true = list(compute_s(a).s)
         h_alt = [GrassmannScalar.one(gq) + x[0] * x[1]]
-        for f in corpora[1]:
-            if evaluate_invariant(a, f, s_values=h_true) != evaluate_invariant(a, f, s_values=h_alt):
-                return "the two admissible certificates disagree"
+        if not _corpus_agrees(corpora[1], a, a, h_true, h_alt):
+            return "the two admissible certificates disagree"
         return None
 
     records.append(_run_trials("certificate-ambiguity-n1", 1, seed + 3, certificate_n1))
@@ -802,15 +790,12 @@ def suite_cor_4_5(seed, trials):
     def matched_pairs(t, rng):
         n = rng.randint(1, 3)
         gq = rng.choice([2, 3])
-        eigs = pick_distinct(rng, n, nonzero=True)
-        a1 = random_queer_with_spectrum(n, eigs, gq, rng.randrange(1 << 30))
-        g = random_group_element(Queer(n), gq, rng.randrange(1 << 30), 2)
-        a2 = a1.conjugate(g)
+        a1 = _queer_sample(rng, n, gq)
+        a2 = _conjugated(rng, a1)
         if not indistinguishable(a1, a2):
             return "conjugate pair declared distinguishable"
-        for f in corpora[n]:
-            if evaluate_invariant(a1, f) != evaluate_invariant(a2, f):
-                return "evaluations differ on a matched pair"
+        if not _corpus_agrees(corpora[n], a1, a2):
+            return "evaluations differ on a matched pair"
         return None
 
     records.append(_run_trials("conjugate-pairs-indistinguishable", trials, seed, matched_pairs))
@@ -819,28 +804,21 @@ def suite_cor_4_5(seed, trials):
         n = rng.randint(2, 3)
         gq = 4
         eigs = pick_distinct(rng, n, nonzero=True)
-        rows1 = []
-        rows2 = []
+        diag1, diag2 = [], []
         for i in range(n):
             alpha = GrassmannScalar.generator(gq, i + 1)
             rho = GrassmannScalar.generator(gq, (i % gq) + 1 if (i % gq) + 1 != i + 1 else ((i + 1) % gq) + 1)
-            shift = alpha * rho
             base = GrassmannScalar.rational(gq, eigs[i])
-            row1 = [GrassmannScalar.zero(gq)] * n
-            row2 = [GrassmannScalar.zero(gq)] * n
-            row1[i] = base + alpha
-            row2[i] = base + alpha + shift
-            rows1.append(row1)
-            rows2.append(row2)
-        a1 = SuperMatrix(Queer(n), ANY, rows1)
-        a2 = SuperMatrix(Queer(n), ANY, rows2)
+            diag1.append(base + alpha)
+            diag2.append(base + alpha + alpha * rho)
+        a1 = _diagonal(Queer(n), ANY, diag1)
+        a2 = _diagonal(Queer(n), ANY, diag2)
         if a1.tau_values(2 * n) != a2.tau_values(2 * n):
             return "soul shift changed an odd moment"
         if not indistinguishable(a1, a2):
             return "equivalent pair declared distinguishable"
-        for f in corpora[n]:
-            if evaluate_invariant(a1, f) != evaluate_invariant(a2, f):
-                return "evaluations differ on an equivalent pair"
+        if not _corpus_agrees(corpora[n], a1, a2):
+            return "evaluations differ on an equivalent pair"
         return None
 
     records.append(_run_trials("soul-shifted-pairs-indistinguishable", trials, seed + 1, soul_shifted_pairs))
@@ -863,9 +841,8 @@ def suite_cor_4_5(seed, trials):
             return "cubed supertraces differ"
         if not indistinguishable(a1, a2):
             return "matched odd pair declared distinguishable"
-        for f in corpora[1]:
-            if evaluate_invariant(a1, f) != evaluate_invariant(a2, f):
-                return "evaluations differ on a matched odd pair"
+        if not _corpus_agrees(corpora[1], a1, a2):
+            return "evaluations differ on a matched odd pair"
         return None
 
     records.append(_run_trials("odd-pairs-with-equal-moments", trials, seed + 2, odd_value_pairs))
@@ -896,35 +873,27 @@ def suite_cor_4_5(seed, trials):
         n = rng.randint(2, 3)
         gq = 4
         eigs = pick_distinct(rng, n, nonzero=True)
-        rows1, rows2 = [], []
+        diag1, diag2 = [], []
         for i in range(n):
             alpha = GrassmannScalar.generator(gq, i + 1)
             other = GrassmannScalar.generator(gq, ((i + 1) % n) + 1)
             base = GrassmannScalar.rational(gq, eigs[i])
-            row1 = [GrassmannScalar.zero(gq)] * n
-            row2 = [GrassmannScalar.zero(gq)] * n
-            row1[i] = base + alpha
-            row2[i] = base + alpha + alpha * other * rng.randint(1, 3)
-            rows1.append(row1)
-            rows2.append(row2)
-        a1 = SuperMatrix(Queer(n), ANY, rows1)
-        a2 = SuperMatrix(Queer(n), ANY, rows2)
+            diag1.append(base + alpha)
+            diag2.append(base + alpha + alpha * other * rng.randint(1, 3))
+        a1 = _diagonal(Queer(n), ANY, diag1)
+        a2 = _diagonal(Queer(n), ANY, diag2)
         if a1.tau_values(2 * n) != a2.tau_values(2 * n):
             return None
-        for f in corpora[n]:
-            if evaluate_invariant(a1, f) != evaluate_invariant(a2, f):
-                return "matching first 2n moments but different evaluations"
+        if not _corpus_agrees(corpora[n], a1, a2):
+            return "matching first 2n moments but different evaluations"
         return None
 
     records.append(_run_trials("moment-truncation-sufficiency", trials, seed + 4, truncation))
 
     def product_vanishing(t, rng):
-        from itertools import combinations
-
         n = rng.randint(1, 2)
         gq = rng.choice([3, 4])
-        eigs = pick_distinct(rng, n, nonzero=True)
-        a = random_queer_with_spectrum(n, eigs, gq, rng.randrange(1 << 30))
+        a = _queer_sample(rng, n, gq)
         taus = a.tau_values(2 * n + 1)
         for tup in combinations(range(1, 2 * n + 2), n + 1):
             acc = GrassmannScalar.one(gq)
@@ -945,15 +914,10 @@ def suite_sec_5_1(seed, trials):
         n = rng.randint(1, 3)
         gq = max(n, rng.choice([2, 3, 4]))
         eigs = pick_distinct(rng, n, nonzero=True)
-        rows = [[GrassmannScalar.zero(gq)] * n for _ in range(n)]
-        avals, alphas = [], []
-        for i in range(n):
-            a_i = GrassmannScalar.rational(gq, eigs[i])
-            alpha_i = GrassmannScalar.generator(gq, (i % gq) + 1) * (rng.randint(-2, 2) or 1)
-            rows[i][i] = a_i + alpha_i
-            avals.append(a_i)
-            alphas.append(alpha_i)
-        a = SuperMatrix(Queer(n), ANY, rows)
+        avals = [GrassmannScalar.rational(gq, e) for e in eigs]
+        alphas = [GrassmannScalar.generator(gq, (i % gq) + 1) * (rng.randint(-2, 2) or 1)
+                  for i in range(n)]
+        a = _diagonal(Queer(n), ANY, [a_i + alpha_i for a_i, alpha_i in zip(avals, alphas)])
         want = GrassmannScalar.zero(gq)
         for a_i, alpha_i in zip(avals, alphas):
             want = want + alpha_i * a_i.invert()
@@ -965,8 +929,7 @@ def suite_sec_5_1(seed, trials):
 
     def n2_identity(t, rng):
         gq = rng.choice([2, 3, 4])
-        eigs = pick_distinct(rng, 2, nonzero=True)
-        a = random_queer_with_spectrum(2, eigs, gq, rng.randrange(1 << 30))
+        a = _queer_sample(rng, 2, gq)
         s = compute_s(a).s
         taus = a.tau_values(2)
         lhs = a.qet()
@@ -980,8 +943,7 @@ def suite_sec_5_1(seed, trials):
     def queer_series(t, rng):
         n = rng.randint(1, 3)
         gq = rng.choice([2, 3])
-        eigs = pick_distinct(rng, n, nonzero=True)
-        a = random_queer_with_spectrum(n, eigs, gq, rng.randrange(1 << 30))
+        a = _queer_sample(rng, n, gq)
         count = 2 * n
         coeffs = qet_generating_coefficients(a, count)
         taus = a.tau_values(count)
@@ -995,8 +957,7 @@ def suite_sec_5_1(seed, trials):
     def odd_series(t, rng):
         n = rng.randint(1, 2)
         gq = rng.choice([2, 3])
-        vals = pick_distinct(rng, n, nonzero=True)
-        a = random_odd_reducible(n, vals, gq, rng.randrange(1 << 30))
+        a = _odd_sample(rng, n, gq)
         count = 2 * n
         coeffs = qet_generating_coefficients(a, 2 * count)
         taus = a.tau_values(count)
@@ -1034,8 +995,7 @@ def suite_sec_5_2(seed, trials):
 
     def residuals(t, rng):
         gq = rng.choice([3, 4])
-        eigs = pick_distinct(rng, 2, nonzero=True)
-        a = random_queer_with_spectrum(2, eigs, gq, rng.randrange(1 << 30), soul_terms=2)
+        a = _queer_sample(rng, 2, gq, soul_terms=2)
         b, beta = a.queer_split()
         s = q2_closed_form(b, beta)
         if not verify_recurrence(a.tau_values(4), list(s.s)):
@@ -1121,9 +1081,7 @@ def suite_thm_4_6(seed, trials):
         gq = rng.choice([2, 3, 4])
         a = random_locus_member(n, gq, rng.randrange(1 << 30))
         values = l_invariants(a)
-        g = random_group_element(Queer(n), gq, rng.randrange(1 << 30), 2)
-        conj = a.conjugate(g)
-        if l_invariants(conj) != values:
+        if l_invariants(_conjugated(rng, a)) != values:
             return "locus invariants moved under conjugation"
         return None
 

@@ -15,11 +15,14 @@ from superinv import (
     SingularBody,
     Standard,
     SuperMatrix,
+    SuperPolynomial,
     UnconstrainedParity,
     ValidationError,
+    qet_generating_coefficients,
     random_group_element,
     random_matrix,
 )
+from superinv.grassmann import generator_cap, set_generator_cap
 
 G = GrassmannScalar
 
@@ -162,6 +165,35 @@ def test_tau_examples():
     with pytest.raises(ShapeMismatch):
         SuperMatrix.from_rationals(Standard(1, 2), ODD,
                                    [[0, 1, 1], [1, 0, 0], [1, 0, 0]], q).tau(1)
+
+
+_QUEER = SuperMatrix(Queer(1), ANY, [[q1(2) + G.generator(2, 1)]])
+
+
+def _cap_true():
+    """set_generator_cap(True), with the cap put back whatever happens."""
+    cap = generator_cap()
+    try:
+        set_generator_cap(True)
+    finally:
+        set_generator_cap(cap)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _QUEER.tau(True),
+    lambda: _QUEER ** True,
+    lambda: q1(2) ** True,
+    lambda: SuperPolynomial.even_var(1, 1) ** True,
+    lambda: qet_generating_coefficients(_QUEER, True),
+    _cap_true,
+    lambda: _QUEER.tau_values(True),
+    lambda: _QUEER.tau_values(-1),
+    lambda: _QUEER.tau_values(1.5),
+], ids=["tau", "matrix-pow", "scalar-pow", "poly-pow", "qet-coefficients",
+        "generator-cap", "tau-values-bool", "tau-values-negative", "tau-values-float"])
+def test_booleans_and_bad_counts_rejected(call):
+    with pytest.raises(ValidationError):
+        call()
 
 
 def test_invariance_under_conjugation():
