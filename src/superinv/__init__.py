@@ -69,8 +69,6 @@ from .sympoly import (
     verify_recurrence,
 )
 from .invariants import (
-    EigenData,
-    SemiInvariants,
     balanced_corpus,
     body_signed_elementary,
     compute_s,

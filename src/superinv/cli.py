@@ -88,31 +88,20 @@ def cmd_invariants(args):
 def _scalar_text(obj):
     if obj is None:
         return "undefined"
-    from .grassmann import GrassmannScalar
-
-    return str(GrassmannScalar.from_obj(obj))
+    return str(grassmann.GrassmannScalar.from_obj(obj))
 
 
 _MODES = {
     "blockdiag": block_diagonalize,
     "diagonalize": diagonalize,
     "odd": reduce_odd,
+    "antidiag": antidiagonalize,
 }
 
 
 def cmd_reduce(args):
     a = _load_matrix(args.matrix)
-    if args.mode == "antidiag":
-        g = antidiagonalize(a)
-        dim = a.dim
-        dec = SpectralDecomposition(
-            conjugator=g,
-            blocks=[(None, a.conjugate(g))],
-            partition=[list(range(1, dim + 1))],
-            parity=a.parity,
-        )
-    else:
-        dec = _MODES[args.mode](a)
+    dec = _MODES[args.mode](a)
     obj = dec.to_obj()
     # the emitted document must re-verify after a parse round trip
     reparsed = SpectralDecomposition.from_obj(json.loads(json.dumps(obj)))
@@ -179,8 +168,7 @@ def build_parser():
 
     p_red = sub.add_parser("reduce", help="emit a canonical decomposition of a matrix file")
     p_red.add_argument("matrix", help="path to a matrix JSON file")
-    p_red.add_argument("--mode", choices=("blockdiag", "diagonalize", "odd", "antidiag"),
-                       required=True)
+    p_red.add_argument("--mode", choices=tuple(_MODES), required=True)
     p_red.add_argument("--out", default=None)
     p_red.set_defaults(func=cmd_reduce)
 

@@ -11,7 +11,6 @@ assumption.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -27,7 +26,7 @@ from .errors import (
 )
 from .grassmann import GrassmannScalar, is_int
 from .reduction import diagonalize, rational_spectrum, reduce_odd
-from .supermatrix import ODD, Queer, Standard, SuperMatrix
+from .supermatrix import Queer, SuperMatrix
 from .sympoly import (
     BalancedExpression,
     TTauExpression,
@@ -40,64 +39,29 @@ from .sympoly import (
 )
 
 
-def family_size(a):
-    """The n of the invariant family a matrix belongs to."""
-    if isinstance(a.shape, Queer):
-        return a.shape.n
-    if isinstance(a.shape, Standard) and a.shape.p == a.shape.q and a.parity == ODD:
-        return a.shape.p
-    raise ShapeMismatch("expected a queer matrix or an odd standard square matrix")
-
-
-@dataclass(frozen=True)
-class EigenData:
-    """Ordered diagonal data (a_i, alpha_i) extracted from a canonical form."""
-
-    pairs: tuple
-    source_shape: object
-
-    @property
-    def n(self):
-        return len(self.pairs)
-
-    def tau_value(self, k):
-        """sum_i alpha_i a_i^(k-1), the k-th odd moment of the data."""
-        q = self.pairs[0][0].q
-        acc = GrassmannScalar.zero(q)
-        for a, alpha in self.pairs:
-            acc = acc + alpha * a ** (k - 1)
-        return acc
-
-    def matches_tau(self, a):
-        taus = a.tau_values(2 * self.n)
-        return all(self.tau_value(k) == value for k, value in enumerate(taus, start=1))
-
-
-@dataclass(frozen=True)
-class SemiInvariants:
-    """The even values s_1..s_n satisfying the odd-moment recurrence."""
-
-    s: tuple
+def _moment(pairs, k):
+    """sum_i alpha_i a_i^(k-1), the k-th odd moment of the diagonal data."""
+    acc = GrassmannScalar.zero(pairs[0][0].q)
+    for a, alpha in pairs:
+        acc = acc + alpha * a ** (k - 1)
+    return acc
 
 
 def eigendata(a):
-    """Extract the diagonal data through the exact canonical reduction."""
+    """The diagonal data ((a_1, alpha_1), ...) through the exact canonical reduction."""
+    a.family_size()
     if isinstance(a.shape, Queer):
-        pairs = [block.rows[0][0].parity_split() for _lam, block in diagonalize(a).blocks]
-    else:
-        family_size(a)
-        pairs = [(block.rows[0][1], block.rows[0][0]) for _lam, block in reduce_odd(a).blocks]
-    return EigenData(tuple(pairs), a.shape)
+        return tuple(block.rows[0][0].parity_split() for _lam, block in diagonalize(a).blocks)
+    return tuple((block.rows[0][1], block.rows[0][0]) for _lam, block in reduce_odd(a).blocks)
 
 
 def compute_s(a):
-    """Semi-invariants through the spectral route; recurrence-checked."""
-    data = eigendata(a)
-    result = SemiInvariants(tuple(elementary_from_roots([x for x, _ in data.pairs])))
-    n = data.n
-    if not verify_recurrence(a.tau_values(2 * n), list(result.s)):
+    """Semi-invariants s_1..s_n through the spectral route; recurrence-checked."""
+    pairs = eigendata(a)
+    s = tuple(elementary_from_roots([x for x, _ in pairs]))
+    if not verify_recurrence(a.tau_values(2 * len(pairs)), s):
         raise InternalError("spectral semi-invariants fail the recurrence")
-    return result
+    return s
 
 
 def q2_closed_form(b, beta):
@@ -130,7 +94,7 @@ def q2_closed_form(b, beta):
     s1 = trace + 2 * correction * disc.invert()
     det = b11 * b22 - b12 * b21
     s2 = -det - (s1 - trace) * trace * Fraction(1, 2)
-    return SemiInvariants((s1, s2))
+    return s1, s2
 
 
 def _relevant_body(a):
@@ -141,7 +105,7 @@ def _relevant_body(a):
     """
     if isinstance(a.shape, Queer):
         return a.body_rows()
-    n = family_size(a)
+    n = a.family_size()
     return [row[:n] for row in (a @ a).body_rows()[:n]]
 
 
@@ -151,7 +115,7 @@ def body_signed_elementary(a):
     For the monic characteristic polynomial sum_i c_i x^i of the relevant
     body matrix, the recurrence convention pins body(s_j) = -c_{n-j}.
     """
-    n = family_size(a)
+    n = a.family_size()
     coeffs = linalg.charpoly(_relevant_body(a))
     return [-coeffs[n - j] for j in range(1, n + 1)]
 
@@ -159,13 +123,11 @@ def body_signed_elementary(a):
 def _check_eligible(a):
     """The relevant body spectrum; raises the reduction error if a has no eigendata."""
     spectrum = rational_spectrum(_relevant_body(a))
-    if isinstance(a.shape, Queer):
-        if not spectrum.is_simple():
-            raise MultipleEigenvalue("body has a repeated eigenvalue")
-        return spectrum
+    queer = isinstance(a.shape, Queer)
     if not spectrum.is_simple():
-        raise MultipleEigenvalue("the square's body has a repeated eigenvalue")
-    if any(lam == 0 for lam, _ in spectrum.pairs):
+        raise MultipleEigenvalue("%s has a repeated eigenvalue"
+                                 % ("body" if queer else "the square's body"))
+    if not queer and any(lam == 0 for lam, _ in spectrum.pairs):
         raise ZeroEigenvalue("the square's body has a zero eigenvalue")
     return spectrum
 
@@ -176,14 +138,14 @@ def evaluate_invariant(a, f, s_values=None):
     When s_values is supplied it is validated against the recurrence and the
     body pin; any admissible choice gives the same value.
     """
-    n = family_size(a)
+    n = a.family_size()
     if f.n != n:
         raise ValidationError("expression is for n=%d, matrix has n=%d" % (f.n, n))
     ok, witness = f.is_balanced()
     if not ok:
         raise NotInvariant("expression is not balanced", witness=witness)
     if s_values is None:
-        s_values = list(compute_s(a).s)
+        s_values = list(compute_s(a))
     else:
         s_values = list(s_values)
         if len(s_values) != n:
@@ -206,8 +168,8 @@ def indistinguishable(a1, a2):
     semi-invariants do; those bodies are the signed elementary values of the
     body spectrum, so they agree exactly when the spectra do.
     """
-    n = family_size(a1)
-    if family_size(a2) != n:
+    n = a1.family_size()
+    if a2.family_size() != n:
         raise ShapeMismatch("the two matrices belong to different families")
     spectrum1 = _check_eligible(a1)
     spectrum2 = _check_eligible(a2)
@@ -221,12 +183,12 @@ def l_invariants(a):
 
     There they are genuine invariants; conjugation cannot move them.
     """
-    n = family_size(a)
+    n = a.family_size()
     taus = a.tau_values(n)
     for k, value in enumerate(taus, start=1):
         if not value.is_zero():
             raise NotInL("tau_%d does not vanish" % k, index=k)
-    return list(compute_s(a).s)
+    return list(compute_s(a))
 
 
 def qet_generating_coefficients(a, count):
@@ -239,11 +201,11 @@ def qet_generating_coefficients(a, count):
     """
     if not is_int(count) or count < 1:
         raise ValidationError("count must be a positive integer")
-    data = eigendata(a)
+    pairs = eigendata(a)
     out = []
     if isinstance(a.shape, Queer):
         for j in range(1, count + 1):
-            out.append(-data.tau_value(j))
+            out.append(-_moment(pairs, j))
         return out
     q = a.gq
     for j in range(1, count + 1):
@@ -251,7 +213,7 @@ def qet_generating_coefficients(a, count):
             out.append(GrassmannScalar.zero(q))
         else:
             k = j // 2
-            out.append(-(2 * k - 1) * data.tau_value(k))
+            out.append(-(2 * k - 1) * _moment(pairs, k))
     return out
 
 
@@ -262,7 +224,7 @@ def s_body_convention_report(a):
     the characteristic-polynomial display would give (-1)^j e_j instead.
     Both are reported, neither asserted.
     """
-    values = compute_s(a).s
+    values = compute_s(a)
     report = []
     for j, recurrence_sign in enumerate(body_signed_elementary(a), start=1):
         report.append(

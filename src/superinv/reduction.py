@@ -427,8 +427,8 @@ def reduce_odd(a):
 def antidiagonalize(a):
     """Conjugate an odd matrix with block-diagonal square to (0 Y; 1 0) form.
 
-    Returns the group element g with g^-1 a g antidiagonal with identity
-    lower-left block.
+    Returns one block spanning all indices: g^-1 a g antidiagonal with
+    identity lower-left block, with no eigenvalue attached.
     """
     _require_odd_square(a)
     n = a.shape.p
@@ -472,4 +472,4 @@ def antidiagonalize(a):
                 raise InternalError("diagonal blocks survived")
             if final.rows[n + i][j] != (1 if i == j else 0):
                 raise InternalError("lower-left block is not the identity")
-    return g
+    return SpectralDecomposition(g, [(None, final)], [list(range(1, 2 * n + 1))], ODD)

@@ -337,37 +337,40 @@ class SuperMatrix:
             raise ValidationError("invariant index must be a positive integer")
         return self.tau_values(k)[-1]
 
+    def family_size(self):
+        """The n of the invariant family: Q(n), or an odd (n|n) square."""
+        if isinstance(self.shape, Queer):
+            return self.shape.n
+        if self.shape.p == self.shape.q and self.parity == ODD:
+            return self.shape.p
+        raise ShapeMismatch("expected a queer matrix or an odd standard square matrix")
+
     def tau_values(self, upto):
         """tau(1..upto) with the matrix powers computed incrementally."""
         if not is_int(upto) or upto < 0:
             raise ValidationError("invariant count must be a non-negative integer")
+        self.family_size()
+        out = []
         if isinstance(self.shape, Queer):
-            out = []
             power = SuperMatrix.identity(self.shape, self.gq)
             for k in range(1, upto + 1):
                 power = power @ self
                 out.append(power.qtr() * Fraction(1, k))
             return out
-        if isinstance(self.shape, Standard) and self.shape.p == self.shape.q and self.parity == ODD:
-            out = []
-            square = self @ self
-            power = self
-            for k in range(1, upto + 1):
-                if k > 1:
-                    power = power @ square
-                out.append(power.supertrace() * Fraction(1, 2 * k - 1))
-            return out
-        raise ShapeMismatch("tau needs a queer matrix or an odd standard square matrix")
+        square = self @ self
+        power = self
+        for k in range(1, upto + 1):
+            if k > 1:
+                power = power @ square
+            out.append(power.supertrace() * Fraction(1, 2 * k - 1))
+        return out
 
     def conjugate(self, g):
         """g^-1 A g, exactly; the parity class of A is preserved."""
-        if isinstance(g, GroupElement):
-            self._check_compatible(g.matrix)
-            return g.inverse @ self @ g.matrix
-        if isinstance(g, SuperMatrix):
-            self._check_compatible(g)
-            return g.invert() @ self @ g
-        raise ShapeMismatch("conjugate needs a GroupElement or SuperMatrix")
+        if not isinstance(g, GroupElement):
+            raise ShapeMismatch("conjugate needs a GroupElement")
+        self._check_compatible(g.matrix)
+        return g.inverse @ self @ g.matrix
 
     # ------------------------------------------------------------------
     # comparison / io
@@ -521,10 +524,14 @@ def _entry_parity(shape, parity, i, j):
     return ODD if diagonal_block else EVEN
 
 
+def _check_bound(coefficient_bound):
+    if not is_int(coefficient_bound) or coefficient_bound < 1:
+        raise ValidationError("coefficient_bound must be a positive integer")
+
+
 def random_matrix(shape, parity, q, seed, coefficient_bound, max_terms=2):
     """Deterministic random matrix honoring the declared parity class."""
-    if coefficient_bound < 1:
-        raise ValidationError("coefficient_bound must be at least 1")
+    _check_bound(coefficient_bound)
     rng = random.Random(seed)
     dim = shape.dim
     grid = []
@@ -544,8 +551,7 @@ _GROUP_TRIES = 64  # rejection draws before giving up on an invertible body
 
 def random_group_element(shape, q, seed, coefficient_bound):
     """Deterministic random group element: invertible body by rejection."""
-    if coefficient_bound < 1:
-        raise ValidationError("coefficient_bound must be at least 1")
+    _check_bound(coefficient_bound)
     rng = random.Random(seed)
     parity = shape.group_parity
     dim = shape.dim
@@ -561,8 +567,8 @@ def random_group_element(shape, q, seed, coefficient_bound):
                     x = x + rng.randint(-coefficient_bound, coefficient_bound)
                 row.append(x)
             grid.append(row)
-        candidate = SuperMatrix(shape, parity, grid)
-        inv, _rk = linalg.inverse_with_rank(candidate.body_rows())
-        if inv is not None:
-            return GroupElement(candidate)
+        try:
+            return GroupElement(SuperMatrix(shape, parity, grid))
+        except SingularBody:
+            continue
     raise SamplingError("could not sample an invertible body in %d tries" % _GROUP_TRIES)

@@ -15,6 +15,7 @@ rewriting and the balance conditions solve.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from operator import add
 
 from . import linalg
@@ -694,8 +695,6 @@ def invariant_decomposition(f):
 
 def assemble_invariant(n, constant, components):
     """Rebuild a polynomial from its canonical invariant components."""
-    from itertools import combinations
-
     acc = SuperPolynomial.constant(n, constant)
     for s, comp in enumerate(components, start=1):
         if comp.is_zero():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import time
@@ -16,6 +17,7 @@ from superinv import (
 from superinv import cli, errors
 from superinv.cli import main
 from superinv.reduction import SpectralDecomposition
+from superinv.verify import random_commuting_odd_pair
 
 G = GrassmannScalar
 
@@ -115,6 +117,14 @@ def test_reduce_antidiag(tmp_path):
     reduced = dec.blocks[0][1]
     assert reduced.rows[0][0].is_zero()
     assert reduced.rows[1][0] == 1
+
+
+def test_reduce_antidiag_stdout_digest(tmp_path, capsys):
+    # sha256 of the stdout of `superinv reduce --mode antidiag` on a seeded pair
+    path = write_matrix(tmp_path / "pair.json", random_commuting_odd_pair(2, 3, seed=111))
+    assert main(["reduce", path, "--mode", "antidiag"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == "c6e6b30fc1f9657ad2524d5948008eb2882145dc168ed4c30f31109dba5f5fb8"
 
 
 def test_reduce_nonsplitting_exit_code(tmp_path):

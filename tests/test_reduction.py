@@ -293,17 +293,17 @@ def test_reduce_odd_rejections():
 
 def test_antidiagonalize_trivial():
     a = SuperMatrix.from_rationals(Standard(1, 1), ODD, [[0, -1], [1, 0]], 2)
-    g = antidiagonalize(a)
-    assert g.matrix.is_identity()
-    assert a.conjugate(g) == a
+    dec = antidiagonalize(a)
+    assert dec.conjugator.matrix.is_identity()
+    assert dec.assembled() == a
+    assert dec.partition == [[1, 2]] and dec.blocks[0][0] is None
 
 
 def test_antidiagonalize_displayed_identity():
     q = 2
     x1 = G.generator(q, 1)
     a = SuperMatrix(Standard(1, 1), ODD, [[x1, G.rational(q, 2)], [G.one(q), -x1]])
-    g = antidiagonalize(a)
-    final = a.conjugate(g)
+    final = antidiagonalize(a).assembled()
     want = SuperMatrix(Standard(1, 1), ODD,
                        [[G.zero(q), G.rational(q, 2) + x1 * x1], [G.one(q), G.zero(q)]])
     assert final == want
@@ -317,8 +317,9 @@ def test_antidiagonalize_round_trip_random():
         base = random_commuting_odd_pair(n, gq, rng.randrange(1 << 30))
         h = random_sector_conjugator(n, gq, rng.randrange(1 << 30))
         a = base.conjugate(h)
-        g = antidiagonalize(a)
-        final = a.conjugate(g)
+        dec = antidiagonalize(a)
+        assert dec.verify(a)
+        final = dec.assembled()
         for i in range(n):
             for j in range(n):
                 assert not final.rows[i][j].terms

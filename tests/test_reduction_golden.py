@@ -54,7 +54,7 @@ CASES = {
     "reduce_odd 1|1": lambda: reduce_odd(random_odd_reducible(1, [-2], 3, seed=109)).to_obj(),
     "reduce_odd 2|2": lambda: reduce_odd(random_odd_reducible(2, [5, -3], 2, seed=110)).to_obj(),
     "antidiagonalize 2|2": lambda: _conjugator_obj(
-        antidiagonalize(random_commuting_odd_pair(2, 3, seed=111))),
+        antidiagonalize(random_commuting_odd_pair(2, 3, seed=111)).conjugator),
     "reduce_odd zero": lambda: reduce_odd(random_odd_reducible(2, [0, 3], 2, seed=112)),
     "reduce_odd repeated": lambda: reduce_odd(random_odd_reducible(2, [3, 3], 2, seed=113)),
     "reduce_odd repeated before zero": lambda: reduce_odd(

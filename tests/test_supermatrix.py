@@ -23,6 +23,7 @@ from superinv import (
     random_matrix,
 )
 from superinv.grassmann import generator_cap, set_generator_cap
+from superinv.verify import pick_distinct
 
 G = GrassmannScalar
 
@@ -189,11 +190,24 @@ def _cap_true():
     lambda: _QUEER.tau_values(True),
     lambda: _QUEER.tau_values(-1),
     lambda: _QUEER.tau_values(1.5),
+    lambda: random_matrix(Queer(1), ANY, 2, 1, True),
+    lambda: random_matrix(Queer(1), ANY, 2, 1, 1.5),
+    lambda: random_group_element(Queer(1), 2, 1, True),
+    lambda: random_group_element(Queer(1), 2, 1, 1.5),
+    lambda: pick_distinct(random.Random(1), -1),
+    lambda: pick_distinct(random.Random(1), 1.5),
+    lambda: pick_distinct(random.Random(1), True),
 ], ids=["tau", "matrix-pow", "scalar-pow", "poly-pow", "qet-coefficients",
-        "generator-cap", "tau-values-bool", "tau-values-negative", "tau-values-float"])
+        "generator-cap", "tau-values-bool", "tau-values-negative", "tau-values-float",
+        "matrix-bound-bool", "matrix-bound-float", "group-bound-bool", "group-bound-float",
+        "pick-negative", "pick-float", "pick-bool"])
 def test_booleans_and_bad_counts_rejected(call):
     with pytest.raises(ValidationError):
         call()
+
+
+def test_pick_distinct_zero_count():
+    assert pick_distinct(random.Random(1), 0) == []
 
 
 def test_invariance_under_conjugation():
@@ -226,6 +240,23 @@ def test_conjugate_worked_identity():
     assert a.conjugate(GroupElement.identity(Standard(1, 1), q)) == a
     back = got.conjugate(g.inverted())
     assert back == a
+
+
+def test_conjugate_needs_a_group_element():
+    a = SuperMatrix(Standard(1, 1), ODD, [[G.zero(2), q1(2)], [q1(3), G.zero(2)]])
+    # an odd matrix is no group element: conjugating by it would lose the parity class
+    with pytest.raises(ShapeMismatch, match="conjugate needs a GroupElement"):
+        a.conjugate(a)
+
+
+def test_family_size():
+    assert SuperMatrix.identity(Queer(3), 2).family_size() == 3
+    assert SuperMatrix.zeros(Standard(2, 2), 2, ODD).family_size() == 2
+    for m in (SuperMatrix.identity(Standard(2, 2), 2), SuperMatrix.zeros(Standard(1, 2), 2, ODD)):
+        with pytest.raises(ShapeMismatch):
+            m.family_size()
+        with pytest.raises(ShapeMismatch):
+            m.tau_values(1)
 
 
 def test_random_matrix_determinism_and_contracts():
