@@ -88,6 +88,11 @@ def is_int(x):
     return type(x) is int
 
 
+def is_coeff(x):
+    """True for an exact coefficient: a Fraction or a plain int, not a bool or float."""
+    return is_int(x) or isinstance(x, Fraction)
+
+
 def parse_coeff(text):
     """Parse a decimal-free rational string such as "-3/2" or "7"."""
     if not isinstance(text, str) or not _COEFF_RE.match(text):
@@ -158,11 +163,9 @@ class GrassmannScalar:
         if terms:
             limit = 1 << q
             for mask, coeff in terms.items():
-                if not isinstance(mask, int) or mask < 0 or mask >= limit:
+                if not is_int(mask) or mask < 0 or mask >= limit:
                     raise ValidationError("monomial mask %r out of range for q=%d" % (mask, q))
-                if isinstance(coeff, float):
-                    raise ValidationError("floating point coefficients are not exact")
-                if not isinstance(coeff, (int, Fraction)):
+                if not is_coeff(coeff):
                     raise ValidationError("coefficient must be an int or Fraction: %r" % (coeff,))
                 if coeff != 0:
                     clean[mask] = _norm(clean.get(mask, 0) + coeff)
@@ -213,8 +216,8 @@ class GrassmannScalar:
     @classmethod
     def generator(cls, q, i):
         cls._check_q(q)
-        if not 1 <= i <= q:
-            raise ValidationError("generator index %d out of range 1..%d" % (i, q))
+        if not is_int(i) or not 1 <= i <= q:
+            raise ValidationError("generator index %r out of range 1..%d" % (i, q))
         return cls._raw(q, {1 << (i - 1): 1})
 
     @classmethod

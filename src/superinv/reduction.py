@@ -11,7 +11,8 @@ levels the cross terms vanish identically.
 One body stage serves both shapes: a queer body is a single half, a standard
 body the two halves X and T.  reduce_odd reads its preconditions off the
 block reduction of its square instead of computing the square's spectrum
-twice.
+twice.  Both odd forms, (R T; 1 0) and (0 Y; 1 0), end in the one
+lower-identity step: conjugation of (X Y; Z T) by (1 -Z^-1 T Z; 0 Z).
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from .errors import (
     NotBlockDiagonalSquare,
     ShapeMismatch,
     SharedEigenvalue,
+    SingularBody,
     SingularZ,
     ValidationError,
     ZeroEigenvalue,
 )
 from .grassmann import GrassmannScalar, coeff_text, geometric_sum, is_int, parse_coeff
-from .supermatrix import _PARITIES, EVEN, ODD, GroupElement, Queer, Standard, SuperMatrix
+from .supermatrix import _PARITIES, ANY, EVEN, ODD, GroupElement, Queer, Standard, SuperMatrix
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,10 @@ class SpectralDecomposition:
         for field in ("conjugator", "parity", "partition", "blocks"):
             if field not in obj:
                 raise ValidationError("decomposition object missing field %r" % field)
-        conjugator = GroupElement(SuperMatrix.from_obj(obj["conjugator"]))
+        try:
+            conjugator = GroupElement(SuperMatrix.from_obj(obj["conjugator"]))
+        except SingularBody as exc:
+            raise ValidationError("decomposition conjugator is not invertible: %s" % exc) from exc
         partition = obj["partition"]
         if not isinstance(partition, list) or not all(
             isinstance(part, list) and all(is_int(i) and i >= 1 for i in part)
@@ -275,6 +280,27 @@ def _identity_grid(a):
     return [list(row) for row in SuperMatrix.identity(a.shape, a.gq).rows]
 
 
+def _lower_identity_step(a):
+    """The conjugator h = (1 C; 0 Z), C = -Z^-1 T Z, of an odd square (X Y; Z T).
+
+    h^-1 a h has lower blocks (1 0) and upper-left block X + Z^-1 T Z.  Z is
+    inverted as an n x n matrix, so a singular body raises SingularBody.
+    """
+    n = a.shape.p
+    z, t = (SuperMatrix(Queer(n), ANY, [row[lo:lo + n] for row in a.rows[n:]], validate=False)
+            for lo in (0, n))
+    zinv = z.invert()
+    zinv_t = zinv @ t
+    c = -(zinv_t @ z)
+    h, hinv = _identity_grid(a), _identity_grid(a)
+    for i in range(n):
+        h[i][n:] = c.rows[i]
+        h[n + i][n:] = z.rows[i]
+        hinv[i][n:] = zinv_t.rows[i]
+        hinv[n + i][n:] = zinv.rows[i]
+    return GroupElement(SuperMatrix(a.shape, EVEN, h), SuperMatrix(a.shape, EVEN, hinv))
+
+
 def _require_odd_square(a):
     if not (isinstance(a.shape, Standard) and a.shape.p == a.shape.q):
         raise ShapeMismatch("input must be a standard square matrix")
@@ -393,35 +419,19 @@ def reduce_odd(a):
     m = a.conjugate(g1)
     if _cross_terms([[i - 1 for i in part] for part in dec2.partition], m):
         raise InternalError("the matrix does not respect its square's blocks")
-    h = _identity_grid(a)
-    hinv = _identity_grid(a)
+    # Z and T of m are diagonal, so the step's upper-right block is -T
+    step = _lower_identity_step(m)
+    final = m.conjugate(step)
     blocks = []
-    partition = []
-    for r, part in enumerate(dec2.partition):
+    for (lam, _), part in zip(dec2.blocks, dec2.partition):
         if len(part) != 2 or part[0] + n != part[1]:
             raise InternalError("unexpected partition for an odd reduction")
-        e, o = part[0] - 1, part[1] - 1
-        t = m.rows[o][o]
-        z = m.rows[o][e]
-        zinv = z.invert()
-        h[e][o] = -t
-        h[o][o] = z
-        hinv[e][o] = t * zinv
-        hinv[o][o] = zinv
-        partition.append(list(part))
-    h_mat = SuperMatrix(a.shape, EVEN, h)
-    h_inv = SuperMatrix(a.shape, EVEN, hinv)
-    step = GroupElement(h_mat, h_inv)
-    final = m.conjugate(step)
-    lams = [lam for lam, _ in dec2.blocks]
-    for r, part in enumerate(partition):
         e, o = part[0] - 1, part[1] - 1
         block = final.submatrix([e, o], [e, o], Standard(1, 1), ODD)
         if block.rows[1][0] != 1 or not block.rows[1][1].is_zero():
             raise InternalError("block did not reach the (R T; 1 0) form")
-        blocks.append((lams[r], block))
-    conjugator = g1.compose(step)
-    return SpectralDecomposition(conjugator, blocks, partition, ODD)
+        blocks.append((lam, block))
+    return SpectralDecomposition(g1.compose(step), blocks, dec2.partition, ODD)
 
 
 def antidiagonalize(a):
@@ -439,32 +449,11 @@ def antidiagonalize(a):
                 raise NotBlockDiagonalSquare(
                     "the square has a nonzero off-diagonal block at (%d, %d)" % (i + 1, j + 1)
                 )
-    z_rows = [[a.rows[n + i][j] for j in range(n)] for i in range(n)]
-    z_body = [[x.body() for x in row] for row in z_rows]
-    if linalg.inverse(z_body) is None:
-        raise SingularZ("the lower-left block has a singular body")
-    g1_grid = _identity_grid(a)
-    for i in range(n):
-        for j in range(n):
-            g1_grid[n + i][n + j] = z_rows[i][j]
-    g1 = GroupElement(SuperMatrix(a.shape, EVEN, g1_grid))
-    m = a.conjugate(g1)
-    for i in range(n):
-        for j in range(n):
-            low = m.rows[n + i][j]
-            if low != (1 if i == j else 0):
-                raise InternalError("lower-left block is not the identity")
-            if not (m.rows[i][j] + m.rows[n + i][n + j]).is_zero():
-                raise InternalError("diagonal blocks do not cancel")
-    g2_grid = _identity_grid(a)
-    g2_inv_grid = _identity_grid(a)
-    for i in range(n):
-        for j in range(n):
-            g2_grid[i][n + j] = m.rows[i][j]
-            g2_inv_grid[i][n + j] = -m.rows[i][j]
-    g2 = GroupElement(SuperMatrix(a.shape, EVEN, g2_grid),
-                      SuperMatrix(a.shape, EVEN, g2_inv_grid))
-    g = g1.compose(g2)
+    # a block-diagonal square has ZX + TZ = 0, so the step is (1 X; 0 Z)
+    try:
+        g = _lower_identity_step(a)
+    except SingularBody:
+        raise SingularZ("the lower-left block has a singular body") from None
     final = a.conjugate(g)
     for i in range(n):
         for j in range(n):

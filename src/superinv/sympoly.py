@@ -25,6 +25,7 @@ from .grassmann import (
     _norm,
     coeff_text,
     indices_to_mask,
+    is_coeff,
     is_int,
     mask_to_indices,
     merge_sign,
@@ -71,10 +72,10 @@ class SuperPolynomial:
                 exps = tuple(exps)
                 if len(exps) != width or any(not is_int(e) or e < 0 for e in exps):
                     raise ValidationError("exponent vector must be %d non-negative ints" % width)
-                if not isinstance(mask, int) or mask < 0 or mask >= (1 << width):
+                if not is_int(mask) or mask < 0 or mask >= (1 << width):
                     raise ValidationError("odd index mask out of range")
-                if isinstance(c, float):
-                    raise ValidationError("floating point coefficients are not exact")
+                if not is_coeff(c):
+                    raise ValidationError("coefficient must be an int or Fraction: %r" % (c,))
                 if c != 0:
                     key = (exps, mask)
                     clean[key] = _norm(clean.get(key, 0) + c)
@@ -779,22 +780,29 @@ def coefficient_matrix(columns):
     return matrix
 
 
-def _solve_coefficient_matching(targets, candidates):
-    """Exact solve for coefficients expressing a target in given expansions.
+def _match_by_degree(f, symbol_range, keep):
+    """The TTauExpression whose expansion matches f in every positive degree.
 
-    targets: SuperPolynomial; candidates: list of (key, SuperPolynomial).
-    Returns {key: coeff}; raises InternalError when the system is not
-    uniquely solvable (the rewriting theorems guarantee it is).
+    Each degree is one exact solve over the monomials of that weight that pass
+    `keep`; raises InternalError when the system is not uniquely solvable
+    (the rewriting theorems guarantee it is).
     """
-    matrix = coefficient_matrix([poly.terms for _key, poly in candidates] + [targets.terms])
-    a = [row[:-1] for row in matrix]
-    b = [row[-1] for row in matrix]
-    solution, free = linalg.solve_general(a, b)
-    if solution is None:
-        raise InternalError("coefficient matching is inconsistent")
-    if free:
-        raise InternalError("coefficient matching is underdetermined")
-    return {key: c for (key, _), c in zip(candidates, solution) if c != 0}
+    n = f.n
+    terms = {}
+    for d in f.degrees():
+        if d == 0:
+            continue
+        keys = [key for key in _ttau_monomials(symbol_range, d, max_odd=n) if keep(key)]
+        columns = [TTauExpression.monomial(n, symbol_range, *key).expand().terms for key in keys]
+        matrix = coefficient_matrix(columns + [f.homogeneous_component(d).terms])
+        solution, free = linalg.solve_general([row[:-1] for row in matrix],
+                                              [row[-1] for row in matrix])
+        if solution is None:
+            raise InternalError("coefficient matching is inconsistent")
+        if free:
+            raise InternalError("coefficient matching is underdetermined")
+        terms.update((key, c) for key, c in zip(keys, solution) if c != 0)
+    return TTauExpression(n, symbol_range, terms)
 
 
 def rewrite_symmetric(f):
@@ -803,23 +811,11 @@ def rewrite_symmetric(f):
     Returns the unique TTauExpression g with g(t_1..t_n, tau_1..tau_n) = f,
     found degree by degree through exact coefficient matching.
     """
-    n = f.n
     ok, witness = f.is_symmetric()
     if not ok:
         raise NotSymmetric("polynomial is not symmetric", transposition=witness)
-    result = TTauExpression.zero(n, n)
-    for d in f.degrees():
-        component = f.homogeneous_component(d)
-        if d == 0:
-            result = result + TTauExpression.constant(n, n, component.constant_term())
-            continue
-        candidates = []
-        for exps, mask in _ttau_monomials(n, d, max_odd=n):
-            mono = TTauExpression.monomial(n, n, exps, mask)
-            candidates.append(((exps, mask), mono.expand(even_basis="t")))
-        coeffs = _solve_coefficient_matching(component, candidates)
-        result = result + TTauExpression(n, n, coeffs)
-    return result
+    return (TTauExpression.constant(f.n, f.n, f.constant_term())
+            + _match_by_degree(f, f.n, lambda key: True))
 
 
 def is_balanced(h):
@@ -852,23 +848,11 @@ def invariant_normal_form(f):
     x_{i1}..x_{is} of length at most n; substitution of the concrete odd
     moments reproduces f exactly, and the coefficients are unique.
     """
-    n = f.n
     _require_invariant(f)
-    degrees = [d for d in f.degrees() if d > 0]
-    max_index = max(degrees) if degrees else 1
-    symbol_range = max(max_index, n)
-    result = TTauExpression.constant(n, symbol_range, f.constant_term())
-    for d in degrees:
-        component = f.homogeneous_component(d)
-        candidates = []
-        for exps, mask in _ttau_monomials(symbol_range, d, max_odd=n):
-            if any(exps) or mask == 0:
-                continue
-            mono = TTauExpression.monomial(n, symbol_range, exps, mask)
-            candidates.append(((exps, mask), mono.expand()))
-        coeffs = _solve_coefficient_matching(component, candidates)
-        result = result + TTauExpression(n, symbol_range, coeffs)
-    return result
+    symbol_range = max([d for d in f.degrees() if d > 0] + [1, f.n])
+    pure_odd = lambda key: key[1] != 0 and not any(key[0])
+    return (TTauExpression.constant(f.n, symbol_range, f.constant_term())
+            + _match_by_degree(f, symbol_range, pure_odd))
 
 
 def elementary_from_roots(values):

@@ -6,6 +6,7 @@ import pytest
 
 from superinv.errors import GeneratorCountMismatch, ValidationError, ZeroBody
 from superinv.grassmann import GrassmannScalar, mask_to_indices, merge_sign
+from superinv.sympoly import SuperPolynomial
 
 
 # ----------------------------------------------------------------------
@@ -175,8 +176,12 @@ def test_mismatched_generator_counts():
 
 
 def test_float_coefficients_rejected():
-    with pytest.raises(ValidationError):
-        GrassmannScalar(2, {0: 0.5})
+    # only a plain int or a Fraction is an exact coefficient
+    for coeff in (0.5, 1j, "x", None, True):
+        with pytest.raises(ValidationError):
+            GrassmannScalar(2, {0: coeff})
+        with pytest.raises(ValidationError):
+            SuperPolynomial(1, {((1,), 0): coeff})
 
 
 def test_generator_cap():

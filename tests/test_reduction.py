@@ -338,6 +338,21 @@ def test_antidiagonalize_rejections():
         antidiagonalize(b)
 
 
+def test_antidiagonalize_inverts_z_once(monkeypatch):
+    a = random_commuting_odd_pair(2, 3, seed=111)
+    sizes = []
+    real = linalg.inverse_with_rank
+
+    def recording(rows):
+        sizes.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "inverse_with_rank", recording)
+    antidiagonalize(a)
+    # only the n x n body of Z is inverted, once
+    assert sizes == [2]
+
+
 def test_decomposition_serialization_round_trip():
     a = random_queer_with_spectrum(3, [0, 1, 2], 3, seed=21)
     dec = diagonalize(a)

@@ -13,6 +13,7 @@ from superinv import (
     ANY,
     EVEN,
     ODD,
+    GrassmannScalar,
     Queer,
     Standard,
     SuperMatrix,
@@ -73,11 +74,26 @@ CASES = {
                                    [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -2], [0, 0, 1, 0]], 2)),
     "block_diagonalize odd input": lambda: block_diagonalize(
         SuperMatrix.from_rationals(Standard(1, 1), ODD, [[0, 1], [1, 0]], 2)),
+    "antidiagonalize 1|1": lambda: _conjugator_obj(
+        antidiagonalize(random_commuting_odd_pair(1, 5, seed=117)).conjugator),
+    "antidiagonalize 3|3": lambda: _conjugator_obj(
+        antidiagonalize(random_commuting_odd_pair(3, 3, seed=118)).conjugator),
+    "antidiagonalize singular Z": lambda: antidiagonalize(
+        SuperMatrix.from_rationals(Standard(1, 1), ODD, [[0, 1], [0, 0]], 2)),
+    "antidiagonalize square not block diagonal": lambda: antidiagonalize(SuperMatrix(
+        Standard(1, 1), ODD,
+        [[GrassmannScalar.generator(2, 1), GrassmannScalar.one(2)],
+         [GrassmannScalar.one(2), GrassmannScalar.zero(2)]])),
+    "reduce_odd 3|3": lambda: reduce_odd(random_odd_reducible(3, [1, -2, 3], 2, seed=119)).to_obj(),
 }
 
 # sha256 of each case's canonical outcome JSON; a changed output or error shows here
 GOLDEN = {
+    "antidiagonalize 1|1": "907dc476097a7a84af84c54d952031d3a442f6040806fa1bfd8de1ec07bc21b6",
     "antidiagonalize 2|2": "548568b6b0ee8a11dbd5b8202a67df8d540633196230c30bd133fdeeb3234348",
+    "antidiagonalize 3|3": "daef88043d3ed7bc3eae61cb09d8677ded15784230ae0052ce05c9d9a668c13b",
+    "antidiagonalize singular Z": "f81dc01d0797ea1e31d434fd4b316c169f053bbf9b967b3db1c5647a2331e2f8",
+    "antidiagonalize square not block diagonal": "a35375800f47682fbf0df75a1234b95caa235a39672d9407c4242b4f288f036b",
     "block_diagonalize nonsplitting": "52b3561a435ab69b07b1748c3d420b21a2cb60ff8ab5450b0831962e1bb55a7f",
     "block_diagonalize nonsplitting both halves": "52b3561a435ab69b07b1748c3d420b21a2cb60ff8ab5450b0831962e1bb55a7f",
     "block_diagonalize odd input": "460760b51cc03f50c8935871b7b83895c1df1c5e91b23a5747b0a473b9e71cf7",
@@ -92,6 +108,7 @@ GOLDEN = {
     "diagonalize queer 3 repeated": "4c2e83ddc522f00aec4f6cf0bf0badec712ae6055aa09aa7b63241901b7a99fe",
     "reduce_odd 1|1": "78430390e9e4557f81983a40e9538ace77ca787863fedf043b5e7263f78c55e8",
     "reduce_odd 2|2": "689190484f036e737de9dd735dddae83a7f7f43f6d5dee80a3455bb7d5591ac5",
+    "reduce_odd 3|3": "0d318158eedf914b22a74b9b2ce120319f4374b9a4388b22cf5aabd5f015bf65",
     "reduce_odd even input": "56abd0f039cdb3411cfd7aefee903cdb72df0b8a7de3c239144469498641f343",
     "reduce_odd nonsplitting": "52b3561a435ab69b07b1748c3d420b21a2cb60ff8ab5450b0831962e1bb55a7f",
     "reduce_odd repeated": "ea252379699aea7d40833fa64b3e1359943b0e31946b441433e527df41b1b980",

@@ -197,10 +197,15 @@ def _cap_true():
     lambda: pick_distinct(random.Random(1), -1),
     lambda: pick_distinct(random.Random(1), 1.5),
     lambda: pick_distinct(random.Random(1), True),
+    lambda: SuperPolynomial(1, {((1,), True): 1}),
+    lambda: G(2, {True: True}),
+    lambda: G.generator(2, True),
+    lambda: G.generator(2, 1.0),
 ], ids=["tau", "matrix-pow", "scalar-pow", "poly-pow", "qet-coefficients",
         "generator-cap", "tau-values-bool", "tau-values-negative", "tau-values-float",
         "matrix-bound-bool", "matrix-bound-float", "group-bound-bool", "group-bound-float",
-        "pick-negative", "pick-float", "pick-bool"])
+        "pick-negative", "pick-float", "pick-bool", "poly-mask-bool", "scalar-mask-bool",
+        "generator-bool", "generator-float"])
 def test_booleans_and_bad_counts_rejected(call):
     with pytest.raises(ValidationError):
         call()
