@@ -6,12 +6,22 @@ generators (bit j set means generator j+1 is present); the empty monomial
 carries the body.  Coefficients are ints or Fractions, never floats, so
 equality testing is exact and structural.  `geometric_sum` is the one
 (1 + nilpotent)^-1 series that scalar and matrix inverses share.
+
+Matrix products run on integer numerators: `integer_numerators` scales a
+matrix row or column to ints over one common denominator, the pair kernel
+`mul_terms_into` then multiplies and adds plain ints, and `prune_terms`
+divides each output coefficient once.  Scalar products, whose operands are
+mostly a few terms, call the kernel on their coefficients as they are.  The
+kernel's signs come from `below_parity`, cached per monomial mask, so the
+cache holds at most 2**q entries.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
+from functools import cache
 
 from .errors import GeneratorCountMismatch, ValidationError, ZeroBody
 
@@ -32,37 +42,57 @@ def set_generator_cap(limit):
     _generator_cap = limit
 
 
-_SIGN_CACHE = {}
+@cache
+def below_parity(m):
+    """The bits with an odd number of m's bits below them, as an int mask.
+
+    Bits above m's top bit qualify when m has an odd popcount, so the mask
+    is then a negative (two's-complement) int; `a & below_parity(m)` is
+    finite for any a >= 0.  Cached per mask: at most 2**q entries.
+    """
+    out = 0
+    while m:
+        low = m & -m
+        out ^= -(low << 1)  # every bit above this one
+        m ^= low
+    return out
 
 
 def merge_sign(a, b):
     """Sign of sorting the concatenation of two disjoint increasing index sets.
 
-    Counts the pairs (i in a, j in b) with i > j; each contributes one
-    transposition.
+    Each pair (i in a, j in b) with i > j is one transposition; bit i of a
+    sees an odd number of them exactly when it is set in below_parity(b).
     """
-    key = (a, b)
-    sign = _SIGN_CACHE.get(key)
-    if sign is None:
-        swaps = 0
-        t = b
-        while t:
-            low = t & -t
-            swaps += (a >> low.bit_length()).bit_count()
-            t ^= low
-        sign = -1 if swaps & 1 else 1
-        _SIGN_CACHE[key] = sign
-    return sign
+    return -1 if (a & below_parity(b)).bit_count() & 1 else 1
+
+
+def integer_numerators(term_dicts):
+    """One common denominator d of the term dicts, and the dicts scaled by d.
+
+    The scaled coefficients are ints; when d is 1 the dicts come back as
+    they are.
+    """
+    d = 1
+    for terms in term_dicts:
+        for c in terms.values():
+            if type(c) is not int:
+                d = math.lcm(d, c.denominator)
+    if d == 1:
+        return 1, term_dicts
+    return d, [{m: c.numerator * (d // c.denominator) for m, c in terms.items()}
+               for terms in term_dicts]
 
 
 def mul_terms_into(acc, t1, t2):
     """Accumulate the product of two term dicts into acc (no pruning)."""
-    for m1, c1 in t1.items():
-        for m2, c2 in t2.items():
+    for m2, c2 in t2.items():
+        odd_below = below_parity(m2)
+        for m1, c1 in t1.items():
             if m1 & m2:
                 continue
             c = c1 * c2
-            if merge_sign(m1, m2) < 0:
+            if (m1 & odd_below).bit_count() & 1:
                 c = -c
             m = m1 | m2
             v = acc.get(m)
@@ -76,8 +106,11 @@ def _norm(c):
     return c
 
 
-def prune_terms(terms):
-    return {m: _norm(c) for m, c in terms.items() if c != 0}
+def prune_terms(terms, denominator=1):
+    """The nonzero terms divided by denominator, integral coefficients as ints."""
+    if denominator == 1:
+        return {m: _norm(c) for m, c in terms.items() if c != 0}
+    return {m: _norm(Fraction(c, denominator)) for m, c in terms.items() if c != 0}
 
 
 _COEFF_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
@@ -208,9 +241,9 @@ class GrassmannScalar:
     @classmethod
     def rational(cls, q, value):
         cls._check_q(q)
-        if isinstance(value, float):
-            raise ValidationError("floating point coefficients are not exact")
-        value = _norm(Fraction(value))
+        if not is_coeff(value):
+            raise ValidationError("coefficient must be an int or Fraction: %r" % (value,))
+        value = _norm(value)
         return cls._raw(q, {0: value} if value != 0 else {})
 
     @classmethod

@@ -26,7 +26,14 @@ from .errors import (
     UnconstrainedParity,
     ValidationError,
 )
-from .grassmann import GrassmannScalar, geometric_sum, is_int, mul_terms_into, prune_terms
+from .grassmann import (
+    GrassmannScalar,
+    geometric_sum,
+    integer_numerators,
+    is_int,
+    mul_terms_into,
+    prune_terms,
+)
 from . import linalg
 
 EVEN = "even"
@@ -225,16 +232,19 @@ class SuperMatrix:
             return NotImplemented
         self._check_compatible(other)
         gq = self.gq
-        cols = list(zip(*other.rows))
+        # integer numerators over one denominator per row of self and per
+        # column of other, so the pair kernel multiplies and adds plain ints
+        rows = [integer_numerators([x.terms for x in row]) for row in self.rows]
+        cols = [integer_numerators([y.terms for y in col]) for col in zip(*other.rows)]
         out = []
-        for row in self.rows:
+        for d_row, row in rows:
             out_row = []
-            for col in cols:
+            for d_col, col in cols:
                 acc = {}
                 for x, y in zip(row, col):
-                    if x.terms and y.terms:
-                        mul_terms_into(acc, x.terms, y.terms)
-                out_row.append(GrassmannScalar._raw(gq, prune_terms(acc)))
+                    if x and y:
+                        mul_terms_into(acc, x, y)
+                out_row.append(GrassmannScalar._raw(gq, prune_terms(acc, d_row * d_col)))
             out.append(out_row)
         parity = _product_parity(self.parity, other.parity)
         return SuperMatrix(self.shape, parity, out, validate=False)

@@ -99,7 +99,9 @@ class SuperPolynomial:
         return new
 
     def _const(self, c):
-        c = _norm(Fraction(c)) if not isinstance(c, int) else c
+        if not is_coeff(c):
+            raise ValidationError("coefficient must be an int or Fraction: %r" % (c,))
+        c = _norm(c)
         return self._like({((0,) * self.width, 0): c} if c != 0 else {})
 
     # ------------------------------------------------------------------
@@ -117,17 +119,20 @@ class SuperPolynomial:
     def one(cls, n):
         return cls.constant(n, 1)
 
+    @staticmethod
+    def _check_index(i, width, what):
+        if not is_int(i) or not 1 <= i <= width:
+            raise ValidationError("%s index %r out of range 1..%d" % (what, i, width))
+
     @classmethod
     def even_var(cls, n, i):
-        if not 1 <= i <= n:
-            raise ValidationError("even variable index out of range")
+        cls._check_index(i, n, "even variable")
         exps = tuple(1 if j == i - 1 else 0 for j in range(n))
         return cls.zero(n)._like({(exps, 0): 1})
 
     @classmethod
     def odd_var(cls, n, i):
-        if not 1 <= i <= n:
-            raise ValidationError("odd variable index out of range")
+        cls._check_index(i, n, "odd variable")
         return cls.zero(n)._like({((0,) * n, 1 << (i - 1)): 1})
 
     # ------------------------------------------------------------------
@@ -255,8 +260,7 @@ class SuperPolynomial:
 
     def derivative(self, i):
         """Partial derivative in the i-th even variable (1-based)."""
-        if not 1 <= i <= self.width:
-            raise ValidationError("even variable index out of range")
+        self._check_index(i, self.width, "even variable")
         out = {}
         idx = i - 1
         for (exps, mask), c in self.terms.items():
@@ -271,8 +275,7 @@ class SuperPolynomial:
 
     def odd_multiply(self, i):
         """Left multiplication by the i-th odd variable."""
-        if not 1 <= i <= self.width:
-            raise ValidationError("odd variable index out of range")
+        self._check_index(i, self.width, "odd variable")
         bit = 1 << (i - 1)
         out = {}
         for (exps, mask), c in self.terms.items():
@@ -480,11 +483,13 @@ class TTauExpression(SuperPolynomial):
 
     @classmethod
     def even_symbol(cls, n, symbol_range, k):
+        cls._check_index(k, symbol_range, "even symbol")
         exps = tuple(1 if j == k - 1 else 0 for j in range(symbol_range))
         return cls.zero(n, symbol_range)._like({(exps, 0): 1})
 
     @classmethod
     def odd_symbol(cls, n, symbol_range, k):
+        cls._check_index(k, symbol_range, "odd symbol")
         return cls.zero(n, symbol_range)._like({((0,) * symbol_range, 1 << (k - 1)): 1})
 
     @classmethod

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from superinv.errors import GeneratorCountMismatch, ValidationError, ZeroBody
-from superinv.grassmann import GrassmannScalar, mask_to_indices, merge_sign
-from superinv.sympoly import SuperPolynomial
+from superinv.grassmann import GrassmannScalar, below_parity, mask_to_indices, merge_sign
+from superinv.supermatrix import ANY, Queer, SuperMatrix
+from superinv.sympoly import SuperPolynomial, TTauExpression
 
 
 # ----------------------------------------------------------------------
@@ -71,6 +72,102 @@ def test_multiplication_matches_naive_oracle():
         x = random_scalar(rng, q)
         y = random_scalar(rng, q)
         assert x * y == naive_mul(x, y)
+
+
+def dense_scalar(rng, q, denominators=(1,)):
+    """Every one of the 2**q monomials, with nonzero coefficients."""
+    terms = {}
+    for mask in range(1 << q):
+        c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice(denominators))
+        terms[mask] = c
+    return GrassmannScalar(q, terms)
+
+
+def matmul_1x1(x, y):
+    """x * y through the matrix product, which runs on integer numerators."""
+    a = SuperMatrix(Queer(1), ANY, [[x]])
+    b = SuperMatrix(Queer(1), ANY, [[y]])
+    return (a @ b).rows[0][0]
+
+
+def assert_ints_stored_as_int(x):
+    for c in x.terms.values():
+        assert type(c) is int or c.denominator != 1, c
+
+
+def test_full_density_products_match_naive_oracle():
+    rng = random.Random(41)
+    for q in range(1, 9):
+        x = dense_scalar(rng, q)
+        y = dense_scalar(rng, q)
+        want = naive_mul(x, y)
+        assert x * y == want
+        got = matmul_1x1(x, y)
+        assert got == want
+        assert_ints_stored_as_int(got)
+
+
+def test_mixed_denominator_products_match_naive_oracle():
+    # large primes make the common denominator a product of distinct primes
+    big = (1000003, 999983, 2 ** 61 - 1)
+    rng = random.Random(43)
+    for q in range(1, 8):
+        x = dense_scalar(rng, q, (1, 2, 3, 4, 7, 9) + big)
+        y = dense_scalar(rng, q, (1, 5, 6, 25) + big)
+        want = naive_mul(x, y)
+        assert x * y == want
+        got = matmul_1x1(x, y)
+        assert got == want
+        assert_ints_stored_as_int(got)
+    for _ in range(200):
+        q = rng.randint(1, 6)
+        x = random_scalar(rng, q) * Fraction(rng.randint(1, 9), rng.choice(big))
+        y = random_scalar(rng, q) * Fraction(rng.choice(big), rng.randint(1, 9))
+        assert matmul_1x1(x, y) == naive_mul(x, y)
+
+
+def test_integral_products_of_fractions_are_ints():
+    q = 2
+    half = GrassmannScalar(q, {0: Fraction(1, 2), 1: Fraction(3, 2)})
+    two = GrassmannScalar(q, {0: 2, 2: Fraction(4, 3)})
+    for z in (half * two, matmul_1x1(half, two)):
+        assert z.terms == {0: 1, 1: 3, 2: Fraction(2, 3), 3: 2}
+        assert_ints_stored_as_int(z)
+
+
+def test_merge_sign_matches_pair_count_exhaustively():
+    # the definition: one transposition per pair (i in a, j in b) with i > j
+    q = 10
+    for b in range(1 << q):
+        b_bits = mask_to_indices(b)
+        rest = ((1 << q) - 1) & ~b
+        a = rest
+        while True:
+            swaps = sum(1 for i in mask_to_indices(a) for j in b_bits if i > j)
+            assert merge_sign(a, b) == (-1 if swaps % 2 else 1), (a, b)
+            if a == 0:
+                break
+            a = (a - 1) & rest
+
+
+def test_below_parity_examples():
+    assert below_parity(0) == 0
+    # e1: every bit above bit 0 has one bit of the mask below it
+    assert below_parity(0b1) & 0b1111 == 0b1110
+    assert below_parity(0b101) & 0b1111 == 0b0110
+    assert below_parity(0b1) < 0 and below_parity(0b101) >= 0
+
+
+def test_sign_table_is_bounded_by_the_masks():
+    # one entry per right-hand monomial mask, not per pair of masks
+    q = 12
+    rng = random.Random(47)
+    x = dense_scalar(rng, q)
+    y = GrassmannScalar(q, {rng.getrandbits(q): rng.randint(1, 9) for _ in range(300)})
+    below_parity.cache_clear()
+    x * y
+    matmul_1x1(x, y)
+    assert below_parity.cache_info().currsize <= len(y.terms) <= 1 << q
 
 
 def test_merge_sign_small_cases():
@@ -219,3 +316,35 @@ def test_serialization_rejects_bad_input():
     for idx in ({}, ""):
         with pytest.raises(ValidationError, match="'idx' must be a list"):
             GrassmannScalar.from_obj({"q": 2, "terms": [{"idx": idx, "coeff": "1"}]})
+
+
+def test_rational_takes_only_exact_coefficients():
+    assert GrassmannScalar.rational(2, Fraction(6, 2)).terms == {0: 3}
+    assert type(GrassmannScalar.rational(2, Fraction(6, 2)).terms[0]) is int
+    for value in (True, False, "3/2", "2", 1.5, None):
+        with pytest.raises(ValidationError):
+            GrassmannScalar.rational(2, value)
+
+
+def test_polynomial_constants_take_only_exact_coefficients():
+    assert SuperPolynomial.constant(1, Fraction(4, 2)).terms == {((0,), 0): 2}
+    for value in (True, "3/2", "1", 0.5):
+        with pytest.raises(ValidationError):
+            SuperPolynomial.constant(1, value)
+        with pytest.raises(ValidationError):
+            TTauExpression.constant(1, 2, value)
+
+
+def test_symbols_check_their_range():
+    assert TTauExpression.odd_symbol(1, 2, 2) == TTauExpression.monomial(1, 2, (0, 0), 0b10)
+    assert TTauExpression.even_symbol(1, 2, 2) == TTauExpression.monomial(1, 2, (0, 1), 0)
+    for k in (0, 3, 5, -1, True, "1"):
+        with pytest.raises(ValidationError):
+            TTauExpression.odd_symbol(1, 2, k)
+        with pytest.raises(ValidationError):
+            TTauExpression.even_symbol(1, 2, k)
+    for i in (0, 2, True):
+        with pytest.raises(ValidationError):
+            SuperPolynomial.even_var(1, i)
+        with pytest.raises(ValidationError):
+            SuperPolynomial.odd_var(1, i)

@@ -62,6 +62,80 @@ def test_associativity_random():
         assert (a @ b) @ c == a @ (b @ c)
 
 
+def _entrywise_product(a, b):
+    """a @ b as sums of GrassmannScalar products, entry by entry."""
+    n = a.dim
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = G.zero(a.gq)
+            for k in range(n):
+                acc = acc + a.rows[i][k] * b.rows[k][j]
+            row.append(acc)
+        rows.append(row)
+    return SuperMatrix(a.shape, ANY, rows)
+
+
+def _scalar(rng, q, denominators):
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        c = Fraction(rng.randint(-9, 9), rng.choice(denominators))
+        if c:
+            terms[rng.getrandbits(q)] = c
+    return G(q, terms)
+
+
+def _assert_ints_stored_as_int(m):
+    for row in m.rows:
+        for x in row:
+            for c in x.terms.values():
+                assert type(c) is int or c.denominator != 1, c
+
+
+def test_matmul_matches_entrywise_products():
+    rng = random.Random(53)
+    big = (1000003, 2 ** 61 - 1)
+    kinds = {
+        # each row of a and each column of b carries its own denominators
+        "mixed denominators": lambda q, i, j: _scalar(rng, q, (1, 2 + i, 3 * (j + 1)) + big),
+        "all int": lambda q, i, j: _scalar(rng, q, (1,)),
+        # row 0 of a and column 0 of b are zero, the rest mixed
+        "zero rows and columns": lambda q, i, j: (
+            G.zero(q) if i == 0 or j == 0 else _scalar(rng, q, (1, 4, 9) + big)),
+    }
+    for name, entry in kinds.items():
+        for _ in range(12):
+            q = rng.randint(1, 5)
+            n = rng.randint(1, 3)
+            a = SuperMatrix(Queer(n), ANY, [[entry(q, i, j) for j in range(n)] for i in range(n)])
+            # entry(q, j, i) puts the zero lines of b in its columns
+            b = SuperMatrix(Queer(n), ANY, [[entry(q, j, i) for j in range(n)] for i in range(n)])
+            got = a @ b
+            assert got == _entrywise_product(a, b), name
+            _assert_ints_stored_as_int(got)
+            if name == "all int":
+                assert all(type(c) is int for row in got.rows for x in row
+                           for c in x.terms.values())
+            if name == "zero rows and columns":
+                assert all(x.is_zero() for x in got.rows[0])
+                assert all(row[0].is_zero() for row in got.rows)
+
+
+def test_matmul_integral_result_from_fractions():
+    q = 1
+    x1 = G.generator(q, 1)
+    a = SuperMatrix(Queer(2), ANY, [[q1(Fraction(1, 2), q), x1 * Fraction(1, 3)],
+                                    [q1(Fraction(2, 3), q), q1(5, q)]])
+    b = SuperMatrix(Queer(2), ANY, [[q1(2, q), q1(Fraction(3, 7), q)],
+                                    [q1(3, q), q1(Fraction(1, 5), q)]])
+    got = a @ b
+    assert got.rows[0][0].terms == {0: 1, 1: 1}
+    assert got.rows[1][0].terms == {0: Fraction(49, 3)}
+    assert got.rows[1][1].terms == {0: Fraction(9, 7)}
+    _assert_ints_stored_as_int(got)
+
+
 def test_invert_examples():
     a = SuperMatrix.from_rationals(Queer(2), ANY, [[2, 0], [0, 3]], 2)
     inv = a.invert()
