@@ -78,7 +78,6 @@ from .invariants import (
     l_invariants,
     q2_closed_form,
     qet_generating_coefficients,
-    s_body_convention_report,
 )
 from .verify import SUITES, run_suite
 

@@ -102,12 +102,10 @@ _MODES = {
 def cmd_reduce(args):
     a = _load_matrix(args.matrix)
     dec = _MODES[args.mode](a)
-    obj = dec.to_obj()
-    # the emitted document must re-verify after a parse round trip
-    reparsed = SpectralDecomposition.from_obj(json.loads(json.dumps(obj)))
-    if not reparsed.verify(a):
+    text = json.dumps(dec.to_obj(), sort_keys=True, indent=2) + "\n"
+    # the emitted bytes must re-verify after a parse round trip
+    if not SpectralDecomposition.from_obj(json.loads(text)).verify(a):
         raise InternalError("emitted decomposition does not re-verify")
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     _emit(text, args.out)
     return EXIT_OK
 

@@ -333,7 +333,7 @@ class GrassmannScalar:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if is_coeff(other):
             if other == 0:
                 return self.zero(self.q)
             return self._raw(self.q, {m: _norm(c * other) for m, c in self.terms.items()})
@@ -344,10 +344,7 @@ class GrassmannScalar:
         mul_terms_into(acc, self.terms, other.terms)
         return self._raw(self.q, prune_terms(acc))
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
+    __rmul__ = __mul__  # only a non-scalar left operand reaches it
 
     def __pow__(self, k):
         if not is_int(k) or k < 0:
@@ -360,13 +357,14 @@ class GrassmannScalar:
         return out
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if is_coeff(other):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
             return self * _norm(Fraction(1, 1) / other)
-        if isinstance(other, GrassmannScalar):
-            return self * other.invert()
-        return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self * other.invert()
 
     def invert(self):
         """Exact inverse; the body must be nonzero.

@@ -100,13 +100,14 @@ def q2_closed_form(b, beta):
 def _relevant_body(a):
     """The body matrix whose spectrum the reductions use.
 
-    The body itself for a queer matrix; for an odd square, the top-left
-    n x n block of the body of its square.
+    The body itself for a queer matrix; for an odd square (X Y; Z T), the
+    top-left block b(Y)b(Z) of the body of its square, since b(X) = 0.
     """
     if isinstance(a.shape, Queer):
         return a.body_rows()
-    n = a.family_size()
-    return [row[:n] for row in (a @ a).body_rows()[:n]]
+    a.family_size()
+    _x, y, z, _t = a.blocks()
+    return linalg.matmul(y.body_rows(), z.body_rows())
 
 
 def body_signed_elementary(a):
@@ -215,27 +216,6 @@ def qet_generating_coefficients(a, count):
             k = j // 2
             out.append(-(2 * k - 1) * _moment(pairs, k))
     return out
-
-
-def s_body_convention_report(a):
-    """Report which sign convention the semi-invariant bodies follow.
-
-    The recurrence forces body(s_j) = (-1)^(j-1) e_j of the body spectrum;
-    the characteristic-polynomial display would give (-1)^j e_j instead.
-    Both are reported, neither asserted.
-    """
-    values = compute_s(a)
-    report = []
-    for j, recurrence_sign in enumerate(body_signed_elementary(a), start=1):
-        report.append(
-            {
-                "j": j,
-                "body": str(values[j - 1].body()),
-                "recurrence_convention": values[j - 1].body() == recurrence_sign,
-                "charpoly_convention": values[j - 1].body() == -recurrence_sign,
-            }
-        )
-    return report
 
 
 # ----------------------------------------------------------------------

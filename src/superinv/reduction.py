@@ -34,7 +34,7 @@ from .errors import (
     ZeroEigenvalue,
 )
 from .grassmann import GrassmannScalar, coeff_text, geometric_sum, is_int, parse_coeff
-from .supermatrix import _PARITIES, ANY, EVEN, ODD, GroupElement, Queer, Standard, SuperMatrix
+from .supermatrix import _PARITIES, EVEN, ODD, GroupElement, Queer, Standard, SuperMatrix
 
 
 @dataclass(frozen=True)
@@ -275,30 +275,19 @@ def _cross_terms(parts, m):
             if owner[i] != owner[j] and x.terms]
 
 
-def _identity_grid(a):
-    """A fresh, mutable identity entry grid of a's shape and generator count."""
-    return [list(row) for row in SuperMatrix.identity(a.shape, a.gq).rows]
-
-
 def _lower_identity_step(a):
     """The conjugator h = (1 C; 0 Z), C = -Z^-1 T Z, of an odd square (X Y; Z T).
 
     h^-1 a h has lower blocks (1 0) and upper-left block X + Z^-1 T Z.  Z is
     inverted as an n x n matrix, so a singular body raises SingularBody.
     """
-    n = a.shape.p
-    z, t = (SuperMatrix(Queer(n), ANY, [row[lo:lo + n] for row in a.rows[n:]], validate=False)
-            for lo in (0, n))
+    _x, _y, z, t = a.blocks()
     zinv = z.invert()
     zinv_t = zinv @ t
-    c = -(zinv_t @ z)
-    h, hinv = _identity_grid(a), _identity_grid(a)
-    for i in range(n):
-        h[i][n:] = c.rows[i]
-        h[n + i][n:] = z.rows[i]
-        hinv[i][n:] = zinv_t.rows[i]
-        hinv[n + i][n:] = zinv.rows[i]
-    return GroupElement(SuperMatrix(a.shape, EVEN, h), SuperMatrix(a.shape, EVEN, hinv))
+    one = SuperMatrix.identity(z.shape, a.gq)
+    zero = SuperMatrix.zeros(z.shape, a.gq)
+    return GroupElement(SuperMatrix.from_blocks(EVEN, one, -(zinv_t @ z), zero, z),
+                        SuperMatrix.from_blocks(EVEN, one, zinv_t, zero, zinv))
 
 
 def _require_odd_square(a):
@@ -455,10 +444,9 @@ def antidiagonalize(a):
     except SingularBody:
         raise SingularZ("the lower-left block has a singular body") from None
     final = a.conjugate(g)
-    for i in range(n):
-        for j in range(n):
-            if final.rows[i][j].terms or final.rows[n + i][n + j].terms:
-                raise InternalError("diagonal blocks survived")
-            if final.rows[n + i][j] != (1 if i == j else 0):
-                raise InternalError("lower-left block is not the identity")
-    return SpectralDecomposition(g, [(None, final)], [list(range(1, 2 * n + 1))], ODD)
+    x, _y, z, t = final.blocks()
+    if not (x.is_zero() and t.is_zero()):
+        raise InternalError("diagonal blocks survived")
+    if not z.is_identity():
+        raise InternalError("lower-left block is not the identity")
+    return SpectralDecomposition(g, [(None, final)], [list(range(1, a.dim + 1))], ODD)

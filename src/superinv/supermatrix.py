@@ -197,6 +197,26 @@ class SuperMatrix:
         grid = [[self.rows[i][j] for j in col_idx] for i in row_idx]
         return SuperMatrix(shape, parity, grid)
 
+    def blocks(self):
+        """The n x n blocks (X, Y, Z, T) of a standard (n|n) matrix (X Y; Z T)."""
+        shape = self.shape
+        if not (isinstance(shape, Standard) and shape.p == shape.q):
+            raise ShapeMismatch("blocks needs a standard (n|n)-shaped matrix")
+        n = shape.p
+        halves = (slice(0, n), slice(n, None))
+        return tuple(SuperMatrix(Queer(n), ANY, [row[c] for row in self.rows[r]], validate=False)
+                     for r in halves for c in halves)
+
+    @classmethod
+    def from_blocks(cls, parity, x, y, z, t):
+        """The standard (n|n) matrix (X Y; Z T); its parity class is validated."""
+        parts = (x, y, z, t)
+        if not all(isinstance(b, SuperMatrix) for b in parts) or len({b.dim for b in parts}) != 1:
+            raise ShapeMismatch("from_blocks needs four n x n matrices")
+        top = [rx + ry for rx, ry in zip(x.rows, y.rows)]
+        bottom = [rz + rt for rz, rt in zip(z.rows, t.rows)]
+        return cls(Standard(x.dim, x.dim), parity, top + bottom)
+
     # ------------------------------------------------------------------
     # arithmetic
 
@@ -253,14 +273,12 @@ class SuperMatrix:
         if isinstance(other, SuperMatrix):
             return self.__matmul__(other)
         if isinstance(other, (int, Fraction)):
+            # each entry's product checks the factor, so a bool raises ValidationError
             return SuperMatrix(self.shape, self.parity,
                                [[x * other for x in row] for row in self.rows], validate=False)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
+    __rmul__ = __mul__  # only a non-matrix left operand reaches it
 
     def __pow__(self, k):
         if not is_int(k) or k < 0:

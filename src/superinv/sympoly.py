@@ -36,17 +36,11 @@ from .grassmann import (
 
 def _sort_sign(seq):
     """Sign of sorting a sequence of distinct indices, plus the mask."""
-    sign = 1
-    items = list(seq)
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-    mask = 0
-    for i in items:
-        mask |= 1 << i
+    sign, mask = 1, 0
+    for i in seq:
+        bit = 1 << i
+        sign *= merge_sign(mask, bit)
+        mask |= bit
     return sign, mask
 
 
@@ -180,7 +174,7 @@ class SuperPolynomial:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if is_coeff(other):
             if other == 0:
                 return self._like({})
             return self._like({k: _norm(c * other) for k, c in self.terms.items()})
@@ -200,10 +194,7 @@ class SuperPolynomial:
                 acc[key] = c if v is None else v + c
         return self._like(prune_terms(acc))
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
+    __rmul__ = __mul__  # only a non-polynomial left operand reaches it
 
     def __pow__(self, k):
         if not is_int(k) or k < 0:

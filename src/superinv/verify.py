@@ -87,6 +87,10 @@ def _diagonal(shape, parity, entries):
                                        for i, x in enumerate(entries)])
 
 
+def _is_diagonal(m):
+    return all(i == j or not x.terms for i, row in enumerate(m.rows) for j, x in enumerate(row))
+
+
 def _check_count(values, count):
     if len(values) != count:
         raise ValidationError("need %d eigenvalues, got %d" % (count, len(values)))
@@ -125,14 +129,15 @@ def random_odd_reducible(n, body_values, gq, seed):
     """
     _check_count(body_values, n)
     rng = random.Random(seed)
-    dim = 2 * n
-    rows = [[GrassmannScalar.zero(gq)] * dim for _ in range(dim)]
-    for i in range(n):
-        rows[i][i] = random_scalar(rng, gq, _BOUND, parity=ODD, max_terms=1)
+    x, y = [], []
+    for value in body_values:
+        x.append(random_scalar(rng, gq, _BOUND, parity=ODD, max_terms=1))
         even_soul = random_scalar(rng, gq, _BOUND, parity=EVEN, max_terms=1).soul()
-        rows[i][n + i] = GrassmannScalar.rational(gq, body_values[i]) + even_soul
-        rows[n + i][i] = GrassmannScalar.one(gq)
-    return _conjugated(rng, SuperMatrix(Standard(n, n), ODD, rows))
+        y.append(GrassmannScalar.rational(gq, value) + even_soul)
+    shape = Queer(n)
+    a = SuperMatrix.from_blocks(ODD, _diagonal(shape, ANY, x), _diagonal(shape, ANY, y),
+                                SuperMatrix.identity(shape, gq), SuperMatrix.zeros(shape, gq))
+    return _conjugated(rng, a)
 
 
 def random_locus_member(n, gq, seed):
@@ -157,27 +162,16 @@ def random_commuting_odd_pair(n, gq, seed):
     if rng.random() < 0.5:
         c = -c
     x2 = x @ x
-    y = SuperMatrix.identity(Queer(n), gq) * c + x2 * rng.randint(-_BOUND, _BOUND)
-    dim = 2 * n
-    rows = [[GrassmannScalar.zero(gq)] * dim for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            rows[i][j] = x.rows[i][j]
-            rows[i][n + j] = y.rows[i][j]
-            rows[n + i][n + j] = -x.rows[i][j]
-        rows[n + i][i] = GrassmannScalar.one(gq)
-    return SuperMatrix(Standard(n, n), ODD, rows)
+    one = SuperMatrix.identity(Queer(n), gq)
+    y = one * c + x2 * rng.randint(-_BOUND, _BOUND)
+    return SuperMatrix.from_blocks(ODD, x, y, one, -x)
 
 
 def random_sector_conjugator(n, gq, seed):
     """Group element of the form diag(P, Q); preserves sector splits."""
-    g = random_group_element(Standard(n, n), gq, seed, _BOUND)
-    zero = GrassmannScalar.zero(gq)
-    rows = [
-        [g.matrix.rows[i][j] if (i < n) == (j < n) else zero for j in range(2 * n)]
-        for i in range(2 * n)
-    ]
-    return GroupElement(SuperMatrix(Standard(n, n), EVEN, rows))
+    p, _y, _z, q = random_group_element(Standard(n, n), gq, seed, _BOUND).matrix.blocks()
+    zero = SuperMatrix.zeros(Queer(n), gq)
+    return GroupElement(SuperMatrix.from_blocks(EVEN, p, zero, zero, q))
 
 
 def _queer_sample(rng, n, gq, soul_terms=1):
@@ -434,15 +428,13 @@ def suite_thm_1_3(seed, trials):
         dec = reduce_odd(a)
         if not dec.verify(a):
             return "plug-back identity fails"
-        final = dec.assembled()
-        for i in range(n):
-            for j in range(n):
-                if final.rows[n + i][j] != (1 if i == j else 0):
-                    return "lower-left block is not the identity"
-                if not final.rows[n + i][n + j].is_zero():
-                    return "lower-right block is nonzero"
-                if i != j and (final.rows[i][j].terms or final.rows[i][n + j].terms):
-                    return "upper blocks are not diagonal"
+        x, y, z, t = dec.assembled().blocks()
+        if not z.is_identity():
+            return "lower-left block is not the identity"
+        if not t.is_zero():
+            return "lower-right block is nonzero"
+        if not (_is_diagonal(x) and _is_diagonal(y)):
+            return "upper blocks are not diagonal"
         return None
 
     records.append(_run_trials("odd-paired-reduction", trials, seed + 4, odd_reduction))
@@ -1040,12 +1032,8 @@ def suite_sec_5_3_1(seed, trials):
         n = rng.randint(1, 2)
         gq = rng.choice([2, 3, 4])
         a = random_commuting_odd_pair(n, gq, rng.randrange(1 << 30))
-        final = antidiagonalize(a).assembled()
-        x = a.submatrix(range(n), range(n), Queer(n), ANY)
-        y = a.submatrix(range(n), range(n, 2 * n), Queer(n), ANY)
-        want_upper = y + x @ x
-        got_upper = final.submatrix(range(n), range(n, 2 * n), Queer(n), ANY)
-        if got_upper != want_upper:
+        x, y, _z, _t = a.blocks()
+        if antidiagonalize(a).assembled().blocks()[1] != y + x @ x:
             return "upper block is not y plus x squared"
         return None
 
@@ -1057,24 +1045,24 @@ def suite_sec_5_3_1(seed, trials):
         if rng.random() < 0.5:
             base = random_commuting_odd_pair(n, gq, rng.randrange(1 << 30))
         else:
-            rows = [[GrassmannScalar.zero(gq)] * (2 * n) for _ in range(2 * n)]
-            for i in range(n):
-                for j in range(n):
-                    rows[i][n + j] = random_scalar(rng, gq, 3, parity=EVEN, max_terms=1)
-                rows[n + i][i] = GrassmannScalar.rational(gq, rng.randint(1, 3))
-            base = SuperMatrix(Standard(n, n), ODD, rows)
+            y, z = [], []
+            for _ in range(n):
+                y.append([random_scalar(rng, gq, 3, parity=EVEN, max_terms=1) for _ in range(n)])
+                z.append(GrassmannScalar.rational(gq, rng.randint(1, 3)))
+            zero = SuperMatrix.zeros(Queer(n), gq)
+            base = SuperMatrix.from_blocks(ODD, zero, SuperMatrix(Queer(n), ANY, y),
+                                           _diagonal(Queer(n), ANY, z), zero)
         h = random_sector_conjugator(n, gq, rng.randrange(1 << 30))
         a = base.conjugate(h)
         try:
             final = antidiagonalize(a).assembled()
         except Exception as exc:
             return "antidiagonalization raised %r" % type(exc).__name__
-        for i in range(n):
-            for j in range(n):
-                if final.rows[i][j].terms or final.rows[n + i][n + j].terms:
-                    return "diagonal blocks are nonzero"
-                if final.rows[n + i][j] != (1 if i == j else 0):
-                    return "lower-left block is not the identity"
+        x, _y, z, t = final.blocks()
+        if not (x.is_zero() and t.is_zero()):
+            return "diagonal blocks are nonzero"
+        if not z.is_identity():
+            return "lower-left block is not the identity"
         return None
 
     records.append(_run_trials("antidiagonal-round-trip", trials, seed + 1, round_trip))

@@ -348,3 +348,24 @@ def test_symbols_check_their_range():
             SuperPolynomial.even_var(1, i)
         with pytest.raises(ValidationError):
             SuperPolynomial.odd_var(1, i)
+
+
+_X = GrassmannScalar.generator(2, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda flag: _X * flag,
+    lambda flag: flag * _X,
+    lambda flag: _X / flag,
+    lambda flag: SuperPolynomial.even_var(1, 1) * flag,
+    lambda flag: flag * SuperPolynomial.even_var(1, 1),
+    lambda flag: SuperMatrix.identity(Queer(1), 2) * flag,
+    lambda flag: flag * SuperMatrix.identity(Queer(1), 2),
+], ids=["scalar-mul", "scalar-rmul", "scalar-truediv", "poly-mul", "poly-rmul",
+        "matrix-mul", "matrix-rmul"])
+def test_scalar_factors_reject_bools(call):
+    # the same rule as `x + True`: a bool is not an exact coefficient
+    for flag in (True, False):
+        with pytest.raises(ValidationError):
+            call(flag)
+    assert call(1) == call(Fraction(2, 2))

@@ -28,7 +28,6 @@ from superinv import (
     q2_closed_form,
     qet_generating_coefficients,
     random_group_element,
-    s_body_convention_report,
     verify_recurrence,
 )
 from superinv.invariants import _moment, _residual_rows
@@ -251,14 +250,6 @@ def test_qet_generating_coefficients_match_matrix_route():
         coeffs = qet_generating_coefficients(a, 2 * n)
         taus = a.tau_values(2 * n)
         assert coeffs == [-t for t in taus]
-
-
-def test_s_body_convention_report():
-    rng = random.Random(47)
-    a = random_queer_with_spectrum(2, [1, 3], 3, seed=48)
-    report = s_body_convention_report(a)
-    assert [r["recurrence_convention"] for r in report] == [True, True]
-    assert [r["charpoly_convention"] for r in report] == [False, False]
 
 
 def test_balanced_corpus_members_are_balanced():

@@ -8,6 +8,7 @@ from superinv import (
     ANY,
     EVEN,
     ODD,
+    GeneratorCountMismatch,
     GrassmannScalar,
     GroupElement,
     Queer,
@@ -408,3 +409,40 @@ def test_shape_mismatch_operations():
         a @ b
     with pytest.raises(ShapeMismatch):
         b.queer_split() and a.supertrace()
+
+
+# ----------------------------------------------------------------------
+# the (n|n) block view
+
+
+def test_blocks_round_trip():
+    for n in (1, 2, 3):
+        for parity in (EVEN, ODD):
+            a = random_matrix(Standard(n, n), parity, 3, seed=10 * n, coefficient_bound=3)
+            x, y, z, t = a.blocks()
+            assert all(b.shape == Queer(n) and b.parity == ANY for b in (x, y, z, t))
+            assert x.rows[n - 1][0] == a.rows[n - 1][0]
+            assert y.rows[0][n - 1] == a.rows[0][2 * n - 1]
+            assert z.rows[n - 1][0] == a.rows[2 * n - 1][0]
+            assert t.rows[0][0] == a.rows[n][n]
+            b = SuperMatrix.from_blocks(parity, x, y, z, t)
+            assert b == a and b.parity == parity and b.shape == a.shape
+
+
+def test_blocks_need_a_standard_square():
+    for a in (random_matrix(Queer(2), ANY, 2, seed=1, coefficient_bound=2),
+              random_matrix(Standard(2, 1), EVEN, 2, seed=2, coefficient_bound=2)):
+        with pytest.raises(ShapeMismatch):
+            a.blocks()
+
+
+def test_from_blocks_validates():
+    x, y, z, t = random_matrix(Standard(2, 2), ODD, 3, seed=5, coefficient_bound=2).blocks()
+    assert any(e.terms for row in x.rows for e in row)
+    with pytest.raises(ValidationError, match="violates the declared even parity class"):
+        SuperMatrix.from_blocks(EVEN, x, y, z, t)
+    other = SuperMatrix.identity(Queer(2), 4)
+    with pytest.raises(GeneratorCountMismatch):
+        SuperMatrix.from_blocks(ANY, x, y, z, other)
+    with pytest.raises(ShapeMismatch):
+        SuperMatrix.from_blocks(ODD, x, y, z, SuperMatrix.identity(Queer(1), 3))

@@ -27,6 +27,7 @@ from superinv import (
     vandermonde_adjoint,
     verify_recurrence,
 )
+from superinv.sympoly import _sort_sign
 
 G = GrassmannScalar
 
@@ -523,3 +524,11 @@ def test_text_and_json_forms_unchanged():
         {"even": [1, 0, 2], "odd": [1, 3], "coeff": "3/7"}]})
     assert str(SuperPolynomial.zero(1)) == "0"
     assert repr(TTauExpression.zero(1, 2)) == "TTauExpression(n=1, K=2, 0)"
+
+
+def test_sort_sign_is_the_inversion_parity():
+    for size in range(7):
+        for seq in permutations(range(7), size):
+            inversions = sum(1 for i, j in combinations(range(size), 2) if seq[i] > seq[j])
+            mask = sum(1 << i for i in seq)
+            assert _sort_sign(seq) == ((-1) ** inversions, mask), seq
