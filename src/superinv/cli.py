@@ -86,8 +86,6 @@ def cmd_invariants(args):
 
 
 def _scalar_text(obj):
-    if obj is None:
-        return "undefined"
     return str(grassmann.GrassmannScalar.from_obj(obj))
 
 

@@ -13,7 +13,8 @@ matrix row or column to ints over one common denominator, the pair kernel
 divides each output coefficient once.  Scalar products, whose operands are
 mostly a few terms, call the kernel on their coefficients as they are.  The
 kernel's signs come from `below_parity`, cached per monomial mask, so the
-cache holds at most 2**q entries.
+cache holds at most 2**q entries.  `SparseRingElement` is the ring core
+GrassmannScalar shares with `sympoly.SuperPolynomial`.
 """
 
 from __future__ import annotations
@@ -185,7 +186,87 @@ def indices_to_mask(indices, q):
     return mask
 
 
-class GrassmannScalar:
+class SparseRingElement:
+    """An immutable dict `terms` of nonzero exact coefficients by monomial key.
+
+    Subclasses supply `_like(terms)` (same shape, pruned terms), `_const_key()`
+    (the key of the constant monomial), `_coerce(other)`, `_same_shape(other)`,
+    `_sorted_terms()` and `_monomial_text(key)`, and their own `__add__` and
+    `__mul__`.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def _const(self, c):
+        if not is_coeff(c):
+            raise ValidationError("coefficient must be an int or Fraction: %r" % (c,))
+        c = _norm(c)
+        return self._like({self._const_key(): c} if c != 0 else {})
+
+    def _scale(self, c):
+        """The product with an exact coefficient c."""
+        if c == 0:
+            return self._like({})
+        return self._like({k: _norm(v * c) for k, v in self.terms.items()})
+
+    def __pow__(self, k):
+        if not is_int(k) or k < 0:
+            raise ValidationError("exponent must be a non-negative integer")
+        out = self._const(1)
+        for _ in range(k):
+            out = out * self
+            if out.is_zero():
+                break
+        return out
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._same_shape(other) and self.terms == other.terms
+        if is_coeff(other):  # a bool is not a coefficient: NotImplemented
+            return self.terms == ({self._const_key(): other} if other != 0 else {})
+        return NotImplemented
+
+    def __str__(self):
+        parts = []
+        for key, c in self._sorted_terms():
+            body = self._monomial_text(key)
+            if not body:
+                parts.append(str(c))
+            elif c == 1:
+                parts.append(body)
+            elif c == -1:
+                parts.append("-" + body)
+            else:
+                parts.append("%s*%s" % (c, body))
+        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+class GrassmannScalar(SparseRingElement):
     """Immutable element of the Grassmann algebra on q generators."""
 
     __slots__ = ("q", "terms")
@@ -206,9 +287,6 @@ class GrassmannScalar:
                         del clean[mask]
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GrassmannScalar is immutable")
 
     @classmethod
     def _raw(cls, q, terms):
@@ -240,11 +318,7 @@ class GrassmannScalar:
 
     @classmethod
     def rational(cls, q, value):
-        cls._check_q(q)
-        if not is_coeff(value):
-            raise ValidationError("coefficient must be an int or Fraction: %r" % (value,))
-        value = _norm(value)
-        return cls._raw(q, {0: value} if value != 0 else {})
+        return cls.zero(q)._const(value)
 
     @classmethod
     def generator(cls, q, i):
@@ -259,9 +333,6 @@ class GrassmannScalar:
 
     # ------------------------------------------------------------------
     # structure
-
-    def is_zero(self):
-        return not self.terms
 
     def body(self):
         """Coefficient of the empty monomial; a ring homomorphism onto Q."""
@@ -294,6 +365,15 @@ class GrassmannScalar:
     # ------------------------------------------------------------------
     # arithmetic
 
+    def _like(self, terms):
+        return self._raw(self.q, terms)
+
+    def _const_key(self):
+        return 0
+
+    def _same_shape(self, other):
+        return self.q == other.q
+
     def _coerce(self, other):
         if isinstance(other, GrassmannScalar):
             if other.q != self.q:
@@ -302,7 +382,7 @@ class GrassmannScalar:
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            return GrassmannScalar.rational(self.q, other)
+            return self._const(other)
         return None
 
     def __add__(self, other):
@@ -317,26 +397,9 @@ class GrassmannScalar:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return self._raw(self.q, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         if is_coeff(other):
-            if other == 0:
-                return self.zero(self.q)
-            return self._raw(self.q, {m: _norm(c * other) for m, c in self.terms.items()})
+            return self._scale(other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -345,16 +408,6 @@ class GrassmannScalar:
         return self._raw(self.q, prune_terms(acc))
 
     __rmul__ = __mul__  # only a non-scalar left operand reaches it
-
-    def __pow__(self, k):
-        if not is_int(k) or k < 0:
-            raise ValidationError("exponent must be a non-negative integer")
-        out = self.one(self.q)
-        for _ in range(k):
-            out = out * self
-            if out.is_zero():
-                break
-        return out
 
     def __truediv__(self, other):
         if is_coeff(other):
@@ -379,47 +432,22 @@ class GrassmannScalar:
         return geometric_sum(self.one(self.q), 1 - (self * binv), self.q) * binv
 
     # ------------------------------------------------------------------
-    # comparison / io
+    # io
 
-    def __eq__(self, other):
-        if isinstance(other, GrassmannScalar):
-            return self.q == other.q and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return not self.terms
-            return self.terms == {0: other}
-        return NotImplemented
+    def _sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
 
-    __hash__ = None
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in sorted(self.terms.items(), key=lambda kv: (kv[0].bit_count(), kv[0])):
-            gens = "".join("e%d" % i for i in mask_to_indices(m))
-            if not gens:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(gens)
-            elif c == -1:
-                parts.append("-" + gens)
-            else:
-                parts.append("%s*%s" % (c, gens))
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
+    def _monomial_text(self, m):
+        return "".join("e%d" % i for i in mask_to_indices(m))
 
     def __repr__(self):
         return "GrassmannScalar(q=%d, %s)" % (self.q, self)
 
     def to_obj(self):
-        items = sorted(self.terms.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
         return {
             "q": self.q,
-            "terms": [{"idx": mask_to_indices(m), "coeff": coeff_text(c)} for m, c in items],
+            "terms": [{"idx": mask_to_indices(m), "coeff": coeff_text(c)}
+                      for m, c in self._sorted_terms()],
         }
 
     @classmethod

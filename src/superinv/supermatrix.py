@@ -106,7 +106,7 @@ class SuperMatrix:
         rows = tuple(tuple(row) for row in rows)
         if len(rows) != dim or any(len(row) != dim for row in rows):
             raise ShapeMismatch("entry grid must be %d x %d" % (dim, dim))
-        gq = rows[0][0].q
+        gq = getattr(rows[0][0], "q", None)  # _validate rejects a non-scalar entry
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "parity", parity)
         object.__setattr__(self, "rows", rows)
@@ -378,19 +378,14 @@ class SuperMatrix:
         if not is_int(upto) or upto < 0:
             raise ValidationError("invariant count must be a non-negative integer")
         self.family_size()
-        out = []
-        if isinstance(self.shape, Queer):
-            power = SuperMatrix.identity(self.shape, self.gq)
-            for k in range(1, upto + 1):
-                power = power @ self
-                out.append(power.qtr() * Fraction(1, k))
-            return out
-        square = self @ self
-        power = self
+        queer = isinstance(self.shape, Queer)
+        step = self if queer else self @ self  # tau_k reads A^k, or A^(2k-1) on an odd square
+        power, out = self, []
         for k in range(1, upto + 1):
             if k > 1:
-                power = power @ square
-            out.append(power.supertrace() * Fraction(1, 2 * k - 1))
+                power = power @ step
+            out.append(power.qtr() * Fraction(1, k) if queer
+                       else power.supertrace() * Fraction(1, 2 * k - 1))
         return out
 
     def conjugate(self, g):

@@ -15,6 +15,7 @@ rewriting and the balance conditions solve.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from operator import add
 
@@ -22,6 +23,7 @@ from . import linalg
 from .errors import InternalError, NotInvariant, NotSymmetric, ValidationError
 from .grassmann import (
     GrassmannScalar,
+    SparseRingElement,
     _norm,
     coeff_text,
     indices_to_mask,
@@ -44,12 +46,13 @@ def _sort_sign(seq):
     return sign, mask
 
 
-class SuperPolynomial:
+class SuperPolynomial(SparseRingElement):
     """Sparse exact polynomial with n even and n odd variables.
 
     Keys range over `width` even and `width` odd variables; here the width is
     n, and a subclass may widen it.  Every result is built through `_like`,
-    so it keeps the class and shape of its left operand.
+    so it keeps the class and shape of its left operand; the ring operations
+    other than `+` and `*` come from `grassmann.SparseRingElement`.
     """
 
     __slots__ = ("n", "terms")
@@ -77,9 +80,6 @@ class SuperPolynomial:
                         del clean[key]
         object.__setattr__(self, "terms", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("%s is immutable" % type(self).__name__)
-
     @property
     def width(self):
         """How many even (and odd) variables the monomial keys range over."""
@@ -92,11 +92,8 @@ class SuperPolynomial:
         object.__setattr__(new, "terms", terms)
         return new
 
-    def _const(self, c):
-        if not is_coeff(c):
-            raise ValidationError("coefficient must be an int or Fraction: %r" % (c,))
-        c = _norm(c)
-        return self._like({((0,) * self.width, 0): c} if c != 0 else {})
+    def _const_key(self):
+        return ((0,) * self.width, 0)
 
     # ------------------------------------------------------------------
     # constructors
@@ -158,26 +155,9 @@ class SuperPolynomial:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return self._like({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         if is_coeff(other):
-            if other == 0:
-                return self._like({})
-            return self._like({k: _norm(c * other) for k, c in self.terms.items()})
+            return self._scale(other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -196,36 +176,11 @@ class SuperPolynomial:
 
     __rmul__ = __mul__  # only a non-polynomial left operand reaches it
 
-    def __pow__(self, k):
-        if not is_int(k) or k < 0:
-            raise ValidationError("exponent must be a non-negative integer")
-        out = self._const(1)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        if type(other) is type(self):
-            return self._same_shape(other) and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return not self.terms
-            return self.terms == {((0,) * self.width, 0): other}
-        return NotImplemented
-
-    __hash__ = None
-
-    def __bool__(self):
-        return bool(self.terms)
-
     # ------------------------------------------------------------------
     # structure
 
-    def is_zero(self):
-        return not self.terms
-
     def constant_term(self):
-        return self.terms.get(((0,) * self.width, 0), 0)
+        return self.terms.get(self._const_key(), 0)
 
     def even_part(self):
         return self._like({k: c for k, c in self.terms.items() if not k[1].bit_count() & 1})
@@ -310,42 +265,36 @@ class SuperPolynomial:
         if len(a_vals) != self.n or len(alpha_vals) != self.n:
             raise ValidationError("need %d even and %d odd values" % (self.n, self.n))
         q = a_vals[0].q if self.n else 0
-        return self._evaluate_at(q, a_vals, alpha_vals)
+        return self._substitute(GrassmannScalar.zero(q), a_vals.__getitem__,
+                                alpha_vals.__getitem__)
 
-    def _evaluate_at(self, q, even_vals, odd_vals):
-        acc = GrassmannScalar.zero(q)
+    def _substitute(self, zero, even, odd):
+        """Substitute even(i) for a_(i+1) and odd(i) for b_(i+1), i 0-based, in
+        the ring whose zero is given; an even power is a repeated product."""
+        acc = zero
         for (exps, mask), c in self.terms.items():
-            term = GrassmannScalar.rational(q, c)
+            term = zero._const(c)
             for i, e in enumerate(exps):
-                for _ in range(e):
-                    term = term * even_vals[i]
+                if e:
+                    value = even(i)
+                    for _ in range(e):
+                        term = term * value
             for i in mask_to_indices(mask):
-                term = term * odd_vals[i - 1]
+                term = term * odd(i - 1)
             acc = acc + term
         return acc
 
     # ------------------------------------------------------------------
     # io
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
+    def _sorted_terms(self):
+        return sorted(self.terms.items())
+
+    def _monomial_text(self, key):
         even, odd = self._letters
-        parts = []
-        for (exps, mask), c in sorted(self.terms.items()):
-            bits = ["%s%d^%d" % (even, i + 1, e) if e > 1 else "%s%d" % (even, i + 1)
-                    for i, e in enumerate(exps) if e]
-            bits += ["%s%d" % (odd, i) for i in mask_to_indices(mask)]
-            body = "*".join(bits)
-            if not body:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append("-" + body)
-            else:
-                parts.append("%s*%s" % (c, body))
-        return (" + ".join(parts)).replace("+ -", "- ")
+        bits = ["%s%d^%d" % (even, i + 1, e) if e > 1 else "%s%d" % (even, i + 1)
+                for i, e in enumerate(key[0]) if e]
+        return "*".join(bits + ["%s%d" % (odd, i) for i in mask_to_indices(key[1])])
 
     def __repr__(self):
         return "SuperPolynomial(n=%d, %s)" % (self.n, self)
@@ -353,7 +302,7 @@ class SuperPolynomial:
     def _terms_obj(self):
         return [
             {"even": list(e), "odd": mask_to_indices(m), "coeff": coeff_text(c)}
-            for (e, m), c in sorted(self.terms.items())
+            for (e, m), c in self._sorted_terms()
         ]
 
     def to_obj(self):
@@ -496,28 +445,14 @@ class TTauExpression(SuperPolynomial):
         """
         n = self.n
         if even_basis == "t":
-            even_of = lambda k: power_sum_even(n, k)
+            kernel = power_sum_even
         elif even_basis == "s":
-            even_of = lambda k: signed_elementary_poly(n, k)
+            kernel = signed_elementary_poly
         else:
             raise ValidationError("even_basis must be 't' or 's'")
-        cache_even = {}
-        cache_tau = {}
-        acc = SuperPolynomial.zero(n)
-        for (exps, mask), c in self.terms.items():
-            term = SuperPolynomial.constant(n, c)
-            for k, e in enumerate(exps, start=1):
-                if e == 0:
-                    continue
-                if k not in cache_even:
-                    cache_even[k] = even_of(k)
-                term = term * cache_even[k] ** e
-            for k in mask_to_indices(mask):
-                if k not in cache_tau:
-                    cache_tau[k] = power_sum_odd(n, k)
-                term = term * cache_tau[k]
-            acc = acc + term
-        return acc
+        even = cache(lambda i: kernel(n, i + 1))
+        odd = cache(lambda i: power_sum_odd(n, i + 1))
+        return self._substitute(SuperPolynomial.zero(n), even, odd)
 
     def evaluate(self, even_vals, odd_vals):
         """Exact evaluation at Grassmann scalar symbol values.
@@ -535,7 +470,8 @@ class TTauExpression(SuperPolynomial):
                 )
         given = even_vals or odd_vals
         q = given[0].q if given else 0
-        return self._evaluate_at(q, even_vals, odd_vals)
+        return self._substitute(GrassmannScalar.zero(q), even_vals.__getitem__,
+                                odd_vals.__getitem__)
 
     def __repr__(self):
         return "TTauExpression(n=%d, K=%d, %s)" % (self.n, self.symbol_range, self)

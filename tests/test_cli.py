@@ -71,6 +71,12 @@ def test_invariants_text_format(q1_file, capsys):
     assert "tau[2] = 2*e1" in text
 
 
+def test_invariants_text_singular_qet(tmp_path, capsys):
+    a = SuperMatrix.from_rationals(Queer(2), ANY, [[1, 2], [2, 4]], 1)
+    assert main(["invariants", write_matrix(tmp_path / "s.json", a), "--format", "text"]) == 0
+    assert "qet = null\n" in capsys.readouterr().out
+
+
 def test_invariants_malformed_parity_exit_code(tmp_path, capsys):
     obj = SuperMatrix.from_rationals(Standard(1, 1), EVEN, [[1, 0], [0, 1]], 2).to_obj()
     obj["entries"][0][1] = {"q": 2, "terms": [{"idx": [], "coeff": "1"}]}

@@ -369,3 +369,20 @@ def test_scalar_factors_reject_bools(call):
         with pytest.raises(ValidationError):
             call(flag)
     assert call(1) == call(Fraction(2, 2))
+
+
+@pytest.mark.parametrize("one", [
+    GrassmannScalar.one(2),
+    SuperPolynomial.one(1),
+    TTauExpression.constant(1, 2, 1),
+], ids=["scalar", "poly", "expression"])
+def test_bools_never_equal_ring_elements(one):
+    # `==` takes exact coefficients only, so a bool compares by identity
+    zero, half = one * 0, one * Fraction(1, 2)
+    for x in (one, zero, half):
+        for flag in (True, False):
+            assert not x == flag and x != flag
+            assert not flag == x and flag != x
+    assert one == 1 and 1 == one and one != 0
+    assert zero == 0 and 0 == zero and zero != 1
+    assert half == Fraction(1, 2) and Fraction(1, 2) == half and half != 1

@@ -363,6 +363,15 @@ def test_parity_validation_reports_cell():
     assert err.value.cell == (1, 1)
 
 
+def test_non_scalar_entry_reports_cell():
+    with pytest.raises(ValidationError) as err:
+        SuperMatrix(Queer(1), ANY, [[1]])
+    assert err.value.cell == (1, 1)
+    with pytest.raises(ValidationError) as err:
+        SuperMatrix(Queer(2), ANY, [[q1(1), q1(0)], [None, q1(1)]])
+    assert err.value.cell == (2, 1)
+
+
 def test_matrix_serialization_round_trip():
     rng = random.Random(44)
     for _ in range(20):
