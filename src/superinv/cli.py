@@ -56,37 +56,32 @@ def cmd_invariants(args):
     report = {"shape": a.shape.to_obj(), "parity": a.parity, "grassmann_q": a.gq}
     if isinstance(a.shape, Queer):
         n = a.shape.n
-        report["qtr"] = a.qtr().to_obj()
+        report["qtr"] = a.qtr()
         try:
-            report["qet"] = a.qet().to_obj()
+            report["qet"] = a.qet()
         except SingularBody:
             report["qet"] = None
-        report["tau"] = [v.to_obj() for v in a.tau_values(2 * n)]
+        report["tau"] = a.tau_values(2 * n)
     else:
         if a.parity != ANY:
-            report["str"] = a.supertrace().to_obj()
+            report["str"] = a.supertrace()
         if a.shape.p == a.shape.q and a.parity == ODD:
-            report["tau"] = [v.to_obj() for v in a.tau_values(2 * a.shape.p)]
+            report["tau"] = a.tau_values(2 * a.shape.p)
     if args.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(report, sort_keys=True, indent=2, default=lambda x: x.to_obj()) + "\n"
     else:
         lines = []
         for key in sorted(report):
             value = report[key]
             if key == "tau":
-                for k, item in enumerate(value, start=1):
-                    lines.append("tau[%d] = %s" % (k, _scalar_text(item)))
-            elif isinstance(value, dict) and "terms" in value:
-                lines.append("%s = %s" % (key, _scalar_text(value)))
+                lines.extend("tau[%d] = %s" % (k, x) for k, x in enumerate(value, start=1))
+            elif isinstance(value, grassmann.GrassmannScalar):
+                lines.append("%s = %s" % (key, value))
             else:
                 lines.append("%s = %s" % (key, json.dumps(value, sort_keys=True)))
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return EXIT_OK
-
-
-def _scalar_text(obj):
-    return str(grassmann.GrassmannScalar.from_obj(obj))
 
 
 _MODES = {

@@ -48,6 +48,10 @@ class Queer:
     n: int
     group_parity = ANY  # parity class of the group elements of this shape
 
+    def __post_init__(self):
+        if not is_int(self.n) or self.n < 1:
+            raise ValidationError("queer shape needs a positive integer 'n'")
+
     @property
     def dim(self):
         return self.n
@@ -62,6 +66,11 @@ class Standard:
     q: int
     group_parity = EVEN
 
+    def __post_init__(self):
+        p, q = self.p, self.q
+        if not is_int(p) or not is_int(q) or p < 0 or q < 0 or p + q < 1:
+            raise ValidationError("standard shape needs non-negative 'p' and 'q_odd', not both zero")
+
     @property
     def dim(self):
         return self.p + self.q
@@ -74,15 +83,9 @@ def shape_from_obj(obj):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValidationError("shape object must have a 'kind' field")
     if obj["kind"] == "queer":
-        n = obj.get("n")
-        if not is_int(n) or n < 1:
-            raise ValidationError("queer shape needs a positive integer 'n'")
-        return Queer(n)
+        return Queer(obj.get("n"))
     if obj["kind"] == "standard":
-        p, q = obj.get("p"), obj.get("q_odd")
-        if not is_int(p) or not is_int(q) or p < 0 or q < 0 or p + q < 1:
-            raise ValidationError("standard shape needs non-negative 'p' and 'q_odd', not both zero")
-        return Standard(p, q)
+        return Standard(obj.get("p"), obj.get("q_odd"))
     raise ValidationError("unknown shape kind %r" % (obj["kind"],))
 
 

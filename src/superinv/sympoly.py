@@ -525,19 +525,12 @@ class BalancedExpression:
 
         Uses the quotient rule with cleared denominators: for every i the
         polynomial b_i (dN/da_i D - N dD/da_i) must vanish identically.  The
-        verdict is memoized; the witness is not.
+        verdict and its witness are memoized.
         """
-        if self._balance_memo is not None and self._balance_memo:
-            return True, None
-        num = self.numerator.expand(even_basis="s")
-        den = self.denominator.expand(even_basis="s")
-        for i in range(1, self.n + 1):
-            residual = balance_residual(num, den, i)
-            if not residual.is_zero():
-                object.__setattr__(self, "_balance_memo", False)
-                return False, (i, residual)
-        object.__setattr__(self, "_balance_memo", True)
-        return True, None
+        if self._balance_memo is None:
+            object.__setattr__(self, "_balance_memo", _residual_witness(
+                self.numerator.expand(even_basis="s"), self.denominator.expand(even_basis="s")))
+        return self._balance_memo
 
     def evaluate(self, s_vals, tau_vals):
         num = self.numerator.evaluate(s_vals, tau_vals)
@@ -574,13 +567,19 @@ def balance_residual(num, den, i):
     return (num.derivative(i) * den - num * den.derivative(i)).odd_multiply(i)
 
 
-def check_diag_invariance(f):
-    """Whether b_i df/da_i vanishes for every i; returns (ok, witness)."""
-    for i in range(1, f.n + 1):
-        residual = balance_residual(f, 1, i)
+def _residual_witness(num, den):
+    """(True, None) when every balance residual of N/D vanishes, else
+    (False, (i, residual)) for the first i whose residual does not."""
+    for i in range(1, num.n + 1):
+        residual = balance_residual(num, den, i)
         if not residual.is_zero():
             return False, (i, residual)
     return True, None
+
+
+def check_diag_invariance(f):
+    """Whether b_i df/da_i vanishes for every i; returns (ok, witness)."""
+    return _residual_witness(f, 1)
 
 
 def _require_invariant(f):
@@ -751,26 +750,17 @@ def rewrite_symmetric(f):
 
 
 def is_balanced(h):
-    """The differential criterion for balancedness in the power-sum basis.
+    """Whether h(t_1..t_n, tau_1..tau_K) is an invariant polynomial.
 
-    h is a TTauExpression over u_1..u_n (even, only the first n may appear)
-    and odd symbols up to index 2n-1.  For each i = 1..n the combination
-    sum_s s tau_{i+s-1} dh/du_s must expand to the zero polynomial.
+    h is a TTauExpression whose even symbols stand for the power sums (only
+    u_1..u_n may appear) and whose odd symbols stand for the odd moments.
+    Returns check_diag_invariance of the pullback: (True, None), or (False,
+    (i, b_i df/da_i)) for the first i whose balance residual is nonzero.
     """
     n = h.n
-    for k in range(n + 1, h.symbol_range + 1):
-        if not h.derivative(k).is_zero():
-            raise ValidationError("even symbols beyond u_%d may not appear" % n)
-    for i in range(1, n + 1):
-        cond = SuperPolynomial.zero(n)
-        for s in range(1, n + 1):
-            dh = h.derivative(s)
-            if dh.is_zero():
-                continue
-            cond = cond + power_sum_odd(n, i + s - 1) * dh.expand(even_basis="t") * s
-        if not cond.is_zero():
-            return False, (i, cond)
-    return True, None
+    if any(any(exps[n:]) for exps, _mask in h.terms):
+        raise ValidationError("even symbols beyond u_%d may not appear" % n)
+    return check_diag_invariance(h.expand(even_basis="t"))
 
 
 def invariant_normal_form(f):

@@ -17,6 +17,7 @@ from superinv import (
 from superinv import cli, errors
 from superinv.cli import main
 from superinv.reduction import SpectralDecomposition
+from superinv.supermatrix import random_matrix
 from superinv.verify import random_commuting_odd_pair
 
 G = GrassmannScalar
@@ -75,6 +76,29 @@ def test_invariants_text_singular_qet(tmp_path, capsys):
     a = SuperMatrix.from_rationals(Queer(2), ANY, [[1, 2], [2, 4]], 1)
     assert main(["invariants", write_matrix(tmp_path / "s.json", a), "--format", "text"]) == 0
     assert "qet = null\n" in capsys.readouterr().out
+
+
+# sha256 of the stdout of `superinv invariants` on three seeded matrices
+_INVARIANTS_DIGESTS = {
+    ("queer", "json"): "5411d431eb82730396a8144320e38b9f2e23ededa7b8a1f996c8d7d5648d8573",
+    ("queer", "text"): "1472aa42e44599ca64e88b0a1e3edccd04ccca4fefe846d7bdfaf5302cb86b58",
+    ("odd", "json"): "4cf3d94283f4ce1908cd3f058457e50f7fbb57f3d14ac68351ca39b1c899d0da",
+    ("odd", "text"): "008e33d7f820eb584fe04dffcd46225ebae2f30d5b27da7e88a624484b59b4d6",
+    ("even", "json"): "a0de4e48e6db5d4b4def98c3ced8f67486d60bcfb2ac36756143b202b2dbcd6d",
+    ("even", "text"): "7cbfe7707d71c4d5e1d1c9dd4d0456a232254c0db334068a7b6d49386bbba1b0",
+}
+
+
+@pytest.mark.parametrize("kind, fmt", sorted(_INVARIANTS_DIGESTS))
+def test_invariants_stdout_digest(kind, fmt, tmp_path, capsys):
+    matrix = {
+        "queer": lambda: random_matrix(Queer(2), ANY, 3, 30, 5, max_terms=3),
+        "odd": lambda: random_matrix(Standard(2, 2), ODD, 3, 22, 5, max_terms=3),
+        "even": lambda: random_matrix(Standard(1, 2), EVEN, 3, 23, 5, max_terms=3),
+    }[kind]()
+    assert main(["invariants", write_matrix(tmp_path / "m.json", matrix), "--format", fmt]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == _INVARIANTS_DIGESTS[kind, fmt]
 
 
 def test_invariants_malformed_parity_exit_code(tmp_path, capsys):

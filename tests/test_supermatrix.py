@@ -372,6 +372,22 @@ def test_non_scalar_entry_reports_cell():
     assert err.value.cell == (2, 1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Queer(0),
+    lambda: Queer(-1),
+    lambda: Queer(True),
+    lambda: Queer(2.0),
+    lambda: Standard(-1, 2),
+    lambda: Standard(0, 0),
+    lambda: Standard(1, True),
+    lambda: SuperMatrix(Queer(0), ANY, []),
+], ids=["queer-0", "queer-neg", "queer-bool", "queer-float", "standard-neg", "standard-0-0",
+        "standard-bool", "matrix-queer-0"])
+def test_bad_shape_dimensions_rejected(make):
+    with pytest.raises(ValidationError):
+        make()
+
+
 def test_matrix_serialization_round_trip():
     rng = random.Random(44)
     for _ in range(20):

@@ -6,16 +6,20 @@ from itertools import combinations, permutations
 import pytest
 
 from superinv import (
+    ANY,
     BalancedExpression,
     GrassmannScalar,
     NotInvariant,
     NotSymmetric,
+    Queer,
+    SuperMatrix,
     SuperPolynomial,
     TTauExpression,
     ValidationError,
     assemble_invariant,
     check_diag_invariance,
     elementary_from_roots,
+    evaluate_invariant,
     invariant_decomposition,
     invariant_normal_form,
     is_balanced,
@@ -272,6 +276,109 @@ def test_is_balanced_examples():
     assert not ok and witness[0] == 1
     h = TTauExpression.even_symbol(1, 1, 1) * TTauExpression.odd_symbol(1, 1, 1)
     assert is_balanced(h)[0]
+    with pytest.raises(ValidationError):
+        is_balanced(TTauExpression.even_symbol(2, 3, 3) * TTauExpression.odd_symbol(2, 3, 1))
+
+
+def _differential_criterion(h):
+    """Oracle: the conditions sum_s s tau_(i+s-1) dh/du_s = 0 for i = 1..n.
+
+    With f = h(t, tau) the i-th condition is sum_l a_l^(i-1) b_l df/da_l, so
+    by the invertible power-Vandermonde matrix of Lemma 3.2 it holds for
+    every i exactly when every balance residual b_l df/da_l vanishes.
+    """
+    n = h.n
+    for i in range(1, n + 1):
+        cond = SuperPolynomial.zero(n)
+        for s in range(1, n + 1):
+            dh = h.derivative(s)
+            if not dh.is_zero():
+                cond = cond + power_sum_odd(n, i + s - 1) * dh.expand(even_basis="t") * s
+        if not cond.is_zero():
+            return False
+    return True
+
+
+def _lift(h, symbol_range):
+    """h re-read over a wider symbol range; the new symbols do not appear."""
+    pad = (0,) * (symbol_range - h.symbol_range)
+    return TTauExpression(h.n, symbol_range, {(e + pad, m): c for (e, m), c in h.terms.items()})
+
+
+def _random_mask(rng, symbol_range, size):
+    return sum(1 << k for k in rng.sample(range(symbol_range), size))
+
+
+def _random_expression(rng, n, symbol_range):
+    """A few random monomials: even symbols among u_1..u_n, at most n odd ones."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        exps = tuple(rng.randint(0, 1) if k < n else 0 for k in range(symbol_range))
+        terms[(exps, _random_mask(rng, symbol_range, rng.randint(0, n)))] = rng.choice([-2, -1, 1, 3])
+    return TTauExpression(n, symbol_range, terms)
+
+
+def _planted_balanced(rng, n, symbol_range, moments):
+    """A balanced expression with even symbols in it.
+
+    It is a random combination of odd-moment products, the form
+    invariant_normal_form returns, with each x_k (k > n) replaced by the
+    power-sum rewrite of tau_k; a full product of n odd moments may also carry
+    an even factor, since b_i kills it.
+    """
+    h = TTauExpression.zero(n, symbol_range)
+    for _ in range(rng.randint(1, 2)):
+        size = rng.randint(1, n)
+        term = TTauExpression.constant(n, symbol_range, rng.choice([-1, 1, 2]))
+        for k in sorted(rng.sample(range(1, symbol_range + 1), size)):
+            term = term * moments[k]
+        if size == n and rng.random() < 0.5:
+            term = term * TTauExpression.even_symbol(n, symbol_range, rng.randint(1, n))
+        h = h + term
+    return h
+
+
+def test_is_balanced_agrees_with_differential_criterion():
+    rng = random.Random(1414)
+    moments = {}  # (n, K) -> {k: a balanced expression whose pullback is tau_k}
+    verdicts = []
+    for trial in range(300):
+        n = rng.randint(1, 3)
+        symbol_range = rng.choice([n, 2 * n - 1, 2 * n])
+        if (n, symbol_range) not in moments:
+            moments[n, symbol_range] = {
+                k: (TTauExpression.odd_symbol(n, symbol_range, k) if k <= n
+                    else _lift(rewrite_symmetric(power_sum_odd(n, k)), symbol_range))
+                for k in range(1, symbol_range + 1)}
+        if trial % 3 == 0:
+            h = _planted_balanced(rng, n, symbol_range, moments[n, symbol_range])
+            f = h.expand()
+            assert invariant_normal_form(f).expand() == f  # raises NotInvariant otherwise
+        else:
+            h = _random_expression(rng, n, symbol_range)
+        ok, witness = is_balanced(h)
+        assert ok == _differential_criterion(h), h
+        if ok:
+            assert witness is None
+        else:
+            i, residual = witness
+            assert 1 <= i <= n and not residual.is_zero()
+        verdicts.append((ok, any(any(e) for e, _m in h.terms)))
+    assert sum(ok for ok, _ in verdicts) >= 100
+    assert (True, True) in verdicts and (False, True) in verdicts
+
+
+def test_unbalanced_witness_is_memoized_and_raised():
+    u1 = TTauExpression.even_symbol(2, 2, 1)
+    x1 = TTauExpression.odd_symbol(2, 2, 1)
+    bad = BalancedExpression(u1 * x1)
+    ok, witness = bad.is_balanced()
+    assert not ok and witness[0] == 1 and not witness[1].is_zero()
+    assert bad.is_balanced() == (False, witness)
+    a = SuperMatrix.from_rationals(Queer(2), ANY, [[1, 0], [0, 2]], 2)
+    with pytest.raises(NotInvariant) as err:
+        evaluate_invariant(a, bad)
+    assert err.value.witness == witness
 
 
 def test_balanced_expression_qet_form():
