@@ -30,11 +30,11 @@ from .supermatrix import Queer, SuperMatrix
 from .sympoly import (
     BalancedExpression,
     TTauExpression,
-    balance_residual,
     coefficient_matrix,
     elementary_from_roots,
     signed_elementary_poly,
     verify_recurrence,
+    _symmetric_residual,
     _ttau_monomials,
 )
 
@@ -64,24 +64,17 @@ def compute_s(a):
     return s
 
 
-def q2_closed_form(b, beta):
-    """Closed-form semi-invariants for a 2 x 2 queer matrix B + beta.
+def q2_closed_form(a):
+    """Closed-form semi-invariants for a 2 x 2 queer matrix A = B + beta.
 
-    s_1 is the trace plus a soul correction with the squared-difference
-    discriminant as denominator; s_2 follows from s_1 through the trace
-    identity below.  Both satisfy the odd-moment recurrence exactly whenever
-    the discriminant body is nonzero.
+    s_1 is the trace of the even part B plus a soul correction with the
+    squared-difference discriminant as denominator; s_2 follows from s_1
+    through the trace identity below.  Both satisfy the odd-moment recurrence
+    exactly whenever the discriminant body is nonzero.
     """
-    for m, want in ((b, "even"), (beta, "odd")):
-        if not (isinstance(m, SuperMatrix) and isinstance(m.shape, Queer) and m.shape.n == 2):
-            raise ShapeMismatch("expected 2 x 2 queer-shaped matrices")
-        for row in m.rows:
-            for x in row:
-                ok = x.is_even() if want == "even" else x.is_odd()
-                if not ok:
-                    raise ValidationError("entries of the %s argument must be %s" % (want, want))
-    if b.gq != beta.gq:
-        raise ValidationError("the two arguments use different generator counts")
+    if not (isinstance(a, SuperMatrix) and isinstance(a.shape, Queer) and a.shape.n == 2):
+        raise ShapeMismatch("expected a 2 x 2 queer-shaped matrix")
+    b, beta = a.queer_split()
     b11, b12 = b.rows[0]
     b21, b22 = b.rows[1]
     t11, t12 = beta.rows[0]
@@ -222,20 +215,10 @@ def qet_generating_coefficients(a, count):
 # balanced corpus for property testing
 
 
-def _residual_rows(polys, den, n):
-    """Coefficient matrix of the residuals b_i (dN/da_i D - N dD/da_i).
-
-    One column per candidate numerator N; its kernel holds the combinations
-    N for which N/D is invariant.
-    """
-    columns = []
-    for poly in polys:
-        column = {}
-        for i in range(1, n + 1):
-            for key, c in balance_residual(poly, den, i).terms.items():
-                column[(i, key)] = c
-        columns.append(column)
-    return coefficient_matrix(columns)
+def _residual_rows(polys, den):
+    """Coefficient matrix of the first balance residuals, one column per
+    symmetric candidate numerator N; its kernel holds the N with N/D invariant."""
+    return coefficient_matrix([_symmetric_residual(poly, den).terms for poly in polys])
 
 
 def _kernel_combinations(rng, kernel, candidates, count, n):
@@ -287,11 +270,11 @@ def balanced_corpus(n, seed, combos=4):
             monos.append((exps, mask))
     candidates = [TTauExpression.monomial(n, n, e, m) for e, m in monos]
     pullbacks = [c.expand(even_basis="s") for c in candidates]
-    kernel = linalg.nullspace(_residual_rows(pullbacks, 1, n))
+    kernel = linalg.nullspace(_residual_rows(pullbacks, 1))
     for combo in _kernel_combinations(rng, kernel, candidates, combos, n):
         corpus.append(BalancedExpression(combo))
     den_expr = TTauExpression.even_symbol(n, n, n)
-    kernel = linalg.nullspace(_residual_rows(pullbacks, signed_elementary_poly(n, n), n))
+    kernel = linalg.nullspace(_residual_rows(pullbacks, signed_elementary_poly(n, n)))
     for combo in _kernel_combinations(rng, kernel, candidates, max(1, combos // 2), n):
         corpus.append(BalancedExpression(combo, den_expr))
     return corpus

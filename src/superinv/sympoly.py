@@ -481,13 +481,13 @@ class TTauExpression(SuperPolynomial):
 
     @classmethod
     def from_obj(cls, obj):
-        if not isinstance(obj, dict) or "n" not in obj or "symbol_range" not in obj:
-            raise ValidationError("expression object must have 'n' and 'symbol_range'")
+        if not isinstance(obj, dict) or any(k not in obj for k in ("n", "symbol_range", "terms")):
+            raise ValidationError("expression object must have 'n', 'symbol_range' and 'terms'")
         n = obj["n"]
         sr = obj["symbol_range"]
         if not is_int(n) or n < 0 or not is_int(sr) or sr < 0:
             raise ValidationError("'n' and 'symbol_range' must be non-negative integers")
-        return cls(n, sr, cls._terms_from_obj(obj.get("terms", []), sr))
+        return cls(n, sr, cls._terms_from_obj(obj["terms"], sr))
 
 
 class BalancedExpression:
@@ -523,9 +523,9 @@ class BalancedExpression:
     def is_balanced(self):
         """Exact check that the pullback is invariant under the odd action.
 
-        Uses the quotient rule with cleared denominators: for every i the
-        polynomial b_i (dN/da_i D - N dD/da_i) must vanish identically.  The
-        verdict and its witness are memoized.
+        Uses the quotient rule with cleared denominators: the pullback is
+        symmetric, so it is invariant exactly when b_1 (dN/da_1 D - N dD/da_1)
+        vanishes identically.  The verdict and its witness are memoized.
         """
         if self._balance_memo is None:
             object.__setattr__(self, "_balance_memo", _residual_witness(
@@ -567,19 +567,26 @@ def balance_residual(num, den, i):
     return (num.derivative(i) * den - num * den.derivative(i)).odd_multiply(i)
 
 
+def _symmetric_residual(num, den):
+    """b_1 (dN/da_1 D - N dD/da_1); residual i is this with (a_1, b_1), (a_i, b_i)
+    swapped, so it alone decides a symmetric N/D.  Zero when n = 0."""
+    return balance_residual(num, den, 1) if num.n else SuperPolynomial.zero(0)
+
+
 def _residual_witness(num, den):
-    """(True, None) when every balance residual of N/D vanishes, else
-    (False, (i, residual)) for the first i whose residual does not."""
-    for i in range(1, num.n + 1):
-        residual = balance_residual(num, den, i)
-        if not residual.is_zero():
-            return False, (i, residual)
-    return True, None
+    """(True, None) when the symmetric N/D is balanced, else (False, (1, residual))."""
+    residual = _symmetric_residual(num, den)
+    return (True, None) if residual.is_zero() else (False, (1, residual))
 
 
 def check_diag_invariance(f):
-    """Whether b_i df/da_i vanishes for every i; returns (ok, witness)."""
-    return _residual_witness(f, 1)
+    """Whether b_i df/da_i vanishes for every i, f symmetric or not; returns
+    (True, None) or (False, (i, residual)) for the first i where it does not."""
+    for i in range(1, f.n + 1):
+        residual = balance_residual(f, 1, i)
+        if not residual.is_zero():
+            return False, (i, residual)
+    return True, None
 
 
 def _require_invariant(f):
@@ -587,7 +594,7 @@ def _require_invariant(f):
     ok, witness = f.is_symmetric()
     if not ok:
         raise NotInvariant("polynomial is not symmetric", witness=witness)
-    ok, witness = check_diag_invariance(f)
+    ok, witness = _residual_witness(f, 1)
     if not ok:
         raise NotInvariant("polynomial is not invariant under the odd action", witness=witness)
 
@@ -754,13 +761,13 @@ def is_balanced(h):
 
     h is a TTauExpression whose even symbols stand for the power sums (only
     u_1..u_n may appear) and whose odd symbols stand for the odd moments.
-    Returns check_diag_invariance of the pullback: (True, None), or (False,
-    (i, b_i df/da_i)) for the first i whose balance residual is nonzero.
+    The pullback f is symmetric, so its first balance residual decides:
+    returns (True, None), or (False, (1, b_1 df/da_1)).
     """
     n = h.n
     if any(any(exps[n:]) for exps, _mask in h.terms):
         raise ValidationError("even symbols beyond u_%d may not appear" % n)
-    return check_diag_invariance(h.expand(even_basis="t"))
+    return _residual_witness(h.expand(even_basis="t"), 1)
 
 
 def invariant_normal_form(f):

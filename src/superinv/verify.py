@@ -718,8 +718,7 @@ def suite_eq_4_1(seed, trials):
     def closed_form_residuals(t, rng):
         gq = rng.choice([2, 3, 4])
         a = _queer_sample(rng, 2, gq)
-        b, beta = a.queer_split()
-        s = q2_closed_form(b, beta)
+        s = q2_closed_form(a)
         if not verify_recurrence(a.tau_values(4), s):
             return "closed form fails the recurrence"
         return None
@@ -758,9 +757,8 @@ def suite_thm_4_5(seed, trials):
     def dual_route_n2(t, rng):
         gq = rng.choice([2, 3, 4])
         a = _queer_sample(rng, 2, gq)
-        b, beta = a.queer_split()
         s_spec = compute_s(a)
-        s_closed = q2_closed_form(b, beta)
+        s_closed = q2_closed_form(a)
         if not _corpus_agrees(corpora[2], a, a, s_spec, s_closed):
             return "spectral and closed-form routes disagree"
         return None
@@ -809,7 +807,7 @@ def suite_cor_4_5(seed, trials):
         diag1, diag2 = [], []
         for i in range(n):
             alpha = GrassmannScalar.generator(gq, i + 1)
-            rho = GrassmannScalar.generator(gq, (i % gq) + 1 if (i % gq) + 1 != i + 1 else ((i + 1) % gq) + 1)
+            rho = GrassmannScalar.generator(gq, i + 2)
             base = GrassmannScalar.rational(gq, eigs[i])
             diag1.append(base + alpha)
             diag2.append(base + alpha + alpha * rho)
@@ -985,8 +983,7 @@ def suite_sec_5_2(seed, trials):
         eigs = pick_distinct(rng, 2)
         b = SuperMatrix.from_rationals(Queer(2), ANY, [[eigs[0], rng.randint(-3, 3)],
                                                        [0, eigs[1]]], gq)
-        beta = SuperMatrix.zeros(Queer(2), gq)
-        s = q2_closed_form(b, beta)
+        s = q2_closed_form(b)
         if s[0] != eigs[0] + eigs[1]:
             return "first value is not the trace"
         if s[1] != -eigs[0] * eigs[1]:
@@ -998,8 +995,7 @@ def suite_sec_5_2(seed, trials):
     def residuals(t, rng):
         gq = rng.choice([3, 4])
         a = _queer_sample(rng, 2, gq, soul_terms=2)
-        b, beta = a.queer_split()
-        s = q2_closed_form(b, beta)
+        s = q2_closed_form(a)
         if not verify_recurrence(a.tau_values(4), s):
             return "closed form fails the recurrence"
         s_spec = compute_s(a)
@@ -1012,9 +1008,8 @@ def suite_sec_5_2(seed, trials):
     def zero_discriminant(t, rng):
         gq = 2
         b = SuperMatrix.from_rationals(Queer(2), ANY, [[1, 0], [0, 1]], gq)
-        beta = SuperMatrix.zeros(Queer(2), gq)
         try:
-            q2_closed_form(b, beta)
+            q2_closed_form(b)
         except ZeroDiscriminant:
             return None
         except Exception as exc:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -25,13 +27,20 @@ from superinv import (
     evaluate_invariant,
     indistinguishable,
     l_invariants,
+    linalg,
     q2_closed_form,
     qet_generating_coefficients,
     random_group_element,
     verify_recurrence,
 )
 from superinv.invariants import _moment, _residual_rows
-from superinv.sympoly import BalancedExpression, _ttau_monomials
+from superinv.sympoly import (
+    BalancedExpression,
+    _ttau_monomials,
+    balance_residual,
+    coefficient_matrix,
+    signed_elementary_poly,
+)
 from superinv.verify import (
     pick_distinct,
     random_locus_member,
@@ -102,12 +111,11 @@ def test_q2_closed_form_examples():
     q = 2
     x1, x2 = G.generator(q, 1), G.generator(q, 2)
     b = SuperMatrix.from_rationals(Queer(2), ANY, [[1, 5], [0, 2]], q)
-    beta0 = SuperMatrix.zeros(Queer(2), q)
-    s = q2_closed_form(b, beta0)
+    s = q2_closed_form(b)
     assert s == (3, -2)
     beta = SuperMatrix(Queer(2), ANY, [[x1, G.zero(q)], [G.zero(q), x2]])
-    s = q2_closed_form(b, beta)
     a = b + beta
+    s = q2_closed_form(a)
     assert verify_recurrence(a.tau_values(4), s)
 
 
@@ -117,8 +125,7 @@ def test_q2_closed_form_contract_random():
         gq = rng.randint(2, 4)
         eigs = pick_distinct(rng, 2, nonzero=True)
         a = random_queer_with_spectrum(2, eigs, gq, rng.randrange(1 << 30), soul_terms=2)
-        b, beta = a.queer_split()
-        s = q2_closed_form(b, beta)
+        s = q2_closed_form(a)
         assert verify_recurrence(a.tau_values(4), s)
         assert [v.body() for v in s] == body_signed_elementary(a)
 
@@ -127,14 +134,13 @@ def test_q2_closed_form_rejections():
     q = 2
     b = SuperMatrix.from_rationals(Queer(2), ANY, [[1, 0], [0, 1]], q)
     with pytest.raises(ZeroDiscriminant):
-        q2_closed_form(b, SuperMatrix.zeros(Queer(2), q))
+        q2_closed_form(b)
     with pytest.raises(ShapeMismatch):
-        q2_closed_form(SuperMatrix.from_rationals(Queer(1), ANY, [[1]], q),
-                       SuperMatrix.zeros(Queer(1), q))
-    x1 = G.generator(q, 1)
-    odd_in_even_slot = SuperMatrix(Queer(2), ANY, [[x1, G.zero(q)], [G.zero(q), G.zero(q)]])
-    with pytest.raises(ValidationError):
-        q2_closed_form(odd_in_even_slot, SuperMatrix.zeros(Queer(2), q))
+        q2_closed_form(SuperMatrix.from_rationals(Queer(1), ANY, [[1]], q))
+    with pytest.raises(ShapeMismatch):
+        q2_closed_form(SuperMatrix.from_rationals(Standard(1, 1), ANY, [[1, 0], [0, 2]], q))
+    with pytest.raises(ShapeMismatch):
+        q2_closed_form([[1, 0], [0, 2]])
 
 
 def test_evaluate_invariant_qet_form():
@@ -266,7 +272,71 @@ def test_residual_rows_same_for_integer_one():
         pullbacks = [TTauExpression.monomial(n, n, e, m).expand(even_basis="s")
                      for weight in range(1, min(2 * n, n + 2) + 1)
                      for e, m in _ttau_monomials(n, weight, max_odd=n)]
-        assert _residual_rows(pullbacks, 1, n) == _residual_rows(pullbacks, SuperPolynomial.one(n), n)
+        assert _residual_rows(pullbacks, 1) == _residual_rows(pullbacks, SuperPolynomial.one(n))
+
+
+def _corpus_pullbacks(n):
+    return [TTauExpression.monomial(n, n, e, m).expand(even_basis="s")
+            for weight in range(1, min(2 * n, n + 2) + 1)
+            for e, m in _ttau_monomials(n, weight, max_odd=n)]
+
+
+def _per_index_residual_rows(polys, den, n):
+    # the earlier stacked system, one block of rows per index i, as an oracle
+    columns = []
+    for poly in polys:
+        column = {}
+        for i in range(1, n + 1):
+            for key, c in balance_residual(poly, den, i).terms.items():
+                column[(i, key)] = c
+        columns.append(column)
+    return coefficient_matrix(columns)
+
+
+def test_residual_i_is_first_residual_permuted():
+    # on a symmetric N/D, residual i is residual 1 with indices 1 and i swapped
+    rng = random.Random(56)
+    nonzero = 0
+    for n in (1, 2, 3):
+        pullbacks = _corpus_pullbacks(n)
+        for den in (1, signed_elementary_poly(n, n)):
+            for _ in range(4):
+                num = SuperPolynomial.zero(n)
+                for poly in rng.sample(pullbacks, min(4, len(pullbacks))):
+                    num = num + poly * rng.randint(-3, 3)
+                first = balance_residual(num, den, 1)
+                nonzero += not first.is_zero()
+                for i in range(2, n + 1):
+                    swap = list(range(n))
+                    swap[0], swap[i - 1] = i - 1, 0
+                    assert balance_residual(num, den, i) == first.permute(swap)
+    assert nonzero > 0
+
+
+def test_first_residual_system_has_the_per_index_kernel():
+    for n in (1, 2, 3):
+        pullbacks = _corpus_pullbacks(n)
+        for den in (1, signed_elementary_poly(n, n)):
+            assert linalg.nullspace(_residual_rows(pullbacks, den)) == \
+                linalg.nullspace(_per_index_residual_rows(pullbacks, den, n))
+
+
+# recorded with the per-index residual system; the first-residual one must
+# give the same kernels and so byte-identical corpora
+CORPUS_SHA256 = {
+    (1, 0, 4): "6de101b5c5a0dc866077bd20d5d05aeb0ebaad39edd8e5bb8aa6cbf1059aefed",
+    (1, 2, 2): "c598196b747236e75594324f34896c69d0409e27bc760e417262711434086b2f",
+    (2, 1, 4): "3bbc798cfb66627d0a056024c41c6d64d6ffd3507a083fc32dd8ae25bb8fd472",
+    (2, 0, 3): "098e78008eea9a91be74737a4a46c74b04677f015412028399ff336df75c8399",
+    (3, 2, 4): "06b6d1b0af15ddc384a082176b9f22d969c229698573b5269e9b0b4a9e6c68e5",
+    (3, 1, 2): "f92525b49f16a5942b21423d230e8c75acadeae7441c00ce8bf41e979c8b4038",
+}
+
+
+@pytest.mark.parametrize("n, seed, combos", sorted(CORPUS_SHA256))
+def test_balanced_corpus_digests(n, seed, combos):
+    text = json.dumps([f.to_obj() for f in balanced_corpus(n, seed, combos)], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_SHA256[n, seed, combos]
 
 
 def test_dual_route_agreement():
@@ -276,9 +346,8 @@ def test_dual_route_agreement():
         gq = rng.randint(2, 4)
         eigs = pick_distinct(rng, 2, nonzero=True)
         a = random_queer_with_spectrum(2, eigs, gq, rng.randrange(1 << 30))
-        b, beta = a.queer_split()
         s_spec = compute_s(a)
-        s_closed = q2_closed_form(b, beta)
+        s_closed = q2_closed_form(a)
         for f in corpus:
             assert evaluate_invariant(a, f, s_values=s_spec) == \
                 evaluate_invariant(a, f, s_values=s_closed)

@@ -1,7 +1,12 @@
-"""The README's quick example runs, and the values its comments state hold."""
+"""The README's quick example runs, the values its comments state hold, and
+its command line section matches the parser and the suite table."""
 
+import argparse
 import re
 from pathlib import Path
+
+from superinv.cli import build_parser
+from superinv.verify import SUITES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 STATED = ("e1 + e2", "e1 + 1/2*e2", "(3, -2)")
@@ -25,3 +30,64 @@ def test_readme_example():
                 assert _text(eval(expr.strip(), namespace)) == value, line
                 checked.append(value)
     assert sorted(checked) == sorted(STATED)
+
+
+# ----------------------------------------------------------------------
+# the "Command line" section against the parser and the suite table
+
+SAMPLE = {"MATRIX.json": "m.json", "SUITE": "all", "N": "1", "PATH": "out.json"}
+
+
+def _section(title):
+    text = README.read_text(encoding="utf-8")
+    return text.split("## %s\n" % title, 1)[1].split("\n## ", 1)[0]
+
+
+def _usage_lines():
+    block = re.search(r"```sh\n(.*?)```", _section("Command line"), re.S).group(1)
+    lines = [line.split() for line in block.splitlines() if line.startswith("superinv ")]
+    assert lines
+    return [line[1:] for line in lines]
+
+
+def _choice_options(tokens):
+    """{option: alternatives} for every `--opt A|B` in a usage line."""
+    bare = [t.strip("[]") for t in tokens]
+    return {opt: set(value.split("|")) for opt, value in zip(bare, bare[1:])
+            if opt.startswith("--") and "|" in value}
+
+
+def _argv_variants(tokens):
+    """One argv per alternative of each `A|B` token, placeholders filled in."""
+    bare = [SAMPLE.get(t.strip("[]"), t.strip("[]")) for t in tokens]
+    variants = []
+    for pos, token in enumerate(bare):
+        for alt in token.split("|") if "|" in token else ():
+            variants.append([alt if k == pos else t.split("|")[0] for k, t in enumerate(bare)])
+    return variants or [bare]
+
+
+def _parser_commands():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {opt: set(action.choices)
+                   for action in p._actions if action.choices
+                   for opt in action.option_strings}
+            for name, p in sub.choices.items()}
+
+
+def test_readme_commands_parse():
+    parser = build_parser()
+    for tokens in _usage_lines():
+        for argv in _argv_variants(tokens):
+            parser.parse_args(argv)
+
+
+def test_readme_commands_match_parser():
+    readme = {tokens[0]: _choice_options(tokens) for tokens in _usage_lines()}
+    assert readme == _parser_commands()
+
+
+def test_readme_lists_every_suite():
+    sentence = re.search(r"Suites: (.*?), or `all`", _section("Command line"), re.S).group(1)
+    names = re.findall(r"`([^`]+)`", sentence)
+    assert sorted(names) == sorted(SUITES)

@@ -94,6 +94,8 @@ def test_check_diag_invariance_examples():
     ok, witness = check_diag_invariance(ev(2, 1))
     assert not ok
     assert witness[0] == 1 and witness[1] == ov(2, 1)
+    # f need not be symmetric: the first nonzero residual is the second one
+    assert check_diag_invariance(ev(2, 2)) == (False, (2, ov(2, 2)))
     assert check_diag_invariance(ov(2, 1) * ov(2, 2) * (ev(2, 1) - ev(2, 2)))[0]
 
 
@@ -538,17 +540,22 @@ def test_polynomial_serialization_round_trip():
         TTauExpression.from_obj(bad)
 
 
+_OMITTED = object()
+
+
 @pytest.mark.parametrize("terms", [
     [{"even": [0]}],                              # no "odd" list
     [5],                                          # a term that is not an object
     {},                                           # "terms" not a list
     [{"even": [0], "odd": 5, "coeff": "1"}],      # "odd" not a list
     [{"even": [[1]], "odd": [], "coeff": "1"}],   # an exponent that is not an int
+    _OMITTED,                                     # no "terms" field at all
 ])
 def test_polynomial_json_shape_errors(terms):
+    fields = {} if terms is _OMITTED else {"terms": terms}
     with pytest.raises(ValidationError):
-        SuperPolynomial.from_obj({"n": 1, "terms": terms})
-    expr = {"n": 1, "symbol_range": 1, "terms": terms}
+        SuperPolynomial.from_obj({"n": 1, **fields})
+    expr = {"n": 1, "symbol_range": 1, **fields}
     with pytest.raises(ValidationError):
         TTauExpression.from_obj(expr)
     with pytest.raises(ValidationError):
