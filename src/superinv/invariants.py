@@ -245,8 +245,13 @@ def balanced_corpus(n, seed, combos=4):
 
     Contains the plain odd symbols, the small worked closed forms, and random
     rational combinations drawn from the exact kernel of the balance
-    conditions, with and without an even denominator.
+    conditions, with and without an even denominator.  n must be a positive
+    and combos a non-negative integer; otherwise ValidationError.
     """
+    if not is_int(n) or n < 1:
+        raise ValidationError("n must be a positive integer")
+    if not is_int(combos) or combos < 0:
+        raise ValidationError("combos must be a non-negative integer")
     rng = random.Random(seed)
     cap = min(2 * n, n + 2)
     corpus = []

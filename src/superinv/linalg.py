@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of row lists with int or Fraction entries.  Elimination is
-pivoted Gauss-Jordan, the characteristic polynomial comes from the
-Faddeev-LeVerrier recursion, and rational roots from Sturm-sequence bisection
-on integer polynomials; no floating point anywhere.
+one sparse, fraction-free Gauss-Jordan on integer rows (`_rref`, behind
+`rank`, `inverse_with_rank`, `solve_general` and `nullspace`), the
+characteristic polynomial comes from the Faddeev-LeVerrier recursion, and
+rational roots from Sturm-sequence bisection on integer polynomials; no
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -50,31 +52,53 @@ def trace(a):
 
 
 def _rref(m, ncols=None):
-    """In-place reduced row echelon form; returns the pivot column list."""
+    """In-place reduced row echelon form; returns the pivot column list.
+
+    Pivots are searched in the first ncols columns (all by default), in the
+    first row that is non-zero there.  The elimination is sparse and
+    fraction-free: each row is first scaled to integers by the lcm of its
+    denominators, which leaves the RREF unchanged.  Clearing column c with
+    the pivot row p (pivot a) turns each row whose entry b there is non-zero
+    into (a/g)*row - (b/g)*p, g = gcd(a, b), visiting only p's non-zero
+    columns, and divides it by its content.  At the end each pivot row
+    becomes Fraction(x, a) entrywise, the exact RREF; the rows past the rank
+    stay integer multiples of theirs, which is all that callers testing them
+    against zero need.
+    """
     rows = len(m)
     if ncols is None:
         ncols = len(m[0]) if rows else 0
+    for i, row in enumerate(m):
+        den = math.lcm(*[x.denominator for x in row])
+        m[i] = _int_primitive([x.numerator * (den // x.denominator) for x in row] if den > 1
+                              else [x.numerator for x in row])
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1, 1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        prow = m[r]
+        a = prow[c]
+        support = [(j, y) for j, y in enumerate(prow) if y]
+        for i in [i for i, row in enumerate(m) if row[c] and i != r]:
+            row = m[i]
+            g = math.gcd(a, row[c])
+            f = row[c] // g
+            if g != a:
+                row = [x * (a // g) for x in row]
+            for j, y in support:
+                row[j] -= f * y
+            m[i] = _int_primitive(row)
         pivots.append(c)
         r += 1
         if r == rows:
             break
+    zero = Fraction(0)
+    for i, c in enumerate(pivots):
+        a = m[i][c]
+        m[i] = [Fraction(x, a) if x else zero for x in m[i]]
     return pivots
 
 
@@ -166,7 +190,7 @@ def poly_eval(coeffs, x):
 
 
 def _int_primitive(p):
-    """Divide an integer polynomial by the (positive) gcd of its coefficients."""
+    """Divide an integer polynomial or matrix row by the (positive) gcd of its entries."""
     g = math.gcd(*p)
     return [c // g for c in p] if g > 1 else p
 

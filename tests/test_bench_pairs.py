@@ -122,3 +122,18 @@ def test_summary_names_every_metric():
                                       make_pairs([10.0, 11.0], [20.0, 21.0]), END_TO_END)
     text = bench_pairs.summary(record)
     assert "ops_per_s" in text and "latency_p50_ms" in text and "wins 2/2" in text
+
+
+def test_label_is_stored_and_shown():
+    pairs = make_pairs([10.0, 11.0], [20.0, 21.0])
+    record = bench_pairs.build_record("rewrite", "b" * 40, "b" * 40, True, 15.0, pairs,
+                                      END_TO_END, label="sparse-rref")
+    assert record["label"] == "sparse-rref"
+    # the label names the change; the SHAs and the dirty flag stay as measured
+    assert record["base_sha"] == record["change_sha"] == "b" * 40
+    assert record["change_dirty"] is True
+    assert bench_pairs.summary(record).startswith("rewrite [sparse-rref]: 2 pairs")
+    unlabelled = bench_pairs.build_record("rewrite", "b" * 40, "c" * 40, False, 15.0, pairs,
+                                          END_TO_END)
+    assert unlabelled["label"] is None
+    assert bench_pairs.summary(unlabelled).startswith("rewrite: 2 pairs")

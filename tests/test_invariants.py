@@ -173,6 +173,21 @@ def test_evaluate_invariant_supplied_values_validated():
         evaluate_invariant(a, f, s_values=wrong_body)
 
 
+def test_evaluate_invariant_rejects_s_failing_the_recurrence():
+    # s_1 moved by a nilpotent: the bodies still match, so only the recurrence can reject it
+    q = 3
+    x1, x2, x3 = (G.generator(q, i) for i in (1, 2, 3))
+    a = diag_queer([1, 2], [x1, x2], q)
+    f = BalancedExpression(TTauExpression.odd_symbol(2, 2, 1))
+    good = list(compute_s(a))
+    bad = [good[0] + x1 * x3, good[1]]
+    assert [v.body() for v in bad] == [v.body() for v in good]
+    assert verify_recurrence(a.tau_values(4), good)
+    assert not verify_recurrence(a.tau_values(4), bad)
+    with pytest.raises(ValidationError, match="fail the recurrence"):
+        evaluate_invariant(a, f, s_values=bad)
+
+
 def test_two_certificates_agree_n1():
     # a family with three odd parameters: the even certificate is ambiguous
     gq = 4
@@ -337,6 +352,30 @@ CORPUS_SHA256 = {
 def test_balanced_corpus_digests(n, seed, combos):
     text = json.dumps([f.to_obj() for f in balanced_corpus(n, seed, combos)], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_SHA256[n, seed, combos]
+
+
+@pytest.mark.parametrize("n, combos, message", [
+    (0, 4, "n must be a positive integer"),
+    (-1, 4, "n must be a positive integer"),
+    (True, 4, "n must be a positive integer"),
+    (2.0, 4, "n must be a positive integer"),
+    ("2", 4, "n must be a positive integer"),
+    (1, True, "combos must be a non-negative integer"),
+    (1, False, "combos must be a non-negative integer"),
+    (1, -3, "combos must be a non-negative integer"),
+    (2, 1.5, "combos must be a non-negative integer"),
+    (2, None, "combos must be a non-negative integer"),
+])
+def test_balanced_corpus_rejects_bad_counts(n, combos, message):
+    with pytest.raises(ValidationError, match=message):
+        balanced_corpus(n, 1, combos)
+
+
+def test_balanced_corpus_with_no_undenominated_combinations():
+    # past the two odd symbols, only (x2 - u1 x1)/u2 and the u2-denominated combination
+    corpus = balanced_corpus(2, 1, 0)
+    u2 = TTauExpression.even_symbol(2, 2, 2)
+    assert len(corpus) == 4 and all(f.denominator == u2 for f in corpus[2:])
 
 
 def test_dual_route_agreement():

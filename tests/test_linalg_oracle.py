@@ -1,4 +1,4 @@
-"""Differential tests of charpoly, rational_roots, inverse and nullspace against sympy.
+"""Differential tests of charpoly, rational_roots, inverse, nullspace and solve_general against sympy.
 
 sympy shares no code with superinv; the tests are skipped when it is absent.
 """
@@ -10,7 +10,7 @@ import pytest
 
 from superinv import TTauExpression, linalg
 from superinv.invariants import _residual_rows
-from superinv.sympoly import _ttau_monomials
+from superinv.sympoly import _ttau_monomials, coefficient_matrix
 
 sympy = pytest.importorskip("sympy")
 
@@ -208,3 +208,41 @@ def test_corpus_kernel_against_sympy():
     assert (len(a), len(a[0])) == (81, 44)
     assert linalg.nullspace(a)
     check_kernel(a)
+
+
+def check_solve(a, b):
+    """solve_general against sympy: linsolve's solution with every free symbol at 0,
+    and the non-pivot columns of sympy's rref as the free columns."""
+    x, free = linalg.solve_general(a, b)
+    cols = len(a[0])
+    syms = sympy.symbols("x0:%d" % cols)
+    m = to_sympy_matrix(a)
+    solutions = sympy.linsolve((m, sympy.Matrix([sympy.Rational(v) for v in b])), syms)
+    if solutions == sympy.EmptySet:
+        assert (x, free) == (None, None)
+        return None
+    (params,) = solutions
+    assert x == [to_fraction(e.subs({s: 0 for s in syms})) for e in params]
+    assert free == [j for j in range(cols) if j not in m.rref()[1]]
+    return free
+
+
+def test_solve_general_against_sympy():
+    rng = random.Random(20)
+    rewrite = coefficient_matrix([TTauExpression.monomial(3, 3, *key).expand().terms
+                                  for key in _ttau_monomials(3, 6, max_odd=3)])
+    systems = [rewrite]
+    for _ in range(12):  # tall, sparse, int
+        rows, cols = rng.randint(20, 60), rng.randint(4, 12)
+        systems.append([[rng.randint(-20, 20) if rng.random() < 0.15 else 0 for _ in range(cols)]
+                        for _ in range(rows)])
+    kinds = {"unique": 0, "inconsistent": 0, "underdetermined": 0}
+    for a in systems:
+        a = [row + [row[0] - 3 * row[1]] for row in a] if rng.random() < 0.5 else a
+        b = linalg.matvec(a, [rng.randint(-9, 9) for _ in a[0]])
+        bad = list(b)
+        bad[rng.randrange(len(b))] += rng.choice([1, Fraction(1, 2)])
+        for rhs in (b, bad):
+            free = check_solve(a, rhs)
+            kinds["inconsistent" if free is None else "underdetermined" if free else "unique"] += 1
+    assert min(kinds.values()) >= 3, kinds

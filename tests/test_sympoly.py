@@ -473,6 +473,8 @@ def test_recurrence_worked_example():
     s = elementary_from_roots(avals)
     assert verify_recurrence(taus, s)
     assert taus[2] == taus[0] * s[1] + taus[1] * s[0]
+    # s_2 moved by 1 breaks tau_3 = tau_2 s_1 + tau_1 s_2, since tau_1 = x1 + x2 is nonzero
+    assert not verify_recurrence(taus, [s[0], s[1] + 1])
     zero_taus = [G.zero(q)] * 4
     assert verify_recurrence(zero_taus, [G.zero(q), G.zero(q)])
     with pytest.raises(ValidationError):

@@ -1,6 +1,7 @@
 """Alternating before/after pairs of one perfbench workload, kept as JSON.
 
     python3 tools/bench_pairs.py --base REV --workload W --pairs N [--seconds S] [--seed K]
+                                 [--label TEXT]
 
 The "change" side is the working tree this script lives in; the "base" side
 is REV, checked out with `git worktree add` under `.perfbench_tmp/` (a local
@@ -8,10 +9,12 @@ operation) and removed again at the end.  Pair i runs
 `perfbench/run.py --trace 0` on both trees at seed K + i, base first in even
 pairs and change first in odd ones, so drift on the host favours neither
 side.  One record is appended to `BENCH_<workload>.json` at the repository
-root: both SHAs, the seeds, `--seconds`, every run's metrics and `correct`
-flag, and per end-to-end metric (from BENCHMARK.json) the median and IQR of
-each side, the number of pairs the change wins, and whether the medians
-differ in the better direction by more than the base side's IQR.
+root: both SHAs, the `--label` (a name for the change, which matters when
+it is measured before it is committed), the seeds, `--seconds`, every run's
+metrics and `correct` flag, and per end-to-end metric (from BENCHMARK.json)
+the median and IQR of each side, the number of pairs the change wins, and
+whether the medians differ in the better direction by more than the base
+side's IQR.
 
 The command exits 1 when any run is incorrect or fails to produce a result.
 """
@@ -85,11 +88,13 @@ def quartiles(values):
     return q1, med, q3
 
 
-def build_record(workload, base_sha, change_sha, change_dirty, seconds, pairs, end_to_end):
+def build_record(workload, base_sha, change_sha, change_dirty, seconds, pairs, end_to_end,
+                 label=None):
     """One BENCH record from the runs of each pair.
 
     pairs is a list of (seed, first side, base run, change run), each run as
-    `parse_run` returns it; end_to_end is BENCHMARK.json's metric list.
+    `parse_run` returns it; end_to_end is BENCHMARK.json's metric list; label
+    is the `--label` text, or None.
     """
     metrics = {}
     for spec in end_to_end:
@@ -128,6 +133,7 @@ def build_record(workload, base_sha, change_sha, change_dirty, seconds, pairs, e
         "base_sha": base_sha,
         "change_sha": change_sha,
         "change_dirty": change_dirty,
+        "label": label,
         "seconds": seconds,
         "seeds": [seed for seed, _f, _b, _c in pairs],
         "pairs": len(pairs),
@@ -149,9 +155,11 @@ def append_record(path, record):
 
 
 def summary(record):
-    lines = ["%s: %d pairs, base %s, change %s%s, all correct: %s" % (
-        record["workload"], record["pairs"], record["base_sha"][:10], record["change_sha"][:10],
-        " (dirty)" if record["change_dirty"] else "", record["all_correct"])]
+    label = " [%s]" % record["label"] if record["label"] else ""
+    lines = ["%s%s: %d pairs, base %s, change %s%s, all correct: %s" % (
+        record["workload"], label, record["pairs"], record["base_sha"][:10],
+        record["change_sha"][:10], " (dirty)" if record["change_dirty"] else "",
+        record["all_correct"])]
     for name, m in record["metrics"].items():
         rel = m["relative_change"]
         lines.append("  %-16s base %10.4g (IQR %.3g)  change %10.4g (IQR %.3g)  %s  wins %d/%d" % (
@@ -173,6 +181,7 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=config["run_seconds"])
     parser.add_argument("--seed", type=int, default=100, help="seed of the first pair")
+    parser.add_argument("--label", help="name of the measured change, stored in the record")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be positive")
@@ -200,7 +209,7 @@ def main(argv=None):
         git("worktree", "remove", "--force", base_tree)
 
     record = build_record(args.workload, base_sha, change_sha, change_dirty, args.seconds,
-                          pairs, config["end_to_end"])
+                          pairs, config["end_to_end"], args.label)
     append_record(os.path.join(ROOT, "BENCH_%s.json" % args.workload), record)
     print(summary(record))
     return 0 if record["all_correct"] else 1
