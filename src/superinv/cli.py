@@ -4,7 +4,8 @@ Three subcommands: `invariants` reports the invariant functions of a matrix
 file, `reduce` emits a canonical decomposition, and `verify` runs the seeded
 property suites.  Exit codes: 0 success, 1 property failure, 2 usage; every
 library error exits with the code its class in `errors` carries (3 input,
-4 violated mathematical precondition, 5 failed internal self-check).
+4 violated mathematical precondition, 5 failed internal self-check), except
+one raised inside a verify trial, which fails that claim (exit 1).
 """
 
 from __future__ import annotations

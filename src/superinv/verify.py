@@ -1,11 +1,14 @@
 """Seeded property suites and the samplers that feed them.
 
-Each suite checks one family of exact identities on deterministic random
-inputs and returns per-claim records; the command line front end serializes
-them.  All randomness flows through explicit seeds, so a rerun with the same
-seed reproduces the report byte for byte.  Claims draw their matrices through
-_queer_sample, _odd_sample and _conjugated, which consume the trial rng in a
-fixed order.
+Each suite is a claim table for one family of exact identities: suite(seed)
+returns (claim, seed offset, trial cap, one_trial) tuples and runs nothing.
+run_suite is the one runner; it calls _run_trials once per claim, on
+min(trials, cap) trials (all of them when the cap is None) seeded from the
+suite's base seed plus the offset, and the command line front end serializes
+the records.  All randomness flows through explicit seeds, so a rerun with
+the same seed reproduces the report byte for byte.  Claims draw their
+matrices through _queer_sample, _odd_sample and _conjugated, which consume
+the trial rng in a fixed order.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from . import linalg
-from .errors import NotInL, ValidationError, ZeroDiscriminant
+from .errors import NotInL, SuperInvError, ValidationError, ZeroDiscriminant
 from .grassmann import GrassmannScalar, is_int
 from .invariants import (
     balanced_corpus,
@@ -191,12 +194,19 @@ def _odd_sample(rng, n, gq):
 
 
 def _run_trials(claim, trials, seed, one_trial):
-    """Run one_trial(t, rng) for each t; stop at the first failure."""
+    """Run one_trial(t, rng) for each t; stop at the first failure.
+
+    A library error raised inside a trial fails the claim, and its
+    counterexample names the error class; any other exception propagates.
+    """
     failure = None
     for t in range(trials):
         # arithmetic mixing only: string hashes are not stable across runs
         rng = random.Random(seed * 1000003 + t)
-        detail = one_trial(t, rng)
+        try:
+            detail = one_trial(t, rng)
+        except SuperInvError as exc:
+            detail = "raised %s: %s" % (type(exc).__name__, exc)
         if detail is not None:
             failure = {"trial": t, "info": detail}
             break
@@ -219,9 +229,7 @@ def _corpus_agrees(corpus, a1, a2, s1=None, s2=None):
 # suites
 
 
-def suite_grassmann(seed, trials):
-    records = []
-
+def suite_grassmann(seed):
     def sample(rng):
         q = rng.randint(1, 8)
         return q, [random_scalar(rng, q, 9, max_terms=3) for _ in range(3)]
@@ -236,8 +244,6 @@ def suite_grassmann(seed, trials):
                     return "supercommutativity fails for %s, %s" % (xp, yp)
         return None
 
-    records.append(_run_trials("supercommutativity-on-homogeneous-parts", trials, seed, supercommute))
-
     def associativity(t, rng):
         q, (x, y, z) = sample(rng)
         if (x * y) * z != x * (y * z):
@@ -245,8 +251,6 @@ def suite_grassmann(seed, trials):
         if x * (y + z) != x * y + x * z:
             return "distributivity fails"
         return None
-
-    records.append(_run_trials("associativity-and-distributivity", trials, seed, associativity))
 
     def body_hom(t, rng):
         q, (x, y, _) = sample(rng)
@@ -256,8 +260,6 @@ def suite_grassmann(seed, trials):
             return "body of sum differs from sum of bodies"
         return None
 
-    records.append(_run_trials("body-is-a-ring-homomorphism", trials, seed, body_hom))
-
     def invert_back(t, rng):
         q, (x, _, _) = sample(rng)
         x = x + (1 if x.body() == 0 else 0)
@@ -266,8 +268,6 @@ def suite_grassmann(seed, trials):
             return "inverse does not multiply back to one"
         return None
 
-    records.append(_run_trials("invert-multiplies-back", trials, seed, invert_back))
-
     def soul_nilpotent(t, rng):
         q, (x, _, _) = sample(rng)
         s = x.soul()
@@ -275,13 +275,15 @@ def suite_grassmann(seed, trials):
             return "soul power q+1 is nonzero"
         return None
 
-    records.append(_run_trials("soul-nilpotency", trials, seed, soul_nilpotent))
-    return records
+    return [("supercommutativity-on-homogeneous-parts", 0, None, supercommute),
+            ("associativity-and-distributivity", 0, None, associativity),
+            ("body-is-a-ring-homomorphism", 0, None, body_hom),
+            ("invert-multiplies-back", 0, None, invert_back),
+            ("soul-nilpotency", 0, None, soul_nilpotent)]
 
 
-def suite_invariance(seed, trials):
+def suite_invariance(seed):
     """qtr, qet, str and the odd moments are conjugation invariants."""
-    records = []
 
     def queer_case(n):
         def one(t, rng):
@@ -298,9 +300,6 @@ def suite_invariance(seed, trials):
 
         return one
 
-    for n in (1, 2, 3):
-        records.append(_run_trials("queer-invariants-n%d" % n, trials, seed + n, queer_case(n)))
-
     def odd_case(n):
         def one(t, rng):
             gq = rng.choice([2, 3, 3, 4] if n >= 2 else [2, 3, 4, 6])
@@ -313,9 +312,6 @@ def suite_invariance(seed, trials):
             return None
 
         return one
-
-    for n in (1, 2):
-        records.append(_run_trials("odd-invariants-n%d" % n, trials, seed + 10 + n, odd_case(n)))
 
     def commutator(t, rng):
         gq = rng.randint(2, 4)
@@ -334,13 +330,12 @@ def suite_invariance(seed, trials):
             return "supertrace of an even power of an odd matrix is nonzero"
         return None
 
-    records.append(_run_trials("supercommutator-trace-vanishes", trials, seed + 20, commutator))
-    return records
+    return [*(("queer-invariants-n%d" % n, n, None, queer_case(n)) for n in (1, 2, 3)),
+            *(("odd-invariants-n%d" % n, 10 + n, None, odd_case(n)) for n in (1, 2)),
+            ("supercommutator-trace-vanishes", 20, None, commutator)]
 
 
-def suite_thm_1_3(seed, trials):
-    records = []
-
+def suite_thm_1_3(seed):
     def worked_odd_form(t, rng):
         q = 2
         x1, x2 = GrassmannScalar.generator(q, 1), GrassmannScalar.generator(q, 2)
@@ -355,8 +350,6 @@ def suite_thm_1_3(seed, trials):
         if not dec.verify(a):
             return "conjugation identity fails"
         return None
-
-    records.append(_run_trials("worked-odd-normal-form", 1, seed, worked_odd_form))
 
     def queer_blocks(t, rng):
         n = rng.randint(2, 3)
@@ -385,8 +378,6 @@ def suite_thm_1_3(seed, trials):
                 return "block body minus its eigenvalue is not nilpotent"
         return None
 
-    records.append(_run_trials("queer-block-diagonalization", trials, seed + 1, queer_blocks))
-
     def queer_diag(t, rng):
         n = rng.randint(1, 3)
         gq = rng.choice([2, 3, 3, 4])
@@ -398,8 +389,6 @@ def suite_thm_1_3(seed, trials):
         if [lam for lam, _ in dec.blocks] != sorted(eigs):
             return "eigenvalues disagree"
         return None
-
-    records.append(_run_trials("queer-diagonalization", trials, seed + 2, queer_diag))
 
     def standard_blocks(t, rng):
         p = rng.randint(1, 2)
@@ -419,8 +408,6 @@ def suite_thm_1_3(seed, trials):
             return "plug-back identity fails"
         return None
 
-    records.append(_run_trials("standard-even-block-diagonalization", trials, seed + 3, standard_blocks))
-
     def odd_reduction(t, rng):
         n = rng.randint(1, 3)
         gq = 2 if n == 3 else rng.choice([2, 3, 3])
@@ -436,8 +423,6 @@ def suite_thm_1_3(seed, trials):
         if not (_is_diagonal(x) and _is_diagonal(y)):
             return "upper blocks are not diagonal"
         return None
-
-    records.append(_run_trials("odd-paired-reduction", trials, seed + 4, odd_reduction))
 
     def uniqueness(t, rng):
         n = rng.randint(2, 3)
@@ -455,8 +440,6 @@ def suite_thm_1_3(seed, trials):
             if linalg.charpoly(b1.body_rows()) != linalg.charpoly(b2.body_rows()):
                 return "block body polynomials diverge"
         return None
-
-    records.append(_run_trials("block-uniqueness-up-to-conjugation", trials, seed + 5, uniqueness))
 
     def sylvester(t, rng):
         n1, n2 = rng.randint(1, 3), rng.randint(1, 3)
@@ -476,13 +459,16 @@ def suite_thm_1_3(seed, trials):
             return "solution does not satisfy the equation"
         return None
 
-    records.append(_run_trials("sylvester-plug-back", trials, seed + 6, sylvester))
-    return records
+    return [("worked-odd-normal-form", 0, 1, worked_odd_form),
+            ("queer-block-diagonalization", 1, None, queer_blocks),
+            ("queer-diagonalization", 2, None, queer_diag),
+            ("standard-even-block-diagonalization", 3, None, standard_blocks),
+            ("odd-paired-reduction", 4, None, odd_reduction),
+            ("block-uniqueness-up-to-conjugation", 5, None, uniqueness),
+            ("sylvester-plug-back", 6, None, sylvester)]
 
 
-def suite_lemma_3_2(seed, trials):
-    records = []
-
+def suite_lemma_3_2(seed):
     def symbolic(t, rng):
         n = t % 4 + 1
         m, mp = vandermonde_adjoint(n)
@@ -503,8 +489,6 @@ def suite_lemma_3_2(seed, trials):
                     if entry != expected:
                         return "diagonal entry (%d,%d) differs" % (k + 1, k + 1)
         return None
-
-    records.append(_run_trials("adjoint-product-symbolic", min(trials, 4), seed, symbolic))
 
     def numeric(t, rng):
         n = rng.randint(1, 4)
@@ -528,8 +512,8 @@ def suite_lemma_3_2(seed, trials):
                     return "numeric product entry differs at (%d,%d)" % (k + 1, l + 1)
         return None
 
-    records.append(_run_trials("adjoint-product-numeric", trials, seed + 1, numeric))
-    return records
+    return [("adjoint-product-symbolic", 0, 4, symbolic),
+            ("adjoint-product-numeric", 1, None, numeric)]
 
 
 def _random_symmetric_polynomial(n, rng, max_degree=6):
@@ -553,9 +537,7 @@ def _random_symmetric_polynomial(n, rng, max_degree=6):
     return acc
 
 
-def suite_thm_3_2(seed, trials):
-    records = []
-
+def suite_thm_3_2(seed):
     def worked(t, rng):
         a1 = SuperPolynomial.even_var(2, 1)
         a2 = SuperPolynomial.even_var(2, 2)
@@ -576,8 +558,6 @@ def suite_thm_3_2(seed, trials):
             return "product rewrites to %s" % g
         return None
 
-    records.append(_run_trials("worked-rewrites", 1, seed, worked))
-
     def round_trip(t, rng):
         n = rng.randint(1, 3)
         f = _random_symmetric_polynomial(n, rng)
@@ -585,8 +565,6 @@ def suite_thm_3_2(seed, trials):
         if g.expand(even_basis="t") != f:
             return "expansion of the rewrite differs from the input"
         return None
-
-    records.append(_run_trials("rewrite-round-trip", trials, seed + 1, round_trip))
 
     def uniqueness(t, rng):
         n = rng.randint(1, 3)
@@ -603,8 +581,6 @@ def suite_thm_3_2(seed, trials):
             return "round trip through expansion changes the expression"
         return None
 
-    records.append(_run_trials("rewrite-uniqueness", trials, seed + 2, uniqueness))
-
     def power_sum_identity(t, rng):
         n = rng.randint(1, 3)
         k = rng.randint(1, 2 * n)
@@ -615,39 +591,39 @@ def suite_thm_3_2(seed, trials):
             return "nonhomogeneous power sum identity fails"
         return None
 
-    records.append(_run_trials("nonhomogeneous-power-sums", trials, seed + 3, power_sum_identity))
-    return records
+    return [("worked-rewrites", 0, 1, worked),
+            ("rewrite-round-trip", 1, None, round_trip),
+            ("rewrite-uniqueness", 2, None, uniqueness),
+            ("nonhomogeneous-power-sums", 3, None, power_sum_identity)]
+
+
+def _index_tuples(n, max_index):
+    """Increasing index tuples from 1..max_index of length 1..n, shortest first."""
+    return [tup for size in range(1, n + 1)
+            for tup in combinations(range(1, max_index + 1), size)]
+
+
+def _odd_moment_product(n, tup):
+    """The product of the odd power sums indexed by tup, in n variables."""
+    poly = SuperPolynomial.one(n)
+    for i in tup:
+        poly = poly * power_sum_odd(n, i)
+    return poly
 
 
 def tau_monomial_matrix(n, max_index):
     """Coefficient matrix of all odd-moment products of length <= n."""
-    monos = []
-    for size in range(1, n + 1):
-        for tup in combinations(range(1, max_index + 1), size):
-            monos.append(tup)
-    columns = []
-    for tup in monos:
-        poly = SuperPolynomial.one(n)
-        for i in tup:
-            poly = poly * power_sum_odd(n, i)
-        columns.append(poly.terms)
-    return monos, coefficient_matrix(columns)
+    monos = _index_tuples(n, max_index)
+    return monos, coefficient_matrix([_odd_moment_product(n, tup).terms for tup in monos])
 
 
-def suite_thm_3_3(seed, trials):
-    records = []
-
+def suite_thm_3_3(seed):
     def vanishing(t, rng):
         n = t % 3 + 1
         for tup in combinations(range(1, 2 * n + 2), n + 1):
-            poly = SuperPolynomial.one(n)
-            for i in tup:
-                poly = poly * power_sum_odd(n, i)
-            if not poly.is_zero():
+            if not _odd_moment_product(n, tup).is_zero():
                 return "product of indices %r is nonzero" % (tup,)
         return None
-
-    records.append(_run_trials("products-of-length-n-plus-1-vanish", min(trials, 3), seed, vanishing))
 
     def independence(t, rng):
         n = t % 3 + 1
@@ -656,14 +632,9 @@ def suite_thm_3_3(seed, trials):
             return "expansions are linearly dependent"
         return None
 
-    records.append(_run_trials("monomial-expansions-independent", min(trials, 3), seed + 1, independence))
-
     def normal_form_round_trip(t, rng):
         n = rng.randint(1, 3)
-        all_monos = []
-        for size in range(1, n + 1):
-            for tup in combinations(range(1, 2 * n + 1), size):
-                all_monos.append(tup)
+        all_monos = _index_tuples(n, 2 * n)
         expr_terms = {}
         for _ in range(rng.randint(1, 3)):
             tup = all_monos[rng.randrange(len(all_monos))]
@@ -683,13 +654,12 @@ def suite_thm_3_3(seed, trials):
             return "normal form coefficients differ"
         return None
 
-    records.append(_run_trials("normal-form-round-trip", trials, seed + 2, normal_form_round_trip))
-    return records
+    return [("products-of-length-n-plus-1-vanish", 0, 3, vanishing),
+            ("monomial-expansions-independent", 1, 3, independence),
+            ("normal-form-round-trip", 2, None, normal_form_round_trip)]
 
 
-def suite_eq_4_1(seed, trials):
-    records = []
-
+def suite_eq_4_1(seed):
     def queer_residuals(t, rng):
         n = rng.randint(1, 3)
         gq = rng.choice([2, 3, 3, 4])
@@ -702,8 +672,6 @@ def suite_eq_4_1(seed, trials):
             return "semi-invariant bodies disagree with the spectrum"
         return None
 
-    records.append(_run_trials("queer-recurrence-residuals", trials, seed, queer_residuals))
-
     def odd_residuals(t, rng):
         n = rng.randint(1, 2)
         gq = rng.choice([2, 3, 3])
@@ -713,8 +681,6 @@ def suite_eq_4_1(seed, trials):
             return "recurrence residual is nonzero"
         return None
 
-    records.append(_run_trials("odd-recurrence-residuals", trials, seed + 1, odd_residuals))
-
     def closed_form_residuals(t, rng):
         gq = rng.choice([2, 3, 4])
         a = _queer_sample(rng, 2, gq)
@@ -723,12 +689,12 @@ def suite_eq_4_1(seed, trials):
             return "closed form fails the recurrence"
         return None
 
-    records.append(_run_trials("closed-form-recurrence-residuals", trials, seed + 2, closed_form_residuals))
-    return records
+    return [("queer-recurrence-residuals", 0, None, queer_residuals),
+            ("odd-recurrence-residuals", 1, None, odd_residuals),
+            ("closed-form-recurrence-residuals", 2, None, closed_form_residuals)]
 
 
-def suite_thm_4_5(seed, trials):
-    records = []
+def suite_thm_4_5(seed):
     corpora = {n: balanced_corpus(n, seed=seed + 100 + n, combos=3) for n in (1, 2, 3)}
 
     def conjugation(t, rng):
@@ -740,8 +706,6 @@ def suite_thm_4_5(seed, trials):
             return "evaluation moved under conjugation"
         return None
 
-    records.append(_run_trials("evaluation-conjugation-invariance", trials, seed, conjugation))
-
     def admissible_choice(t, rng):
         n = rng.randint(1, 3)
         gq = rng.choice([2, 3])
@@ -752,8 +716,6 @@ def suite_thm_4_5(seed, trials):
             return "two admissible solutions give different values"
         return None
 
-    records.append(_run_trials("admissible-solution-independence", trials, seed + 1, admissible_choice))
-
     def dual_route_n2(t, rng):
         gq = rng.choice([2, 3, 4])
         a = _queer_sample(rng, 2, gq)
@@ -762,8 +724,6 @@ def suite_thm_4_5(seed, trials):
         if not _corpus_agrees(corpora[2], a, a, s_spec, s_closed):
             return "spectral and closed-form routes disagree"
         return None
-
-    records.append(_run_trials("dual-route-evaluations", trials, seed + 2, dual_route_n2))
 
     def certificate_n1(t, rng):
         # family with odd parameters: one extra generator plays the parameter
@@ -779,12 +739,13 @@ def suite_thm_4_5(seed, trials):
             return "the two admissible certificates disagree"
         return None
 
-    records.append(_run_trials("certificate-ambiguity-n1", 1, seed + 3, certificate_n1))
-    return records
+    return [("evaluation-conjugation-invariance", 0, None, conjugation),
+            ("admissible-solution-independence", 1, None, admissible_choice),
+            ("dual-route-evaluations", 2, None, dual_route_n2),
+            ("certificate-ambiguity-n1", 3, 1, certificate_n1)]
 
 
-def suite_cor_4_5(seed, trials):
-    records = []
+def suite_cor_4_5(seed):
     corpora = {n: balanced_corpus(n, seed=seed + 200 + n, combos=2) for n in (1, 2, 3)}
 
     def matched_pairs(t, rng):
@@ -797,8 +758,6 @@ def suite_cor_4_5(seed, trials):
         if not _corpus_agrees(corpora[n], a1, a2):
             return "evaluations differ on a matched pair"
         return None
-
-    records.append(_run_trials("conjugate-pairs-indistinguishable", trials, seed, matched_pairs))
 
     def soul_shifted_pairs(t, rng):
         n = rng.randint(2, 3)
@@ -820,8 +779,6 @@ def suite_cor_4_5(seed, trials):
         if not _corpus_agrees(corpora[n], a1, a2):
             return "evaluations differ on an equivalent pair"
         return None
-
-    records.append(_run_trials("soul-shifted-pairs-indistinguishable", trials, seed + 1, soul_shifted_pairs))
 
     def odd_value_pairs(t, rng):
         # equal supertrace and cubed supertrace force equal invariants
@@ -845,8 +802,6 @@ def suite_cor_4_5(seed, trials):
             return "evaluations differ on a matched odd pair"
         return None
 
-    records.append(_run_trials("odd-pairs-with-equal-moments", trials, seed + 2, odd_value_pairs))
-
     def mismatched_pairs(t, rng):
         n = rng.randint(1, 3)
         gq = rng.choice([2, 3])
@@ -865,8 +820,6 @@ def suite_cor_4_5(seed, trials):
         if a3.tau_values(2 * n) != a1.tau_values(2 * n) and indistinguishable(a1, a3):
             return "different moments not distinguished"
         return None
-
-    records.append(_run_trials("mismatched-pairs-distinguished", trials, seed + 3, mismatched_pairs))
 
     def truncation(t, rng):
         # moments beyond 2n do not carry extra information
@@ -888,8 +841,6 @@ def suite_cor_4_5(seed, trials):
             return "matching first 2n moments but different evaluations"
         return None
 
-    records.append(_run_trials("moment-truncation-sufficiency", trials, seed + 4, truncation))
-
     def product_vanishing(t, rng):
         n = rng.randint(1, 2)
         gq = rng.choice([3, 4])
@@ -903,13 +854,15 @@ def suite_cor_4_5(seed, trials):
                 return "moment product of length n+1 is nonzero"
         return None
 
-    records.append(_run_trials("moment-products-vanish-on-matrices", trials, seed + 5, product_vanishing))
-    return records
+    return [("conjugate-pairs-indistinguishable", 0, None, matched_pairs),
+            ("soul-shifted-pairs-indistinguishable", 1, None, soul_shifted_pairs),
+            ("odd-pairs-with-equal-moments", 2, None, odd_value_pairs),
+            ("mismatched-pairs-distinguished", 3, None, mismatched_pairs),
+            ("moment-truncation-sufficiency", 4, None, truncation),
+            ("moment-products-vanish-on-matrices", 5, None, product_vanishing)]
 
 
-def suite_sec_5_1(seed, trials):
-    records = []
-
+def suite_sec_5_1(seed):
     def diagonal_qet(t, rng):
         n = rng.randint(1, 3)
         gq = max(n, rng.choice([2, 3, 4]))
@@ -925,8 +878,6 @@ def suite_sec_5_1(seed, trials):
             return "qet differs from the diagonal formula"
         return None
 
-    records.append(_run_trials("diagonal-qet-formula", trials, seed, diagonal_qet))
-
     def n2_identity(t, rng):
         gq = rng.choice([2, 3, 4])
         a = _queer_sample(rng, 2, gq)
@@ -937,8 +888,6 @@ def suite_sec_5_1(seed, trials):
         if lhs != rhs:
             return "closed two-variable identity fails"
         return None
-
-    records.append(_run_trials("qet-two-variable-identity", trials, seed + 1, n2_identity))
 
     def queer_series(t, rng):
         n = rng.randint(1, 3)
@@ -951,8 +900,6 @@ def suite_sec_5_1(seed, trials):
             if coeffs[j] != -taus[j]:
                 return "coefficient %d is not minus the moment" % (j + 1)
         return None
-
-    records.append(_run_trials("queer-generating-coefficients", trials, seed + 2, queer_series))
 
     def odd_series(t, rng):
         n = rng.randint(1, 2)
@@ -971,13 +918,13 @@ def suite_sec_5_1(seed, trials):
                     return "even-order coefficient %d differs" % j
         return None
 
-    records.append(_run_trials("odd-generating-coefficients", trials, seed + 3, odd_series))
-    return records
+    return [("diagonal-qet-formula", 0, None, diagonal_qet),
+            ("qet-two-variable-identity", 1, None, n2_identity),
+            ("queer-generating-coefficients", 2, None, queer_series),
+            ("odd-generating-coefficients", 3, None, odd_series)]
 
 
-def suite_sec_5_2(seed, trials):
-    records = []
-
+def suite_sec_5_2(seed):
     def beta_zero(t, rng):
         gq = rng.choice([2, 3])
         eigs = pick_distinct(rng, 2)
@@ -990,8 +937,6 @@ def suite_sec_5_2(seed, trials):
             return "second value is not minus the determinant"
         return None
 
-    records.append(_run_trials("vanishing-odd-part", trials, seed, beta_zero))
-
     def residuals(t, rng):
         gq = rng.choice([3, 4])
         a = _queer_sample(rng, 2, gq, soul_terms=2)
@@ -1002,8 +947,6 @@ def suite_sec_5_2(seed, trials):
         if [v.body() for v in s] != [v.body() for v in s_spec]:
             return "bodies disagree with the spectral route"
         return None
-
-    records.append(_run_trials("closed-form-contract", trials, seed + 1, residuals))
 
     def zero_discriminant(t, rng):
         gq = 2
@@ -1016,13 +959,12 @@ def suite_sec_5_2(seed, trials):
             return "unexpected error type %r" % type(exc).__name__
         return "zero discriminant accepted"
 
-    records.append(_run_trials("zero-discriminant-rejected", 1, seed + 2, zero_discriminant))
-    return records
+    return [("vanishing-odd-part", 0, None, beta_zero),
+            ("closed-form-contract", 1, None, residuals),
+            ("zero-discriminant-rejected", 2, 1, zero_discriminant)]
 
 
-def suite_sec_5_3_1(seed, trials):
-    records = []
-
+def suite_sec_5_3_1(seed):
     def displayed(t, rng):
         n = rng.randint(1, 2)
         gq = rng.choice([2, 3, 4])
@@ -1031,8 +973,6 @@ def suite_sec_5_3_1(seed, trials):
         if antidiagonalize(a).assembled().blocks()[1] != y + x @ x:
             return "upper block is not y plus x squared"
         return None
-
-    records.append(_run_trials("displayed-identity", trials, seed, displayed))
 
     def round_trip(t, rng):
         n = rng.randint(1, 2)
@@ -1060,13 +1000,11 @@ def suite_sec_5_3_1(seed, trials):
             return "lower-left block is not the identity"
         return None
 
-    records.append(_run_trials("antidiagonal-round-trip", trials, seed + 1, round_trip))
-    return records
+    return [("displayed-identity", 0, None, displayed),
+            ("antidiagonal-round-trip", 1, None, round_trip)]
 
 
-def suite_thm_4_6(seed, trials):
-    records = []
-
+def suite_thm_4_6(seed):
     def constancy(t, rng):
         n = rng.randint(1, 3)
         gq = rng.choice([2, 3, 4])
@@ -1075,8 +1013,6 @@ def suite_thm_4_6(seed, trials):
         if l_invariants(_conjugated(rng, a)) != values:
             return "locus invariants moved under conjugation"
         return None
-
-    records.append(_run_trials("locus-invariants-constant", trials, seed, constancy))
 
     def rejection(t, rng):
         gq = 2
@@ -1090,8 +1026,8 @@ def suite_thm_4_6(seed, trials):
             return "wrong first nonzero index"
         return "matrix outside the locus accepted"
 
-    records.append(_run_trials("outside-locus-rejected", 1, seed + 1, rejection))
-    return records
+    return [("locus-invariants-constant", 0, None, constancy),
+            ("outside-locus-rejected", 1, 1, rejection)]
 
 
 SUITES = {
@@ -1112,17 +1048,26 @@ SUITES = {
 
 
 def run_suite(name, seed, trials):
-    """Run one suite (or "all"); returns the list of claim records."""
-    if name == "all":
-        records = []
-        for idx, key in enumerate(sorted(SUITES)):
-            for record in SUITES[key](seed + idx * 1000, trials):
-                record["suite"] = key
-                records.append(record)
-        return records
-    if name not in SUITES:
+    """Run one suite (or "all"); returns the list of claim records.
+
+    Each suite's claims run from its base seed: `seed` for a single suite,
+    and seed + 1000 * (index in sorted order) within "all", so a suite run
+    on its own at that seed reproduces its slice of "all".
+    """
+    if not is_int(seed):
+        raise ValidationError("seed must be an integer")
+    if not is_int(trials) or trials < 1:
+        raise ValidationError("trials must be an integer >= 1")
+    if name != "all" and name not in SUITES:
         raise ValidationError("unknown suite %r" % name)
-    records = SUITES[name](seed, trials)
-    for record in records:
-        record["suite"] = name
+    records = []
+    for idx, key in enumerate(sorted(SUITES)):
+        if name not in ("all", key):
+            continue
+        base = seed + 1000 * idx if name == "all" else seed
+        for claim, offset, cap, one_trial in SUITES[key](base):
+            record = _run_trials(claim, trials if cap is None else min(trials, cap),
+                                 base + offset, one_trial)
+            record["suite"] = key
+            records.append(record)
     return records

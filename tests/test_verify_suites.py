@@ -1,6 +1,7 @@
 import pytest
 
-from superinv import ValidationError
+from superinv import ValidationError, ZeroDiscriminant, verify
+from superinv.cli import main
 from superinv.verify import (
     SUITES,
     random_odd_reducible,
@@ -29,6 +30,35 @@ def test_run_all_aggregates():
 def test_unknown_suite():
     with pytest.raises(ValidationError):
         run_suite("missing", seed=0, trials=1)
+
+
+@pytest.mark.parametrize("seed, trials", [
+    (0, 0), (0, -2), (0, True), (0, 1.5), (0, "3"), ("1", 1), (1.5, 1), (True, 1),
+], ids=["trials-zero", "trials-negative", "trials-bool", "trials-float", "trials-str",
+        "seed-str", "seed-float", "seed-bool"])
+def test_run_suite_rejects_bad_seed_or_trials(seed, trials):
+    with pytest.raises(ValidationError):
+        run_suite("grassmann", seed, trials)
+
+
+def test_single_suite_equals_its_slice_of_all():
+    seed, trials = 9, 2
+    everything = run_suite("all", seed, trials)
+    for idx, key in enumerate(sorted(SUITES)):
+        alone = run_suite(key, seed + 1000 * idx, trials)
+        assert alone == [r for r in everything if r["suite"] == key], key
+
+
+def test_library_error_inside_a_trial_fails_the_claim(monkeypatch, capsys):
+    def injected(a):
+        raise ZeroDiscriminant("injected")
+
+    monkeypatch.setattr(verify, "q2_closed_form", injected)
+    records = run_suite("eq-4.1", 1, 2)
+    assert [r["status"] for r in records] == ["pass", "pass", "fail"]
+    assert records[2]["counterexample"] == {"trial": 0, "info": "raised ZeroDiscriminant: injected"}
+    assert main(["verify", "eq-4.1", "--seed", "1", "--trials", "2"]) == 1
+    assert "raised ZeroDiscriminant: injected" in capsys.readouterr().out
 
 
 def test_reports_are_reproducible():
