@@ -74,6 +74,7 @@ from .invariants import (
     compute_s,
     eigendata,
     evaluate_invariant,
+    evaluate_invariants,
     indistinguishable,
     l_invariants,
     q2_closed_form,

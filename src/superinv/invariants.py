@@ -3,6 +3,8 @@
 The pipeline reads the diagonal data (a_i, alpha_i) off the canonical form of
 an eligible matrix, forms the signed elementary values s_1..s_n, and uses them
 with the odd moments tau_1..tau_n to evaluate arbitrary balanced expressions.
+`evaluate_invariants` computes s and tau once per matrix for a whole sequence
+of expressions.
 Any other s-solution of the moment recurrence with the same body gives the
 same evaluation; that well-definedness is a tested property, not an
 assumption.
@@ -126,18 +128,22 @@ def _check_eligible(a):
     return spectrum
 
 
-def evaluate_invariant(a, f, s_values=None):
-    """Evaluate a balanced expression on a matrix: f(s_1..s_n, tau_1..tau_n).
+def evaluate_invariants(a, fs, s_values=None):
+    """Evaluate balanced expressions on a matrix: [f(s_1..s_n, tau_1..tau_n) for f in fs].
 
+    Every f is checked (its n, then its balance) before anything is computed
+    on a; s and tau_1..tau_n are then computed once for the whole sequence.
     When s_values is supplied it is validated against the recurrence and the
-    body pin; any admissible choice gives the same value.
+    body pin instead; any admissible choice gives the same values.
     """
     n = a.family_size()
-    if f.n != n:
-        raise ValidationError("expression is for n=%d, matrix has n=%d" % (f.n, n))
-    ok, witness = f.is_balanced()
-    if not ok:
-        raise NotInvariant("expression is not balanced", witness=witness)
+    fs = list(fs)
+    for f in fs:
+        if f.n != n:
+            raise ValidationError("expression is for n=%d, matrix has n=%d" % (f.n, n))
+        ok, witness = f.is_balanced()
+        if not ok:
+            raise NotInvariant("expression is not balanced", witness=witness)
     if s_values is None:
         s_values = list(compute_s(a))
     else:
@@ -152,7 +158,12 @@ def evaluate_invariant(a, f, s_values=None):
                 raise ValidationError("supplied s_%d has body %s, expected %s"
                                       % (j, value.body(), want))
     taus = a.tau_values(n)
-    return f.evaluate(s_values, taus)
+    return [f.evaluate(s_values, taus) for f in fs]
+
+
+def evaluate_invariant(a, f, s_values=None):
+    """Evaluate one balanced expression on a matrix; see `evaluate_invariants`."""
+    return evaluate_invariants(a, [f], s_values)[0]
 
 
 def indistinguishable(a1, a2):

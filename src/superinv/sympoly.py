@@ -7,7 +7,9 @@ increasing index order, so the stored coefficient absorbs the reordering
 sign.  TTauExpression is a SuperPolynomial whose keys range over formal
 symbols u_1..u_K (even) and x_1..x_K (odd) standing for the symmetric kernels
 the algebra rewrites into: the one ring implementation serves both, and
-`expand` maps an expression onto the polynomial it names.
+`expand` maps an expression onto the polynomial it names.  Those kernels
+(t_k, tau_k and s_j) are pure functions of two small ints, so each is built
+once and then served from a module-level table.
 `coefficient_matrix` turns term dicts into the exact linear systems that
 rewriting and the balance conditions solve.
 """
@@ -343,8 +345,22 @@ class SuperPolynomial(SparseRingElement):
 # concrete symmetric kernels
 
 
+def _check_kernel_args(n, k, least):
+    """n must be an int >= 0 and k an int >= least; bools are not ints here."""
+    if not is_int(n) or n < 0:
+        raise ValidationError("n must be a non-negative integer")
+    if not is_int(k) or k < least:
+        raise ValidationError("k must be an integer >= %d" % least)
+
+
 def power_sum_even(n, k):
-    """t_k = sum_i a_i^k."""
+    """t_k = sum_i a_i^k, so t_0 = n.  Served from a table keyed on (n, k)."""
+    _check_kernel_args(n, k, 0)
+    return _power_sum_even(n, k)
+
+
+@cache
+def _power_sum_even(n, k):
     acc = SuperPolynomial.zero(n)
     for i in range(1, n + 1):
         acc = acc + SuperPolynomial.even_var(n, i) ** k
@@ -352,7 +368,13 @@ def power_sum_even(n, k):
 
 
 def power_sum_odd(n, k):
-    """tau_k = sum_i b_i a_i^(k-1)."""
+    """tau_k = sum_i b_i a_i^(k-1), k >= 1.  Served from a table keyed on (n, k)."""
+    _check_kernel_args(n, k, 1)
+    return _power_sum_odd(n, k)
+
+
+@cache
+def _power_sum_odd(n, k):
     acc = SuperPolynomial.zero(n)
     for i in range(1, n + 1):
         acc = acc + SuperPolynomial.odd_var(n, i) * SuperPolynomial.even_var(n, i) ** (k - 1)
@@ -373,11 +395,20 @@ def signed_elementary(values, one):
 
 
 def signed_elementary_poly(n, j):
-    """s_j in the even variables a_1..a_n; zero for j > n."""
+    """s_j in the even variables a_1..a_n, j >= 1; zero for j > n.
+
+    s_1..s_n are computed together and kept in a table keyed on n.
+    """
+    _check_kernel_args(n, j, 1)
     if j > n:
         return SuperPolynomial.zero(n)
+    return _signed_elementary_polys(n)[j - 1]
+
+
+@cache
+def _signed_elementary_polys(n):
     variables = [SuperPolynomial.even_var(n, i) for i in range(1, n + 1)]
-    return signed_elementary(variables, SuperPolynomial.one(n))[j - 1]
+    return tuple(signed_elementary(variables, SuperPolynomial.one(n)))
 
 
 # ----------------------------------------------------------------------
@@ -450,9 +481,8 @@ class TTauExpression(SuperPolynomial):
             kernel = signed_elementary_poly
         else:
             raise ValidationError("even_basis must be 't' or 's'")
-        even = cache(lambda i: kernel(n, i + 1))
-        odd = cache(lambda i: power_sum_odd(n, i + 1))
-        return self._substitute(SuperPolynomial.zero(n), even, odd)
+        return self._substitute(SuperPolynomial.zero(n), lambda i: kernel(n, i + 1),
+                                lambda i: power_sum_odd(n, i + 1))
 
     def evaluate(self, even_vals, odd_vals):
         """Exact evaluation at Grassmann scalar symbol values.

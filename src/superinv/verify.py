@@ -24,7 +24,7 @@ from .invariants import (
     balanced_corpus,
     body_signed_elementary,
     compute_s,
-    evaluate_invariant,
+    evaluate_invariants,
     indistinguishable,
     l_invariants,
     q2_closed_form,
@@ -220,9 +220,12 @@ def _run_trials(claim, trials, seed, one_trial):
 
 
 def _corpus_agrees(corpus, a1, a2, s1=None, s2=None):
-    """True when every corpus expression evaluates equally on both sides."""
-    return all(evaluate_invariant(a1, f, s_values=s1) == evaluate_invariant(a2, f, s_values=s2)
-               for f in corpus)
+    """True when every corpus expression evaluates equally on both sides.
+
+    Every expression is evaluated on both sides, so an error raised by a late
+    expression surfaces even when an earlier one already disagrees.
+    """
+    return evaluate_invariants(a1, corpus, s1) == evaluate_invariants(a2, corpus, s2)
 
 
 # ----------------------------------------------------------------------

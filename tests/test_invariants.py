@@ -9,6 +9,8 @@ from superinv import (
     ANY,
     EVEN,
     GrassmannScalar,
+    MultipleEigenvalue,
+    NonSplitting,
     NotInL,
     NotInvariant,
     ODD,
@@ -19,18 +21,21 @@ from superinv import (
     SuperPolynomial,
     TTauExpression,
     ValidationError,
+    ZeroBody,
     ZeroDiscriminant,
     balanced_corpus,
     body_signed_elementary,
     compute_s,
     eigendata,
     evaluate_invariant,
+    evaluate_invariants,
     indistinguishable,
     l_invariants,
     linalg,
     q2_closed_form,
     qet_generating_coefficients,
     random_group_element,
+    random_matrix,
     verify_recurrence,
 )
 from superinv.invariants import _moment, _residual_rows
@@ -42,6 +47,10 @@ from superinv.sympoly import (
     signed_elementary_poly,
 )
 from superinv.verify import (
+    _conjugated,
+    _corpus_agrees,
+    _odd_sample,
+    _queer_sample,
     pick_distinct,
     random_locus_member,
     random_odd_reducible,
@@ -434,3 +443,108 @@ def test_odd_family_pipeline():
         conj = a.conjugate(g)
         for f in corpus:
             assert evaluate_invariant(a, f) == evaluate_invariant(conj, f)
+
+
+# ----------------------------------------------------------------------
+# one evaluation pass per matrix
+
+
+def _per_expression_corpus_agrees(corpus, a1, a2, s1=None, s2=None):
+    # the per-expression loop `_corpus_agrees` ran before evaluation was
+    # batched: it stops at the first expression that disagrees
+    return all(evaluate_invariant(a1, f, s_values=s1) == evaluate_invariant(a2, f, s_values=s2)
+               for f in corpus)
+
+
+def _samples(seed):
+    # (corpus, matrix, rng) for a queer and an odd family at each n = 1..3
+    rng = random.Random(seed)
+    for n in (1, 2, 3):
+        corpus = balanced_corpus(n, seed=seed + 1)
+        for sample in (_queer_sample, _odd_sample):
+            yield corpus, sample(rng, n, rng.randint(2, 3)), rng
+
+
+def test_evaluate_invariants_matches_one_at_a_time():
+    for corpus, a, _rng in _samples(61):
+        for s_values in (None, compute_s(a)):
+            assert evaluate_invariants(a, corpus, s_values) == \
+                [evaluate_invariant(a, f, s_values=s_values) for f in corpus]
+        assert evaluate_invariants(a, []) == []
+
+
+def test_corpus_agrees_matches_per_expression_oracle():
+    for corpus, a, rng in _samples(63):
+        conj = _conjugated(rng, a)
+        rows = [list(row) for row in a.rows]
+        rows[0][0] = rows[0][0] + G.generator(a.gq, 1)  # same body, tau_1 moved by e1
+        other = SuperMatrix(a.shape, a.parity, rows)
+        for s1, s2 in ((None, None), (compute_s(a), compute_s(conj))):
+            assert _corpus_agrees(corpus, a, conj, s1, s2)
+            assert _per_expression_corpus_agrees(corpus, a, conj, s1, s2)
+        assert not _corpus_agrees(corpus, a, other)
+        assert not _per_expression_corpus_agrees(corpus, a, other)
+
+
+def test_evaluate_invariants_checks_every_expression_before_s():
+    q = 2
+    x1, x2 = G.generator(q, 1), G.generator(q, 2)
+    u1 = TTauExpression.even_symbol(2, 2, 1)
+    good = BalancedExpression(TTauExpression.odd_symbol(2, 2, 1))
+    unbalanced = BalancedExpression(u1 * TTauExpression.odd_symbol(2, 2, 1))
+    wrong_n = BalancedExpression(TTauExpression.odd_symbol(1, 1, 1))
+    repeated = diag_queer([1, 1], [x1, x2], q)  # compute_s raises MultipleEigenvalue
+    with pytest.raises(MultipleEigenvalue):
+        evaluate_invariant(repeated, good)
+    with pytest.raises(NotInvariant, match="expression is not balanced"):
+        evaluate_invariants(repeated, [good, unbalanced])
+    with pytest.raises(ValidationError, match="expression is for n=1, matrix has n=2"):
+        evaluate_invariants(repeated, [good, wrong_n, unbalanced])
+    a = diag_queer([1, 2], [x1, x2], q)
+    with pytest.raises(NotInvariant, match="expression is not balanced"):
+        evaluate_invariants(a, [good, unbalanced], s_values=[G.rational(q, 3)])
+    assert evaluate_invariants(a, (f for f in [good, good])) == [a.qtr(), a.qtr()]
+    with pytest.raises(ValidationError, match="need exactly 2 semi-invariant values"):
+        evaluate_invariants(a, [good], s_values=[G.rational(q, 3)])
+
+
+def test_corpus_agrees_evaluates_every_expression():
+    # the first expression disagrees and the second divides by a zero-body s_2:
+    # the per-expression loop stops at the disagreement, the batched one raises
+    q = 2
+    x1 = G.generator(q, 1)
+    a1 = diag_queer([0, 1], [x1, G.zero(q)], q)
+    a2 = diag_queer([0, 1], [G.zero(q), G.zero(q)], q)
+    u1, u2 = TTauExpression.even_symbol(2, 2, 1), TTauExpression.even_symbol(2, 2, 2)
+    o1, o2 = TTauExpression.odd_symbol(2, 2, 1), TTauExpression.odd_symbol(2, 2, 2)
+    corpus = [BalancedExpression(o1), BalancedExpression(o2 - u1 * o1, u2)]
+    assert _per_expression_corpus_agrees(corpus, a1, a2) is False
+    with pytest.raises(ZeroBody):
+        _corpus_agrees(corpus, a1, a2)
+
+
+def test_q2_closed_form_on_dense_souls():
+    # souls with up to six terms per entry: the soul correction of s_1 is
+    # exercised far beyond the one-term souls the verify samplers draw
+    corpus = balanced_corpus(2, seed=66)
+    polynomial = [f for f in corpus if f.denominator == 1]  # defined where s_2 has zero body
+    eligible = split = singular = 0
+    for q in range(3, 7):
+        for seed in range(40):
+            a = random_matrix(Queer(2), ANY, q, seed, 3, max_terms=6)
+            try:
+                closed = q2_closed_form(a)
+            except ZeroDiscriminant:
+                continue
+            eligible += 1
+            assert verify_recurrence(a.tau_values(4), closed)
+            usable = corpus if closed[1].body() != 0 else polynomial
+            singular += usable is polynomial
+            with_closed = evaluate_invariants(a, usable, closed)
+            try:
+                spectral = compute_s(a)
+            except NonSplitting:  # an irrational body spectrum has no spectral s
+                continue
+            split += 1
+            assert with_closed == evaluate_invariants(a, usable, spectral)
+    assert (eligible, split, singular) == (100, 77, 54)

@@ -493,6 +493,68 @@ def test_signed_elementary_polynomials_match_recurrence():
         assert signed_elementary_poly(n, n + 1).is_zero()
 
 
+def _fresh_kernels(n):
+    # t_k, tau_k and s_j built from the variables, sharing no code with the table
+    a = [ev(n, i) for i in range(1, n + 1)]
+    b = [ov(n, i) for i in range(1, n + 1)]
+    zero, one = SuperPolynomial.zero(n), SuperPolynomial.one(n)
+    t = {k: sum((x ** k for x in a), zero) for k in range(0, 6)}
+    tau = {k: sum((y * x ** (k - 1) for x, y in zip(a, b)), zero) for k in range(1, 6)}
+    s = {}
+    for j in range(1, n + 2):
+        e = zero
+        for subset in combinations(a, j):
+            prod = one
+            for x in subset:
+                prod = prod * x
+            e = e + prod
+        s[j] = e if j % 2 == 1 else -e
+    return t, tau, s
+
+
+def test_kernel_table_matches_fresh_kernels():
+    for n in range(0, 5):
+        t, tau, s = _fresh_kernels(n)
+        for _ in range(2):  # the first pass fills the table, the second reads it
+            assert all(power_sum_even(n, k) == v for k, v in t.items())
+            assert all(power_sum_odd(n, k) == v for k, v in tau.items())
+            assert all(signed_elementary_poly(n, j) == v for j, v in s.items())
+        assert power_sum_even(n, 0) == n
+
+
+def test_kernel_table_entries_stay_immutable():
+    kernel = power_sum_odd(2, 2)
+    with pytest.raises(AttributeError, match="immutable"):
+        kernel.terms = {}
+    with pytest.raises(AttributeError, match="immutable"):
+        signed_elementary_poly(2, 1).n = 3
+    _ = kernel * kernel + kernel - kernel * 3
+    _ = TTauExpression.odd_symbol(2, 2, 2).expand() * 2
+    assert power_sum_odd(2, 2) is kernel
+    assert kernel == ov(2, 1) * ev(2, 1) + ov(2, 2) * ev(2, 2)
+
+
+@pytest.mark.parametrize("kernel, n, k, message", [
+    (signed_elementary_poly, 2, 0, "k must be an integer >= 1"),
+    (signed_elementary_poly, 2, -1, "k must be an integer >= 1"),
+    (signed_elementary_poly, 1, True, "k must be an integer >= 1"),
+    (signed_elementary_poly, [1], 1, "n must be a non-negative integer"),
+    (signed_elementary_poly, 1.0, 1, "n must be a non-negative integer"),
+    (signed_elementary_poly, -1, 1, "n must be a non-negative integer"),
+    (power_sum_odd, 1, True, "k must be an integer >= 1"),
+    (power_sum_odd, 2, 0, "k must be an integer >= 1"),
+    (power_sum_odd, True, 1, "n must be a non-negative integer"),
+    (power_sum_odd, 2, [1], "k must be an integer >= 1"),
+    (power_sum_even, 2, -1, "k must be an integer >= 0"),
+    (power_sum_even, 2, False, "k must be an integer >= 0"),
+    (power_sum_even, 2, 1.0, "k must be an integer >= 0"),
+    (power_sum_even, None, 1, "n must be a non-negative integer"),
+])
+def test_kernels_reject_bad_arguments(kernel, n, k, message):
+    with pytest.raises(ValidationError, match=message):
+        kernel(n, k)
+
+
 def test_no_root_realization_counterexample():
     """Target values s = (2, 1 + e1e2) admit no genuine roots over two
     generators: both roots would need body 1 and the soul equation forces a
