@@ -89,8 +89,9 @@ class SpectralDecomposition:
     """Conjugator plus the per-eigenvalue blocks it produces.
 
     conjugator^-1 @ A @ conjugator equals the assembly of the blocks over the
-    partition, entry for entry.  For odd-matrix reductions the recorded
-    eigenvalue is the body eigenvalue of the block's square.
+    partition, entry for entry; `verify` checks it as A @ conjugator =
+    conjugator @ assembly.  For odd-matrix reductions the recorded eigenvalue
+    is the body eigenvalue of the block's square.
     """
 
     conjugator: GroupElement
@@ -118,7 +119,9 @@ class SpectralDecomposition:
         return SuperMatrix(shape, self.parity, grid)
 
     def verify(self, a):
-        return a.conjugate(self.conjugator) == self.assembled()
+        # g^-1 A g = D exactly when A g = g D, since g's body is invertible
+        g = self.conjugator.matrix
+        return a @ g == g @ self.assembled()
 
     def to_obj(self):
         return {
@@ -203,7 +206,7 @@ def _grouped_basis(body, spectrum):
 
 
 def _body_stage(a):
-    """Rational conjugator grouping body eigenvalues; returns partition data.
+    """Rational conjugator grouping body eigenvalues, with its partition data.
 
     The body splits into the halves (0, split) and (split, dim): a queer body
     is one half, a standard one the X and T halves.  Each half is grouped by
@@ -234,8 +237,11 @@ def _body_stage(a):
         block_shapes.append(Queer(mx) if queer else Standard(mx, mt))
         off_x += mx
         off_t += mt
-    conj = SuperMatrix.from_rationals(a.shape, a.shape.group_parity, p_rows, a.gq)
-    return conj, parts, eigs, block_shapes
+    parity = a.shape.group_parity
+    conj = SuperMatrix.from_rationals(a.shape, parity, p_rows, a.gq)
+    # the generalized eigenspaces span the body, so p_rows is invertible
+    conj_inv = SuperMatrix.from_rationals(a.shape, parity, linalg.inverse(p_rows), a.gq)
+    return GroupElement(conj, conj_inv, _trusted=True), parts, eigs, block_shapes
 
 
 # ----------------------------------------------------------------------
@@ -364,8 +370,7 @@ def block_diagonalize(a, filtration_log=None):
             raise ShapeMismatch("standard-shaped input must have even parity class")
     elif not isinstance(a.shape, Queer):
         raise ShapeMismatch("input must be queer or standard shaped")
-    conj0, parts, eigs, block_shapes = _body_stage(a)
-    g0 = GroupElement(conj0)
+    g0, parts, eigs, block_shapes = _body_stage(a)
     m = a.conjugate(g0)
     m, g = _refine(m, parts, filtration_log=filtration_log)
     conjugator = g0.compose(g)

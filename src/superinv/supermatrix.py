@@ -299,7 +299,7 @@ class SuperMatrix:
         """
         body_inv, rk = linalg.inverse_with_rank(self.body_rows())
         if body_inv is None:
-            raise SingularBody("matrix body is singular (rank %d of %d)" % (rk, self.dim), rank=rk)
+            raise _singular_body(rk, self.dim)
         gq = self.gq
         binv = SuperMatrix(
             self.shape,
@@ -467,24 +467,57 @@ class SuperMatrix:
         return cls(shape, parity, grid)
 
 
+def _singular_body(rk, dim):
+    return SingularBody("matrix body is singular (rank %d of %d)" % (rk, dim), rank=rk)
+
+
 class GroupElement:
-    """An invertible matrix together with its cached exact inverse."""
+    """An invertible matrix; its exact inverse is computed on first use.
 
-    __slots__ = ("matrix", "inverse")
+    The constructor tests the body's rank, so a singular body raises
+    SingularBody at once and every element has an invertible body.  The
+    inverse of a composed element is the product of its factors' inverses,
+    in the opposite order; any other one is `matrix.invert()`.  A composed
+    element keeps its two factors alive until its inverse is first read.
+    """
 
-    def __init__(self, matrix, inverse=None, _trusted=False):
+    __slots__ = ("matrix", "_inverse", "_factors")
+
+    def __init__(self, matrix, inverse=None, _trusted=False, _factors=None):
         if isinstance(matrix.shape, Standard) and matrix.parity != EVEN:
             raise ValidationError("standard-shaped group elements must be even")
-        if inverse is None:
-            inverse = matrix.invert()
-        elif not _trusted:
-            if not (matrix @ inverse).is_identity():
+        if inverse is not None:
+            if not _trusted and not (matrix @ inverse).is_identity():
                 raise ValidationError("supplied inverse does not invert the matrix")
+        elif _factors is None:
+            rk = linalg.rank(matrix.body_rows())
+            if rk < matrix.dim:
+                raise _singular_body(rk, matrix.dim)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "inverse", inverse)
+        object.__setattr__(self, "_inverse", inverse)
+        object.__setattr__(self, "_factors", _factors)
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupElement is immutable")
+
+    @property
+    def inverse(self):
+        # an explicit stack, not recursion, so a long chain of products unwinds
+        stack = [self]
+        while stack:
+            g = stack[-1]
+            if g._inverse is None and g._factors is None:
+                object.__setattr__(g, "_inverse", g.matrix.invert())
+            elif g._inverse is None:
+                pending = [f for f in g._factors if f._inverse is None]
+                if pending:
+                    stack.extend(pending)
+                    continue
+                first, second = g._factors
+                object.__setattr__(g, "_inverse", second._inverse @ first._inverse)
+                object.__setattr__(g, "_factors", None)
+            stack.pop()
+        return self._inverse
 
     @classmethod
     def identity(cls, shape, gq):
@@ -492,12 +525,8 @@ class GroupElement:
         return cls(e, e, _trusted=True)
 
     def compose(self, other):
-        """Group product; inverses compose in the opposite order."""
-        return GroupElement(
-            self.matrix @ other.matrix,
-            other.inverse @ self.inverse,
-            _trusted=True,
-        )
+        """Group product; its inverse is other^-1 self^-1 once it is read."""
+        return GroupElement(self.matrix @ other.matrix, _factors=(self, other))
 
     def inverted(self):
         return GroupElement(self.inverse, self.matrix, _trusted=True)

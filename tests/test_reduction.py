@@ -7,6 +7,7 @@ import pytest
 from superinv import (
     ANY,
     EVEN,
+    GroupElement,
     MultipleEigenvalue,
     NonSplitting,
     NotBlockDiagonalSquare,
@@ -362,6 +363,57 @@ def test_decomposition_serialization_round_trip():
     assert back.partition == dec.partition
     assert [lam for lam, _ in back.blocks] == [lam for lam, _ in dec.blocks]
     assert back.assembled() == dec.assembled()
+
+
+def _bump(q, parity):
+    """A soul term that fits an entry of the given parity (even for ANY)."""
+    x1, x2 = G.generator(q, 1), G.generator(q, 2)
+    return x1 if parity == ODD else x1 * x2
+
+
+def _with_entry_bumped(m):
+    """m with one soul term added to its (1, 1) entry, in m's parity class."""
+    rows = [list(row) for row in m.rows]
+    rows[0][0] = rows[0][0] + _bump(m.gq, m.parity)
+    return SuperMatrix(m.shape, m.parity, rows)
+
+
+def _certified_case(name):
+    """(a, decomposition) from one of the four reductions, on conjugated input."""
+    seed = 40
+    if name == "block_diagonalize":
+        a = random_queer_with_spectrum(3, [1, 1, 2], 3, seed, soul_terms=3)
+    elif name == "diagonalize":
+        a = random_queer_with_spectrum(2, [-1, 3], 3, seed, soul_terms=3)
+    elif name == "reduce_odd":
+        a = random_odd_reducible(2, [2, 5], 3, seed)
+    else:
+        h = random_sector_conjugator(2, 3, seed)
+        a = random_commuting_odd_pair(2, 3, seed + 1).conjugate(h)
+    reduce = {"block_diagonalize": block_diagonalize, "diagonalize": diagonalize,
+              "reduce_odd": reduce_odd, "antidiagonalize": antidiagonalize}[name]
+    return a, reduce(a)
+
+
+@pytest.mark.parametrize("name", ["block_diagonalize", "diagonalize", "reduce_odd",
+                                  "antidiagonalize"])
+def test_certificate_rejects_every_perturbation(name):
+    a, dec = _certified_case(name)
+    assert dec.verify(a)
+    # one block entry with a soul term changed
+    lam, block = dec.blocks[0]
+    blocks = [(lam, _with_entry_bumped(block))] + dec.blocks[1:]
+    assert not SpectralDecomposition(dec.conjugator, blocks, dec.partition, dec.parity).verify(a)
+    # the conjugator with a soul term changed; its body stays invertible
+    g = _with_entry_bumped(dec.conjugator.matrix)
+    moved = SpectralDecomposition(GroupElement(g), dec.blocks, dec.partition, dec.parity)
+    assert not moved.verify(a)
+    # a different matrix
+    assert not dec.verify(_with_entry_bumped(a))
+    assert not dec.verify(a * 2)
+    # a matrix of the wrong shape
+    with pytest.raises(ShapeMismatch):
+        dec.verify(SuperMatrix.identity(Queer(1), a.gq))
 
 
 @pytest.mark.parametrize("field, value", [

@@ -329,6 +329,93 @@ def test_conjugate_needs_a_group_element():
         a.conjugate(a)
 
 
+def test_group_element_inverse_is_the_matrix_inverse():
+    rng = random.Random(31)
+    for shape in (Queer(2), Standard(1, 2), Standard(2, 2)):
+        m = random_group_element(shape, 3, rng.randrange(1 << 30), 3).matrix
+        assert GroupElement(m).inverse == m.invert()
+
+
+def test_group_element_inverse_is_computed_on_first_use(monkeypatch):
+    m = random_group_element(Queer(2), 3, seed=32, coefficient_bound=3).matrix
+    want = m.invert()
+    calls = []
+    real = SuperMatrix.invert
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(SuperMatrix, "invert", counting)
+    g = GroupElement(m)
+    assert calls == []
+    # inverted() of an element whose inverse has not been computed yet
+    back = g.inverted()
+    assert back.matrix == want and back.inverse == m
+    assert g.inverse == want and len(calls) == 1
+    assert g.inverse is g.inverse and len(calls) == 1
+
+
+def test_group_element_singular_body_rejected_at_construction(monkeypatch):
+    q = 2
+    x1, x2 = gens(q)
+    singular = SuperMatrix(Queer(2), ANY, [[G.one(q), G.one(q) + x1], [x2, x1 * x2]])
+
+    def never(self):
+        raise AssertionError("invert() called")
+
+    monkeypatch.setattr(SuperMatrix, "invert", never)
+    with pytest.raises(SingularBody, match=r"matrix body is singular \(rank 1 of 2\)") as err:
+        GroupElement(singular)
+    assert err.value.rank == 1
+
+
+def test_group_element_stays_immutable():
+    g = random_group_element(Queer(2), 2, seed=33, coefficient_bound=3)
+    h = g.compose(g)
+    for element in (g, h):
+        for name in ("inverse", "matrix", "_inverse", "other"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(element, name, element.matrix)
+
+
+def test_long_compose_chains_invert_without_recursion():
+    h = GroupElement(SuperMatrix(Queer(1), ANY, [[G.rational(1, 2) + G.generator(1, 1)]]))
+    left = right = GroupElement.identity(Queer(1), 1)
+    for _ in range(3000):  # deeper than the interpreter's recursion limit
+        left, right = left.compose(h), h.compose(right)
+    want = h.matrix.invert() ** 3000
+    assert left.inverse == want and right.inverse == want
+
+
+def _dense_odd(n, body_values, gq, seed):
+    """A reducible odd matrix whose every entry carries a dense soul."""
+    from superinv.verify import random_odd_reducible
+
+    a = random_odd_reducible(n, body_values, gq, seed)
+    return a + random_matrix(a.shape, ODD, gq, seed + 1, 3, max_terms=6).soul()
+
+
+def test_composed_inverses_invert_exactly():
+    from superinv import block_diagonalize, reduce_odd
+    from superinv.verify import random_queer_with_spectrum
+
+    rng = random.Random(34)
+    chain = GroupElement.identity(Queer(2), 3)
+    for _ in range(4):
+        chain = chain.compose(random_group_element(Queer(2), 3, rng.randrange(1 << 30), 3))
+    conjugators = [chain, chain.compose(chain.inverted())]
+    for eigs in ([1, 1, 2], [-2, 3, 5]):
+        a = random_queer_with_spectrum(3, eigs, 4, rng.randrange(1 << 30), soul_terms=6)
+        conjugators.append(block_diagonalize(a).conjugator)
+    for values in ([2], [1, 4]):
+        a = _dense_odd(len(values), values, 4, rng.randrange(1 << 30))
+        conjugators.append(reduce_odd(a).conjugator)
+    for g in conjugators:
+        assert (g.matrix @ g.inverse).is_identity()
+        assert (g.inverse @ g.matrix).is_identity()
+
+
 def test_family_size():
     assert SuperMatrix.identity(Queer(3), 2).family_size() == 3
     assert SuperMatrix.zeros(Standard(2, 2), 2, ODD).family_size() == 2
