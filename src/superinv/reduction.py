@@ -9,9 +9,10 @@ per-monomial Sylvester equations pushes the support to degree d + 1.  After q
 levels the cross terms vanish identically.
 
 One body stage serves both shapes: a queer body is a single half, a standard
-body the two halves X and T.  reduce_odd reads its preconditions off the
-block reduction of its square instead of computing the square's spectrum
-twice.  Both odd forms, (R T; 1 0) and (0 Y; 1 0), end in the one
+body the two halves X and T.  reduce_odd runs the body stage on its square,
+reads its preconditions off the square's parts, and refines the square with
+A conjugated alongside: (h^-1 A h)^2 = h^-1 A^2 h, so no conjugator's inverse
+is ever multiplied out.  Both odd forms, (R T; 1 0) and (0 Y; 1 0), end in the one
 lower-identity step: conjugation of (X Y; Z T) by (1 -Z^-1 T Z; 0 Z).
 """
 
@@ -241,7 +242,7 @@ def _body_stage(a):
     conj = SuperMatrix.from_rationals(a.shape, parity, p_rows, a.gq)
     # the generalized eigenspaces span the body, so p_rows is invertible
     conj_inv = SuperMatrix.from_rationals(a.shape, parity, linalg.inverse(p_rows), a.gq)
-    return GroupElement(conj, conj_inv, _trusted=True), parts, eigs, block_shapes
+    return GroupElement(conj, _inverse=conj_inv), parts, eigs, block_shapes
 
 
 # ----------------------------------------------------------------------
@@ -293,7 +294,7 @@ def _lower_identity_step(a):
     one = SuperMatrix.identity(z.shape, a.gq)
     zero = SuperMatrix.zeros(z.shape, a.gq)
     return GroupElement(SuperMatrix.from_blocks(EVEN, one, -(zinv_t @ z), zero, z),
-                        SuperMatrix.from_blocks(EVEN, one, zinv_t, zero, zinv))
+                        _inverse=SuperMatrix.from_blocks(EVEN, one, zinv_t, zero, zinv))
 
 
 def _require_odd_square(a):
@@ -303,8 +304,12 @@ def _require_odd_square(a):
         raise ShapeMismatch("input must have odd parity class")
 
 
-def _refine(m, parts, filtration_log=None):
-    """Remove cross-partition terms degree by degree; exact conjugators."""
+def _refine(m, parts, filtration_log=None, root=None):
+    """Remove cross-partition terms degree by degree; exact conjugators.
+
+    Returns the refined m, the conjugator and root conjugated alongside m:
+    when root squares to m, each step keeps it a square root of the new m.
+    """
     gq = m.gq
     dim = m.dim
     body = m.body_rows()
@@ -350,12 +355,14 @@ def _refine(m, parts, filtration_log=None):
                                 )
         step = ident + SuperMatrix(shape, shape.group_parity, delta)
         # delta has degree >= level, so its powers past gq // level vanish
-        inv = geometric_sum(ident, ident - step, gq // level)
-        m = inv @ m @ step
-        g = g.compose(GroupElement(step, inv, _trusted=True))
+        h = GroupElement(step, _inverse=geometric_sum(ident, ident - step, gq // level))
+        m = m.conjugate(h)
+        if root is not None:
+            root = root.conjugate(h)
+        g = g.compose(h)
     if _cross_terms(parts, m):
         raise InternalError("cross terms survived the filtration")
-    return m, g
+    return m, g, root
 
 
 def block_diagonalize(a, filtration_log=None):
@@ -372,7 +379,7 @@ def block_diagonalize(a, filtration_log=None):
         raise ShapeMismatch("input must be queer or standard shaped")
     g0, parts, eigs, block_shapes = _body_stage(a)
     m = a.conjugate(g0)
-    m, g = _refine(m, parts, filtration_log=filtration_log)
+    m, g, _ = _refine(m, parts, filtration_log=filtration_log)
     conjugator = g0.compose(g)
     blocks = []
     partition = []
@@ -400,32 +407,34 @@ def reduce_odd(a):
     """
     _require_odd_square(a)
     n = a.shape.p
-    dec2 = block_diagonalize(a @ a)
+    square = a @ a
+    g0, parts, eigs, _ = _body_stage(square)
     # For A = (X Y; Z T) the square's body is diag(b(Y)b(Z), b(Z)b(Y)), and YZ
     # and ZY share a characteristic polynomial: both halves of the square's
     # body have one spectrum, so each eigenvalue's part is twice its multiplicity.
-    for lam, block in dec2.blocks:
+    for lam, part in zip(eigs, parts):
         if lam == 0:
             raise ZeroEigenvalue("the square's body has a zero eigenvalue")
-        if block.dim != 2:
+        if len(part) != 2:
             raise MultipleEigenvalue("the square's body has a repeated eigenvalue")
-    g1 = dec2.conjugator
-    m = a.conjugate(g1)
-    if _cross_terms([[i - 1 for i in part] for part in dec2.partition], m):
+    # (h^-1 A h)^2 = h^-1 A^2 h, so A rides along the refinement of its square
+    _, g, m = _refine(square.conjugate(g0), parts, root=a.conjugate(g0))
+    if _cross_terms(parts, m):
         raise InternalError("the matrix does not respect its square's blocks")
     # Z and T of m are diagonal, so the step's upper-right block is -T
     step = _lower_identity_step(m)
     final = m.conjugate(step)
     blocks = []
-    for (lam, _), part in zip(dec2.blocks, dec2.partition):
+    partition = []
+    for lam, part in zip(eigs, parts):
         if len(part) != 2 or part[0] + n != part[1]:
             raise InternalError("unexpected partition for an odd reduction")
-        e, o = part[0] - 1, part[1] - 1
-        block = final.submatrix([e, o], [e, o], Standard(1, 1), ODD)
+        block = final.submatrix(part, part, Standard(1, 1), ODD)
         if block.rows[1][0] != 1 or not block.rows[1][1].is_zero():
             raise InternalError("block did not reach the (R T; 1 0) form")
         blocks.append((lam, block))
-    return SpectralDecomposition(g1.compose(step), blocks, dec2.partition, ODD)
+        partition.append([i + 1 for i in part])
+    return SpectralDecomposition(g0.compose(g).compose(step), blocks, partition, ODD)
 
 
 def antidiagonalize(a):

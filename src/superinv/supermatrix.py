@@ -476,60 +476,45 @@ class GroupElement:
 
     The constructor tests the body's rank, so a singular body raises
     SingularBody at once and every element has an invertible body.  The
-    inverse of a composed element is the product of its factors' inverses,
-    in the opposite order; any other one is `matrix.invert()`.  A composed
-    element keeps its two factors alive until its inverse is first read.
+    inverse is `matrix.invert()`, read once and cached.  The private
+    `_inverse` carries an inverse the library has built exactly itself and
+    is not checked.
     """
 
-    __slots__ = ("matrix", "_inverse", "_factors")
+    __slots__ = ("matrix", "_inverse")
 
-    def __init__(self, matrix, inverse=None, _trusted=False, _factors=None):
+    def __init__(self, matrix, *, _inverse=None):
+        if not isinstance(matrix, SuperMatrix):
+            raise ShapeMismatch("GroupElement needs a SuperMatrix")
         if isinstance(matrix.shape, Standard) and matrix.parity != EVEN:
             raise ValidationError("standard-shaped group elements must be even")
-        if inverse is not None:
-            if not _trusted and not (matrix @ inverse).is_identity():
-                raise ValidationError("supplied inverse does not invert the matrix")
-        elif _factors is None:
+        if _inverse is None:
             rk = linalg.rank(matrix.body_rows())
             if rk < matrix.dim:
                 raise _singular_body(rk, matrix.dim)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_inverse", inverse)
-        object.__setattr__(self, "_factors", _factors)
+        object.__setattr__(self, "_inverse", _inverse)
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupElement is immutable")
 
     @property
     def inverse(self):
-        # an explicit stack, not recursion, so a long chain of products unwinds
-        stack = [self]
-        while stack:
-            g = stack[-1]
-            if g._inverse is None and g._factors is None:
-                object.__setattr__(g, "_inverse", g.matrix.invert())
-            elif g._inverse is None:
-                pending = [f for f in g._factors if f._inverse is None]
-                if pending:
-                    stack.extend(pending)
-                    continue
-                first, second = g._factors
-                object.__setattr__(g, "_inverse", second._inverse @ first._inverse)
-                object.__setattr__(g, "_factors", None)
-            stack.pop()
+        if self._inverse is None:
+            object.__setattr__(self, "_inverse", self.matrix.invert())
         return self._inverse
 
     @classmethod
     def identity(cls, shape, gq):
         e = SuperMatrix.identity(shape, gq)
-        return cls(e, e, _trusted=True)
+        return cls(e, _inverse=e)
 
     def compose(self, other):
-        """Group product; its inverse is other^-1 self^-1 once it is read."""
-        return GroupElement(self.matrix @ other.matrix, _factors=(self, other))
+        """Group product self @ other: one matmul and a body rank test."""
+        return GroupElement(self.matrix @ other.matrix)
 
     def inverted(self):
-        return GroupElement(self.inverse, self.matrix, _trusted=True)
+        return GroupElement(self.inverse, _inverse=self.matrix)
 
     def __repr__(self):
         return "GroupElement(%r)" % (self.matrix,)

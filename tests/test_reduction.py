@@ -28,8 +28,11 @@ from superinv import (
     reduce_odd,
     solve_sylvester,
 )
+from superinv import cli, reduction
+from superinv.errors import InternalError
 from superinv.grassmann import GrassmannScalar as G
 from superinv.reduction import SpectralDecomposition
+from superinv.supermatrix import random_matrix
 from superinv.verify import (
     random_commuting_odd_pair,
     random_odd_reducible,
@@ -290,6 +293,74 @@ def test_reduce_odd_rejections():
     c = SuperMatrix.from_rationals(Queer(2), ANY, [[1, 0], [0, 2]], 2)
     with pytest.raises(ShapeMismatch):
         reduce_odd(c)
+
+
+def _dense_odd(n, body_values, gq, seed):
+    """A reducible odd matrix whose every entry carries a dense soul."""
+    a = random_odd_reducible(n, body_values, gq, seed)
+    return a + random_matrix(a.shape, ODD, gq, seed + 1, 3, max_terms=6).soul()
+
+
+def _reduce_odd_through_the_square(a, filtration_log):
+    """reduce_odd by the older route: block-diagonalize A^2, then conjugate A by
+    that conjugator, which multiplies out its inverse."""
+    dec2 = block_diagonalize(a @ a, filtration_log=filtration_log)
+    g1 = GroupElement(dec2.conjugator.matrix)
+    m = a.conjugate(g1)
+    step = reduction._lower_identity_step(m)
+    final = m.conjugate(step)
+    blocks = []
+    for (lam, _), part in zip(dec2.blocks, dec2.partition):
+        idx = [i - 1 for i in part]
+        blocks.append((lam, final.submatrix(idx, idx, Standard(1, 1), ODD)))
+    return SpectralDecomposition(g1.compose(step), blocks, dec2.partition, ODD)
+
+
+def test_reduce_odd_matches_the_square_route():
+    rng = random.Random(50)
+    refined = 0
+    for n in (1, 2, 3):
+        for gq in (4, 5):
+            a = _dense_odd(n, rng.sample(range(1, 8), n), gq, rng.randrange(1 << 30))
+            log = []
+            want = _reduce_odd_through_the_square(a, log)
+            got = reduce_odd(a)
+            assert got.to_obj() == want.to_obj()
+            assert got.verify(a)
+            refined += sum(level is not None for level in log) > 1
+    # every case with n >= 2 refines its square over several filtration levels
+    assert refined == 4
+
+
+def _corrupt_lower_identity_step(monkeypatch):
+    """Make the lower-identity step carry a wrong inverse: one soul term more
+    in its upper-right block."""
+    real = reduction._lower_identity_step
+
+    def corrupted(a):
+        h = real(a)
+        n = h.matrix.shape.p
+        rows = [list(row) for row in h.inverse.rows]
+        rows[0][n] = rows[0][n] + G.generator(h.matrix.gq, 1)
+        return GroupElement(h.matrix, _inverse=SuperMatrix(h.matrix.shape, EVEN, rows))
+
+    monkeypatch.setattr(reduction, "_lower_identity_step", corrupted)
+
+
+def test_a_wrong_step_inverse_is_caught(monkeypatch, tmp_path):
+    q = 2
+    x1, x2 = G.generator(q, 1), G.generator(q, 2)
+    a = SuperMatrix(Standard(1, 1), ODD, [[x1, G.rational(q, 2)], [G.rational(q, 3), x2]])
+    b = random_commuting_odd_pair(2, 3, seed=111)
+    assert reduce_odd(a).verify(a)
+    antidiagonalize(b)
+    _corrupt_lower_identity_step(monkeypatch)
+    assert not reduce_odd(a).verify(a)
+    with pytest.raises(InternalError, match="diagonal blocks survived"):
+        antidiagonalize(b)
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(a.to_obj()))
+    assert cli.main(["reduce", str(path), "--mode", "odd"]) == 5
 
 
 def test_antidiagonalize_trivial():

@@ -356,6 +356,12 @@ def test_group_element_inverse_is_computed_on_first_use(monkeypatch):
     assert g.inverse is g.inverse and len(calls) == 1
 
 
+@pytest.mark.parametrize("matrix", [5, None, [[1]], G.one(2)])
+def test_group_element_needs_a_supermatrix(matrix):
+    with pytest.raises(ShapeMismatch, match="GroupElement needs a SuperMatrix"):
+        GroupElement(matrix)
+
+
 def test_group_element_singular_body_rejected_at_construction(monkeypatch):
     q = 2
     x1, x2 = gens(q)
