@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import (
     GeneratorCountMismatch,
@@ -28,9 +29,11 @@ from .errors import (
 )
 from .grassmann import (
     GrassmannScalar,
+    disjoint_table,
     geometric_sum,
     integer_numerators,
     is_int,
+    mul_table_into,
     mul_terms_into,
     prune_terms,
 )
@@ -41,6 +44,14 @@ ODD = "odd"
 ANY = "any"
 
 _PARITIES = (EVEN, ODD, ANY)
+
+# The gate of the table kernel in `SuperMatrix.__matmul__`: per generator
+# count it serves, the density it needs, as a fraction of the 2**gq
+# monomials an entry of the right factor holds on average.  The cuts are
+# where the two kernels break even on the products the benchmark workloads
+# make: near 1/4 at gq 4, near 1/8 at gq 5..7.  No workload makes products
+# at gq 8..10, which keep 1/8; single products there break even lower.
+_TABLE_DENSITY = {4: 1 / 4, **dict.fromkeys(range(5, 11), 1 / 8)}
 
 
 @dataclass(frozen=True)
@@ -255,18 +266,40 @@ class SuperMatrix:
             return NotImplemented
         self._check_compatible(other)
         gq = self.gq
-        # integer numerators over one denominator per row of self and per
-        # column of other, so the pair kernel multiplies and adds plain ints
+        # Integer numerators over one denominator per row of self and per
+        # column of other, so either kernel multiplies and adds plain ints.
+        # The one gate: at a gq in _TABLE_DENSITY, a right factor whose
+        # entries average at least that share of the 2**gq monomials takes
+        # the table kernel, which reads each column entry as a dense list and
+        # visits only disjoint pairs.  Below gq 4 products are a few terms
+        # each and the table measured slower over whole verify runs, above
+        # gq 10 the table's memory grows 3x per generator, and on sparse
+        # factors most table steps read zeros: these stay on the pair kernel.
+        # The gate reads only the right factor, in O(n**2) len() calls; the
+        # table walks 2**(gq - degree) tuples per left term, so left factors
+        # of low degree still cost it more than the gate sees.
         rows = [integer_numerators([x.terms for x in row]) for row in self.rows]
         cols = [integer_numerators([y.terms for y in col]) for col in zip(*other.rows)]
+        size = 1 << gq
+        cut = _TABLE_DENSITY.get(gq)
+        dense = cut is not None and (sum(len(y.terms) for row in other.rows for y in row)
+                                     >= cut * size * self.dim ** 2)
+        if dense:
+            kernel = partial(mul_table_into, disjoint_table(gq))
+            cols = [(d_col, [[y.get(m, 0) for m in range(size)] if y else None for y in col])
+                    for d_col, col in cols]
+        else:
+            kernel = mul_terms_into
         out = []
         for d_row, row in rows:
             out_row = []
             for d_col, col in cols:
-                acc = {}
+                acc = [0] * size if dense else {}
                 for x, y in zip(row, col):
                     if x and y:
-                        mul_terms_into(acc, x, y)
+                        kernel(acc, x, y)
+                if dense:
+                    acc = {m: c for m, c in enumerate(acc) if c}
                 out_row.append(GrassmannScalar._raw(gq, prune_terms(acc, d_row * d_col)))
             out.append(out_row)
         parity = _product_parity(self.parity, other.parity)

@@ -4,9 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from superinv import grassmann, supermatrix
 from superinv.errors import GeneratorCountMismatch, ValidationError, ZeroBody
-from superinv.grassmann import GrassmannScalar, below_parity, mask_to_indices, merge_sign
-from superinv.supermatrix import ANY, Queer, SuperMatrix
+from superinv.grassmann import (
+    GrassmannScalar,
+    below_parity,
+    disjoint_table,
+    mask_to_indices,
+    merge_sign,
+)
+from superinv.supermatrix import ANY, ODD, Queer, Standard, SuperMatrix
 from superinv.sympoly import SuperPolynomial, TTauExpression
 
 
@@ -168,6 +175,143 @@ def test_sign_table_is_bounded_by_the_masks():
     x * y
     matmul_1x1(x, y)
     assert below_parity.cache_info().currsize <= len(y.terms) <= 1 << q
+
+
+# ----------------------------------------------------------------------
+# the two matrix kernels: the pair kernel and the disjoint-pair table
+
+
+def test_disjoint_table_lists_the_disjoint_pairs_with_their_signs():
+    for q in range(7):
+        table = disjoint_table(q)
+        assert len(table) == 1 << q
+        assert sum(len(row) for row in table) == 3 ** q
+        for m1, row in enumerate(table):
+            assert sorted(m2 for m2, _m, _s in row) == [m2 for m2 in range(1 << q) if not m1 & m2]
+            for m2, m, sign in row:
+                assert m == m1 | m2 and sign == merge_sign(m1, m2)
+
+
+def kernel_entry(rng, q, parity, density, denominators, count=None):
+    """Each monomial of the given parity (0, 1, or None for any) present
+    with probability density, or count of them when count is given."""
+    masks = [m for m in range(1 << q) if parity is None or m.bit_count() % 2 == parity]
+    if count is not None:
+        masks, density = rng.sample(masks, count), 1
+    return GrassmannScalar(q, {
+        m: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice(denominators))
+        for m in masks if rng.random() < density})
+
+
+def kernel_matrix(rng, shape, q, density, denominators, count=None):
+    """A queer matrix of any parity, or an odd standard (n|n) one; above
+    1 x 1, a fifth of the entries are zero."""
+    odd = isinstance(shape, Standard)
+    zero = GrassmannScalar.zero(q)
+    rows = [[zero if shape.dim > 1 and rng.random() < 0.2
+             else kernel_entry(rng, q, ((i < shape.p) == (j < shape.p)) if odd else None,
+                               density, denominators, count)
+             for j in range(shape.dim)] for i in range(shape.dim)]
+    return SuperMatrix(shape, ODD if odd else ANY, rows)
+
+
+def naive_matmul(a, b):
+    dim = a.dim
+    return [[sum((naive_mul(a.rows[i][k], b.rows[k][j]) for k in range(dim)),
+                 GrassmannScalar.zero(a.gq))
+             for j in range(dim)] for i in range(dim)]
+
+
+KERNEL_SHAPES = (Queer(1), Queer(2), Queer(3), Standard(1, 1), Standard(2, 2))
+MIXED = (1, 2, 3, 7, 1000003)
+
+
+def assert_matmul_matches_naive(a, b):
+    got = a @ b
+    want = naive_matmul(a, b)
+    for i in range(a.dim):
+        for j in range(a.dim):
+            assert got.rows[i][j] == want[i][j], (i, j)
+            assert_ints_stored_as_int(got.rows[i][j])
+
+
+@pytest.mark.parametrize("gq", [3, 4])
+@pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=repr)
+def test_matmul_matches_naive_oracle_at_the_table_floor(gq, shape):
+    # gq 3 is below the table's floor, gq 4 on it; sparse right factors
+    # (0.05) stay on the pair kernel, full ones take the table at gq 4
+    rng = random.Random(53 + gq + 10 * shape.dim)
+    for denominators in ((1,), MIXED):
+        for left in (0.3, 1):
+            for right in (0.05, 1):
+                a = kernel_matrix(rng, shape, gq, left, denominators)
+                b = kernel_matrix(rng, shape, gq, right, denominators)
+                assert_matmul_matches_naive(a, b)
+
+
+@pytest.mark.parametrize("gq", [10, 11])
+@pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=repr)
+def test_matmul_matches_naive_oracle_at_the_table_cap(gq, shape):
+    # gq 10 is the table's cap, gq 11 above it; a right factor at density
+    # 1/2 or 1 passes the density gate.  Left entries hold two terms, so
+    # that the oracle's pairs stay few.
+    rng = random.Random(59 + gq + 10 * shape.dim)
+    denominators = (1,) if shape.dim % 2 else MIXED
+    a = kernel_matrix(rng, shape, gq, 1, denominators, count=2)
+    b = kernel_matrix(rng, shape, gq, 0.5, MIXED)
+    assert_matmul_matches_naive(a, b)
+    if shape.dim <= 2:
+        b = kernel_matrix(rng, shape, gq, 1, (1,))
+        assert_matmul_matches_naive(a, b)
+
+
+def first_terms(q, count):
+    return GrassmannScalar(q, {m: m + 1 for m in range(count)})
+
+
+@pytest.mark.parametrize("gq, right, kernel", [
+    (3, [[8]], "pair"),  # full, but below the floor
+    (4, [[4]], "table"),  # 2**4 / 4 terms: on the gq 4 cut
+    (4, [[3]], "pair"),
+    (4, [[16, 0], [0, 0]], "table"),  # the gate reads the average entry: 4 terms
+    (4, [[4, 4], [4, 3]], "pair"),  # 3.75 terms on average
+    (5, [[4]], "table"),  # 2**5 / 8 terms: on the cut of gq 5..10
+    (5, [[3]], "pair"),
+    (10, [[128]], "table"),
+    (10, [[127]], "pair"),
+    (11, [[2048]], "pair"),  # full, but above the cap
+])
+def test_gate_picks_the_kernel(monkeypatch, gq, right, kernel):
+    calls = {"pair": 0, "table": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(supermatrix, "mul_terms_into",
+                        counted("pair", supermatrix.mul_terms_into))
+    monkeypatch.setattr(supermatrix, "mul_table_into",
+                        counted("table", supermatrix.mul_table_into))
+    shape = Queer(len(right))
+    a = SuperMatrix(shape, ANY, [[first_terms(gq, 1)] * shape.n] * shape.n)
+    b = SuperMatrix(shape, ANY, [[first_terms(gq, k) for k in row] for row in right])
+    a @ b
+    other = "table" if kernel == "pair" else "pair"
+    assert calls[kernel] > 0 and calls[other] == 0, calls
+
+
+def test_scalar_products_stay_on_the_pair_kernel(monkeypatch):
+    calls = []
+    kernel = grassmann.mul_terms_into
+    monkeypatch.setattr(grassmann, "mul_terms_into",
+                        lambda *args: calls.append("pair") or kernel(*args))
+    monkeypatch.setattr(supermatrix, "mul_table_into",
+                        lambda *args: calls.append("table"))
+    x = first_terms(5, 32)
+    assert x * x == naive_mul(x, x)
+    assert calls == ["pair"]
 
 
 def test_merge_sign_small_cases():
