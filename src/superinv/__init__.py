@@ -56,7 +56,6 @@ from .sympoly import (
     SuperPolynomial,
     TTauExpression,
     assemble_invariant,
-    check_diag_invariance,
     elementary_from_roots,
     invariant_decomposition,
     invariant_normal_form,

@@ -282,7 +282,7 @@ def balanced_corpus(n, seed, combos=4):
         corpus.append(BalancedExpression(x2 - u1 * x1, u2))
     monos = []
     for weight in range(1, cap + 1):
-        for exps, mask in _ttau_monomials(n, weight, max_odd=n):
+        for exps, mask in _ttau_monomials(n, weight):
             monos.append((exps, mask))
     candidates = [TTauExpression.monomial(n, n, e, m) for e, m in monos]
     pullbacks = [c.expand(even_basis="s") for c in candidates]

@@ -11,7 +11,8 @@ the algebra rewrites into: the one ring implementation serves both, and
 (t_k, tau_k and s_j) are pure functions of two small ints, so each is built
 once and then served from a module-level table.
 `coefficient_matrix` turns term dicts into the exact linear systems that
-rewriting and the balance conditions solve.
+rewriting and the balance conditions solve; the invariant normal form needs
+no solve, since it reads its coefficients off the invariant decomposition.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from operator import add
+from operator import add, lt
 
 from . import linalg
 from .errors import InternalError, NotInvariant, NotSymmetric, ValidationError
@@ -237,7 +238,7 @@ class SuperPolynomial(SparseRingElement):
     def permute(self, perm):
         """Apply a permutation of variable indices (0-based image list)."""
         width = self.width
-        if sorted(perm) != list(range(width)):
+        if not all(map(is_int, perm)) or sorted(perm) != list(range(width)):
             raise ValidationError("perm must be a permutation of 0..n-1")
         out = {}
         for (exps, mask), c in self.terms.items():
@@ -609,16 +610,6 @@ def _residual_witness(num, den):
     return (True, None) if residual.is_zero() else (False, (1, residual))
 
 
-def check_diag_invariance(f):
-    """Whether b_i df/da_i vanishes for every i, f symmetric or not; returns
-    (True, None) or (False, (i, residual)) for the first i where it does not."""
-    for i in range(1, f.n + 1):
-        residual = balance_residual(f, 1, i)
-        if not residual.is_zero():
-            return False, (i, residual)
-    return True, None
-
-
 def _require_invariant(f):
     """Raise NotInvariant, with its witness, unless f is symmetric and odd-invariant."""
     ok, witness = f.is_symmetric()
@@ -701,21 +692,20 @@ def vandermonde_adjoint(n):
     return m, mp
 
 
-def _ttau_monomials(symbol_range, weight, max_odd):
-    """All (exps, mask) with sum k*E_k + sum_{k in mask} k == weight, |mask| <= max_odd."""
+def _ttau_monomials(symbol_range, weight):
+    """All (exps, mask) with sum k*E_k + sum_{k in mask} k == weight."""
     masks = []
 
-    def rec_mask(k, mask, w, count):
+    def rec_mask(k, mask, w):
         if w > weight:
             return
         if k > symbol_range:
             masks.append((mask, w))
             return
-        rec_mask(k + 1, mask, w, count)
-        if count < max_odd:
-            rec_mask(k + 1, mask | (1 << (k - 1)), w + k, count + 1)
+        rec_mask(k + 1, mask, w)
+        rec_mask(k + 1, mask | (1 << (k - 1)), w + k)
 
-    rec_mask(1, 0, 0, 0)
+    rec_mask(1, 0, 0)
     out = []
     for mask, wm in masks:
         target = weight - wm
@@ -748,20 +738,24 @@ def coefficient_matrix(columns):
     return matrix
 
 
-def _match_by_degree(f, symbol_range, keep):
-    """The TTauExpression whose expansion matches f in every positive degree.
+def rewrite_symmetric(f):
+    """Rewrite a symmetric polynomial in the power-sum symbols.
 
-    Each degree is one exact solve over the monomials of that weight that pass
-    `keep`; raises InternalError when the system is not uniquely solvable
-    (the rewriting theorems guarantee it is).
+    Returns the unique TTauExpression g with g(t_1..t_n, tau_1..tau_n) = f,
+    found degree by degree: each degree is one exact solve over the symbol
+    monomials of that weight, and raises InternalError when the system is not
+    uniquely solvable (the rewriting theorem guarantees it is).
     """
+    ok, witness = f.is_symmetric()
+    if not ok:
+        raise NotSymmetric("polynomial is not symmetric", transposition=witness)
     n = f.n
-    terms = {}
+    terms = {((0,) * n, 0): f.constant_term()}
     for d in f.degrees():
         if d == 0:
             continue
-        keys = [key for key in _ttau_monomials(symbol_range, d, max_odd=n) if keep(key)]
-        columns = [TTauExpression.monomial(n, symbol_range, *key).expand().terms for key in keys]
+        keys = _ttau_monomials(n, d)
+        columns = [TTauExpression.monomial(n, n, *key).expand().terms for key in keys]
         matrix = coefficient_matrix(columns + [f.homogeneous_component(d).terms])
         solution, free = linalg.solve_general([row[:-1] for row in matrix],
                                               [row[-1] for row in matrix])
@@ -769,21 +763,8 @@ def _match_by_degree(f, symbol_range, keep):
             raise InternalError("coefficient matching is inconsistent")
         if free:
             raise InternalError("coefficient matching is underdetermined")
-        terms.update((key, c) for key, c in zip(keys, solution) if c != 0)
-    return TTauExpression(n, symbol_range, terms)
-
-
-def rewrite_symmetric(f):
-    """Rewrite a symmetric polynomial in the power-sum symbols.
-
-    Returns the unique TTauExpression g with g(t_1..t_n, tau_1..tau_n) = f,
-    found degree by degree through exact coefficient matching.
-    """
-    ok, witness = f.is_symmetric()
-    if not ok:
-        raise NotSymmetric("polynomial is not symmetric", transposition=witness)
-    return (TTauExpression.constant(f.n, f.n, f.constant_term())
-            + _match_by_degree(f, f.n, lambda key: True))
+        terms.update(zip(keys, solution))
+    return TTauExpression(n, n, terms)
 
 
 def is_balanced(h):
@@ -806,12 +787,26 @@ def invariant_normal_form(f):
     Returns a TTauExpression with no even symbols: a constant plus products
     x_{i1}..x_{is} of length at most n; substitution of the concrete odd
     moments reproduces f exactly, and the coefficients are unique.
+
+    The coefficients are read off `invariant_decomposition`.  For
+    t_1 < .. < t_s, the product tau_(t_1)..tau_(t_s) is the only odd-moment
+    product whose expansion holds b_1..b_s a_1^(t_1-1)..a_s^(t_s-1), and it
+    holds it with coefficient 1.  So x_(t_1)..x_(t_s) gets the coefficient of
+    a^e, e_l = t_l - 1, in f_s.  The decomposition certifies f_s
+    skew-symmetric, hence the unique combination of the alternants
+    det[a_j^(e_l)] over strictly increasing e, each weighted by its
+    coefficient of a^e; and it certifies that the components reassemble to
+    f.  Those two self-checks certify the result.
     """
-    _require_invariant(f)
+    constant, components = invariant_decomposition(f)
     symbol_range = max([d for d in f.degrees() if d > 0] + [1, f.n])
-    pure_odd = lambda key: key[1] != 0 and not any(key[0])
-    return (TTauExpression.constant(f.n, symbol_range, f.constant_term())
-            + _match_by_degree(f, symbol_range, pure_odd))
+    no_even = (0,) * symbol_range
+    terms = {(no_even, 0): constant}
+    for comp in components:
+        for (exps, _zero), c in comp.terms.items():
+            if all(map(lt, exps, exps[1:])):
+                terms[(no_even, sum(1 << e for e in exps))] = c
+    return TTauExpression(f.n, symbol_range, terms)
 
 
 def elementary_from_roots(values):

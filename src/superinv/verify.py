@@ -574,7 +574,7 @@ def suite_thm_3_2(seed):
         cap = 5
         monos = []
         for w in range(1, cap + 1):
-            monos.extend(_ttau_monomials(n, w, max_odd=n))
+            monos.extend(_ttau_monomials(n, w))
         expr = TTauExpression.zero(n, n)
         for _ in range(rng.randint(1, 4)):
             exps, mask = monos[rng.randrange(len(monos))]

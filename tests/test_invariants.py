@@ -295,14 +295,14 @@ def test_residual_rows_same_for_integer_one():
     for n in (2, 3):
         pullbacks = [TTauExpression.monomial(n, n, e, m).expand(even_basis="s")
                      for weight in range(1, min(2 * n, n + 2) + 1)
-                     for e, m in _ttau_monomials(n, weight, max_odd=n)]
+                     for e, m in _ttau_monomials(n, weight)]
         assert _residual_rows(pullbacks, 1) == _residual_rows(pullbacks, SuperPolynomial.one(n))
 
 
 def _corpus_pullbacks(n):
     return [TTauExpression.monomial(n, n, e, m).expand(even_basis="s")
             for weight in range(1, min(2 * n, n + 2) + 1)
-            for e, m in _ttau_monomials(n, weight, max_odd=n)]
+            for e, m in _ttau_monomials(n, weight)]
 
 
 def _per_index_residual_rows(polys, den, n):

@@ -185,7 +185,7 @@ def check_callers(monkeypatch, a, b=None):
 
 def rewrite_system(n, degree):
     """The coefficient matrix of one rewriting solve: int entries, tall and sparse."""
-    keys = _ttau_monomials(n, degree, max_odd=n)
+    keys = _ttau_monomials(n, degree)
     return coefficient_matrix([TTauExpression.monomial(n, n, *key).expand().terms
                                for key in keys])
 

@@ -203,7 +203,7 @@ def test_corpus_kernel_against_sympy():
     n = 3
     pullbacks = [TTauExpression.monomial(n, n, e, m).expand(even_basis="s")
                  for weight in range(1, min(2 * n, n + 2) + 1)
-                 for e, m in _ttau_monomials(n, weight, max_odd=n)]
+                 for e, m in _ttau_monomials(n, weight)]
     a = _residual_rows(pullbacks, 1)
     assert (len(a), len(a[0])) == (81, 44)
     assert linalg.nullspace(a)
@@ -230,7 +230,7 @@ def check_solve(a, b):
 def test_solve_general_against_sympy():
     rng = random.Random(20)
     rewrite = coefficient_matrix([TTauExpression.monomial(3, 3, *key).expand().terms
-                                  for key in _ttau_monomials(3, 6, max_odd=3)])
+                                  for key in _ttau_monomials(3, 6)])
     systems = [rewrite]
     for _ in range(12):  # tall, sparse, int
         rows, cols = rng.randint(20, 60), rng.randint(4, 12)

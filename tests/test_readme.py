@@ -1,10 +1,15 @@
-"""The README's quick example runs, the values its comments state hold, and
-its command line section matches the parser and the suite table."""
+"""The README's quick example runs, the values its comments state hold, its
+command line section matches the parser and the suite table, and every name
+its library overview cites exists."""
 
 import argparse
+import importlib
+import inspect
+import pkgutil
 import re
 from pathlib import Path
 
+import superinv
 from superinv.cli import build_parser
 from superinv.verify import SUITES
 
@@ -91,3 +96,40 @@ def test_readme_lists_every_suite():
     sentence = re.search(r"Suites: (.*?), or `all`", _section("Command line"), re.S).group(1)
     names = re.findall(r"`([^`]+)`", sentence)
     assert sorted(names) == sorted(SUITES)
+
+
+# ----------------------------------------------------------------------
+# the "Library overview" table against the package
+
+NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)?")
+
+
+def _package_scopes():
+    """superinv, its submodules and the classes they define: where a name may live."""
+    modules = [superinv] + [importlib.import_module("superinv." + info.name)
+                            for info in pkgutil.iter_modules(superinv.__path__)]
+    return modules + [obj for mod in modules for obj in vars(mod).values()
+                      if inspect.isclass(obj) and obj.__module__.startswith("superinv.")]
+
+
+def _resolve(name, scopes):
+    """Every object the bare name can stand for."""
+    if name == "superinv":
+        return [superinv]
+    return [getattr(scope, name) for scope in scopes if hasattr(scope, name)]
+
+
+def test_readme_overview_names_exist():
+    """Each backticked identifier or dotted `A.b` in the table resolves in the
+    package; tokens with other characters, such as `Q(n)`, are notation."""
+    scopes = _package_scopes()
+    rows = [line for line in _section("Library overview").splitlines() if line.startswith("| ")]
+    tokens = {t for row in rows for t in re.findall(r"`([^`]+)`", row) if NAME.fullmatch(t)}
+    assert len(tokens) > 40
+    missing = []
+    for token in sorted(tokens):
+        head, _, attr = token.partition(".")
+        found = _resolve(head, scopes)
+        if not (found and (not attr or any(hasattr(obj, attr) for obj in found))):
+            missing.append(token)
+    assert missing == []

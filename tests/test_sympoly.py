@@ -17,7 +17,6 @@ from superinv import (
     TTauExpression,
     ValidationError,
     assemble_invariant,
-    check_diag_invariance,
     elementary_from_roots,
     evaluate_invariant,
     invariant_decomposition,
@@ -31,6 +30,7 @@ from superinv import (
     vandermonde_adjoint,
     verify_recurrence,
 )
+from superinv.grassmann import mask_to_indices
 from superinv.sympoly import _sort_sign
 
 G = GrassmannScalar
@@ -60,6 +60,14 @@ def test_permutation_action_signs():
     assert swapped == -f
 
 
+def test_permute_rejects_non_int_entries():
+    f = ov(2, 1) * ev(2, 2)
+    for perm in ([0.0, 1.0], [True, False]):
+        with pytest.raises(ValidationError, match="^perm must be a permutation of 0..n-1$"):
+            f.permute(perm)
+    assert f.permute((1, 0)) == ov(2, 2) * ev(2, 1)
+
+
 def test_is_symmetric_witness():
     f = ev(3, 1)
     ok, witness = f.is_symmetric()
@@ -87,16 +95,6 @@ def test_nonhomogeneous_power_sum_identity():
 
 # ----------------------------------------------------------------------
 # invariance conditions and the structure decomposition
-
-
-def test_check_diag_invariance_examples():
-    assert check_diag_invariance(ov(2, 1) + ov(2, 2))[0]
-    ok, witness = check_diag_invariance(ev(2, 1))
-    assert not ok
-    assert witness[0] == 1 and witness[1] == ov(2, 1)
-    # f need not be symmetric: the first nonzero residual is the second one
-    assert check_diag_invariance(ev(2, 2)) == (False, (2, ov(2, 2)))
-    assert check_diag_invariance(ov(2, 1) * ov(2, 2) * (ev(2, 1) - ev(2, 2)))[0]
 
 
 def test_invariant_decomposition_examples():
@@ -254,7 +252,7 @@ def test_rewrite_uniqueness_round_trip():
         n = rng.randint(1, 3)
         monos = []
         for w in range(1, 6):
-            monos.extend(_ttau_monomials(n, w, max_odd=n))
+            monos.extend(_ttau_monomials(n, w))
         expr = TTauExpression.zero(n, n)
         for _ in range(rng.randint(1, 4)):
             exps, mask = monos[rng.randrange(len(monos))]
@@ -419,6 +417,31 @@ def test_normal_form_examples():
     f3 = power_sum_odd(n, 1) * power_sum_odd(n, 2) * power_sum_odd(n, 3)
     assert f3.is_zero()
     assert invariant_normal_form(f3).is_zero()
+
+
+def test_normal_form_reads_planted_products_at_n_4_and_5():
+    """Random combinations of distinct odd moments tau_i (i <= 2n, at most n
+    factors) come back with their planted coefficients, constant included."""
+    rng = random.Random(2205)
+    for n in (4, 5):
+        products = [t for size in range(1, n + 1) for t in combinations(range(1, 2 * n + 1), size)]
+        for _ in range(3):
+            constant = rng.choice([0, -2, Fraction(3, 4)])
+            planted = {sum(1 << (i - 1) for i in t): rng.choice([-3, -1, 2, Fraction(1, 2)])
+                       for t in rng.sample(products, 3)}
+            f = SuperPolynomial.constant(n, constant)
+            for mask, c in planted.items():
+                product = SuperPolynomial.constant(n, c)
+                for i in mask_to_indices(mask):
+                    product = product * power_sum_odd(n, i)
+                f = f + product
+            nf = invariant_normal_form(f)
+            assert nf.expand() == f
+            assert nf.terms == {((0,) * nf.symbol_range, m): c
+                                for m, c in [(0, constant), *planted.items()] if c}
+    with pytest.raises(NotInvariant, match="^polynomial is not invariant under the odd action$") as err:
+        invariant_normal_form(power_sum_even(4, 2))
+    assert err.value.witness == (1, 2 * ov(4, 1) * ev(4, 1))
 
 
 def test_products_of_length_n_plus_one_vanish():
