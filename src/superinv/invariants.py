@@ -18,16 +18,14 @@ from fractions import Fraction
 from . import linalg
 from .errors import (
     InternalError,
-    MultipleEigenvalue,
     NotInL,
     NotInvariant,
     ShapeMismatch,
     ValidationError,
     ZeroDiscriminant,
-    ZeroEigenvalue,
 )
 from .grassmann import GrassmannScalar, is_int
-from .reduction import diagonalize, rational_spectrum, reduce_odd
+from .reduction import _eligible_spectrum, _relevant_body, diagonalize, reduce_odd
 from .supermatrix import Queer, SuperMatrix
 from .sympoly import (
     BalancedExpression,
@@ -92,19 +90,6 @@ def q2_closed_form(a):
     return s1, s2
 
 
-def _relevant_body(a):
-    """The body matrix whose spectrum the reductions use.
-
-    The body itself for a queer matrix; for an odd square (X Y; Z T), the
-    top-left block b(Y)b(Z) of the body of its square, since b(X) = 0.
-    """
-    if isinstance(a.shape, Queer):
-        return a.body_rows()
-    a.family_size()
-    _x, y, z, _t = a.blocks()
-    return linalg.matmul(y.body_rows(), z.body_rows())
-
-
 def body_signed_elementary(a):
     """Bodies of the semi-invariants, straight from the body spectrum.
 
@@ -116,25 +101,13 @@ def body_signed_elementary(a):
     return [-coeffs[n - j] for j in range(1, n + 1)]
 
 
-def _check_eligible(a):
-    """The relevant body spectrum; raises the reduction error if a has no eigendata."""
-    spectrum = rational_spectrum(_relevant_body(a))
-    queer = isinstance(a.shape, Queer)
-    if not spectrum.is_simple():
-        raise MultipleEigenvalue("%s has a repeated eigenvalue"
-                                 % ("body" if queer else "the square's body"))
-    if not queer and any(lam == 0 for lam, _ in spectrum.pairs):
-        raise ZeroEigenvalue("the square's body has a zero eigenvalue")
-    return spectrum
-
-
 def evaluate_invariants(a, fs, s_values=None):
     """Evaluate balanced expressions on a matrix: [f(s_1..s_n, tau_1..tau_n) for f in fs].
 
     Every f is checked (its n, then its balance) before anything is computed
     on a; s and tau_1..tau_n are then computed once for the whole sequence.
-    When s_values is supplied it is validated against the recurrence and the
-    body pin instead; any admissible choice gives the same values.
+    Supplied s_values must be scalars over a's q that pass the recurrence and
+    the body pin; any admissible choice gives the same values.
     """
     n = a.family_size()
     fs = list(fs)
@@ -146,19 +119,22 @@ def evaluate_invariants(a, fs, s_values=None):
             raise NotInvariant("expression is not balanced", witness=witness)
     if s_values is None:
         s_values = list(compute_s(a))
+        taus = a.tau_values(n)
     else:
         s_values = list(s_values)
         if len(s_values) != n:
             raise ValidationError("need exactly %d semi-invariant values" % n)
-        if not verify_recurrence(a.tau_values(2 * n), s_values):
+        if not all(isinstance(v, GrassmannScalar) and v.q == a.gq for v in s_values):
+            raise ValidationError("supplied values must be Grassmann scalars over q=%d" % a.gq)
+        taus = a.tau_values(2 * n)
+        if not verify_recurrence(taus, s_values):
             raise ValidationError("supplied semi-invariant values fail the recurrence")
         bodies = body_signed_elementary(a)
         for j, (value, want) in enumerate(zip(s_values, bodies), start=1):
             if value.body() != want:
                 raise ValidationError("supplied s_%d has body %s, expected %s"
                                       % (j, value.body(), want))
-    taus = a.tau_values(n)
-    return [f.evaluate(s_values, taus) for f in fs]
+    return [f.evaluate(s_values, taus[:n]) for f in fs]
 
 
 def evaluate_invariant(a, f, s_values=None):
@@ -176,8 +152,8 @@ def indistinguishable(a1, a2):
     n = a1.family_size()
     if a2.family_size() != n:
         raise ShapeMismatch("the two matrices belong to different families")
-    spectrum1 = _check_eligible(a1)
-    spectrum2 = _check_eligible(a2)
+    spectrum1 = _eligible_spectrum(a1)
+    spectrum2 = _eligible_spectrum(a2)
     if a1.tau_values(2 * n) != a2.tau_values(2 * n):
         return False
     return spectrum1 == spectrum2

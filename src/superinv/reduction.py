@@ -9,10 +9,11 @@ per-monomial Sylvester equations pushes the support to degree d + 1.  After q
 levels the cross terms vanish identically.
 
 One body stage serves both shapes: a queer body is a single half, a standard
-body the two halves X and T.  reduce_odd runs the body stage on its square,
-reads its preconditions off the square's parts, and refines the square with
-A conjugated alongside: (h^-1 A h)^2 = h^-1 A^2 h, so no conjugator's inverse
-is ever multiplied out.  Both odd forms, (R T; 1 0) and (0 Y; 1 0), end in the one
+body the two halves X and T.  reduce_odd checks its input with the one rule
+for diagonal data, _eligible_spectrum, grounds both halves of its square's
+body stage on that spectrum, and refines the square with A conjugated
+alongside: (h^-1 A h)^2 = h^-1 A^2 h, so no conjugator's inverse is ever
+multiplied out.  Both odd forms, (R T; 1 0) and (0 Y; 1 0), end in the one
 lower-identity step: conjugation of (X Y; Z T) by (1 -Z^-1 T Z; 0 Z).
 """
 
@@ -44,9 +45,6 @@ class RationalSpectrum:
 
     pairs: tuple
 
-    def is_simple(self):
-        return all(m == 1 for _, m in self.pairs)
-
 
 def rational_spectrum(rows):
     """All eigenvalues of an exact rational matrix, with multiplicity.
@@ -62,6 +60,33 @@ def rational_spectrum(rows):
             residual=[Fraction(c) for c in residual],
         )
     return RationalSpectrum(tuple(sorted(roots)))
+
+
+def _relevant_body(a):
+    """The body matrix whose spectrum the reductions use.
+
+    The body itself for a queer matrix; for an odd square (X Y; Z T), the
+    top-left block b(Y)b(Z) of the body of its square, since b(X) = 0.
+    """
+    if isinstance(a.shape, Queer):
+        return a.body_rows()
+    a.family_size()
+    _x, y, z, _t = a.blocks()
+    return linalg.matmul(y.body_rows(), z.body_rows())
+
+
+def _eligible_spectrum(a):
+    """The relevant body's spectrum, which must be simple, and nonzero for an
+    odd matrix; the first sorted eigenvalue that fails decides the error."""
+    spectrum = rational_spectrum(_relevant_body(a))
+    queer = isinstance(a.shape, Queer)
+    for lam, mult in spectrum.pairs:
+        if lam == 0 and not queer:
+            raise ZeroEigenvalue("the square's body has a zero eigenvalue")
+        if mult != 1:
+            raise MultipleEigenvalue("%s has a repeated eigenvalue"
+                                     % ("body" if queer else "the square's body"))
+    return spectrum
 
 
 def solve_sylvester(b, d, r):
@@ -206,12 +231,13 @@ def _grouped_basis(body, spectrum):
     return [[columns[c][i] for c in range(n)] for i in range(n)]
 
 
-def _body_stage(a):
+def _body_stage(a, spectrum=None):
     """Rational conjugator grouping body eigenvalues, with its partition data.
 
     The body splits into the halves (0, split) and (split, dim): a queer body
     is one half, a standard one the X and T halves.  Each half is grouped by
-    its own spectrum, and one eigenvalue's indices in both halves form a part.
+    its own spectrum, or by one given for both, and one eigenvalue's indices
+    in both halves form a part.
     """
     queer = isinstance(a.shape, Queer)
     dim = a.dim
@@ -221,9 +247,9 @@ def _body_stage(a):
     mults = []
     for lo, hi in ((0, split), (split, dim)):
         half = [row[lo:hi] for row in body[lo:hi]]
-        spectrum = rational_spectrum(half) if half else RationalSpectrum(())
-        mults.append(dict(spectrum.pairs))
-        for i, row in enumerate(_grouped_basis(half, spectrum)):
+        spec = spectrum or (rational_spectrum(half) if half else RationalSpectrum(()))
+        mults.append(dict(spec.pairs))
+        for i, row in enumerate(_grouped_basis(half, spec)):
             p_rows[lo + i][lo:hi] = row
     mult_x, mult_t = mults
     eigs = sorted(set(mult_x) | set(mult_t))
@@ -407,16 +433,11 @@ def reduce_odd(a):
     """
     _require_odd_square(a)
     n = a.shape.p
+    spectrum = _eligible_spectrum(a)
     square = a @ a
-    g0, parts, eigs, _ = _body_stage(square)
     # For A = (X Y; Z T) the square's body is diag(b(Y)b(Z), b(Z)b(Y)), and YZ
-    # and ZY share a characteristic polynomial: both halves of the square's
-    # body have one spectrum, so each eigenvalue's part is twice its multiplicity.
-    for lam, part in zip(eigs, parts):
-        if lam == 0:
-            raise ZeroEigenvalue("the square's body has a zero eigenvalue")
-        if len(part) != 2:
-            raise MultipleEigenvalue("the square's body has a repeated eigenvalue")
+    # and ZY share a characteristic polynomial: both halves have one spectrum
+    g0, parts, eigs, _ = _body_stage(square, spectrum)
     # (h^-1 A h)^2 = h^-1 A^2 h, so A rides along the refinement of its square
     _, g, m = _refine(square.conjugate(g0), parts, root=a.conjugate(g0))
     if _cross_terms(parts, m):

@@ -163,6 +163,16 @@ def test_reduce_nonsplitting_exit_code(tmp_path):
     assert main(["reduce", path, "--mode", "diagonalize"]) == 4
 
 
+def test_reduce_odd_zero_eigenvalue_exit_code(tmp_path, capsys):
+    # [[e1, 0], [3, e2]]: the square's body b(Y)b(Z) is zero
+    q = 2
+    x1, x2 = G.generator(q, 1), G.generator(q, 2)
+    a = SuperMatrix(Standard(1, 1), ODD, [[x1, G.zero(q)], [G.rational(q, 3), x2]])
+    path = write_matrix(tmp_path / "ineligible.json", a)
+    assert main(["reduce", path, "--mode", "odd"]) == 4
+    assert "zero eigenvalue" in capsys.readouterr().err
+
+
 def test_verify_pass_and_exit_codes(tmp_path, capsys):
     out = tmp_path / "report.ndjson"
     assert main(["verify", "thm-3.3", "--seed", "7", "--trials", "3",

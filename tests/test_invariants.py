@@ -23,6 +23,7 @@ from superinv import (
     ValidationError,
     ZeroBody,
     ZeroDiscriminant,
+    ZeroEigenvalue,
     balanced_corpus,
     body_signed_elementary,
     compute_s,
@@ -36,6 +37,7 @@ from superinv import (
     qet_generating_coefficients,
     random_group_element,
     random_matrix,
+    reduce_odd,
     verify_recurrence,
 )
 from superinv.invariants import _moment, _residual_rows
@@ -182,6 +184,37 @@ def test_evaluate_invariant_supplied_values_validated():
         evaluate_invariant(a, f, s_values=wrong_body)
 
 
+@pytest.mark.parametrize("bad", [3, Fraction(-2, 3), G.rational(3, 3)])
+def test_evaluate_invariants_rejects_s_that_are_not_scalars_over_q(bad):
+    q = 2
+    x1, x2 = G.generator(q, 1), G.generator(q, 2)
+    a = diag_queer([1, 2], [x1, x2], q)
+    f = BalancedExpression(TTauExpression.odd_symbol(2, 2, 1))
+    good = list(compute_s(a))
+    for s_values in ([bad, good[1]], [good[0], bad]):
+        with pytest.raises(ValidationError, match="Grassmann scalars over q=2"):
+            evaluate_invariants(a, [f], s_values=s_values)
+
+
+def test_evaluate_invariants_supplied_s_reads_the_moments_once(monkeypatch):
+    q = 2
+    x1, x2 = G.generator(q, 1), G.generator(q, 2)
+    a = diag_queer([1, 2], [x1, x2], q)
+    corpus = balanced_corpus(2, seed=3)
+    s_values = list(compute_s(a))
+    want = [evaluate_invariant(a, f) for f in corpus]
+    counts = []
+    real = SuperMatrix.tau_values
+
+    def recording(self, upto):
+        counts.append(upto)
+        return real(self, upto)
+
+    monkeypatch.setattr(SuperMatrix, "tau_values", recording)
+    assert evaluate_invariants(a, corpus, s_values) == want
+    assert counts == [4]
+
+
 def test_evaluate_invariant_rejects_s_failing_the_recurrence():
     # s_1 moved by a nilpotent: the bodies still match, so only the recurrence can reject it
     q = 3
@@ -240,6 +273,32 @@ def test_indistinguishable_odd_value_pairs():
     assert indistinguishable(a1, a2)
     for f in balanced_corpus(1, seed=9):
         assert evaluate_invariant(a1, f) == evaluate_invariant(a2, f)
+
+
+def test_indistinguishable_rejects_matrices_without_eigendata():
+    q = 2
+    x1, x2 = G.generator(q, 1), G.generator(q, 2)
+    repeated = diag_queer([1, 1], [x1, x2], q)
+    with pytest.raises(MultipleEigenvalue):
+        indistinguishable(repeated, repeated)
+    zero = SuperMatrix(Standard(1, 1), ODD, [[x1, G.zero(q)], [G.rational(q, 3), x2]])
+    with pytest.raises(ZeroEigenvalue):
+        indistinguishable(zero, zero)
+    rotation = SuperMatrix.from_rationals(Queer(2), ANY, [[0, -1], [1, 0]], q)
+    with pytest.raises(NonSplitting):
+        indistinguishable(rotation, rotation)
+
+
+@pytest.mark.parametrize("eigs, seed", [([-1, -1, 0], 114), ([0, 2, 2], 115)])
+def test_indistinguishable_raises_what_reduce_odd_raises(eigs, seed):
+    # both a zero and a repeated eigenvalue: the first sorted one decides
+    a = random_odd_reducible(3, eigs, 2, seed=seed)
+    with pytest.raises((MultipleEigenvalue, ZeroEigenvalue)) as reduced:
+        reduce_odd(a)
+    with pytest.raises((MultipleEigenvalue, ZeroEigenvalue)) as compared:
+        indistinguishable(a, a)
+    assert compared.type is reduced.type
+    assert str(compared.value) == str(reduced.value)
 
 
 def test_l_invariants():

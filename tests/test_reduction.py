@@ -425,6 +425,22 @@ def test_antidiagonalize_inverts_z_once(monkeypatch):
     assert sizes == [2]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_reduce_odd_finds_the_spectrum_once(monkeypatch, n):
+    a = random_odd_reducible(n, [2, -3, 5][:n], 2, seed=120 + n)
+    calls = []
+    real = reduction.rational_spectrum
+
+    def recording(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(reduction, "rational_spectrum", recording)
+    assert reduce_odd(a).verify(a)
+    # one n x n relevant body b(Y)b(Z), not one per half of the square's body
+    assert calls == [n]
+
+
 def test_decomposition_serialization_round_trip():
     a = random_queer_with_spectrum(3, [0, 1, 2], 3, seed=21)
     dec = diagonalize(a)
