@@ -197,15 +197,17 @@ def geometric_sum(one, x, order):
 
     The result is exactly (1 - x)^-1 when x^(order+1) = 0, as it is for a
     nilpotent x whose terms all have monomial degree > q / (order + 1).
-    Scalars and matrices alike: it only uses `*`, `+` and `is_zero`.
+    Scalars and matrices alike: it only uses `*`, `+` and `is_zero`.  The
+    powers start at x itself, so order k costs at most k - 1 products.
     """
     acc = one
-    term = one
-    for _ in range(order):
-        term = term * x
+    term = x
+    for k in range(1, order + 1):
         if term.is_zero():
             break
         acc = acc + term
+        if k < order:
+            term = term * x
     return acc
 
 

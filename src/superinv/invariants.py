@@ -104,14 +104,17 @@ def body_signed_elementary(a):
 def evaluate_invariants(a, fs, s_values=None):
     """Evaluate balanced expressions on a matrix: [f(s_1..s_n, tau_1..tau_n) for f in fs].
 
-    Every f is checked (its n, then its balance) before anything is computed
-    on a; s and tau_1..tau_n are then computed once for the whole sequence.
+    Every f is checked (its type, its n, then its balance) before anything is
+    computed on a; s and tau_1..tau_n are then computed once for the whole
+    sequence.
     Supplied s_values must be scalars over a's q that pass the recurrence and
     the body pin; any admissible choice gives the same values.
     """
     n = a.family_size()
     fs = list(fs)
     for f in fs:
+        if not isinstance(f, BalancedExpression):
+            raise ValidationError("expected a BalancedExpression, got %s" % type(f).__name__)
         if f.n != n:
             raise ValidationError("expression is for n=%d, matrix has n=%d" % (f.n, n))
         ok, witness = f.is_balanced()

@@ -26,16 +26,8 @@ def transpose(m):
     return [list(col) for col in zip(*m)]
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
 
 
 def matmul(a, b):
@@ -167,18 +159,20 @@ def nullspace(a):
 def charpoly(a):
     """Monic characteristic polynomial, ascending coefficients c0..cn.
 
-    Faddeev-LeVerrier recursion; exact over the rationals.
+    Faddeev-LeVerrier recursion on A M_k, from A M_1 = A: c_k is
+    -tr(A M_k) / k and M_(k+1) = A M_k + c_k I; exact over the rationals.
     """
     n = len(a)
     if n == 0:
         return [1]
     descending = [Fraction(1)]
-    m = identity(n)
+    am = copy_rows(a)
     for k in range(1, n + 1):
-        am = matmul(a, m)
-        ck = -Fraction(trace(am), k)
-        descending.append(ck)
-        m = mat_add(am, mat_scale(identity(n), ck))
+        descending.append(-Fraction(trace(am), k))
+        if k < n:
+            for i in range(n):
+                am[i][i] += descending[k]
+            am = matmul(a, am)
     return list(reversed(descending))
 
 

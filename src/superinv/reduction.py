@@ -218,8 +218,8 @@ def _grouped_basis(body, spectrum):
     columns = []
     for lam, mult in spectrum.pairs:
         shifted = [[body[i][j] - (lam if i == j else 0) for j in range(n)] for i in range(n)]
-        power = linalg.identity(n)
-        for _ in range(mult):
+        power = shifted
+        for _ in range(mult - 1):
             power = linalg.matmul(power, shifted)
         basis = linalg.nullspace(power)
         if len(basis) != mult:
@@ -299,12 +299,12 @@ class _PairSolvers:
 
 
 def _cross_terms(parts, m):
-    """The nonzero entries of m outside the diagonal blocks of the partition."""
+    """Row-major (i, j) cells of m's nonzero entries off the partition's blocks."""
     owner = [None] * m.dim
     for r, part in enumerate(parts):
         for i in part:
             owner[i] = r
-    return [x for i, row in enumerate(m.rows) for j, x in enumerate(row)
+    return [(i, j) for i, row in enumerate(m.rows) for j, x in enumerate(row)
             if owner[i] != owner[j] and x.terms]
 
 
@@ -330,11 +330,12 @@ def _require_odd_square(a):
         raise ShapeMismatch("input must have odd parity class")
 
 
-def _refine(m, parts, filtration_log=None, root=None):
+def _refine(m, parts, g, filtration_log=None, root=None):
     """Remove cross-partition terms degree by degree; exact conjugators.
 
-    Returns the refined m, the conjugator and root conjugated alongside m:
-    when root squares to m, each step keeps it a square root of the new m.
+    Returns the refined m, the conjugator g extended by every step, and root
+    conjugated alongside m: when root squares to m, each step keeps it a
+    square root of the new m.
     """
     gq = m.gq
     dim = m.dim
@@ -343,9 +344,9 @@ def _refine(m, parts, filtration_log=None, root=None):
     solvers = _PairSolvers(body_blocks)
     shape = m.shape
     ident = SuperMatrix.identity(shape, gq)
-    g = GroupElement.identity(shape, gq)
+    zero = GrassmannScalar.zero(gq)
     for level in range(1, gq + 1):
-        cross = _cross_terms(parts, m)
+        cross = [m.rows[i][j] for i, j in _cross_terms(parts, m)]
         cross_min = min((x.min_degree() for x in cross), default=None)
         if filtration_log is not None:
             filtration_log.append(cross_min)
@@ -359,29 +360,26 @@ def _refine(m, parts, filtration_log=None, root=None):
         masks = {mask for x in cross for mask in x.terms if mask.bit_count() == level}
         if not masks:
             continue
-        zero = GrassmannScalar.zero(gq)
-        delta = [[zero] * dim for _ in range(dim)]
+        # one term dict per cell: each (mask, cell) gets at most one solution
+        terms = {}
         for mask in sorted(masks):
             for r, part_r in enumerate(parts):
                 for s, part_s in enumerate(parts):
                     if r == s:
                         continue
-                    rhs = [
-                        [-m.rows[i][j].terms.get(mask, 0) for j in part_s]
-                        for i in part_r
-                    ]
+                    rhs = [[-m.rows[i][j].terms.get(mask, 0) for j in part_s] for i in part_r]
                     if all(x == 0 for row in rhs for x in row):
                         continue
                     sol = solvers.solve(r, s, rhs)
                     for a, i in enumerate(part_r):
                         for b, j in enumerate(part_s):
                             if sol[a][b] != 0:
-                                delta[i][j] = delta[i][j] + GrassmannScalar(
-                                    gq, {mask: sol[a][b]}
-                                )
-        step = ident + SuperMatrix(shape, shape.group_parity, delta)
+                                terms.setdefault((i, j), {})[mask] = sol[a][b]
+        delta = SuperMatrix(shape, shape.group_parity,
+                            [[GrassmannScalar(gq, terms[i, j]) if (i, j) in terms else zero
+                              for j in range(dim)] for i in range(dim)])
         # delta has degree >= level, so its powers past gq // level vanish
-        h = GroupElement(step, _inverse=geometric_sum(ident, ident - step, gq // level))
+        h = GroupElement(ident + delta, _inverse=geometric_sum(ident, -delta, gq // level))
         m = m.conjugate(h)
         if root is not None:
             root = root.conjugate(h)
@@ -404,9 +402,7 @@ def block_diagonalize(a, filtration_log=None):
     elif not isinstance(a.shape, Queer):
         raise ShapeMismatch("input must be queer or standard shaped")
     g0, parts, eigs, block_shapes = _body_stage(a)
-    m = a.conjugate(g0)
-    m, g, _ = _refine(m, parts, filtration_log=filtration_log)
-    conjugator = g0.compose(g)
+    m, conjugator, _ = _refine(a.conjugate(g0), parts, g0, filtration_log=filtration_log)
     blocks = []
     partition = []
     for part, lam, bshape in zip(parts, eigs, block_shapes):
@@ -439,7 +435,7 @@ def reduce_odd(a):
     # and ZY share a characteristic polynomial: both halves have one spectrum
     g0, parts, eigs, _ = _body_stage(square, spectrum)
     # (h^-1 A h)^2 = h^-1 A^2 h, so A rides along the refinement of its square
-    _, g, m = _refine(square.conjugate(g0), parts, root=a.conjugate(g0))
+    _, g, m = _refine(square.conjugate(g0), parts, g0, root=a.conjugate(g0))
     if _cross_terms(parts, m):
         raise InternalError("the matrix does not respect its square's blocks")
     # Z and T of m are diagonal, so the step's upper-right block is -T
@@ -455,7 +451,7 @@ def reduce_odd(a):
             raise InternalError("block did not reach the (R T; 1 0) form")
         blocks.append((lam, block))
         partition.append([i + 1 for i in part])
-    return SpectralDecomposition(g0.compose(g).compose(step), blocks, partition, ODD)
+    return SpectralDecomposition(g.compose(step), blocks, partition, ODD)
 
 
 def antidiagonalize(a):
@@ -466,13 +462,10 @@ def antidiagonalize(a):
     """
     _require_odd_square(a)
     n = a.shape.p
-    squared = a @ a
-    for i in range(2 * n):
-        for j in range(2 * n):
-            if (i < n) != (j < n) and squared.rows[i][j].terms:
-                raise NotBlockDiagonalSquare(
-                    "the square has a nonzero off-diagonal block at (%d, %d)" % (i + 1, j + 1)
-                )
+    cross = _cross_terms([range(n), range(n, 2 * n)], a @ a)
+    if cross:
+        raise NotBlockDiagonalSquare("the square has a nonzero off-diagonal block at (%d, %d)"
+                                     % (cross[0][0] + 1, cross[0][1] + 1))
     # a block-diagonal square has ZX + TZ = 0, so the step is (1 X; 0 Z)
     try:
         g = _lower_identity_step(a)

@@ -532,8 +532,12 @@ class BalancedExpression:
     __slots__ = ("numerator", "denominator", "_balance_memo")
 
     def __init__(self, numerator, denominator=None):
+        if not isinstance(numerator, TTauExpression):
+            raise ValidationError("numerator must be a TTauExpression")
         if denominator is None:
             denominator = TTauExpression.constant(numerator.n, numerator.symbol_range, 1)
+        elif not isinstance(denominator, TTauExpression):
+            raise ValidationError("denominator must be a TTauExpression")
         if denominator.is_zero():
             raise ValidationError("denominator must be nonzero")
         if not denominator.is_even_polynomial():
@@ -680,7 +684,7 @@ def vandermonde_adjoint(n):
     coefficients of prod_{i != s}(x - a_i) by increasing power, so that
     (M'M)_{kl} = prod_{i != k}(a_l - a_i) exactly.
     """
-    if n < 1:
+    if not is_int(n) or n < 1:
         raise ValidationError("need at least one variable")
     m = [[SuperPolynomial.even_var(n, l + 1) ** k for l in range(n)] for k in range(n)]
     one = SuperPolynomial.one(n)
@@ -775,6 +779,8 @@ def is_balanced(h):
     The pullback f is symmetric, so its first balance residual decides:
     returns (True, None), or (False, (1, b_1 df/da_1)).
     """
+    if not isinstance(h, TTauExpression):
+        raise ValidationError("is_balanced needs a TTauExpression")
     n = h.n
     if any(any(exps[n:]) for exps, _mask in h.terms):
         raise ValidationError("even symbols beyond u_%d may not appear" % n)

@@ -374,8 +374,8 @@ def suite_thm_1_3(seed):
             body = block.body_rows()
             k = len(body)
             shifted = [[body[i][j] - (lam if i == j else 0) for j in range(k)] for i in range(k)]
-            power = linalg.identity(k)
-            for _ in range(k):
+            power = shifted
+            for _ in range(k - 1):
                 power = linalg.matmul(power, shifted)
             if any(x != 0 for row in power for x in row):
                 return "block body minus its eigenvalue is not nilpotent"

@@ -314,6 +314,32 @@ def test_scalar_products_stay_on_the_pair_kernel(monkeypatch):
     assert calls == ["pair"]
 
 
+def test_geometric_sum_starts_its_powers_at_x(monkeypatch):
+    q = 4
+    e = [GrassmannScalar.generator(q, i) for i in range(1, q + 1)]
+    one = GrassmannScalar.one(q)
+    x = e[0] * e[1] + e[2] * e[3]  # x^2 = 2 e1e2e3e4, x^3 = 0
+    x2 = x * x
+    real = GrassmannScalar.__mul__
+    calls = []
+
+    def counting(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(GrassmannScalar, "__mul__", counting)
+    # order k takes k - 1 products at most, and none past the first zero power
+    for order, want, products in ((0, one, 0), (1, one + x, 0), (2, one + x + x2, 1),
+                                  (5, one + x + x2, 2)):
+        calls.clear()
+        got = grassmann.geometric_sum(one, x, order)
+        assert (got, len(calls)) == (want, products)
+    assert real(one - x, got) == one
+    calls.clear()
+    assert grassmann.geometric_sum(one, GrassmannScalar.zero(q), 3) == one
+    assert calls == []
+
+
 def test_merge_sign_small_cases():
     # xi2 * xi1 picks up one transposition
     assert merge_sign(0b10, 0b01) == -1

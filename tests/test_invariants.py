@@ -563,6 +563,15 @@ def test_evaluate_invariants_checks_every_expression_before_s():
     with pytest.raises(NotInvariant, match="expression is not balanced"):
         evaluate_invariants(a, [good, unbalanced], s_values=[G.rational(q, 3)])
     assert evaluate_invariants(a, (f for f in [good, good])) == [a.qtr(), a.qtr()]
+
+
+@pytest.mark.parametrize("f", [1, TTauExpression.odd_symbol(2, 2, 1), None])
+def test_evaluate_invariants_rejects_what_is_not_a_balanced_expression(f):
+    q = 2
+    a = diag_queer([1, 2], [G.generator(q, 1), G.generator(q, 2)], q)
+    good = BalancedExpression(TTauExpression.odd_symbol(2, 2, 1))
+    with pytest.raises(ValidationError, match="expected a BalancedExpression"):
+        evaluate_invariants(a, [good, f])
     with pytest.raises(ValidationError, match="need exactly 2 semi-invariant values"):
         evaluate_invariants(a, [good], s_values=[G.rational(q, 3)])
 

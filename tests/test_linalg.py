@@ -48,6 +48,24 @@ def test_charpoly_against_determinant_oracle():
             assert linalg.poly_eval(coeffs, Fraction(lam)) == det_by_elimination(shifted)
 
 
+def test_charpoly_multiplies_n_minus_one_times(monkeypatch):
+    real = linalg.matmul
+    calls = []
+
+    def counting(a, b):
+        calls.append(len(a))
+        return real(a, b)
+
+    monkeypatch.setattr(linalg, "matmul", counting)
+    rng = random.Random(4)
+    for n in range(1, 6):
+        a = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+        calls.clear()
+        coeffs = linalg.charpoly(a)
+        assert calls == [n] * (n - 1)
+        assert linalg.poly_eval(coeffs, Fraction(0)) == (-1) ** n * det_by_elimination(a)
+
+
 def test_rational_roots_examples():
     roots, residual = linalg.rational_roots([Fraction(2), Fraction(-3), Fraction(1)])
     assert roots == [(Fraction(1), 1), (Fraction(2), 1)] and residual is None

@@ -410,6 +410,15 @@ def test_antidiagonalize_rejections():
         antidiagonalize(b)
 
 
+def test_antidiagonalize_reports_the_first_off_block_cell():
+    q = 2
+    x1, x2 = G.generator(q, 1), G.generator(q, 2)
+    # the square is (0 0; 3e1 + 3e2 0): only its (2, 1) cell is off the blocks
+    a = SuperMatrix(Standard(1, 1), ODD, [[x1, G.zero(q)], [G.rational(q, 3), x2]])
+    with pytest.raises(NotBlockDiagonalSquare, match=r"block at \(2, 1\)$"):
+        antidiagonalize(a)
+
+
 def test_antidiagonalize_inverts_z_once(monkeypatch):
     a = random_commuting_odd_pair(2, 3, seed=111)
     sizes = []
@@ -439,6 +448,57 @@ def test_reduce_odd_finds_the_spectrum_once(monkeypatch, n):
     assert reduce_odd(a).verify(a)
     # one n x n relevant body b(Y)b(Z), not one per half of the square's body
     assert calls == [n]
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that each call appends to the returned list."""
+    real = getattr(owner, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_block_diagonalize_of_a_split_body_makes_one_conjugation(monkeypatch):
+    a = SuperMatrix.from_rationals(Queer(2), ANY, [[1, 0], [0, 2]], 2)
+    matmuls = _count_calls(monkeypatch, SuperMatrix, "__matmul__")
+    composes = _count_calls(monkeypatch, GroupElement, "compose")
+    dec = block_diagonalize(a)
+    # g0^-1 A g0 is the only product: the body stage's conjugator is returned as is
+    assert (len(matmuls), len(composes)) == (2, 0)
+    assert dec.assembled() == a
+
+
+@pytest.mark.parametrize("seed", [21, 22, 23])
+def test_the_conjugator_is_extended_once_per_step(monkeypatch, seed):
+    a = random_queer_with_spectrum(3, [0, 1, 2], 3, seed=seed)
+    b = random_odd_reducible(2, [2, -3], 3, seed=seed)
+    steps = _count_calls(monkeypatch, reduction, "geometric_sum")
+    composes = _count_calls(monkeypatch, GroupElement, "compose")
+    dec = block_diagonalize(a)
+    assert steps and len(composes) == len(steps)
+    steps.clear()
+    composes.clear()
+    # reduce_odd adds its lower-identity step
+    dec_odd = reduce_odd(b)
+    assert steps and len(composes) == len(steps) + 1
+    assert dec.verify(a) and dec_odd.verify(b)
+
+
+def test_grouped_basis_multiplies_only_for_a_repeated_eigenvalue(monkeypatch):
+    simple = [[2, 1, 0], [0, 3, 5], [0, 0, -1]]
+    repeated = [[1, 1, 0], [0, 1, 0], [0, 0, 4]]
+    spectra = [rational_spectrum(simple), rational_spectrum(repeated)]
+    matmuls = _count_calls(monkeypatch, linalg, "matmul")
+    reduction._grouped_basis(simple, spectra[0])
+    assert matmuls == []
+    # (B - 1)^2 is one product; the simple eigenvalue 4 needs none
+    reduction._grouped_basis(repeated, spectra[1])
+    assert len(matmuls) == 1
 
 
 def test_decomposition_serialization_round_trip():

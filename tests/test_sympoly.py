@@ -172,6 +172,12 @@ def test_vandermonde_adjoint_small():
     assert prod[0][1].is_zero() and prod[1][0].is_zero()
 
 
+@pytest.mark.parametrize("n", ["a", 1.0, True, None, 0, -2])
+def test_vandermonde_adjoint_rejects_n_that_is_not_a_positive_int(n):
+    with pytest.raises(ValidationError, match="need at least one variable"):
+        vandermonde_adjoint(n)
+
+
 def test_vandermonde_adjoint_symbolic_up_to_four():
     for n in range(1, 5):
         m, mp = vandermonde_adjoint(n)
@@ -278,6 +284,12 @@ def test_is_balanced_examples():
     assert is_balanced(h)[0]
     with pytest.raises(ValidationError):
         is_balanced(TTauExpression.even_symbol(2, 3, 3) * TTauExpression.odd_symbol(2, 3, 1))
+
+
+@pytest.mark.parametrize("h", [SuperPolynomial.one(2), BalancedExpression(TTauExpression.constant(2, 2, 1)), 1])
+def test_is_balanced_rejects_what_is_not_a_ttau_expression(h):
+    with pytest.raises(ValidationError, match="needs a TTauExpression"):
+        is_balanced(h)
 
 
 def _differential_criterion(h):
@@ -403,6 +415,17 @@ def test_balanced_expression_validation():
         BalancedExpression(x1, x1)
     with pytest.raises(ValidationError):
         BalancedExpression(x1, TTauExpression.zero(2, 2))
+
+
+@pytest.mark.parametrize("num, den", [
+    (SuperPolynomial.one(2), None),
+    (TTauExpression.odd_symbol(2, 2, 1), SuperPolynomial.one(2)),
+    (TTauExpression.odd_symbol(2, 2, 1), 1),
+    (1, None),
+])
+def test_balanced_expression_rejects_parts_that_are_not_ttau(num, den):
+    with pytest.raises(ValidationError, match="must be a TTauExpression"):
+        BalancedExpression(num, den)
 
 
 # ----------------------------------------------------------------------
