@@ -286,11 +286,11 @@ class SparseRingElement:
     def __pow__(self, k):
         if not is_int(k) or k < 0:
             raise ValidationError("exponent must be a non-negative integer")
-        out = self._const(1)
-        for _ in range(k):
-            out = out * self
+        out = self if k else self._const(1)
+        for _ in range(k - 1):
             if out.is_zero():
                 break
+            out = out * self
         return out
 
     def __eq__(self, other):

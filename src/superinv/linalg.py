@@ -104,7 +104,7 @@ def rank(a):
 def inverse_with_rank(a):
     """Return (inverse, rank); inverse is None when a is singular."""
     n = len(a)
-    m = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
+    m = [list(row) + e for row, e in zip(a, identity(n))]
     pivots = _rref(m, ncols=n)
     if len(pivots) < n:
         return None, len(pivots)

@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
     ZeroEigenvalue,
 )
-from .grassmann import GrassmannScalar, coeff_text, geometric_sum, is_int, parse_coeff
+from .grassmann import GrassmannScalar, coeff_text, geometric_sum, is_coeff, is_int, parse_coeff
 from .supermatrix import _PARITIES, EVEN, ODD, GroupElement, Queer, Standard, SuperMatrix
 
 
@@ -52,6 +52,7 @@ def rational_spectrum(rows):
     Raises NonSplitting with the irreducible residual factor when the
     characteristic polynomial has an irrational root.
     """
+    _exact_grid(rows)
     coeffs = linalg.charpoly(rows)
     roots, residual = linalg.rational_roots(coeffs)
     if residual is not None:
@@ -60,6 +61,24 @@ def rational_spectrum(rows):
             residual=[Fraction(c) for c in residual],
         )
     return RationalSpectrum(tuple(sorted(roots)))
+
+
+def _exact_grid(rows, shape=None):
+    """Check that rows is a grid of ints and Fractions, (r, c) = shape or
+    square when shape is None, and return its row count r."""
+    try:
+        r = len(rows)
+        want = shape or (r, r)
+        fits = r == want[0] and all(len(row) == want[1] for row in rows)
+    except TypeError:
+        fits = False
+    if not fits:
+        raise ShapeMismatch("expected a %s matrix" % ("%d x %d" % shape if shape else "square"))
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if not is_coeff(x):
+                raise ValidationError("matrix entries must be ints or Fractions", cell=(i + 1, j + 1))
+    return r
 
 
 def _relevant_body(a):
@@ -91,6 +110,7 @@ def _eligible_spectrum(a):
 
 def solve_sylvester(b, d, r):
     """Unique rational X with bX - Xd = r, for disjoint spectra of b and d."""
+    _exact_grid(r, (_exact_grid(b), _exact_grid(d)))
     return _PairSolvers([b, d]).solve(0, 1, r)
 
 

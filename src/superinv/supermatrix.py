@@ -319,8 +319,8 @@ class SuperMatrix:
     def __pow__(self, k):
         if not is_int(k) or k < 0:
             raise ValidationError("matrix exponent must be a non-negative integer")
-        out = SuperMatrix.identity(self.shape, self.gq)
-        for _ in range(k):
+        out = self if k else SuperMatrix.identity(self.shape, self.gq)
+        for _ in range(k - 1):
             out = out @ self
         return out
 
@@ -373,26 +373,17 @@ class SuperMatrix:
         return acc
 
     def qet(self):
-        """Odd log-determinant analogue: sum_i (1/i) tr (A0^-1 A1)^i.
+        """Odd log-determinant analogue: sum_i (1/i) tr P^i with P = A0^-1 A1.
 
-        The series is finite: (A0^-1 A1)^i has entries of monomial degree at
-        least i, so terms beyond the generator count vanish.
+        P has odd entries, and tr XY = -tr YX for matrices X, Y with odd
+        entries, so tr P^(2k) = 0 and tr P^i = qtr P^i: qet is the sum of the
+        odd moments tau_1(P) + ... + tau_q(P).  The series is finite: P^i has
+        entries of monomial degree at least i.
         """
         if not isinstance(self.shape, Queer):
             raise ShapeMismatch("qet needs a queer-shaped matrix")
         a0, a1 = self.queer_split()
-        p = a0.invert() @ a1
-        acc = GrassmannScalar.zero(self.gq)
-        power = SuperMatrix.identity(self.shape, self.gq)
-        for i in range(1, self.gq + 1):
-            power = power @ p
-            if power.is_zero():
-                break
-            tr = GrassmannScalar.zero(self.gq)
-            for k in range(self.dim):
-                tr = tr + power.rows[k][k]
-            acc = acc + tr * Fraction(1, i)
-        return acc
+        return sum((a0.invert() @ a1).tau_values(self.gq), GrassmannScalar.zero(self.gq))
 
     def tau(self, k):
         """k-th odd invariant: qtr(A^k)/k on queer matrices, and
@@ -418,7 +409,7 @@ class SuperMatrix:
         step = self if queer else self @ self  # tau_k reads A^k, or A^(2k-1) on an odd square
         power, out = self, []
         for k in range(1, upto + 1):
-            if k > 1:
+            if k > 1 and not power.is_zero():  # every moment after a zero power is zero
                 power = power @ step
             out.append(power.qtr() * Fraction(1, k) if queer
                        else power.supertrace() * Fraction(1, 2 * k - 1))
@@ -605,6 +596,8 @@ def _check_bound(coefficient_bound):
 def random_matrix(shape, parity, q, seed, coefficient_bound, max_terms=2):
     """Deterministic random matrix honoring the declared parity class."""
     _check_bound(coefficient_bound)
+    if not is_int(max_terms) or max_terms < 0:
+        raise ValidationError("max_terms must be a non-negative integer")
     rng = random.Random(seed)
     dim = shape.dim
     grid = []

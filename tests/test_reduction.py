@@ -582,3 +582,24 @@ def test_decomposition_json_shape_errors(field, value):
     obj[field] = value(obj) if callable(value) else value
     with pytest.raises(ValidationError):
         SpectralDecomposition.from_obj(obj)
+
+
+@pytest.mark.parametrize("b,d,r", [
+    ([[1]], [[2]], [[1, 2]]),
+    ([[1, 2]], [[2]], [[1]]),
+    ([[1, 0], [0, 3]], [[2]], [[1]]),
+], ids=["r-too-wide", "b-not-square", "r-too-short"])
+def test_solve_sylvester_rejects_mismatched_shapes(b, d, r):
+    with pytest.raises(ShapeMismatch):
+        solve_sylvester(b, d, r)
+
+
+@pytest.mark.parametrize("rows,error", [
+    ([[1, 2]], ShapeMismatch),
+    ([[1, 2], [3]], ShapeMismatch),
+    ([[1.5]], ValidationError),
+    ([[True]], ValidationError),
+], ids=["wide", "ragged", "float", "bool"])
+def test_rational_spectrum_rejects_a_malformed_matrix(rows, error):
+    with pytest.raises(error):
+        rational_spectrum(rows)

@@ -564,3 +564,95 @@ def test_from_blocks_validates():
         SuperMatrix.from_blocks(ANY, x, y, z, other)
     with pytest.raises(ShapeMismatch):
         SuperMatrix.from_blocks(ODD, x, y, z, SuperMatrix.identity(Queer(1), 3))
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that each call appends to the returned list."""
+    real = getattr(owner, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def _invertible_queer(n, q, seed):
+    # a dominant diagonal keeps the body invertible
+    shift = SuperMatrix.from_rationals(
+        Queer(n), ANY, [[10 * n if i == j else 0 for j in range(n)] for i in range(n)], q)
+    return random_matrix(Queer(n), ANY, q, seed, 3, max_terms=3) + shift
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_qet_is_the_log_series_of_a0_inverse_a1(n):
+    for q in range(8):
+        a = _invertible_queer(n, q, seed=100 * n + q)
+        a0, a1 = a.queer_split()
+        p = a0.invert() @ a1
+        want, power = G.zero(q), p
+        for i in range(1, q + 1):
+            trace = G.zero(q)
+            for k in range(n):
+                trace = trace + power.rows[k][k]
+            if i % 2 == 0:
+                assert trace == 0  # tr XY = -tr YX for odd-entry matrices
+            want = want + trace * Fraction(1, i)
+            power = power @ p
+        assert a.qet() == want
+
+
+def test_qet_of_the_readme_example_makes_four_products(monkeypatch):
+    q = 2
+    x1, x2 = gens(q)
+    a = SuperMatrix(Queer(2), ANY, [[q1(1) + x1, G.zero(q)], [G.zero(q), q1(2) + x2]])
+    matmuls = _count_calls(monkeypatch, SuperMatrix, "__matmul__")
+    assert a.qet() == x1 + x2 * Fraction(1, 2)
+    # two in A0's inverse, A0^-1 A1, and its square; no product by an identity
+    assert len(matmuls) == 4
+
+
+def test_tau_values_stops_multiplying_at_a_zero_power(monkeypatch):
+    x1 = gens(2)[0]
+    a = SuperMatrix(Queer(1), ANY, [[x1]])
+    matmuls = _count_calls(monkeypatch, SuperMatrix, "__matmul__")
+    assert a.tau_values(4) == [x1, 0, 0, 0]
+    assert len(matmuls) == 1
+
+
+@pytest.mark.parametrize("shape,parity", [(Queer(2), ANY), (Standard(1, 1), ODD)])
+def test_matrix_powers_start_at_the_base(monkeypatch, shape, parity):
+    a = random_matrix(shape, parity, 3, 5, 3)
+    products = [SuperMatrix.identity(shape, 3)]
+    for _ in range(5):
+        products.append(products[-1] @ a)
+    matmuls = _count_calls(monkeypatch, SuperMatrix, "__matmul__")
+    for k, want in enumerate(products):
+        del matmuls[:]
+        assert a ** k == want
+        assert len(matmuls) == max(k - 1, 0)
+
+
+def test_scalar_powers_start_at_the_base(monkeypatch):
+    x = G(4, {0: 2, 0b1: 1})  # 2 + e1, so x^k = 2^k + k 2^(k-1) e1
+    wants = [G(4, {0: 2 ** k, 0b1: k * 2 ** k // 2}) for k in range(7)]
+    products = _count_calls(monkeypatch, G, "__mul__")
+    for k, want in enumerate(wants):
+        del products[:]
+        assert x ** k == want
+        assert len(products) == max(k - 1, 0)
+
+
+def test_a_scalar_power_stops_at_zero(monkeypatch):
+    x = G(4, {0b1: 1, 0b10: 1})  # (e1 + e2)^2 = e1e2 + e2e1 = 0
+    products = _count_calls(monkeypatch, G, "__mul__")
+    assert x ** 9 == 0
+    assert len(products) == 1
+
+
+@pytest.mark.parametrize("max_terms", [-1, 1.5, True])
+def test_random_matrix_rejects_a_bad_max_terms(max_terms):
+    with pytest.raises(ValidationError):
+        random_matrix(Queer(2), ANY, 3, 1, 3, max_terms=max_terms)
