@@ -11,10 +11,12 @@ levels the cross terms vanish identically.
 One body stage serves both shapes: a queer body is a single half, a standard
 body the two halves X and T.  reduce_odd checks its input with the one rule
 for diagonal data, _eligible_spectrum, grounds both halves of its square's
-body stage on that spectrum, and refines the square with A conjugated
-alongside: (h^-1 A h)^2 = h^-1 A^2 h, so no conjugator's inverse is ever
-multiplied out.  Both odd forms, (R T; 1 0) and (0 Y; 1 0), end in the one
-lower-identity step: conjugation of (X Y; Z T) by (1 -Z^-1 T Z; 0 Z).
+body stage on that spectrum, and refines A itself: A's body commutes with its
+square's, so on the part for eigenvalue lam it is a block (0 y; z 0) with
+yz = lam and eigenvalues +-sqrt(lam), and distinct lam keep the Sylvester
+steps solvable over Q even when sqrt(lam) is irrational or imaginary.  Both
+odd forms, (R T; 1 0) and (0 Y; 1 0), end in the one lower-identity step:
+conjugation of (X Y; Z T) by (1 -Z^-1 T Z; 0 Z).
 """
 
 from __future__ import annotations
@@ -251,7 +253,7 @@ def _grouped_basis(body, spectrum):
     return [[columns[c][i] for c in range(n)] for i in range(n)]
 
 
-def _body_stage(a, spectrum=None):
+def _body_stage(shape, body, gq, spectrum=None):
     """Rational conjugator grouping body eigenvalues, with its partition data.
 
     The body splits into the halves (0, split) and (split, dim): a queer body
@@ -259,10 +261,9 @@ def _body_stage(a, spectrum=None):
     its own spectrum, or by one given for both, and one eigenvalue's indices
     in both halves form a part.
     """
-    queer = isinstance(a.shape, Queer)
-    dim = a.dim
-    split = dim if queer else a.shape.p
-    body = a.body_rows()
+    queer = isinstance(shape, Queer)
+    dim = len(body)
+    split = dim if queer else shape.p
     p_rows = [[0] * dim for _ in range(dim)]
     mults = []
     for lo, hi in ((0, split), (split, dim)):
@@ -284,10 +285,10 @@ def _body_stage(a, spectrum=None):
         block_shapes.append(Queer(mx) if queer else Standard(mx, mt))
         off_x += mx
         off_t += mt
-    parity = a.shape.group_parity
-    conj = SuperMatrix.from_rationals(a.shape, parity, p_rows, a.gq)
+    parity = shape.group_parity
+    conj = SuperMatrix.from_rationals(shape, parity, p_rows, gq)
     # the generalized eigenspaces span the body, so p_rows is invertible
-    conj_inv = SuperMatrix.from_rationals(a.shape, parity, linalg.inverse(p_rows), a.gq)
+    conj_inv = SuperMatrix.from_rationals(shape, parity, linalg.inverse(p_rows), gq)
     return GroupElement(conj, _inverse=conj_inv), parts, eigs, block_shapes
 
 
@@ -350,12 +351,11 @@ def _require_odd_square(a):
         raise ShapeMismatch("input must have odd parity class")
 
 
-def _refine(m, parts, g, filtration_log=None, root=None):
+def _refine(m, parts, g, filtration_log=None):
     """Remove cross-partition terms degree by degree; exact conjugators.
 
-    Returns the refined m, the conjugator g extended by every step, and root
-    conjugated alongside m: when root squares to m, each step keeps it a
-    square root of the new m.
+    Returns the refined m and the conjugator g extended by every step.  The
+    body blocks of m on distinct parts must have disjoint spectra.
     """
     gq = m.gq
     dim = m.dim
@@ -401,12 +401,10 @@ def _refine(m, parts, g, filtration_log=None, root=None):
         # delta has degree >= level, so its powers past gq // level vanish
         h = GroupElement(ident + delta, _inverse=geometric_sum(ident, -delta, gq // level))
         m = m.conjugate(h)
-        if root is not None:
-            root = root.conjugate(h)
         g = g.compose(h)
     if _cross_terms(parts, m):
         raise InternalError("cross terms survived the filtration")
-    return m, g, root
+    return m, g
 
 
 def block_diagonalize(a, filtration_log=None):
@@ -421,8 +419,8 @@ def block_diagonalize(a, filtration_log=None):
             raise ShapeMismatch("standard-shaped input must have even parity class")
     elif not isinstance(a.shape, Queer):
         raise ShapeMismatch("input must be queer or standard shaped")
-    g0, parts, eigs, block_shapes = _body_stage(a)
-    m, conjugator, _ = _refine(a.conjugate(g0), parts, g0, filtration_log=filtration_log)
+    g0, parts, eigs, block_shapes = _body_stage(a.shape, a.body_rows(), a.gq)
+    m, conjugator = _refine(a.conjugate(g0), parts, g0, filtration_log=filtration_log)
     blocks = []
     partition = []
     for part, lam, bshape in zip(parts, eigs, block_shapes):
@@ -450,14 +448,13 @@ def reduce_odd(a):
     _require_odd_square(a)
     n = a.shape.p
     spectrum = _eligible_spectrum(a)
-    square = a @ a
+    body = a.body_rows()
     # For A = (X Y; Z T) the square's body is diag(b(Y)b(Z), b(Z)b(Y)), and YZ
     # and ZY share a characteristic polynomial: both halves have one spectrum
-    g0, parts, eigs, _ = _body_stage(square, spectrum)
-    # (h^-1 A h)^2 = h^-1 A^2 h, so A rides along the refinement of its square
-    _, g, m = _refine(square.conjugate(g0), parts, g0, root=a.conjugate(g0))
-    if _cross_terms(parts, m):
-        raise InternalError("the matrix does not respect its square's blocks")
+    g0, parts, eigs, _ = _body_stage(a.shape, linalg.matmul(body, body), a.gq, spectrum)
+    # A's body commutes with its square's: its block on lam has eigenvalues
+    # +-sqrt(lam), disjoint across parts, so the Sylvester steps refine A itself
+    m, g = _refine(a.conjugate(g0), parts, g0)
     # Z and T of m are diagonal, so the step's upper-right block is -T
     step = _lower_identity_step(m)
     final = m.conjugate(step)

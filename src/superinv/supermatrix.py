@@ -9,7 +9,7 @@ ones.  A standard (p|q)-shaped matrix is split into blocks
 
 and is declared even when X, T have even entries and Y, Z odd entries, odd in
 the swapped situation.  The declared parity class is validated at
-construction; the zero matrix passes either.
+construction; the zero matrix passes either.  A queer matrix declares "any".
 """
 
 from __future__ import annotations
@@ -132,6 +132,8 @@ class SuperMatrix:
         raise AttributeError("SuperMatrix is immutable")
 
     def _validate(self):
+        if isinstance(self.shape, Queer) and self.parity != ANY:
+            raise ValidationError("a queer matrix must declare parity 'any', not %r" % self.parity)
         for i, row in enumerate(self.rows):
             for j, x in enumerate(row):
                 if not isinstance(x, GrassmannScalar):
@@ -167,7 +169,7 @@ class SuperMatrix:
     def zeros(cls, shape, gq, parity=ANY):
         zero = GrassmannScalar.zero(gq)
         dim = shape.dim
-        return cls(shape, parity, [[zero] * dim for _ in range(dim)], validate=False)
+        return cls(shape, parity, [[zero] * dim for _ in range(dim)])
 
     @classmethod
     def from_rationals(cls, shape, parity, rows, gq):

@@ -111,6 +111,17 @@ def test_invariants_malformed_parity_exit_code(tmp_path, capsys):
     assert "(1, 2)" in err
 
 
+def test_queer_matrix_labelled_even_exit_code(tmp_path, capsys):
+    # Q(1) with the single entry e1 at q = 1, labelled "even"
+    obj = SuperMatrix(Queer(1), ANY, [[G.generator(1, 1)]]).to_obj()
+    obj["parity"] = EVEN
+    path = tmp_path / "even_queer.json"
+    path.write_text(json.dumps(obj))
+    assert main(["invariants", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "parity 'any'" in captured.err
+
+
 def test_reduce_modes_round_trip(odd_file, tmp_path):
     out = tmp_path / "dec.json"
     assert main(["reduce", odd_file, "--mode", "odd", "--out", str(out)]) == 0

@@ -332,6 +332,49 @@ def test_reduce_odd_matches_the_square_route():
     assert refined == 4
 
 
+def test_reduce_odd_matches_the_square_route_on_irrational_roots():
+    # the body eigenvalues lam of the square have irrational or imaginary
+    # square roots: A's body blocks on distinct parts keep disjoint spectra
+    rng = random.Random(51)
+    for n in (1, 2, 3):
+        for gq in range(2, 7):
+            lams = rng.sample([-5, -3, -1, 2, 3, 6, 7], n)
+            a = _dense_odd(n, lams, gq, rng.randrange(1 << 30))
+            got = reduce_odd(a)
+            assert got.to_obj() == _reduce_odd_through_the_square(a, []).to_obj()
+            assert got.verify(a)
+
+
+def _worked_odd_example():
+    """The (1|1) worked example [[e1, 2], [3, e2]] at q = 2."""
+    q = 2
+    x1, x2 = G.generator(q, 1), G.generator(q, 2)
+    return SuperMatrix(Standard(1, 1), ODD, [[x1, G.rational(q, 2)], [G.rational(q, 3), x2]])
+
+
+@pytest.mark.parametrize("make, count", [
+    (_worked_odd_example, 9),
+    (lambda: random_odd_reducible(2, [3, -1], 4, seed=3), 17),
+    (lambda: random_odd_reducible(3, [1, 2, 5], 5, seed=7), 27),
+])
+def test_reduce_odd_refines_a_without_its_square(monkeypatch, make, count):
+    a = make()
+    real = SuperMatrix.__matmul__
+    operands = []
+
+    def recording(x, y):
+        operands.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(SuperMatrix, "__matmul__", recording)
+    dec = reduce_odd(a)
+    # two products per conjugation, one per compose: no Grassmann square of A
+    assert len(operands) == count
+    assert not any(x is a and y is a for x, y in operands)
+    monkeypatch.undo()
+    assert dec.verify(a)
+
+
 def _corrupt_lower_identity_step(monkeypatch):
     """Make the lower-identity step carry a wrong inverse: one soul term more
     in its upper-right block."""

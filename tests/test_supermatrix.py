@@ -456,6 +456,20 @@ def test_parity_validation_reports_cell():
     assert err.value.cell == (1, 1)
 
 
+@pytest.mark.parametrize("parity", [EVEN, ODD])
+def test_queer_matrix_declares_any(parity):
+    q = 1
+    e1 = G.generator(q, 1)
+    with pytest.raises(ValidationError, match="queer matrix must declare parity 'any'"):
+        SuperMatrix(Queer(1), parity, [[e1]])
+    with pytest.raises(ValidationError, match="queer matrix must declare parity 'any'"):
+        SuperMatrix.zeros(Queer(1), q, parity)
+    obj = SuperMatrix(Queer(1), ANY, [[e1]]).to_obj()
+    obj["parity"] = parity
+    with pytest.raises(ValidationError, match="queer matrix must declare parity 'any'"):
+        SuperMatrix.from_obj(obj)
+
+
 def test_non_scalar_entry_reports_cell():
     with pytest.raises(ValidationError) as err:
         SuperMatrix(Queer(1), ANY, [[1]])
