@@ -30,6 +30,37 @@ from .verify import SUITES, run_suite
 EXIT_OK = 0
 EXIT_FAILURE = 1
 
+_STR_TEXT = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj, newline="\n"):
+    """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte.
+
+    With `indent` set, `json.dumps` runs CPython's pure-Python encoder, so
+    this walk on exact types is the cheaper spelling of the same bytes.  Dict
+    keys are strings; any type not named here is written as its `to_obj()`.
+    """
+    kind = type(obj)
+    if kind is str:
+        return _STR_TEXT(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    inner = newline + "  "
+    if kind is dict:
+        if not obj:
+            return "{}"
+        items = [_STR_TEXT(k) + ": " + _json_text(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list:
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) + newline + "]"
+    return _json_text(obj.to_obj(), newline)
+
 
 def _emit(text, out_path):
     if out_path:
@@ -69,7 +100,7 @@ def cmd_invariants(args):
         if a.shape.p == a.shape.q and a.parity == ODD:
             report["tau"] = a.tau_values(2 * a.shape.p)
     if args.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2, default=lambda x: x.to_obj()) + "\n"
+        text = _json_text(report) + "\n"
     else:
         lines = []
         for key in sorted(report):
@@ -96,7 +127,7 @@ _MODES = {
 def cmd_reduce(args):
     a = _load_matrix(args.matrix)
     dec = _MODES[args.mode](a)
-    text = json.dumps(dec.to_obj(), sort_keys=True, indent=2) + "\n"
+    text = _json_text(dec.to_obj()) + "\n"
     # the emitted bytes must re-verify after a parse round trip
     if not SpectralDecomposition.from_obj(json.loads(text)).verify(a):
         raise InternalError("emitted decomposition does not re-verify")

@@ -144,7 +144,8 @@ def mul_table_into(table, acc, t1, dense2):
 
 def _norm(c):
     # keep integral coefficients as ints: cheaper arithmetic, same exactness
-    if isinstance(c, Fraction) and c.denominator == 1:
+    # (c is an int or a Fraction; the exact type test skips an ABC isinstance)
+    if type(c) is not int and c.denominator == 1:
         return c.numerator
     return c
 
@@ -161,7 +162,9 @@ def prune_terms(terms, denominator=1):
     return out
 
 
-_COEFF_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+# ASCII digits only, matched in full: `\d` takes other scripts' digits and
+# `$` a trailing newline
+_COEFF_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 
 
 def is_int(x):
@@ -176,10 +179,13 @@ def is_coeff(x):
 
 def parse_coeff(text):
     """Parse a decimal-free rational string such as "-3/2" or "7"."""
-    if not isinstance(text, str) or not _COEFF_RE.match(text):
+    if not isinstance(text, str) or not _COEFF_RE.fullmatch(text):
         raise ValidationError("coefficient must be a decimal-free rational string: %r" % (text,))
+    num, slash, den = text.partition("/")
     try:
-        return _norm(Fraction(text))
+        if not slash:
+            return int(num)
+        return _norm(Fraction(int(num), int(den)))
     except ValueError as exc:  # beyond the interpreter's integer string-conversion limit
         raise ValidationError("coefficient has too many digits (%d characters)" % len(text)) from exc
 
@@ -504,8 +510,7 @@ class GrassmannScalar(SparseRingElement):
         if not isinstance(obj, dict) or "q" not in obj or "terms" not in obj:
             raise ValidationError("scalar object must have 'q' and 'terms' fields")
         q = obj["q"]
-        if not is_int(q) or q < 0:
-            raise ValidationError("scalar field 'q' must be a non-negative integer")
+        cls._check_q(q)  # before any term: the cap bounds every mask
         terms = {}
         if not isinstance(obj["terms"], list):
             raise ValidationError("scalar field 'terms' must be a list")
@@ -521,4 +526,5 @@ class GrassmannScalar(SparseRingElement):
             if mask in terms:
                 raise ValidationError("duplicate monomial %r" % (item["idx"],))
             terms[mask] = coeff
-        return cls(q, terms)
+        # the loop checked every term as the constructor would
+        return cls._raw(q, terms)

@@ -1,7 +1,9 @@
 import hashlib
 import json
 import os
+import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -13,12 +15,19 @@ from superinv import (
     Queer,
     Standard,
     SuperMatrix,
+    antidiagonalize,
+    diagonalize,
+    reduce_odd,
 )
 from superinv import cli, errors
 from superinv.cli import main
 from superinv.reduction import SpectralDecomposition
 from superinv.supermatrix import random_matrix
-from superinv.verify import random_commuting_odd_pair
+from superinv.verify import (
+    random_commuting_odd_pair,
+    random_odd_reducible,
+    random_queer_with_spectrum,
+)
 
 G = GrassmannScalar
 
@@ -48,8 +57,6 @@ def test_invariants_command_json(q1_file, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["invariants", q1_file, "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    from fractions import Fraction
-
     assert G.from_obj(report["qtr"]) == G.generator(1, 1)
     assert G.from_obj(report["qet"]) == G.generator(1, 1) * Fraction(1, 2)
     taus = [G.from_obj(t) for t in report["tau"]]
@@ -386,3 +393,89 @@ def test_failed_self_check_exit_code(odd_file, monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == ("internal error: emitted decomposition does not re-verify "
                             "(reduce %s)\n" % odd_file)
+
+
+@pytest.mark.parametrize("coeff", ["2\n", "٣", "1/2\n", " 2", "1_000"])
+def test_non_ascii_or_padded_coefficient_exit_code(q1_file, tmp_path, capsys, coeff):
+    # int() and `\d` take these; the coefficient grammar does not
+    obj = json.loads(open(q1_file).read())
+    obj["entries"][0][0]["terms"][0]["coeff"] = coeff
+    path = tmp_path / "coeff.json"
+    path.write_text(json.dumps(obj))
+    assert main(["invariants", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "entry (1, 1)" in captured.err
+
+
+@pytest.mark.parametrize("coeff", ["1/" + "7" * 5000, "-" + "7" * 5000 + "/3"])
+def test_overlong_fraction_coefficient_exit_code(q1_file, tmp_path, capsys, coeff):
+    obj = json.loads(open(q1_file).read())
+    obj["entries"][0][0]["terms"][0]["coeff"] = coeff
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(obj))
+    assert main(["invariants", str(path)]) == 3
+    assert "too many digits" in capsys.readouterr().err
+
+
+def test_generator_count_over_the_cap_exit_code(q1_file, tmp_path, capsys):
+    # an index this large would be a 12.5 MB mask; the cap rejects q before it is read
+    obj = json.loads(open(q1_file).read())
+    obj["entries"][0][0] = {"q": 10 ** 8, "terms": [{"idx": [10 ** 8], "coeff": "1"}]}
+    path = tmp_path / "bigq.json"
+    path.write_text(json.dumps(obj))
+    assert main(["invariants", str(path)]) == 3
+    assert "exceeds the cap" in capsys.readouterr().err
+
+
+_JSON_STRINGS = ["", "x", 'a"b', "back\\slash", "café", "٣", "line\nbreak",
+                 "\t\x00\x1f", " ", "\U0001f600", "/"]
+
+
+def _random_tree(rng, depth):
+    kind = rng.randrange(8 if depth else 5)
+    if kind == 0:
+        return rng.choice(_JSON_STRINGS) + str(rng.randrange(3))
+    if kind == 1:
+        return rng.choice([0, -1, 7, -10 ** 40, 10 ** 40 + 1, rng.randint(-999, 999)])
+    if kind == 2:
+        return None
+    if kind == 3:
+        return rng.random() < 0.5
+    if kind == 4:
+        return rng.choice([[], {}])
+    if kind == 5:
+        return [_random_tree(rng, depth - 1) for _ in range(rng.randrange(1, 4))]
+    return {rng.choice(_JSON_STRINGS) + str(k): _random_tree(rng, depth - 1)
+            for k in range(rng.randrange(1, 4))}
+
+
+def _assert_dumps_bytes(obj):
+    want = json.dumps(obj, sort_keys=True, indent=2, default=lambda x: x.to_obj())
+    assert cli._json_text(obj) == want
+
+
+def test_json_text_matches_json_dumps_on_random_trees():
+    rng = random.Random(27)
+    for _ in range(300):
+        _assert_dumps_bytes(_random_tree(rng, 4))
+
+
+def test_json_text_matches_json_dumps_on_library_objects():
+    rng = random.Random(28)
+    for seed in range(20):
+        q = rng.randint(0, 5)
+        x = G(q, {rng.getrandbits(q): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                  for _ in range(rng.randint(0, 4))})
+        _assert_dumps_bytes(x.to_obj())
+        _assert_dumps_bytes({"scalar": x, "none": None})  # to_obj() for a library type
+        shape = rng.choice([Queer(2), Standard(1, 2)])
+        parity = ANY if isinstance(shape, Queer) else rng.choice([EVEN, ODD, ANY])
+        _assert_dumps_bytes(random_matrix(shape, parity, 3, seed, 5, max_terms=3).to_obj())
+    decompositions = [
+        diagonalize(random_queer_with_spectrum(2, [-3, 4], 3, seed=101)),
+        reduce_odd(random_odd_reducible(2, [5, -3], 2, seed=110)),
+        antidiagonalize(random_commuting_odd_pair(2, 3, seed=111)),  # a null eigenvalue
+    ]
+    assert decompositions[2].to_obj()["blocks"][0]["eigenvalue"] is None
+    for dec in decompositions:
+        _assert_dumps_bytes(dec.to_obj())

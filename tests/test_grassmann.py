@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -486,6 +487,45 @@ def test_serialization_rejects_bad_input():
     for idx in ({}, ""):
         with pytest.raises(ValidationError, match="'idx' must be a list"):
             GrassmannScalar.from_obj({"q": 2, "terms": [{"idx": idx, "coeff": "1"}]})
+
+
+def test_parse_coeff_matches_fraction_parsing():
+    rng = random.Random(27)
+    corpus = ["+7", "-0", "007", "4/2", "-6/4", "+0/5", "12/8", "-1/1", "10", "-9"]
+    for _ in range(40):
+        num = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 60)))
+        den = rng.choice("123456789") + "".join(
+            rng.choice("0123456789") for _ in range(rng.randint(0, 40)))
+        sign = rng.choice(["", "+", "-"])
+        corpus += [sign + num, sign + num + "/" + den]
+    for text in corpus:
+        want = grassmann._norm(Fraction(text))
+        got = grassmann.parse_coeff(text)
+        assert got == want and type(got) is type(want), text
+
+
+def test_parse_coeff_grammar_is_ascii_and_whole():
+    # Fraction() and int() take padding, underscores and other scripts' digits
+    for text in ("2\n", "\u0663", "1/2\n", " 2", "2 ", "1_000", "1/0", "1/02", "+-1", "", "/2"):
+        with pytest.raises(ValidationError, match="decimal-free rational"):
+            grassmann.parse_coeff(text)
+    for text in ("7" * 5000, "1/" + "7" * 5000):
+        with pytest.raises(ValidationError, match="too many digits"):
+            grassmann.parse_coeff(text)
+
+
+def test_from_obj_checks_the_cap_before_reading_terms():
+    # the index 10**8 would be a 12.5 MB mask per term
+    q = 10 ** 8
+    obj = {"q": q, "terms": [{"idx": [q], "coeff": "1"}, {"idx": [q - 1], "coeff": "1"}]}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="exceeds the cap"):
+            GrassmannScalar.from_obj(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_rational_takes_only_exact_coefficients():

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from superinv import cli
 from superinv import (
     ANY,
     EVEN,
@@ -134,3 +135,9 @@ def _outcome(case):
 def test_reduction_output_digest(name):
     text = json.dumps(_outcome(CASES[name]), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_reduction_output_emits_as_json_dumps(name):
+    outcome = _outcome(CASES[name])
+    assert cli._json_text(outcome) == json.dumps(outcome, sort_keys=True, indent=2)
