@@ -32,19 +32,12 @@ from .sympoly import (
     TTauExpression,
     coefficient_matrix,
     elementary_from_roots,
+    power_sum_odd,
     signed_elementary_poly,
     verify_recurrence,
     _symmetric_residual,
     _ttau_monomials,
 )
-
-
-def _moment(pairs, k):
-    """sum_i alpha_i a_i^(k-1), the k-th odd moment of the diagonal data."""
-    acc = GrassmannScalar.zero(pairs[0][0].q)
-    for a, alpha in pairs:
-        acc = acc + alpha * a ** (k - 1)
-    return acc
 
 
 def eigendata(a):
@@ -185,20 +178,15 @@ def qet_generating_coefficients(a, count):
     """
     if not is_int(count) or count < 1:
         raise ValidationError("count must be a positive integer")
-    pairs = eigendata(a)
-    out = []
+    a_vals, alpha_vals = zip(*eigendata(a))
+
+    def tau(k):
+        return power_sum_odd(len(a_vals), k).evaluate(a_vals, alpha_vals)
+
     if isinstance(a.shape, Queer):
-        for j in range(1, count + 1):
-            out.append(-_moment(pairs, j))
-        return out
-    q = a.gq
-    for j in range(1, count + 1):
-        if j % 2 == 1:
-            out.append(GrassmannScalar.zero(q))
-        else:
-            k = j // 2
-            out.append(-(2 * k - 1) * _moment(pairs, k))
-    return out
+        return [-tau(j) for j in range(1, count + 1)]
+    zero = GrassmannScalar.zero(a.gq)
+    return [zero if j % 2 else -(j - 1) * tau(j // 2) for j in range(1, count + 1)]
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,11 @@ The reduction runs in two stages.  The body stage works over the rationals:
 generalized eigenspaces of the body group the indices into a partition, one
 part per eigenvalue.  The nilpotent stage then removes cross-partition terms
 degree by degree: at filtration level d every cross entry is supported on
-monomials of degree >= d, and conjugating by 1 + D with D solving the
-per-monomial Sylvester equations pushes the support to degree d + 1.  After q
-levels the cross terms vanish identically.
+monomials of degree >= d, and conjugating by 1 + D pushes the support to
+degree d + 1.  The Sylvester operators are rational, so each ordered pair of
+parts solves level d once: one product of its inverse operator with all of
+the pair's degree-d monomials as columns.  After q levels the cross terms
+vanish identically.
 
 One body stage serves both shapes: a queer body is a single half, a standard
 body the two halves X and T.  reduce_odd checks its input with the one rule
@@ -112,12 +114,23 @@ def _eligible_spectrum(a):
 
 def solve_sylvester(b, d, r):
     """Unique rational X with bX - Xd = r, for disjoint spectra of b and d."""
-    _exact_grid(r, (_exact_grid(b), _exact_grid(d)))
-    return _PairSolvers([b, d]).solve(0, 1, r)
+    n1 = _exact_grid(b)
+    n2 = _exact_grid(d)
+    _exact_grid(r, (n1, n2))
+    x = linalg.matvec(_sylvester_inverse(b, d), [r[i][j] for j in range(n2) for i in range(n1)])
+    return [[x[j * n1 + i] for j in range(n2)] for i in range(n1)]
+
+
+def _sylvester_inverse(b, d):
+    """Inverse of the operator X -> bX - Xd; SharedEigenvalue if it is singular."""
+    inv = linalg.inverse(_sylvester_operator(b, d))
+    if inv is None:
+        raise SharedEigenvalue("the two coefficient matrices share an eigenvalue")
+    return inv
 
 
 def _sylvester_operator(b, d):
-    # column-stacked matrix of X -> bX - Xd
+    # matrix of X -> bX - Xd on column-stacked X: cell (i, j) is entry j * n1 + i
     n1 = len(b)
     n2 = len(d)
     size = n1 * n2
@@ -296,29 +309,6 @@ def _body_stage(shape, body, gq, spectrum=None):
 # nilpotent stage
 
 
-class _PairSolvers:
-    """Cached inverse Sylvester operators for ordered block pairs."""
-
-    def __init__(self, body_blocks):
-        self.body_blocks = body_blocks
-        self._inv = {}
-
-    def solve(self, r, s, rhs):
-        key = (r, s)
-        inv = self._inv.get(key)
-        if inv is None:
-            kron = _sylvester_operator(self.body_blocks[r], self.body_blocks[s])
-            inv = linalg.inverse(kron)
-            if inv is None:
-                raise SharedEigenvalue("the two coefficient matrices share an eigenvalue")
-            self._inv[key] = inv
-        n1 = len(self.body_blocks[r])
-        n2 = len(self.body_blocks[s])
-        vec = [rhs[i][j] for j in range(n2) for i in range(n1)]
-        x = linalg.matvec(inv, vec)
-        return [[x[j * n1 + i] for j in range(n2)] for i in range(n1)]
-
-
 def _cross_terms(parts, m):
     """Row-major (i, j) cells of m's nonzero entries off the partition's blocks."""
     owner = [None] * m.dim
@@ -355,13 +345,17 @@ def _refine(m, parts, g, filtration_log=None):
     """Remove cross-partition terms degree by degree; exact conjugators.
 
     Returns the refined m and the conjugator g extended by every step.  The
-    body blocks of m on distinct parts must have disjoint spectra.
+    body blocks of m on distinct parts must have disjoint spectra.  At each
+    level every ordered pair (r, s) of parts with cross terms of that degree
+    makes one product: the inverse Sylvester operator of its body blocks times
+    a matrix whose rows are the pair's cells, column-stacked (j outer, i
+    inner), and whose columns are the pair's monomials of that degree, sorted.
     """
     gq = m.gq
     dim = m.dim
     body = m.body_rows()
     body_blocks = [[[body[i][j] for j in part] for i in part] for part in parts]
-    solvers = _PairSolvers(body_blocks)
+    inverses = {}
     shape = m.shape
     ident = SuperMatrix.identity(shape, gq)
     zero = GrassmannScalar.zero(gq)
@@ -377,24 +371,24 @@ def _refine(m, parts, g, filtration_log=None):
                 "filtration contract violated: cross term of degree %d at level %d"
                 % (cross_min, level)
             )
-        masks = {mask for x in cross for mask in x.terms if mask.bit_count() == level}
-        if not masks:
-            continue
-        # one term dict per cell: each (mask, cell) gets at most one solution
+        # one term dict per cell, the solutions for each of its pair's monomials
         terms = {}
-        for mask in sorted(masks):
-            for r, part_r in enumerate(parts):
-                for s, part_s in enumerate(parts):
-                    if r == s:
-                        continue
-                    rhs = [[-m.rows[i][j].terms.get(mask, 0) for j in part_s] for i in part_r]
-                    if all(x == 0 for row in rhs for x in row):
-                        continue
-                    sol = solvers.solve(r, s, rhs)
-                    for a, i in enumerate(part_r):
-                        for b, j in enumerate(part_s):
-                            if sol[a][b] != 0:
-                                terms.setdefault((i, j), {})[mask] = sol[a][b]
+        for r, part_r in enumerate(parts):
+            for s, part_s in enumerate(parts):
+                if r == s:
+                    continue
+                cells = [(i, j) for j in part_s for i in part_r]
+                masks = sorted({mask for i, j in cells for mask in m.rows[i][j].terms
+                                if mask.bit_count() == level})
+                if not masks:
+                    continue
+                if (r, s) not in inverses:
+                    inverses[r, s] = _sylvester_inverse(body_blocks[r], body_blocks[s])
+                rhs = [[-m.rows[i][j].terms.get(mask, 0) for mask in masks] for i, j in cells]
+                for cell, sol in zip(cells, linalg.matmul(inverses[r, s], rhs)):
+                    terms[cell] = dict(zip(masks, sol))
+        if not terms:
+            continue
         delta = SuperMatrix(shape, shape.group_parity,
                             [[GrassmannScalar(gq, terms[i, j]) if (i, j) in terms else zero
                               for j in range(dim)] for i in range(dim)])

@@ -104,6 +104,20 @@ def test_block_diagonalize_already_diagonal():
     assert dec.verify(a)
 
 
+def _bodies_are_eigenvalue_plus_nilpotent(dec):
+    """Whether every block body minus its eigenvalue is nilpotent."""
+    for lam, blk in dec.blocks:
+        body = blk.body_rows()
+        k = len(body)
+        shifted = [[body[i][j] - (lam if i == j else 0) for j in range(k)] for i in range(k)]
+        power = shifted
+        for _ in range(k - 1):
+            power = linalg.matmul(power, shifted)
+        if any(x != 0 for row in power for x in row):
+            return False
+    return True
+
+
 def test_block_diagonalize_plug_back_and_filtration():
     rng = random.Random(10)
     for _ in range(15):
@@ -125,16 +139,7 @@ def test_block_diagonalize_plug_back_and_filtration():
         mins = [d for d in log if d is not None]
         for level, m in enumerate(mins, start=1):
             assert m >= level
-        # block bodies are eigenvalue plus nilpotent
-        for lam, blk in dec.blocks:
-            body = blk.body_rows()
-            kdim = len(body)
-            shifted = [[body[i][j] - (lam if i == j else 0) for j in range(kdim)]
-                       for i in range(kdim)]
-            power = linalg.identity(kdim)
-            for _ in range(kdim):
-                power = linalg.matmul(power, shifted)
-            assert all(x == 0 for row in power for x in row)
+        assert _bodies_are_eigenvalue_plus_nilpotent(dec)
 
 
 def test_diagonalize_random_plug_back():
@@ -161,7 +166,7 @@ def test_diagonalize_rejects_repeats():
 
 
 def test_block_diagonalize_jordan_structure_body():
-    # a nilpotent part inside a repeated-eigenvalue block: the per-monomial
+    # a nilpotent part inside a repeated-eigenvalue block: the Sylvester
     # solves then run against genuinely non-scalar body blocks
     rng = random.Random(81)
     for _ in range(8):
@@ -180,15 +185,57 @@ def test_block_diagonalize_jordan_structure_body():
         dec = block_diagonalize(a)
         assert dec.verify(a)
         assert [len(p) for p in dec.partition] in ([2, 1], [1, 2])
-        for blk_lam, blk in dec.blocks:
-            body = blk.body_rows()
-            k = len(body)
-            shifted = [[body[i][j] - (blk_lam if i == j else 0) for j in range(k)]
-                       for i in range(k)]
-            power = linalg.identity(k)
-            for _ in range(k):
-                power = linalg.matmul(power, shifted)
-            assert all(x == 0 for row in power for x in row)
+        assert _bodies_are_eigenvalue_plus_nilpotent(dec)
+
+
+def _unequal_jordan_queer():
+    """Q(5) at gq 4: body P (J_2(1) + J_3(3)) P^-1, every soul monomial in every entry."""
+    gq = 4
+    jordan = [[1, 1, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 3, 1, 0], [0, 0, 0, 3, 1], [0, 0, 0, 0, 3]]
+    p = [[1, 2, 0, 1, 0], [0, 1, 1, 0, 0], [0, 0, 1, 2, 1], [1, 0, 0, 1, 0], [0, 1, 0, 0, 1]]
+    body = linalg.matmul(linalg.matmul(p, jordan), linalg.inverse(p))
+    rng = random.Random(5)
+    rows = [[G(gq, {mask: rng.choice([-2, -1, 1, 2]) if mask else body[i][j]
+                    for mask in range(1 << gq)}) for j in range(5)] for i in range(5)]
+    return SuperMatrix(Queer(5), ANY, rows)
+
+
+def test_block_diagonalize_unequal_parts_with_jordan_bodies(monkeypatch):
+    # parts of sizes 2 and 3 with non-diagonal body blocks: the cross blocks
+    # solve through 6 x 6 operators, with several monomials at every level
+    a = _unequal_jordan_queer()
+    inverses = []
+    products = []
+    real_inverse = reduction._sylvester_inverse
+    real_matmul = linalg.matmul
+
+    def recording_inverse(b, d):
+        inverses.append(real_inverse(b, d))
+        return inverses[-1]
+
+    def recording_matmul(x, y):
+        if any(x is inv for inv in inverses):
+            products.append(len(y[0]))
+        return real_matmul(x, y)
+
+    monkeypatch.setattr(reduction, "_sylvester_inverse", recording_inverse)
+    monkeypatch.setattr(linalg, "matmul", recording_matmul)
+    log = []
+    dec = block_diagonalize(a, filtration_log=log)
+    monkeypatch.undo()
+    assert dec.verify(a)
+    assert dec.partition == [[1, 2], [3, 4, 5]]
+    assert [lam for lam, _ in dec.blocks] == [1, 3]
+    # neither block body is diagonal
+    assert all(any(x for i, row in enumerate(blk.body_rows()) for j, x in enumerate(row) if i != j)
+               for _lam, blk in dec.blocks)
+    # one product per ordered part pair and level, each with all C(4, level) monomials
+    assert log == [1, 2, 3, 4]
+    assert [len(inv) for inv in inverses] == [6, 6]
+    assert products == [4, 4, 6, 6, 4, 4, 1, 1]
+    assert _bodies_are_eigenvalue_plus_nilpotent(dec)
+    back = SpectralDecomposition.from_obj(json.loads(json.dumps(dec.to_obj())))
+    assert back.verify(a)
 
 
 def test_block_diagonalize_deep_soul_tower():
