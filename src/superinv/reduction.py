@@ -257,8 +257,8 @@ def _grouped_basis(body, spectrum):
         for _ in range(mult - 1):
             power = linalg.matmul(power, shifted)
         basis = linalg.nullspace(power)
-        if len(basis) != mult:
-            raise MultipleEigenvalue(
+        if len(basis) != mult:  # dim ker (B - lam)^mult is mult for correct code
+            raise InternalError(
                 "generalized eigenspace dimension %d does not match multiplicity %d"
                 % (len(basis), mult)
             )
@@ -281,7 +281,7 @@ def _body_stage(shape, body, gq, spectrum=None):
     mults = []
     for lo, hi in ((0, split), (split, dim)):
         half = [row[lo:hi] for row in body[lo:hi]]
-        spec = spectrum or (rational_spectrum(half) if half else RationalSpectrum(()))
+        spec = spectrum or rational_spectrum(half)
         mults.append(dict(spec.pairs))
         for i, row in enumerate(_grouped_basis(half, spec)):
             p_rows[lo + i][lo:hi] = row

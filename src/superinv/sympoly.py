@@ -18,9 +18,9 @@ no solve, since it reads its coefficients off the invariant decomposition.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations
-from operator import add, lt
+from operator import add, lt, mul
 
 from . import linalg
 from .errors import InternalError, NotInvariant, NotSymmetric, ValidationError
@@ -273,18 +273,17 @@ class SuperPolynomial(SparseRingElement):
 
     def _substitute(self, zero, even, odd):
         """Substitute even(i) for a_(i+1) and odd(i) for b_(i+1), i 0-based, in
-        the ring whose zero is given; an even power is a repeated product."""
+        the ring whose zero is given.  A term is the product of its factors
+        from the first on, each even value repeated by its exponent and the odd
+        values in index order, scaled by its coefficient once."""
         acc = zero
         for (exps, mask), c in self.terms.items():
-            term = zero._const(c)
+            factors = []
             for i, e in enumerate(exps):
                 if e:
-                    value = even(i)
-                    for _ in range(e):
-                        term = term * value
-            for i in mask_to_indices(mask):
-                term = term * odd(i - 1)
-            acc = acc + term
+                    factors += [even(i)] * e
+            factors += [odd(i - 1) for i in mask_to_indices(mask)]
+            acc = acc + (reduce(mul, factors)._scale(c) if factors else zero._const(c))
         return acc
 
     # ------------------------------------------------------------------
@@ -382,17 +381,21 @@ def _power_sum_odd(n, k):
     return acc
 
 
-def signed_elementary(values, one):
-    """s_1..s_n, s_j = (-1)^(j-1) e_j, of n commuting values with unit `one`.
+def signed_elementary(values):
+    """s_1..s_n, s_j = (-1)^(j-1) e_j, of n commuting values.
 
-    The sign convention is the one the odd-moment recurrence forces.
+    e_1..e_k of the first k values take the next value v as e_(k+1) = e_k v,
+    e_j += e_(j-1) v and e_1 += v, so n values cost n(n-1)/2 products, none
+    with a constant.  The sign convention is the one the odd-moment
+    recurrence forces.
     """
-    n = len(values)
-    e = [one] + [one * 0] * n
-    for v in values:
-        for j in range(n, 0, -1):
+    e = list(values[:1])
+    for v in values[1:]:
+        e.append(e[-1] * v)
+        for j in range(len(e) - 2, 0, -1):
             e[j] = e[j] + e[j - 1] * v
-    return [e[j] if j % 2 == 1 else -e[j] for j in range(1, n + 1)]
+        e[0] = e[0] + v
+    return [x if j % 2 == 0 else -x for j, x in enumerate(e)]
 
 
 def signed_elementary_poly(n, j):
@@ -409,7 +412,7 @@ def signed_elementary_poly(n, j):
 @cache
 def _signed_elementary_polys(n):
     variables = [SuperPolynomial.even_var(n, i) for i in range(1, n + 1)]
-    return tuple(signed_elementary(variables, SuperPolynomial.one(n)))
+    return tuple(signed_elementary(variables))
 
 
 # ----------------------------------------------------------------------
@@ -692,7 +695,7 @@ def vandermonde_adjoint(n):
     for s in range(1, n + 1):
         others = [SuperPolynomial.even_var(n, i) for i in range(1, n + 1) if i != s]
         # the coefficient of x^k is (-1)^(n-1-k) e_(n-1-k) = -s_(n-1-k)
-        mp.append([-c for c in reversed(signed_elementary(others, one))] + [one])
+        mp.append([-c for c in reversed(signed_elementary(others))] + [one])
     return m, mp
 
 
@@ -825,7 +828,7 @@ def elementary_from_roots(values):
             raise ValidationError("values must be scalars over one algebra")
         if not v.is_even():
             raise ValidationError("values must be even scalars")
-    return signed_elementary(values, GrassmannScalar.one(q))
+    return signed_elementary(values)
 
 
 def verify_recurrence(taus, s):

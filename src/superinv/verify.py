@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
+from operator import mul
 
 from . import linalg
 from .errors import NotInL, SuperInvError, ValidationError, ZeroDiscriminant
@@ -484,11 +486,10 @@ def suite_lemma_3_2(seed):
                     if not entry.is_zero():
                         return "off-diagonal entry (%d,%d) is nonzero" % (k + 1, l + 1)
                 else:
-                    expected = SuperPolynomial.one(n)
                     ak = SuperPolynomial.even_var(n, k + 1)
-                    for i in range(1, n + 1):
-                        if i != k + 1:
-                            expected = expected * (ak - SuperPolynomial.even_var(n, i))
+                    factors = [ak - SuperPolynomial.even_var(n, i)
+                               for i in range(1, n + 1) if i != k + 1]
+                    expected = reduce(mul, factors) if factors else SuperPolynomial.one(n)
                     if entry != expected:
                         return "diagonal entry (%d,%d) differs" % (k + 1, k + 1)
         return None
@@ -607,11 +608,8 @@ def _index_tuples(n, max_index):
 
 
 def _odd_moment_product(n, tup):
-    """The product of the odd power sums indexed by tup, in n variables."""
-    poly = SuperPolynomial.one(n)
-    for i in tup:
-        poly = poly * power_sum_odd(n, i)
-    return poly
+    """The product of the odd power sums indexed by a nonempty tup, in n variables."""
+    return reduce(mul, [power_sum_odd(n, i) for i in tup])
 
 
 def tau_monomial_matrix(n, max_index):
@@ -850,10 +848,7 @@ def suite_cor_4_5(seed):
         a = _queer_sample(rng, n, gq)
         taus = a.tau_values(2 * n + 1)
         for tup in combinations(range(1, 2 * n + 2), n + 1):
-            acc = GrassmannScalar.one(gq)
-            for i in tup:
-                acc = acc * taus[i - 1]
-            if not acc.is_zero():
+            if not reduce(mul, [taus[i - 1] for i in tup]).is_zero():
                 return "moment product of length n+1 is nonzero"
         return None
 
@@ -958,8 +953,6 @@ def suite_sec_5_2(seed):
             q2_closed_form(b)
         except ZeroDiscriminant:
             return None
-        except Exception as exc:
-            return "unexpected error type %r" % type(exc).__name__
         return "zero discriminant accepted"
 
     return [("vanishing-odd-part", 0, None, beta_zero),
@@ -992,11 +985,7 @@ def suite_sec_5_3_1(seed):
                                            _diagonal(Queer(n), ANY, z), zero)
         h = random_sector_conjugator(n, gq, rng.randrange(1 << 30))
         a = base.conjugate(h)
-        try:
-            final = antidiagonalize(a).assembled()
-        except Exception as exc:
-            return "antidiagonalization raised %r" % type(exc).__name__
-        x, _y, z, t = final.blocks()
+        x, _y, z, t = antidiagonalize(a).assembled().blocks()
         if not (x.is_zero() and t.is_zero()):
             return "diagonal blocks are nonzero"
         if not z.is_identity():

@@ -239,12 +239,23 @@ def test_block_diagonalize_unequal_parts_with_jordan_bodies(monkeypatch):
 
 
 def test_block_diagonalize_deep_soul_tower():
-    # six generators: the filtration runs through all six levels exactly
+    # six generators: the filtration runs through all six levels exactly; the
+    # entries are even, so each even cross degree is the minimum at two levels
     a = random_queer_with_spectrum(2, [0, 1], 6, seed=83, soul_terms=2)
     log = []
     dec = block_diagonalize(a, filtration_log=log)
     assert dec.verify(a)
-    assert len(log) <= 7
+    assert log == [2, 2, 4, 4, 6, 6]
+
+
+def test_short_generalized_eigenspace_is_an_internal_error(monkeypatch):
+    # dim ker (B - lam)^mult equals mult, so a short basis is a failed self-check
+    nullspace = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace", lambda rows: nullspace(rows)[1:])
+    a = random_queer_with_spectrum(2, [1, 2], 2, seed=3)
+    with pytest.raises(InternalError,
+                       match="^generalized eigenspace dimension 0 does not match multiplicity 1$"):
+        block_diagonalize(a)
 
 
 def test_standard_even_reduction():

@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import prod
 
 import pytest
 
@@ -756,3 +757,141 @@ def test_sort_sign_is_the_inversion_parity():
             inversions = sum(1 for i, j in combinations(range(size), 2) if seq[i] > seq[j])
             mask = sum(1 << i for i in seq)
             assert _sort_sign(seq) == ((-1) ** inversions, mask), seq
+
+
+# ----------------------------------------------------------------------
+# substitution and the signed elementary recurrence: product counts and
+# term-by-term oracles
+
+
+def _count_ring_products(monkeypatch, cls):
+    """A list that grows by one per product whose right operand is a cls element."""
+    calls = []
+    product = cls.__mul__
+
+    def counting(self, other):
+        if isinstance(other, cls):
+            calls.append(other)
+        return product(self, other)
+
+    monkeypatch.setattr(cls, "__mul__", counting)
+    return calls
+
+
+def _dense_scalar(rng, q, parity):
+    """A scalar holding every monomial of one parity (0 even, 1 odd), Fraction coefficients."""
+    return G(q, {mask: Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3))
+                 for mask in range(1 << q) if mask.bit_count() % 2 == parity})
+
+
+def test_signed_elementary_makes_n_choose_2_products(monkeypatch):
+    rng = random.Random(5)
+    calls = _count_ring_products(monkeypatch, G)
+    for n in range(1, 6):
+        values = [_dense_scalar(rng, 3, 0) for _ in range(n)]
+        calls.clear()
+        elementary_from_roots(values)
+        assert len(calls) == n * (n - 1) // 2, n
+
+
+def test_elementary_from_roots_matches_subset_sums():
+    # s_j = (-1)^(j-1) sum over j-subsets S of prod_{i in S} v_i
+    rng = random.Random(29)
+    for n in range(1, 6):
+        for q in (2, 4, 6):
+            values = [_dense_scalar(rng, q, 0) for _ in range(n)]
+            want = []
+            for j in range(1, n + 1):
+                e = sum((prod(subset, start=G.one(q)) for subset in combinations(values, j)),
+                        G.zero(q))
+                want.append(e if j % 2 else -e)
+            assert elementary_from_roots(values) == want, (n, q)
+
+
+def test_signed_elementary_poly_matches_subset_monomials():
+    for n in range(1, 6):
+        for j in range(1, n + 2):
+            want = {(tuple(int(i in subset) for i in range(n)), 0): (-1) ** (j - 1)
+                    for subset in combinations(range(n), j)}
+            assert signed_elementary_poly(n, j).terms == want, (n, j)
+
+
+def test_substitution_starts_each_term_at_its_first_factor(monkeypatch):
+    q = 4
+    a = [G(q, {0: 2, 0b0011: 1}), G.rational(q, 5)]
+    b = [G.generator(q, 3), G.generator(q, 4)]
+    f = 3 * ev(2, 1) ** 2 * ov(2, 1) * ov(2, 2)
+    constant = SuperPolynomial.constant(2, Fraction(7, 2))
+    calls = _count_ring_products(monkeypatch, G)
+    value = f.evaluate(a, b)
+    assert len(calls) == 3
+    # a constant term makes no product
+    assert constant.evaluate(a, b) == G.rational(q, Fraction(7, 2))
+    assert len(calls) == 3
+    assert value == G(q, {0b1100: 12, 0b1111: 12})
+
+
+def _random_terms(rng, width):
+    """Terms (c, even exponents, odd indices in random order) with Fraction c."""
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        exps = [rng.randint(0, 2) for _ in range(width)]
+        odd = rng.sample(range(1, width + 1), rng.randint(0, min(width, 3)))
+        terms.append((Fraction(rng.choice([-5, -2, 1, 3]), rng.randint(1, 4)), exps, odd))
+    return terms
+
+
+def _keyed(terms):
+    """The term dict of the sum of c * (even monomial) * b_o1 * b_o2 * ..."""
+    out = {}
+    for c, exps, odd in terms:
+        inversions = sum(1 for i, j in combinations(range(len(odd)), 2) if odd[i] > odd[j])
+        key = (tuple(exps), sum(1 << (i - 1) for i in odd))
+        out[key] = out.get(key, 0) + (-1) ** inversions * c
+    return out
+
+
+def _term_by_term(terms, even, odd, unit):
+    """Each term from c * unit: its odd values in its own order, then its even
+    values from the last variable down."""
+    acc = unit * 0
+    for c, exps, odd_order in terms:
+        value = unit * c
+        for i in odd_order:
+            value = value * odd(i - 1)
+        for i in reversed(range(len(exps))):
+            for _ in range(exps[i]):
+                value = value * even(i)
+        acc = acc + value
+    return acc
+
+
+def test_evaluate_matches_term_by_term_oracle():
+    rng = random.Random(2029)
+    nonzero = 0
+    for _ in range(12):
+        n, q = rng.randint(1, 3), rng.randint(2, 5)
+        terms = _random_terms(rng, n)
+        f = SuperPolynomial(n, _keyed(terms))
+        a = [_dense_scalar(rng, q, 0) for _ in range(n)]
+        b = [_dense_scalar(rng, q, 1) for _ in range(n)]
+        value = f.evaluate(a, b)
+        assert value == _term_by_term(terms, a.__getitem__, b.__getitem__, G.one(q))
+        nonzero += not value.is_zero()
+    assert nonzero >= 6
+
+
+def test_expand_matches_term_by_term_oracle():
+    rng = random.Random(1998)
+    nonzero = 0
+    for _ in range(8):
+        n, symbol_range = rng.randint(1, 3), rng.randint(1, 3)
+        terms = _random_terms(rng, symbol_range)
+        e = TTauExpression(n, symbol_range, _keyed(terms))
+        for basis, kernel in (("t", power_sum_even), ("s", signed_elementary_poly)):
+            expanded = e.expand(basis)
+            assert expanded == _term_by_term(terms, lambda i: kernel(n, i + 1),
+                                             lambda i: power_sum_odd(n, i + 1),
+                                             SuperPolynomial.one(n)), basis
+            nonzero += not expanded.is_zero()
+    assert nonzero >= 8

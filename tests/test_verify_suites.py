@@ -1,6 +1,6 @@
 import pytest
 
-from superinv import ValidationError, ZeroDiscriminant, verify
+from superinv import SingularZ, ValidationError, ZeroDiscriminant, verify
 from superinv.cli import main
 from superinv.verify import (
     SUITES,
@@ -59,6 +59,35 @@ def test_library_error_inside_a_trial_fails_the_claim(monkeypatch, capsys):
     assert records[2]["counterexample"] == {"trial": 0, "info": "raised ZeroDiscriminant: injected"}
     assert main(["verify", "eq-4.1", "--seed", "1", "--trials", "2"]) == 1
     assert "raised ZeroDiscriminant: injected" in capsys.readouterr().out
+
+
+def _claim_record(monkeypatch, suite, claim, target, planted):
+    """One trial of a claim, as run_suite runs it, with verify.<target> raising planted."""
+    def raising(*args):
+        raise planted
+
+    monkeypatch.setattr(verify, target, raising)
+    seed = 1
+    for name, offset, _cap, one_trial in SUITES[suite](seed):
+        if name == claim:
+            return verify._run_trials(name, 1, seed + offset, one_trial)
+    raise AssertionError("no claim %r in %r" % (claim, suite))
+
+
+@pytest.mark.parametrize("suite, claim, target, planted", [
+    ("sec-5.3.1", "antidiagonal-round-trip", "antidiagonalize", TypeError("planted")),
+    ("sec-5.2", "zero-discriminant-rejected", "q2_closed_form", KeyError("planted")),
+], ids=["round-trip", "zero-discriminant"])
+def test_non_library_error_inside_a_claim_propagates(monkeypatch, suite, claim, target, planted):
+    with pytest.raises(type(planted)):
+        _claim_record(monkeypatch, suite, claim, target, planted)
+
+
+def test_library_error_inside_round_trip_fails_the_claim(monkeypatch):
+    record = _claim_record(monkeypatch, "sec-5.3.1", "antidiagonal-round-trip",
+                           "antidiagonalize", SingularZ("planted"))
+    assert record["status"] == "fail"
+    assert record["counterexample"] == {"trial": 0, "info": "raised SingularZ: planted"}
 
 
 def test_reports_are_reproducible():
