@@ -1,17 +1,23 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of row lists with int or Fraction entries.  Elimination is
-one sparse, fraction-free Gauss-Jordan on integer rows (`_rref`, behind
-`rank`, `inverse_with_rank`, `solve_general` and `nullspace`), the
-characteristic polynomial comes from the Faddeev-LeVerrier recursion, and
-rational roots from Sturm-sequence bisection on integer polynomials; no
-floating point anywhere.
+Matrices are lists of row lists with int or Fraction entries.  Products
+(`matmul`, `matvec`) take integer dot products: each row of the left factor
+and each column of the right is scaled to integers over the lcm of its
+denominators, and each entry is divided once, an integral one coming back as
+an int.  Elimination is one sparse, fraction-free Gauss-Jordan on integer
+rows (`_rref`, behind `rank`, `inverse_with_rank`, `solve_general` and
+`nullspace`), the characteristic polynomial comes from the Faddeev-LeVerrier
+recursion, and rational roots from Sturm-sequence bisection on integer
+polynomials; no floating point anywhere.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
+
+from .errors import ShapeMismatch
 
 
 def identity(n):
@@ -30,13 +36,46 @@ def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
+def _integer_vector(v):
+    """(d, w) with d the lcm of the entries' denominators and w = d * v in ints."""
+    if all(type(x) is int for x in v):
+        return 1, v
+    d = math.lcm(*[x.denominator for x in v])
+    return d, [x.numerator * (d // x.denominator) for x in v]
+
+
+def _products(rows, cols):
+    """Every row times every column, all of one length, over integer numerators."""
+    cols = [_integer_vector(col) for col in cols]
+    out = []
+    for d_row, row in map(_integer_vector, rows):
+        out_row = []
+        for d_col, col in cols:
+            num, den = sum(map(mul, row, col)), d_row * d_col
+            if den != 1:
+                whole, rest = divmod(num, den)
+                num = Fraction(num, den) if rest else whole
+            out_row.append(num)
+        out.append(out_row)
+    return out
+
+
+def _check_rows(m, width, what):
+    if any(len(row) != width for row in m):
+        raise ShapeMismatch("%s needs rows of length %d" % (what, width))
+
+
 def matmul(a, b):
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    """a @ b for an m x k list of rows a and a k x p list of rows b."""
+    _check_rows(a, len(b), "matmul's left factor")
+    _check_rows(b, len(b[0]) if b else 0, "matmul's right factor")
+    return _products(a, transpose(b))
 
 
 def matvec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    """a @ v for an m x k list of rows a and a length-k list v."""
+    _check_rows(a, len(v), "matvec's matrix")
+    return [row[0] for row in _products(a, [v])]
 
 
 def trace(a):

@@ -266,6 +266,10 @@ class SuperMatrix:
     def __matmul__(self, other):
         if not isinstance(other, SuperMatrix):
             return NotImplemented
+        return self._product(other)
+
+    def _product(self, other, diagonal=False):
+        """self @ other, or with diagonal=True only the list of its diagonal entries."""
         self._check_compatible(other)
         gq = self.gq
         # Integer numerators over one denominator per row of self and per
@@ -292,20 +296,22 @@ class SuperMatrix:
                     for d_col, col in cols]
         else:
             kernel = mul_terms_into
+        cells = zip(rows, cols) if diagonal else ((row, col) for row in rows for col in cols)
         out = []
-        for d_row, row in rows:
-            out_row = []
-            for d_col, col in cols:
-                acc = [0] * size if dense else {}
-                for x, y in zip(row, col):
-                    if x and y:
-                        kernel(acc, x, y)
-                if dense:
-                    acc = {m: c for m, c in enumerate(acc) if c}
-                out_row.append(GrassmannScalar._raw(gq, prune_terms(acc, d_row * d_col)))
-            out.append(out_row)
+        for (d_row, row), (d_col, col) in cells:
+            acc = [0] * size if dense else {}
+            for x, y in zip(row, col):
+                if x and y:
+                    kernel(acc, x, y)
+            if dense:
+                acc = {m: c for m, c in enumerate(acc) if c}
+            out.append(GrassmannScalar._raw(gq, prune_terms(acc, d_row * d_col)))
+        if diagonal:
+            return out
+        dim = self.dim
         parity = _product_parity(self.parity, other.parity)
-        return SuperMatrix(self.shape, parity, out, validate=False)
+        return SuperMatrix(self.shape, parity, [out[i:i + dim] for i in range(0, len(out), dim)],
+                           validate=False)
 
     def __mul__(self, other):
         if isinstance(other, SuperMatrix):
@@ -403,18 +409,38 @@ class SuperMatrix:
         raise ShapeMismatch("expected a queer matrix or an odd standard square matrix")
 
     def tau_values(self, upto):
-        """tau(1..upto) with the matrix powers computed incrementally."""
+        """tau(1..upto), reading about half of the matrix powers.
+
+        tau_k is the trace of A^k / k on a queer matrix, and of
+        A^(2k-1) / (2k-1) on an odd square, whose odd powers are odd, so
+        their supertrace is the plain trace.  The powers read by
+        tau_1..tau_h, h = ceil(upto / 2), are formed; each higher tau_k reads
+        the diagonal of A^h A^(k-h), or of A^(2h) A^(2(k-h)-1), and only those
+        cells are computed.  Every moment after a zero power is zero.
+        """
         if not is_int(upto) or upto < 0:
             raise ValidationError("invariant count must be a non-negative integer")
         self.family_size()
         queer = isinstance(self.shape, Queer)
-        step = self if queer else self @ self  # tau_k reads A^k, or A^(2k-1) on an odd square
-        power, out = self, []
+        half = (upto + 1) // 2
+        powers = [self]  # A^k, or A^(2k-1) on an odd square, for k = 1..half
+        if half > 1:
+            step = self if queer else self @ self
+            while len(powers) < half and not powers[-1].is_zero():
+                powers.append(powers[-1] @ step)
+        diagonals = [[p.rows[i][i] for i in range(self.dim)] for p in powers]
+        if upto > half and not powers[-1].is_zero():  # so powers reached A^half
+            top = powers[-1] if queer else powers[-1] @ self
+            if not top.is_zero():
+                diagonals += [top._product(p, diagonal=True) for p in powers[:upto - half]]
+        zero = GrassmannScalar.zero(self.gq)
+        out = []
         for k in range(1, upto + 1):
-            if k > 1 and not power.is_zero():  # every moment after a zero power is zero
-                power = power @ step
-            out.append(power.qtr() * Fraction(1, k) if queer
-                       else power.supertrace() * Fraction(1, 2 * k - 1))
+            diagonal = diagonals[k - 1] if k <= len(diagonals) else ()
+            if queer:
+                out.append(sum((x.odd_part() for x in diagonal), zero) * Fraction(1, k))
+            else:
+                out.append(sum(diagonal, zero) * Fraction(1, 2 * k - 1))
         return out
 
     def conjugate(self, g):

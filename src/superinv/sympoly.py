@@ -377,7 +377,8 @@ def power_sum_odd(n, k):
 def _power_sum_odd(n, k):
     acc = SuperPolynomial.zero(n)
     for i in range(1, n + 1):
-        acc = acc + SuperPolynomial.odd_var(n, i) * SuperPolynomial.even_var(n, i) ** (k - 1)
+        b_i = SuperPolynomial.odd_var(n, i)
+        acc = acc + (b_i * SuperPolynomial.even_var(n, i) ** (k - 1) if k > 1 else b_i)
     return acc
 
 
@@ -602,7 +603,11 @@ def balance_residual(num, den, i):
     """
     if den == 1:
         return num.derivative(i).odd_multiply(i)
-    return (num.derivative(i) * den - num * den.derivative(i)).odd_multiply(i)
+    dnum, dden = num.derivative(i), den.derivative(i)
+    residual = dnum * den if dnum else dnum  # a zero derivative makes no product
+    if dden:
+        residual = residual - num * dden
+    return residual.odd_multiply(i)
 
 
 def _symmetric_residual(num, den):

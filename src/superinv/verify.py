@@ -474,14 +474,21 @@ def suite_thm_1_3(seed):
 
 
 def suite_lemma_3_2(seed):
+    products = {}  # n -> the entries of M'M, built once per n for both claims
+
+    def adjoint_product(n):
+        if n not in products:
+            m, mp = vandermonde_adjoint(n)
+            products[n] = [[sum((mp[k][i] * m[i][l] for i in range(n)), SuperPolynomial.zero(n))
+                            for l in range(n)] for k in range(n)]
+        return products[n]
+
     def symbolic(t, rng):
         n = t % 4 + 1
-        m, mp = vandermonde_adjoint(n)
+        product = adjoint_product(n)
         for k in range(n):
             for l in range(n):
-                entry = SuperPolynomial.zero(n)
-                for i in range(n):
-                    entry = entry + mp[k][i] * m[i][l]
+                entry = product[k][l]
                 if k != l:
                     if not entry.is_zero():
                         return "off-diagonal entry (%d,%d) is nonzero" % (k + 1, l + 1)
@@ -499,15 +506,12 @@ def suite_lemma_3_2(seed):
         vals = [Fraction(v, rng.randint(1, 3)) for v in pick_distinct(rng, n, low=-8, high=8)]
         if len(set(vals)) != n:
             return None
-        m, mp = vandermonde_adjoint(n)
+        product = adjoint_product(n)
         a_scalars = [GrassmannScalar.rational(0, v) for v in vals]
         zeros = [GrassmannScalar.zero(0)] * n
         for k in range(n):
             for l in range(n):
-                entry = SuperPolynomial.zero(n)
-                for i in range(n):
-                    entry = entry + mp[k][i] * m[i][l]
-                got = entry.evaluate(a_scalars, zeros)
+                got = product[k][l].evaluate(a_scalars, zeros)
                 want = Fraction(1)
                 for i in range(n):
                     if i != k:

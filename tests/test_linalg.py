@@ -2,7 +2,9 @@ import random
 import time
 from fractions import Fraction
 
-from superinv import TTauExpression, linalg
+import pytest
+
+from superinv import ShapeMismatch, TTauExpression, linalg
 from superinv.sympoly import _ttau_monomials, coefficient_matrix
 
 
@@ -296,3 +298,71 @@ def test_rational_roots_large_constant_term():
     roots, residual = linalg.rational_roots([2 * c for c in coeffs])
     assert roots == [(root, 1)] and residual == [2 * c for c in quad]
     assert time.perf_counter() - start < 5
+
+
+# ----------------------------------------------------------------------
+# products: a plain Fraction reference, and shape checks
+
+
+def _reference_product(a, b):
+    """a @ b in Fraction arithmetic, term by term; p = 0 when b has no rows."""
+    width = len(b[0]) if b else 0
+    return [[sum((Fraction(row[t]) * b[t][j] for t in range(len(b))), Fraction(0))
+             for j in range(width)] for row in a]
+
+
+def _assert_integral_entries_are_ints(values):
+    for x in values:
+        assert type(x) is int or x.denominator != 1, x
+
+
+def test_matmul_and_matvec_match_a_fraction_reference():
+    rng = random.Random(71)
+    near_1e9 = (999999937, 1000000007, 10 ** 9)
+    kinds = {
+        "int": lambda: rng.randint(-9, 9),
+        "mixed Fraction": lambda: rng.choice(
+            [rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 12))]),
+        "near 1e9 denominators": lambda: Fraction(rng.randint(-10 ** 9, 10 ** 9),
+                                                  rng.choice(near_1e9)),
+    }
+    for name, entry in kinds.items():
+        for _ in range(25):
+            m, k, p = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+            a = [[entry() for _ in range(k)] for _ in range(m)]
+            b = [[entry() for _ in range(p)] for _ in range(k)]
+            v = [entry() for _ in range(k)]
+            got = linalg.matmul(a, b)
+            assert got == _reference_product(a, b), name
+            _assert_integral_entries_are_ints(x for row in got for x in row)
+            got = linalg.matvec(a, v)
+            assert got == [row[0] for row in _reference_product(a, [[x] for x in v])], name
+            _assert_integral_entries_are_ints(got)
+            if name == "int":
+                assert all(type(x) is int for x in got)
+    # Fractions whose products are integral come back as ints
+    got = linalg.matmul([[Fraction(1, 2), Fraction(2, 3)]], [[Fraction(2, 1)], [Fraction(3, 2)]])
+    assert got == [[2]] and type(got[0][0]) is int
+    got = linalg.matmul([[Fraction(2, 3)]], [[Fraction(3, 2)]])
+    assert got == [[1]] and type(got[0][0]) is int
+    assert linalg.matmul([[Fraction(1, 3)]], [[Fraction(1, 10 ** 9)]]) == [[Fraction(1, 3 * 10 ** 9)]]
+    # k x 0 and 0 x k factors
+    assert linalg.matmul([[], [], []], []) == [[], [], []]
+    assert linalg.matmul([[1, 2]], [[], []]) == [[]]
+    assert linalg.matmul([], [[1, 2], [3, 4]]) == []
+    got = linalg.matvec([[], []], [])
+    assert got == [0, 0] and all(type(x) is int for x in got)
+    assert linalg.matvec([], [1, 2]) == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda: linalg.matmul([[1, 2]], [[1]]),  # inner dimension 2 against 1
+    lambda: linalg.matmul([[1], [2, 3]], [[1]]),  # a ragged left row
+    lambda: linalg.matmul([[1]], [[1, 2], [3]]),  # a ragged right row
+    lambda: linalg.matvec([[1, 2], [3, 4]], [1]),
+    lambda: linalg.matvec([[1, 2], [3]], [1, 2]),
+])
+def test_products_reject_mismatched_shapes(call):
+    with pytest.raises(ShapeMismatch) as info:
+        call()
+    assert info.value.exit_code == 3

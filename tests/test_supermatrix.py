@@ -24,6 +24,7 @@ from superinv import (
     random_matrix,
 )
 from superinv.grassmann import generator_cap, set_generator_cap
+from superinv.supermatrix import _entry_parity
 from superinv.verify import pick_distinct
 
 G = GrassmannScalar
@@ -618,14 +619,15 @@ def test_qet_is_the_log_series_of_a0_inverse_a1(n):
         assert a.qet() == want
 
 
-def test_qet_of_the_readme_example_makes_four_products(monkeypatch):
+def test_qet_of_the_readme_example_makes_three_products(monkeypatch):
     q = 2
     x1, x2 = gens(q)
     a = SuperMatrix(Queer(2), ANY, [[q1(1) + x1, G.zero(q)], [G.zero(q), q1(2) + x2]])
     matmuls = _count_calls(monkeypatch, SuperMatrix, "__matmul__")
     assert a.qet() == x1 + x2 * Fraction(1, 2)
-    # two in A0's inverse, A0^-1 A1, and its square; no product by an identity
-    assert len(matmuls) == 4
+    # two in A0's inverse and A0^-1 A1; no product by an identity, and the
+    # square's trace comes from a diagonal-only product
+    assert len(matmuls) == 3
 
 
 def test_tau_values_stops_multiplying_at_a_zero_power(monkeypatch):
@@ -634,6 +636,77 @@ def test_tau_values_stops_multiplying_at_a_zero_power(monkeypatch):
     matmuls = _count_calls(monkeypatch, SuperMatrix, "__matmul__")
     assert a.tau_values(4) == [x1, 0, 0, 0]
     assert len(matmuls) == 1
+
+
+def _tau_by_every_power(a, upto):
+    """tau_1..tau_upto from every power in turn, with no early stop."""
+    queer = isinstance(a.shape, Queer)
+    step = a if queer else a @ a
+    power, out = a, []
+    for k in range(1, upto + 1):
+        if k > 1:
+            power = power @ step
+        out.append(power.qtr() * Fraction(1, k) if queer
+                   else power.supertrace() * Fraction(1, 2 * k - 1))
+    return out
+
+
+def _dense_soul_matrix(rng, shape, parity, q, body=True):
+    """Every entry holds every monomial of its parity, Fraction coefficients;
+    with body=False the constant terms are dropped, so the matrix is nilpotent."""
+    def entry(want):
+        return G(q, {mask: Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3))
+                     for mask in range(1 << q)
+                     if (body or mask) and (want is None or mask.bit_count() % 2 == (want == ODD))})
+    return SuperMatrix(shape, parity, [[entry(_entry_parity(shape, parity, i, j))
+                                        for j in range(shape.dim)] for i in range(shape.dim)])
+
+
+@pytest.mark.parametrize("shape,parity,q", [(Queer(n), ANY, 4 if n < 4 else 3) for n in range(1, 6)]
+                         + [(Standard(n, n), ODD, 3) for n in range(1, 4)])
+def test_tau_values_matches_the_per_power_loop(shape, parity, q):
+    rng = random.Random(shape.dim * 31 + q)
+    n = shape.dim if isinstance(shape, Queer) else shape.p
+    dense = _dense_soul_matrix(rng, shape, parity, q)
+    for upto in range(2 * n + 2):
+        assert dense.tau_values(upto) == _tau_by_every_power(dense, upto), upto
+    # nilpotent inputs: a power vanishes and every later moment is zero
+    for soul_q in (1, 2, 3):
+        soul = _dense_soul_matrix(rng, shape, parity, soul_q, body=False)
+        for upto in range(2 * n + 2):
+            assert soul.tau_values(upto) == _tau_by_every_power(soul, upto), (soul_q, upto)
+
+
+def _count_products(monkeypatch):
+    """Lists that grow by one per full product and per diagonal-only product."""
+    full = _count_calls(monkeypatch, SuperMatrix, "__matmul__")
+    diagonals = []
+    product = SuperMatrix._product
+
+    def counting(self, other, diagonal=False):
+        if diagonal:
+            diagonals.append(other)
+        return product(self, other, diagonal)
+
+    monkeypatch.setattr(SuperMatrix, "_product", counting)
+    return full, diagonals
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_tau_values_forms_half_the_powers(monkeypatch, n):
+    rng = random.Random(n)
+    queer = _dense_soul_matrix(rng, Queer(n), ANY, 3)
+    odd = _dense_soul_matrix(rng, Standard(n, n), ODD, 2) if n <= 3 else None
+    full, diagonal = _count_products(monkeypatch)
+    # queer: A .. A^n, then the diagonals of A^n A^1 .. A^n A^n
+    queer.tau_values(2 * n)
+    assert (len(full), len(diagonal)) == (n - 1, n)
+    if odd is not None:
+        del full[:], diagonal[:]
+        # odd: A^2, A^3, A^5 .. A^(2n-1) and A^(2n) (at n = 1, A^2 is A^(2n)),
+        # then the diagonals of A^(2n) A^1, A^(2n) A^3 .. A^(2n) A^(2n-1)
+        odd.tau_values(2 * n)
+        assert (len(full), len(diagonal)) == (n + 1 if n > 1 else 1, n)
 
 
 @pytest.mark.parametrize("shape,parity", [(Queer(2), ANY), (Standard(1, 1), ODD)])

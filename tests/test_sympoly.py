@@ -32,7 +32,7 @@ from superinv import (
     verify_recurrence,
 )
 from superinv.grassmann import mask_to_indices
-from superinv.sympoly import _sort_sign
+from superinv.sympoly import _power_sum_odd, _sort_sign, balance_residual
 
 G = GrassmannScalar
 
@@ -895,3 +895,28 @@ def test_expand_matches_term_by_term_oracle():
                                              SuperPolynomial.one(n)), basis
             nonzero += not expanded.is_zero()
     assert nonzero >= 8
+
+
+def test_balance_residual_skips_zero_derivatives(monkeypatch):
+    a1, a2, b1 = ev(2, 1), ev(2, 2), ov(2, 1)
+    cases = [
+        # D = a2 + 1 has no a1: only dN/da1 * D is multiplied
+        (a1 ** 2 + a2, a2 + 1, 2 * b1 * a1 * a2 + 2 * b1 * a1, 1),
+        # N = a2 has no a1 either: no product at all
+        (a2, a2 + 1, SuperPolynomial.zero(2), 0),
+        # both derivatives non-zero: both products of the quotient rule
+        (a1, a1 + a2, b1 * a2, 2),
+    ]
+    calls = _count_ring_products(monkeypatch, SuperPolynomial)
+    for num, den, want, products in cases:
+        del calls[:]
+        assert balance_residual(num, den, 1) == want
+        assert len(calls) == products
+
+
+def test_power_sum_odd_of_degree_one_multiplies_nothing(monkeypatch):
+    calls = _count_ring_products(monkeypatch, SuperPolynomial)
+    for n in range(1, 5):
+        assert _power_sum_odd.__wrapped__(n, 1) == sum(
+            (ov(n, i) for i in range(1, n + 1)), SuperPolynomial.zero(n))
+    assert calls == []

@@ -108,3 +108,19 @@ def test_reports_are_reproducible():
 def test_sampler_eigenvalue_counts_checked(call):
     with pytest.raises(ValidationError, match="eigenvalues"):
         call()
+
+
+def test_lemma_3_2_builds_each_adjoint_product_once_per_suite_call(monkeypatch):
+    built = []
+    real = verify.vandermonde_adjoint
+
+    def counting(n):
+        built.append(n)
+        return real(n)
+
+    monkeypatch.setattr(verify, "vandermonde_adjoint", counting)
+    # the symbolic claim visits n = 1..4 in its four trials; the numeric claim
+    # draws n in 1..4 in each of its 30 and reuses those products
+    records = run_suite("lemma-3.2", seed=7, trials=30)
+    assert all(r["status"] == "pass" for r in records)
+    assert sorted(built) == [1, 2, 3, 4]
