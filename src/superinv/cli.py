@@ -64,8 +64,11 @@ def _json_text(obj, newline="\n"):
 
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValidationError("cannot write %s: %s" % (out_path, exc)) from exc
     else:
         sys.stdout.write(text)
 

@@ -100,9 +100,7 @@ def _rref(m, ncols=None):
     if ncols is None:
         ncols = len(m[0]) if rows else 0
     for i, row in enumerate(m):
-        den = math.lcm(*[x.denominator for x in row])
-        m[i] = _int_primitive([x.numerator * (den // x.denominator) for x in row] if den > 1
-                              else [x.numerator for x in row])
+        m[i] = _int_primitive(_integer_vector(row)[1])
     pivots = []
     r = 0
     for c in range(ncols):
@@ -333,8 +331,7 @@ def rational_roots(coeffs):
         cur.pop()
     if len(cur) == 1:
         return [], None
-    den = math.lcm(*(c.denominator for c in cur))
-    ints = [c.numerator * (den // c.denominator) for c in cur]
+    den, ints = _integer_vector(cur)
     content = math.gcd(*ints)
     poly = [c // content for c in ints]
     scale = Fraction(content, den)  # cur == scale * poly

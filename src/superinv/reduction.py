@@ -60,11 +60,9 @@ def rational_spectrum(rows):
     coeffs = linalg.charpoly(rows)
     roots, residual = linalg.rational_roots(coeffs)
     if residual is not None:
-        raise NonSplitting(
-            "characteristic polynomial does not split over the rationals",
-            residual=[Fraction(c) for c in residual],
-        )
-    return RationalSpectrum(tuple(sorted(roots)))
+        raise NonSplitting("characteristic polynomial does not split over the rationals",
+                           residual=residual)
+    return RationalSpectrum(tuple(roots))
 
 
 def _exact_grid(rows, shape=None):
@@ -408,11 +406,8 @@ def block_diagonalize(a, filtration_log=None):
     optional filtration_log collects the minimal cross-term degree seen at
     each nilpotent level.
     """
-    if isinstance(a.shape, Standard):
-        if a.parity != EVEN:
-            raise ShapeMismatch("standard-shaped input must have even parity class")
-    elif not isinstance(a.shape, Queer):
-        raise ShapeMismatch("input must be queer or standard shaped")
+    if a.parity != a.shape.group_parity:
+        raise ShapeMismatch("standard-shaped input must have even parity class")
     g0, parts, eigs, block_shapes = _body_stage(a.shape, a.body_rows(), a.gq)
     m, conjugator = _refine(a.conjugate(g0), parts, g0, filtration_log=filtration_log)
     blocks = []

@@ -143,16 +143,13 @@ class SuperMatrix:
                         "entry (%d, %d) has generator count %d, expected %d"
                         % (i + 1, j + 1, x.q, self.gq)
                     )
-        if isinstance(self.shape, Standard) and self.parity != ANY:
-            for i, row in enumerate(self.rows):
-                for j, x in enumerate(row):
-                    want = _entry_parity(self.shape, self.parity, i, j)
-                    if not (x.is_even() if want == EVEN else x.is_odd()):
-                        raise ValidationError(
-                            "entry (%d, %d) violates the declared %s parity class"
-                            % (i + 1, j + 1, self.parity),
-                            cell=(i + 1, j + 1),
-                        )
+                want = _entry_parity(self.shape, self.parity, i, j)
+                if want is not None and not (x.is_even() if want == EVEN else x.is_odd()):
+                    raise ValidationError(
+                        "entry (%d, %d) violates the declared %s parity class"
+                        % (i + 1, j + 1, self.parity),
+                        cell=(i + 1, j + 1),
+                    )
 
     # ------------------------------------------------------------------
     # constructors
@@ -372,13 +369,10 @@ class SuperMatrix:
         return acc
 
     def qtr(self):
-        """Trace of the odd part; linear and odd-valued."""
+        """Trace of the odd part, which is tau_1; linear and odd-valued."""
         if not isinstance(self.shape, Queer):
             raise ShapeMismatch("qtr needs a queer-shaped matrix")
-        acc = GrassmannScalar.zero(self.gq)
-        for i in range(self.dim):
-            acc = acc + self.rows[i][i].odd_part()
-        return acc
+        return self.tau_values(1)[0]
 
     def qet(self):
         """Odd log-determinant analogue: sum_i (1/i) tr P^i with P = A0^-1 A1.
@@ -487,8 +481,6 @@ class SuperMatrix:
                 raise ValidationError("matrix object missing field %r" % field)
         shape = shape_from_obj(obj["shape"])
         parity = obj["parity"]
-        if parity not in _PARITIES:
-            raise ValidationError("parity must be 'even', 'odd' or 'any'")
         gq = obj["grassmann_q"]
         if not is_int(gq) or gq < 0:
             raise ValidationError("grassmann_q must be a non-negative integer")
@@ -538,7 +530,7 @@ class GroupElement:
     def __init__(self, matrix, *, _inverse=None):
         if not isinstance(matrix, SuperMatrix):
             raise ShapeMismatch("GroupElement needs a SuperMatrix")
-        if isinstance(matrix.shape, Standard) and matrix.parity != EVEN:
+        if matrix.parity != matrix.shape.group_parity:
             raise ValidationError("standard-shaped group elements must be even")
         if _inverse is None:
             rk = linalg.rank(matrix.body_rows())

@@ -604,9 +604,10 @@ def balance_residual(num, den, i):
     if den == 1:
         return num.derivative(i).odd_multiply(i)
     dnum, dden = num.derivative(i), den.derivative(i)
-    residual = dnum * den if dnum else dnum  # a zero derivative makes no product
-    if dden:
-        residual = residual - num * dden
+    # a constant derivative, zero included, scales the other factor: no ring product
+    c, e = dnum.constant_term(), dden.constant_term()
+    residual = den._scale(c) if dnum == c else dnum * den
+    residual = residual - (num._scale(e) if dden == e else num * dden)
     return residual.odd_multiply(i)
 
 

@@ -479,7 +479,10 @@ def suite_lemma_3_2(seed):
     def adjoint_product(n):
         if n not in products:
             m, mp = vandermonde_adjoint(n)
-            products[n] = [[sum((mp[k][i] * m[i][l] for i in range(n)), SuperPolynomial.zero(n))
+            # M's first row is 1, and so is the last entry of each row of M':
+            # those terms need no product
+            products[n] = [[sum((mp[k][i] * m[i][l] for i in range(1, n - 1)),
+                                mp[k][0] + m[n - 1][l] if n > 1 else mp[k][0])
                             for l in range(n)] for k in range(n)]
         return products[n]
 
@@ -524,15 +527,15 @@ def suite_lemma_3_2(seed):
             ("adjoint-product-numeric", 1, None, numeric)]
 
 
-def _random_symmetric_polynomial(n, rng, max_degree=6):
-    """Symmetrize a few random monomials of bounded total degree."""
+def _random_symmetric_polynomial(n, rng):
+    """Symmetrize a few random monomials of total degree at most 6."""
     acc = SuperPolynomial.zero(n)
     for _ in range(rng.randint(1, 3)):
         odd_count = rng.randint(0, n)
         mask = 0
         while mask.bit_count() < odd_count:
             mask |= 1 << rng.randrange(n)
-        budget = max_degree - odd_count
+        budget = 6 - odd_count
         exps = []
         for _i in range(n):
             e = rng.randint(0, max(0, budget))

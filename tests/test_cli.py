@@ -246,6 +246,22 @@ def test_missing_file_exit_code(capsys):
     assert main(["invariants", "/nonexistent/file.json"]) == 3
 
 
+@pytest.mark.parametrize("command", [
+    ["invariants", "{q1}"],
+    ["reduce", "{q1}", "--mode", "diagonalize"],
+    ["verify", "grassmann", "--seed", "1", "--trials", "1"],
+], ids=["invariants", "reduce", "verify"])
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_out_exit_code(q1_file, tmp_path, capsys, command, where):
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "out.json"
+    argv = [arg.format(q1=q1_file) for arg in command] + ["--out", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith("input error: cannot write %s: " % out)
+
+
 def test_reduce_large_body_eigenvalues(tmp_path):
     # body g^-1 diag(a, b) g with g = [[1, 1], [1, 2]], plus a small soul
     a, b = 1000000007, -999999937

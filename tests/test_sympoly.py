@@ -904,8 +904,10 @@ def test_balance_residual_skips_zero_derivatives(monkeypatch):
         (a1 ** 2 + a2, a2 + 1, 2 * b1 * a1 * a2 + 2 * b1 * a1, 1),
         # N = a2 has no a1 either: no product at all
         (a2, a2 + 1, SuperPolynomial.zero(2), 0),
-        # both derivatives non-zero: both products of the quotient rule
-        (a1, a1 + a2, b1 * a2, 2),
+        # both derivatives the constant 1: each scales, no product at all
+        (a1, a1 + a2, b1 * a2, 0),
+        # both derivatives non-constant: both products of the quotient rule
+        (a1 ** 2, a1 ** 2 + a2, 2 * b1 * a1 * a2, 2),
     ]
     calls = _count_ring_products(monkeypatch, SuperPolynomial)
     for num, den, want, products in cases:

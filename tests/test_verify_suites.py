@@ -2,6 +2,7 @@ import pytest
 
 from superinv import SingularZ, ValidationError, ZeroDiscriminant, verify
 from superinv.cli import main
+from superinv.sympoly import SuperPolynomial
 from superinv.verify import (
     SUITES,
     random_odd_reducible,
@@ -124,3 +125,21 @@ def test_lemma_3_2_builds_each_adjoint_product_once_per_suite_call(monkeypatch):
     records = run_suite("lemma-3.2", seed=7, trials=30)
     assert all(r["status"] == "pass" for r in records)
     assert sorted(built) == [1, 2, 3, 4]
+
+
+def test_lemma_3_2_multiplies_no_constant(monkeypatch):
+    # M's first row is 1 and each row of M' ends in 1: those terms of M'M
+    # are read, not multiplied
+    constant = []
+    real = SuperPolynomial.__mul__
+
+    def counting(self, other):
+        if isinstance(other, SuperPolynomial) and any(
+                p == p.constant_term() for p in (self, other)):
+            constant.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(SuperPolynomial, "__mul__", counting)
+    records = run_suite("lemma-3.2", seed=7, trials=30)
+    assert all(r["status"] == "pass" for r in records)
+    assert constant == []
