@@ -337,9 +337,7 @@ class GrassmannScalar(SparseRingElement):
                 if not is_coeff(coeff):
                     raise ValidationError("coefficient must be an int or Fraction: %r" % (coeff,))
                 if coeff != 0:
-                    clean[mask] = _norm(clean.get(mask, 0) + coeff)
-                    if clean[mask] == 0:
-                        del clean[mask]
+                    clean[mask] = _norm(coeff)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "terms", clean)
 

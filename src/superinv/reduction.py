@@ -158,24 +158,15 @@ class SpectralDecomposition:
     partition: list
     parity: str
 
-    @property
-    def shape(self):
-        return self.conjugator.matrix.shape
-
-    @property
-    def gq(self):
-        return self.conjugator.matrix.gq
-
     def assembled(self):
-        shape = self.shape
-        gq = self.gq
-        zero = GrassmannScalar.zero(gq)
-        grid = [[zero] * shape.dim for _ in range(shape.dim)]
+        g = self.conjugator.matrix
+        zero = GrassmannScalar.zero(g.gq)
+        grid = [[zero] * g.dim for _ in range(g.dim)]
         for part, (_lam, block) in zip(self.partition, self.blocks):
             for a, i in enumerate(part):
                 for b, j in enumerate(part):
                     grid[i - 1][j - 1] = block.rows[a][b]
-        return SuperMatrix(shape, self.parity, grid)
+        return SuperMatrix(g.shape, self.parity, grid)
 
     def verify(self, a):
         # g^-1 A g = D exactly when A g = g D, since g's body is invertible
@@ -342,7 +333,7 @@ def _require_odd_square(a):
 def _refine(m, parts, g, filtration_log=None):
     """Remove cross-partition terms degree by degree; exact conjugators.
 
-    Returns the refined m and the conjugator g extended by every step.  The
+    Returns the refined m and the conjugator matrix g times every step.  The
     body blocks of m on distinct parts must have disjoint spectra.  At each
     level every ordered pair (r, s) of parts with cross terms of that degree
     makes one product: the inverse Sylvester operator of its body blocks times
@@ -393,10 +384,19 @@ def _refine(m, parts, g, filtration_log=None):
         # delta has degree >= level, so its powers past gq // level vanish
         h = GroupElement(ident + delta, _inverse=geometric_sum(ident, -delta, gq // level))
         m = m.conjugate(h)
-        g = g.compose(h)
+        g = g @ h.matrix
     if _cross_terms(parts, m):
         raise InternalError("cross terms survived the filtration")
     return m, g
+
+
+def _decomposition(m, g, parts, eigs, shapes, parity):
+    """Every reduction's result: m's block on each part, the partition
+    numbered from 1, and the conjugator matrix g in its one GroupElement."""
+    blocks = [(lam, m.submatrix(part, part, shape, parity))
+              for part, lam, shape in zip(parts, eigs, shapes)]
+    partition = [[i + 1 for i in part] for part in parts]
+    return SpectralDecomposition(GroupElement(g), blocks, partition, parity)
 
 
 def block_diagonalize(a, filtration_log=None):
@@ -409,13 +409,8 @@ def block_diagonalize(a, filtration_log=None):
     if a.parity != a.shape.group_parity:
         raise ShapeMismatch("standard-shaped input must have even parity class")
     g0, parts, eigs, block_shapes = _body_stage(a.shape, a.body_rows(), a.gq)
-    m, conjugator = _refine(a.conjugate(g0), parts, g0, filtration_log=filtration_log)
-    blocks = []
-    partition = []
-    for part, lam, bshape in zip(parts, eigs, block_shapes):
-        blocks.append((lam, m.submatrix(part, part, bshape, a.parity)))
-        partition.append([i + 1 for i in part])
-    return SpectralDecomposition(conjugator, blocks, partition, a.parity)
+    m, g = _refine(a.conjugate(g0), parts, g0.matrix, filtration_log=filtration_log)
+    return _decomposition(m, g, parts, eigs, block_shapes, a.parity)
 
 
 def diagonalize(a):
@@ -440,24 +435,19 @@ def reduce_odd(a):
     body = a.body_rows()
     # For A = (X Y; Z T) the square's body is diag(b(Y)b(Z), b(Z)b(Y)), and YZ
     # and ZY share a characteristic polynomial: both halves have one spectrum
-    g0, parts, eigs, _ = _body_stage(a.shape, linalg.matmul(body, body), a.gq, spectrum)
+    g0, parts, eigs, block_shapes = _body_stage(a.shape, linalg.matmul(body, body), a.gq, spectrum)
+    if any(len(part) != 2 or part[0] + n != part[1] for part in parts):
+        raise InternalError("unexpected partition for an odd reduction")
     # A's body commutes with its square's: its block on lam has eigenvalues
     # +-sqrt(lam), disjoint across parts, so the Sylvester steps refine A itself
-    m, g = _refine(a.conjugate(g0), parts, g0)
+    m, g = _refine(a.conjugate(g0), parts, g0.matrix)
     # Z and T of m are diagonal, so the step's upper-right block is -T
     step = _lower_identity_step(m)
-    final = m.conjugate(step)
-    blocks = []
-    partition = []
-    for lam, part in zip(eigs, parts):
-        if len(part) != 2 or part[0] + n != part[1]:
-            raise InternalError("unexpected partition for an odd reduction")
-        block = final.submatrix(part, part, Standard(1, 1), ODD)
+    dec = _decomposition(m.conjugate(step), g @ step.matrix, parts, eigs, block_shapes, ODD)
+    for _lam, block in dec.blocks:
         if block.rows[1][0] != 1 or not block.rows[1][1].is_zero():
             raise InternalError("block did not reach the (R T; 1 0) form")
-        blocks.append((lam, block))
-        partition.append([i + 1 for i in part])
-    return SpectralDecomposition(g.compose(step), blocks, partition, ODD)
+    return dec
 
 
 def antidiagonalize(a):
@@ -483,4 +473,4 @@ def antidiagonalize(a):
         raise InternalError("diagonal blocks survived")
     if not z.is_identity():
         raise InternalError("lower-left block is not the identity")
-    return SpectralDecomposition(g, [(None, final)], [list(range(1, a.dim + 1))], ODD)
+    return _decomposition(final, g.matrix, [range(a.dim)], [None], [a.shape], ODD)

@@ -19,7 +19,7 @@ from superinv import (
     diagonalize,
     reduce_odd,
 )
-from superinv import cli, errors
+from superinv import cli, errors, verify
 from superinv.cli import main
 from superinv.reduction import SpectralDecomposition
 from superinv.supermatrix import random_matrix
@@ -116,6 +116,17 @@ def test_invariants_malformed_parity_exit_code(tmp_path, capsys):
     assert main(["invariants", str(path)]) == 3
     err = capsys.readouterr().err
     assert "(1, 2)" in err
+
+
+def test_unknown_parity_label_exit_code(q1_file, tmp_path, capsys):
+    with open(q1_file, encoding="utf-8") as handle:
+        obj = json.load(handle)
+    obj["parity"] = "bogus"
+    path = tmp_path / "bogus.json"
+    path.write_text(json.dumps(obj))
+    assert main(["invariants", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "parity must be 'even', 'odd' or 'any'" in captured.err
 
 
 def test_queer_matrix_labelled_even_exit_code(tmp_path, capsys):
@@ -217,6 +228,33 @@ def test_verify_unknown_suite_usage_error(capsys):
     assert err.value.code == 2
 
 
+def test_verify_zero_trials_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "grassmann", "--trials", "0"])
+    assert err.value.code == 2
+    assert "--trials must be at least 1" in capsys.readouterr().err
+
+
+def test_verify_text_format_digest(capsys):
+    # five "PASS grassmann/... (trials=1)" lines and the summary line
+    assert main(["verify", "grassmann", "--seed", "1", "--trials", "1", "--format", "text"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == "adac4baf9b439c6fe9fa13aa7467a7363760bc09a4c125c00ea2e42e18208779"
+
+
+def test_verify_text_format_reports_a_failed_claim(monkeypatch, capsys):
+    def suite(base):
+        return [("always-fails", 0, None, lambda t, rng: "no luck")]
+
+    monkeypatch.setitem(verify.SUITES, "always-fails", suite)
+    assert main(["verify", "always-fails", "--seed", "1", "--trials", "2", "--format", "text"]) == 1
+    assert capsys.readouterr().out == (
+        "FAIL always-fails/always-fails (trials=2)\n"
+        '     counterexample: {"info": "no luck", "trial": 0}\n'
+        "claims=1 failures=1 seed=1 trials=2\n"
+    )
+
+
 def test_verify_deterministic_output(tmp_path):
     out1 = tmp_path / "a.ndjson"
     out2 = tmp_path / "b.ndjson"
@@ -240,6 +278,14 @@ def test_env_q_cap_override(tmp_path, q1_file):
     # the override holds for one call only
     assert generator_cap() == DEFAULT_GENERATOR_CAP == 16
     assert main(["invariants", q2_file]) == 0
+
+
+def test_env_q_cap_must_be_an_integer(monkeypatch, q1_file, capsys):
+    monkeypatch.setenv("SUPERINV_MAX_Q", "abc")
+    assert main(["invariants", q1_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: SUPERINV_MAX_Q must be an integer\n"
 
 
 def test_missing_file_exit_code(capsys):

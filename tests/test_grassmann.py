@@ -436,6 +436,13 @@ def test_invert_zero_body_raises():
         GrassmannScalar.generator(2, 1).invert()
 
 
+def test_division():
+    e1 = GrassmannScalar.generator(2, 1)
+    assert (3 + e1) / (2 + e1) == Fraction(3, 2) - Fraction(1, 4) * e1
+    with pytest.raises(ZeroDivisionError):
+        e1 / 0
+
+
 def test_mismatched_generator_counts():
     with pytest.raises(GeneratorCountMismatch):
         GrassmannScalar.one(2) * GrassmannScalar.one(3)
@@ -472,6 +479,12 @@ def test_serialization_round_trip_exact():
         x = random_scalar(rng, q) if q else GrassmannScalar.rational(0, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
         obj = json.loads(json.dumps(x.to_obj()))
         assert GrassmannScalar.from_obj(obj) == x
+
+
+def test_serialization_rejects_a_repeated_monomial():
+    obj = {"q": 2, "terms": [{"idx": [1], "coeff": "1"}, {"idx": [1], "coeff": "2"}]}
+    with pytest.raises(ValidationError, match=r"duplicate monomial \[1\]"):
+        GrassmannScalar.from_obj(obj)
 
 
 def test_serialization_rejects_bad_input():

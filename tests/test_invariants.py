@@ -278,6 +278,15 @@ def test_indistinguishable_odd_value_pairs():
         assert evaluate_invariant(a1, f) == evaluate_invariant(a2, f)
 
 
+def test_indistinguishable_rejects_matrices_of_different_families():
+    q = 2
+    queer = diag_queer([1, 2], [G.zero(q), G.zero(q)], q)
+    odd = SuperMatrix(Standard(1, 1), ODD, [[G.generator(q, 1), G.one(q)],
+                                            [G.one(q), G.generator(q, 2)]])
+    with pytest.raises(ShapeMismatch, match="the two matrices belong to different families"):
+        indistinguishable(queer, odd)
+
+
 def test_indistinguishable_rejects_matrices_without_eigendata():
     q = 2
     x1, x2 = G.generator(q, 1), G.generator(q, 2)
@@ -566,6 +575,15 @@ def test_evaluate_invariants_checks_every_expression_before_s():
     with pytest.raises(NotInvariant, match="expression is not balanced"):
         evaluate_invariants(a, [good, unbalanced], s_values=[G.rational(q, 3)])
     assert evaluate_invariants(a, (f for f in [good, good])) == [a.qtr(), a.qtr()]
+
+
+def test_evaluate_invariants_pins_the_body_of_supplied_s():
+    q = 2
+    a = diag_queer([1, 2], [G.zero(q), G.zero(q)], q)
+    # every moment of a vanishes, so the recurrence holds and only the body pin can fire
+    assert all(t.is_zero() for t in a.tau_values(4))
+    with pytest.raises(ValidationError, match="supplied s_1 has body 4, expected 3"):
+        evaluate_invariants(a, [], s_values=[G.rational(q, 4), G.rational(q, -2)])
 
 
 @pytest.mark.parametrize("f", [1, TTauExpression.odd_symbol(2, 2, 1), None])

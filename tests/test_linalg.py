@@ -92,6 +92,11 @@ def test_rational_roots_multiplicity_and_fractions():
     assert roots == [(Fraction(0), 2)] and residual is None
 
 
+def test_rational_roots_strips_zero_leading_coefficients():
+    # -1 + x + 0 x^2 is the linear polynomial x - 1
+    assert linalg.rational_roots([-1, 1, 0]) == ([(1, 1)], None)
+
+
 def test_inverse_and_solve():
     rng = random.Random(9)
     for _ in range(40):

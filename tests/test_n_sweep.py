@@ -5,7 +5,12 @@ body spectrum, over gq = 3 or 4, and a conjugate B = g^-1 A g by a random
 group element.  On both: the invariants agree (qtr and qet, or str, and
 tau_1..tau_2n), the canonical reduction of B re-verifies, every expression
 of a balanced corpus evaluates alike, and `indistinguishable` holds for A
-and B but not for A and a sample with one eigenvalue moved.
+and B but not for A and a sample with one eigenvalue moved.  On A, the
+semi-invariants s pass the recurrence with tau_1..tau_2n, and for Q(n) their
+bodies are the signed elementary values of the body spectrum.  At n = 4 the
+Thm 3.2 and Thm 3.3 round trips hold: a symmetric polynomial rewritten in
+the symbols expands back to itself, and the normal form of an expanded
+odd-moment expression expands back and keeps its coefficients.
 """
 
 import random
@@ -14,18 +19,26 @@ from functools import lru_cache
 import pytest
 
 from superinv import (
+    TTauExpression,
     balanced_corpus,
+    body_signed_elementary,
+    compute_s,
     diagonalize,
     evaluate_invariants,
     indistinguishable,
+    invariant_normal_form,
     reduce_odd,
+    rewrite_symmetric,
+    verify_recurrence,
 )
 from superinv.reduction import _eligible_spectrum
 from superinv.supermatrix import Queer
 from superinv.verify import (
     _conjugated,
+    _index_tuples,
     _odd_sample,
     _queer_sample,
+    _random_symmetric_polynomial,
     random_odd_reducible,
     random_queer_with_spectrum,
 )
@@ -34,6 +47,8 @@ from superinv.verify import (
 # sample all of whose moments are zero (3, 4 and 6 among the first eight), which
 # would make the invariance checks vacuous, so they are not among these.
 SEEDS = (1, 2, 5, 8)
+# _random_symmetric_polynomial(4, random.Random(s)) is zero at s = 1 and 3
+ROUND_TRIP_SEEDS = (2, 4, 5, 8)
 
 
 @lru_cache(maxsize=None)
@@ -41,6 +56,7 @@ def _corpus(n):
     return balanced_corpus(n, n, combos=2)
 
 
+@lru_cache(maxsize=None)
 def _case(n, family, seed):
     """(A, B, A'): a sample, its conjugate, and a sample with one eigenvalue moved by 13."""
     rng = random.Random(1000 * n + seed)
@@ -73,3 +89,41 @@ def test_claims_at_large_n(n, family, seed):
     assert evaluate_invariants(b, corpus) == evaluate_invariants(a, corpus)
     assert indistinguishable(a, b) is True
     assert indistinguishable(a, moved) is False
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("family", ["queer", "odd"])
+@pytest.mark.parametrize("n", [4, 5])
+def test_semi_invariants_at_large_n(n, family, seed):
+    a = _case(n, family, seed)[0]
+    s = compute_s(a)
+    assert verify_recurrence(a.tau_values(2 * n), s)
+    if family == "queer":
+        assert [v.body() for v in s] == body_signed_elementary(a)
+
+
+@pytest.mark.parametrize("seed", ROUND_TRIP_SEEDS)
+def test_rewrite_round_trip_at_n_4(seed):
+    f = _random_symmetric_polynomial(4, random.Random(seed))
+    assert not f.is_zero()
+    assert rewrite_symmetric(f).expand(even_basis="t") == f
+
+
+@pytest.mark.parametrize("seed", ROUND_TRIP_SEEDS)
+def test_normal_form_round_trip_at_n_4(seed):
+    # a few odd-moment products tau_I, |I| <= n, as verify's thm-3.3 round trip draws them
+    n = 4
+    rng = random.Random(seed)
+    tuples = _index_tuples(n, 2 * n)
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        mask = sum(1 << (i - 1) for i in tuples[rng.randrange(len(tuples))])
+        key = ((0,) * (2 * n), mask)
+        terms[key] = terms.get(key, 0) + (rng.randint(-3, 3) or 1)
+    expr = TTauExpression(n, 2 * n, terms)
+    f = expr.expand()
+    assert not f.is_zero()
+    back = invariant_normal_form(f)
+    assert back.expand() == f
+    assert {mask: c for (_e, mask), c in back.terms.items()} == \
+        {mask: c for (_e, mask), c in expr.terms.items()}

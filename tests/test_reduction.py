@@ -579,14 +579,15 @@ def test_the_conjugator_is_extended_once_per_step(monkeypatch, seed):
     a = random_queer_with_spectrum(3, [0, 1, 2], 3, seed=seed)
     b = random_odd_reducible(2, [2, -3], 3, seed=seed)
     steps = _count_calls(monkeypatch, reduction, "geometric_sum")
-    composes = _count_calls(monkeypatch, GroupElement, "compose")
+    ranks = _count_calls(monkeypatch, linalg, "rank")
     dec = block_diagonalize(a)
-    assert steps and len(composes) == len(steps)
+    # the steps extend a plain matrix: only the result's GroupElement tests a rank
+    assert steps and len(ranks) == 1
     steps.clear()
-    composes.clear()
-    # reduce_odd adds its lower-identity step
+    ranks.clear()
+    # reduce_odd's lower-identity step extends the same matrix
     dec_odd = reduce_odd(b)
-    assert steps and len(composes) == len(steps) + 1
+    assert steps and len(ranks) == 1
     assert dec.verify(a) and dec_odd.verify(b)
 
 
@@ -685,6 +686,11 @@ def test_decomposition_json_shape_errors(field, value):
         SpectralDecomposition.from_obj(obj)
 
 
+def test_decomposition_json_names_its_first_missing_field():
+    with pytest.raises(ValidationError, match="decomposition object missing field 'parity'"):
+        SpectralDecomposition.from_obj({"conjugator": 1})
+
+
 @pytest.mark.parametrize("b,d,r", [
     ([[1]], [[2]], [[1, 2]]),
     ([[1, 2]], [[2]], [[1]]),
@@ -700,7 +706,8 @@ def test_solve_sylvester_rejects_mismatched_shapes(b, d, r):
     ([[1, 2], [3]], ShapeMismatch),
     ([[1.5]], ValidationError),
     ([[True]], ValidationError),
-], ids=["wide", "ragged", "float", "bool"])
+    (5, ShapeMismatch),
+], ids=["wide", "ragged", "float", "bool", "scalar"])
 def test_rational_spectrum_rejects_a_malformed_matrix(rows, error):
     with pytest.raises(error):
         rational_spectrum(rows)

@@ -357,6 +357,30 @@ def test_group_element_inverse_is_computed_on_first_use(monkeypatch):
     assert g.inverse is g.inverse and len(calls) == 1
 
 
+_E1 = G.generator(2, 1)
+_STANDARD = SuperMatrix.from_rationals(Standard(1, 1), EVEN, [[1, 0], [0, 1]], 2)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: SuperMatrix("queer", ANY, [[_E1]]), ShapeMismatch, "shape must be Queer or Standard"),
+    (lambda: SuperMatrix(Queer(1), "bogus", [[_E1]]), ValidationError,
+     "parity must be 'even', 'odd' or 'any'"),
+    (lambda: SuperMatrix(Queer(2), ANY, [[_E1]]), ShapeMismatch, "entry grid must be 2 x 2"),
+    (_STANDARD.queer_split, ShapeMismatch, "queer_split needs a queer-shaped matrix"),
+    (_STANDARD.qtr, ShapeMismatch, "qtr needs a queer-shaped matrix"),
+    (_STANDARD.qet, ShapeMismatch, "qet needs a queer-shaped matrix"),
+    (lambda: SuperMatrix.identity(Queer(1), 2) @ SuperMatrix.identity(Queer(1), 3),
+     GeneratorCountMismatch, "generator counts differ: 2 vs 3"),
+    (lambda: GroupElement(SuperMatrix(Standard(1, 1), ODD, [[_E1, G.one(2)], [G.one(2), _E1]])),
+     ValidationError, "standard-shaped group elements must be even"),
+], ids=["shape-string", "parity-label", "grid-size", "queer-split", "qtr", "qet",
+        "generator-counts", "odd-group-element"])
+def test_matrix_input_checks(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("matrix", [5, None, [[1]], G.one(2)])
 def test_group_element_needs_a_supermatrix(matrix):
     with pytest.raises(ShapeMismatch, match="GroupElement needs a SuperMatrix"):

@@ -85,6 +85,26 @@ def test_evaluation_matches_structure():
     assert val == x1 + 2 * x2
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: SuperPolynomial(-1), "variable count must be a non-negative integer"),
+    (lambda: SuperPolynomial(2, {((1,), 0): 1}), "exponent vector must be 2 non-negative ints"),
+    (lambda: SuperPolynomial.one(2).evaluate([G.one(2)], []), "need 2 even and 2 odd values"),
+    (lambda: TTauExpression(1, -1), "symbol range must be a non-negative integer"),
+    (lambda: TTauExpression.odd_symbol(1, 2, 2).expand(even_basis="x"),
+     "even_basis must be 't' or 's'"),
+    (lambda: TTauExpression.odd_symbol(1, 2, 2).evaluate([G.one(2)], [G.zero(2)]),
+     "need 0 even and 2 odd symbol values"),
+    (lambda: BalancedExpression(TTauExpression.odd_symbol(1, 2, 1), TTauExpression.constant(2, 2, 1)),
+     "numerator and denominator shapes differ"),
+    (lambda: elementary_from_roots([G.one(2), G.one(3)]), "values must be scalars over one algebra"),
+], ids=["negative-n", "exponent-width", "value-count", "negative-range", "even-basis",
+        "symbol-values", "balanced-shapes", "two-algebras"])
+def test_polynomial_input_checks(call, message):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_nonhomogeneous_power_sum_identity():
     for n in (1, 2, 3):
         for k in range(1, 2 * n + 1):
@@ -661,6 +681,8 @@ _OMITTED = object()
     [{"even": [0], "odd": 5, "coeff": "1"}],      # "odd" not a list
     [{"even": [[1]], "odd": [], "coeff": "1"}],   # an exponent that is not an int
     _OMITTED,                                     # no "terms" field at all
+    [{"even": [0], "odd": [], "coeff": "1"},      # one monomial twice
+     {"even": [0], "odd": [], "coeff": "2"}],
 ])
 def test_polynomial_json_shape_errors(terms):
     fields = {} if terms is _OMITTED else {"terms": terms}
