@@ -9,6 +9,11 @@ rows (`_rref`, behind `rank`, `inverse_with_rank`, `solve_general` and
 `nullspace`), the characteristic polynomial comes from the Faddeev-LeVerrier
 recursion, and rational roots from Sturm-sequence bisection on integer
 polynomials; no floating point anywhere.
+
+`solve_general` has no caller inside the library since rewriting reads its
+coefficients off orbits instead of solving for them.  It stays public: the
+tests solve the former rewrite systems with it as an oracle, and perfbench's
+tracer wraps it by name.
 """
 
 from __future__ import annotations

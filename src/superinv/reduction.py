@@ -229,6 +229,8 @@ class SpectralDecomposition:
                                       % (block.dim, len(part)))
             if block.gq != conjugator.matrix.gq:
                 raise ValidationError("a block's grassmann_q differs from the conjugator's")
+            if block.parity != parity:
+                raise ValidationError("a block's parity label differs from the decomposition's")
         return cls(conjugator, blocks, partition, parity)
 
 

@@ -11,18 +11,21 @@ the algebra rewrites into: the one ring implementation serves both, and
 (t_k, tau_k and s_j) are pure functions of two small ints, so each is built
 once and then served from a module-level table.
 `coefficient_matrix` turns term dicts into the exact linear systems that
-rewriting and the balance conditions solve; the invariant normal form needs
-no solve, since it reads its coefficients off the invariant decomposition.
+the balance conditions solve.  Neither rewrite solves one: `rewrite_symmetric`
+reads one coefficient per S_n orbit and writes each orbit sum in t and tau
+through the lattice of set partitions, and the invariant normal form reads
+its coefficients off the invariant decomposition.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations
+from math import factorial, prod
 from operator import add, lt, mul
 
-from . import linalg
 from .errors import InternalError, NotInvariant, NotSymmetric, ValidationError
 from .grassmann import (
     GrassmannScalar,
@@ -623,8 +626,15 @@ def _residual_witness(num, den):
     return (True, None) if residual.is_zero() else (False, (1, residual))
 
 
+def _require_polynomial(f):
+    """Raise ValidationError unless f is a SuperPolynomial (an expression is not)."""
+    if type(f) is not SuperPolynomial:
+        raise ValidationError("need a SuperPolynomial, not %s" % type(f).__name__)
+
+
 def _require_invariant(f):
     """Raise NotInvariant, with its witness, unless f is symmetric and odd-invariant."""
+    _require_polynomial(f)
     ok, witness = f.is_symmetric()
     if not ok:
         raise NotInvariant("polynomial is not symmetric", witness=witness)
@@ -641,8 +651,8 @@ def invariant_decomposition(f):
     of the constant and the products b_{i1}..b_{ik} f_k(a_{i1}, .., a_{ik})
     over increasing index tuples.
     """
-    n = f.n
     _require_invariant(f)
+    n = f.n
     constant = f.constant_term()
     components = []
     for s in range(1, n + 1):
@@ -751,33 +761,103 @@ def coefficient_matrix(columns):
     return matrix
 
 
+@cache
+def _set_partitions(size):
+    """The set partitions of the parts 0..size-1, each with its Moebius value.
+
+    Each is (blocks, mu): the blocks are ordered by their least part, and
+    mu = prod_B (-1)^(|B|-1) (|B|-1)! is the Moebius function from the
+    partition into singletons.  A table keyed on size.
+    """
+    partitions = [[]]
+    for p in range(size):
+        partitions = [blocks[:i] + [blocks[i] + [p]] + blocks[i + 1:]
+                      for blocks in partitions for i in range(len(blocks))] + [
+                          blocks + [[p]] for blocks in partitions]
+    return tuple((tuple(map(tuple, blocks)),
+                  prod((-1) ** (len(b) - 1) * factorial(len(b) - 1) for b in blocks))
+                 for blocks in partitions)
+
+
+@cache
+def _t_symbol(n, k):
+    """t_k in the symbols of n variables: u_k for k <= n, else sum_j s_j t_(k-j)."""
+    if k <= n:
+        return TTauExpression.even_symbol(n, n, k)
+    return reduce(add, [_s_symbol(n, j) * _t_symbol(n, k - j) for j in range(1, n + 1)])
+
+
+@cache
+def _tau_symbol(n, k):
+    """tau_k in the symbols of n variables: x_k for k <= n, else sum_j tau_(k-j) s_j."""
+    if k <= n:
+        return TTauExpression.odd_symbol(n, n, k)
+    return reduce(add, [_tau_symbol(n, k - j) * _s_symbol(n, j) for j in range(1, n + 1)])
+
+
+@cache
+def _s_symbol(n, j):
+    """s_j in u_1..u_j, j <= n, by Newton's identity j s_j = t_j - sum_(i<j) s_(j-i) t_i."""
+    acc = _t_symbol(n, j)
+    for i in range(1, j):
+        acc = acc - _s_symbol(n, j - i) * _t_symbol(n, i)
+    return acc._scale(Fraction(1, j))
+
+
 def rewrite_symmetric(f):
     """Rewrite a symmetric polynomial in the power-sum symbols.
 
-    Returns the unique TTauExpression g with g(t_1..t_n, tau_1..tau_n) = f,
-    found degree by degree: each degree is one exact solve over the symbol
-    monomials of that weight, and raises InternalError when the system is not
-    uniquely solvable (the rewriting theorem guarantees it is).
+    Returns the unique TTauExpression g with g(t_1..t_n, tau_1..tau_n) = f.
+    There is no solve.  f is a sum of orbit sums, and the coefficient of each
+    is read off one term of its orbit, times the sign that orders the term's
+    odd indices by exponent.  A term's parts are the variables it touches,
+    each an exponent, odd or even; the sum of a monomial over all injective
+    maps of its parts into the variables is, by Moebius inversion on the set
+    partitions of the parts (Doubilet, Stud. Appl. Math. 51, 1972),
+    sum_pi mu(pi) prod_B P_B.  P_B is t_w for a block of even parts of total
+    exponent w, tau_(w+1) for a block with one odd part and zero for a block
+    with two; with the odd parts first, in order of exponent, the odd blocks
+    multiply in that order with no sign.  That sum counts each term of the
+    orbit once per permutation of equal even parts.  Symbols above n are
+    then written in u_1..u_n and x_1..x_n by the power-sum and odd-moment
+    recurrences.
     """
+    _require_polynomial(f)
     ok, witness = f.is_symmetric()
     if not ok:
         raise NotSymmetric("polynomial is not symmetric", transposition=witness)
     n = f.n
-    terms = {((0,) * n, 0): f.constant_term()}
-    for d in f.degrees():
-        if d == 0:
-            continue
-        keys = _ttau_monomials(n, d)
-        columns = [TTauExpression.monomial(n, n, *key).expand().terms for key in keys]
-        matrix = coefficient_matrix(columns + [f.homogeneous_component(d).terms])
-        solution, free = linalg.solve_general([row[:-1] for row in matrix],
-                                              [row[-1] for row in matrix])
-        if solution is None:
-            raise InternalError("coefficient matching is inconsistent")
-        if free:
-            raise InternalError("coefficient matching is underdetermined")
-        terms.update(zip(keys, solution))
-    return TTauExpression(n, n, terms)
+    orbits = {}
+    for (exps, mask), c in f.terms.items():
+        odd = sorted((exps[i - 1], i) for i in mask_to_indices(mask))
+        key = (tuple(e for e, _i in odd),
+               tuple(sorted(e for i, e in enumerate(exps) if e and not mask >> i & 1)))
+        if key not in orbits:
+            orbits[key] = c if _sort_sign([i for _e, i in odd])[0] > 0 else -c
+    symbol_range = max([n] + f.degrees())
+    formal = {}
+    for (odd, even), c in orbits.items():
+        parts = odd + even
+        c = Fraction(c, prod(map(factorial, Counter(even).values())))
+        for blocks, mu in _set_partitions(len(parts)):
+            exps = [0] * symbol_range  # of t_1..t_K
+            seq = []  # the 0-based tau indices of the odd blocks, in order
+            for block in blocks:
+                w = sum(parts[p] for p in block)
+                if block[0] >= len(odd):  # even parts only: t_w
+                    exps[w - 1] += 1
+                elif len(block) > 1 and block[1] < len(odd):  # two odd parts: zero
+                    break
+                else:  # one odd part: tau_(w+1)
+                    seq.append(w)
+            else:
+                sign, mask = _sort_sign(seq)
+                if mask.bit_count() == len(seq):  # else two odd blocks share tau_(w+1)
+                    key = (tuple(exps), mask)
+                    formal[key] = formal.get(key, 0) + sign * mu * c
+    # the formal expression names t_k and tau_k up to the top degree K
+    return TTauExpression(n, symbol_range, formal)._substitute(
+        TTauExpression.zero(n, n), lambda i: _t_symbol(n, i + 1), lambda i: _tau_symbol(n, i + 1))
 
 
 def is_balanced(h):

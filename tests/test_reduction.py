@@ -691,6 +691,19 @@ def test_decomposition_json_names_its_first_missing_field():
         SpectralDecomposition.from_obj({"conjugator": 1})
 
 
+def test_decomposition_json_rejects_a_block_label_that_differs():
+    # an odd reduction whose own label is edited to "even" while its blocks say "odd":
+    # loading it used to succeed, and `verify` then failed inside `assembled()`
+    a = random_odd_reducible(2, [2, -3], 2, seed=1)
+    obj = json.loads(json.dumps(reduce_odd(a).to_obj()))
+    assert [item["block"]["parity"] for item in obj["blocks"]] == [ODD, ODD]
+    assert SpectralDecomposition.from_obj(obj).verify(a)
+    obj["parity"] = EVEN
+    with pytest.raises(ValidationError,
+                       match="a block's parity label differs from the decomposition's"):
+        SpectralDecomposition.from_obj(obj)
+
+
 @pytest.mark.parametrize("b,d,r", [
     ([[1]], [[2]], [[1, 2]]),
     ([[1, 2]], [[2]], [[1]]),

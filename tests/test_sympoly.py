@@ -32,7 +32,13 @@ from superinv import (
     verify_recurrence,
 )
 from superinv.grassmann import mask_to_indices
-from superinv.sympoly import _power_sum_odd, _sort_sign, balance_residual
+from superinv.sympoly import (
+    _power_sum_odd,
+    _sort_sign,
+    _ttau_monomials,
+    balance_residual,
+    coefficient_matrix,
+)
 
 G = GrassmannScalar
 
@@ -272,8 +278,6 @@ def test_rewrite_round_trip_random():
 
 
 def test_rewrite_uniqueness_round_trip():
-    from superinv.sympoly import _ttau_monomials
-
     rng = random.Random(22)
     for _ in range(20):
         n = rng.randint(1, 3)
@@ -291,6 +295,99 @@ def test_rewrite_rejects_asymmetric():
     with pytest.raises(NotSymmetric) as err:
         rewrite_symmetric(ev(2, 1))
     assert err.value.transposition == (1, 2)
+
+
+@pytest.mark.parametrize("call", [rewrite_symmetric, invariant_normal_form])
+@pytest.mark.parametrize("f", [5, TTauExpression.even_symbol(1, 1, 1)], ids=["int", "expression"])
+def test_rewrites_reject_what_is_not_a_polynomial(call, f):
+    # an expression's keys are symbols, not variables: reading it as a polynomial
+    # would return u1 for u1
+    with pytest.raises(ValidationError, match="need a SuperPolynomial, not %s" % type(f).__name__):
+        call(f)
+
+
+def _solve_route(f):
+    """Oracle: the rewrite by coefficient matching.  Per degree d, every symbol
+    monomial of weight d is expanded into a and b, and one exact solve over
+    those columns gives the coefficients."""
+    n = f.n
+    terms = {((0,) * n, 0): f.constant_term()}
+    for d in f.degrees():
+        if d == 0:
+            continue
+        keys = _ttau_monomials(n, d)
+        columns = [TTauExpression.monomial(n, n, *key).expand().terms for key in keys]
+        matrix = coefficient_matrix(columns + [f.homogeneous_component(d).terms])
+        solution, free = linalg.solve_general([row[:-1] for row in matrix],
+                                              [row[-1] for row in matrix])
+        assert solution is not None and not free
+        terms.update(zip(keys, solution))
+    return TTauExpression(n, n, terms)
+
+
+def _symmetrized(n, monomials, constant=0):
+    """constant plus the sum over S_n of each c * a^exps * b_o1 * b_o2 * ..."""
+    f = SuperPolynomial.constant(n, constant)
+    for c, exps, odd in monomials:
+        mono = SuperPolynomial(n, _keyed([(c, exps, odd)]))
+        for perm in permutations(range(n)):
+            f = f + mono.permute(list(perm))
+    return f
+
+
+def _rewrite_cases():
+    """Symmetric polynomials at n = 0..5: constants, Fraction coefficients, odd
+    parts of exponent 0, and degrees above n, where t_k and tau_k with k > n
+    go through their recurrences."""
+    cases = [
+        SuperPolynomial.zero(0),
+        SuperPolynomial.constant(0, Fraction(5, 3)),
+        _symmetrized(1, [(1, [3], [])]),                      # t_3 = u1^3
+        _symmetrized(1, [(Fraction(2, 3), [2], [1])], 4),     # tau_3 = x1 u1^2
+        _symmetrized(2, [(1, [0, 3], [1])]),                  # b1 a2^3: tau_1 t_3 - tau_4
+        _symmetrized(2, [(Fraction(-1, 2), [0, 2], [1, 2])], Fraction(1, 7)),
+        _symmetrized(3, [(1, [1, 1, 1], [])]),                # one orbit, three equal parts
+        _symmetrized(3, [(3, [2, 1, 1], [3]), (1, [0, 1, 2], [1, 3])]),
+        _symmetrized(4, [(1, [1, 1, 1, 1], []), (Fraction(1, 4), [0, 2, 1, 1], [1])]),
+    ]
+    rng = random.Random(3302)
+    for n in range(1, 6):
+        for _ in range(4 if n < 5 else 2):
+            monomials = []
+            while len(monomials) < 2:
+                odd = rng.sample(range(1, n + 1), rng.randint(0, min(n, 3)))
+                exps = [0] * n
+                for _unit in range(rng.randint(1, n + 2 - len(odd))):
+                    exps[rng.randrange(n)] += 1
+                if len({exps[i - 1] for i in odd}) == len(odd):  # else the orbit sum is 0
+                    monomials.append((Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 3)),
+                                      exps, odd))
+            cases.append(_symmetrized(n, monomials, rng.choice([0, 2, Fraction(-1, 3)])))
+    return cases
+
+
+def test_rewrite_matches_the_solve_route():
+    cases = _rewrite_cases()
+    assert {f.n for f in cases} == set(range(6))
+    above = [f for f in cases if f.degrees() and f.degrees()[-1] > f.n]
+    assert len(above) >= 10
+    for f in cases:
+        g = rewrite_symmetric(f)
+        assert g.to_obj() == _solve_route(f).to_obj(), f
+        assert g.expand() == f
+
+
+def test_rewrite_makes_no_expansion_and_no_solve(monkeypatch):
+    calls = []
+    for owner, name in ((TTauExpression, "expand"), (linalg, "solve_general")):
+        def counting(*args, _original=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    for f in _rewrite_cases()[:9]:
+        rewrite_symmetric(f)
+    assert calls == []
 
 
 # ----------------------------------------------------------------------
