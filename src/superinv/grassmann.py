@@ -284,10 +284,10 @@ class SparseRingElement:
         return self._like({self._const_key(): c} if c != 0 else {})
 
     def _scale(self, c):
-        """The product with an exact coefficient c."""
-        if c == 0:
-            return self._like({})
-        return self._like({k: _norm(v * c) for k, v in self.terms.items()})
+        """The product with an exact coefficient c: each term times c's
+        numerator, then one division by its denominator."""
+        return self._like(prune_terms({k: v * c.numerator for k, v in self.terms.items()},
+                                      c.denominator))
 
     def __pow__(self, k):
         if not is_int(k) or k < 0:

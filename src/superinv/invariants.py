@@ -30,12 +30,12 @@ from .supermatrix import Queer, SuperMatrix
 from .sympoly import (
     BalancedExpression,
     TTauExpression,
+    balance_residual,
     coefficient_matrix,
     elementary_from_roots,
     power_sum_odd,
     signed_elementary_poly,
     verify_recurrence,
-    _symmetric_residual,
     _ttau_monomials,
 )
 
@@ -196,24 +196,24 @@ def qet_generating_coefficients(a, count):
 def _residual_rows(polys, den):
     """Coefficient matrix of the first balance residuals, one column per
     symmetric candidate numerator N; its kernel holds the N with N/D invariant."""
-    return coefficient_matrix([_symmetric_residual(poly, den).terms for poly in polys])
+    return coefficient_matrix([balance_residual(poly, den, 1).terms for poly in polys])
 
 
-def _kernel_combinations(rng, kernel, candidates, count, n):
-    """Up to count nonzero random integer combinations of kernel vectors."""
+def _kernel_combinations(rng, kernel, monos, count, n):
+    """Up to count nonzero random integer combinations of kernel vectors, each
+    summed over the candidate monomial keys in one term dict."""
     out = []
     for _ in range(count):
-        combo = TTauExpression.zero(n, n)
-        nonzero = False
+        terms = {}
         for vec in kernel:
             c = rng.randint(-2, 2)
             if c == 0:
                 continue
-            nonzero = True
-            for cand, weight in zip(candidates, vec):
+            for key, weight in zip(monos, vec):
                 if weight != 0:
-                    combo = combo + cand * (weight * c)
-        if nonzero and not combo.is_zero():
+                    terms[key] = terms.get(key, 0) + weight * c
+        combo = TTauExpression(n, n, terms)
+        if not combo.is_zero():
             out.append(combo)
     return out
 
@@ -247,17 +247,13 @@ def balanced_corpus(n, seed, combos=4):
         x1 = TTauExpression.odd_symbol(2, 2, 1)
         x2 = TTauExpression.odd_symbol(2, 2, 2)
         corpus.append(BalancedExpression(x2 - u1 * x1, u2))
-    monos = []
-    for weight in range(1, cap + 1):
-        for exps, mask in _ttau_monomials(n, weight):
-            monos.append((exps, mask))
-    candidates = [TTauExpression.monomial(n, n, e, m) for e, m in monos]
-    pullbacks = [c.expand(even_basis="s") for c in candidates]
+    monos = [key for weight in range(1, cap + 1) for key in _ttau_monomials(n, weight)]
+    pullbacks = [TTauExpression.monomial(n, n, e, m).expand(even_basis="s") for e, m in monos]
     kernel = linalg.nullspace(_residual_rows(pullbacks, 1))
-    for combo in _kernel_combinations(rng, kernel, candidates, combos, n):
+    for combo in _kernel_combinations(rng, kernel, monos, combos, n):
         corpus.append(BalancedExpression(combo))
     den_expr = TTauExpression.even_symbol(n, n, n)
     kernel = linalg.nullspace(_residual_rows(pullbacks, signed_elementary_poly(n, n)))
-    for combo in _kernel_combinations(rng, kernel, candidates, max(1, combos // 2), n):
+    for combo in _kernel_combinations(rng, kernel, monos, max(1, combos // 2), n):
         corpus.append(BalancedExpression(combo, den_expr))
     return corpus

@@ -9,7 +9,8 @@ symbols u_1..u_K (even) and x_1..x_K (odd) standing for the symmetric kernels
 the algebra rewrites into: the one ring implementation serves both, and
 `expand` maps an expression onto the polynomial it names.  Those kernels
 (t_k, tau_k and s_j) are pure functions of two small ints, so each is built
-once and then served from a module-level table.
+once and then served from a module-level table; t_k and tau_k are written
+from their definitions as term dicts, with no ring arithmetic.
 `coefficient_matrix` turns term dicts into the exact linear systems that
 the balance conditions solve.  Neither rewrite solves one: `rewrite_symmetric`
 reads one coefficient per S_n orbit and writes each orbit sum in t and tau
@@ -124,8 +125,7 @@ class SuperPolynomial(SparseRingElement):
     @classmethod
     def even_var(cls, n, i):
         cls._check_index(i, n, "even variable")
-        exps = tuple(1 if j == i - 1 else 0 for j in range(n))
-        return cls.zero(n)._like({(exps, 0): 1})
+        return cls.zero(n)._like({(_exponents(n, i - 1, 1), 0): 1})
 
     @classmethod
     def odd_var(cls, n, i):
@@ -270,7 +270,7 @@ class SuperPolynomial(SparseRingElement):
         """Exact evaluation at Grassmann scalar arguments."""
         if len(a_vals) != self.n or len(alpha_vals) != self.n:
             raise ValidationError("need %d even and %d odd values" % (self.n, self.n))
-        q = a_vals[0].q if self.n else 0
+        q = _common_q([*a_vals, *alpha_vals])
         return self._substitute(GrassmannScalar.zero(q), a_vals.__getitem__,
                                 alpha_vals.__getitem__)
 
@@ -278,16 +278,19 @@ class SuperPolynomial(SparseRingElement):
         """Substitute even(i) for a_(i+1) and odd(i) for b_(i+1), i 0-based, in
         the ring whose zero is given.  A term is the product of its factors
         from the first on, each even value repeated by its exponent and the odd
-        values in index order, scaled by its coefficient once."""
-        acc = zero
+        values in index order, scaled by its coefficient once; the terms'
+        products are summed in one term dict, wrapped once in zero's type."""
+        acc = {}
         for (exps, mask), c in self.terms.items():
             factors = []
             for i, e in enumerate(exps):
                 if e:
                     factors += [even(i)] * e
             factors += [odd(i - 1) for i in mask_to_indices(mask)]
-            acc = acc + (reduce(mul, factors)._scale(c) if factors else zero._const(c))
-        return acc
+            term = reduce(mul, factors)._scale(c).terms if factors else {zero._const_key(): c}
+            for k, v in term.items():
+                acc[k] = acc.get(k, 0) + v
+        return zero._like(prune_terms(acc))
 
     # ------------------------------------------------------------------
     # io
@@ -364,10 +367,9 @@ def power_sum_even(n, k):
 
 @cache
 def _power_sum_even(n, k):
-    acc = SuperPolynomial.zero(n)
-    for i in range(1, n + 1):
-        acc = acc + SuperPolynomial.even_var(n, i) ** k
-    return acc
+    if k == 0:  # as a dict, the n equal keys of a_i^0 would collapse to one
+        return SuperPolynomial.constant(n, n)
+    return SuperPolynomial(n, {(_exponents(n, i, k), 0): 1 for i in range(n)})
 
 
 def power_sum_odd(n, k):
@@ -378,11 +380,12 @@ def power_sum_odd(n, k):
 
 @cache
 def _power_sum_odd(n, k):
-    acc = SuperPolynomial.zero(n)
-    for i in range(1, n + 1):
-        b_i = SuperPolynomial.odd_var(n, i)
-        acc = acc + (b_i * SuperPolynomial.even_var(n, i) ** (k - 1) if k > 1 else b_i)
-    return acc
+    return SuperPolynomial(n, {(_exponents(n, i, k - 1), 1 << i): 1 for i in range(n)})
+
+
+def _exponents(n, i, e):
+    """The exponent vector of a_(i+1)^e in n variables."""
+    return tuple(e if j == i else 0 for j in range(n))
 
 
 def signed_elementary(values):
@@ -463,8 +466,7 @@ class TTauExpression(SuperPolynomial):
     @classmethod
     def even_symbol(cls, n, symbol_range, k):
         cls._check_index(k, symbol_range, "even symbol")
-        exps = tuple(1 if j == k - 1 else 0 for j in range(symbol_range))
-        return cls.zero(n, symbol_range)._like({(exps, 0): 1})
+        return cls.zero(n, symbol_range)._like({(_exponents(symbol_range, k - 1, 1), 0): 1})
 
     @classmethod
     def odd_symbol(cls, n, symbol_range, k):
@@ -506,8 +508,7 @@ class TTauExpression(SuperPolynomial):
                 raise ValidationError(
                     "need %d even and %d odd symbol values" % (used_e, used_o)
                 )
-        given = even_vals or odd_vals
-        q = given[0].q if given else 0
+        q = _common_q([*even_vals, *odd_vals])
         return self._substitute(GrassmannScalar.zero(q), even_vals.__getitem__,
                                 odd_vals.__getitem__)
 
@@ -614,15 +615,12 @@ def balance_residual(num, den, i):
     return residual.odd_multiply(i)
 
 
-def _symmetric_residual(num, den):
-    """b_1 (dN/da_1 D - N dD/da_1); residual i is this with (a_1, b_1), (a_i, b_i)
-    swapped, so it alone decides a symmetric N/D.  Zero when n = 0."""
-    return balance_residual(num, den, 1) if num.n else SuperPolynomial.zero(0)
-
-
 def _residual_witness(num, den):
-    """(True, None) when the symmetric N/D is balanced, else (False, (1, residual))."""
-    residual = _symmetric_residual(num, den)
+    """(True, None) when the symmetric N/D is balanced, else (False, (1, residual)):
+    residual i is residual 1 with indices 1 and i swapped, so residual 1 decides."""
+    if not num.n:
+        return True, None
+    residual = balance_residual(num, den, 1)
     return (True, None) if residual.is_zero() else (False, (1, residual))
 
 
@@ -677,23 +675,24 @@ def invariant_decomposition(f):
 
 
 def assemble_invariant(n, constant, components):
-    """Rebuild a polynomial from its canonical invariant components."""
-    acc = SuperPolynomial.constant(n, constant)
+    """Rebuild a polynomial from its at most n components, the s-th an even
+    SuperPolynomial in s variables.  Each is placed on every s-subset in one term
+    dict, with no collision: the subsets' masks differ, and the terms' exponents."""
+    terms = {SuperPolynomial.zero(n)._const_key(): constant}  # zero(n) checks n
     for s, comp in enumerate(components, start=1):
-        if comp.is_zero():
-            continue
+        if s > n:
+            raise ValidationError("need at most %d components" % n)
+        if type(comp) is not SuperPolynomial or comp.n != s or not comp.is_even_polynomial():
+            raise ValidationError("component %d must be an even SuperPolynomial with n = %d"
+                                  % (s, s))
         for subset in combinations(range(n), s):
-            mask = 0
-            for i in subset:
-                mask |= 1 << i
-            terms = {}
+            mask = sum(1 << i for i in subset)
             for (exps, _zero), c in comp.terms.items():
                 new = [0] * n
                 for local, i in enumerate(subset):
                     new[i] = exps[local]
                 terms[(tuple(new), mask)] = c
-            acc = acc + SuperPolynomial(n, terms)
-    return acc
+    return SuperPolynomial(n, terms)
 
 
 def vandermonde_adjoint(n):
@@ -904,16 +903,19 @@ def invariant_normal_form(f):
     return TTauExpression(f.n, symbol_range, terms)
 
 
+def _common_q(values):
+    """The generator count of values, all GrassmannScalars over one q; 0 for none."""
+    qs = {v.q if isinstance(v, GrassmannScalar) else None for v in values}
+    if None in qs or len(qs) > 1:
+        raise ValidationError("values must be scalars over one algebra")
+    return qs.pop() if qs else 0
+
+
 def elementary_from_roots(values):
     """Signed elementary symmetric values s_j = (-1)^(j-1) e_j of even scalars."""
-    if not values:
-        return []
-    q = values[0].q
-    for v in values:
-        if not isinstance(v, GrassmannScalar) or v.q != q:
-            raise ValidationError("values must be scalars over one algebra")
-        if not v.is_even():
-            raise ValidationError("values must be even scalars")
+    _common_q(values)
+    if not all(v.is_even() for v in values):
+        raise ValidationError("values must be even scalars")
     return signed_elementary(values)
 
 

@@ -609,3 +609,20 @@ def test_bools_never_equal_ring_elements(one):
     assert one == 1 and 1 == one and one != 0
     assert zero == 0 and 0 == zero and zero != 1
     assert half == Fraction(1, 2) and Fraction(1, 2) == half and half != 1
+
+
+def test_scale_multiplies_by_the_numerator_and_divides_once():
+    # integer and Fraction terms, scaled by Fractions, zero and an int
+    x = GrassmannScalar(3, {0: 4, 0b001: Fraction(2, 3), 0b011: -3, 0b111: Fraction(-5, 2)})
+    p = SuperPolynomial(2, {((1, 0), 0): 6, ((0, 2), 1): Fraction(3, 4), ((0, 0), 3): -1})
+    for element in (x, p):
+        for c in (Fraction(3, 2), -Fraction(1, 3), 0, Fraction(0), 7, -2):
+            got = element._scale(c)
+            assert type(got) is type(element)
+            assert got.terms == {k: v * c for k, v in element.terms.items() if v * c != 0}
+            for v in got.terms.values():
+                assert type(v) is (int if v.denominator == 1 else Fraction), (c, v)
+    assert x._scale(Fraction(3, 2)).terms == {0: 6, 0b001: 1, 0b011: Fraction(-9, 2),
+                                              0b111: Fraction(-15, 4)}
+    assert p._scale(-Fraction(1, 3)).terms == {((1, 0), 0): -2, ((0, 2), 1): Fraction(-1, 4),
+                                               ((0, 0), 3): Fraction(1, 3)}

@@ -40,7 +40,7 @@ from superinv import (
     reduce_odd,
     verify_recurrence,
 )
-from superinv.invariants import _residual_rows
+from superinv.invariants import _kernel_combinations, _residual_rows
 from superinv.sympoly import (
     BalancedExpression,
     _ttau_monomials,
@@ -637,3 +637,39 @@ def test_q2_closed_form_on_dense_souls():
             split += 1
             assert with_closed == evaluate_invariants(a, usable, spectral)
     assert (eligible, split, singular) == (100, 77, 54)
+
+
+def _ring_sum_combinations(rng, kernel, monos, count, n):
+    # the combinations as ring sums of scaled monomials, as an oracle
+    out = []
+    for _ in range(count):
+        combo = TTauExpression.zero(n, n)
+        for vec in kernel:
+            c = rng.randint(-2, 2)
+            for (exps, mask), weight in zip(monos, vec):
+                if c and weight:
+                    combo = combo + TTauExpression.monomial(n, n, exps, mask) * (weight * c)
+        if not combo.is_zero():
+            out.append(combo)
+    return out
+
+
+def test_kernel_combinations_sum_in_one_dict(monkeypatch):
+    for n in (1, 2, 3):
+        monos = [key for weight in range(1, min(2 * n, n + 2) + 1)
+                 for key in _ttau_monomials(n, weight)]
+        pullbacks = [TTauExpression.monomial(n, n, e, m).expand(even_basis="s") for e, m in monos]
+        for den in (1, signed_elementary_poly(n, n)):
+            kernel = linalg.nullspace(_residual_rows(pullbacks, den))
+            want = _ring_sum_combinations(random.Random(n), kernel, monos, 5, n)
+            with monkeypatch.context() as patch:
+                calls = []
+                for name in ("__add__", "__mul__"):
+                    method = getattr(SuperPolynomial, name)
+                    patch.setattr(SuperPolynomial, name,
+                                  lambda self, other, method=method: calls.append(other)
+                                  or method(self, other))
+                got = _kernel_combinations(random.Random(n), kernel, monos, 5, n)
+            assert calls == []
+            assert got == want and len(got) >= 3, (n, den)
+            assert all(type(g) is TTauExpression and g.symbol_range == n for g in got)

@@ -33,6 +33,7 @@ from superinv import (
 )
 from superinv.grassmann import mask_to_indices
 from superinv.sympoly import (
+    _power_sum_even,
     _power_sum_odd,
     _sort_sign,
     _ttau_monomials,
@@ -103,8 +104,25 @@ def test_evaluation_matches_structure():
     (lambda: BalancedExpression(TTauExpression.odd_symbol(1, 2, 1), TTauExpression.constant(2, 2, 1)),
      "numerator and denominator shapes differ"),
     (lambda: elementary_from_roots([G.one(2), G.one(3)]), "values must be scalars over one algebra"),
+    (lambda: assemble_invariant("2", 0, []), "variable count must be a non-negative integer"),
+    (lambda: assemble_invariant(2, 0, [SuperPolynomial(2, {((1, 1), 0): 1})]),
+     "component 1 must be an even SuperPolynomial with n = 1"),
+    (lambda: assemble_invariant(1, 0, [SuperPolynomial(1, {((1,), 1): 1})]),
+     "component 1 must be an even SuperPolynomial with n = 1"),
+    (lambda: assemble_invariant(1, 0, [ev(1, 1), ev(2, 1) - ev(2, 2)]),
+     "need at most 1 components"),
+    (lambda: assemble_invariant(2, 0, [5]), "component 1 must be an even SuperPolynomial with n = 1"),
+    (lambda: SuperPolynomial.one(2).evaluate([1, 2], [3, 4]),
+     "values must be scalars over one algebra"),
+    (lambda: TTauExpression.odd_symbol(1, 2, 2).evaluate([G.one(2)], [G.zero(2), 5]),
+     "values must be scalars over one algebra"),
+    (lambda: (ev(2, 1) * ov(2, 2) + 1).evaluate([G.one(2), G.one(3)], [G.zero(2), G.zero(2)]),
+     "values must be scalars over one algebra"),
 ], ids=["negative-n", "exponent-width", "value-count", "negative-range", "even-basis",
-        "symbol-values", "balanced-shapes", "two-algebras"])
+        "symbol-values", "balanced-shapes", "two-algebras", "assemble-n-not-int",
+        "assemble-component-width", "assemble-component-odd", "assemble-too-many-components",
+        "assemble-component-not-polynomial", "evaluate-ints", "evaluate-symbol-int",
+        "evaluate-two-algebras"])
 def test_polynomial_input_checks(call, message):
     with pytest.raises(ValidationError) as exc:
         call()
@@ -1041,3 +1059,129 @@ def test_power_sum_odd_of_degree_one_multiplies_nothing(monkeypatch):
         assert _power_sum_odd.__wrapped__(n, 1) == sum(
             (ov(n, i) for i in range(1, n + 1)), SuperPolynomial.zero(n))
     assert calls == []
+
+
+# ----------------------------------------------------------------------
+# one term dict per sum: the kernel tables, the reassembly and the substitution
+
+
+def _count_calls(monkeypatch, cls, name):
+    """A list that grows by one per call of cls.<name>, whatever the operands."""
+    calls = []
+    method = getattr(cls, name)
+
+    def counting(self, other):
+        calls.append(other)
+        return method(self, other)
+
+    monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
+def _ring_sum_power_sum_even(n, k):
+    # t_k as a ring sum of powers: an oracle that shares no code with the table
+    acc = SuperPolynomial.zero(n)
+    for i in range(1, n + 1):
+        acc = acc + ev(n, i) ** k
+    return acc
+
+
+def _ring_sum_power_sum_odd(n, k):
+    # tau_k as a ring sum of products: an oracle that shares no code with the table
+    acc = SuperPolynomial.zero(n)
+    for i in range(1, n + 1):
+        acc = acc + (ov(n, i) * ev(n, i) ** (k - 1) if k > 1 else ov(n, i))
+    return acc
+
+
+def test_kernel_tables_match_their_ring_sums():
+    for n in range(0, 6):
+        for k in range(0, 9):
+            assert _power_sum_even.__wrapped__(n, k) == _ring_sum_power_sum_even(n, k), (n, k)
+            assert power_sum_even(n, k) == _ring_sum_power_sum_even(n, k), (n, k)
+            if k:
+                assert _power_sum_odd.__wrapped__(n, k) == _ring_sum_power_sum_odd(n, k), (n, k)
+                assert power_sum_odd(n, k) == _ring_sum_power_sum_odd(n, k), (n, k)
+    assert power_sum_even(3, 0) == 3 and power_sum_even(0, 0).is_zero()
+
+
+def test_kernel_tables_make_no_ring_arithmetic(monkeypatch):
+    products = _count_calls(monkeypatch, SuperPolynomial, "__mul__")
+    sums = _count_calls(monkeypatch, SuperPolynomial, "__add__")
+    for n in range(1, 5):
+        for k in range(0, 7):
+            _power_sum_even.__wrapped__(n, k)
+            if k:
+                _power_sum_odd.__wrapped__(n, k)
+    assert products == [] and sums == []
+
+
+def _random_components(rng, n):
+    """n even polynomials, the s-th in s variables, some zero, with Fraction coefficients."""
+    return [SuperPolynomial(s, {(tuple(rng.randint(0, 3) for _ in range(s)), 0):
+                                Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 3))
+                                for _ in range(rng.choice([0, 1, 3]))})
+            for s in range(1, n + 1)]
+
+
+def _per_subset_sum(n, constant, components):
+    # the reassembly as a ring sum of one polynomial per subset, as an oracle
+    acc = SuperPolynomial.constant(n, constant)
+    for s, comp in enumerate(components, start=1):
+        for subset in combinations(range(n), s):
+            terms = {}
+            for (exps, _zero), c in comp.terms.items():
+                new = [0] * n
+                for local, i in enumerate(subset):
+                    new[i] = exps[local]
+                terms[(tuple(new), sum(1 << i for i in subset))] = c
+            acc = acc + SuperPolynomial(n, terms)
+    return acc
+
+
+def test_assemble_invariant_matches_the_per_subset_sum():
+    rng = random.Random(3433)
+    nonzero = 0
+    for _ in range(40):
+        n = rng.randint(0, 4)
+        constant = rng.choice([0, 2, Fraction(-1, 3)])
+        components = _random_components(rng, n)[:rng.randint(0, n)]
+        got = assemble_invariant(n, constant, components)
+        assert got == _per_subset_sum(n, constant, components)
+        assert type(got) is SuperPolynomial and got.n == n
+        nonzero += len(got.terms) > 1
+    assert nonzero >= 12
+
+
+def test_assemble_invariant_makes_no_ring_sum(monkeypatch):
+    f = power_sum_odd(3, 1) * power_sum_odd(3, 3) + 4 * power_sum_odd(3, 2) + 7
+    constant, components = invariant_decomposition(f)
+    sums = _count_calls(monkeypatch, SuperPolynomial, "__add__")
+    assert assemble_invariant(3, constant, components) == f
+    assert sums == []
+
+
+def test_expand_sums_its_terms_in_one_dict(monkeypatch):
+    u1, u2 = TTauExpression.even_symbol(2, 2, 1), TTauExpression.even_symbol(2, 2, 2)
+    x1, x2 = TTauExpression.odd_symbol(2, 2, 1), TTauExpression.odd_symbol(2, 2, 2)
+    e = 3 * u1 * x2 + Fraction(1, 2) * u2 - x1
+    want = _term_by_term([(3, [1, 0], [2]), (Fraction(1, 2), [0, 1], []), (-1, [0, 0], [1])],
+                         lambda i: power_sum_even(2, i + 1), lambda i: power_sum_odd(2, i + 1),
+                         SuperPolynomial.one(2))
+    sums = _count_calls(monkeypatch, SuperPolynomial, "__add__")
+    expanded = e.expand(even_basis="t")
+    assert sums == []
+    assert type(expanded) is SuperPolynomial and expanded == want
+
+
+def test_evaluate_sums_its_terms_in_one_dict(monkeypatch):
+    f = ev(2, 1) ** 2 * ov(2, 2) - 5 * ov(2, 1) + Fraction(2, 3)
+    q = 3
+    a = [G(q, {0: 2, 0b011: 1}), G.rational(q, 5)]
+    b = [G.generator(q, 1), G(q, {0b010: 1, 0b111: -1})]
+    want = _term_by_term([(1, [2, 0], [2]), (-5, [0, 0], [1]), (Fraction(2, 3), [0, 0], [])],
+                         a.__getitem__, b.__getitem__, G.one(q))
+    sums = _count_calls(monkeypatch, G, "__add__")
+    value = f.evaluate(a, b)
+    assert sums == []
+    assert type(value) is G and value.q == q and value == want
