@@ -12,8 +12,8 @@ assumption.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
+from functools import cache
 
 from . import linalg
 from .errors import (
@@ -26,7 +26,7 @@ from .errors import (
 )
 from .grassmann import GrassmannScalar, is_int
 from .reduction import _eligible_spectrum, _relevant_body, diagonalize, reduce_odd
-from .supermatrix import Queer, SuperMatrix
+from .supermatrix import Queer, SuperMatrix, seeded_rng
 from .sympoly import (
     BalancedExpression,
     TTauExpression,
@@ -199,6 +199,21 @@ def _residual_rows(polys, den):
     return coefficient_matrix([balance_residual(poly, den, 1).terms for poly in polys])
 
 
+@cache
+def _balance_kernels(n):
+    """The part of `balanced_corpus` that depends on n alone: the candidate
+    t/tau keys of weight <= min(2n, n + 2), and the kernels of the first
+    balance residuals of their pullbacks over the denominators 1 and s_n."""
+    monos = tuple(key for weight in range(1, min(2 * n, n + 2) + 1)
+                  for key in _ttau_monomials(n, weight))
+    pullbacks = [TTauExpression.monomial(n, n, e, m).expand(even_basis="s") for e, m in monos]
+
+    def kernel(den):
+        return tuple(tuple(vec) for vec in linalg.nullspace(_residual_rows(pullbacks, den)))
+
+    return monos, kernel(1), kernel(signed_elementary_poly(n, n))
+
+
 def _kernel_combinations(rng, kernel, monos, count, n):
     """Up to count nonzero random integer combinations of kernel vectors, each
     summed over the candidate monomial keys in one term dict."""
@@ -223,15 +238,17 @@ def balanced_corpus(n, seed, combos=4):
 
     Contains the plain odd symbols, the small worked closed forms, and random
     rational combinations drawn from the exact kernel of the balance
-    conditions, with and without an even denominator.  n must be a positive
-    and combos a non-negative integer; otherwise ValidationError.
+    conditions, with and without an even denominator.  The candidate keys
+    and both kernels depend on n alone and come from the table
+    `_balance_kernels(n)`, built once per n; only the combinations use the
+    seed.  n must be a positive and combos a non-negative integer, and seed
+    an integer; otherwise ValidationError.
     """
     if not is_int(n) or n < 1:
         raise ValidationError("n must be a positive integer")
     if not is_int(combos) or combos < 0:
         raise ValidationError("combos must be a non-negative integer")
-    rng = random.Random(seed)
-    cap = min(2 * n, n + 2)
+    rng = seeded_rng(seed)
     corpus = []
     for i in range(1, n + 1):
         corpus.append(BalancedExpression(TTauExpression.odd_symbol(n, n, i)))
@@ -247,13 +264,10 @@ def balanced_corpus(n, seed, combos=4):
         x1 = TTauExpression.odd_symbol(2, 2, 1)
         x2 = TTauExpression.odd_symbol(2, 2, 2)
         corpus.append(BalancedExpression(x2 - u1 * x1, u2))
-    monos = [key for weight in range(1, cap + 1) for key in _ttau_monomials(n, weight)]
-    pullbacks = [TTauExpression.monomial(n, n, e, m).expand(even_basis="s") for e, m in monos]
-    kernel = linalg.nullspace(_residual_rows(pullbacks, 1))
+    monos, kernel, den_kernel = _balance_kernels(n)
     for combo in _kernel_combinations(rng, kernel, monos, combos, n):
         corpus.append(BalancedExpression(combo))
     den_expr = TTauExpression.even_symbol(n, n, n)
-    kernel = linalg.nullspace(_residual_rows(pullbacks, signed_elementary_poly(n, n)))
-    for combo in _kernel_combinations(rng, kernel, monos, max(1, combos // 2), n):
+    for combo in _kernel_combinations(rng, den_kernel, monos, max(1, combos // 2), n):
         corpus.append(BalancedExpression(combo, den_expr))
     return corpus

@@ -567,6 +567,15 @@ class GroupElement:
 # ----------------------------------------------------------------------
 # seeded random sampling
 
+def seeded_rng(seed):
+    """random.Random(seed) for an integer seed, the one seed check of every
+    seeded sampler.  Anything else, a bool included, is a ValidationError:
+    Random would seed None from the clock and raise TypeError on a tuple."""
+    if not is_int(seed):
+        raise ValidationError("seed must be an integer")
+    return random.Random(seed)
+
+
 def _random_mask(rng, q, degree):
     mask = 0
     count = 0
@@ -618,7 +627,7 @@ def random_matrix(shape, parity, q, seed, coefficient_bound, max_terms=2):
     _check_bound(coefficient_bound)
     if not is_int(max_terms) or max_terms < 0:
         raise ValidationError("max_terms must be a non-negative integer")
-    rng = random.Random(seed)
+    rng = seeded_rng(seed)
     dim = shape.dim
     grid = []
     for i in range(dim):
@@ -638,7 +647,7 @@ _GROUP_TRIES = 64  # rejection draws before giving up on an invertible body
 def random_group_element(shape, q, seed, coefficient_bound):
     """Deterministic random group element: invertible body by rejection."""
     _check_bound(coefficient_bound)
-    rng = random.Random(seed)
+    rng = seeded_rng(seed)
     parity = shape.group_parity
     dim = shape.dim
     for _ in range(_GROUP_TRIES):

@@ -50,6 +50,7 @@ from .supermatrix import (
     random_group_element,
     random_matrix,
     random_scalar,
+    seeded_rng,
 )
 from .sympoly import (
     SuperPolynomial,
@@ -109,7 +110,7 @@ def _conjugated(rng, a):
 def _random_with_spectrum(shape, eigenvalues, gq, seed, soul_terms=1):
     """Random group-parity matrix with the given body diagonal, conjugated."""
     _check_count(eigenvalues, shape.dim)
-    rng = random.Random(seed)
+    rng = seeded_rng(seed)
     diag = _diagonal(shape, shape.group_parity,
                      [GrassmannScalar.rational(gq, eigenvalues[i]) for i in range(shape.dim)])
     soul = random_matrix(shape, shape.group_parity, gq, rng.randrange(1 << 30), _BOUND,
@@ -133,7 +134,7 @@ def random_odd_reducible(n, body_values, gq, seed):
     body_values are the distinct nonzero body eigenvalues of the square.
     """
     _check_count(body_values, n)
-    rng = random.Random(seed)
+    rng = seeded_rng(seed)
     x, y = [], []
     for value in body_values:
         x.append(random_scalar(rng, gq, _BOUND, parity=ODD, max_terms=1))
@@ -147,7 +148,7 @@ def random_odd_reducible(n, body_values, gq, seed):
 
 def random_locus_member(n, gq, seed):
     """Random matrix on which all the odd moments vanish."""
-    rng = random.Random(seed)
+    rng = seeded_rng(seed)
     eigs = pick_distinct(rng, n)
     entries = [GrassmannScalar.rational(gq, e)
                + random_scalar(rng, gq, _BOUND, parity=EVEN, max_terms=1).soul() for e in eigs]
@@ -160,7 +161,7 @@ def random_commuting_odd_pair(n, gq, seed):
     Y is built from a polynomial in X^2 plus a nonzero rational scalar, so X
     and Y commute and the square is exactly block diagonal.
     """
-    rng = random.Random(seed)
+    rng = seeded_rng(seed)
     x = random_matrix(Queer(n), ANY, gq, rng.randrange(1 << 30), _BOUND, max_terms=1)
     x = SuperMatrix(Queer(n), ANY, [[e.odd_part() for e in row] for row in x.rows])
     c = rng.randint(1, _BOUND)

@@ -40,7 +40,7 @@ from superinv import (
     reduce_odd,
     verify_recurrence,
 )
-from superinv.invariants import _kernel_combinations, _residual_rows
+from superinv.invariants import _balance_kernels, _kernel_combinations, _residual_rows
 from superinv.sympoly import (
     BalancedExpression,
     _ttau_monomials,
@@ -458,6 +458,66 @@ def test_balanced_corpus_with_no_undenominated_combinations():
     assert len(corpus) == 4 and all(f.denominator == u2 for f in corpus[2:])
 
 
+def _rebuilt_kernels(n):
+    """The candidate keys and both kernels as every balanced_corpus call built
+    them before the table keyed on n."""
+    monos = [key for weight in range(1, min(2 * n, n + 2) + 1) for key in _ttau_monomials(n, weight)]
+    pullbacks = [TTauExpression.monomial(n, n, e, m).expand(even_basis="s") for e, m in monos]
+    return monos, [linalg.nullspace(_residual_rows(pullbacks, den))
+                   for den in (1, signed_elementary_poly(n, n))]
+
+
+def _rebuilt_corpus(n, seed, combos, monos, kernels):
+    rng = random.Random(seed)
+    corpus = [BalancedExpression(TTauExpression.odd_symbol(n, n, i)) for i in range(1, n + 1)]
+    u = [TTauExpression.even_symbol(n, n, i) for i in range(1, n + 1)]
+    x = [TTauExpression.odd_symbol(n, n, i) for i in range(1, n + 1)]
+    if n == 1:
+        corpus += [BalancedExpression(u[0] * x[0]), BalancedExpression(u[0] * u[0] * x[0]),
+                   BalancedExpression(x[0], u[0])]
+    if n == 2:
+        corpus.append(BalancedExpression(x[1] - u[0] * x[0], u[1]))
+    corpus += [BalancedExpression(c) for c in _kernel_combinations(rng, kernels[0], monos, combos, n)]
+    corpus += [BalancedExpression(c, u[n - 1])
+               for c in _kernel_combinations(rng, kernels[1], monos, max(1, combos // 2), n)]
+    return corpus
+
+
+def test_balanced_corpus_table_matches_the_per_call_construction():
+    for n in (1, 2, 3, 4):
+        monos, kernels = _rebuilt_kernels(n)
+        _balance_kernels.cache_clear()
+        for seed in range(5):
+            for combos in range(5):
+                # the first corpus of each n comes from a cleared table, the rest from a filled one
+                want = [f.to_obj() for f in _rebuilt_corpus(n, seed, combos, monos, kernels)]
+                assert [f.to_obj() for f in balanced_corpus(n, seed, combos)] == want, (n, seed, combos)
+        assert _balance_kernels.cache_info().misses == 1
+
+
+def test_balanced_corpus_builds_its_kernels_once_per_n(monkeypatch):
+    balanced_corpus(3, 1)
+    calls = []
+    for owner, name in ((TTauExpression, "expand"), (linalg, "nullspace")):
+        def counting(*args, _original=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    corpus = balanced_corpus(3, 2)
+    assert calls == [] and len(corpus) > 3
+
+
+def test_balanced_corpus_table_is_immutable():
+    monos, kernel, den_kernel = _balance_kernels(2)
+    for part in (monos, kernel, den_kernel):
+        assert type(part) is tuple and all(type(item) is tuple for item in part)
+    first = balanced_corpus(2, 7)
+    want = [f.to_obj() for f in first]
+    first.clear()
+    assert [f.to_obj() for f in balanced_corpus(2, 7)] == want
+
+
 def test_dual_route_agreement():
     rng = random.Random(51)
     corpus = balanced_corpus(2, seed=52)
@@ -656,11 +716,8 @@ def _ring_sum_combinations(rng, kernel, monos, count, n):
 
 def test_kernel_combinations_sum_in_one_dict(monkeypatch):
     for n in (1, 2, 3):
-        monos = [key for weight in range(1, min(2 * n, n + 2) + 1)
-                 for key in _ttau_monomials(n, weight)]
-        pullbacks = [TTauExpression.monomial(n, n, e, m).expand(even_basis="s") for e, m in monos]
-        for den in (1, signed_elementary_poly(n, n)):
-            kernel = linalg.nullspace(_residual_rows(pullbacks, den))
+        monos, kernels = _rebuilt_kernels(n)
+        for den, kernel in zip(("1", "s_n"), kernels):
             want = _ring_sum_combinations(random.Random(n), kernel, monos, 5, n)
             with monkeypatch.context() as patch:
                 calls = []

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -19,13 +20,22 @@ from superinv import (
     SuperPolynomial,
     UnconstrainedParity,
     ValidationError,
+    balanced_corpus,
     qet_generating_coefficients,
     random_group_element,
     random_matrix,
 )
 from superinv.grassmann import generator_cap, set_generator_cap
 from superinv.supermatrix import _entry_parity
-from superinv.verify import pick_distinct
+from superinv.verify import (
+    pick_distinct,
+    random_commuting_odd_pair,
+    random_locus_member,
+    random_odd_reducible,
+    random_queer_with_spectrum,
+    random_sector_conjugator,
+    random_standard_even_with_spectrum,
+)
 
 G = GrassmannScalar
 
@@ -256,6 +266,22 @@ def _cap_true():
         set_generator_cap(cap)
 
 
+# every seeded sampler takes its seed through one check: random.Random would
+# seed None from the clock, raise TypeError on a tuple and read True as 1
+_SEEDED = {
+    "matrix": lambda seed: random_matrix(Queer(1), ANY, 2, seed, 3),
+    "group": lambda seed: random_group_element(Queer(1), 2, seed, 3),
+    "queer-spectrum": lambda seed: random_queer_with_spectrum(1, [2], 2, seed),
+    "standard-spectrum": lambda seed: random_standard_even_with_spectrum(1, 1, [2], [3], 2, seed),
+    "odd-reducible": lambda seed: random_odd_reducible(1, [2], 2, seed),
+    "locus": lambda seed: random_locus_member(1, 2, seed),
+    "commuting-pair": lambda seed: random_commuting_odd_pair(1, 2, seed),
+    "sector": lambda seed: random_sector_conjugator(1, 2, seed),
+    "corpus": lambda seed: balanced_corpus(2, seed),
+}
+_BAD_SEEDS = {"none": None, "tuple": (1, 2), "bool": True}
+
+
 @pytest.mark.parametrize("call", [
     lambda: _QUEER.tau(True),
     lambda: _QUEER ** True,
@@ -277,11 +303,13 @@ def _cap_true():
     lambda: G(2, {True: True}),
     lambda: G.generator(2, True),
     lambda: G.generator(2, 1.0),
-], ids=["tau", "matrix-pow", "scalar-pow", "poly-pow", "qet-coefficients",
-        "generator-cap", "tau-values-bool", "tau-values-negative", "tau-values-float",
-        "matrix-bound-bool", "matrix-bound-float", "group-bound-bool", "group-bound-float",
-        "pick-negative", "pick-float", "pick-bool", "poly-mask-bool", "scalar-mask-bool",
-        "generator-bool", "generator-float"])
+] + [partial(make, seed) for make in _SEEDED.values() for seed in _BAD_SEEDS.values()],
+    ids=["tau", "matrix-pow", "scalar-pow", "poly-pow", "qet-coefficients",
+         "generator-cap", "tau-values-bool", "tau-values-negative", "tau-values-float",
+         "matrix-bound-bool", "matrix-bound-float", "group-bound-bool", "group-bound-float",
+         "pick-negative", "pick-float", "pick-bool", "poly-mask-bool", "scalar-mask-bool",
+         "generator-bool", "generator-float"]
+    + ["%s-seed-%s" % (name, label) for name in _SEEDED for label in _BAD_SEEDS])
 def test_booleans_and_bad_counts_rejected(call):
     with pytest.raises(ValidationError):
         call()
