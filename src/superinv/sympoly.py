@@ -15,7 +15,9 @@ from their definitions as term dicts, with no ring arithmetic.
 the balance conditions solve.  Neither rewrite solves one: `rewrite_symmetric`
 reads one coefficient per S_n orbit and writes each orbit sum in t and tau
 through the lattice of set partitions, and the invariant normal form reads
-its coefficients off the invariant decomposition.
+its coefficients off the invariant decomposition.  Balance is decided in
+the symbols as well, by the odd derivations E_m = sum_i a_i^m b_i d/da_i,
+whose images of the symbols come from tables keyed on (n, m, k).
 """
 
 from __future__ import annotations
@@ -494,6 +496,48 @@ class TTauExpression(SuperPolynomial):
         return self._substitute(SuperPolynomial.zero(n), lambda i: kernel(n, i + 1),
                                 lambda i: power_sum_odd(n, i + 1))
 
+    def in_symbols_of_n(self, even_basis="t"):
+        """This expression written in u_1..u_n and x_1..x_n; itself when its
+        symbol range is n.  Above n, u_k is t_k by its recurrence in the t
+        basis and zero in the s basis, as s_k is, and x_k is tau_k by the
+        moment recurrence of the basis."""
+        even, odd, _derivation = _basis_tables(even_basis)
+        n = self.n
+        if self.symbol_range == n:
+            return self
+        if not n:  # t_k, tau_k and s_k of no variables are all zero
+            return TTauExpression.constant(0, 0, self.constant_term())
+        return self._substitute(TTauExpression.zero(n, n), lambda i: even(n, i + 1),
+                                lambda i: odd(n, i + 1))
+
+    def derivation(self, m, even_basis="t"):
+        """E_m of the pullback, E_m = sum_i a_i^m b_i d/da_i, as an expression
+        in u_1..u_n and x_1..x_n, for m = 0..n-1.
+
+        E_m is an odd derivation that kills every odd moment, so the image of
+        a term is the sum over its even symbols u_k of E_m(u_k) times the
+        term's derivative in u_k, with E_m(u_k) on the left.  The images
+        E_m(u_k) come from a table keyed on (n, m, k) per basis, and every
+        product is summed into one term dict.
+        """
+        _even, _odd, image = _basis_tables(even_basis)
+        n = self.n
+        if not is_int(m) or not 0 <= m < n:
+            raise ValidationError("m must be an integer in 0..%d" % (n - 1))
+        acc = {}
+        for (exps, mask), c in self.in_symbols_of_n(even_basis).terms.items():
+            for k, e in enumerate(exps):
+                if not e:
+                    continue
+                rest = exps[:k] + (e - 1,) + exps[k + 1:]
+                for (ie, im), ic in image(n, m, k + 1).terms.items():
+                    if im & mask:
+                        continue
+                    v = c * e * ic
+                    key = (tuple(map(add, rest, ie)), im | mask)
+                    acc[key] = acc.get(key, 0) + (v if merge_sign(im, mask) > 0 else -v)
+        return TTauExpression.zero(n, n)._like(prune_terms(acc))
+
     def evaluate(self, even_vals, odd_vals):
         """Exact evaluation at Grassmann scalar symbol values.
 
@@ -566,13 +610,24 @@ class BalancedExpression:
     def is_balanced(self):
         """Exact check that the pullback is invariant under the odd action.
 
-        Uses the quotient rule with cleared denominators: the pullback is
-        symmetric, so it is invariant exactly when b_1 (dN/da_1 D - N dD/da_1)
-        vanishes identically.  The verdict and its witness are memoized.
+        Decided in the symbols, as `is_balanced` decides a polynomial: the
+        odd derivation E_m takes N/D to (E_m(N) D - N' E_m(D)) / D^2, where N'
+        is N with its odd part negated, since b_i passes N.  So the pullback
+        is invariant exactly when E_m(N) D - N' E_m(D), written in u_1..u_n
+        and x_1..x_n for s_1..s_n and the odd moments, vanishes for
+        m = 0..n-1; with D = 1 that is E_m(N).  Returns (True, None), or
+        (False, (m + 1, residual)) for the first nonzero one, the residual a
+        TTauExpression over (n, n).  The verdict and its witness are memoized.
         """
         if self._balance_memo is None:
-            object.__setattr__(self, "_balance_memo", _residual_witness(
-                self.numerator.expand(even_basis="s"), self.denominator.expand(even_basis="s")))
+            num = self.numerator.in_symbols_of_n("s")
+            den = self.denominator.in_symbols_of_n("s")
+            num_bar = num.even_part() - num.odd_part()
+
+            def condition(m):
+                e_num = num.derivation(m, "s")
+                return e_num if den == 1 else e_num * den - num_bar * den.derivation(m, "s")
+            object.__setattr__(self, "_balance_memo", _first_condition(self.n, condition))
         return self._balance_memo
 
     def evaluate(self, s_vals, tau_vals):
@@ -603,7 +658,9 @@ def balance_residual(num, den, i):
 
     For a nonzero D, N/D is invariant under the odd action exactly when
     this vanishes for every i.  A denominator equal to 1, as a polynomial
-    or the integer, leaves b_i dN/da_i.
+    or the integer, leaves b_i dN/da_i.  The quotient-rule branch serves
+    only `invariants._residual_rows`, the balanced-corpus kernels; a
+    balanced expression is decided in the symbols instead.
     """
     if den == 1:
         return num.derivative(i).odd_multiply(i)
@@ -615,12 +672,13 @@ def balance_residual(num, den, i):
     return residual.odd_multiply(i)
 
 
-def _residual_witness(num, den):
-    """(True, None) when the symmetric N/D is balanced, else (False, (1, residual)):
-    residual i is residual 1 with indices 1 and i swapped, so residual 1 decides."""
-    if not num.n:
+def _residual_witness(f):
+    """(True, None) when the symmetric polynomial f is odd-invariant, else
+    (False, (1, b_1 df/da_1)): residual i is residual 1 with indices 1 and i
+    swapped, so residual 1 decides."""
+    if not f.n:
         return True, None
-    residual = balance_residual(num, den, 1)
+    residual = balance_residual(f, 1, 1)
     return (True, None) if residual.is_zero() else (False, (1, residual))
 
 
@@ -636,7 +694,7 @@ def _require_invariant(f):
     ok, witness = f.is_symmetric()
     if not ok:
         raise NotInvariant("polynomial is not symmetric", witness=witness)
-    ok, witness = _residual_witness(f, 1)
+    ok, witness = _residual_witness(f)
     if not ok:
         raise NotInvariant("polynomial is not invariant under the odd action", witness=witness)
 
@@ -803,6 +861,66 @@ def _s_symbol(n, j):
     return acc._scale(Fraction(1, j))
 
 
+@cache
+def _tau_s_symbol(n, k):
+    """tau_k in the symbols of n variables with u_j for s_j: x_k for k <= n,
+    else sum_j tau_(k-j) s_j, in one term dict."""
+    if k <= n:
+        return TTauExpression.odd_symbol(n, n, k)
+    acc = {}
+    for j in range(1, n + 1):
+        for (exps, mask), c in _tau_s_symbol(n, k - j).terms.items():
+            key = (tuple(map(add, exps, _exponents(n, j - 1, 1))), mask)
+            acc[key] = acc.get(key, 0) + c
+    return TTauExpression(n, n, acc)
+
+
+def _u_s_symbol(n, j):
+    """u_j for s_j in the symbols of n variables: zero above n, as s_j is."""
+    return TTauExpression.even_symbol(n, n, j) if j <= n else TTauExpression.zero(n, n)
+
+
+@cache
+def _derivation_t(n, m, k):
+    """E_m(t_k) = k tau_(k+m) in the symbols of n variables."""
+    return _tau_symbol(n, k + m)._scale(k)
+
+
+@cache
+def _derivation_s(n, m, j):
+    """E_m(s_j) = (-1)^(j-1) sum_r (-1)^r e_(j-1-r) tau_(m+r+1) in the symbols of
+    n variables, with e_0 = 1 and e_i = (-1)^(i-1) s_i, in one term dict: the
+    derivative of e_j in a_i is sum_r (-1)^r e_(j-1-r) a_i^r (Macdonald I.2)."""
+    acc = {}
+    for r in range(j):
+        i = j - 1 - r  # the factor e_i: 1, or (-1)^(i-1) u_i
+        sign = (-1) ** (j - 1 + r) * ((-1) ** (i - 1) if i else 1)
+        shift = _exponents(n, i - 1, 1) if i else (0,) * n
+        for (exps, mask), c in _tau_s_symbol(n, m + r + 1).terms.items():
+            key = (tuple(map(add, exps, shift)), mask)
+            acc[key] = acc.get(key, 0) + sign * c
+    return TTauExpression(n, n, acc)
+
+
+def _basis_tables(even_basis):
+    """The tables of a basis: u_k and x_k in the symbols of n variables, and E_m(u_k)."""
+    if even_basis == "t":
+        return _t_symbol, _tau_symbol, _derivation_t
+    if even_basis == "s":
+        return _u_s_symbol, _tau_s_symbol, _derivation_s
+    raise ValidationError("even_basis must be 't' or 's'")
+
+
+def _first_condition(n, condition):
+    """(True, None) when condition(m) vanishes for m = 0..n-1, else
+    (False, (m + 1, condition(m))) for the first m where it does not."""
+    for m in range(n):
+        residual = condition(m)
+        if not residual.is_zero():
+            return False, (m + 1, residual)
+    return True, None
+
+
 def rewrite_symmetric(f):
     """Rewrite a symmetric polynomial in the power-sum symbols.
 
@@ -864,15 +982,22 @@ def is_balanced(h):
 
     h is a TTauExpression whose even symbols stand for the power sums (only
     u_1..u_n may appear) and whose odd symbols stand for the odd moments.
-    The pullback f is symmetric, so its first balance residual decides:
-    returns (True, None), or (False, (1, b_1 df/da_1)).
+    Decided in the symbols, with no expansion into a and b: the pullback f
+    is symmetric, so it is invariant exactly when every b_i df/da_i
+    vanishes, that is, by the nonzero power-Vandermonde determinant of
+    Lemma 3.2, when E_m f = sum_i a_i^m b_i df/da_i vanishes for
+    m = 0..n-1; and E_m f is zero exactly when its expression in
+    u_1..u_n, x_1..x_n is (Thm 3.2's uniqueness).  Returns (True, None),
+    or (False, (m + 1, E_m h)) for the first m with E_m h nonzero, the
+    residual a TTauExpression over (n, n).
     """
     if not isinstance(h, TTauExpression):
         raise ValidationError("is_balanced needs a TTauExpression")
     n = h.n
     if any(any(exps[n:]) for exps, _mask in h.terms):
         raise ValidationError("even symbols beyond u_%d may not appear" % n)
-    return _residual_witness(h.expand(even_basis="t"), 1)
+    h = h.in_symbols_of_n("t")
+    return _first_condition(n, lambda m: h.derivation(m, "t"))
 
 
 def invariant_normal_form(f):

@@ -31,7 +31,9 @@ from superinv import (
     vandermonde_adjoint,
     verify_recurrence,
 )
+from superinv import sympoly
 from superinv.grassmann import mask_to_indices
+from superinv.invariants import balanced_corpus
 from superinv.sympoly import (
     _power_sum_even,
     _power_sum_odd,
@@ -457,26 +459,26 @@ def _random_mask(rng, symbol_range, size):
     return sum(1 << k for k in rng.sample(range(symbol_range), size))
 
 
-def _random_expression(rng, n, symbol_range):
-    """A few random monomials: even symbols among u_1..u_n, at most n odd ones."""
+def _random_expression(rng, n, symbol_range, most_odd):
+    """A few random monomials: even symbols among u_1..u_n, at most most_odd odd ones."""
     terms = {}
     for _ in range(rng.randint(1, 3)):
         exps = tuple(rng.randint(0, 1) if k < n else 0 for k in range(symbol_range))
-        terms[(exps, _random_mask(rng, symbol_range, rng.randint(0, n)))] = rng.choice([-2, -1, 1, 3])
+        terms[(exps, _random_mask(rng, symbol_range, rng.randint(0, most_odd)))] = rng.choice([-2, -1, 1, 3])
     return TTauExpression(n, symbol_range, terms)
 
 
-def _planted_balanced(rng, n, symbol_range, moments):
+def _planted_balanced(rng, n, symbol_range, moments, most_odd):
     """A balanced expression with even symbols in it.
 
-    It is a random combination of odd-moment products, the form
-    invariant_normal_form returns, with each x_k (k > n) replaced by the
-    power-sum rewrite of tau_k; a full product of n odd moments may also carry
-    an even factor, since b_i kills it.
+    It is a random combination of products of at most most_odd odd moments,
+    the form invariant_normal_form returns, with each x_k (k > n) replaced by
+    the power-sum rewrite of tau_k; a full product of n odd moments may also
+    carry an even factor, since b_i kills it.
     """
     h = TTauExpression.zero(n, symbol_range)
     for _ in range(rng.randint(1, 2)):
-        size = rng.randint(1, n)
+        size = rng.randint(1, most_odd)
         term = TTauExpression.constant(n, symbol_range, rng.choice([-1, 1, 2]))
         for k in sorted(rng.sample(range(1, symbol_range + 1), size)):
             term = term * moments[k]
@@ -486,6 +488,31 @@ def _planted_balanced(rng, n, symbol_range, moments):
     return h
 
 
+def _balance_trial(rng, n, symbol_range, planted, moments, most_odd):
+    """One expression over (n, symbol_range), with at most most_odd odd symbols
+    per term, checked against the oracle; returns (verdict, has even symbols)."""
+    if (n, symbol_range) not in moments:
+        moments[n, symbol_range] = {
+            k: (TTauExpression.odd_symbol(n, symbol_range, k) if k <= n
+                else _lift(rewrite_symmetric(power_sum_odd(n, k)), symbol_range))
+            for k in range(1, symbol_range + 1)}
+    if planted:
+        h = _planted_balanced(rng, n, symbol_range, moments[n, symbol_range], most_odd)
+        f = h.expand()
+        assert invariant_normal_form(f).expand() == f  # raises NotInvariant otherwise
+    else:
+        h = _random_expression(rng, n, symbol_range, most_odd)
+    ok, witness = is_balanced(h)
+    assert ok == _differential_criterion(h), h
+    if ok:
+        assert witness is None
+    else:
+        i, residual = witness
+        assert 1 <= i <= n and not residual.is_zero()
+        assert type(residual) is TTauExpression and residual.symbol_range == n
+    return ok, any(any(e) for e, _m in h.terms)
+
+
 def test_is_balanced_agrees_with_differential_criterion():
     rng = random.Random(1414)
     moments = {}  # (n, K) -> {k: a balanced expression whose pullback is tau_k}
@@ -493,27 +520,136 @@ def test_is_balanced_agrees_with_differential_criterion():
     for trial in range(300):
         n = rng.randint(1, 3)
         symbol_range = rng.choice([n, 2 * n - 1, 2 * n])
-        if (n, symbol_range) not in moments:
-            moments[n, symbol_range] = {
-                k: (TTauExpression.odd_symbol(n, symbol_range, k) if k <= n
-                    else _lift(rewrite_symmetric(power_sum_odd(n, k)), symbol_range))
-                for k in range(1, symbol_range + 1)}
-        if trial % 3 == 0:
-            h = _planted_balanced(rng, n, symbol_range, moments[n, symbol_range])
-            f = h.expand()
-            assert invariant_normal_form(f).expand() == f  # raises NotInvariant otherwise
-        else:
-            h = _random_expression(rng, n, symbol_range)
-        ok, witness = is_balanced(h)
-        assert ok == _differential_criterion(h), h
-        if ok:
-            assert witness is None
-        else:
-            i, residual = witness
-            assert 1 <= i <= n and not residual.is_zero()
-        verdicts.append((ok, any(any(e) for e, _m in h.terms)))
+        verdicts.append(_balance_trial(rng, n, symbol_range, trial % 3 == 0, moments, n))
     assert sum(ok for ok, _ in verdicts) >= 100
     assert (True, True) in verdicts and (False, True) in verdicts
+    # n = 4 and 5, where the derivations reach odd moments up to 2n - 1 through the
+    # recurrence.  The oracle's expansions of products of the moments above n, or
+    # of five odd moments, take seconds each, so a planted expression stays in
+    # x_1..x_n and at n = 5 a term has at most three odd symbols.
+    verdicts = []
+    for trial in range(24):
+        n = 4 + trial % 2
+        symbol_range = rng.choice([n, 2 * n - 1, 2 * n])
+        planted = trial % 3 == 0
+        if planted:
+            symbol_range = n
+        verdicts.append(_balance_trial(rng, n, symbol_range, planted, moments, 4 if n == 4 else 3))
+    assert (True, True) in verdicts and (False, True) in verdicts
+
+
+def _s_route_cases():
+    """Balanced expressions at n = 1..4 with their perturbed and widened copies.
+
+    From each corpus expression N/D: N + m for a random monomial m; over
+    symbol range 2n, N + x_k D (x_k above n, an odd moment, so balanced with
+    N/D) plus u_j m (u_j above n stands for s_j = 0), and at random plus
+    u_1 x_k, which is not balanced; and N + x_1 over s_n.  The corpus's
+    numerators over s_n are odd, so their balance depends on the sign of
+    N's odd part in the quotient rule.
+    """
+    rng = random.Random(3535)
+    cases = []
+    for n in range(1, 5):
+        wide = 2 * n
+        for f in balanced_corpus(n, seed=n, combos=3):
+            num, den = f.numerator, f.denominator
+            cases.append(f)
+            cases.append(BalancedExpression(num + _random_expression(rng, n, n, n), den))
+            x = TTauExpression.odd_symbol(n, wide, rng.randint(n + 1, wide))
+            u = TTauExpression.even_symbol(n, wide, rng.randint(n + 1, wide))
+            u_1 = TTauExpression.even_symbol(n, wide, 1)
+            cases.append(BalancedExpression(
+                _lift(num, wide) + _lift(den, wide) * x + u * _random_expression(rng, n, wide, n)
+                + rng.randint(0, 1) * u_1 * x, _lift(den, wide)))
+            s_n = TTauExpression.even_symbol(n, n, n)
+            cases.append(BalancedExpression(num + TTauExpression.odd_symbol(n, n, 1), s_n))
+    return cases
+
+
+def test_balanced_expression_agrees_with_the_expansion_route():
+    verdicts = []
+    for f in _s_route_cases():
+        residual = balance_residual(f.numerator.expand(even_basis="s"),
+                                    f.denominator.expand(even_basis="s"), 1)
+        ok, witness = f.is_balanced()
+        assert ok == residual.is_zero(), f
+        if not ok:
+            i, residual = witness
+            assert 1 <= i <= f.n and not residual.is_zero()
+            assert type(residual) is TTauExpression and residual.symbol_range == f.n
+        odd_over_s_n = f.denominator != 1 and not f.numerator.odd_part().is_zero()
+        verdicts.append((ok, f.numerator.symbol_range > f.n, odd_over_s_n))
+    for wide in (False, True):
+        assert (True, wide, False) in verdicts and (False, wide, False) in verdicts
+    assert (True, False, True) in verdicts and (False, False, True) in verdicts
+
+
+def _record_keys(monkeypatch, names):
+    """Record the arguments of every call to the named sympoly tables."""
+    keys = []
+    for name in names:
+        table = getattr(sympoly, name)
+
+        def recording(*args, table=table):
+            keys.append(args)
+            return table(*args)
+        monkeypatch.setattr(sympoly, name, recording)
+    return keys
+
+
+def test_derivation_tables_match_their_definition(monkeypatch):
+    keys = _record_keys(monkeypatch, ["_derivation_t", "_derivation_s", "_tau_s_symbol"])
+    for n in range(1, 6):
+        for m in range(n):
+            for k in range(1, n + 1):
+                for basis, kernel, table in (("t", power_sum_even, sympoly._derivation_t),
+                                             ("s", signed_elementary_poly, sympoly._derivation_s)):
+                    f = kernel(n, k)
+                    want = SuperPolynomial.zero(n)
+                    for i in range(1, n + 1):
+                        want = want + ev(n, i) ** m * f.derivative(i).odd_multiply(i)
+                    image = table(n, m, k)
+                    assert image.expand(even_basis=basis) == want, (basis, n, m, k)
+                    # the derivation of the symbol u_k reads the same entry
+                    u = TTauExpression.even_symbol(n, n, k)
+                    assert u.derivation(m, basis) == image
+    assert keys and all(len(key) in (2, 3) and all(type(x) is int for x in key) for key in keys)
+
+
+def test_derivation_rejects_bad_arguments():
+    h = TTauExpression.odd_symbol(2, 2, 1)
+    for m in (-1, 2, True, 1.0):
+        with pytest.raises(ValidationError, match=r"^m must be an integer in 0\.\.1$"):
+            h.derivation(m)
+    with pytest.raises(ValidationError, match="^even_basis must be 't' or 's'$"):
+        h.derivation(0, "x")
+    with pytest.raises(ValidationError, match="^even_basis must be 't' or 's'$"):
+        h.in_symbols_of_n("x")
+
+
+def test_balance_in_no_variables():
+    # every symbol of n = 0 stands for zero, so an expression is its constant term
+    h = TTauExpression(0, 2, {((1, 0), 0b10): 3, ((0, 0), 0): 2})
+    assert h.in_symbols_of_n("s") == TTauExpression.constant(0, 0, 2)
+    assert is_balanced(TTauExpression.odd_symbol(0, 2, 1)) == (True, None)
+    assert BalancedExpression(h, TTauExpression.constant(0, 2, 5)).is_balanced() == (True, None)
+
+
+def test_balance_decisions_make_no_expansion(monkeypatch):
+    calls = []
+
+    def counting(*args, _original=TTauExpression.expand, **kwargs):
+        calls.append(args)
+        return _original(*args, **kwargs)
+
+    balanced_corpus(3, seed=1, combos=2)  # its n-keyed kernels are built from expansions
+    monkeypatch.setattr(TTauExpression, "expand", counting)
+    for f in balanced_corpus(3, seed=1, combos=2):
+        assert f.is_balanced()[0]
+    h = _lift(rewrite_symmetric(power_sum_odd(3, 5)), 6) * TTauExpression.even_symbol(3, 6, 2)
+    assert not is_balanced(h)[0]
+    assert calls == []
 
 
 def test_unbalanced_witness_is_memoized_and_raised():
@@ -521,7 +657,8 @@ def test_unbalanced_witness_is_memoized_and_raised():
     x1 = TTauExpression.odd_symbol(2, 2, 1)
     bad = BalancedExpression(u1 * x1)
     ok, witness = bad.is_balanced()
-    assert not ok and witness[0] == 1 and not witness[1].is_zero()
+    # E_0(u_1 x_1) = x_1 x_1 = 0, and E_1(u_1 x_1) = x_2 x_1 is the first nonzero condition
+    assert not ok and witness == (2, TTauExpression(2, 2, {((0, 0), 0b11): -1}))
     assert bad.is_balanced() == (False, witness)
     a = SuperMatrix.from_rationals(Queer(2), ANY, [[1, 0], [0, 2]], 2)
     with pytest.raises(NotInvariant) as err:
