@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
     ZeroDiscriminant,
 )
-from .grassmann import GrassmannScalar, is_int
+from .grassmann import GrassmannScalar, is_int, prune_terms
 from .reduction import _eligible_spectrum, _relevant_body, diagonalize, reduce_odd
 from .supermatrix import Queer, SuperMatrix, seeded_rng
 from .sympoly import (
@@ -201,33 +201,34 @@ def _residual_rows(polys, den):
 
 @cache
 def _balance_kernels(n):
-    """The part of `balanced_corpus` that depends on n alone: the candidate
-    t/tau keys of weight <= min(2n, n + 2), and the kernels of the first
-    balance residuals of their pullbacks over the denominators 1 and s_n."""
+    """The part of `balanced_corpus` that depends on n alone: the kernels of
+    the first balance residuals, over the denominators 1 and s_n, of the
+    pullbacks of the candidate t/tau keys of weight <= min(2n, n + 2).  Each
+    kernel vector is kept as a row of its nonzero (key, weight) pairs."""
     monos = tuple(key for weight in range(1, min(2 * n, n + 2) + 1)
                   for key in _ttau_monomials(n, weight))
     pullbacks = [TTauExpression.monomial(n, n, e, m).expand(even_basis="s") for e, m in monos]
 
     def kernel(den):
-        return tuple(tuple(vec) for vec in linalg.nullspace(_residual_rows(pullbacks, den)))
+        return tuple(tuple((key, w) for key, w in zip(monos, vec) if w != 0)
+                     for vec in linalg.nullspace(_residual_rows(pullbacks, den)))
 
-    return monos, kernel(1), kernel(signed_elementary_poly(n, n))
+    return kernel(1), kernel(signed_elementary_poly(n, n))
 
 
-def _kernel_combinations(rng, kernel, monos, count, n):
-    """Up to count nonzero random integer combinations of kernel vectors, each
-    summed over the candidate monomial keys in one term dict."""
+def _kernel_combinations(rng, rows, count, n):
+    """Up to count nonzero random integer combinations of kernel rows, each a
+    tuple of (key, weight) pairs, summed in one term dict per combination."""
     out = []
     for _ in range(count):
         terms = {}
-        for vec in kernel:
+        for row in rows:
             c = rng.randint(-2, 2)
             if c == 0:
                 continue
-            for key, weight in zip(monos, vec):
-                if weight != 0:
-                    terms[key] = terms.get(key, 0) + weight * c
-        combo = TTauExpression(n, n, terms)
+            for key, weight in row:
+                terms[key] = terms.get(key, 0) + weight * c
+        combo = TTauExpression._of(n, n, prune_terms(terms))
         if not combo.is_zero():
             out.append(combo)
     return out
@@ -238,11 +239,10 @@ def balanced_corpus(n, seed, combos=4):
 
     Contains the plain odd symbols, the small worked closed forms, and random
     rational combinations drawn from the exact kernel of the balance
-    conditions, with and without an even denominator.  The candidate keys
-    and both kernels depend on n alone and come from the table
-    `_balance_kernels(n)`, built once per n; only the combinations use the
-    seed.  n must be a positive and combos a non-negative integer, and seed
-    an integer; otherwise ValidationError.
+    conditions, with and without an even denominator.  Both kernels depend
+    on n alone and come from the table `_balance_kernels(n)`, built once per
+    n; only the combinations use the seed.  n must be a positive and combos
+    a non-negative integer, and seed an integer; otherwise ValidationError.
     """
     if not is_int(n) or n < 1:
         raise ValidationError("n must be a positive integer")
@@ -264,10 +264,10 @@ def balanced_corpus(n, seed, combos=4):
         x1 = TTauExpression.odd_symbol(2, 2, 1)
         x2 = TTauExpression.odd_symbol(2, 2, 2)
         corpus.append(BalancedExpression(x2 - u1 * x1, u2))
-    monos, kernel, den_kernel = _balance_kernels(n)
-    for combo in _kernel_combinations(rng, kernel, monos, combos, n):
+    kernel, den_kernel = _balance_kernels(n)
+    for combo in _kernel_combinations(rng, kernel, combos, n):
         corpus.append(BalancedExpression(combo))
     den_expr = TTauExpression.even_symbol(n, n, n)
-    for combo in _kernel_combinations(rng, den_kernel, monos, max(1, combos // 2), n):
+    for combo in _kernel_combinations(rng, den_kernel, max(1, combos // 2), n):
         corpus.append(BalancedExpression(combo, den_expr))
     return corpus

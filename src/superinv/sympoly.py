@@ -17,7 +17,10 @@ reads one coefficient per S_n orbit and writes each orbit sum in t and tau
 through the lattice of set partitions, and the invariant normal form reads
 its coefficients off the invariant decomposition.  Balance is decided in
 the symbols as well, by the odd derivations E_m = sum_i a_i^m b_i d/da_i,
-whose images of the symbols come from tables keyed on (n, m, k).
+whose images of the symbols come from tables keyed on (n, m, k).  Symmetry,
+and the skew-symmetry of a decomposition's components, is decided by key
+lookup: one pass over the terms per adjacent transposition, reading the
+coefficient at each key's image, with no permuted copy.
 """
 
 from __future__ import annotations
@@ -200,11 +203,6 @@ class SuperPolynomial(SparseRingElement):
         """True when no odd variable appears at all."""
         return all(mask == 0 for _, mask in self.terms)
 
-    def homogeneous_component(self, d):
-        return self._like(
-            {k: c for k, c in self.terms.items() if sum(k[0]) + k[1].bit_count() == d}
-        )
-
     def degrees(self):
         return sorted({sum(e) + m.bit_count() for e, m in self.terms})
 
@@ -256,17 +254,38 @@ class SuperPolynomial(SparseRingElement):
         return self._like(prune_terms(out))
 
     def is_symmetric(self):
-        """Check invariance under all adjacent transpositions.
+        """Check invariance under all adjacent transpositions, by key lookup.
 
-        Returns (True, None) or (False, (i, i+1)) with the witnessing
-        transposition (1-based).
+        Returns (True, None) or (False, (i, i+1)) with the first witnessing
+        transposition (1-based); see `_swap_witness`.
         """
+        witness = self._swap_witness(1)
+        return witness is None, witness
+
+    def _swap_witness(self, sign):
+        """The first adjacent transposition (i, i+1), 1-based, that does not
+        take this polynomial to sign times itself, or None.
+
+        Each transposition is decided in one pass over the terms, with no
+        permuted copy: the image of a key swaps exponents i and i+1 and moves
+        a lone odd index to its neighbour, or, when both odd indices are set,
+        keeps the mask and negates (b_(i+1) b_i = -b_i b_(i+1)).  The
+        coefficient stored at the image must be sign times the term's.
+        """
+        terms = self.terms
         for i in range(self.width - 1):
-            perm = list(range(self.width))
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
-            if self.permute(perm) != self:
-                return False, (i + 1, i + 2)
-        return True, None
+            pair = 3 << i
+            for (exps, mask), c in terms.items():
+                bits = mask & pair
+                if bits == pair:
+                    c = -c
+                elif bits:
+                    mask ^= pair
+                a, b = exps[i], exps[i + 1]
+                image = (exps[:i] + (b, a) + exps[i + 2:] if a != b else exps, mask)
+                if terms.get(image) != (c if sign > 0 else -c):
+                    return i + 1, i + 2
+        return None
 
     def evaluate(self, a_vals, alpha_vals):
         """Exact evaluation at Grassmann scalar arguments."""
@@ -450,8 +469,16 @@ class TTauExpression(SuperPolynomial):
         return self.symbol_range
 
     def _like(self, terms):
-        new = super()._like(terms)
-        object.__setattr__(new, "symbol_range", self.symbol_range)
+        return self._of(self.n, self.symbol_range, terms)
+
+    @classmethod
+    def _of(cls, n, symbol_range, terms):
+        """The expression over (n, symbol_range) with these already-pruned
+        terms, built with no check: the caller's shape and keys are valid."""
+        new = object.__new__(cls)
+        object.__setattr__(new, "n", n)
+        object.__setattr__(new, "symbol_range", symbol_range)
+        object.__setattr__(new, "terms", terms)
         return new
 
     def _same_shape(self, other):
@@ -507,7 +534,7 @@ class TTauExpression(SuperPolynomial):
             return self
         if not n:  # t_k, tau_k and s_k of no variables are all zero
             return TTauExpression.constant(0, 0, self.constant_term())
-        return self._substitute(TTauExpression.zero(n, n), lambda i: even(n, i + 1),
+        return self._substitute(TTauExpression._of(n, n, {}), lambda i: even(n, i + 1),
                                 lambda i: odd(n, i + 1))
 
     def derivation(self, m, even_basis="t"):
@@ -536,7 +563,7 @@ class TTauExpression(SuperPolynomial):
                     v = c * e * ic
                     key = (tuple(map(add, rest, ie)), im | mask)
                     acc[key] = acc.get(key, 0) + (v if merge_sign(im, mask) > 0 else -v)
-        return TTauExpression.zero(n, n)._like(prune_terms(acc))
+        return TTauExpression._of(n, n, prune_terms(acc))
 
     def evaluate(self, even_vals, odd_vals):
         """Exact evaluation at Grassmann scalar symbol values.
@@ -587,7 +614,7 @@ class BalancedExpression:
         if not isinstance(numerator, TTauExpression):
             raise ValidationError("numerator must be a TTauExpression")
         if denominator is None:
-            denominator = TTauExpression.constant(numerator.n, numerator.symbol_range, 1)
+            denominator = numerator._const(1)
         elif not isinstance(denominator, TTauExpression):
             raise ValidationError("denominator must be a TTauExpression")
         if denominator.is_zero():
@@ -618,11 +645,12 @@ class BalancedExpression:
         m = 0..n-1; with D = 1 that is E_m(N).  Returns (True, None), or
         (False, (m + 1, residual)) for the first nonzero one, the residual a
         TTauExpression over (n, n).  The verdict and its witness are memoized.
+        A denominator that is zero in the symbols of n is a ValidationError.
         """
         if self._balance_memo is None:
-            num = self.numerator.in_symbols_of_n("s")
-            den = self.denominator.in_symbols_of_n("s")
-            num_bar = num.even_part() - num.odd_part()
+            num, den = self._in_symbols_of_n()
+            num_bar = num._like({k: -c if k[1].bit_count() & 1 else c
+                                 for k, c in num.terms.items()})
 
             def condition(m):
                 e_num = num.derivation(m, "s")
@@ -630,10 +658,20 @@ class BalancedExpression:
             object.__setattr__(self, "_balance_memo", _first_condition(self.n, condition))
         return self._balance_memo
 
+    def _in_symbols_of_n(self):
+        """Numerator and denominator in u_1..u_n, x_1..x_n of the s basis: u_j
+        above n is s_j = 0 and x_k above n tau_k by the moment recurrence.
+        Raises ValidationError when the denominator is zero there."""
+        den = self.denominator.in_symbols_of_n("s")
+        if den.is_zero():
+            raise ValidationError("denominator is zero in the symbols of n = %d" % self.n)
+        return self.numerator.in_symbols_of_n("s"), den
+
     def evaluate(self, s_vals, tau_vals):
-        num = self.numerator.evaluate(s_vals, tau_vals)
-        den = self.denominator.evaluate(s_vals, tau_vals)
-        return num * den.invert()
+        """The value at s_1..s_n and tau_1..tau_n, the expression first written
+        in the symbols of n, so symbols above n need no values."""
+        num, den = self._in_symbols_of_n()
+        return num.evaluate(s_vals, tau_vals) * den.evaluate(s_vals, tau_vals).invert()
 
     def __repr__(self):
         return "BalancedExpression((%s) / (%s))" % (self.numerator, self.denominator)
@@ -720,12 +758,8 @@ def invariant_decomposition(f):
                 raise InternalError("component depends on excluded variables")
             comp_terms[(exps[:s], 0)] = c
         comp = SuperPolynomial(s, comp_terms)
-        if s >= 2:
-            for i in range(s - 1):
-                perm = list(range(s))
-                perm[i], perm[i + 1] = perm[i + 1], perm[i]
-                if comp.permute(perm) != -comp:
-                    raise InternalError("component is not skew-symmetric")
+        if comp._swap_witness(-1) is not None:
+            raise InternalError("component is not skew-symmetric")
         components.append(comp)
     if assemble_invariant(n, constant, components) != f:
         raise InternalError("decomposition does not reassemble")
@@ -877,7 +911,7 @@ def _tau_s_symbol(n, k):
 
 def _u_s_symbol(n, j):
     """u_j for s_j in the symbols of n variables: zero above n, as s_j is."""
-    return TTauExpression.even_symbol(n, n, j) if j <= n else TTauExpression.zero(n, n)
+    return TTauExpression.even_symbol(n, n, j) if j <= n else TTauExpression._of(n, n, {})
 
 
 @cache
@@ -973,8 +1007,8 @@ def rewrite_symmetric(f):
                     key = (tuple(exps), mask)
                     formal[key] = formal.get(key, 0) + sign * mu * c
     # the formal expression names t_k and tau_k up to the top degree K
-    return TTauExpression(n, symbol_range, formal)._substitute(
-        TTauExpression.zero(n, n), lambda i: _t_symbol(n, i + 1), lambda i: _tau_symbol(n, i + 1))
+    return TTauExpression._of(n, symbol_range, prune_terms(formal))._substitute(
+        TTauExpression._of(n, n, {}), lambda i: _t_symbol(n, i + 1), lambda i: _tau_symbol(n, i + 1))
 
 
 def is_balanced(h):

@@ -467,6 +467,23 @@ def _rebuilt_kernels(n):
                    for den in (1, signed_elementary_poly(n, n))]
 
 
+def _rows(monos, kernel):
+    """Dense kernel vectors over the candidate keys as rows of nonzero (key, weight) pairs."""
+    return [[(key, w) for key, w in zip(monos, vec) if w != 0] for vec in kernel]
+
+
+def test_balance_kernel_rows_expand_to_the_nullspace_vectors():
+    for n in (1, 2, 3, 4):
+        monos, kernels = _rebuilt_kernels(n)
+        for table_rows, dense in zip(_balance_kernels(n), kernels):
+            assert len(table_rows) == len(dense) > 0, n
+            for row, vec in zip(table_rows, dense):
+                assert all(w != 0 for _key, w in row), n
+                weights = dict(row)
+                assert len(weights) == len(row)
+                assert [weights.get(key, 0) for key in monos] == list(vec), n
+
+
 def _rebuilt_corpus(n, seed, combos, monos, kernels):
     rng = random.Random(seed)
     corpus = [BalancedExpression(TTauExpression.odd_symbol(n, n, i)) for i in range(1, n + 1)]
@@ -477,9 +494,10 @@ def _rebuilt_corpus(n, seed, combos, monos, kernels):
                    BalancedExpression(x[0], u[0])]
     if n == 2:
         corpus.append(BalancedExpression(x[1] - u[0] * x[0], u[1]))
-    corpus += [BalancedExpression(c) for c in _kernel_combinations(rng, kernels[0], monos, combos, n)]
+    corpus += [BalancedExpression(c)
+               for c in _kernel_combinations(rng, _rows(monos, kernels[0]), combos, n)]
     corpus += [BalancedExpression(c, u[n - 1])
-               for c in _kernel_combinations(rng, kernels[1], monos, max(1, combos // 2), n)]
+               for c in _kernel_combinations(rng, _rows(monos, kernels[1]), max(1, combos // 2), n)]
     return corpus
 
 
@@ -509,8 +527,8 @@ def test_balanced_corpus_builds_its_kernels_once_per_n(monkeypatch):
 
 
 def test_balanced_corpus_table_is_immutable():
-    monos, kernel, den_kernel = _balance_kernels(2)
-    for part in (monos, kernel, den_kernel):
+    kernel, den_kernel = _balance_kernels(2)
+    for part in (kernel, den_kernel):
         assert type(part) is tuple and all(type(item) is tuple for item in part)
     first = balanced_corpus(2, 7)
     want = [f.to_obj() for f in first]
@@ -646,6 +664,33 @@ def test_evaluate_invariants_pins_the_body_of_supplied_s():
         evaluate_invariants(a, [], s_values=[G.rational(q, 4), G.rational(q, -2)])
 
 
+def test_evaluate_invariants_reads_symbols_above_n_by_their_recurrences():
+    q = 2
+    a = diag_queer([1, 2], [G.generator(q, 1), G.generator(q, 2)], q)
+    x1, x3 = TTauExpression.odd_symbol(2, 3, 1), TTauExpression.odd_symbol(2, 3, 3)
+    # at n = 2, u_3 stands for s_3 = 0 and x_3 for tau_3 = tau_2 s_1 + tau_1 s_2
+    over_one = BalancedExpression(x1, 1 + TTauExpression.even_symbol(2, 3, 3))
+    tau3 = BalancedExpression(x3)
+    assert over_one.is_balanced() == tau3.is_balanced() == (True, None)
+    want = [a.qtr(), a.tau_values(3)[2]]
+    assert evaluate_invariant(a, over_one) == want[0]
+    for s_values in (None, compute_s(a)):
+        assert evaluate_invariants(a, [over_one, tau3], s_values) == want
+
+
+def test_denominator_zero_in_the_symbols_of_n_is_rejected():
+    q = 2
+    a = diag_queer([1, 2], [G.generator(q, 1), G.generator(q, 2)], q)
+    f = BalancedExpression(TTauExpression.odd_symbol(2, 3, 1), TTauExpression.even_symbol(2, 3, 3))
+    message = "^denominator is zero in the symbols of n = 2$"
+    with pytest.raises(ValidationError, match=message):
+        f.is_balanced()
+    with pytest.raises(ValidationError, match=message):
+        evaluate_invariants(a, [f])
+    with pytest.raises(ValidationError, match=message):
+        evaluate_invariant(a, f, s_values=compute_s(a))
+
+
 @pytest.mark.parametrize("f", [1, TTauExpression.odd_symbol(2, 2, 1), None])
 def test_evaluate_invariants_rejects_what_is_not_a_balanced_expression(f):
     q = 2
@@ -726,7 +771,7 @@ def test_kernel_combinations_sum_in_one_dict(monkeypatch):
                     patch.setattr(SuperPolynomial, name,
                                   lambda self, other, method=method: calls.append(other)
                                   or method(self, other))
-                got = _kernel_combinations(random.Random(n), kernel, monos, 5, n)
+                got = _kernel_combinations(random.Random(n), _rows(monos, kernel), 5, n)
             assert calls == []
             assert got == want and len(got) >= 3, (n, den)
             assert all(type(g) is TTauExpression and g.symbol_range == n for g in got)

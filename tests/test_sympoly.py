@@ -10,6 +10,7 @@ from superinv import (
     ANY,
     BalancedExpression,
     GrassmannScalar,
+    InternalError,
     NotInvariant,
     NotSymmetric,
     Queer,
@@ -84,6 +85,71 @@ def test_is_symmetric_witness():
     assert not ok and witness == (1, 2)
     assert power_sum_even(3, 2).is_symmetric()[0]
     assert power_sum_odd(3, 2).is_symmetric()[0]
+
+
+def _transposition_oracle(f, sign):
+    """The first (i, i+1) whose `permute` image of f is not sign * f, or None."""
+    for i in range(f.width - 1):
+        perm = list(range(f.width))
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        if f.permute(perm) != f * sign:
+            return i + 1, i + 2
+    return None
+
+
+def _swap_cases(n, rng):
+    """Symmetric and skew-symmetric polynomials in n variables, the same with
+    one term perturbed, and orbits whose odd masks hold both indices of every
+    transposition."""
+    cases = []
+    for _ in range(6):
+        odd = sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))
+        exps = [rng.randint(0, 3) for _ in range(n)]
+        mono = SuperPolynomial(n, {(tuple(exps), sum(1 << (i - 1) for i in odd)):
+                                   rng.choice([1, -2, Fraction(3, 5)])})
+        orbit = {}
+        skew = {}
+        for perm in permutations(range(n)):
+            image = mono.permute(list(perm))
+            parity = _sort_sign(perm)[0]
+            for key, c in image.terms.items():
+                orbit[key] = orbit.get(key, 0) + c
+                skew[key] = skew.get(key, 0) + parity * c
+        for terms in (orbit, skew):
+            f = SuperPolynomial(n, terms)
+            cases.append(f)
+            if f.terms:
+                key = rng.choice(sorted(f.terms))
+                cases.append(f + SuperPolynomial(n, {key: 1}))
+                cases.append(f - SuperPolynomial(n, {key: f.terms[key]}))
+    full = (1 << n) - 1  # every odd index set: both bits of each transposition
+    cases.append(SuperPolynomial(n, {((0,) * n, full): 1}))
+    cases.append(SuperPolynomial(n, {((1,) * n, full): 2, ((0,) * n, 0): 1}))
+    return cases
+
+
+def test_swap_witness_matches_the_permute_oracle():
+    rng = random.Random(37)
+    seen = set()
+    for n in range(1, 6):
+        for f in _swap_cases(n, rng):
+            wants = {sign: _transposition_oracle(f, sign) for sign in (1, -1)}
+            for sign, want in wants.items():
+                assert f._swap_witness(sign) == want, (n, f, sign)
+                seen.add((sign, want is None))
+            assert f.is_symmetric() == (wants[1] is None, wants[1])
+    assert seen == {(1, True), (1, False), (-1, True), (-1, False)}
+
+
+def test_skew_check_raises_internal_error(monkeypatch):
+    f = power_sum_odd(2, 1) * power_sum_odd(2, 2)
+    _constant, components = invariant_decomposition(f)
+    assert components[1]._swap_witness(-1) is None
+    # a lookup that finds every component not skew: the self-check must raise
+    monkeypatch.setattr(SuperPolynomial, "_swap_witness",
+                        lambda self, sign: None if sign > 0 else (1, 2))
+    with pytest.raises(InternalError, match="^component is not skew-symmetric$"):
+        invariant_decomposition(f)
 
 
 def test_evaluation_matches_structure():
@@ -337,7 +403,8 @@ def _solve_route(f):
             continue
         keys = _ttau_monomials(n, d)
         columns = [TTauExpression.monomial(n, n, *key).expand().terms for key in keys]
-        matrix = coefficient_matrix(columns + [f.homogeneous_component(d).terms])
+        component = {k: c for k, c in f.terms.items() if sum(k[0]) + k[1].bit_count() == d}
+        matrix = coefficient_matrix(columns + [component])
         solution, free = linalg.solve_general([row[:-1] for row in matrix],
                                               [row[-1] for row in matrix])
         assert solution is not None and not free
@@ -983,7 +1050,7 @@ def test_inherited_operations_keep_expression_shape():
     _f, e = _sample_pair()
     u1 = TTauExpression.even_symbol(2, 3, 1)
     x3 = TTauExpression.odd_symbol(2, 3, 3)
-    results = [e ** 2, e ** 0, e.even_part(), e.odd_part(), e.homogeneous_component(1),
+    results = [e ** 2, e ** 0, e.even_part(), e.odd_part(),
                e.derivative(3), e.odd_multiply(1), -e, e - 1, 2 - e, e * 3, e * 0,
                (u1 + x3) ** 2]
     for r in results:
@@ -995,9 +1062,6 @@ def test_inherited_operations_keep_expression_shape():
     assert e.odd_part() == -TTauExpression.odd_symbol(2, 3, 2)
     assert e.even_part() == e - e.odd_part()
     assert e.degrees() == [0, 1, 5]
-    u2, x2 = TTauExpression.even_symbol(2, 3, 2), TTauExpression.odd_symbol(2, 3, 2)
-    assert e.homogeneous_component(1) == 4 * u2 - x2
-    assert e.homogeneous_component(5) == TTauExpression(2, 3, {((1, 0, 2), 0b101): Fraction(3, 7)})
     assert e.constant_term() == -2
     assert e.derivative(3) == TTauExpression(2, 3, {((1, 0, 1), 0b101): Fraction(6, 7)})
     assert (u1 + x3) ** 2 == u1 * u1 + 2 * u1 * x3
