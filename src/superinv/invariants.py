@@ -30,12 +30,11 @@ from .supermatrix import Queer, SuperMatrix, seeded_rng
 from .sympoly import (
     BalancedExpression,
     TTauExpression,
-    balance_residual,
     coefficient_matrix,
     elementary_from_roots,
     power_sum_odd,
-    signed_elementary_poly,
     verify_recurrence,
+    _balance_conditions,
     _ttau_monomials,
 )
 
@@ -193,27 +192,33 @@ def qet_generating_coefficients(a, count):
 # balanced corpus for property testing
 
 
-def _residual_rows(polys, den):
-    """Coefficient matrix of the first balance residuals, one column per
-    symmetric candidate numerator N; its kernel holds the N with N/D invariant."""
-    return coefficient_matrix([balance_residual(poly, den, 1).terms for poly in polys])
+def _condition_rows(n, monos, den, even_basis):
+    """The balance-condition matrix of the candidate keys over (n, n) and
+    the denominator den: one column per key N, one row per (m, symbol key)
+    of the conditions E_m(N) D - N' E_m(D); its kernel holds the
+    combinations N with N/D balanced."""
+    return coefficient_matrix([
+        {(m, key): c
+         for m, residual in enumerate(_balance_conditions(TTauExpression._of(n, n, {mono: 1}),
+                                                          den, even_basis))
+         for key, c in residual.terms.items()}
+        for mono in monos])
 
 
 @cache
 def _balance_kernels(n):
     """The part of `balanced_corpus` that depends on n alone: the kernels of
-    the first balance residuals, over the denominators 1 and s_n, of the
-    pullbacks of the candidate t/tau keys of weight <= min(2n, n + 2).  Each
+    the balance conditions in the s basis, over the denominators 1 and u_n
+    (s_n), of the candidate t/tau keys of weight <= min(2n, n + 2).  Each
     kernel vector is kept as a row of its nonzero (key, weight) pairs."""
     monos = tuple(key for weight in range(1, min(2 * n, n + 2) + 1)
                   for key in _ttau_monomials(n, weight))
-    pullbacks = [TTauExpression.monomial(n, n, e, m).expand(even_basis="s") for e, m in monos]
 
     def kernel(den):
         return tuple(tuple((key, w) for key, w in zip(monos, vec) if w != 0)
-                     for vec in linalg.nullspace(_residual_rows(pullbacks, den)))
+                     for vec in linalg.nullspace(_condition_rows(n, monos, den, "s")))
 
-    return kernel(1), kernel(signed_elementary_poly(n, n))
+    return kernel(1), kernel(TTauExpression.even_symbol(n, n, n))
 
 
 def _kernel_combinations(rng, rows, count, n):

@@ -17,7 +17,10 @@ reads one coefficient per S_n orbit and writes each orbit sum in t and tau
 through the lattice of set partitions, and the invariant normal form reads
 its coefficients off the invariant decomposition.  Balance is decided in
 the symbols as well, by the odd derivations E_m = sum_i a_i^m b_i d/da_i,
-whose images of the symbols come from tables keyed on (n, m, k).  Symmetry,
+whose images of the symbols come from tables keyed on (n, m, k): one
+routine yields Lemma 3.2's conditions lazily, and `is_balanced`,
+`BalancedExpression.is_balanced` and the balanced-corpus kernels all read
+it, so no balance decision expands into a and b.  Symmetry,
 and the skew-symmetry of a decomposition's components, is decided by key
 lookup: one pass over the terms per adjacent transposition, reading the
 coefficient at each key's image, with no permuted copy.
@@ -637,25 +640,16 @@ class BalancedExpression:
     def is_balanced(self):
         """Exact check that the pullback is invariant under the odd action.
 
-        Decided in the symbols, as `is_balanced` decides a polynomial: the
-        odd derivation E_m takes N/D to (E_m(N) D - N' E_m(D)) / D^2, where N'
-        is N with its odd part negated, since b_i passes N.  So the pullback
-        is invariant exactly when E_m(N) D - N' E_m(D), written in u_1..u_n
-        and x_1..x_n for s_1..s_n and the odd moments, vanishes for
-        m = 0..n-1; with D = 1 that is E_m(N).  Returns (True, None), or
-        (False, (m + 1, residual)) for the first nonzero one, the residual a
-        TTauExpression over (n, n).  The verdict and its witness are memoized.
-        A denominator that is zero in the symbols of n is a ValidationError.
+        Decided in the symbols by `_balance_conditions`, N and D written in
+        u_1..u_n and x_1..x_n for s_1..s_n and the odd moments.  Returns
+        (True, None), or (False, (m + 1, residual)) for the first nonzero
+        condition, the residual a TTauExpression over (n, n).  The verdict
+        and its witness are memoized.  A denominator that is zero in the
+        symbols of n is a ValidationError.
         """
         if self._balance_memo is None:
             num, den = self._in_symbols_of_n()
-            num_bar = num._like({k: -c if k[1].bit_count() & 1 else c
-                                 for k, c in num.terms.items()})
-
-            def condition(m):
-                e_num = num.derivation(m, "s")
-                return e_num if den == 1 else e_num * den - num_bar * den.derivation(m, "s")
-            object.__setattr__(self, "_balance_memo", _first_condition(self.n, condition))
+            object.__setattr__(self, "_balance_memo", _balance_verdict(num, den, "s"))
         return self._balance_memo
 
     def _in_symbols_of_n(self):
@@ -691,32 +685,13 @@ class BalancedExpression:
 # the structure and rewriting operations
 
 
-def balance_residual(num, den, i):
-    """b_i (dN/da_i D - N dD/da_i), the quotient rule with D cleared.
-
-    For a nonzero D, N/D is invariant under the odd action exactly when
-    this vanishes for every i.  A denominator equal to 1, as a polynomial
-    or the integer, leaves b_i dN/da_i.  The quotient-rule branch serves
-    only `invariants._residual_rows`, the balanced-corpus kernels; a
-    balanced expression is decided in the symbols instead.
-    """
-    if den == 1:
-        return num.derivative(i).odd_multiply(i)
-    dnum, dden = num.derivative(i), den.derivative(i)
-    # a constant derivative, zero included, scales the other factor: no ring product
-    c, e = dnum.constant_term(), dden.constant_term()
-    residual = den._scale(c) if dnum == c else dnum * den
-    residual = residual - (num._scale(e) if dden == e else num * dden)
-    return residual.odd_multiply(i)
-
-
 def _residual_witness(f):
     """(True, None) when the symmetric polynomial f is odd-invariant, else
     (False, (1, b_1 df/da_1)): residual i is residual 1 with indices 1 and i
     swapped, so residual 1 decides."""
     if not f.n:
         return True, None
-    residual = balance_residual(f, 1, 1)
+    residual = f.derivative(1).odd_multiply(1)
     return (True, None) if residual.is_zero() else (False, (1, residual))
 
 
@@ -945,11 +920,28 @@ def _basis_tables(even_basis):
     raise ValidationError("even_basis must be 't' or 's'")
 
 
-def _first_condition(n, condition):
-    """(True, None) when condition(m) vanishes for m = 0..n-1, else
-    (False, (m + 1, condition(m))) for the first m where it does not."""
-    for m in range(n):
-        residual = condition(m)
+def _balance_conditions(num, den, even_basis):
+    """Lemma 3.2's balance conditions of N/D, lazily: E_m(N) D - N' E_m(D)
+    for m = 0..n-1, N and D over (n, n) in the symbols of even_basis.
+
+    E_m is an odd derivation, so it takes N/D to that residual over D^2,
+    where N' is N with its odd part negated, since b_i passes N; with D = 1
+    the residual is E_m(N).  N/D pulls back to an invariant function exactly
+    when every residual vanishes.
+    """
+    if den == 1:
+        yield from (num.derivation(m, even_basis) for m in range(num.n))
+        return
+    num_bar = num._like({k: -c if k[1].bit_count() & 1 else c for k, c in num.terms.items()})
+    for m in range(num.n):
+        yield num.derivation(m, even_basis) * den - num_bar * den.derivation(m, even_basis)
+
+
+def _balance_verdict(num, den, even_basis):
+    """(True, None) when every balance condition of N/D vanishes, else
+    (False, (m + 1, residual)) for the first m where one does not; no
+    condition past that one is computed."""
+    for m, residual in enumerate(_balance_conditions(num, den, even_basis)):
         if not residual.is_zero():
             return False, (m + 1, residual)
     return True, None
@@ -1030,8 +1022,7 @@ def is_balanced(h):
     n = h.n
     if any(any(exps[n:]) for exps, _mask in h.terms):
         raise ValidationError("even symbols beyond u_%d may not appear" % n)
-    h = h.in_symbols_of_n("t")
-    return _first_condition(n, lambda m: h.derivation(m, "t"))
+    return _balance_verdict(h.in_symbols_of_n("t"), 1, "t")
 
 
 def invariant_normal_form(f):
@@ -1084,9 +1075,7 @@ def verify_recurrence(taus, s):
     if len(taus) != 2 * n:
         raise ValidationError("need exactly 2n odd moments for n semi-invariant values")
     for k in range(1, n + 1):
-        acc = taus[n + k - 1] * 0
-        for j in range(1, n + 1):
-            acc = acc + taus[n + k - j - 1] * s[j - 1]
+        acc = reduce(add, [taus[n + k - j - 1] * s[j - 1] for j in range(1, n + 1)])
         if taus[n + k - 1] != acc:
             return False
     return True

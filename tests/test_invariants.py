@@ -40,11 +40,10 @@ from superinv import (
     reduce_odd,
     verify_recurrence,
 )
-from superinv.invariants import _balance_kernels, _kernel_combinations, _residual_rows
+from superinv.invariants import _balance_kernels, _kernel_combinations
 from superinv.sympoly import (
     BalancedExpression,
     _ttau_monomials,
-    balance_residual,
     coefficient_matrix,
     power_sum_odd,
     signed_elementary_poly,
@@ -59,6 +58,8 @@ from superinv.verify import (
     random_odd_reducible,
     random_queer_with_spectrum,
 )
+
+from expansion_oracle import balance_residual, residual_rows
 
 G = GrassmannScalar
 
@@ -361,15 +362,6 @@ def test_balanced_corpus_members_are_balanced():
             assert f.is_balanced()[0]
 
 
-def test_residual_rows_same_for_integer_one():
-    # the den == 1 shortcut builds the matrix the general quotient rule gives
-    for n in (2, 3):
-        pullbacks = [TTauExpression.monomial(n, n, e, m).expand(even_basis="s")
-                     for weight in range(1, min(2 * n, n + 2) + 1)
-                     for e, m in _ttau_monomials(n, weight)]
-        assert _residual_rows(pullbacks, 1) == _residual_rows(pullbacks, SuperPolynomial.one(n))
-
-
 def _corpus_pullbacks(n):
     return [TTauExpression.monomial(n, n, e, m).expand(even_basis="s")
             for weight in range(1, min(2 * n, n + 2) + 1)
@@ -412,12 +404,12 @@ def test_first_residual_system_has_the_per_index_kernel():
     for n in (1, 2, 3):
         pullbacks = _corpus_pullbacks(n)
         for den in (1, signed_elementary_poly(n, n)):
-            assert linalg.nullspace(_residual_rows(pullbacks, den)) == \
+            assert linalg.nullspace(residual_rows(pullbacks, den)) == \
                 linalg.nullspace(_per_index_residual_rows(pullbacks, den, n))
 
 
-# recorded with the per-index residual system; the first-residual one must
-# give the same kernels and so byte-identical corpora
+# recorded with the per-index residual system of the expansion route; the
+# symbol-route conditions must give the same kernels and so byte-identical corpora
 CORPUS_SHA256 = {
     (1, 0, 4): "6de101b5c5a0dc866077bd20d5d05aeb0ebaad39edd8e5bb8aa6cbf1059aefed",
     (1, 2, 2): "c598196b747236e75594324f34896c69d0409e27bc760e417262711434086b2f",
@@ -460,10 +452,10 @@ def test_balanced_corpus_with_no_undenominated_combinations():
 
 def _rebuilt_kernels(n):
     """The candidate keys and both kernels as every balanced_corpus call built
-    them before the table keyed on n."""
+    them before the table keyed on n, through the expansion route."""
     monos = [key for weight in range(1, min(2 * n, n + 2) + 1) for key in _ttau_monomials(n, weight)]
     pullbacks = [TTauExpression.monomial(n, n, e, m).expand(even_basis="s") for e, m in monos]
-    return monos, [linalg.nullspace(_residual_rows(pullbacks, den))
+    return monos, [linalg.nullspace(residual_rows(pullbacks, den))
                    for den in (1, signed_elementary_poly(n, n))]
 
 
@@ -473,7 +465,8 @@ def _rows(monos, kernel):
 
 
 def test_balance_kernel_rows_expand_to_the_nullspace_vectors():
-    for n in (1, 2, 3, 4):
+    # the symbol-route kernels against the expansion route's
+    for n in (1, 2, 3, 4, 5):
         monos, kernels = _rebuilt_kernels(n)
         for table_rows, dense in zip(_balance_kernels(n), kernels):
             assert len(table_rows) == len(dense) > 0, n
@@ -514,14 +507,18 @@ def test_balanced_corpus_table_matches_the_per_call_construction():
 
 
 def test_balanced_corpus_builds_its_kernels_once_per_n(monkeypatch):
-    balanced_corpus(3, 1)
     calls = []
-    for owner, name in ((TTauExpression, "expand"), (linalg, "nullspace")):
+    for owner, name in ((TTauExpression, "derivation"), (linalg, "nullspace")):
         def counting(*args, _original=getattr(owner, name), _name=name, **kwargs):
             calls.append(_name)
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counting)
+    _balance_kernels.cache_clear()
+    balanced_corpus(3, 1)
+    # the first corpus builds the kernels from the balance conditions
+    assert set(calls) == {"derivation", "nullspace"}
+    del calls[:]
     corpus = balanced_corpus(3, 2)
     assert calls == [] and len(corpus) > 3
 

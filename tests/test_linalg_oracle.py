@@ -9,8 +9,10 @@ from fractions import Fraction
 import pytest
 
 from superinv import TTauExpression, linalg
-from superinv.invariants import _residual_rows
+from superinv.invariants import _condition_rows
 from superinv.sympoly import _ttau_monomials, coefficient_matrix
+
+from expansion_oracle import residual_rows
 
 sympy = pytest.importorskip("sympy")
 
@@ -199,15 +201,16 @@ def test_nullspace_against_sympy():
 
 
 def test_corpus_kernel_against_sympy():
-    # the balance-condition matrix behind balanced_corpus at n = 3
+    # the balance-condition matrix behind balanced_corpus at n = 3, in the
+    # symbols, and the expansion route's first-residual matrix
     n = 3
-    pullbacks = [TTauExpression.monomial(n, n, e, m).expand(even_basis="s")
-                 for weight in range(1, min(2 * n, n + 2) + 1)
-                 for e, m in _ttau_monomials(n, weight)]
-    a = _residual_rows(pullbacks, 1)
-    assert (len(a), len(a[0])) == (81, 44)
-    assert linalg.nullspace(a)
-    check_kernel(a)
+    monos = [key for weight in range(1, min(2 * n, n + 2) + 1) for key in _ttau_monomials(n, weight)]
+    pullbacks = [TTauExpression.monomial(n, n, e, m).expand(even_basis="s") for e, m in monos]
+    for a, shape in ((_condition_rows(n, monos, 1, "s"), (112, 44)),
+                     (residual_rows(pullbacks, 1), (81, 44))):
+        assert (len(a), len(a[0])) == shape
+        assert linalg.nullspace(a)
+        check_kernel(a)
 
 
 def check_solve(a, b):

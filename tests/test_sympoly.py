@@ -34,15 +34,17 @@ from superinv import (
 )
 from superinv import sympoly
 from superinv.grassmann import mask_to_indices
-from superinv.invariants import balanced_corpus
+from superinv.invariants import _balance_kernels, _condition_rows, balanced_corpus
 from superinv.sympoly import (
+    _balance_conditions,
     _power_sum_even,
     _power_sum_odd,
     _sort_sign,
     _ttau_monomials,
-    balance_residual,
     coefficient_matrix,
 )
+
+from expansion_oracle import balance_residual
 
 G = GrassmannScalar
 
@@ -710,13 +712,76 @@ def test_balance_decisions_make_no_expansion(monkeypatch):
         calls.append(args)
         return _original(*args, **kwargs)
 
-    balanced_corpus(3, seed=1, combos=2)  # its n-keyed kernels are built from expansions
     monkeypatch.setattr(TTauExpression, "expand", counting)
+    _balance_kernels.cache_clear()  # the corpus kernels come from the same conditions
     for f in balanced_corpus(3, seed=1, combos=2):
         assert f.is_balanced()[0]
     h = _lift(rewrite_symmetric(power_sum_odd(3, 5)), 6) * TTauExpression.even_symbol(3, 6, 2)
     assert not is_balanced(h)[0]
     assert calls == []
+
+
+def test_balance_conditions_over_a_denominator_match_the_shortcut():
+    # E_m(N D) D - (N D)' E_m(D) = E_m(N) D^2, so the quotient-rule branch over D
+    # must give the D = 1 branch's conditions times D^2; N has odd and even parts
+    rng = random.Random(3838)
+    checked = 0
+    for n in (1, 2, 3):
+        u = [TTauExpression.even_symbol(n, n, k) for k in range(1, n + 1)]
+        for den in (u[-1], u[0] + 2, u[0] * u[-1] - 3):
+            for _ in range(3):
+                num = _random_expression(rng, n, n, n)
+                want = [c * den * den for c in _balance_conditions(num, 1, "s")]
+                assert list(_balance_conditions(num * den, den, "s")) == want, (num, den)
+                checked += any(not c.is_zero() for c in want) and not num.odd_part().is_zero()
+    assert checked >= 5
+
+
+def test_balance_verdict_stops_at_the_first_nonzero_condition(monkeypatch):
+    calls = []
+
+    def counting(self, m, even_basis="t", _original=TTauExpression.derivation):
+        calls.append(m)
+        return _original(self, m, even_basis)
+
+    monkeypatch.setattr(TTauExpression, "derivation", counting)
+    u1 = TTauExpression.even_symbol(3, 3, 1)
+    x1 = TTauExpression.odd_symbol(3, 3, 1)
+    # E_0(u_1) = tau_1 is nonzero: E_1 and E_2 are never formed
+    assert is_balanced(u1)[1][0] == 1 and calls == [0]
+    del calls[:]
+    # E_0(u_1 x_1) = x_1 x_1 = 0 and E_1(u_1 x_1) = x_2 x_1 is not: E_2 is never formed
+    assert BalancedExpression(u1 * x1).is_balanced()[1][0] == 2 and calls == [0, 1]
+    del calls[:]
+    # over s_3 the first condition is nonzero; it derives N and D once each
+    f = BalancedExpression(u1, TTauExpression.even_symbol(3, 3, 3))
+    assert f.is_balanced()[1][0] == 1 and calls == [0, 0]
+
+
+def _partitions_at_most(parts, m):
+    """p_(<=parts)(m), the partitions of m into at most `parts` parts, counted
+    as those into parts of size at most `parts`; zero for m < 0."""
+    if m < 0:
+        return 0
+    ways = [1] + [0] * m
+    for part in range(1, parts + 1):
+        for total in range(part, m + 1):
+            ways[total] += ways[total - part]
+    return ways[m]
+
+
+def test_invariant_census_weight_by_weight():
+    # Thm 3.3 weight by weight: an invariant is a constant plus sum_s sum_I b_I f_s(a_I),
+    # f_s skew-symmetric in s variables, hence a Vandermonde of weight s(s-1)/2 times a
+    # symmetric polynomial, and b_I adds weight s; so the invariants of weight w
+    # have dimension [w = 0] + sum_s p_(<=s)(w - s(s+1)/2).  They are the common
+    # kernel of the t-basis balance conditions on the symbol monomials of weight w.
+    for n, top in ((1, 12), (2, 12), (3, 12), (4, 10)):
+        for w in range(top + 1):
+            monos = _ttau_monomials(n, w)
+            want = (w == 0) + sum(_partitions_at_most(s, w - s * (s + 1) // 2)
+                                  for s in range(1, n + 1))
+            assert len(monos) - linalg.rank(_condition_rows(n, monos, 1, "t")) == want, (n, w)
 
 
 def test_unbalanced_witness_is_memoized_and_raised():
@@ -1233,25 +1298,6 @@ def test_expand_matches_term_by_term_oracle():
                                              SuperPolynomial.one(n)), basis
             nonzero += not expanded.is_zero()
     assert nonzero >= 8
-
-
-def test_balance_residual_skips_zero_derivatives(monkeypatch):
-    a1, a2, b1 = ev(2, 1), ev(2, 2), ov(2, 1)
-    cases = [
-        # D = a2 + 1 has no a1: only dN/da1 * D is multiplied
-        (a1 ** 2 + a2, a2 + 1, 2 * b1 * a1 * a2 + 2 * b1 * a1, 1),
-        # N = a2 has no a1 either: no product at all
-        (a2, a2 + 1, SuperPolynomial.zero(2), 0),
-        # both derivatives the constant 1: each scales, no product at all
-        (a1, a1 + a2, b1 * a2, 0),
-        # both derivatives non-constant: both products of the quotient rule
-        (a1 ** 2, a1 ** 2 + a2, 2 * b1 * a1 * a2, 2),
-    ]
-    calls = _count_ring_products(monkeypatch, SuperPolynomial)
-    for num, den, want, products in cases:
-        del calls[:]
-        assert balance_residual(num, den, 1) == want
-        assert len(calls) == products
 
 
 def test_power_sum_odd_of_degree_one_multiplies_nothing(monkeypatch):
