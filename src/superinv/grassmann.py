@@ -3,14 +3,20 @@
 A scalar is a finite sum of monomials e_{i1}...e_{ik} (1 <= i1 < ... < ik <= q)
 with exact rational coefficients.  Monomials are stored as bitmasks over the
 generators (bit j set means generator j+1 is present); the empty monomial
-carries the body.  Coefficients are ints or Fractions, never floats, so
-equality testing is exact and structural.  `geometric_sum` is the one
-(1 + nilpotent)^-1 series that scalar and matrix inverses share.
+carries the body.  A scalar is stored as integer numerators over one
+denominator: `num` maps each mask to a nonzero int and `den` is a positive
+int with gcd(den, *num) = 1, zero being ({}, 1).  The form is unique, so
+equality is structural, and every ring operation works on ints and leaves
+through one gcd reduction.  `terms`, the coefficients as exact values
+(integral ones as ints), is a read-only view built on first read.
+`geometric_sum` is the one (1 + nilpotent)^-1 series that scalar and matrix
+inverses share.
 
-Matrix products run on integer numerators: `integer_numerators` scales a
-matrix row or column to ints over one common denominator, one of two kernels
-then multiplies and adds plain ints, and `prune_terms` divides each output
-coefficient once.  The pair kernel `mul_terms_into` visits every pair of
+Matrix products run on the same numerators: `common_denominator` brings a
+matrix row or column over the lcm of its entries' denominators, rescaling
+only the entries whose denominator differs, one of two kernels then
+multiplies and adds plain ints, and each output cell is reduced by one gcd.
+The pair kernel `mul_terms_into` visits every pair of
 terms and skips the overlapping ones.  The table kernel `mul_table_into`
 reads its right operand as a dense list of 2**q coefficients and walks
 `disjoint_table(q)`, which lists only the disjoint pairs: 3**q steps for two
@@ -75,21 +81,17 @@ def merge_sign(a, b):
     return -1 if (a & below_parity(b)).bit_count() & 1 else 1
 
 
-def integer_numerators(term_dicts):
-    """One common denominator d of the term dicts, and the dicts scaled by d.
+def common_denominator(scalars):
+    """The lcm d of the scalars' denominators and their numerator dicts over d.
 
-    The scaled coefficients are ints; when d is 1 the dicts come back as
-    they are.
+    A scalar already over d gives its own `num`, which must not be mutated.
     """
-    d = 1
-    for terms in term_dicts:
-        for c in terms.values():
-            if type(c) is not int:
-                d = math.lcm(d, c.denominator)
-    if d == 1:
-        return 1, term_dicts
-    return d, [{m: c.numerator * (d // c.denominator) for m, c in terms.items()}
-               for terms in term_dicts]
+    d = math.lcm(*[x.den for x in scalars])
+    return d, [x.num if x.den == d else _times(x.num, d // x.den) for x in scalars]
+
+
+def _times(num, k):
+    return {m: c * k for m, c in num.items()}
 
 
 def mul_terms_into(acc, t1, t2):
@@ -154,12 +156,24 @@ def prune_terms(terms, denominator=1):
     """The nonzero terms divided by denominator, integral coefficients as ints."""
     if denominator == 1:
         return {m: _norm(c) for m, c in terms.items() if c != 0}
-    out = {}
-    for m, c in terms.items():
-        if c != 0:
-            whole, rest = divmod(c, denominator)
-            out[m] = Fraction(c, denominator) if rest else whole
-    return out
+    return {m: _ratio(c, denominator) for m, c in terms.items() if c != 0}
+
+
+def _ratio(n, d):
+    """n / d for ints n and d > 0: an int when d divides n, else a Fraction."""
+    return n // d if n % d == 0 else Fraction(n, d)
+
+
+class _TermsView(dict):
+    """A read-only dict: the exact-value view of a scalar's terms."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a scalar's terms are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
 
 
 # ASCII digits only, matched in full: `\d` takes other scripts' digits and
@@ -242,12 +256,15 @@ def indices_to_mask(indices, q):
 
 
 class SparseRingElement:
-    """An immutable dict `terms` of nonzero exact coefficients by monomial key.
+    """An immutable mapping `terms` of nonzero exact coefficients by monomial key.
 
-    Subclasses supply `_like(terms)` (same shape, pruned terms), `_const_key()`
-    (the key of the constant monomial), `_coerce(other)`, `_same_shape(other)`,
-    `_sorted_terms()` and `_monomial_text(key)`, and their own `__add__` and
-    `__mul__`.
+    Subclasses supply `_coerce(other)`, `_sorted_terms()` and
+    `_monomial_text(key)`, and their own `__add__` and `__mul__`.  The
+    methods that read `terms` (`is_zero`, `__bool__`, `__neg__`, `_const`,
+    `_scale`, `_sum`, `__eq__`) serve a subclass that stores `terms`, which
+    also supplies `_like(terms)` (same shape, pruned terms), `_const_key()`
+    (the key of the constant monomial) and `_same_shape(other)`;
+    GrassmannScalar, stored as integer numerators, overrides each of them.
     """
 
     __slots__ = ()
@@ -289,6 +306,15 @@ class SparseRingElement:
         return self._like(prune_terms({k: v * c.numerator for k, v in self.terms.items()},
                                       c.denominator))
 
+    def _sum(self, items):
+        """The sum of a list of elements shaped like self, built in one term
+        dict and wrapped once like self."""
+        acc = {}
+        for x in items:
+            for k, c in x.terms.items():
+                acc[k] = acc.get(k, 0) + c
+        return self._like(prune_terms(acc))
+
     def __pow__(self, k):
         if not is_int(k) or k < 0:
             raise ValidationError("exponent must be a non-negative integer")
@@ -321,10 +347,22 @@ class SparseRingElement:
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
-class GrassmannScalar(SparseRingElement):
-    """Immutable element of the Grassmann algebra on q generators."""
+def _integer_form(terms):
+    """(num, den) of a dict of nonzero exact coefficients, den the lcm of
+    their denominators.  It is reduced: each prime p of den divides some
+    coefficient's denominator as often as it divides den, so p does not
+    divide that coefficient's scaled numerator."""
+    if all(type(c) is int for c in terms.values()):
+        return terms, 1
+    den = math.lcm(*[c.denominator for c in terms.values()])
+    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
 
-    __slots__ = ("q", "terms")
+
+class GrassmannScalar(SparseRingElement):
+    """Immutable element of the Grassmann algebra on q generators, stored
+    as `num` over `den` in lowest terms (see the module docstring)."""
+
+    __slots__ = ("q", "num", "den", "_terms")
 
     def __init__(self, q, terms=None):
         self._check_q(q)
@@ -337,17 +375,24 @@ class GrassmannScalar(SparseRingElement):
                 if not is_coeff(coeff):
                     raise ValidationError("coefficient must be an int or Fraction: %r" % (coeff,))
                 if coeff != 0:
-                    clean[mask] = _norm(coeff)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "terms", clean)
+                    clean[mask] = coeff
+        num, den = _integer_form(clean)
+        _set_q(self, q)
+        _set_num(self, num)
+        _set_den(self, den)
 
-    @classmethod
-    def _raw(cls, q, terms):
-        # internal fast path: terms already pruned and normalized
-        self = object.__new__(cls)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "terms", terms)
-        return self
+    @property
+    def terms(self):
+        """The exact coefficients by mask, integral ones as ints: a read-only
+        dict, built on first read and cached."""
+        try:
+            return self._terms
+        except AttributeError:
+            den = self.den
+            view = _TermsView(self.num if den == 1 else
+                              {m: _ratio(c, den) for m, c in self.num.items()})
+            _set_terms(self, view)
+            return view
 
     @staticmethod
     def _check_q(q):
@@ -362,12 +407,12 @@ class GrassmannScalar(SparseRingElement):
     @classmethod
     def zero(cls, q):
         cls._check_q(q)
-        return cls._raw(q, {})
+        return _raw(q, {})
 
     @classmethod
     def one(cls, q):
         cls._check_q(q)
-        return cls._raw(q, {0: 1})
+        return _raw(q, {0: 1})
 
     @classmethod
     def rational(cls, q, value):
@@ -378,7 +423,7 @@ class GrassmannScalar(SparseRingElement):
         cls._check_q(q)
         if not is_int(i) or not 1 <= i <= q:
             raise ValidationError("generator index %r out of range 1..%d" % (i, q))
-        return cls._raw(q, {1 << (i - 1): 1})
+        return _raw(q, {1 << (i - 1): 1})
 
     @classmethod
     def monomial(cls, q, indices, coeff=1):
@@ -387,45 +432,43 @@ class GrassmannScalar(SparseRingElement):
     # ------------------------------------------------------------------
     # structure
 
+    def coefficient(self, mask):
+        """The exact coefficient of monomial mask, an int when integral."""
+        c = self.num.get(mask, 0)
+        return c if self.den == 1 else _ratio(c, self.den)
+
     def body(self):
         """Coefficient of the empty monomial; a ring homomorphism onto Q."""
-        return self.terms.get(0, 0)
+        return self.coefficient(0)
 
     def soul(self):
-        return self._raw(self.q, {m: c for m, c in self.terms.items() if m})
+        return from_numerators(self.q, {m: c for m, c in self.num.items() if m}, self.den)
 
     def even_part(self):
-        return self._raw(self.q, {m: c for m, c in self.terms.items() if not m.bit_count() & 1})
+        return from_numerators(self.q, {m: c for m, c in self.num.items()
+                                        if not m.bit_count() & 1}, self.den)
 
     def odd_part(self):
-        return self._raw(self.q, {m: c for m, c in self.terms.items() if m.bit_count() & 1})
+        return from_numerators(self.q, {m: c for m, c in self.num.items()
+                                        if m.bit_count() & 1}, self.den)
 
     def parity_split(self):
         return self.even_part(), self.odd_part()
 
     def is_even(self):
-        return all(not m.bit_count() & 1 for m in self.terms)
+        return all(not m.bit_count() & 1 for m in self.num)
 
     def is_odd(self):
-        return all(m.bit_count() & 1 for m in self.terms)
+        return all(m.bit_count() & 1 for m in self.num)
 
     def min_degree(self):
         """Smallest monomial length present, or None for the zero scalar."""
-        if not self.terms:
+        if not self.num:
             return None
-        return min(m.bit_count() for m in self.terms)
+        return min(m.bit_count() for m in self.num)
 
     # ------------------------------------------------------------------
     # arithmetic
-
-    def _like(self, terms):
-        return self._raw(self.q, terms)
-
-    def _const_key(self):
-        return 0
-
-    def _same_shape(self, other):
-        return self.q == other.q
 
     def _coerce(self, other):
         if isinstance(other, GrassmannScalar):
@@ -438,15 +481,63 @@ class GrassmannScalar(SparseRingElement):
             return self._const(other)
         return None
 
+    def _const(self, c):
+        if not is_coeff(c):
+            raise ValidationError("coefficient must be an int or Fraction: %r" % (c,))
+        return _raw(self.q, {0: c.numerator} if c else {}, c.denominator)
+
+    def is_zero(self):
+        return not self.num
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self.q == other.q and self.den == other.den and self.num == other.num
+        if is_coeff(other):  # a bool is not a coefficient: NotImplemented
+            if other == 0:
+                return not self.num
+            return self.den == other.denominator and self.num == {0: other.numerator}
+        return NotImplemented
+
+    def __neg__(self):
+        return _raw(self.q, {m: -c for m, c in self.num.items()}, self.den)
+
+    def _scale(self, c):
+        """The product with an exact coefficient c: the numerators times c's
+        numerator over den times c's denominator, reduced once."""
+        if c == 0:
+            return _raw(self.q, {})
+        p = c.numerator
+        return from_numerators(self.q, {m: v * p for m, v in self.num.items()},
+                               self.den * c.denominator)
+
+    def _sum(self, items):
+        """The sum of a list of scalars over self's q: their numerators over
+        the lcm of their denominators, added in one dict and reduced once."""
+        den, nums = common_denominator(items)
+        acc = {}
+        for num in nums:
+            for m, c in num.items():
+                v = acc.get(m)
+                acc[m] = c if v is None else v + c
+        return from_numerators(self.q, {m: c for m, c in acc.items() if c}, den)
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            v = terms.get(m)
-            terms[m] = c if v is None else v + c
-        return self._raw(self.q, prune_terms(terms))
+        den, b = self.den, other.den
+        if den == b:
+            num, b = dict(self.num), other.num
+        else:
+            den = math.lcm(den, b)
+            num, b = _times(self.num, den // self.den), _times(other.num, den // b)
+        for m, c in b.items():
+            v = num.get(m)
+            num[m] = c if v is None else v + c
+        return from_numerators(self.q, {m: c for m, c in num.items() if c}, den)
 
     __radd__ = __add__
 
@@ -457,8 +548,9 @@ class GrassmannScalar(SparseRingElement):
         if other is None:
             return NotImplemented
         acc = {}
-        mul_terms_into(acc, self.terms, other.terms)
-        return self._raw(self.q, prune_terms(acc))
+        mul_terms_into(acc, self.num, other.num)
+        return from_numerators(self.q, {m: c for m, c in acc.items() if c},
+                               self.den * other.den)
 
     __rmul__ = __mul__  # only a non-scalar left operand reaches it
 
@@ -478,7 +570,7 @@ class GrassmannScalar(SparseRingElement):
         Writes x = b(1 + u) with u nilpotent and sums the geometric series,
         which terminates because every soul monomial has degree >= 1.
         """
-        b = self.terms.get(0, 0)
+        b = self.body()
         if b == 0:
             raise ZeroBody("cannot invert a scalar with zero body")
         binv = _norm(Fraction(1, 1) / b)
@@ -525,4 +617,29 @@ class GrassmannScalar(SparseRingElement):
                 raise ValidationError("duplicate monomial %r" % (item["idx"],))
             terms[mask] = coeff
         # the loop checked every term as the constructor would
-        return cls._raw(q, terms)
+        return _raw(q, *_integer_form(terms))
+
+
+_new = object.__new__
+_set_q, _set_num, _set_den, _set_terms = (GrassmannScalar.__dict__[name].__set__
+                                          for name in GrassmannScalar.__slots__)
+
+
+def _raw(q, num, den=1):
+    """The scalar num / den, already in lowest terms, with no checks."""
+    x = _new(GrassmannScalar)
+    _set_q(x, q)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
+
+
+def from_numerators(q, num, den):
+    """The scalar num / den in lowest terms, for a dict num of nonzero int
+    numerators and an int den > 0: one gcd, and one division when it is not 1."""
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num = {m: c // g for m, c in num.items()}
+            den //= g
+    return _raw(q, num, den)

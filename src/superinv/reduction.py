@@ -307,7 +307,7 @@ def _cross_terms(parts, m):
         for i in part:
             owner[i] = r
     return [(i, j) for i, row in enumerate(m.rows) for j, x in enumerate(row)
-            if owner[i] != owner[j] and x.terms]
+            if owner[i] != owner[j] and x.num]
 
 
 def _lower_identity_step(a):
@@ -369,13 +369,13 @@ def _refine(m, parts, g, filtration_log=None):
                 if r == s:
                     continue
                 cells = [(i, j) for j in part_s for i in part_r]
-                masks = sorted({mask for i, j in cells for mask in m.rows[i][j].terms
+                masks = sorted({mask for i, j in cells for mask in m.rows[i][j].num
                                 if mask.bit_count() == level})
                 if not masks:
                     continue
                 if (r, s) not in inverses:
                     inverses[r, s] = _sylvester_inverse(body_blocks[r], body_blocks[s])
-                rhs = [[-m.rows[i][j].terms.get(mask, 0) for mask in masks] for i, j in cells]
+                rhs = [[-m.rows[i][j].coefficient(mask) for mask in masks] for i, j in cells]
                 for cell, sol in zip(cells, linalg.matmul(inverses[r, s], rhs)):
                     terms[cell] = dict(zip(masks, sol))
         if not terms:

@@ -29,13 +29,13 @@ from .errors import (
 )
 from .grassmann import (
     GrassmannScalar,
+    common_denominator,
     disjoint_table,
+    from_numerators,
     geometric_sum,
-    integer_numerators,
     is_int,
     mul_table_into,
     mul_terms_into,
-    prune_terms,
 )
 from . import linalg
 
@@ -270,7 +270,8 @@ class SuperMatrix:
         self._check_compatible(other)
         gq = self.gq
         # Integer numerators over one denominator per row of self and per
-        # column of other, so either kernel multiplies and adds plain ints.
+        # column of other, so either kernel multiplies and adds plain ints,
+        # and each cell is reduced by one gcd.
         # The one gate: at a gq in _TABLE_DENSITY, a right factor whose
         # entries average at least that share of the 2**gq monomials takes
         # the table kernel, which reads each column entry as a dense list and
@@ -281,11 +282,11 @@ class SuperMatrix:
         # The gate reads only the right factor, in O(n**2) len() calls; the
         # table walks 2**(gq - degree) tuples per left term, so left factors
         # of low degree still cost it more than the gate sees.
-        rows = [integer_numerators([x.terms for x in row]) for row in self.rows]
-        cols = [integer_numerators([y.terms for y in col]) for col in zip(*other.rows)]
+        rows = [common_denominator(row) for row in self.rows]
+        cols = [common_denominator(col) for col in zip(*other.rows)]
         size = 1 << gq
         cut = _TABLE_DENSITY.get(gq)
-        dense = cut is not None and (sum(len(y.terms) for row in other.rows for y in row)
+        dense = cut is not None and (sum(len(y.num) for row in other.rows for y in row)
                                      >= cut * size * self.dim ** 2)
         if dense:
             kernel = partial(mul_table_into, disjoint_table(gq))
@@ -300,9 +301,8 @@ class SuperMatrix:
             for x, y in zip(row, col):
                 if x and y:
                     kernel(acc, x, y)
-            if dense:
-                acc = {m: c for m, c in enumerate(acc) if c}
-            out.append(GrassmannScalar._raw(gq, prune_terms(acc, d_row * d_col)))
+            num = {m: c for m, c in (enumerate(acc) if dense else acc.items()) if c}
+            out.append(from_numerators(gq, num, d_row * d_col))
         if diagonal:
             return out
         dim = self.dim
@@ -432,9 +432,9 @@ class SuperMatrix:
         for k in range(1, upto + 1):
             diagonal = diagonals[k - 1] if k <= len(diagonals) else ()
             if queer:
-                out.append(sum((x.odd_part() for x in diagonal), zero) * Fraction(1, k))
+                out.append(zero._sum([x.odd_part() for x in diagonal]) * Fraction(1, k))
             else:
-                out.append(sum(diagonal, zero) * Fraction(1, 2 * k - 1))
+                out.append(zero._sum(diagonal) * Fraction(1, 2 * k - 1))
         return out
 
     def conjugate(self, g):

@@ -303,18 +303,16 @@ class SuperPolynomial(SparseRingElement):
         the ring whose zero is given.  A term is the product of its factors
         from the first on, each even value repeated by its exponent and the odd
         values in index order, scaled by its coefficient once; the terms'
-        products are summed in one term dict, wrapped once in zero's type."""
-        acc = {}
+        products are summed by the ring's `_sum`."""
+        products = []
         for (exps, mask), c in self.terms.items():
             factors = []
             for i, e in enumerate(exps):
                 if e:
                     factors += [even(i)] * e
             factors += [odd(i - 1) for i in mask_to_indices(mask)]
-            term = reduce(mul, factors)._scale(c).terms if factors else {zero._const_key(): c}
-            for k, v in term.items():
-                acc[k] = acc.get(k, 0) + v
-        return zero._like(prune_terms(acc))
+            products.append(reduce(mul, factors)._scale(c) if factors else zero._const(c))
+        return zero._sum(products)
 
     # ------------------------------------------------------------------
     # io

@@ -94,7 +94,7 @@ def _diagonal(shape, parity, entries):
 
 
 def _is_diagonal(m):
-    return all(i == j or not x.terms for i, row in enumerate(m.rows) for j, x in enumerate(row))
+    return all(i == j or x.is_zero() for i, row in enumerate(m.rows) for j, x in enumerate(row))
 
 
 def _check_count(values, count):

@@ -69,7 +69,7 @@ def time_cell(q, density, seed, budget):
     """(mean terms per entry of the right factor, gate's kernel, pair s, table s, gated s)."""
     rng = random.Random("%d-%d-%s" % (seed, q, density))
     a, b = random_matrix(rng, q, density), random_matrix(rng, q, density)
-    terms = sum(len(y.terms) for row in b.rows for y in row) / N ** 2
+    terms = sum(len(y.num) for row in b.rows for y in row) / N ** 2
     gate = (supermatrix._TABLE_DENSITY, supermatrix.mul_table_into)
     table_calls = []
 
