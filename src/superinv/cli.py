@@ -14,9 +14,11 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import grassmann
 from .errors import InternalError, SingularBody, SuperInvError, ValidationError
+from .grassmann import GrassmannScalar, mask_order, mask_to_indices, ratio_text
 from .reduction import (
     SpectralDecomposition,
     antidiagonalize,
@@ -33,14 +35,24 @@ EXIT_FAILURE = 1
 _STR_TEXT = json.encoder.encode_basestring_ascii
 
 
-def _json_text(obj, newline="\n"):
-    """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte.
+@cache
+def _indent(depth):
+    """The newline and indent that start a line at nesting depth."""
+    return "\n" + "  " * depth
+
+
+def _json_text(obj, depth=0):
+    """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte, with library
+    objects written as their `to_obj()`.
 
     With `indent` set, `json.dumps` runs CPython's pure-Python encoder, so
     this walk on exact types is the cheaper spelling of the same bytes.  Dict
-    keys are strings; any type not named here is written as its `to_obj()`.
+    keys are strings.  A scalar is written straight from its integer form, an
+    object with `_fields()` as that map, any other type as its `to_obj()`.
     """
     kind = type(obj)
+    if kind is GrassmannScalar:
+        return _scalar_text(obj, depth)
     if kind is str:
         return _STR_TEXT(obj)
     if kind is int:
@@ -49,17 +61,44 @@ def _json_text(obj, newline="\n"):
         return "null"
     if kind is bool:
         return "true" if obj else "false"
-    inner = newline + "  "
     if kind is dict:
         if not obj:
             return "{}"
-        items = [_STR_TEXT(k) + ": " + _json_text(v, inner) for k, v in sorted(obj.items())]
+        newline, inner = _indent(depth), _indent(depth + 1)
+        items = [_STR_TEXT(k) + ": " + _json_text(v, depth + 1) for k, v in sorted(obj.items())]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if kind is list:
+    if kind is list or kind is tuple:
         if not obj:
             return "[]"
-        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) + newline + "]"
-    return _json_text(obj.to_obj(), newline)
+        newline, inner = _indent(depth), _indent(depth + 1)
+        return ("[" + inner + ("," + inner).join([_json_text(v, depth + 1) for v in obj])
+                + newline + "]")
+    return _json_text(obj._fields() if hasattr(obj, "_fields") else obj.to_obj(), depth)
+
+
+def _scalar_text(x, depth):
+    """`_json_text(x.to_obj(), depth)` for a GrassmannScalar x, with no dict per term."""
+    newline, inner, term, field = (_indent(depth + k) for k in range(4))
+    head = "{" + inner + '"q": ' + int.__repr__(x.q) + "," + inner + '"terms": '
+    num = x.num
+    if not num:
+        return head + "[]" + newline + "}"
+    den = x.den
+    coeff = "{" + field + '"coeff": "'
+    idx = '",' + field + '"idx": '
+    terms = [coeff + ratio_text(num[m], den) + idx + _idx_text(m, depth + 3)
+             for m in sorted(num, key=mask_order)]
+    return (head + "[" + term + (term + "}," + term).join(terms) + term + "}" + inner + "]"
+            + newline + "}")
+
+
+@cache
+def _idx_text(m, depth):
+    """The text of monomial m's index list at nesting depth."""
+    if not m:
+        return "[]"
+    inner = _indent(depth + 1)
+    return "[" + inner + ("," + inner).join(map(str, mask_to_indices(m))) + _indent(depth) + "]"
 
 
 def _emit(text, out_path):
@@ -110,7 +149,7 @@ def cmd_invariants(args):
             value = report[key]
             if key == "tau":
                 lines.extend("tau[%d] = %s" % (k, x) for k, x in enumerate(value, start=1))
-            elif isinstance(value, grassmann.GrassmannScalar):
+            elif isinstance(value, GrassmannScalar):
                 lines.append("%s = %s" % (key, value))
             else:
                 lines.append("%s = %s" % (key, json.dumps(value, sort_keys=True)))
@@ -130,7 +169,7 @@ _MODES = {
 def cmd_reduce(args):
     a = _load_matrix(args.matrix)
     dec = _MODES[args.mode](a)
-    text = _json_text(dec.to_obj()) + "\n"
+    text = _json_text(dec) + "\n"
     # the emitted bytes must re-verify after a parse round trip
     if not SpectralDecomposition.from_obj(json.loads(text)).verify(a):
         raise InternalError("emitted decomposition does not re-verify")

@@ -16,13 +16,13 @@ Matrix products run on the same numerators: `common_denominator` brings a
 matrix row or column over the lcm of its entries' denominators, rescaling
 only the entries whose denominator differs, one of two kernels then
 multiplies and adds plain ints, and each output cell is reduced by one gcd.
-The pair kernel `mul_terms_into` visits every pair of
-terms and skips the overlapping ones.  The table kernel `mul_table_into`
-reads its right operand as a dense list of 2**q coefficients and walks
-`disjoint_table(q)`, which lists only the disjoint pairs: 3**q steps for two
-full operands, against 4**q.  `SuperMatrix.__matmul__` holds the one gate
-between them: the table serves 4 <= q <= 10 when the right factor's entries
-average at least a quarter (q = 4) or an eighth (q >= 5) of the 2**q
+The pair kernel `mul_terms_into` visits every pair of terms and skips the
+overlapping ones.  The table kernel `mul_table_into` reads its right operand
+as a dense list of 2**q coefficients and walks `disjoint_table(q)`, which
+lists only the disjoint pairs: 3**q steps for two full operands, against
+4**q.  `SuperMatrix.__matmul__` holds the one gate between them: the table
+serves 4 <= q <= 10 when the right factor's entries average at least a
+quarter (q = 4), an eighth (q = 5..8) or a sixteenth (q = 9, 10) of the 2**q
 monomials, and the pair kernel everything else, scalar products included,
 whose operands are mostly a few terms.  Both kernels take their signs from
 `below_parity`, cached per monomial mask, so the cache holds at most 2**q
@@ -210,6 +210,25 @@ def coeff_text(c):
         return str(c)
     except ValueError as exc:  # beyond the interpreter's integer string-conversion limit
         raise ValidationError("result coefficient has too many digits to write out") from exc
+
+
+def ratio_text(n, d):
+    """`coeff_text(Fraction(n, d))` for ints n and d > 0, with no Fraction:
+    one gcd against d when d is not 1."""
+    if d != 1:
+        g = math.gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
+    try:
+        return str(n) if d == 1 else "%d/%d" % (n, d)
+    except ValueError as exc:  # beyond the interpreter's integer string-conversion limit
+        raise ValidationError("result coefficient has too many digits to write out") from exc
+
+
+def mask_order(m):
+    """The sort key of a monomial mask in written output: degree, then mask."""
+    return m.bit_count(), m
 
 
 def geometric_sum(one, x, order):
@@ -580,7 +599,7 @@ class GrassmannScalar(SparseRingElement):
     # io
 
     def _sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
+        return sorted(self.terms.items(), key=lambda kv: mask_order(kv[0]))
 
     def _monomial_text(self, m):
         return "".join("e%d" % i for i in mask_to_indices(m))
@@ -589,10 +608,12 @@ class GrassmannScalar(SparseRingElement):
         return "GrassmannScalar(q=%d, %s)" % (self.q, self)
 
     def to_obj(self):
+        # `cli._json_text` writes this layout straight from `num` and `den`
+        num, den = self.num, self.den
         return {
             "q": self.q,
-            "terms": [{"idx": mask_to_indices(m), "coeff": coeff_text(c)}
-                      for m, c in self._sorted_terms()],
+            "terms": [{"idx": mask_to_indices(m), "coeff": ratio_text(num[m], den)}
+                      for m in sorted(num, key=mask_order)],
         }
 
     @classmethod

@@ -40,7 +40,7 @@ from .errors import (
     ZeroEigenvalue,
 )
 from .grassmann import GrassmannScalar, coeff_text, geometric_sum, is_coeff, is_int, parse_coeff
-from .supermatrix import _PARITIES, EVEN, ODD, GroupElement, Queer, Standard, SuperMatrix
+from .supermatrix import _PARITIES, EVEN, ODD, GroupElement, Queer, Standard, SuperMatrix, to_plain
 
 
 @dataclass(frozen=True)
@@ -173,19 +173,20 @@ class SpectralDecomposition:
         g = self.conjugator.matrix
         return a @ g == g @ self.assembled()
 
-    def to_obj(self):
+    def _fields(self):
+        """The JSON layout one level deep: the matrices stay objects."""
         return {
-            "conjugator": self.conjugator.matrix.to_obj(),
+            "conjugator": self.conjugator.matrix,
             "parity": self.parity,
-            "partition": [list(part) for part in self.partition],
+            "partition": self.partition,
             "blocks": [
-                {
-                    "eigenvalue": None if lam is None else coeff_text(lam),
-                    "block": block.to_obj(),
-                }
+                {"eigenvalue": None if lam is None else coeff_text(lam), "block": block}
                 for lam, block in self.blocks
             ],
         }
+
+    def to_obj(self):
+        return to_plain(self._fields())
 
     @classmethod
     def from_obj(cls, obj):

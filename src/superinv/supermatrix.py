@@ -50,8 +50,10 @@ _PARITIES = (EVEN, ODD, ANY)
 # monomials an entry of the right factor holds on average.  The cuts are
 # where the two kernels break even on the products the benchmark workloads
 # make: near 1/4 at gq 4, near 1/8 at gq 5..7.  No workload makes products
-# at gq 8..10, which keep 1/8; single products there break even lower.
-_TABLE_DENSITY = {4: 1 / 4, **dict.fromkeys(range(5, 11), 1 / 8)}
+# at gq 8..10.  Gq 8 keeps 1/8; at gq 9 and 10 single products
+# (`tools/bench_kernel.py`) favour the table at a tenth of the monomials and
+# the pair kernel at a twentieth, so the cut there is 1/16.
+_TABLE_DENSITY = {4: 1 / 4, **dict.fromkeys(range(5, 9), 1 / 8), 9: 1 / 16, 10: 1 / 16}
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,21 @@ def shape_from_obj(obj):
     if obj["kind"] == "standard":
         return Standard(obj.get("p"), obj.get("q_odd"))
     raise ValidationError("unknown shape kind %r" % (obj["kind"],))
+
+
+def to_plain(value):
+    """value with each library object in it replaced by its JSON layout: its
+    `_fields()`, converted in turn, or else its `to_obj()`; tuples become lists."""
+    kind = type(value)
+    if kind is dict:
+        return {k: to_plain(v) for k, v in value.items()}
+    if kind is list or kind is tuple:
+        return [to_plain(v) for v in value]
+    if hasattr(value, "_fields"):
+        return to_plain(value._fields())
+    if hasattr(value, "to_obj"):
+        return value.to_obj()
+    return value
 
 
 def _product_parity(p1, p2):
@@ -464,13 +481,13 @@ class SuperMatrix:
     def __repr__(self):
         return "SuperMatrix(%r, %r, gq=%d)" % (self.shape, self.parity, self.gq)
 
+    def _fields(self):
+        """The JSON layout one level deep: shape and entries stay objects."""
+        return {"shape": self.shape, "parity": self.parity, "grassmann_q": self.gq,
+                "entries": self.rows}
+
     def to_obj(self):
-        return {
-            "shape": self.shape.to_obj(),
-            "parity": self.parity,
-            "grassmann_q": self.gq,
-            "entries": [[x.to_obj() for x in row] for row in self.rows],
-        }
+        return to_plain(self._fields())
 
     @classmethod
     def from_obj(cls, obj):

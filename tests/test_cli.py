@@ -21,6 +21,7 @@ from superinv import (
 )
 from superinv import cli, errors, verify
 from superinv.cli import main
+from superinv.grassmann import mask_to_indices
 from superinv.reduction import SpectralDecomposition
 from superinv.supermatrix import random_matrix
 from superinv.verify import (
@@ -457,6 +458,24 @@ def test_failed_self_check_exit_code(odd_file, monkeypatch, capsys):
                             "(reduce %s)\n" % odd_file)
 
 
+def test_self_check_reads_the_written_bytes(odd_file, monkeypatch, capsys):
+    # the first coefficient written (in the first block) comes out doubled:
+    # the parsed decomposition then differs from the computed one
+    written = []
+    ratio_text = cli.ratio_text
+
+    def planted(n, d):
+        written.append(n)
+        return ratio_text(2 * n if len(written) == 1 else n, d)
+
+    monkeypatch.setattr(cli, "ratio_text", planted)
+    assert main(["reduce", odd_file, "--mode", "odd"]) == 5
+    assert written
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "emitted decomposition does not re-verify" in captured.err
+
+
 @pytest.mark.parametrize("coeff", ["2\n", "٣", "1/2\n", " 2", "1_000"])
 def test_non_ascii_or_padded_coefficient_exit_code(q1_file, tmp_path, capsys, coeff):
     # int() and `\d` take these; the coefficient grammar does not
@@ -541,3 +560,56 @@ def test_json_text_matches_json_dumps_on_library_objects():
     assert decompositions[2].to_obj()["blocks"][0]["eigenvalue"] is None
     for dec in decompositions:
         _assert_dumps_bytes(dec.to_obj())
+        _assert_dumps_bytes(dec)  # walked as an object, with no to_obj() tree
+        _assert_dumps_bytes({"decomposition": [dec, dec.conjugator.matrix]})
+        _assert_dumps_bytes(dec.blocks[0][1])
+
+
+def _edge_scalars():
+    """Scalars whose written form has each shape the writer meets."""
+    rng = random.Random(29)
+    full = G(7, {m: Fraction(rng.choice([-1, 1]) * rng.randint(1, 10 ** 6),
+                             rng.choice([1, 2, 6, 997 * 1009, 999983]))
+                 for m in range(1 << 7)})
+    assert len(full.num) == 128
+    big = 10 ** 40
+    return [
+        G.zero(3),
+        G.zero(0),
+        G.rational(0, Fraction(-5, 3)),
+        G.rational(4, 7),
+        G.rational(2, Fraction(big + 1, 999983)),
+        full,
+        G(5, {0: -big * 3 - 1, 0b10110: Fraction(big + 7, 2 * 3 * 5 * 7 * 11 * 13),
+              0b00001: Fraction(-1, 997 * 1009), 0b11111: big ** 2}),
+        G(2, {0b11: Fraction(-2 * big, 3), 0b01: Fraction(1, 999983 * 1000003)}),
+    ]
+
+
+def test_json_text_writes_scalars_at_depth():
+    for x in _edge_scalars():
+        _assert_dumps_bytes(x)
+        _assert_dumps_bytes([[x]])
+        _assert_dumps_bytes({"a": [{"b": x, "c": [x, None]}], "d": x})
+
+
+def test_json_text_writes_an_invariants_report():
+    q = 3
+    a = random_matrix(Queer(2), ANY, q, 5, 5, max_terms=6)
+    scalars = _edge_scalars()
+    report = {"shape": a.shape, "parity": a.parity, "grassmann_q": q, "qtr": a.qtr(),
+              "qet": None, "tau": a.tau_values(4) + scalars}
+    _assert_dumps_bytes(report)
+    _assert_dumps_bytes({"matrix": a, "report": [report]})
+
+
+def test_scalar_to_obj_matches_the_terms_view():
+    rng = random.Random(30)
+    for _ in range(200):
+        q = rng.randint(0, 6)
+        dens = [1, 2, 9, 35, 999983, rng.randint(1, 10 ** 6)]
+        x = G(q, {rng.getrandbits(q): Fraction(rng.randint(-10 ** 12, 10 ** 12), rng.choice(dens))
+                  for _ in range(rng.randint(0, 12))})
+        terms = sorted(x.terms.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
+        old = {"q": x.q, "terms": [{"idx": mask_to_indices(m), "coeff": str(c)} for m, c in terms]}
+        assert x.to_obj() == old

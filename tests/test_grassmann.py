@@ -276,11 +276,15 @@ def first_terms(q, count):
     (4, [[3]], "pair"),
     (4, [[16, 0], [0, 0]], "table"),  # the gate reads the average entry: 4 terms
     (4, [[4, 4], [4, 3]], "pair"),  # 3.75 terms on average
-    (5, [[4]], "table"),  # 2**5 / 8 terms: on the cut of gq 5..10
+    (5, [[4]], "table"),  # 2**5 / 8 terms: on the cut of gq 5..8
     (5, [[3]], "pair"),
-    (10, [[128]], "table"),
-    (10, [[127]], "pair"),
+    (10, [[64]], "table"),  # 2**10 / 16 terms: on the cut of gq 9 and 10
+    (10, [[63]], "pair"),
     (11, [[2048]], "pair"),  # full, but above the cap
+    (8, [[32]], "table"),
+    (8, [[31]], "pair"),
+    (9, [[32]], "table"),
+    (9, [[31]], "pair"),
 ])
 def test_gate_picks_the_kernel(monkeypatch, gq, right, kernel):
     calls = {"pair": 0, "table": 0}
