@@ -18,15 +18,17 @@ only the entries whose denominator differs, one of two kernels then
 multiplies and adds plain ints, and each output cell is reduced by one gcd.
 The pair kernel `mul_terms_into` visits every pair of terms and skips the
 overlapping ones.  The table kernel `mul_table_into` reads its right operand
-as a dense list of 2**q coefficients and walks `disjoint_table(q)`, which
-lists only the disjoint pairs: 3**q steps for two full operands, against
-4**q.  `SuperMatrix.__matmul__` holds the one gate between them: the table
-serves 4 <= q <= 10 when the right factor's entries average at least a
-quarter (q = 4), an eighth (q = 5..8) or a sixteenth (q = 9, 10) of the 2**q
-monomials, and the pair kernel everything else, scalar products included,
-whose operands are mostly a few terms.  Both kernels take their signs from
-`below_parity`, cached per monomial mask, so the cache holds at most 2**q
-entries.  `SparseRingElement` is the ring core GrassmannScalar shares with
+as a dense list of 2**q coefficients and walks `disjoint_table(q, parity)`,
+which lists only the disjoint pairs, in an add and a subtract list per row:
+3**q steps for two full operands, against 4**q.  A right operand whose terms
+share one parity (`shared_parity` of its masks) walks only that half of the
+pairs; a mixed one walks them all.  `SuperMatrix.__matmul__` holds the one
+gate between the kernels: the table serves 4 <= q <= 10 when the right
+factor's entries average at least a quarter (q = 4), an eighth (q = 5..8) or
+a sixteenth (q = 9, 10) of the 2**q monomials, and the pair kernel
+everything else, scalar products included, whose operands are mostly a few
+terms.  Both kernels take their signs from `below_parity`, cached per
+monomial mask, so the cache holds at most 2**q entries.  `SparseRingElement` is the ring core GrassmannScalar shares with
 `sympoly.SuperPolynomial`.
 """
 
@@ -110,38 +112,59 @@ def mul_terms_into(acc, t1, t2):
 
 
 @cache
-def disjoint_table(q):
-    """For each mask m1 < 2**q, the tuples (m2, m1 | m2, sign) over every
-    submask m2 of m1's complement, where the product of monomials m1 and m2
-    is sign times monomial m1 | m2.
+def disjoint_table(q, parity):
+    """For each mask m1 < 2**q, a pair (plus, minus) of tuples of
+    (m2, m1 | m2) over the submasks m2 of m1's complement whose popcount has
+    the given parity (0 even, 1 odd, None any).  A pair is in minus when the
+    product of monomials m1 and m2 is minus monomial m1 | m2, else in plus.
 
-    3**q tuples in all; cached per q, so build it only for small q.
+    Cached per (q, parity).  The rows of parity None join those of the two
+    halves and reuse their pair tuples, and all pairs share one int object
+    per mask, so each q stores its 3**q pairs once; build it only for small q.
     """
+    if parity is None:
+        return [(p0 + p1, n0 + n1)
+                for (p0, n0), (p1, n1) in zip(disjoint_table(q, 0), disjoint_table(q, 1))]
     full = (1 << q) - 1
+    masks = list(range(1 << q))  # one int object per mask, shared by every pair
     table = []
-    for m1 in range(1 << q):
+    for m1 in masks:
         rest = full & ~m1
-        row = []
+        row = ([], [])
         m2 = rest
         while True:
-            sign = -1 if (m1 & below_parity(m2)).bit_count() & 1 else 1
-            row.append((m2, m1 | m2, sign))
+            if m2.bit_count() & 1 == parity:
+                row[(m1 & below_parity(m2)).bit_count() & 1].append((masks[m2], masks[m1 | m2]))
             if not m2:
                 break
             m2 = (m2 - 1) & rest
-        table.append(row)
+        table.append((tuple(row[0]), tuple(row[1])))
     return table
 
 
-def mul_table_into(table, acc, t1, dense2):
-    """Accumulate the product of a term dict and a dense coefficient list
-    (dense2[m] is the coefficient of monomial m) into the dense list acc,
-    through table, the `disjoint_table` of their generator count."""
+def shared_parity(masks):
+    """0 or 1 when every mask in masks has a popcount of that parity, else
+    None (for none or for both)."""
+    parities = {m.bit_count() & 1 for m in masks}
+    return parities.pop() if len(parities) == 1 else None
+
+
+def mul_table_into(acc, t1, right):
+    """Accumulate the product of a term dict and a dense right operand into
+    the dense list acc.  right is (table, dense2): dense2[m] is the
+    coefficient of monomial m, and table is the `disjoint_table` of their
+    generator count for a parity every nonzero coefficient of dense2 has."""
+    table, dense2 = right
     for m1, c1 in t1.items():
-        for m2, m, sign in table[m1]:
+        plus, minus = table[m1]
+        for m2, m in plus:
             c2 = dense2[m2]
             if c2:
-                acc[m] += sign * c1 * c2
+                acc[m] += c1 * c2
+        for m2, m in minus:
+            c2 = dense2[m2]
+            if c2:
+                acc[m] -= c1 * c2
 
 
 def _norm(c):

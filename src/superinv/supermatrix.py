@@ -17,7 +17,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from .errors import (
     GeneratorCountMismatch,
@@ -36,6 +35,7 @@ from .grassmann import (
     is_int,
     mul_table_into,
     mul_terms_into,
+    shared_parity,
 )
 from . import linalg
 
@@ -299,6 +299,10 @@ class SuperMatrix:
         # The gate reads only the right factor, in O(n**2) len() calls; the
         # table walks 2**(gq - degree) tuples per left term, so left factors
         # of low degree still cost it more than the gate sees.
+        # Past the gate, each right entry whose terms share one parity walks
+        # only that half of each table row.  The half is read from the
+        # entry's own masks, never from a parity label, which could be
+        # false and would then drop terms.
         rows = [common_denominator(row) for row in self.rows]
         cols = [common_denominator(col) for col in zip(*other.rows)]
         size = 1 << gq
@@ -306,8 +310,9 @@ class SuperMatrix:
         dense = cut is not None and (sum(len(y.num) for row in other.rows for y in row)
                                      >= cut * size * self.dim ** 2)
         if dense:
-            kernel = partial(mul_table_into, disjoint_table(gq))
-            cols = [(d_col, [[y.get(m, 0) for m in range(size)] if y else None for y in col])
+            kernel = mul_table_into
+            cols = [(d_col, [(disjoint_table(gq, shared_parity(y)),
+                              [y.get(m, 0) for m in range(size)]) if y else None for y in col])
                     for d_col, col in cols]
         else:
             kernel = mul_terms_into
@@ -356,9 +361,10 @@ class SuperMatrix:
         if body_inv is None:
             raise _singular_body(rk, self.dim)
         gq = self.gq
+        # the body inverse has the body's block pattern, so self's parity class
         binv = SuperMatrix(
             self.shape,
-            self.shape.group_parity,
+            self.parity,
             [[GrassmannScalar.rational(gq, x) for x in row] for row in body_inv],
             validate=False,
         )

@@ -14,7 +14,7 @@ from superinv.grassmann import (
     mask_to_indices,
     merge_sign,
 )
-from superinv.supermatrix import ANY, ODD, Queer, Standard, SuperMatrix
+from superinv.supermatrix import ANY, EVEN, ODD, Queer, Standard, SuperMatrix, _entry_parity
 from superinv.sympoly import SuperPolynomial, TTauExpression
 
 
@@ -184,13 +184,26 @@ def test_sign_table_is_bounded_by_the_masks():
 
 def test_disjoint_table_lists_the_disjoint_pairs_with_their_signs():
     for q in range(7):
-        table = disjoint_table(q)
-        assert len(table) == 1 << q
-        assert sum(len(row) for row in table) == 3 ** q
-        for m1, row in enumerate(table):
-            assert sorted(m2 for m2, _m, _s in row) == [m2 for m2 in range(1 << q) if not m1 & m2]
-            for m2, m, sign in row:
-                assert m == m1 | m2 and sign == merge_sign(m1, m2)
+        halves = disjoint_table(q, 0), disjoint_table(q, 1)
+        full = disjoint_table(q, None)
+        for table in halves + (full,):
+            assert len(table) == 1 << q
+        for m1 in range(1 << q):
+            disjoint = [m2 for m2 in range(1 << q) if not m1 & m2]
+            for parity, table in enumerate(halves):
+                plus, minus = table[m1]
+                assert sorted(m2 for m2, _m in plus + minus) == [
+                    m2 for m2 in disjoint if m2.bit_count() % 2 == parity]
+                for sign, pairs in ((1, plus), (-1, minus)):
+                    for m2, m in pairs:
+                        assert m == m1 | m2 and merge_sign(m1, m2) == sign
+            # the full row is the union of the halves' rows, of the same tuples
+            for side in (0, 1):
+                assert {id(pair) for pair in full[m1][side]} == {
+                    id(pair) for table in halves for pair in table[m1][side]}
+        pairs = {id(pair) for table in halves + (full,) for row in table for side in row
+                 for pair in side}
+        assert len(pairs) == 3 ** q
 
 
 def kernel_entry(rng, q, parity, density, denominators, count=None):
@@ -264,6 +277,77 @@ def test_matmul_matches_naive_oracle_at_the_table_cap(gq, shape):
     if shape.dim <= 2:
         b = kernel_matrix(rng, shape, gq, 1, (1,))
         assert_matmul_matches_naive(a, b)
+
+
+# right entries by the parity of their terms: the table half each one walks
+ENTRY_KINDS = {0: ("even", "zero", "monomial"), 1: ("odd", "zero", "monomial"),
+               None: ("even", "odd", "mixed", "zero", "monomial")}
+
+
+def kind_entry(rng, q, kind, want, count=None):
+    """An entry of the given kind whose terms have parity want (None for
+    any); a "mixed" entry holds monomials of both parities."""
+    if kind == "zero":
+        return GrassmannScalar.zero(q)
+    if kind == "monomial":
+        return kernel_entry(rng, q, want, 1, MIXED, count=1)
+    parity = {"even": 0, "odd": 1, "mixed": None}[kind]
+    while True:
+        x = kernel_entry(rng, q, parity, 0.5, MIXED, count)
+        if kind != "mixed" or not (x.is_even() or x.is_odd()):
+            return x
+
+
+def kinds_matrix(rng, shape, parity, q, cell_parity=None, count=None):
+    """A matrix labelled parity whose entries cycle through every kind their
+    cell allows: its parity class, or cell_parity's for an "any" label."""
+    rows = []
+    for i in range(shape.dim):
+        row = []
+        for j in range(shape.dim):
+            want = _entry_parity(shape, cell_parity or parity, i, j)
+            want = None if want is None else int(want == ODD)
+            kinds = ENTRY_KINDS[want]
+            row.append(kind_entry(rng, q, kinds[(i * shape.dim + j) % len(kinds)], want, count))
+        rows.append(row)
+    return SuperMatrix(shape, parity, rows)
+
+
+@pytest.mark.parametrize("gq", range(4, 9))
+def test_table_halves_match_naive_oracle(monkeypatch, gq):
+    # the table is forced at any density: each right entry walks the half of
+    # the table its own terms pick, whatever its matrix's label says
+    monkeypatch.setattr(supermatrix, "_TABLE_DENSITY", {gq: 0})
+    kernel = supermatrix.mul_table_into
+    halves = set()
+
+    def checked(acc, t1, right):
+        table, dense2 = right
+        parities = {m.bit_count() & 1 for m, c in enumerate(dense2) if c}
+        want = parities.pop() if len(parities) == 1 else None
+        assert table is disjoint_table(gq, want)
+        halves.add(want)
+        return kernel(acc, t1, right)
+
+    monkeypatch.setattr(supermatrix, "mul_table_into", checked)
+    rng = random.Random(67 + gq)
+    cases = [(Queer(2), ANY, None), (Queer(3), ANY, None),
+             (Standard(1, 1), EVEN, None), (Standard(1, 1), ODD, None),
+             (Standard(2, 2), EVEN, None), (Standard(2, 2), ODD, None),
+             # "any" labels over entries of one parity each
+             (Standard(2, 2), ANY, ODD), (Standard(1, 1), ANY, EVEN)]
+    for shape, parity, cell_parity in cases:
+        a = kinds_matrix(rng, shape, parity, gq, cell_parity, count=2)
+        b = kinds_matrix(rng, shape, parity, gq, cell_parity)
+        want = naive_matmul(a, b)
+        got = a @ b
+        diagonal = a._product(b, diagonal=True)
+        for i in range(shape.dim):
+            assert diagonal[i] == want[i][i], (shape, parity, i)
+            for j in range(shape.dim):
+                assert got.rows[i][j] == want[i][j], (shape, parity, i, j)
+                assert_ints_stored_as_int(got.rows[i][j])
+    assert halves == {0, 1, None}
 
 
 def first_terms(q, count):

@@ -729,6 +729,39 @@ def test_tau_values_matches_the_per_power_loop(shape, parity, q):
             assert soul.tau_values(upto) == _tau_by_every_power(soul, upto), (soul_q, upto)
 
 
+@pytest.mark.parametrize("parity", [EVEN, ODD])
+def test_invert_keeps_true_parity_labels(monkeypatch, parity):
+    # the body inverse, every operand of invert()'s products and the inverse
+    # itself carry labels their entries satisfy
+    operands = []
+    product = SuperMatrix._product
+
+    def recording(self, other, diagonal=False):
+        operands.extend((self, other))
+        return product(self, other, diagonal)
+
+    rng = random.Random(29 if parity == EVEN else 31)
+    done = 0
+    for n in (1, 2):
+        for q in (2, 3, 4):
+            a = _dense_soul_matrix(rng, Standard(n, n), parity, q)
+            monkeypatch.setattr(SuperMatrix, "_product", recording)
+            try:
+                inv = a.invert()
+            except SingularBody:
+                continue
+            finally:
+                monkeypatch.undo()
+            binv = operands[0]
+            assert binv.soul().is_zero() and binv.parity == inv.parity == parity
+            for m in operands + [inv]:
+                m._validate()
+            del operands[:]
+            assert (a @ inv).is_identity() and (inv @ a).is_identity()
+            done += 1
+    assert done >= 4
+
+
 def _count_products(monkeypatch):
     """Lists that grow by one per full product and per diagonal-only product."""
     full = _count_calls(monkeypatch, SuperMatrix, "__matmul__")
