@@ -28,8 +28,8 @@ factor's entries average at least a quarter (q = 4), an eighth (q = 5..8) or
 a sixteenth (q = 9, 10) of the 2**q monomials, and the pair kernel
 everything else, scalar products included, whose operands are mostly a few
 terms.  Both kernels take their signs from `below_parity`, cached per
-monomial mask, so the cache holds at most 2**q entries.  `SparseRingElement` is the ring core GrassmannScalar shares with
-`sympoly.SuperPolynomial`.
+monomial mask, so the cache holds at most 2**q entries.  `SparseRingElement`
+is the ring core GrassmannScalar shares with `sympoly.SuperPolynomial`.
 """
 
 from __future__ import annotations
