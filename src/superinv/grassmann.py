@@ -9,8 +9,10 @@ int with gcd(den, *num) = 1, zero being ({}, 1).  The form is unique, so
 equality is structural, and every ring operation works on ints and leaves
 through one gcd reduction.  `terms`, the coefficients as exact values
 (integral ones as ints), is a read-only view built on first read.
-`geometric_sum` is the one (1 + nilpotent)^-1 series that scalar and matrix
-inverses share.
+`SparseRingElement` is the ring core that holds this form and every rule
+that reads it, for GrassmannScalar and for `sympoly`'s polynomials alike;
+a subclass supplies only its key shape.  `geometric_sum` is the one
+(1 + nilpotent)^-1 series that scalar and matrix inverses share.
 
 Matrix products run on the same numerators: `common_denominator` brings a
 matrix row or column over the lcm of its entries' denominators, rescaling
@@ -28,8 +30,7 @@ factor's entries average at least a quarter (q = 4), an eighth (q = 5..8) or
 a sixteenth (q = 9, 10) of the 2**q monomials, and the pair kernel
 everything else, scalar products included, whose operands are mostly a few
 terms.  Both kernels take their signs from `below_parity`, cached per
-monomial mask, so the cache holds at most 2**q entries.  `SparseRingElement`
-is the ring core GrassmannScalar shares with `sympoly.SuperPolynomial`.
+monomial mask, so the cache holds at most 2**q entries.
 """
 
 from __future__ import annotations
@@ -84,9 +85,9 @@ def merge_sign(a, b):
 
 
 def common_denominator(scalars):
-    """The lcm d of the scalars' denominators and their numerator dicts over d.
-
-    A scalar already over d gives its own `num`, which must not be mutated.
+    """The lcm d of the ring elements' denominators and their numerator dicts
+    over d.  An element already over d gives its own `num`, which must not be
+    mutated.
     """
     d = math.lcm(*[x.den for x in scalars])
     return d, [x.num if x.den == d else _times(x.num, d // x.den) for x in scalars]
@@ -173,13 +174,6 @@ def _norm(c):
     if type(c) is not int and c.denominator == 1:
         return c.numerator
     return c
-
-
-def prune_terms(terms, denominator=1):
-    """The nonzero terms divided by denominator, integral coefficients as ints."""
-    if denominator == 1:
-        return {m: _norm(c) for m, c in terms.items() if c != 0}
-    return {m: _ratio(c, denominator) for m, c in terms.items() if c != 0}
 
 
 def _ratio(n, d):
@@ -298,31 +292,72 @@ def indices_to_mask(indices, q):
 
 
 class SparseRingElement:
-    """An immutable mapping `terms` of nonzero exact coefficients by monomial key.
+    """The ring core: an immutable element stored as int numerators `num`
+    by monomial key over one int `den` > 0, in lowest terms, with `terms`
+    its read-only exact-value view (see the module docstring).
 
-    Subclasses supply `_coerce(other)`, `_sorted_terms()` and
-    `_monomial_text(key)`, and their own `__add__` and `__mul__`.  The
-    methods that read `terms` (`is_zero`, `__bool__`, `__neg__`, `_const`,
-    `_scale`, `_sum`, `__eq__`) serve a subclass that stores `terms`, which
-    also supplies `_like(terms)` (same shape, pruned terms), `_const_key()`
-    (the key of the constant monomial) and `_same_shape(other)`;
-    GrassmannScalar, stored as integer numerators, overrides each of them.
+    Every method here works on ints and leaves through `_reduced`, one gcd.
+    A subclass carries the shape: `_like(num, den)` (a new element of its
+    class and shape, with no checks), `_const_key()`, `_same_shape(other)`,
+    `_coerce(other)`, `_sorted_terms()` and `_monomial_text(key)`, and its
+    own `__add__` (through `_add`) and `__mul__`.
     """
 
-    __slots__ = ()
+    __slots__ = ("num", "den", "_terms")
     __hash__ = None
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
 
+    @property
+    def terms(self):
+        """The exact coefficients by key, integral ones as ints: a read-only
+        dict, built on first read and cached."""
+        try:
+            return self._terms
+        except AttributeError:
+            den = self.den
+            view = _TermsView(self.num if den == 1 else
+                              {k: _ratio(c, den) for k, c in self.num.items()})
+            _set_terms(self, view)
+            return view
+
+    def _reduced(self, num, den):
+        """num / den in lowest terms, shaped like self, for a dict num of
+        nonzero int numerators and an int den > 0: one gcd, and one division
+        when it is not 1.  num is not mutated."""
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                num = {k: c // g for k, c in num.items()}
+                den //= g
+        return self._like(num, den)
+
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self.terms.items()})
+        return self._like({k: -c for k, c in self.num.items()}, self.den)
+
+    def _add(self, other):
+        """self + other, or NotImplemented: the numerators over the lcm of the
+        two denominators, added in one dict and reduced once."""
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        den, b = self.den, other.den
+        if den == b:
+            num, b = dict(self.num), other.num
+        else:
+            den = math.lcm(den, b)
+            num, b = _times(self.num, den // self.den), _times(other.num, den // b)
+        for k, c in b.items():
+            v = num.get(k)
+            num[k] = c if v is None else v + c
+        return self._reduced({k: c for k, c in num.items() if c}, den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -339,23 +374,26 @@ class SparseRingElement:
     def _const(self, c):
         if not is_coeff(c):
             raise ValidationError("coefficient must be an int or Fraction: %r" % (c,))
-        c = _norm(c)
-        return self._like({self._const_key(): c} if c != 0 else {})
+        return self._like({self._const_key(): c.numerator} if c else {}, c.denominator)
 
     def _scale(self, c):
-        """The product with an exact coefficient c: each term times c's
-        numerator, then one division by its denominator."""
-        return self._like(prune_terms({k: v * c.numerator for k, v in self.terms.items()},
-                                      c.denominator))
+        """The product with an exact coefficient c: the numerators times c's
+        numerator over den times c's denominator, reduced once."""
+        if c == 0:
+            return self._like({}, 1)
+        p = c.numerator
+        return self._reduced({k: v * p for k, v in self.num.items()}, self.den * c.denominator)
 
     def _sum(self, items):
-        """The sum of a list of elements shaped like self, built in one term
-        dict and wrapped once like self."""
+        """The sum of a list of elements shaped like self: their numerators
+        over the lcm of their denominators, added in one dict and reduced once."""
+        den, nums = common_denominator(items)
         acc = {}
-        for x in items:
-            for k, c in x.terms.items():
-                acc[k] = acc.get(k, 0) + c
-        return self._like(prune_terms(acc))
+        for num in nums:
+            for k, c in num.items():
+                v = acc.get(k)
+                acc[k] = c if v is None else v + c
+        return self._reduced({k: c for k, c in acc.items() if c}, den)
 
     def __pow__(self, k):
         if not is_int(k) or k < 0:
@@ -369,24 +407,33 @@ class SparseRingElement:
 
     def __eq__(self, other):
         if type(other) is type(self):
-            return self._same_shape(other) and self.terms == other.terms
+            return self._same_shape(other) and self.den == other.den and self.num == other.num
         if is_coeff(other):  # a bool is not a coefficient: NotImplemented
-            return self.terms == ({self._const_key(): other} if other != 0 else {})
+            if other == 0:
+                return not self.num
+            return (self.den == other.denominator
+                    and self.num == {self._const_key(): other.numerator})
         return NotImplemented
 
     def __str__(self):
+        den = self.den
         parts = []
         for key, c in self._sorted_terms():
             body = self._monomial_text(key)
             if not body:
-                parts.append(str(c))
-            elif c == 1:
+                parts.append(ratio_text(c, den))
+            elif c == den:
                 parts.append(body)
-            elif c == -1:
+            elif c == -den:
                 parts.append("-" + body)
             else:
-                parts.append("%s*%s" % (c, body))
+                parts.append("%s*%s" % (ratio_text(c, den), body))
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+_new = object.__new__
+_set_num, _set_den, _set_terms = (SparseRingElement.__dict__[name].__set__
+                                  for name in SparseRingElement.__slots__)
 
 
 def _integer_form(terms):
@@ -397,14 +444,14 @@ def _integer_form(terms):
     if all(type(c) is int for c in terms.values()):
         return terms, 1
     den = math.lcm(*[c.denominator for c in terms.values()])
-    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
 
 
 class GrassmannScalar(SparseRingElement):
     """Immutable element of the Grassmann algebra on q generators, stored
     as `num` over `den` in lowest terms (see the module docstring)."""
 
-    __slots__ = ("q", "num", "den", "_terms")
+    __slots__ = ("q",)
 
     def __init__(self, q, terms=None):
         self._check_q(q)
@@ -423,25 +470,21 @@ class GrassmannScalar(SparseRingElement):
         _set_num(self, num)
         _set_den(self, den)
 
-    @property
-    def terms(self):
-        """The exact coefficients by mask, integral ones as ints: a read-only
-        dict, built on first read and cached."""
-        try:
-            return self._terms
-        except AttributeError:
-            den = self.den
-            view = _TermsView(self.num if den == 1 else
-                              {m: _ratio(c, den) for m, c in self.num.items()})
-            _set_terms(self, view)
-            return view
-
     @staticmethod
     def _check_q(q):
         if not is_int(q) or q < 0:
             raise ValidationError("generator count must be a non-negative integer")
         if q > _generator_cap:
             raise ValidationError("generator count %d exceeds the cap %d" % (q, _generator_cap))
+
+    def _like(self, num, den):
+        return _raw(self.q, num, den)
+
+    def _const_key(self):
+        return 0
+
+    def _same_shape(self, other):
+        return self.q == other.q
 
     # ------------------------------------------------------------------
     # constructors
@@ -476,23 +519,21 @@ class GrassmannScalar(SparseRingElement):
 
     def coefficient(self, mask):
         """The exact coefficient of monomial mask, an int when integral."""
-        c = self.num.get(mask, 0)
-        return c if self.den == 1 else _ratio(c, self.den)
+        return _ratio(self.num.get(mask, 0), self.den)
 
     def body(self):
         """Coefficient of the empty monomial; a ring homomorphism onto Q."""
         return self.coefficient(0)
 
     def soul(self):
-        return from_numerators(self.q, {m: c for m, c in self.num.items() if m}, self.den)
+        return self._reduced({m: c for m, c in self.num.items() if m}, self.den)
 
     def even_part(self):
-        return from_numerators(self.q, {m: c for m, c in self.num.items()
-                                        if not m.bit_count() & 1}, self.den)
+        return self._reduced({m: c for m, c in self.num.items() if not m.bit_count() & 1},
+                             self.den)
 
     def odd_part(self):
-        return from_numerators(self.q, {m: c for m, c in self.num.items()
-                                        if m.bit_count() & 1}, self.den)
+        return self._reduced({m: c for m, c in self.num.items() if m.bit_count() & 1}, self.den)
 
     def parity_split(self):
         return self.even_part(), self.odd_part()
@@ -523,63 +564,8 @@ class GrassmannScalar(SparseRingElement):
             return self._const(other)
         return None
 
-    def _const(self, c):
-        if not is_coeff(c):
-            raise ValidationError("coefficient must be an int or Fraction: %r" % (c,))
-        return _raw(self.q, {0: c.numerator} if c else {}, c.denominator)
-
-    def is_zero(self):
-        return not self.num
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        if type(other) is type(self):
-            return self.q == other.q and self.den == other.den and self.num == other.num
-        if is_coeff(other):  # a bool is not a coefficient: NotImplemented
-            if other == 0:
-                return not self.num
-            return self.den == other.denominator and self.num == {0: other.numerator}
-        return NotImplemented
-
-    def __neg__(self):
-        return _raw(self.q, {m: -c for m, c in self.num.items()}, self.den)
-
-    def _scale(self, c):
-        """The product with an exact coefficient c: the numerators times c's
-        numerator over den times c's denominator, reduced once."""
-        if c == 0:
-            return _raw(self.q, {})
-        p = c.numerator
-        return from_numerators(self.q, {m: v * p for m, v in self.num.items()},
-                               self.den * c.denominator)
-
-    def _sum(self, items):
-        """The sum of a list of scalars over self's q: their numerators over
-        the lcm of their denominators, added in one dict and reduced once."""
-        den, nums = common_denominator(items)
-        acc = {}
-        for num in nums:
-            for m, c in num.items():
-                v = acc.get(m)
-                acc[m] = c if v is None else v + c
-        return from_numerators(self.q, {m: c for m, c in acc.items() if c}, den)
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        den, b = self.den, other.den
-        if den == b:
-            num, b = dict(self.num), other.num
-        else:
-            den = math.lcm(den, b)
-            num, b = _times(self.num, den // self.den), _times(other.num, den // b)
-        for m, c in b.items():
-            v = num.get(m)
-            num[m] = c if v is None else v + c
-        return from_numerators(self.q, {m: c for m, c in num.items() if c}, den)
+        return self._add(other)
 
     __radd__ = __add__
 
@@ -591,8 +577,7 @@ class GrassmannScalar(SparseRingElement):
             return NotImplemented
         acc = {}
         mul_terms_into(acc, self.num, other.num)
-        return from_numerators(self.q, {m: c for m, c in acc.items() if c},
-                               self.den * other.den)
+        return self._reduced({m: c for m, c in acc.items() if c}, self.den * other.den)
 
     __rmul__ = __mul__  # only a non-scalar left operand reaches it
 
@@ -622,7 +607,7 @@ class GrassmannScalar(SparseRingElement):
     # io
 
     def _sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: mask_order(kv[0]))
+        return sorted(self.num.items(), key=lambda kv: mask_order(kv[0]))
 
     def _monomial_text(self, m):
         return "".join("e%d" % i for i in mask_to_indices(m))
@@ -664,9 +649,7 @@ class GrassmannScalar(SparseRingElement):
         return _raw(q, *_integer_form(terms))
 
 
-_new = object.__new__
-_set_q, _set_num, _set_den, _set_terms = (GrassmannScalar.__dict__[name].__set__
-                                          for name in GrassmannScalar.__slots__)
+_set_q = GrassmannScalar.__dict__["q"].__set__
 
 
 def _raw(q, num, den=1):
@@ -676,14 +659,3 @@ def _raw(q, num, den=1):
     _set_num(x, num)
     _set_den(x, den)
     return x
-
-
-def from_numerators(q, num, den):
-    """The scalar num / den in lowest terms, for a dict num of nonzero int
-    numerators and an int den > 0: one gcd, and one division when it is not 1."""
-    if den != 1:
-        g = math.gcd(den, *num.values())
-        if g != 1:
-            num = {m: c // g for m, c in num.items()}
-            den //= g
-    return _raw(q, num, den)

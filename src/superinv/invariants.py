@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
     ZeroDiscriminant,
 )
-from .grassmann import GrassmannScalar, is_int, prune_terms
+from .grassmann import GrassmannScalar, _integer_form, is_int
 from .reduction import _eligible_spectrum, _relevant_body, diagonalize, reduce_odd
 from .supermatrix import Queer, SuperMatrix, seeded_rng
 from .sympoly import (
@@ -223,7 +223,8 @@ def _balance_kernels(n):
 
 def _kernel_combinations(rng, rows, count, n):
     """Up to count nonzero random integer combinations of kernel rows, each a
-    tuple of (key, weight) pairs, summed in one term dict per combination."""
+    tuple of (key, weight) pairs, summed in one term dict per combination
+    and brought to the integer form once."""
     out = []
     for _ in range(count):
         terms = {}
@@ -233,7 +234,7 @@ def _kernel_combinations(rng, rows, count, n):
                 continue
             for key, weight in row:
                 terms[key] = terms.get(key, 0) + weight * c
-        combo = TTauExpression._of(n, n, prune_terms(terms))
+        combo = TTauExpression._of(n, n, *_integer_form({k: c for k, c in terms.items() if c}))
         if not combo.is_zero():
             out.append(combo)
     return out

@@ -30,7 +30,6 @@ from .grassmann import (
     GrassmannScalar,
     common_denominator,
     disjoint_table,
-    from_numerators,
     geometric_sum,
     is_int,
     mul_table_into,
@@ -317,6 +316,7 @@ class SuperMatrix:
         else:
             kernel = mul_terms_into
         cells = zip(rows, cols) if diagonal else ((row, col) for row in rows for col in cols)
+        reduced = GrassmannScalar.zero(gq)._reduced
         out = []
         for (d_row, row), (d_col, col) in cells:
             acc = [0] * size if dense else {}
@@ -324,7 +324,7 @@ class SuperMatrix:
                 if x and y:
                     kernel(acc, x, y)
             num = {m: c for m, c in (enumerate(acc) if dense else acc.items()) if c}
-            out.append(from_numerators(gq, num, d_row * d_col))
+            out.append(reduced(num, d_row * d_col))
         if diagonal:
             return out
         dim = self.dim

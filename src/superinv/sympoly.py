@@ -7,7 +7,11 @@ increasing index order, so the stored coefficient absorbs the reordering
 sign.  TTauExpression is a SuperPolynomial whose keys range over formal
 symbols u_1..u_K (even) and x_1..x_K (odd) standing for the symmetric kernels
 the algebra rewrites into: the one ring implementation serves both, and
-`expand` maps an expression onto the polynomial it names.  Those kernels
+`expand` maps an expression onto the polynomial it names.  Both are stored
+in the ring core's integer form (`grassmann.SparseRingElement`), int
+numerators over one denominator, so their ring operations run on ints and
+leave through one gcd; the tables' fractions, Newton's 1/j and the orbit
+weights 1/prod r!, enter as denominators.  Those kernels
 (t_k, tau_k and s_j) are pure functions of two small ints, so each is built
 once and then served from a module-level table; t_k and tau_k are written
 from their definitions as term dicts, with no ring arithmetic.
@@ -39,15 +43,19 @@ from .errors import InternalError, NotInvariant, NotSymmetric, ValidationError
 from .grassmann import (
     GrassmannScalar,
     SparseRingElement,
-    _norm,
-    coeff_text,
+    _integer_form,
+    _new,
+    _ratio,
+    _set_den,
+    _set_num,
+    common_denominator,
     indices_to_mask,
     is_coeff,
     is_int,
     mask_to_indices,
     merge_sign,
     parse_coeff,
-    prune_terms,
+    ratio_text,
 )
 
 
@@ -65,12 +73,15 @@ class SuperPolynomial(SparseRingElement):
     """Sparse exact polynomial with n even and n odd variables.
 
     Keys range over `width` even and `width` odd variables; here the width is
-    n, and a subclass may widen it.  Every result is built through `_like`,
-    so it keeps the class and shape of its left operand; the ring operations
-    other than `+` and `*` come from `grassmann.SparseRingElement`.
+    n, and a subclass may widen it.  A polynomial is stored as the ring
+    core's integer form, `num` over `den` in lowest terms, with `terms` its
+    read-only exact-value view.  Every result is built through `_like`, so
+    it keeps the class and shape of its left operand; the ring operations
+    other than `*` and the rule of `+` come from
+    `grassmann.SparseRingElement`.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
     _letters = ("a", "b")
 
     def __init__(self, n, terms=None):
@@ -90,21 +101,23 @@ class SuperPolynomial(SparseRingElement):
                     raise ValidationError("coefficient must be an int or Fraction: %r" % (c,))
                 if c != 0:
                     key = (exps, mask)
-                    clean[key] = _norm(clean.get(key, 0) + c)
-                    if clean[key] == 0:
-                        del clean[key]
-        object.__setattr__(self, "terms", clean)
+                    clean[key] = clean.get(key, 0) + c
+        num, den = _integer_form({k: c for k, c in clean.items() if c})
+        _set_num(self, num)
+        _set_den(self, den)
 
     @property
     def width(self):
         """How many even (and odd) variables the monomial keys range over."""
         return self.n
 
-    def _like(self, terms):
-        """A polynomial of this class and shape with already-pruned terms."""
-        new = object.__new__(type(self))
-        object.__setattr__(new, "n", self.n)
-        object.__setattr__(new, "terms", terms)
+    def _like(self, num, den):
+        """A polynomial of this class and shape holding num / den, already in
+        lowest terms."""
+        new = _new(type(self))
+        _set_n(new, self.n)
+        _set_num(new, num)
+        _set_den(new, den)
         return new
 
     def _const_key(self):
@@ -133,12 +146,12 @@ class SuperPolynomial(SparseRingElement):
     @classmethod
     def even_var(cls, n, i):
         cls._check_index(i, n, "even variable")
-        return cls.zero(n)._like({(_exponents(n, i - 1, 1), 0): 1})
+        return cls.zero(n)._like({(_exponents(n, i - 1, 1), 0): 1}, 1)
 
     @classmethod
     def odd_var(cls, n, i):
         cls._check_index(i, n, "odd variable")
-        return cls.zero(n)._like({((0,) * n, 1 << (i - 1)): 1})
+        return cls.zero(n)._like({((0,) * n, 1 << (i - 1)): 1}, 1)
 
     # ------------------------------------------------------------------
     # ring structure
@@ -158,14 +171,7 @@ class SuperPolynomial(SparseRingElement):
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            v = terms.get(k)
-            terms[k] = c if v is None else v + c
-        return self._like(prune_terms(terms))
+        return self._add(other)
 
     __radd__ = __add__
 
@@ -176,8 +182,8 @@ class SuperPolynomial(SparseRingElement):
         if other is None:
             return NotImplemented
         acc = {}
-        for (e1, m1), c1 in self.terms.items():
-            for (e2, m2), c2 in other.terms.items():
+        for (e1, m1), c1 in self.num.items():
+            for (e2, m2), c2 in other.num.items():
                 if m1 & m2:
                     continue
                 c = c1 * c2
@@ -186,7 +192,7 @@ class SuperPolynomial(SparseRingElement):
                 key = (tuple(map(add, e1, e2)), m1 | m2)
                 v = acc.get(key)
                 acc[key] = c if v is None else v + c
-        return self._like(prune_terms(acc))
+        return self._reduced({k: c for k, c in acc.items() if c}, self.den * other.den)
 
     __rmul__ = __mul__  # only a non-polynomial left operand reaches it
 
@@ -194,52 +200,52 @@ class SuperPolynomial(SparseRingElement):
     # structure
 
     def constant_term(self):
-        return self.terms.get(self._const_key(), 0)
+        return _ratio(self.num.get(self._const_key(), 0), self.den)
 
     def even_part(self):
-        return self._like({k: c for k, c in self.terms.items() if not k[1].bit_count() & 1})
+        return self._reduced({k: c for k, c in self.num.items() if not k[1].bit_count() & 1},
+                             self.den)
 
     def odd_part(self):
-        return self._like({k: c for k, c in self.terms.items() if k[1].bit_count() & 1})
+        return self._reduced({k: c for k, c in self.num.items() if k[1].bit_count() & 1}, self.den)
 
     def is_even_polynomial(self):
         """True when no odd variable appears at all."""
-        return all(mask == 0 for _, mask in self.terms)
+        return all(mask == 0 for _, mask in self.num)
 
     def degrees(self):
-        return sorted({sum(e) + m.bit_count() for e, m in self.terms})
+        return sorted({sum(e) + m.bit_count() for e, m in self.num})
 
     def coefficient_of_odd(self, mask):
         """The even-variable polynomial multiplying the given odd monomial."""
-        return self._like({(e, 0): c for (e, m), c in self.terms.items() if m == mask})
+        return self._reduced({(e, 0): c for (e, m), c in self.num.items() if m == mask}, self.den)
 
     def derivative(self, i):
         """Partial derivative in the i-th even variable (1-based)."""
         self._check_index(i, self.width, "even variable")
         out = {}
         idx = i - 1
-        for (exps, mask), c in self.terms.items():
+        for (exps, mask), c in self.num.items():
             e = exps[idx]
             if e == 0:
                 continue
             new = list(exps)
             new[idx] = e - 1
-            key = (tuple(new), mask)
-            out[key] = out.get(key, 0) + c * e
-        return self._like(prune_terms(out))
+            out[(tuple(new), mask)] = c * e  # the keys stay distinct
+        return self._reduced(out, self.den)
 
     def odd_multiply(self, i):
         """Left multiplication by the i-th odd variable."""
         self._check_index(i, self.width, "odd variable")
         bit = 1 << (i - 1)
         out = {}
-        for (exps, mask), c in self.terms.items():
+        for (exps, mask), c in self.num.items():
             if mask & bit:
                 continue
             if merge_sign(bit, mask) < 0:
                 c = -c
             out[(exps, mask | bit)] = c
-        return self._like(prune_terms(out))
+        return self._reduced(out, self.den)
 
     def permute(self, perm):
         """Apply a permutation of variable indices (0-based image list)."""
@@ -247,14 +253,13 @@ class SuperPolynomial(SparseRingElement):
         if not all(map(is_int, perm)) or sorted(perm) != list(range(width)):
             raise ValidationError("perm must be a permutation of 0..n-1")
         out = {}
-        for (exps, mask), c in self.terms.items():
+        for (exps, mask), c in self.num.items():
             new_exps = [0] * width
             for i, e in enumerate(exps):
                 new_exps[perm[i]] = e
             sign, new_mask = _sort_sign(perm[i - 1] for i in mask_to_indices(mask))
-            key = (tuple(new_exps), new_mask)
-            out[key] = out.get(key, 0) + (c if sign > 0 else -c)
-        return self._like(prune_terms(out))
+            out[(tuple(new_exps), new_mask)] = c if sign > 0 else -c  # a bijection of keys
+        return self._like(out, self.den)
 
     def is_symmetric(self):
         """Check invariance under all adjacent transpositions, by key lookup.
@@ -273,9 +278,10 @@ class SuperPolynomial(SparseRingElement):
         permuted copy: the image of a key swaps exponents i and i+1 and moves
         a lone odd index to its neighbour, or, when both odd indices are set,
         keeps the mask and negates (b_(i+1) b_i = -b_i b_(i+1)).  The
-        coefficient stored at the image must be sign times the term's.
+        numerator stored at the image must be sign times the term's, both
+        being over `den`.
         """
-        terms = self.terms
+        terms = self.num
         for i in range(self.width - 1):
             pair = 3 << i
             for (exps, mask), c in terms.items():
@@ -302,23 +308,24 @@ class SuperPolynomial(SparseRingElement):
         """Substitute even(i) for a_(i+1) and odd(i) for b_(i+1), i 0-based, in
         the ring whose zero is given.  A term is the product of its factors
         from the first on, each even value repeated by its exponent and the odd
-        values in index order, scaled by its coefficient once; the terms'
-        products are summed by the ring's `_sum`."""
+        values in index order, scaled by its numerator once; the terms'
+        products are summed by the ring's `_sum` and divided by `den` once."""
         products = []
-        for (exps, mask), c in self.terms.items():
+        for (exps, mask), c in self.num.items():
             factors = []
             for i, e in enumerate(exps):
                 if e:
                     factors += [even(i)] * e
             factors += [odd(i - 1) for i in mask_to_indices(mask)]
             products.append(reduce(mul, factors)._scale(c) if factors else zero._const(c))
-        return zero._sum(products)
+        total = zero._sum(products)
+        return total if self.den == 1 else total._reduced(total.num, total.den * self.den)
 
     # ------------------------------------------------------------------
     # io
 
     def _sorted_terms(self):
-        return sorted(self.terms.items())
+        return sorted(self.num.items())
 
     def _monomial_text(self, key):
         even, odd = self._letters
@@ -330,8 +337,9 @@ class SuperPolynomial(SparseRingElement):
         return "SuperPolynomial(n=%d, %s)" % (self.n, self)
 
     def _terms_obj(self):
+        den = self.den
         return [
-            {"even": list(e), "odd": mask_to_indices(m), "coeff": coeff_text(c)}
+            {"even": list(e), "odd": mask_to_indices(m), "coeff": ratio_text(c, den)}
             for (e, m), c in self._sorted_terms()
         ]
 
@@ -469,17 +477,18 @@ class TTauExpression(SuperPolynomial):
     def width(self):
         return self.symbol_range
 
-    def _like(self, terms):
-        return self._of(self.n, self.symbol_range, terms)
+    def _like(self, num, den):
+        return self._of(self.n, self.symbol_range, num, den)
 
     @classmethod
-    def _of(cls, n, symbol_range, terms):
-        """The expression over (n, symbol_range) with these already-pruned
+    def _of(cls, n, symbol_range, num, den=1):
+        """The expression num / den over (n, symbol_range), already in lowest
         terms, built with no check: the caller's shape and keys are valid."""
-        new = object.__new__(cls)
-        object.__setattr__(new, "n", n)
-        object.__setattr__(new, "symbol_range", symbol_range)
-        object.__setattr__(new, "terms", terms)
+        new = _new(cls)
+        _set_n(new, n)
+        _set_symbol_range(new, symbol_range)
+        _set_num(new, num)
+        _set_den(new, den)
         return new
 
     def _same_shape(self, other):
@@ -496,12 +505,12 @@ class TTauExpression(SuperPolynomial):
     @classmethod
     def even_symbol(cls, n, symbol_range, k):
         cls._check_index(k, symbol_range, "even symbol")
-        return cls.zero(n, symbol_range)._like({(_exponents(symbol_range, k - 1, 1), 0): 1})
+        return cls.zero(n, symbol_range)._like({(_exponents(symbol_range, k - 1, 1), 0): 1}, 1)
 
     @classmethod
     def odd_symbol(cls, n, symbol_range, k):
         cls._check_index(k, symbol_range, "odd symbol")
-        return cls.zero(n, symbol_range)._like({((0,) * symbol_range, 1 << (k - 1)): 1})
+        return cls.zero(n, symbol_range)._like({((0,) * symbol_range, 1 << (k - 1)): 1}, 1)
 
     @classmethod
     def monomial(cls, n, symbol_range, exps, mask, coeff=1):
@@ -545,26 +554,29 @@ class TTauExpression(SuperPolynomial):
         E_m is an odd derivation that kills every odd moment, so the image of
         a term is the sum over its even symbols u_k of E_m(u_k) times the
         term's derivative in u_k, with E_m(u_k) on the left.  The images
-        E_m(u_k) come from a table keyed on (n, m, k) per basis, and every
-        product is summed into one term dict.
+        E_m(u_k) come from a table keyed on (n, m, k) per basis, brought over
+        one denominator, and every product is summed into one numerator dict.
         """
         _even, _odd, image = _basis_tables(even_basis)
         n = self.n
         if not is_int(m) or not 0 <= m < n:
             raise ValidationError("m must be an integer in 0..%d" % (n - 1))
+        pullback = self.in_symbols_of_n(even_basis)
+        den, images = common_denominator([image(n, m, k) for k in range(1, n + 1)])
         acc = {}
-        for (exps, mask), c in self.in_symbols_of_n(even_basis).terms.items():
+        for (exps, mask), c in pullback.num.items():
             for k, e in enumerate(exps):
                 if not e:
                     continue
                 rest = exps[:k] + (e - 1,) + exps[k + 1:]
-                for (ie, im), ic in image(n, m, k + 1).terms.items():
+                for (ie, im), ic in images[k].items():
                     if im & mask:
                         continue
                     v = c * e * ic
                     key = (tuple(map(add, rest, ie)), im | mask)
                     acc[key] = acc.get(key, 0) + (v if merge_sign(im, mask) > 0 else -v)
-        return TTauExpression._of(n, n, prune_terms(acc))
+        return TTauExpression._of(n, n, {})._reduced({k: c for k, c in acc.items() if c},
+                                                      pullback.den * den)
 
     def evaluate(self, even_vals, odd_vals):
         """Exact evaluation at Grassmann scalar symbol values.
@@ -574,8 +586,8 @@ class TTauExpression(SuperPolynomial):
         constant evaluates over q = 0.
         """
         if len(even_vals) < self.symbol_range or len(odd_vals) < self.symbol_range:
-            used_e = max([k + 1 for (e, m) in self.terms for k, x in enumerate(e) if x] or [0])
-            used_o = max([k for (e, m) in self.terms for k in mask_to_indices(m)] or [0])
+            used_e = max([k + 1 for (e, m) in self.num for k, x in enumerate(e) if x] or [0])
+            used_o = max([k for (e, m) in self.num for k in mask_to_indices(m)] or [0])
             if len(even_vals) < used_e or len(odd_vals) < used_o:
                 raise ValidationError(
                     "need %d even and %d odd symbol values" % (used_e, used_o)
@@ -599,6 +611,10 @@ class TTauExpression(SuperPolynomial):
         if not is_int(n) or n < 0 or not is_int(sr) or sr < 0:
             raise ValidationError("'n' and 'symbol_range' must be non-negative integers")
         return cls(n, sr, cls._terms_from_obj(obj["terms"], sr))
+
+
+_set_n = SuperPolynomial.__dict__["n"].__set__
+_set_symbol_range = TTauExpression.__dict__["symbol_range"].__set__
 
 
 class BalancedExpression:
@@ -725,12 +741,12 @@ def invariant_decomposition(f):
     for s in range(1, n + 1):
         mask = (1 << s) - 1
         g = f.coefficient_of_odd(mask)
-        comp_terms = {}
-        for (exps, _zero), c in g.terms.items():
+        comp_num = {}
+        for (exps, _zero), c in g.num.items():
             if any(exps[i] for i in range(s, n)):
                 raise InternalError("component depends on excluded variables")
-            comp_terms[(exps[:s], 0)] = c
-        comp = SuperPolynomial(s, comp_terms)
+            comp_num[(exps[:s], 0)] = c
+        comp = SuperPolynomial.zero(s)._like(comp_num, g.den)
         if comp._swap_witness(-1) is not None:
             raise InternalError("component is not skew-symmetric")
         components.append(comp)
@@ -865,21 +881,23 @@ def _s_symbol(n, j):
     acc = _t_symbol(n, j)
     for i in range(1, j):
         acc = acc - _s_symbol(n, j - i) * _t_symbol(n, i)
-    return acc._scale(Fraction(1, j))
+    return acc._reduced(acc.num, acc.den * j)
 
 
 @cache
 def _tau_s_symbol(n, k):
     """tau_k in the symbols of n variables with u_j for s_j: x_k for k <= n,
-    else sum_j tau_(k-j) s_j, in one term dict."""
+    else sum_j tau_(k-j) s_j, in one numerator dict."""
     if k <= n:
         return TTauExpression.odd_symbol(n, n, k)
+    den, nums = common_denominator([_tau_s_symbol(n, k - j) for j in range(1, n + 1)])
     acc = {}
-    for j in range(1, n + 1):
-        for (exps, mask), c in _tau_s_symbol(n, k - j).terms.items():
-            key = (tuple(map(add, exps, _exponents(n, j - 1, 1))), mask)
+    for j, num in enumerate(nums):
+        shift = _exponents(n, j, 1)
+        for (exps, mask), c in num.items():
+            key = (tuple(map(add, exps, shift)), mask)
             acc[key] = acc.get(key, 0) + c
-    return TTauExpression(n, n, acc)
+    return TTauExpression._of(n, n, {})._reduced({k: c for k, c in acc.items() if c}, den)
 
 
 def _u_s_symbol(n, j):
@@ -898,15 +916,16 @@ def _derivation_s(n, m, j):
     """E_m(s_j) = (-1)^(j-1) sum_r (-1)^r e_(j-1-r) tau_(m+r+1) in the symbols of
     n variables, with e_0 = 1 and e_i = (-1)^(i-1) s_i, in one term dict: the
     derivative of e_j in a_i is sum_r (-1)^r e_(j-1-r) a_i^r (Macdonald I.2)."""
+    den, nums = common_denominator([_tau_s_symbol(n, m + r + 1) for r in range(j)])
     acc = {}
-    for r in range(j):
+    for r, num in enumerate(nums):
         i = j - 1 - r  # the factor e_i: 1, or (-1)^(i-1) u_i
         sign = (-1) ** (j - 1 + r) * ((-1) ** (i - 1) if i else 1)
         shift = _exponents(n, i - 1, 1) if i else (0,) * n
-        for (exps, mask), c in _tau_s_symbol(n, m + r + 1).terms.items():
+        for (exps, mask), c in num.items():
             key = (tuple(map(add, exps, shift)), mask)
             acc[key] = acc.get(key, 0) + sign * c
-    return TTauExpression(n, n, acc)
+    return TTauExpression._of(n, n, {})._reduced({k: c for k, c in acc.items() if c}, den)
 
 
 def _basis_tables(even_basis):
@@ -930,7 +949,8 @@ def _balance_conditions(num, den, even_basis):
     if den == 1:
         yield from (num.derivation(m, even_basis) for m in range(num.n))
         return
-    num_bar = num._like({k: -c if k[1].bit_count() & 1 else c for k, c in num.terms.items()})
+    num_bar = num._like({k: -c if k[1].bit_count() & 1 else c for k, c in num.num.items()},
+                        num.den)
     for m in range(num.n):
         yield num.derivation(m, even_basis) * den - num_bar * den.derivation(m, even_basis)
 
@@ -969,17 +989,19 @@ def rewrite_symmetric(f):
         raise NotSymmetric("polynomial is not symmetric", transposition=witness)
     n = f.n
     orbits = {}
-    for (exps, mask), c in f.terms.items():
+    for (exps, mask), c in f.num.items():
         odd = sorted((exps[i - 1], i) for i in mask_to_indices(mask))
         key = (tuple(e for e, _i in odd),
                tuple(sorted(e for i, e in enumerate(exps) if e and not mask >> i & 1)))
         if key not in orbits:
             orbits[key] = c if _sort_sign([i for _e, i in odd])[0] > 0 else -c
     symbol_range = max([n] + f.degrees())
+    # the orbit weights 1/prod r! over top = (most even parts)!, which each divides
+    top = factorial(max([len(even) for _odd, even in orbits] or [0]))
     formal = {}
     for (odd, even), c in orbits.items():
         parts = odd + even
-        c = Fraction(c, prod(map(factorial, Counter(even).values())))
+        c *= top // prod(map(factorial, Counter(even).values()))
         for blocks, mu in _set_partitions(len(parts)):
             exps = [0] * symbol_range  # of t_1..t_K
             seq = []  # the 0-based tau indices of the odd blocks, in order
@@ -997,8 +1019,10 @@ def rewrite_symmetric(f):
                     key = (tuple(exps), mask)
                     formal[key] = formal.get(key, 0) + sign * mu * c
     # the formal expression names t_k and tau_k up to the top degree K
-    return TTauExpression._of(n, symbol_range, prune_terms(formal))._substitute(
-        TTauExpression._of(n, n, {}), lambda i: _t_symbol(n, i + 1), lambda i: _tau_symbol(n, i + 1))
+    formal = TTauExpression._of(n, symbol_range, {})._reduced(
+        {k: c for k, c in formal.items() if c}, f.den * top)
+    return formal._substitute(TTauExpression._of(n, n, {}), lambda i: _t_symbol(n, i + 1),
+                              lambda i: _tau_symbol(n, i + 1))
 
 
 def is_balanced(h):
@@ -1018,7 +1042,7 @@ def is_balanced(h):
     if not isinstance(h, TTauExpression):
         raise ValidationError("is_balanced needs a TTauExpression")
     n = h.n
-    if any(any(exps[n:]) for exps, _mask in h.terms):
+    if any(any(exps[n:]) for exps, _mask in h.num):
         raise ValidationError("even symbols beyond u_%d may not appear" % n)
     return _balance_verdict(h.in_symbols_of_n("t"), 1, "t")
 
