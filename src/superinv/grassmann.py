@@ -221,17 +221,9 @@ def parse_coeff(text):
         raise ValidationError("coefficient has too many digits (%d characters)" % len(text)) from exc
 
 
-def coeff_text(c):
-    """The exact string form of a coefficient, the inverse of parse_coeff."""
-    try:
-        return str(c)
-    except ValueError as exc:  # beyond the interpreter's integer string-conversion limit
-        raise ValidationError("result coefficient has too many digits to write out") from exc
-
-
 def ratio_text(n, d):
-    """`coeff_text(Fraction(n, d))` for ints n and d > 0, with no Fraction:
-    one gcd against d when d is not 1."""
+    """The exact string form of n / d for ints n and d > 0, the inverse of
+    parse_coeff, with no Fraction: one gcd against d when d is not 1."""
     if d != 1:
         g = math.gcd(n, d)
         if g != 1:

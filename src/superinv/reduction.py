@@ -39,7 +39,7 @@ from .errors import (
     ValidationError,
     ZeroEigenvalue,
 )
-from .grassmann import GrassmannScalar, coeff_text, geometric_sum, is_coeff, is_int, parse_coeff
+from .grassmann import GrassmannScalar, geometric_sum, is_coeff, is_int, parse_coeff, ratio_text
 from .supermatrix import _PARITIES, EVEN, ODD, GroupElement, Queer, Standard, SuperMatrix, to_plain
 
 
@@ -180,7 +180,8 @@ class SpectralDecomposition:
             "parity": self.parity,
             "partition": self.partition,
             "blocks": [
-                {"eigenvalue": None if lam is None else coeff_text(lam), "block": block}
+                {"eigenvalue": None if lam is None else ratio_text(lam.numerator, lam.denominator),
+                 "block": block}
                 for lam, block in self.blocks
             ],
         }

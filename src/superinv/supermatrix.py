@@ -380,16 +380,11 @@ class SuperMatrix:
             raise ShapeMismatch("supertrace needs a standard-shaped matrix")
         if self.parity == ANY:
             raise UnconstrainedParity("supertrace needs a declared even or odd parity class")
-        p = self.shape.p
-        acc = GrassmannScalar.zero(self.gq)
-        for i in range(p):
-            acc = acc + self.rows[i][i]
-        for i in range(p, self.dim):
-            if self.parity == EVEN:
-                acc = acc - self.rows[i][i]
-            else:
-                acc = acc + self.rows[i][i]
-        return acc
+        diagonal = [self.rows[i][i] for i in range(self.dim)]
+        if self.parity == EVEN:
+            p = self.shape.p
+            diagonal[p:] = [-x for x in diagonal[p:]]
+        return GrassmannScalar.zero(self.gq)._sum(diagonal)
 
     def qtr(self):
         """Trace of the odd part, which is tau_1; linear and odd-valued."""
@@ -408,7 +403,7 @@ class SuperMatrix:
         if not isinstance(self.shape, Queer):
             raise ShapeMismatch("qet needs a queer-shaped matrix")
         a0, a1 = self.queer_split()
-        return sum((a0.invert() @ a1).tau_values(self.gq), GrassmannScalar.zero(self.gq))
+        return GrassmannScalar.zero(self.gq)._sum((a0.invert() @ a1).tau_values(self.gq))
 
     def tau(self, k):
         """k-th odd invariant: qtr(A^k)/k on queer matrices, and

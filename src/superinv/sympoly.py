@@ -859,45 +859,39 @@ def _set_partitions(size):
                  for blocks in partitions)
 
 
+def _moment(n, k, symbol, table, s):
+    """The moment recurrence behind the t_k and tau_k tables of both bases:
+    symbol(n, n, k), that is u_k or x_k, for k <= n, else the moments below k
+    times s_1..s_n, sum_j table(n, k - j) s(n, j), in one sum."""
+    if k <= n:
+        return symbol(n, n, k)
+    return TTauExpression._of(n, n, {})._sum([table(n, k - j) * s(n, j) for j in range(1, n + 1)])
+
+
 @cache
 def _t_symbol(n, k):
-    """t_k in the symbols of n variables: u_k for k <= n, else sum_j s_j t_(k-j)."""
-    if k <= n:
-        return TTauExpression.even_symbol(n, n, k)
-    return reduce(add, [_s_symbol(n, j) * _t_symbol(n, k - j) for j in range(1, n + 1)])
+    """t_k in the symbols of n variables: u_k for k <= n, else sum_j t_(k-j) s_j."""
+    return _moment(n, k, TTauExpression.even_symbol, _t_symbol, _s_symbol)
 
 
 @cache
 def _tau_symbol(n, k):
     """tau_k in the symbols of n variables: x_k for k <= n, else sum_j tau_(k-j) s_j."""
-    if k <= n:
-        return TTauExpression.odd_symbol(n, n, k)
-    return reduce(add, [_tau_symbol(n, k - j) * _s_symbol(n, j) for j in range(1, n + 1)])
+    return _moment(n, k, TTauExpression.odd_symbol, _tau_symbol, _s_symbol)
 
 
 @cache
 def _s_symbol(n, j):
     """s_j in u_1..u_j, j <= n, by Newton's identity j s_j = t_j - sum_(i<j) s_(j-i) t_i."""
-    acc = _t_symbol(n, j)
-    for i in range(1, j):
-        acc = acc - _s_symbol(n, j - i) * _t_symbol(n, i)
-    return acc._reduced(acc.num, acc.den * j)
+    terms = [_t_symbol(n, j)] + [-(_s_symbol(n, j - i) * _t_symbol(n, i)) for i in range(1, j)]
+    return TTauExpression._of(n, n, {})._sum(terms)._scale(Fraction(1, j))
 
 
 @cache
 def _tau_s_symbol(n, k):
     """tau_k in the symbols of n variables with u_j for s_j: x_k for k <= n,
-    else sum_j tau_(k-j) s_j, in one numerator dict."""
-    if k <= n:
-        return TTauExpression.odd_symbol(n, n, k)
-    den, nums = common_denominator([_tau_s_symbol(n, k - j) for j in range(1, n + 1)])
-    acc = {}
-    for j, num in enumerate(nums):
-        shift = _exponents(n, j, 1)
-        for (exps, mask), c in num.items():
-            key = (tuple(map(add, exps, shift)), mask)
-            acc[key] = acc.get(key, 0) + c
-    return TTauExpression._of(n, n, {})._reduced({k: c for k, c in acc.items() if c}, den)
+    else sum_j tau_(k-j) s_j."""
+    return _moment(n, k, TTauExpression.odd_symbol, _tau_s_symbol, _u_s_symbol)
 
 
 def _u_s_symbol(n, j):
@@ -913,19 +907,12 @@ def _derivation_t(n, m, k):
 
 @cache
 def _derivation_s(n, m, j):
-    """E_m(s_j) = (-1)^(j-1) sum_r (-1)^r e_(j-1-r) tau_(m+r+1) in the symbols of
-    n variables, with e_0 = 1 and e_i = (-1)^(i-1) s_i, in one term dict: the
-    derivative of e_j in a_i is sum_r (-1)^r e_(j-1-r) a_i^r (Macdonald I.2)."""
-    den, nums = common_denominator([_tau_s_symbol(n, m + r + 1) for r in range(j)])
-    acc = {}
-    for r, num in enumerate(nums):
-        i = j - 1 - r  # the factor e_i: 1, or (-1)^(i-1) u_i
-        sign = (-1) ** (j - 1 + r) * ((-1) ** (i - 1) if i else 1)
-        shift = _exponents(n, i - 1, 1) if i else (0,) * n
-        for (exps, mask), c in num.items():
-            key = (tuple(map(add, exps, shift)), mask)
-            acc[key] = acc.get(key, 0) + sign * c
-    return TTauExpression._of(n, n, {})._reduced({k: c for k, c in acc.items() if c}, den)
+    """E_m(s_j) = sum_r (-1)^(j-1+r) tau_(m+r+1) e_(j-1-r), r = 0..j-1, in the
+    symbols of n variables with u_i for s_i, so e_0 = 1 and e_i = (-1)^(i-1) u_i:
+    the derivative of e_j in a_i is sum_r (-1)^r e_(j-1-r) a_i^r (Macdonald I.2)."""
+    e = [1] + [_u_s_symbol(n, i) * (-1) ** (i - 1) for i in range(1, j)]
+    return TTauExpression._of(n, n, {})._sum(
+        [_tau_s_symbol(n, m + r + 1) * e[j - 1 - r] * (-1) ** (j - 1 + r) for r in range(j)])
 
 
 def _basis_tables(even_basis):
@@ -1097,7 +1084,7 @@ def verify_recurrence(taus, s):
     if len(taus) != 2 * n:
         raise ValidationError("need exactly 2n odd moments for n semi-invariant values")
     for k in range(1, n + 1):
-        acc = reduce(add, [taus[n + k - j - 1] * s[j - 1] for j in range(1, n + 1)])
-        if taus[n + k - 1] != acc:
+        products = [taus[n + k - j - 1] * s[j - 1] for j in range(1, n + 1)]
+        if taus[n + k - 1] != taus[0]._sum(products):
             return False
     return True

@@ -686,6 +686,16 @@ def test_derivation_tables_match_their_definition(monkeypatch):
     assert keys and all(len(key) in (2, 3) and all(type(x) is int for x in key) for key in keys)
 
 
+def test_moment_tables_match_their_definition(monkeypatch):
+    keys = _record_keys(monkeypatch, ["_t_symbol", "_tau_symbol", "_tau_s_symbol"])
+    for n in range(1, 5):
+        for k in range(1, 2 * n + 3):
+            assert sympoly._t_symbol(n, k).expand("t") == power_sum_even(n, k), (n, k)
+            assert sympoly._tau_symbol(n, k).expand("t") == power_sum_odd(n, k), (n, k)
+            assert sympoly._tau_s_symbol(n, k).expand("s") == power_sum_odd(n, k), (n, k)
+    assert keys and all(len(key) == 2 and all(type(x) is int for x in key) for key in keys)
+
+
 def test_derivation_rejects_bad_arguments():
     h = TTauExpression.odd_symbol(2, 2, 1)
     for m in (-1, 2, True, 1.0):
