@@ -24,13 +24,18 @@ as a dense list of 2**q coefficients and walks `disjoint_table(q, parity)`,
 which lists only the disjoint pairs, in an add and a subtract list per row:
 3**q steps for two full operands, against 4**q.  A right operand whose terms
 share one parity (`shared_parity` of its masks) walks only that half of the
-pairs; a mixed one walks them all.  `SuperMatrix.__matmul__` holds the one
-gate between the kernels: the table serves 4 <= q <= 10 when the right
-factor's entries average at least a quarter (q = 4), an eighth (q = 5..8) or
-a sixteenth (q = 9, 10) of the 2**q monomials, and the pair kernel
-everything else, scalar products included, whose operands are mostly a few
-terms.  Both kernels take their signs from `below_parity`, cached per
-monomial mask, so the cache holds at most 2**q entries.
+pairs; a mixed one walks them all.  `mul_left_table_into` is the same table
+walked from a dense left operand: per right term m2 it walks row m2 of the
+left operand's parity half (`left_halves`, both halves for a mixed one),
+with the add and subtract lists swapped when both monomials are odd.
+`SuperMatrix.__matmul__` holds the one gate between the kernels, and it
+reads both factors: the table serves 4 <= q <= 10 when the right factor's
+entries average at least a quarter (q = 4), an eighth (q = 5..8) or a
+sixteenth (q = 9, 10) of the 2**q monomials; otherwise its left walk serves
+5 <= q <= 10 when the left factor's entries reach that share; and the pair
+kernel serves everything else, scalar products included, whose operands
+are mostly a few terms.  The kernels take their signs from `below_parity`,
+cached per monomial mask, so the cache holds at most 2**q entries.
 """
 
 from __future__ import annotations
@@ -166,6 +171,40 @@ def mul_table_into(acc, t1, right):
             c2 = dense2[m2]
             if c2:
                 acc[m] -= c1 * c2
+
+
+@cache
+def left_halves(q, parity):
+    """The (table, odd) halves of `disjoint_table(q, ...)` a dense left
+    operand walks: the one of its shared parity (0 or 1), or both for None."""
+    return tuple((disjoint_table(q, p), p) for p in ((0, 1) if parity is None else (parity,)))
+
+
+def mul_left_table_into(acc, left, t2):
+    """Accumulate the product of a dense left operand and a term dict into
+    the dense list acc.  left is (halves, dense1): dense1[m] is the
+    coefficient of monomial m, and halves is the `left_halves` of their
+    generator count for the parity of dense1's nonzero coefficients.
+
+    Row m2 of a half lists the monomials m1 of that parity disjoint from m2,
+    signed for e_m2 * e_m1; e_m1 * e_m2 is the same with the sign flipped
+    when both are odd, so the odd half then swaps its add and subtract lists.
+    """
+    halves, dense1 = left
+    for m2, c2 in t2.items():
+        odd2 = m2.bit_count() & 1
+        for table, odd in halves:
+            plus, minus = table[m2]
+            if odd and odd2:
+                plus, minus = minus, plus
+            for m1, m in plus:
+                c1 = dense1[m1]
+                if c1:
+                    acc[m] += c1 * c2
+            for m1, m in minus:
+                c1 = dense1[m1]
+                if c1:
+                    acc[m] -= c1 * c2
 
 
 def _norm(c):
@@ -316,13 +355,9 @@ class SparseRingElement:
 
     def _reduced(self, num, den):
         """num / den in lowest terms, shaped like self, for a dict num of
-        nonzero int numerators and an int den > 0: one gcd, and one division
-        when it is not 1.  num is not mutated."""
+        nonzero int numerators and an int den > 0.  num is not mutated."""
         if den != 1:
-            g = math.gcd(den, *num.values())
-            if g != 1:
-                num = {k: c // g for k, c in num.items()}
-                den //= g
+            num, den = _lowest_terms(num, den)
         return self._like(num, den)
 
     def is_zero(self):
@@ -423,6 +458,15 @@ class SparseRingElement:
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
+def _lowest_terms(num, den):
+    """(num, den) divided by their gcd, for a dict num of nonzero int
+    numerators and an int den > 1: one gcd, and one division when it is not 1."""
+    g = math.gcd(den, *num.values())
+    if g == 1:
+        return num, den
+    return {k: c // g for k, c in num.items()}, den // g
+
+
 _new = object.__new__
 _set_num, _set_den, _set_terms = (SparseRingElement.__dict__[name].__set__
                                   for name in SparseRingElement.__slots__)
@@ -470,7 +514,12 @@ class GrassmannScalar(SparseRingElement):
             raise ValidationError("generator count %d exceeds the cap %d" % (q, _generator_cap))
 
     def _like(self, num, den):
-        return _raw(self.q, num, den)
+        # `_raw`'s body, inlined: every ring operation on a scalar ends here
+        x = _new(GrassmannScalar)
+        _set_q(x, self.q)
+        _set_num(x, num)
+        _set_den(x, den)
+        return x
 
     def _const_key(self):
         return 0
@@ -651,3 +700,12 @@ def _raw(q, num, den=1):
     _set_num(x, num)
     _set_den(x, den)
     return x
+
+
+def reduced_scalar(q, num, den):
+    """The scalar num / den over q generators in lowest terms, for a dict num
+    of nonzero int numerators and an int den > 0, with no other checks: the
+    exit of each cell of a matrix product.  num is not mutated."""
+    if den != 1:
+        num, den = _lowest_terms(num, den)
+    return _raw(q, num, den)

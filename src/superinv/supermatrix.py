@@ -32,8 +32,11 @@ from .grassmann import (
     disjoint_table,
     geometric_sum,
     is_int,
+    left_halves,
+    mul_left_table_into,
     mul_table_into,
     mul_terms_into,
+    reduced_scalar,
     shared_parity,
 )
 from . import linalg
@@ -46,12 +49,13 @@ _PARITIES = (EVEN, ODD, ANY)
 
 # The gate of the table kernel in `SuperMatrix.__matmul__`: per generator
 # count it serves, the density it needs, as a fraction of the 2**gq
-# monomials an entry of the right factor holds on average.  The cuts are
-# where the two kernels break even on the products the benchmark workloads
-# make: near 1/4 at gq 4, near 1/8 at gq 5..7.  No workload makes products
-# at gq 8..10.  Gq 8 keeps 1/8; at gq 9 and 10 single products
-# (`tools/bench_kernel.py`) favour the table at a tenth of the monomials and
-# the pair kernel at a twentieth, so the cut there is 1/16.
+# monomials an entry of the right factor (of the left one, for the left
+# walk at gq 5..10) holds on average.  The cuts are where the two kernels
+# break even on the products the benchmark workloads make: near 1/4 at
+# gq 4, near 1/8 at gq 5..7.  No workload makes products at gq 8..10.
+# Gq 8 keeps 1/8; at gq 9 and 10 single products (`tools/bench_kernel.py`)
+# favour the table at a tenth of the monomials and the pair kernel at a
+# twentieth, so the cut there is 1/16.
 _TABLE_DENSITY = {4: 1 / 4, **dict.fromkeys(range(5, 9), 1 / 8), 9: 1 / 16, 10: 1 / 16}
 
 
@@ -114,6 +118,14 @@ def to_plain(value):
     if hasattr(value, "to_obj"):
         return value.to_obj()
     return value
+
+
+def _dense(num, size):
+    """A term dict's numerators as a list indexed by mask, 0 where it has no term."""
+    dense = [0] * size
+    for m, c in num.items():
+        dense[m] = c
+    return dense
 
 
 def _product_parity(p1, p2):
@@ -286,19 +298,22 @@ class SuperMatrix:
         self._check_compatible(other)
         gq = self.gq
         # Integer numerators over one denominator per row of self and per
-        # column of other, so either kernel multiplies and adds plain ints,
+        # column of other, so each kernel multiplies and adds plain ints,
         # and each cell is reduced by one gcd.
-        # The one gate: at a gq in _TABLE_DENSITY, a right factor whose
-        # entries average at least that share of the 2**gq monomials takes
-        # the table kernel, which reads each column entry as a dense list and
-        # visits only disjoint pairs.  Below gq 4 products are a few terms
-        # each and the table measured slower over whole verify runs, above
-        # gq 10 the table's memory grows 3x per generator, and on sparse
-        # factors most table steps read zeros: these stay on the pair kernel.
-        # The gate reads only the right factor, in O(n**2) len() calls; the
-        # table walks 2**(gq - degree) tuples per left term, so left factors
-        # of low degree still cost it more than the gate sees.
-        # Past the gate, each right entry whose terms share one parity walks
+        # The one gate reads both factors, each in O(n**2) len() calls.  At a
+        # gq in _TABLE_DENSITY, a right factor whose entries average at least
+        # that share of the 2**gq monomials takes the table kernel, which
+        # reads each column entry as a dense list and visits only disjoint
+        # pairs.  Otherwise, at gq 5..10, a left factor at that share takes
+        # the left walk of the same table, which reads each row entry as a
+        # dense list.  Below gq 4 products are a few terms each and the table
+        # measured slower over whole verify runs, at gq 4 the left walk
+        # measured slower on the workloads' products, above gq 10 the
+        # table's memory grows 3x per generator, and on sparse factors most
+        # table steps read zeros: these stay on the pair kernel.  The table
+        # walks 2**(gq - degree) tuples per sparse term, so sparse terms of
+        # low degree still cost it more than the gate sees.
+        # Past the gate, each dense entry whose terms share one parity walks
         # only that half of each table row.  The half is read from the
         # entry's own masks, never from a parity label, which could be
         # false and would then drop terms.
@@ -306,17 +321,18 @@ class SuperMatrix:
         cols = [common_denominator(col) for col in zip(*other.rows)]
         size = 1 << gq
         cut = _TABLE_DENSITY.get(gq)
-        dense = cut is not None and (sum(len(y.num) for row in other.rows for y in row)
-                                     >= cut * size * self.dim ** 2)
-        if dense:
-            kernel = mul_table_into
-            cols = [(d_col, [(disjoint_table(gq, shared_parity(y)),
-                              [y.get(m, 0) for m in range(size)]) if y else None for y in col])
-                    for d_col, col in cols]
-        else:
-            kernel = mul_terms_into
+        kernel, dense = mul_terms_into, False
+        if cut is not None:
+            cut *= size * self.dim ** 2
+            if sum(len(y.num) for row in other.rows for y in row) >= cut:
+                kernel, dense = mul_table_into, True
+                cols = [(d_col, [(disjoint_table(gq, shared_parity(y)), _dense(y, size))
+                                 if y else None for y in col]) for d_col, col in cols]
+            elif gq >= 5 and sum(len(x.num) for row in self.rows for x in row) >= cut:
+                kernel, dense = mul_left_table_into, True
+                rows = [(d_row, [(left_halves(gq, shared_parity(x)), _dense(x, size))
+                                 if x else None for x in row]) for d_row, row in rows]
         cells = zip(rows, cols) if diagonal else ((row, col) for row in rows for col in cols)
-        reduced = GrassmannScalar.zero(gq)._reduced
         out = []
         for (d_row, row), (d_col, col) in cells:
             acc = [0] * size if dense else {}
@@ -324,7 +340,7 @@ class SuperMatrix:
                 if x and y:
                     kernel(acc, x, y)
             num = {m: c for m, c in (enumerate(acc) if dense else acc.items()) if c}
-            out.append(reduced(num, d_row * d_col))
+            out.append(reduced_scalar(gq, num, d_row * d_col))
         if diagonal:
             return out
         dim = self.dim

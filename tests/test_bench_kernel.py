@@ -47,3 +47,22 @@ def test_summary_names_every_cell_and_the_misses():
     assert len(text.splitlines()) == 5
     assert text.count("(slower kernel)") == 1 and "6.80x" in text
     assert text.count("odd (2|2)") == 1
+
+
+def test_gate_choice_counts_either_walk_of_the_table(monkeypatch):
+    # a dense left factor over a sparse right one takes the left walk, which
+    # the cell records as the table; every patched name is restored
+    sm = bench_kernel.supermatrix
+    q = 5
+    scalar = bench_kernel.GrassmannScalar
+    full = scalar(q, {m: m + 1 for m in range(1 << q)})
+    dense = sm.SuperMatrix(sm.Queer(3), sm.ANY, [[full] * 3] * 3)
+    sparse = sm.SuperMatrix(sm.Queer(3), sm.ANY, [[scalar(q, {3: 2})] * 3] * 3)
+    gate = (sm._TABLE_DENSITY, sm.mul_table_into, sm.mul_left_table_into)
+    for factors, kernel in (((dense, sparse), "table"), ((sparse, dense), "table"),
+                            ((sparse, sparse), "pair")):
+        draws = iter(factors)
+        monkeypatch.setattr(bench_kernel, "random_matrix", lambda *args: next(draws))
+        terms, got, *_times = bench_kernel.time_cell("Q(3)", q, 1, 1, 0)
+        assert got == kernel and terms == len(factors[1].rows[0][0].num)
+        assert (sm._TABLE_DENSITY, sm.mul_table_into, sm.mul_left_table_into) == gate

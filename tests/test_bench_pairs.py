@@ -1,4 +1,5 @@
-"""The pair runner's record builder, on canned `perfbench/run.py` outputs.
+"""The pair runner's record builder and the environment of its runs, on
+canned `perfbench/run.py` outputs.
 
 Nothing here runs the benchmark itself.
 """
@@ -6,6 +7,7 @@ Nothing here runs the benchmark itself.
 import importlib.util
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -137,3 +139,29 @@ def test_label_is_stored_and_shown():
                                           END_TO_END)
     assert unlabelled["label"] is None
     assert bench_pairs.summary(unlabelled).startswith("rewrite: 2 pairs")
+
+
+def test_every_run_is_bytecode_free(monkeypatch):
+    # a stale prefix in the caller's environment is replaced, not inherited
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", "/stale/prefix")
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    seen = []
+
+    def fake_run(cmd, **kwargs):
+        env = kwargs["env"]
+        prefix = env["PYTHONPYCACHEPREFIX"]
+        # an empty directory of this run's own, present while it runs
+        seen.append((cmd, prefix, env["PYTHONDONTWRITEBYTECODE"], os.listdir(prefix)))
+        return subprocess.CompletedProcess(cmd, 0, canned_stdout(7, 12.5, 40.0), "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    for tree in ("/base", "/change"):
+        run = bench_pairs.run_side(tree, "dense_soul", 7, 15.0)
+        assert run["correct"] is True and run["metrics"]["ops_per_s"] == 12.5
+    (cmd1, prefix1, flag1, listing1), (cmd2, prefix2, flag2, listing2) = seen
+    assert cmd1[1] == os.path.join("/base", "perfbench", "run.py") and cmd1[-2:] == ["--trace", "0"]
+    assert flag1 == flag2 == "1" and listing1 == listing2 == []
+    assert prefix1 != prefix2 and "/stale/prefix" not in (prefix1, prefix2)
+    assert not os.path.exists(prefix1) and not os.path.exists(prefix2)
+    assert os.environ["PYTHONPYCACHEPREFIX"] == "/stale/prefix"
+    assert "PYTHONDONTWRITEBYTECODE" not in os.environ

@@ -298,16 +298,17 @@ def kind_entry(rng, q, kind, want, count=None):
             return x
 
 
-def kinds_matrix(rng, shape, parity, q, cell_parity=None, count=None):
-    """A matrix labelled parity whose entries cycle through every kind their
-    cell allows: its parity class, or cell_parity's for an "any" label."""
+def kinds_matrix(rng, shape, parity, q, cell_parity=None, count=None, entry_kinds=ENTRY_KINDS):
+    """A matrix labelled parity whose entries cycle through every kind
+    entry_kinds gives their cell: its parity class, or cell_parity's for an
+    "any" label."""
     rows = []
     for i in range(shape.dim):
         row = []
         for j in range(shape.dim):
             want = _entry_parity(shape, cell_parity or parity, i, j)
             want = None if want is None else int(want == ODD)
-            kinds = ENTRY_KINDS[want]
+            kinds = entry_kinds[want]
             row.append(kind_entry(rng, q, kinds[(i * shape.dim + j) % len(kinds)], want, count))
         rows.append(row)
     return SuperMatrix(shape, parity, rows)
@@ -350,8 +351,71 @@ def test_table_halves_match_naive_oracle(monkeypatch, gq):
     assert halves == {0, 1, None}
 
 
+# dense left entries by the parity of their cell: the halves each one walks
+LEFT_KINDS = {0: ("even", "zero"), 1: ("odd", "zero"), None: ("even", "odd", "mixed", "zero")}
+
+
+@pytest.mark.parametrize("gq", range(5, 9))
+def test_left_walk_matches_naive_oracle(monkeypatch, gq):
+    # dense left factors over sparse right ones: the gate takes the left
+    # walk, and each left entry walks the halves its own terms pick
+    kernel = supermatrix.mul_left_table_into
+    halves, swaps = set(), []
+
+    def checked(acc, left, t2):
+        tables, dense1 = left
+        parities = {m.bit_count() & 1 for m, c in enumerate(dense1) if c}
+        want = parities.pop() if len(parities) == 1 else None
+        assert tables is grassmann.left_halves(gq, want)
+        halves.add(want)
+        swaps.append(want != 0 and any(m.bit_count() & 1 for m in t2))
+        return kernel(acc, left, t2)
+
+    monkeypatch.setattr(supermatrix, "mul_left_table_into", checked)
+    rng = random.Random(71 + gq)
+    cases = [(Queer(2), ANY), (Queer(3), ANY), (Standard(1, 1), EVEN), (Standard(1, 1), ODD),
+             (Standard(2, 2), EVEN), (Standard(2, 2), ODD)]
+    for shape, parity in cases:
+        # each nonzero left entry holds 3/8 of the 2**gq monomials
+        a = kinds_matrix(rng, shape, parity, gq, count=3 << gq - 3, entry_kinds=LEFT_KINDS)
+        b = kinds_matrix(rng, shape, parity, gq, count=2)
+        want = naive_matmul(a, b)
+        calls = len(swaps)
+        got = a @ b
+        diagonal = a._product(b, diagonal=True)
+        assert len(swaps) > calls, (shape, parity)
+        for i in range(shape.dim):
+            assert diagonal[i] == want[i][i], (shape, parity, i)
+            for j in range(shape.dim):
+                assert got.rows[i][j] == want[i][j], (shape, parity, i, j)
+                assert_ints_stored_as_int(got.rows[i][j])
+    assert halves == {0, 1, None}
+    assert any(swaps)  # odd left halves met odd right terms
+
+
 def first_terms(q, count):
     return GrassmannScalar(q, {m: m + 1 for m in range(count)})
+
+
+def gate_calls(monkeypatch, gq, left, right):
+    """The calls each kernel gets in the product of two queer matrices
+    whose entries hold the first k monomials, k from the grids left and right."""
+    calls = {"pair": 0, "table": 0, "left": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name, attr in (("pair", "mul_terms_into"), ("table", "mul_table_into"),
+                       ("left", "mul_left_table_into")):
+        monkeypatch.setattr(supermatrix, attr, counted(name, getattr(supermatrix, attr)))
+    shape = Queer(len(right))
+    a = SuperMatrix(shape, ANY, [[first_terms(gq, k) for k in row] for row in left])
+    b = SuperMatrix(shape, ANY, [[first_terms(gq, k) for k in row] for row in right])
+    assert a @ b == SuperMatrix(shape, ANY, naive_matmul(a, b))
+    return calls
 
 
 @pytest.mark.parametrize("gq, right, kernel", [
@@ -371,24 +435,25 @@ def first_terms(q, count):
     (9, [[31]], "pair"),
 ])
 def test_gate_picks_the_kernel(monkeypatch, gq, right, kernel):
-    calls = {"pair": 0, "table": 0}
+    calls = gate_calls(monkeypatch, gq, [[1] * len(right)] * len(right), right)
+    assert calls[kernel] > 0 and sum(calls.values()) == calls[kernel], calls
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
 
-    monkeypatch.setattr(supermatrix, "mul_terms_into",
-                        counted("pair", supermatrix.mul_terms_into))
-    monkeypatch.setattr(supermatrix, "mul_table_into",
-                        counted("table", supermatrix.mul_table_into))
-    shape = Queer(len(right))
-    a = SuperMatrix(shape, ANY, [[first_terms(gq, 1)] * shape.n] * shape.n)
-    b = SuperMatrix(shape, ANY, [[first_terms(gq, k) for k in row] for row in right])
-    a @ b
-    other = "table" if kernel == "pair" else "pair"
-    assert calls[kernel] > 0 and calls[other] == 0, calls
+@pytest.mark.parametrize("gq, left, right, kernel", [
+    (4, [[4]], [[1]], "pair"),  # on the gq 4 cut, but below the left walk's floor
+    (5, [[4]], [[1]], "left"),  # 2**5 / 8 terms: on the cut of gq 5..8
+    (5, [[3]], [[1]], "pair"),
+    (5, [[16, 0], [0, 0]], [[1, 1], [1, 1]], "left"),  # the gate reads the average entry
+    (5, [[4, 4], [4, 3]], [[1, 1], [1, 1]], "pair"),
+    (5, [[32]], [[4]], "table"),  # a right factor on its cut keeps the table
+    (10, [[64]], [[1]], "left"),  # 2**10 / 16 terms: on the cut of gq 9 and 10
+    (10, [[63]], [[1]], "pair"),
+    (10, [[64]], [[64]], "table"),
+    (11, [[2048]], [[1]], "pair"),  # full, but above the cap
+])
+def test_gate_picks_the_left_walk(monkeypatch, gq, left, right, kernel):
+    calls = gate_calls(monkeypatch, gq, left, right)
+    assert calls[kernel] > 0 and sum(calls.values()) == calls[kernel], calls
 
 
 def test_scalar_products_stay_on_the_pair_kernel(monkeypatch):

@@ -1,6 +1,7 @@
 """The README's quick example runs, the values its comments state hold, its
-command line section matches the parser and the suite table, and every name
-its library overview cites exists."""
+command line section matches the parser and the suite table, every name its
+library overview cites exists, and the kernel gate's density cuts it states
+are the library's."""
 
 import argparse
 import importlib
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import superinv
 from superinv.cli import build_parser
+from superinv.supermatrix import _TABLE_DENSITY
 from superinv.verify import SUITES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -35,6 +37,19 @@ def test_readme_example():
                 assert _text(eval(expr.strip(), namespace)) == value, line
                 checked.append(value)
     assert sorted(checked) == sorted(STATED)
+
+
+def test_readme_states_the_gate_density_cuts():
+    """"2^q / d terms (q = ...)" for each cut, q a single count, a range
+    a..b or a list, together naming every count the gate serves."""
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    stated = {}
+    for d, qs in re.findall(r"2\^q / (\d+) terms \(q = ([0-9., ]+)\)", text):
+        lo, dots, hi = qs.partition("..")
+        for q in range(int(lo), int(hi) + 1) if dots else map(int, qs.split(",")):
+            assert q not in stated, q
+            stated[q] = 1 / int(d)
+    assert stated == _TABLE_DENSITY
 
 
 # ----------------------------------------------------------------------

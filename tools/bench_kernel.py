@@ -16,7 +16,7 @@ cuts, `supermatrix._TABLE_DENSITY`, for the timed calls (empty for the pair
 kernel, a cut of 0 at q for the table), so all three run the same product
 code.  Each time is the fastest of as many repeats as fit in `--budget`
 seconds (at least one).  The kernel the gate took is read from a counter on
-the table kernel.
+both walks of the table: a product on either walk counts as the table.
 
 Before any cell, the script builds the q = 10 tables of both parity halves
 and the full one, and reads the process's peak RSS (ru_maxrss) before and
@@ -94,18 +94,21 @@ def time_cell(operands, q, density, seed, budget):
                         else "%d-%s-%d-%s" % (seed, operands, q, density))
     a, b = random_matrix(rng, operands, q, density), random_matrix(rng, operands, q, density)
     terms = sum(len(y.num) for row in b.rows for y in row) / b.dim ** 2
-    gate = (supermatrix._TABLE_DENSITY, supermatrix.mul_table_into)
+    gate = (supermatrix._TABLE_DENSITY, supermatrix.mul_table_into,
+            supermatrix.mul_left_table_into)
     table_calls = []
 
-    def counted(*args):
-        table_calls.append(1)
-        return gate[1](*args)
+    def counted(walk):
+        def wrapper(*args):
+            table_calls.append(1)
+            return walk(*args)
+        return wrapper
 
     try:
-        supermatrix.mul_table_into = counted
+        supermatrix.mul_table_into, supermatrix.mul_left_table_into = map(counted, gate[1:])
         want = a @ b
         kernel = "table" if table_calls else "pair"
-        supermatrix.mul_table_into = gate[1]
+        supermatrix.mul_table_into, supermatrix.mul_left_table_into = gate[1:]
         gated_s = best_time(lambda: a @ b, budget)
         supermatrix._TABLE_DENSITY = {}
         pair_s = best_time(lambda: a @ b, budget)
@@ -115,7 +118,8 @@ def time_cell(operands, q, density, seed, budget):
                                  % (operands, q, density))
         table_s = best_time(lambda: a @ b, budget)
     finally:
-        supermatrix._TABLE_DENSITY, supermatrix.mul_table_into = gate
+        (supermatrix._TABLE_DENSITY, supermatrix.mul_table_into,
+         supermatrix.mul_left_table_into) = gate
     return terms, kernel, pair_s, table_s, gated_s
 
 

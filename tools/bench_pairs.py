@@ -4,17 +4,20 @@
                                  [--label TEXT]
 
 The "change" side is the working tree this script lives in; the "base" side
-is REV, checked out with `git worktree add` under `.perfbench_tmp/` (a local
-operation) and removed again at the end.  Pair i runs
+is REV's committed files, exported with `git archive` under `.perfbench_tmp/`
+(a local operation) and removed again at the end.  Pair i runs
 `perfbench/run.py --trace 0` on both trees at seed K + i, base first in even
 pairs and change first in odd ones, so drift on the host favours neither
-side.  One record is appended to `BENCH_<workload>.json` at the repository
-root: both SHAs, the `--label` (a name for the change, which matters when
-it is measured before it is committed), the seeds, `--seconds`, every run's
-metrics and `correct` flag, and per end-to-end metric (from BENCHMARK.json)
-the median and IQR of each side, the number of pairs the change wins, and
-whether the medians differ in the better direction by more than the base
-side's IQR.
+side.  Every run is bytecode-free: it gets `PYTHONDONTWRITEBYTECODE=1` and
+a fresh, empty `PYTHONPYCACHEPREFIX` of its own, so neither side reads a
+`__pycache__` left in its tree, which would time the compiler's absence
+rather than the change.  One record is appended to `BENCH_<workload>.json`
+at the repository root: both SHAs, the `--label` (a name for the change,
+which matters when it is measured before it is committed), the seeds,
+`--seconds`, every run's metrics and `correct` flag, and per end-to-end
+metric (from BENCHMARK.json) the median and IQR of each side, the number
+of pairs the change wins, and whether the medians differ in the better
+direction by more than the base side's IQR.
 
 The command exits 1 when any run is incorrect or fails to produce a result.
 """
@@ -24,9 +27,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TMP = os.path.join(ROOT, ".perfbench_tmp")
@@ -40,6 +45,14 @@ def benchmark_config():
 def git(*args):
     proc = subprocess.run(["git", "-C", ROOT, *args], capture_output=True, text=True, check=True)
     return proc.stdout.strip()
+
+
+def export_tree(sha, dest):
+    """Write the files committed at sha under the new directory dest."""
+    archive = subprocess.run(["git", "-C", ROOT, "archive", sha], capture_output=True,
+                             check=True).stdout
+    os.makedirs(dest)
+    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
 # ----------------------------------------------------------------------
@@ -68,7 +81,10 @@ def parse_run(stdout):
 def run_side(tree, workload, seed, seconds):
     cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, capture_output=True, text=True, check=False)
+    # bytecode writes off, and an empty prefix as the only place it is looked up
+    with tempfile.TemporaryDirectory(prefix="pycache-") as prefix:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=prefix)
+        proc = subprocess.run(cmd, capture_output=True, text=True, check=False, env=env)
     try:
         return parse_run(proc.stdout)
     except (ValueError, KeyError) as exc:
@@ -190,10 +206,9 @@ def main(argv=None):
     change_sha = git("rev-parse", "HEAD")
     change_dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     base_tree = os.path.join(TMP, "base-%s-%d" % (base_sha[:12], os.getpid()))
-    os.makedirs(TMP, exist_ok=True)
-    git("worktree", "add", "--detach", base_tree, base_sha)
     pairs = []
     try:
+        export_tree(base_sha, base_tree)
         for i in range(args.pairs):
             seed = args.seed + i
             first = "base" if i % 2 == 0 else "change"
@@ -206,7 +221,7 @@ def main(argv=None):
                     runs[side]["metrics"].get("ops_per_s")), file=sys.stderr, flush=True)
             pairs.append((seed, first, runs["base"], runs["change"]))
     finally:
-        git("worktree", "remove", "--force", base_tree)
+        shutil.rmtree(base_tree, ignore_errors=True)
 
     record = build_record(args.workload, base_sha, change_sha, change_dirty, args.seconds,
                           pairs, config["end_to_end"], args.label)
