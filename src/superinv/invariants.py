@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
     ZeroDiscriminant,
 )
-from .grassmann import GrassmannScalar, _integer_form, is_int
+from .grassmann import GrassmannScalar, _integer_form, common_denominator, is_int
 from .reduction import _eligible_spectrum, _relevant_body, diagonalize, reduce_odd
 from .supermatrix import Queer, SuperMatrix, seeded_rng
 from .sympoly import (
@@ -196,13 +196,16 @@ def _condition_rows(n, monos, den, even_basis):
     """The balance-condition matrix of the candidate keys over (n, n) and
     the denominator den: one column per key N, one row per (m, symbol key)
     of the conditions E_m(N) D - N' E_m(D); its kernel holds the
-    combinations N with N/D balanced."""
+    combinations N with N/D balanced.  The entries are the residuals'
+    numerators over the lcm of all their denominators: one factor of the
+    whole matrix, so its kernel and RREF are those of the exact values."""
+    # n residuals per key, m = 0..n-1, in one flat list
+    _den, nums = common_denominator([
+        x for mono in monos
+        for x in _balance_conditions(TTauExpression._of(n, n, {mono: 1}), den, even_basis)])
     return coefficient_matrix([
-        {(m, key): c
-         for m, residual in enumerate(_balance_conditions(TTauExpression._of(n, n, {mono: 1}),
-                                                          den, even_basis))
-         for key, c in residual.terms.items()}
-        for mono in monos])
+        {(m, key): c for m in range(n) for key, c in nums[col * n + m].items()}
+        for col in range(len(monos))])
 
 
 @cache

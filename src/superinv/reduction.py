@@ -6,9 +6,9 @@ part per eigenvalue.  The nilpotent stage then removes cross-partition terms
 degree by degree: at filtration level d every cross entry is supported on
 monomials of degree >= d, and conjugating by 1 + D pushes the support to
 degree d + 1.  The Sylvester operators are rational, so each ordered pair of
-parts solves level d once: one product of its inverse operator with all of
-the pair's degree-d monomials as columns.  After q levels the cross terms
-vanish identically.
+parts solves level d in the ring core: each cell of D is one sum of the
+pair's degree-d cell parts scaled by a row of the pair's inverse operator.
+After q levels the cross terms vanish identically.
 
 One body stage serves both shapes: a queer body is a single half, a standard
 body the two halves X and T.  reduce_odd checks its input with the one rule
@@ -312,6 +312,11 @@ def _cross_terms(parts, m):
             if owner[i] != owner[j] and x.num]
 
 
+def _degree_part(x, level):
+    """The terms of scalar x whose monomials have degree level."""
+    return x._reduced({k: c for k, c in x.num.items() if k.bit_count() == level}, x.den)
+
+
 def _lower_identity_step(a):
     """The conjugator h = (1 C; 0 Z), C = -Z^-1 T Z, of an odd square (X Y; Z T).
 
@@ -340,9 +345,10 @@ def _refine(m, parts, g, filtration_log=None):
     Returns the refined m and the conjugator matrix g times every step.  The
     body blocks of m on distinct parts must have disjoint spectra.  At each
     level every ordered pair (r, s) of parts with cross terms of that degree
-    makes one product: the inverse Sylvester operator of its body blocks times
-    a matrix whose rows are the pair's cells, column-stacked (j outer, i
-    inner), and whose columns are the pair's monomials of that degree, sorted.
+    solves in the ring core: with the pair's cells column-stacked (j outer, i
+    inner), cell c of the step D is minus the combination of the cells'
+    degree-level parts weighted by row c of the inverse Sylvester operator of
+    the pair's body blocks, one `_sum` of scaled scalars.
     """
     gq = m.gq
     dim = m.dim
@@ -352,6 +358,7 @@ def _refine(m, parts, g, filtration_log=None):
     shape = m.shape
     ident = SuperMatrix.identity(shape, gq)
     zero = GrassmannScalar.zero(gq)
+    one = GrassmannScalar.one(gq)
     for level in range(1, gq + 1):
         cross = [m.rows[i][j] for i, j in _cross_terms(parts, m)]
         cross_min = min((x.min_degree() for x in cross), default=None)
@@ -364,29 +371,33 @@ def _refine(m, parts, g, filtration_log=None):
                 "filtration contract violated: cross term of degree %d at level %d"
                 % (cross_min, level)
             )
-        # one term dict per cell, the solutions for each of its pair's monomials
-        terms = {}
+        # one scalar per cross cell: its pair's inverse row against minus the
+        # degree-level parts of the pair's cells
+        solved = {}
         for r, part_r in enumerate(parts):
             for s, part_s in enumerate(parts):
                 if r == s:
                     continue
                 cells = [(i, j) for j in part_s for i in part_r]
-                masks = sorted({mask for i, j in cells for mask in m.rows[i][j].num
-                                if mask.bit_count() == level})
-                if not masks:
+                rhs = [_degree_part(m.rows[i][j], level) for i, j in cells]
+                if not any(y.num for y in rhs):
                     continue
                 if (r, s) not in inverses:
                     inverses[r, s] = _sylvester_inverse(body_blocks[r], body_blocks[s])
-                rhs = [[-m.rows[i][j].coefficient(mask) for mask in masks] for i, j in cells]
-                for cell, sol in zip(cells, linalg.matmul(inverses[r, s], rhs)):
-                    terms[cell] = dict(zip(masks, sol))
-        if not terms:
+                for cell, row in zip(cells, inverses[r, s]):
+                    solved[cell] = zero._sum([y._scale(-w) for w, y in zip(row, rhs)
+                                              if w and y.num])
+        if not solved:
             continue
-        delta = SuperMatrix(shape, shape.group_parity,
-                            [[GrassmannScalar(gq, terms[i, j]) if (i, j) in terms else zero
-                              for j in range(dim)] for i in range(dim)])
-        # delta has degree >= level, so its powers past gq // level vanish
-        h = GroupElement(ident + delta, _inverse=geometric_sum(ident, -delta, gq // level))
+        grid = [[solved.get((i, j), zero) for j in range(dim)] for i in range(dim)]
+        delta = SuperMatrix(shape, shape.group_parity, grid)
+        # delta lives on cross cells only, so 1 + delta is its grid with one
+        # on the diagonal; it has degree >= level, so its powers past
+        # gq // level vanish
+        for i in range(dim):
+            grid[i][i] = one
+        h = GroupElement(SuperMatrix(shape, shape.group_parity, grid, validate=False),
+                         _inverse=geometric_sum(ident, -delta, gq // level))
         m = m.conjugate(h)
         g = g @ h.matrix
     if _cross_terms(parts, m):
