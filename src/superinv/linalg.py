@@ -193,7 +193,8 @@ def nullspace(a):
         v = [0] * cols
         v[c] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = -m[r][c]
+            if m[r][c]:  # v starts at zeros: negate only what is nonzero
+                v[pc] = -m[r][c]
         basis.append(v)
     return basis
 

@@ -8,7 +8,9 @@ monomials of degree >= d, and conjugating by 1 + D pushes the support to
 degree d + 1.  The Sylvester operators are rational, so each ordered pair of
 parts solves level d in the ring core: each cell of D is one sum of the
 pair's degree-d cell parts scaled by a row of the pair's inverse operator.
-After q levels the cross terms vanish identically.
+After q levels the cross terms vanish identically.  Above d = q/2 the steps
+square to zero and any two multiply to zero, so each is inverted as 1 - D
+and the conjugator takes them all in one product by 1 + their sum.
 
 One body stage serves both shapes: a queer body is a single half, a standard
 body the two halves X and T.  reduce_odd checks its input with the one rule
@@ -342,7 +344,9 @@ def _require_odd_square(a):
 def _refine(m, parts, g, filtration_log=None):
     """Remove cross-partition terms degree by degree; exact conjugators.
 
-    Returns the refined m and the conjugator matrix g times every step.  The
+    Returns the refined m and the conjugator matrix g times every step; the
+    steps 1 + D above level gq / 2 are inverted as 1 - D, and g takes them
+    in one product by 1 plus their sum, as any two of them multiply to 0.  The
     body blocks of m on distinct parts must have disjoint spectra.  At each
     level every ordered pair (r, s) of parts with cross terms of that degree
     solves in the ring core: with the pair's cells column-stacked (j outer, i
@@ -359,6 +363,7 @@ def _refine(m, parts, g, filtration_log=None):
     ident = SuperMatrix.identity(shape, gq)
     zero = GrassmannScalar.zero(gq)
     one = GrassmannScalar.one(gq)
+    batched = {}  # cell -> the solved values of the steps above gq / 2
     for level in range(1, gq + 1):
         cross = [m.rows[i][j] for i, j in _cross_terms(parts, m)]
         cross_min = min((x.min_degree() for x in cross), default=None)
@@ -396,10 +401,25 @@ def _refine(m, parts, g, filtration_log=None):
         # gq // level vanish
         for i in range(dim):
             grid[i][i] = one
-        h = GroupElement(SuperMatrix(shape, shape.group_parity, grid, validate=False),
-                         _inverse=geometric_sum(ident, -delta, gq // level))
-        m = m.conjugate(h)
-        g = g @ h.matrix
+        h = SuperMatrix(shape, shape.group_parity, grid, validate=False)
+        if 2 * level > gq:
+            # delta^2 has degree > gq, so h^-1 = 1 - delta is the grid negated
+            # off the diagonal; g takes this step with the batch below
+            inverse = SuperMatrix(shape, shape.group_parity,
+                                  [[-x if x.num and i != j else x for j, x in enumerate(row)]
+                                   for i, row in enumerate(grid)], validate=False)
+            for cell, x in solved.items():
+                batched.setdefault(cell, []).append(x)
+        else:
+            inverse = geometric_sum(ident, -delta, gq // level)
+            g = g @ h
+        m = m.conjugate(GroupElement(h, _inverse=inverse))
+    if batched:
+        # any product of two steps above gq / 2 has degree > gq, so together
+        # they are 1 + their sum: one extension of g for all of them
+        g = g @ SuperMatrix(shape, shape.group_parity,
+                            [[zero._sum(batched[i, j]) if (i, j) in batched else one if i == j
+                              else zero for j in range(dim)] for i in range(dim)], validate=False)
     if _cross_terms(parts, m):
         raise InternalError("cross terms survived the filtration")
     return m, g

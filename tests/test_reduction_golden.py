@@ -24,6 +24,7 @@ from superinv import (
     reduce_odd,
 )
 from superinv.errors import SuperInvError
+from superinv.supermatrix import GroupElement, random_matrix
 from superinv.verify import (
     random_commuting_odd_pair,
     random_odd_reducible,
@@ -34,6 +35,12 @@ from superinv.verify import (
 
 def _conjugator_obj(g):
     return {"matrix": g.matrix.to_obj(), "inverse": g.inverse.to_obj()}
+
+
+def _dense_conjugate(a, seed, max_terms):
+    """a conjugated by 1 plus a random soul of up to max_terms terms per entry."""
+    soul = random_matrix(a.shape, a.shape.group_parity, a.gq, seed, 9, max_terms=max_terms).soul()
+    return a.conjugate(GroupElement(SuperMatrix.identity(a.shape, a.gq) + soul))
 
 
 CASES = {
@@ -86,6 +93,16 @@ CASES = {
         [[GrassmannScalar.generator(2, 1), GrassmannScalar.one(2)],
          [GrassmannScalar.one(2), GrassmannScalar.zero(2)]])),
     "reduce_odd 3|3": lambda: reduce_odd(random_odd_reducible(3, [1, -2, 3], 2, seed=119)).to_obj(),
+    # cross terms at every level up to gq: the steps above gq / 2 extend the
+    # conjugator together
+    "reduce_odd dense 2|2 gq 6": lambda: reduce_odd(_dense_conjugate(
+        random_odd_reducible(2, [2, -3], 6, seed=120), 121, 32)).to_obj(),
+    "reduce_odd dense 2|2 gq 7": lambda: reduce_odd(_dense_conjugate(
+        random_odd_reducible(2, [5, -1], 7, seed=122), 123, 64)).to_obj(),
+    "diagonalize dense queer 2 gq 7": lambda: diagonalize(_dense_conjugate(
+        random_queer_with_spectrum(2, [1, -2], 7, seed=124), 125, 128)).to_obj(),
+    "diagonalize dense queer 3 gq 6": lambda: diagonalize(_dense_conjugate(
+        random_queer_with_spectrum(3, [2, -1, 3], 6, seed=126), 127, 64)).to_obj(),
 }
 
 # sha256 of each case's canonical outcome JSON; a changed output or error shows here
@@ -107,9 +124,13 @@ GOLDEN = {
     "diagonalize queer 2": "83f9056816c50f163b98531e20a547d7cb3beed4b1d59531c2349791e8606995",
     "diagonalize queer 3": "bf9366652e88ac73717aa152af571ac0327d2124c64306d13244ccb00ffa4e6c",
     "diagonalize queer 3 repeated": "4c2e83ddc522f00aec4f6cf0bf0badec712ae6055aa09aa7b63241901b7a99fe",
+    "diagonalize dense queer 2 gq 7": "e1ff48db8704b293cea31abdf8700df606d3035a50be42f392824ea2b35747af",
+    "diagonalize dense queer 3 gq 6": "e9244bcff8b8c8521e12dfec8260afa2f6ab738199399551ffa5b4563e1d9902",
     "reduce_odd 1|1": "78430390e9e4557f81983a40e9538ace77ca787863fedf043b5e7263f78c55e8",
     "reduce_odd 2|2": "689190484f036e737de9dd735dddae83a7f7f43f6d5dee80a3455bb7d5591ac5",
     "reduce_odd 3|3": "0d318158eedf914b22a74b9b2ce120319f4374b9a4388b22cf5aabd5f015bf65",
+    "reduce_odd dense 2|2 gq 6": "53f4c0df17ae948d0a8e68593277e0209bbdbf8bb7ff2a3e8473f8322e3c4016",
+    "reduce_odd dense 2|2 gq 7": "66a8586cced712e23fe86cb22a527595fa99650e5ffa4a3920432d6a046b03d2",
     "reduce_odd even input": "56abd0f039cdb3411cfd7aefee903cdb72df0b8a7de3c239144469498641f343",
     "reduce_odd nonsplitting": "52b3561a435ab69b07b1748c3d420b21a2cb60ff8ab5450b0831962e1bb55a7f",
     "reduce_odd repeated": "ea252379699aea7d40833fa64b3e1359943b0e31946b441433e527df41b1b980",

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from superinv import block_diagonalize, reduce_odd
+from superinv import GrassmannScalar, Queer, SuperMatrix, block_diagonalize, reduce_odd
+from superinv.supermatrix import GroupElement, random_matrix
 from superinv.verify import (
     random_odd_reducible,
     random_queer_with_spectrum,
@@ -45,3 +46,44 @@ def test_odd_refine_matches_oracle(monkeypatch, n):
     for gq in range(2, 7):
         a = random_odd_reducible(n, values, gq, rng.randrange(1 << 30))
         assert refine_matches(monkeypatch, reduce_odd, a) == 1
+
+
+def _dense_conjugate(a, seed, max_terms):
+    """a conjugated by 1 plus a random soul of up to max_terms terms per entry."""
+    soul = random_matrix(a.shape, a.shape.group_parity, a.gq, seed, 9, max_terms=max_terms).soul()
+    return a.conjugate(GroupElement(SuperMatrix.identity(a.shape, a.gq) + soul))
+
+
+@pytest.mark.parametrize("gq", [6, 7])
+def test_dense_refine_matches_oracle_above_half_gq(monkeypatch, gq):
+    # cross terms at every level, so levels gq // 2 + 1 .. gq (3 or 4 of them)
+    # each make a step that the conjugator takes in one batch
+    q2 = random_queer_with_spectrum(2, [1, -2], gq, seed=40 + gq)
+    odd = random_odd_reducible(2, [2, -3], gq, seed=50 + gq)
+    for a, reduce, seed in [(q2, block_diagonalize, 60 + gq), (odd, reduce_odd, 70 + gq)]:
+        assert refine_matches(monkeypatch, reduce, _dense_conjugate(a, seed, 1 << (gq - 1))) == 1
+
+
+@pytest.mark.parametrize("seed", [21, 23])
+def test_refine_with_every_step_above_half_gq_matches_oracle(monkeypatch, seed):
+    # no cross terms at level 1: the filtration logs are [2, 2, 3] and [2, 2, None]
+    a = random_odd_reducible(2, [2, -3], 3, seed)
+    assert refine_matches(monkeypatch, reduce_odd, a) == 1
+
+
+def test_a_level_without_cross_terms_inside_the_batch_matches_oracle(monkeypatch):
+    # Q(3) at gq 5 with cross terms of degrees 3 and 5 and diagonal souls of
+    # degree 2: the level-3 step leaves cross terms of degree 5 only, so
+    # level 4 solves nothing between two levels above gq / 2 that do
+    q = 5
+    rows = [[GrassmannScalar.zero(q)] * 3 for _ in range(3)]
+    for i, lam in enumerate([1, 2, -1]):
+        rows[i][i] = GrassmannScalar.rational(q, lam) + GrassmannScalar.monomial(q, [i + 1, i + 2])
+    rows[0][1] = GrassmannScalar.monomial(q, [1, 2, 3]) + GrassmannScalar.monomial(q, [1, 2, 3, 4, 5], 2)
+    rows[2][0] = GrassmannScalar.monomial(q, [2, 4, 5], -3)
+    rows[1][2] = GrassmannScalar.monomial(q, [1, 2, 3, 4, 5], 5)
+    a = SuperMatrix(Queer(3), "any", rows)
+    log = []
+    block_diagonalize(a, filtration_log=log)
+    assert log == [3, 3, 3, 5, 5]
+    assert refine_matches(monkeypatch, block_diagonalize, a) == 1
