@@ -24,10 +24,11 @@ as a dense list of 2**q coefficients and walks `disjoint_table(q, parity)`,
 which lists only the disjoint pairs, in an add and a subtract list per row:
 3**q steps for two full operands, against 4**q.  A right operand whose terms
 share one parity (`shared_parity` of its masks) walks only that half of the
-pairs; a mixed one walks them all.  `mul_left_table_into` is the same table
-walked from a dense left operand: per right term m2 it walks row m2 of the
-left operand's parity half (`left_halves`, both halves for a mixed one),
-with the add and subtract lists swapped when both monomials are odd.
+pairs; a mixed one walks them all.  `mul_left_table_into` reads a dense left
+operand through supercommutativity: x_even * y = y * x_even and x_odd * y =
+y~ * x_odd, with y~ the right term dict's odd coefficients negated, so per
+parity half of the left operand (`left_halves`, both halves for a mixed
+one) it is the table walk of the right term dict, twisted for the odd half.
 `SuperMatrix.__matmul__` holds the one gate between the kernels, and it
 reads both factors: the table serves 4 <= q <= 10 when the right factor's
 entries average at least a quarter (q = 4), an eighth (q = 5..8) or a
@@ -180,31 +181,18 @@ def left_halves(q, parity):
     return tuple((disjoint_table(q, p), p) for p in ((0, 1) if parity is None else (parity,)))
 
 
-def mul_left_table_into(acc, left, t2):
+def mul_left_table_into(acc, left, right):
     """Accumulate the product of a dense left operand and a term dict into
     the dense list acc.  left is (halves, dense1): dense1[m] is the
     coefficient of monomial m, and halves is the `left_halves` of their
-    generator count for the parity of dense1's nonzero coefficients.
-
-    Row m2 of a half lists the monomials m1 of that parity disjoint from m2,
-    signed for e_m2 * e_m1; e_m1 * e_m2 is the same with the sign flipped
-    when both are odd, so the odd half then swaps its add and subtract lists.
+    generator count for the parity of dense1's nonzero coefficients.  right
+    is (y, y~), y~ being the term dict y with its odd coefficients negated:
+    x_even * y = y * x_even and x_odd * y = y~ * x_odd, so each half is
+    `mul_table_into`'s walk of a right term dict.
     """
     halves, dense1 = left
-    for m2, c2 in t2.items():
-        odd2 = m2.bit_count() & 1
-        for table, odd in halves:
-            plus, minus = table[m2]
-            if odd and odd2:
-                plus, minus = minus, plus
-            for m1, m in plus:
-                c1 = dense1[m1]
-                if c1:
-                    acc[m] += c1 * c2
-            for m1, m in minus:
-                c1 = dense1[m1]
-                if c1:
-                    acc[m] -= c1 * c2
+    for table, odd in halves:
+        mul_table_into(acc, right[odd], (table, dense1))
 
 
 def _norm(c):

@@ -17,6 +17,7 @@ from functools import cache
 
 from . import linalg
 from .errors import (
+    GeneratorCountMismatch,
     InternalError,
     NotInL,
     NotInvariant,
@@ -142,11 +143,14 @@ def indistinguishable(a1, a2):
 
     True exactly when the first 2n odd moments coincide and the bodies of the
     semi-invariants do; those bodies are the signed elementary values of the
-    body spectrum, so they agree exactly when the spectra do.
+    body spectrum, so they agree exactly when the spectra do.  The two
+    matrices must share their shape and generator count.
     """
     n = a1.family_size()
-    if a2.family_size() != n:
+    if a2.family_size() != n or a2.shape != a1.shape:
         raise ShapeMismatch("the two matrices belong to different families")
+    if a2.gq != a1.gq:
+        raise GeneratorCountMismatch("generator counts differ: %d vs %d" % (a1.gq, a2.gq))
     spectrum1 = _eligible_spectrum(a1)
     spectrum2 = _eligible_spectrum(a2)
     if a1.tau_values(2 * n) != a2.tau_values(2 * n):

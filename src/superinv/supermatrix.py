@@ -305,12 +305,14 @@ class SuperMatrix:
         # that share of the 2**gq monomials takes the table kernel, which
         # reads each column entry as a dense list and visits only disjoint
         # pairs.  Otherwise, at gq 5..10, a left factor at that share takes
-        # the left walk of the same table, which reads each row entry as a
-        # dense list.  Below gq 4 products are a few terms each and the table
-        # measured slower over whole verify runs, at gq 4 the left walk
-        # measured slower on the workloads' products, above gq 10 the
-        # table's memory grows 3x per generator, and on sparse factors most
-        # table steps read zeros: these stay on the pair kernel.  The table
+        # the left walk, which reads each row entry as a dense list and, by
+        # supercommutativity, is the table walk of each column entry, twisted
+        # (odd coefficients negated) for the row entry's odd half.  Below gq
+        # 4 products are a few terms each and the table measured slower over
+        # whole verify runs, at gq 4 the left walk measured slower on the
+        # workloads' products, above gq 10 the table's memory grows 3x per
+        # generator, and on sparse factors most table steps read zeros:
+        # these stay on the pair kernel.  The table
         # walks 2**(gq - degree) tuples per sparse term, so sparse terms of
         # low degree still cost it more than the gate sees.
         # Past the gate, each dense entry whose terms share one parity walks
@@ -332,6 +334,8 @@ class SuperMatrix:
                 kernel, dense = mul_left_table_into, True
                 rows = [(d_row, [(left_halves(gq, shared_parity(x)), _dense(x, size))
                                  if x else None for x in row]) for d_row, row in rows]
+                cols = [(d_col, [(y, {m: -c if m.bit_count() & 1 else c for m, c in y.items()})
+                                 if y else None for y in col]) for d_col, col in cols]
         cells = zip(rows, cols) if diagonal else ((row, col) for row in rows for col in cols)
         out = []
         for (d_row, row), (d_col, col) in cells:

@@ -66,3 +66,24 @@ def test_gate_choice_counts_either_walk_of_the_table(monkeypatch):
         terms, got, *_times = bench_kernel.time_cell("Q(3)", q, 1, 1, 0)
         assert got == kernel and terms == len(factors[1].rows[0][0].num)
         assert (sm._TABLE_DENSITY, sm.mul_table_into, sm.mul_left_table_into) == gate
+
+
+def test_left_cells_force_the_left_walk(monkeypatch):
+    # a dense left factor over a sparse right one: the gate and the forced
+    # cut between their densities both take the left walk, the pair kernel
+    # never does, and the cell counts the dense factor's terms
+    sm = bench_kernel.supermatrix
+    cuts = []
+    walk = sm.mul_left_table_into
+
+    def spy(*args):
+        cuts.append(sm._TABLE_DENSITY)
+        return walk(*args)
+
+    monkeypatch.setattr(sm, "mul_left_table_into", spy)
+    gate = sm._TABLE_DENSITY
+    terms, kernel, *_times = bench_kernel.time_cell(bench_kernel.LEFT, 6, 0.5, 1, 0)
+    assert kernel == "table" and 16 <= terms <= 48  # about half the 64 monomials
+    assert gate in cuts and {6: (0.5 + bench_kernel.SPARSE) / 2} in cuts
+    assert {} not in cuts
+    assert sm._TABLE_DENSITY is gate and sm.mul_left_table_into is spy

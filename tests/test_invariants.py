@@ -8,6 +8,7 @@ import pytest
 from superinv import (
     ANY,
     EVEN,
+    GeneratorCountMismatch,
     GrassmannScalar,
     MultipleEigenvalue,
     NonSplitting,
@@ -286,6 +287,15 @@ def test_indistinguishable_rejects_matrices_of_different_families():
                                             [G.one(q), G.generator(q, 2)]])
     with pytest.raises(ShapeMismatch, match="the two matrices belong to different families"):
         indistinguishable(queer, odd)
+    # one family size, but a queer matrix and an odd (1|1) one
+    q1 = SuperMatrix.from_rationals(Queer(1), ANY, [[2]], q)
+    odd11 = SuperMatrix.from_rationals(Standard(1, 1), ODD, [[0, 1], [2, 0]], q)
+    with pytest.raises(ShapeMismatch, match="the two matrices belong to different families"):
+        indistinguishable(q1, odd11)
+    # one matrix over two generator counts
+    with pytest.raises(GeneratorCountMismatch, match="generator counts differ: 3 vs 1"):
+        indistinguishable(SuperMatrix.from_rationals(Queer(1), ANY, [[2]], 3),
+                          SuperMatrix.from_rationals(Queer(1), ANY, [[2]], 1))
 
 
 def test_indistinguishable_rejects_matrices_without_eigendata():

@@ -8,12 +8,16 @@ cell's density.  "odd (2|2)": for q = 4..10, two odd standard (2|2)
 matrices whose entries hold each monomial of their cell's parity (odd in
 the diagonal blocks, even in the others) with that density, so every entry
 has one parity and the table kernel walks half of each row.  The densities
-are 0.05, 0.1, 0.15, 0.2, 0.25, 0.5 and 1, and coefficients are ints in
-[-99, 99].  Each product is timed three ways: forced onto the pair kernel,
-forced onto the table kernel, and through `SuperMatrix.__matmul__`'s gate.
-The kernels are forced by patching the gate's private table of density
-cuts, `supermatrix._TABLE_DENSITY`, for the timed calls (empty for the pair
-kernel, a cut of 0 at q for the table), so all three run the same product
+are 0.05, 0.1, 0.15, 0.2, 0.25, 0.5 and 1.  "Q(3) left": for q = 5..10, a
+dense 3 x 3 queer left factor (density 0.25, 0.5 or 1) times a sparse one
+(density 0.05), the products the table's left walk serves.  Coefficients
+are ints in [-99, 99].  Each product is timed three ways: forced onto the
+pair kernel, forced onto the table kernel (its left walk, for "Q(3) left"),
+and through `SuperMatrix.__matmul__`'s gate.  The kernels are forced by
+patching the gate's private table of density cuts,
+`supermatrix._TABLE_DENSITY`, for the timed calls (empty for the pair
+kernel; at q, a cut of 0 for the table, and for the left walk a cut halfway
+between the two factors' densities), so all three run the same product
 code.  Each time is the fastest of as many repeats as fit in `--budget`
 seconds (at least one).  The kernel the gate took is read from a counter on
 both walks of the table: a product on either walk counts as the table.
@@ -24,8 +28,9 @@ after, and the number of distinct pair tuples the three tables hold.
 
 One record is appended to `BENCH_grassmann.json` at the repository root:
 the git SHA and whether the tree was dirty, the `--label`, the seed, the
-q = 10 table memory, and per cell the operands, the mean terms per entry,
-the three times, the table's speed-up over the pair kernel, the faster
+q = 10 table memory, and per cell the operands, the mean terms per entry
+of the dense factor (the right one, the left one for "Q(3) left"), the
+three times, the table's speed-up over the pair kernel, the faster
 kernel and whether the gate took it.
 """
 
@@ -50,8 +55,12 @@ from superinv.grassmann import GrassmannScalar, disjoint_table  # noqa: E402
 
 QUEER = "Q(3)"
 ODD = "odd (2|2)"
-QS = {QUEER: range(3, 11), ODD: range(4, 11)}
+LEFT = "Q(3) left"
 DENSITIES = (0.05, 0.1, 0.15, 0.2, 0.25, 0.5, 1)
+# the q and densities of each cell set
+CELLS = {QUEER: (range(3, 11), DENSITIES), ODD: (range(4, 11), DENSITIES),
+         LEFT: (range(5, 11), (0.25, 0.5, 1))}
+SPARSE = 0.05  # the density of the right factor of "Q(3) left"
 TABLE_Q = 10
 
 
@@ -60,14 +69,14 @@ TABLE_Q = 10
 
 
 def random_matrix(rng, operands, q, density):
-    if operands == QUEER:
+    if operands != ODD:
         shape, parity = supermatrix.Queer(3), supermatrix.ANY
     else:
         shape, parity = supermatrix.Standard(2, 2), supermatrix.ODD
 
     def entry(i, j):
         # an odd matrix's diagonal blocks hold odd monomials, the others even
-        want = None if operands == QUEER else int((i < 2) == (j < 2))
+        want = None if operands != ODD else int((i < 2) == (j < 2))
         return GrassmannScalar(q, {m: rng.randint(-99, 99) or 1 for m in range(1 << q)
                                    if (want is None or m.bit_count() % 2 == want)
                                    and rng.random() < density})
@@ -88,34 +97,44 @@ def best_time(fn, budget):
 
 
 def time_cell(operands, q, density, seed, budget):
-    """(mean terms per entry of the right factor, gate's kernel, pair s, table s, gated s)."""
+    """(mean terms per entry of the dense factor, gate's kernel, pair s, table s, gated s)."""
     # Q(3) cells draw the seeds of the earlier records, so that they compare across records
     rng = random.Random("%d-%d-%s" % (seed, q, density) if operands == QUEER
                         else "%d-%s-%d-%s" % (seed, operands, q, density))
-    a, b = random_matrix(rng, operands, q, density), random_matrix(rng, operands, q, density)
-    terms = sum(len(y.num) for row in b.rows for y in row) / b.dim ** 2
+    right = SPARSE if operands == LEFT else density
+    a, b = random_matrix(rng, operands, q, density), random_matrix(rng, operands, q, right)
+    dense = a if operands == LEFT else b
+    terms = sum(len(x.num) for row in dense.rows for x in row) / dense.dim ** 2
+    # the cuts that force the table: 0, or for "Q(3) left" one between the
+    # two factors' densities, which the left walk alone then serves
+    forced = {q: (density + right) / 2 if operands == LEFT else 0}
     gate = (supermatrix._TABLE_DENSITY, supermatrix.mul_table_into,
             supermatrix.mul_left_table_into)
-    table_calls = []
+    walks = []
 
     def counted(walk):
         def wrapper(*args):
-            table_calls.append(1)
+            walks.append(walk)
             return walk(*args)
         return wrapper
 
     try:
         supermatrix.mul_table_into, supermatrix.mul_left_table_into = map(counted, gate[1:])
         want = a @ b
-        kernel = "table" if table_calls else "pair"
-        supermatrix.mul_table_into, supermatrix.mul_left_table_into = gate[1:]
-        gated_s = best_time(lambda: a @ b, budget)
-        supermatrix._TABLE_DENSITY = {}
-        pair_s = best_time(lambda: a @ b, budget)
-        supermatrix._TABLE_DENSITY = {q: 0}
+        kernel = "table" if walks else "pair"
+        walks.clear()
+        supermatrix._TABLE_DENSITY = forced
         if a @ b != want:
             raise AssertionError("the kernels disagree on %s at q=%d, density %s"
                                  % (operands, q, density))
+        if operands == LEFT and set(walks) != {gate[2]}:
+            raise AssertionError("the cut %s missed the left walk at q=%d" % (forced[q], q))
+        (supermatrix._TABLE_DENSITY, supermatrix.mul_table_into,
+         supermatrix.mul_left_table_into) = gate
+        gated_s = best_time(lambda: a @ b, budget)
+        supermatrix._TABLE_DENSITY = {}
+        pair_s = best_time(lambda: a @ b, budget)
+        supermatrix._TABLE_DENSITY = forced
         table_s = best_time(lambda: a @ b, budget)
     finally:
         (supermatrix._TABLE_DENSITY, supermatrix.mul_table_into,
@@ -202,9 +221,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     tables = table_memory()
     timings = []
-    for operands, qs in QS.items():
+    for operands, (qs, densities) in CELLS.items():
         for q in qs:
-            for density in DENSITIES:
+            for density in densities:
                 timings.append((operands, q, density)
                                + time_cell(operands, q, density, args.seed, args.budget))
                 print("%s q=%d density %s done" % (operands, q, density), file=sys.stderr,
