@@ -129,13 +129,13 @@ def cmd_invariants(args):
     a = _load_matrix(args.matrix)
     report = {"shape": a.shape.to_obj(), "parity": a.parity, "grassmann_q": a.gq}
     if isinstance(a.shape, Queer):
-        n = a.shape.n
-        report["qtr"] = a.qtr()
+        taus = a.tau_values(2 * a.shape.n)
+        report["qtr"] = taus[0]  # qtr is tau_1
         try:
             report["qet"] = a.qet()
         except SingularBody:
             report["qet"] = None
-        report["tau"] = a.tau_values(2 * n)
+        report["tau"] = taus
     else:
         if a.parity != ANY:
             report["str"] = a.supertrace()

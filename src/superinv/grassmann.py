@@ -24,11 +24,11 @@ as a dense list of 2**q coefficients and walks `disjoint_table(q, parity)`,
 which lists only the disjoint pairs, in an add and a subtract list per row:
 3**q steps for two full operands, against 4**q.  A right operand whose terms
 share one parity (`shared_parity` of its masks) walks only that half of the
-pairs; a mixed one walks them all.  `mul_left_table_into` reads a dense left
-operand through supercommutativity: x_even * y = y * x_even and x_odd * y =
-y~ * x_odd, with y~ the right term dict's odd coefficients negated, so per
-parity half of the left operand (`left_halves`, both halves for a mixed
-one) it is the table walk of the right term dict, twisted for the odd half.
+pairs; a mixed one walks them all.  A dense left operand takes the same walk
+with the factors' roles swapped, over `left_table(q, parity)`: the table
+with supercommutativity, e_m1 * e_m2 = (-1)**(|m1| |m2|) e_m2 * e_m1,
+written into its signs once, so the right term dict's terms walk the left
+operand's dense list.
 `SuperMatrix.__matmul__` holds the one gate between the kernels, and it
 reads both factors: the table serves 4 <= q <= 10 when the right factor's
 entries average at least a quarter (q = 4), an eighth (q = 5..8) or a
@@ -156,12 +156,13 @@ def shared_parity(masks):
     return parities.pop() if len(parities) == 1 else None
 
 
-def mul_table_into(acc, t1, right):
-    """Accumulate the product of a term dict and a dense right operand into
-    the dense list acc.  right is (table, dense2): dense2[m] is the
-    coefficient of monomial m, and table is the `disjoint_table` of their
-    generator count for a parity every nonzero coefficient of dense2 has."""
-    table, dense2 = right
+def mul_table_into(acc, t1, dense):
+    """Accumulate the product of a term dict and a dense operand into the
+    dense list acc.  dense is (table, dense2): dense2[m] is the coefficient
+    of monomial m, and table is, for a parity every nonzero coefficient of
+    dense2 has, the `disjoint_table` of their generator count for t1 * dense2
+    or its `left_table` for dense2 * t1."""
+    table, dense2 = dense
     for m1, c1 in t1.items():
         plus, minus = table[m1]
         for m2, m in plus:
@@ -175,24 +176,23 @@ def mul_table_into(acc, t1, right):
 
 
 @cache
-def left_halves(q, parity):
-    """The (table, odd) halves of `disjoint_table(q, ...)` a dense left
-    operand walks: the one of its shared parity (0 or 1), or both for None."""
-    return tuple((disjoint_table(q, p), p) for p in ((0, 1) if parity is None else (parity,)))
+def left_table(q, parity):
+    """`disjoint_table(q, parity)` read from the other side: row m2 lists the
+    pairs (m1, m1 | m2) over the submasks m1 of m2's complement with the
+    given popcount parity, in minus when e_m1 * e_m2 is minus e_(m1 | m2).
 
-
-def mul_left_table_into(acc, left, right):
-    """Accumulate the product of a dense left operand and a term dict into
-    the dense list acc.  left is (halves, dense1): dense1[m] is the
-    coefficient of monomial m, and halves is the `left_halves` of their
-    generator count for the parity of dense1's nonzero coefficients.  right
-    is (y, y~), y~ being the term dict y with its odd coefficients negated:
-    x_even * y = y * x_even and x_odd * y = y~ * x_odd, so each half is
-    `mul_table_into`'s walk of a right term dict.
+    e_m1 * e_m2 = (-1)**(|m1| |m2|) e_m2 * e_m1, so the even half is
+    `disjoint_table`'s own and the odd half swaps plus and minus on the odd
+    rows; None joins the two.  Cached per (q, parity); the rows reuse
+    `disjoint_table`'s pair tuples.
     """
-    halves, dense1 = left
-    for table, odd in halves:
-        mul_table_into(acc, right[odd], (table, dense1))
+    if parity == 0:
+        return disjoint_table(q, 0)
+    odd = [(minus, plus) if m2.bit_count() & 1 else (plus, minus)
+           for m2, (plus, minus) in enumerate(disjoint_table(q, 1))]
+    if parity == 1:
+        return odd
+    return [(p0 + p1, n0 + n1) for (p0, n0), (p1, n1) in zip(disjoint_table(q, 0), odd)]
 
 
 def _norm(c):

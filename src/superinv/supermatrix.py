@@ -32,8 +32,7 @@ from .grassmann import (
     disjoint_table,
     geometric_sum,
     is_int,
-    left_halves,
-    mul_left_table_into,
+    left_table,
     mul_table_into,
     mul_terms_into,
     reduced_scalar,
@@ -305,9 +304,9 @@ class SuperMatrix:
         # that share of the 2**gq monomials takes the table kernel, which
         # reads each column entry as a dense list and visits only disjoint
         # pairs.  Otherwise, at gq 5..10, a left factor at that share takes
-        # the left walk, which reads each row entry as a dense list and, by
-        # supercommutativity, is the table walk of each column entry, twisted
-        # (odd coefficients negated) for the row entry's odd half.  Below gq
+        # the left walk: the same table walk with the factors' roles swapped,
+        # each row entry a dense list over `left_table`, and each cell walked
+        # as (column, row), so the column entry's terms walk it.  Below gq
         # 4 products are a few terms each and the table measured slower over
         # whole verify runs, at gq 4 the left walk measured slower on the
         # workloads' products, above gq 10 the table's memory grows 3x per
@@ -323,7 +322,7 @@ class SuperMatrix:
         cols = [common_denominator(col) for col in zip(*other.rows)]
         size = 1 << gq
         cut = _TABLE_DENSITY.get(gq)
-        kernel, dense = mul_terms_into, False
+        kernel, dense, left = mul_terms_into, False, False
         if cut is not None:
             cut *= size * self.dim ** 2
             if sum(len(y.num) for row in other.rows for y in row) >= cut:
@@ -331,20 +330,20 @@ class SuperMatrix:
                 cols = [(d_col, [(disjoint_table(gq, shared_parity(y)), _dense(y, size))
                                  if y else None for y in col]) for d_col, col in cols]
             elif gq >= 5 and sum(len(x.num) for row in self.rows for x in row) >= cut:
-                kernel, dense = mul_left_table_into, True
-                rows = [(d_row, [(left_halves(gq, shared_parity(x)), _dense(x, size))
+                kernel, dense, left = mul_table_into, True, True
+                rows = [(d_row, [(left_table(gq, shared_parity(x)), _dense(x, size))
                                  if x else None for x in row]) for d_row, row in rows]
-                cols = [(d_col, [(y, {m: -c if m.bit_count() & 1 else c for m, c in y.items()})
-                                 if y else None for y in col]) for d_col, col in cols]
         cells = zip(rows, cols) if diagonal else ((row, col) for row in rows for col in cols)
+        if left:
+            cells = ((col, row) for row, col in cells)
         out = []
-        for (d_row, row), (d_col, col) in cells:
+        for (d1, first), (d2, second) in cells:
             acc = [0] * size if dense else {}
-            for x, y in zip(row, col):
+            for x, y in zip(first, second):
                 if x and y:
                     kernel(acc, x, y)
             num = {m: c for m, c in (enumerate(acc) if dense else acc.items()) if c}
-            out.append(reduced_scalar(gq, num, d_row * d_col))
+            out.append(reduced_scalar(gq, num, d1 * d2))
         if diagonal:
             return out
         dim = self.dim

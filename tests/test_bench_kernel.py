@@ -58,32 +58,49 @@ def test_gate_choice_counts_either_walk_of_the_table(monkeypatch):
     full = scalar(q, {m: m + 1 for m in range(1 << q)})
     dense = sm.SuperMatrix(sm.Queer(3), sm.ANY, [[full] * 3] * 3)
     sparse = sm.SuperMatrix(sm.Queer(3), sm.ANY, [[scalar(q, {3: 2})] * 3] * 3)
-    gate = (sm._TABLE_DENSITY, sm.mul_table_into, sm.mul_left_table_into)
+    gate = (sm._TABLE_DENSITY, sm.mul_table_into)
     for factors, kernel in (((dense, sparse), "table"), ((sparse, dense), "table"),
                             ((sparse, sparse), "pair")):
         draws = iter(factors)
         monkeypatch.setattr(bench_kernel, "random_matrix", lambda *args: next(draws))
         terms, got, *_times = bench_kernel.time_cell("Q(3)", q, 1, 1, 0)
         assert got == kernel and terms == len(factors[1].rows[0][0].num)
-        assert (sm._TABLE_DENSITY, sm.mul_table_into, sm.mul_left_table_into) == gate
+        assert (sm._TABLE_DENSITY, sm.mul_table_into) == gate
 
 
 def test_left_cells_force_the_left_walk(monkeypatch):
     # a dense left factor over a sparse right one: the gate and the forced
-    # cut between their densities both take the left walk, the pair kernel
-    # never does, and the cell counts the dense factor's terms
+    # cut between their densities both take the left walk (the table kernel
+    # over the left table of the dense entries, all of them mixed), the pair
+    # kernel never does, and the cell counts the dense factor's terms
     sm = bench_kernel.supermatrix
-    cuts = []
-    walk = sm.mul_left_table_into
+    cuts, tables = [], set()
+    walk = sm.mul_table_into
 
-    def spy(*args):
+    def spy(acc, t1, dense):
         cuts.append(sm._TABLE_DENSITY)
-        return walk(*args)
+        tables.add(id(dense[0]))
+        return walk(acc, t1, dense)
 
-    monkeypatch.setattr(sm, "mul_left_table_into", spy)
+    monkeypatch.setattr(sm, "mul_table_into", spy)
     gate = sm._TABLE_DENSITY
     terms, kernel, *_times = bench_kernel.time_cell(bench_kernel.LEFT, 6, 0.5, 1, 0)
     assert kernel == "table" and 16 <= terms <= 48  # about half the 64 monomials
     assert gate in cuts and {6: (0.5 + bench_kernel.SPARSE) / 2} in cuts
     assert {} not in cuts
-    assert sm._TABLE_DENSITY is gate and sm.mul_left_table_into is spy
+    assert tables == {id(bench_kernel.left_table(6, None))}
+    assert sm._TABLE_DENSITY is gate and sm.mul_table_into is spy
+
+
+def test_table_memory_reads_both_tables_of_one_set_of_pairs(monkeypatch):
+    # the left tables of the odd half and the full one are built too, and
+    # reuse the disjoint tables' pair tuples: 3**10 in all
+    built = []
+    left_table = bench_kernel.left_table
+    monkeypatch.setattr(bench_kernel, "left_table",
+                        lambda q, parity: built.append((q, parity)) or left_table(q, parity))
+    tables = bench_kernel.table_memory()
+    assert built == [(10, 1), (10, None)]
+    assert tables["q"] == bench_kernel.TABLE_Q == 10
+    assert tables["pairs"] == 3 ** 10
+    assert tables["rss_mb_before"] <= tables["rss_mb_after"]

@@ -64,6 +64,22 @@ def test_invariants_command_json(q1_file, tmp_path, capsys):
     assert taus == [G.generator(1, 1), 2 * G.generator(1, 1)]
 
 
+def test_invariants_reads_qtr_off_the_tau_list(tmp_path, monkeypatch):
+    # a queer input's moments come from one tau_values(2n) call, whose
+    # first entry is qtr; qet's own call is on A0^-1 A1, not on the input
+    a = random_queer_with_spectrum(2, [1, -2], 4, seed=4)
+    path = write_matrix(tmp_path / "queer.json", a)
+    calls = []
+    tau_values = SuperMatrix.tau_values
+    monkeypatch.setattr(SuperMatrix, "tau_values",
+                        lambda self, upto: calls.append((self == a, upto)) or tau_values(self, upto))
+    out = tmp_path / "r.json"
+    assert main(["invariants", path, "--out", str(out)]) == 0
+    assert [upto for on_input, upto in calls if on_input] == [4]
+    report = json.loads(out.read_text())
+    assert report["qtr"] == report["tau"][0] == a.qtr().to_obj()
+
+
 def test_invariants_rational_matrix_zero_taus(tmp_path):
     a = SuperMatrix.from_rationals(Queer(2), ANY, [[1, 2], [3, 4]], 2)
     path = write_matrix(tmp_path / "rational.json", a)

@@ -11,6 +11,7 @@ from superinv.grassmann import (
     GrassmannScalar,
     below_parity,
     disjoint_table,
+    left_table,
     mask_to_indices,
     merge_sign,
 )
@@ -206,6 +207,26 @@ def test_disjoint_table_lists_the_disjoint_pairs_with_their_signs():
         assert len(pairs) == 3 ** q
 
 
+def test_left_table_lists_the_left_factors_pairs_with_their_signs():
+    for q in range(7):
+        assert left_table(q, 0) is disjoint_table(q, 0)
+        halves = left_table(q, 0), left_table(q, 1)
+        full = left_table(q, None)
+        for m2 in range(1 << q):
+            disjoint = [m1 for m1 in range(1 << q) if not m1 & m2]
+            for parity, table in ((0, halves[0]), (1, halves[1]), (None, full)):
+                assert len(table) == 1 << q
+                plus, minus = table[m2]
+                assert sorted(m1 for m1, _m in plus + minus) == [
+                    m1 for m1 in disjoint if parity is None or m1.bit_count() % 2 == parity]
+                for sign, pairs in ((1, plus), (-1, minus)):
+                    for m1, m in pairs:
+                        assert m == m1 | m2 and merge_sign(m1, m2) == sign
+            # the full row joins the halves' rows
+            for side in (0, 1):
+                assert full[m2][side] == halves[0][m2][side] + halves[1][m2][side]
+
+
 def kernel_entry(rng, q, parity, density, denominators, count=None):
     """Each monomial of the given parity (0, 1, or None for any) present
     with probability density, or count of them when count is given."""
@@ -358,22 +379,22 @@ LEFT_KINDS = {0: ("even", "zero"), 1: ("odd", "zero"), None: ("even", "odd", "mi
 @pytest.mark.parametrize("gq", range(5, 11))
 def test_left_walk_matches_naive_oracle(monkeypatch, gq):
     # dense left factors over sparse right ones: the gate takes the left
-    # walk, and each left entry walks the halves its own terms pick
-    kernel = supermatrix.mul_left_table_into
+    # walk, the table kernel with the factors' roles swapped, and each left
+    # entry walks the left table its own terms pick
+    kernel = supermatrix.mul_table_into
     halves, swaps = set(), []
 
-    def checked(acc, left, right):
-        tables, dense1 = left
+    def checked(acc, t1, dense):
+        table, dense1 = dense
+        assert len(t1) <= 2  # a right entry's terms walk a left entry
         parities = {m.bit_count() & 1 for m, c in enumerate(dense1) if c}
         want = parities.pop() if len(parities) == 1 else None
-        assert tables is grassmann.left_halves(gq, want)
+        assert table is grassmann.left_table(gq, want)
         halves.add(want)
-        y, twisted = right
-        assert twisted == {m: -c if m.bit_count() & 1 else c for m, c in y.items()}
-        swaps.append(want != 0 and any(m.bit_count() & 1 for m in y))
-        return kernel(acc, left, right)
+        swaps.append(want != 0 and any(m.bit_count() & 1 for m in t1))
+        return kernel(acc, t1, dense)
 
-    monkeypatch.setattr(supermatrix, "mul_left_table_into", checked)
+    monkeypatch.setattr(supermatrix, "mul_table_into", checked)
     rng = random.Random(71 + gq)
     if gq <= 8:
         cases = [(Queer(2), ANY), (Queer(3), ANY), (Standard(1, 1), EVEN),
@@ -407,19 +428,24 @@ def gate_calls(monkeypatch, gq, left, right):
     """The calls each kernel gets in the product of two queer matrices
     whose entries hold the first k monomials, k from the grids left and right."""
     calls = {"pair": 0, "table": 0, "left": 0}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    for name, attr in (("pair", "mul_terms_into"), ("table", "mul_table_into"),
-                       ("left", "mul_left_table_into")):
-        monkeypatch.setattr(supermatrix, attr, counted(name, getattr(supermatrix, attr)))
     shape = Queer(len(right))
     a = SuperMatrix(shape, ANY, [[first_terms(gq, k) for k in row] for row in left])
     b = SuperMatrix(shape, ANY, [[first_terms(gq, k) for k in row] for row in right])
+    # the entries are integral, so the kernels get each entry's own `num`:
+    # a table call whose term dict is a right entry's is the left walk
+    right_terms = {id(y.num) for row in b.rows for y in row}
+    pair, table = supermatrix.mul_terms_into, supermatrix.mul_table_into
+
+    def counted_pair(*args):
+        calls["pair"] += 1
+        return pair(*args)
+
+    def counted_table(acc, t1, dense):
+        calls["left" if id(t1) in right_terms else "table"] += 1
+        return table(acc, t1, dense)
+
+    monkeypatch.setattr(supermatrix, "mul_terms_into", counted_pair)
+    monkeypatch.setattr(supermatrix, "mul_table_into", counted_table)
     assert a @ b == SuperMatrix(shape, ANY, naive_matmul(a, b))
     return calls
 

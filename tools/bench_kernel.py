@@ -20,11 +20,16 @@ kernel; at q, a cut of 0 for the table, and for the left walk a cut halfway
 between the two factors' densities), so all three run the same product
 code.  Each time is the fastest of as many repeats as fit in `--budget`
 seconds (at least one).  The kernel the gate took is read from a counter on
-both walks of the table: a product on either walk counts as the table.
+the table kernel, `mul_table_into`: a product on either walk (a dense right
+factor, or a dense left one) counts as the table.  The coefficients are
+ints, so each kernel call gets an entry's own term dict, and a call whose
+term dict is a right entry's is the left walk.
 
-Before any cell, the script builds the q = 10 tables of both parity halves
-and the full one, and reads the process's peak RSS (ru_maxrss) before and
-after, and the number of distinct pair tuples the three tables hold.
+Before any cell, the script builds the q = 10 tables, `disjoint_table` of
+both parity halves and the full one and `left_table`'s odd half and full
+one (its even half is `disjoint_table`'s), and reads the process's peak RSS
+(ru_maxrss) before and after, and the number of distinct pair tuples the
+five tables hold.
 
 One record is appended to `BENCH_grassmann.json` at the repository root:
 the git SHA and whether the tree was dirty, the `--label`, the seed, the
@@ -51,7 +56,7 @@ sys.path.insert(0, HERE)
 
 from bench_pairs import append_record, git  # noqa: E402
 from superinv import supermatrix  # noqa: E402
-from superinv.grassmann import GrassmannScalar, disjoint_table  # noqa: E402
+from superinv.grassmann import GrassmannScalar, disjoint_table, left_table  # noqa: E402
 
 QUEER = "Q(3)"
 ODD = "odd (2|2)"
@@ -108,18 +113,16 @@ def time_cell(operands, q, density, seed, budget):
     # the cuts that force the table: 0, or for "Q(3) left" one between the
     # two factors' densities, which the left walk alone then serves
     forced = {q: (density + right) / 2 if operands == LEFT else 0}
-    gate = (supermatrix._TABLE_DENSITY, supermatrix.mul_table_into,
-            supermatrix.mul_left_table_into)
-    walks = []
+    gate = (supermatrix._TABLE_DENSITY, supermatrix.mul_table_into)
+    right_terms = {id(y.num) for row in b.rows for y in row}
+    walks = []  # per table call: whether it is the left walk
 
-    def counted(walk):
-        def wrapper(*args):
-            walks.append(walk)
-            return walk(*args)
-        return wrapper
+    def counted(acc, t1, dense):
+        walks.append(id(t1) in right_terms)
+        return gate[1](acc, t1, dense)
 
     try:
-        supermatrix.mul_table_into, supermatrix.mul_left_table_into = map(counted, gate[1:])
+        supermatrix.mul_table_into = counted
         want = a @ b
         kernel = "table" if walks else "pair"
         walks.clear()
@@ -127,18 +130,16 @@ def time_cell(operands, q, density, seed, budget):
         if a @ b != want:
             raise AssertionError("the kernels disagree on %s at q=%d, density %s"
                                  % (operands, q, density))
-        if operands == LEFT and set(walks) != {gate[2]}:
+        if operands == LEFT and set(walks) != {True}:
             raise AssertionError("the cut %s missed the left walk at q=%d" % (forced[q], q))
-        (supermatrix._TABLE_DENSITY, supermatrix.mul_table_into,
-         supermatrix.mul_left_table_into) = gate
+        supermatrix._TABLE_DENSITY, supermatrix.mul_table_into = gate
         gated_s = best_time(lambda: a @ b, budget)
         supermatrix._TABLE_DENSITY = {}
         pair_s = best_time(lambda: a @ b, budget)
         supermatrix._TABLE_DENSITY = forced
         table_s = best_time(lambda: a @ b, budget)
     finally:
-        (supermatrix._TABLE_DENSITY, supermatrix.mul_table_into,
-         supermatrix.mul_left_table_into) = gate
+        supermatrix._TABLE_DENSITY, supermatrix.mul_table_into = gate
     return terms, kernel, pair_s, table_s, gated_s
 
 
@@ -147,10 +148,12 @@ def peak_rss_mb():
 
 
 def table_memory():
-    """Peak RSS before and after building the q = TABLE_Q tables of both
-    parity halves and the full one, and the distinct pair tuples they hold."""
+    """Peak RSS before and after building the q = TABLE_Q disjoint tables
+    of both parity halves and the full one and the left tables of the odd
+    half and the full one, and the distinct pair tuples they hold."""
     before = peak_rss_mb()
-    tables = [disjoint_table(TABLE_Q, parity) for parity in (0, 1, None)]
+    tables = ([disjoint_table(TABLE_Q, parity) for parity in (0, 1, None)]
+              + [left_table(TABLE_Q, parity) for parity in (1, None)])
     after = peak_rss_mb()
     pairs = {id(pair) for table in tables for row in table for side in row for pair in side}
     return {"q": TABLE_Q, "rss_mb_before": before, "rss_mb_after": after, "pairs": len(pairs)}
@@ -201,7 +204,7 @@ def summary(record):
     tables = record["tables"]
     lines = ["%s: gate took the faster kernel in %d of %d cells" % (
         record["label"] or "unlabelled", record["gate_took_faster"], len(record["cells"])),
-        "  q=%d tables (both halves and full): %d pair tuples, peak RSS %.1f -> %.1f MB" % (
+        "  q=%d tables (disjoint and left, halves and full): %d pair tuples, peak RSS %.1f -> %.1f MB" % (
             tables["q"], tables["pairs"], tables["rss_mb_before"], tables["rss_mb_after"])]
     for c in record["cells"]:
         lines.append("  %-9s q=%-2d density %-4s terms %7.1f  pair %9.3f ms  table %9.3f ms"
