@@ -10,7 +10,11 @@ parts solves level d in the ring core: each cell of D is one sum of the
 pair's degree-d cell parts scaled by a row of the pair's inverse operator.
 After q levels the cross terms vanish identically.  Above d = q/2 the steps
 square to zero and any two multiply to zero, so each is inverted as 1 - D
-and the conjugator takes them all in one product by 1 + their sum.
+and the conjugator takes them all in one product by 1 + their sum.  When the
+table kernel serves q and the matrix's entries average a quarter of the 2**q
+monomials, the matrix and its conjugator are converted once into integer
+grids (`supermatrix.IntegerGrid`), on which every level is read, conjugated
+and extended; they become scalars once, after the last level.
 
 One body stage serves both shapes: a queer body is a single half, a standard
 body the two halves X and T.  reduce_odd checks its input with the one rule
@@ -42,7 +46,17 @@ from .errors import (
     ZeroEigenvalue,
 )
 from .grassmann import GrassmannScalar, geometric_sum, is_coeff, is_int, parse_coeff, ratio_text
-from .supermatrix import _PARITIES, EVEN, ODD, GroupElement, Queer, Standard, SuperMatrix, to_plain
+from .supermatrix import (
+    _PARITIES,
+    EVEN,
+    ODD,
+    GroupElement,
+    IntegerGrid,
+    Queer,
+    Standard,
+    SuperMatrix,
+    to_plain,
+)
 
 
 @dataclass(frozen=True)
@@ -304,18 +318,28 @@ def _body_stage(shape, body, gq, spectrum=None):
 # nilpotent stage
 
 
-def _cross_terms(parts, m):
-    """Row-major (i, j) cells of m's nonzero entries off the partition's blocks."""
-    owner = [None] * m.dim
+def _cross_cells(parts, dim):
+    """Row-major (i, j) cells off the partition's blocks."""
+    owner = [None] * dim
     for r, part in enumerate(parts):
         for i in part:
             owner[i] = r
-    return [(i, j) for i, row in enumerate(m.rows) for j, x in enumerate(row)
-            if owner[i] != owner[j] and x.num]
+    return [(i, j) for i in range(dim) for j in range(dim) if owner[i] != owner[j]]
 
 
-def _degree_part(x, level):
-    """The terms of scalar x whose monomials have degree level."""
+def _cross_terms(parts, m):
+    """Row-major (i, j) cells of m's nonzero entries off the partition's blocks."""
+    return [(i, j) for i, j in _cross_cells(parts, m.dim) if m.rows[i][j].num]
+
+
+def _min_degree(m, i, j):
+    """The least degree of the monomials of m's entry (i, j), None when it is zero."""
+    return m.rows[i][j].min_degree()
+
+
+def _degree_part(m, i, j, level):
+    """The terms of m's entry (i, j) whose monomials have degree level."""
+    x = m.rows[i][j]
     return x._reduced({k: c for k, c in x.num.items() if k.bit_count() == level}, x.den)
 
 
@@ -353,20 +377,33 @@ def _refine(m, parts, g, filtration_log=None):
     inner), cell c of the step D is minus the combination of the cells'
     degree-level parts weighted by row c of the inverse Sylvester operator of
     the pair's body blocks, one `_sum` of scaled scalars.
+
+    When `IntegerGrid.serves(m)` (a gq the table serves, and entries that
+    average a quarter of the monomials), m and g are converted once into
+    integer grids, which every level reads, conjugates and extends on the
+    table kernel, and which become scalars once, at the end; otherwise the
+    same loop runs on SuperMatrix products.
     """
     gq = m.gq
     dim = m.dim
     body = m.body_rows()
     body_blocks = [[[body[i][j] for j in part] for i in part] for part in parts]
+    cross = _cross_cells(parts, dim)
     inverses = {}
     shape = m.shape
     ident = SuperMatrix.identity(shape, gq)
     zero = GrassmannScalar.zero(gq)
     one = GrassmannScalar.one(gq)
+    on_grid = IntegerGrid.serves(m)
+    if on_grid:
+        m, g = IntegerGrid(m), IntegerGrid(g)
+        min_degree, degree_part = IntegerGrid.min_degree, IntegerGrid.degree_part
+    else:
+        min_degree, degree_part = _min_degree, _degree_part
     batched = {}  # cell -> the solved values of the steps above gq / 2
     for level in range(1, gq + 1):
-        cross = [m.rows[i][j] for i, j in _cross_terms(parts, m)]
-        cross_min = min((x.min_degree() for x in cross), default=None)
+        degrees = [min_degree(m, i, j) for i, j in cross]
+        cross_min = min((d for d in degrees if d is not None), default=None)
         if filtration_log is not None:
             filtration_log.append(cross_min)
         if cross_min is None:
@@ -384,7 +421,7 @@ def _refine(m, parts, g, filtration_log=None):
                 if r == s:
                     continue
                 cells = [(i, j) for j in part_s for i in part_r]
-                rhs = [_degree_part(m.rows[i][j], level) for i, j in cells]
+                rhs = [degree_part(m, i, j, level) for i, j in cells]
                 if not any(y.num for y in rhs):
                     continue
                 if (r, s) not in inverses:
@@ -420,6 +457,8 @@ def _refine(m, parts, g, filtration_log=None):
         g = g @ SuperMatrix(shape, shape.group_parity,
                             [[zero._sum(batched[i, j]) if (i, j) in batched else one if i == j
                               else zero for j in range(dim)] for i in range(dim)], validate=False)
+    if on_grid:
+        m, g = m.matrix(), g.matrix()
     if _cross_terms(parts, m):
         raise InternalError("cross terms survived the filtration")
     return m, g

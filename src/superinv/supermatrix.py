@@ -14,9 +14,11 @@ construction; the zero matrix passes either.  A queer matrix declares "any".
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import (
     GeneratorCountMismatch,
@@ -56,6 +58,14 @@ _PARITIES = (EVEN, ODD, ANY)
 # favour the table at a tenth of the monomials and the pair kernel at a
 # twentieth, so the cut there is 1/16.
 _TABLE_DENSITY = {4: 1 / 4, **dict.fromkeys(range(5, 9), 1 / 8), 9: 1 / 16, 10: 1 / 16}
+
+# The gate of the `IntegerGrid` in `reduction._refine`: at a gq in
+# _TABLE_DENSITY, the share of the 2**gq monomials the entries of the matrix
+# to refine must average.  On Q(3) `diagonalize` runs the grid lost below a
+# quarter (gq 10: 14.5 -> 25.5 ms at 0.08, 33 -> 34-38 ms at 0.22; gq 8:
+# 7.7 -> 8.5 ms at 0.20) and won above it (gq 10: 191 -> 133 ms at 0.77;
+# gq 8: 16.4 -> 15.0 ms at 0.51).
+_GRID_DENSITY = 1 / 4
 
 
 @dataclass(frozen=True)
@@ -125,6 +135,47 @@ def _dense(num, size):
     for m, c in num.items():
         dense[m] = c
     return dense
+
+
+def _holds_share(rows, gq, share):
+    """Whether the entries of the square grid rows average at least share of
+    the 2**gq monomials: the density test of both table gates."""
+    return sum(len(x.num) for row in rows for x in row) >= share * ((1 << gq) * len(rows) ** 2)
+
+
+@cache
+def _masks_by_degree(q):
+    """The masks below 2**q grouped by popcount: list d holds those of degree d."""
+    out = [[] for _ in range(q + 1)]
+    for m in range(1 << q):
+        out[m.bit_count()].append(m)
+    return out
+
+
+@cache
+def _masks_by_parity(q):
+    """The masks below 2**q of even popcount, then those of odd popcount."""
+    by_degree = _masks_by_degree(q)
+    return ([m for masks in by_degree[0::2] for m in masks],
+            [m for masks in by_degree[1::2] for m in masks])
+
+
+def _walked(cell, q, table):
+    """A dense cell as the table kernel's dense operand (table(q, parity),
+    cell), the parity read from the cell's own nonzero numerators; None for
+    a zero cell."""
+    even, odd = _masks_by_parity(q)
+    has_odd = any(map(cell.__getitem__, odd))
+    if any(map(cell.__getitem__, even)):
+        return table(q, None if has_odd else 0), cell
+    return (table(q, 1), cell) if has_odd else None
+
+
+def _term_rows(matrix):
+    """A SuperMatrix's entries as numerator dicts over one denominator d: (d, rows)."""
+    dim = matrix.dim
+    den, nums = common_denominator([x for row in matrix.rows for x in row])
+    return den, [nums[i:i + dim] for i in range(0, len(nums), dim)]
 
 
 def _product_parity(p1, p2):
@@ -324,12 +375,11 @@ class SuperMatrix:
         cut = _TABLE_DENSITY.get(gq)
         kernel, dense, left = mul_terms_into, False, False
         if cut is not None:
-            cut *= size * self.dim ** 2
-            if sum(len(y.num) for row in other.rows for y in row) >= cut:
+            if _holds_share(other.rows, gq, cut):
                 kernel, dense = mul_table_into, True
                 cols = [(d_col, [(disjoint_table(gq, shared_parity(y)), _dense(y, size))
                                  if y else None for y in col]) for d_col, col in cols]
-            elif gq >= 5 and sum(len(x.num) for row in self.rows for x in row) >= cut:
+            elif gq >= 5 and _holds_share(self.rows, gq, cut):
                 kernel, dense, left = mul_table_into, True, True
                 rows = [(d_row, [(left_table(gq, shared_parity(x)), _dense(x, size))
                                  if x else None for x in row]) for d_row, row in rows]
@@ -599,6 +649,100 @@ class GroupElement:
 
     def __repr__(self):
         return "GroupElement(%r)" % (self.matrix,)
+
+
+class IntegerGrid:
+    """A matrix as int numerators over one denominator `den`, each cell a
+    dense list of its 2**gq numerators indexed by mask: the form in which
+    `reduction._refine` runs its filtration when `serves` passes its matrix.
+
+    The grid multiplies with a SuperMatrix on either side through the table
+    kernel, as the dense operand: each cell walks the half table that its
+    own nonzero numerators read, and the SuperMatrix's entries, over one
+    denominator, are the term dicts.  A product leaves through one gcd over
+    its denominator and every numerator, and `matrix()` turns the cells into
+    scalars once.
+    """
+
+    __slots__ = ("shape", "parity", "gq", "den", "cells")
+
+    def __init__(self, matrix):
+        size = 1 << matrix.gq
+        den, rows = _term_rows(matrix)
+        self.shape, self.parity, self.gq = matrix.shape, matrix.parity, matrix.gq
+        self.den = den
+        self.cells = [[_dense(num, size) for num in row] for row in rows]
+
+    @staticmethod
+    def serves(matrix):
+        """Whether the table serves matrix's gq and its entries average at
+        least _GRID_DENSITY of the monomials."""
+        gq = matrix.gq
+        return gq in _TABLE_DENSITY and _holds_share(matrix.rows, gq, _GRID_DENSITY)
+
+    def min_degree(self, i, j):
+        """The least degree of cell (i, j)'s monomials, None when it is zero."""
+        cell = self.cells[i][j]
+        return next((d for d, masks in enumerate(_masks_by_degree(self.gq))
+                     if any(map(cell.__getitem__, masks))), None)
+
+    def degree_part(self, i, j, level):
+        """The scalar of cell (i, j)'s terms of degree level."""
+        cell = self.cells[i][j]
+        return reduced_scalar(self.gq, {m: cell[m] for m in _masks_by_degree(self.gq)[level]
+                                        if cell[m]}, self.den)
+
+    def __matmul__(self, matrix):
+        """self @ matrix for a SuperMatrix: the left walk, each cell of self
+        over `left_table`."""
+        d, terms = _term_rows(matrix)
+        q = self.gq
+        rows = [[_walked(cell, q, left_table) for cell in row] for row in self.cells]
+        cols = list(zip(*terms))
+        return self._walk(d * self.den, ((col, row) for row in rows for col in cols))
+
+    def conjugate(self, g):
+        """g^-1 self g for a GroupElement g: g's inverse times self on the
+        right walk, each cell of self over `disjoint_table`, then the left
+        walk by g."""
+        d, terms = _term_rows(g.inverse)
+        q = self.gq
+        cols = list(zip(*[[_walked(cell, q, disjoint_table) for cell in row]
+                          for row in self.cells]))
+        return self._walk(d * self.den, ((row, col) for row in terms for col in cols)) @ g.matrix
+
+    def _walk(self, den, lines):
+        """The grid over den whose cells, row-major, each accumulate the
+        table kernel over one line: a pair (term dicts, dense operands)."""
+        size = 1 << self.gq
+        cells = []
+        for terms, dense in lines:
+            acc = [0] * size
+            for t, y in zip(terms, dense):
+                if t and y:
+                    mul_table_into(acc, t, y)
+            cells.append(acc)
+        g = den
+        for cell in cells:
+            if g == 1:
+                break
+            g = math.gcd(g, *cell)
+        if g != 1:
+            cells = [list(map(g.__rfloordiv__, cell)) for cell in cells]
+            den //= g
+        dim = self.shape.dim
+        out = object.__new__(IntegerGrid)
+        out.shape, out.parity, out.gq = self.shape, self.parity, self.gq
+        out.den = den
+        out.cells = [cells[i:i + dim] for i in range(0, len(cells), dim)]
+        return out
+
+    def matrix(self):
+        """The grid as a SuperMatrix, each cell reduced to a scalar once."""
+        q, den = self.gq, self.den
+        return SuperMatrix(self.shape, self.parity,
+                           [[reduced_scalar(q, {m: c for m, c in enumerate(cell) if c}, den)
+                             for cell in row] for row in self.cells], validate=False)
 
 
 # ----------------------------------------------------------------------

@@ -7,16 +7,19 @@ product of its inverse Sylvester operator with a matrix whose rows are the
 pair's cells, column-stacked (j outer, i inner), and whose columns are the
 pair's monomials of that degree, sorted.  The step D is rebuilt from those
 coefficients through the validating scalar constructor, and h = 1 + D.
+It reads every level on SuperMatrix entries, whichever form the library
+takes, and logs each level's least cross-term degree as `filtration_log`.
 """
 
 from superinv import linalg, reduction
 from superinv.errors import InternalError
 from superinv.grassmann import GrassmannScalar, geometric_sum
-from superinv.supermatrix import GroupElement, SuperMatrix
+from superinv.supermatrix import GroupElement, IntegerGrid, SuperMatrix
 
 
-def refine(m, parts, g):
-    """`reduction._refine(m, parts, g)` through Fractions and `linalg.matmul`."""
+def refine(m, parts, g, filtration_log):
+    """`reduction._refine(m, parts, g, filtration_log)` through Fractions and
+    `linalg.matmul`."""
     gq = m.gq
     dim = m.dim
     body = m.body_rows()
@@ -26,7 +29,9 @@ def refine(m, parts, g):
     ident = SuperMatrix.identity(shape, gq)
     zero = GrassmannScalar.zero(gq)
     for level in range(1, gq + 1):
-        if not reduction._cross_terms(parts, m):
+        cross = reduction._cross_terms(parts, m)
+        filtration_log.append(min((m.rows[i][j].min_degree() for i, j in cross), default=None))
+        if not cross:
             break
         terms = {}
         for r, part_r in enumerate(parts):
@@ -57,14 +62,18 @@ def refine(m, parts, g):
 
 
 def refine_matches(monkeypatch, reduce, a):
-    """Run reduce(a) with `reduction._refine` recorded, and return the number
-    of its calls once each call's (m, g) rows are checked equal to refine's."""
+    """Run reduce(a) with `reduction._refine` recorded, and return, per call,
+    whether `IntegerGrid` served it, once each call's (m, g) rows and
+    filtration log are checked equal to refine's."""
     calls = []
     real = reduction._refine
 
     def recording(m, parts, g, filtration_log=None):
-        out = real(m, parts, g, filtration_log=filtration_log)
-        calls.append(((m, parts, g), out))
+        log = []
+        out = real(m, parts, g, filtration_log=log)
+        if filtration_log is not None:
+            filtration_log.extend(log)
+        calls.append(((m, parts, g), out, log))
         return out
 
     monkeypatch.setattr(reduction, "_refine", recording)
@@ -72,8 +81,10 @@ def refine_matches(monkeypatch, reduce, a):
         reduce(a)
     finally:
         monkeypatch.setattr(reduction, "_refine", real)
-    for args, (m, g) in calls:
-        want_m, want_g = refine(*args)
+    for args, (m, g), log in calls:
+        want_log = []
+        want_m, want_g = refine(*args, want_log)
         assert m.rows == want_m.rows
         assert g.rows == want_g.rows
-    return len(calls)
+        assert log == want_log
+    return [IntegerGrid.serves(args[0]) for args, _out, _log in calls]

@@ -32,7 +32,7 @@ from superinv import cli, reduction
 from superinv.errors import InternalError
 from superinv.grassmann import GrassmannScalar as G
 from superinv.reduction import SpectralDecomposition
-from superinv.supermatrix import random_matrix
+from superinv.supermatrix import IntegerGrid, random_matrix
 from superinv.verify import (
     random_commuting_odd_pair,
     random_odd_reducible,
@@ -224,10 +224,11 @@ def test_block_diagonalize_unequal_parts_with_jordan_bodies(monkeypatch):
     assert all(any(x for i, row in enumerate(blk.body_rows()) for j, x in enumerate(row) if i != j)
                for _lam, blk in dec.blocks)
     # one inverse per ordered part pair, built once for all four levels, and
-    # the ring-core solve equal to the coefficient-matrix oracle
+    # the ring-core solve equal to the coefficient-matrix oracle, on the
+    # integer grid: the input is dense at gq 4
     assert log == [1, 2, 3, 4]
     assert [len(inv) for inv in inverses] == [6, 6]
-    assert refine_matches(monkeypatch, block_diagonalize, a) == 1
+    assert refine_matches(monkeypatch, block_diagonalize, a) == [True]
     assert _bodies_are_eigenvalue_plus_nilpotent(dec)
     back = SpectralDecomposition.from_obj(json.loads(json.dumps(dec.to_obj())))
     assert back.verify(a)
@@ -405,26 +406,46 @@ def _worked_odd_example():
     return SuperMatrix(Standard(1, 1), ODD, [[x1, G.rational(q, 2)], [G.rational(q, 3), x2]])
 
 
-@pytest.mark.parametrize("make, count", [
-    (_worked_odd_example, 9),
-    (lambda: random_odd_reducible(2, [3, -1], 4, seed=3), 17),
-    (lambda: random_odd_reducible(3, [1, 2, 5], 5, seed=7), 26),
+def _dense_odd_3(q):
+    """An odd (3|3) at q whose refine input averages over a quarter of the
+    2**q monomials, so its filtration runs on the integer grid."""
+    a = random_odd_reducible(3, [1, 2, 5], q, seed=7)
+    soul = random_matrix(a.shape, EVEN, q, 12, 9, max_terms=32).soul()
+    return a.conjugate(GroupElement(SuperMatrix.identity(a.shape, q) + soul))
+
+
+@pytest.mark.parametrize("make, count, grid", [
+    pytest.param(_worked_odd_example, 9, False, id="_worked_odd_example-9"),
+    pytest.param(lambda: random_odd_reducible(2, [3, -1], 4, seed=3), 17, False, id="<lambda>-17"),
+    pytest.param(lambda: random_odd_reducible(3, [1, 2, 5], 5, seed=7), 26, False, id="<lambda>-26"),
+    pytest.param(lambda: _dense_odd_3(5), 16, True, id="dense-16-grid"),
 ])
-def test_reduce_odd_refines_a_without_its_square(monkeypatch, make, count):
+def test_reduce_odd_refines_a_without_its_square(monkeypatch, make, count, grid):
     a = make()
     real = SuperMatrix.__matmul__
     operands = []
+    grids = []
+    real_grid = IntegerGrid.__init__
 
     def recording(x, y):
         operands.append((x, y))
         return real(x, y)
 
+    def converting(self, matrix):
+        grids.append(matrix)
+        real_grid(self, matrix)
+
     monkeypatch.setattr(SuperMatrix, "__matmul__", recording)
+    monkeypatch.setattr(IntegerGrid, "__init__", converting)
     dec = reduce_odd(a)
     # two products per conjugation, one per extension of the conjugator (the
-    # steps above gq / 2 extend it once together): no Grassmann square of A
+    # steps above gq / 2 extend it once together): no Grassmann square of A.
+    # On the grid the conjugations and extensions are no SuperMatrix products
+    # (the dense input makes 29 on SuperMatrix products alone): m and g are
+    # converted once
     assert len(operands) == count
     assert not any(x is a and y is a for x, y in operands)
+    assert len(grids) == (2 if grid else 0)
     monkeypatch.undo()
     assert dec.verify(a)
 

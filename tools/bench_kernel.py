@@ -18,8 +18,11 @@ patching the gate's private table of density cuts,
 `supermatrix._TABLE_DENSITY`, for the timed calls (empty for the pair
 kernel; at q, a cut of 0 for the table, and for the left walk a cut halfway
 between the two factors' densities), so all three run the same product
-code.  Each time is the fastest of as many repeats as fit in `--budget`
-seconds (at least one).  The kernel the gate took is read from a counter on
+code.  The three run in alternating rounds, one product each per round,
+for as many rounds as fit in `--budget` seconds and at least MIN_ROUNDS,
+and each time is the median of its rounds: host drift then moves all three
+alike, where the fastest repeat of one variant after another let a cell's
+pair-kernel time move by more than half between two runs.  The kernel the gate took is read from a counter on
 the table kernel, `mul_table_into`: a product on either walk (a dense right
 factor, or a dense left one) counts as the table.  The coefficients are
 ints, so each kernel call gets an entry's own term dict, and a call whose
@@ -33,10 +36,11 @@ five tables hold.
 
 One record is appended to `BENCH_grassmann.json` at the repository root:
 the git SHA and whether the tree was dirty, the `--label`, the seed, the
-q = 10 table memory, and per cell the operands, the mean terms per entry
-of the dense factor (the right one, the left one for "Q(3) left"), the
-three times, the table's speed-up over the pair kernel, the faster
-kernel and whether the gate took it.
+budget and MIN_ROUNDS, the q = 10 table memory, and per cell the operands,
+the mean terms per entry of the dense factor (the right one, the left one
+for "Q(3) left"), the three median times and the round count, the table's
+speed-up over the pair kernel, the faster kernel and whether the gate
+took it.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ import os
 import platform
 import random
 import resource
+import statistics
 import sys
 import time
 
@@ -67,6 +72,7 @@ CELLS = {QUEER: (range(3, 11), DENSITIES), ODD: (range(4, 11), DENSITIES),
          LEFT: (range(5, 11), (0.25, 0.5, 1))}
 SPARSE = 0.05  # the density of the right factor of "Q(3) left"
 TABLE_Q = 10
+MIN_ROUNDS = 5  # alternating rounds per cell, however small the budget
 
 
 # ----------------------------------------------------------------------
@@ -90,19 +96,27 @@ def random_matrix(rng, operands, q, density):
     return supermatrix.SuperMatrix(shape, parity, rows)
 
 
-def best_time(fn, budget):
-    best = None
+def median_times(a, b, cuts, budget):
+    """The median time of a @ b under each gate table of cuts, patched in
+    turn as `supermatrix._TABLE_DENSITY` outside the timed call, over rounds
+    that each time every cut once, for budget seconds and at least
+    MIN_ROUNDS rounds; and the round count."""
+    times = [[] for _ in cuts]
     deadline = time.perf_counter() + budget
-    while best is None or time.perf_counter() < deadline:
-        start = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best
+    rounds = 0
+    while rounds < MIN_ROUNDS or time.perf_counter() < deadline:
+        for cut, out in zip(cuts, times):
+            supermatrix._TABLE_DENSITY = cut
+            start = time.perf_counter()
+            a @ b
+            out.append(time.perf_counter() - start)
+        rounds += 1
+    return [statistics.median(t) for t in times], rounds
 
 
 def time_cell(operands, q, density, seed, budget):
-    """(mean terms per entry of the dense factor, gate's kernel, pair s, table s, gated s)."""
+    """(mean terms per entry of the dense factor, gate's kernel, pair s,
+    table s, gated s, rounds)."""
     # Q(3) cells draw the seeds of the earlier records, so that they compare across records
     rng = random.Random("%d-%d-%s" % (seed, q, density) if operands == QUEER
                         else "%d-%s-%d-%s" % (seed, operands, q, density))
@@ -132,15 +146,11 @@ def time_cell(operands, q, density, seed, budget):
                                  % (operands, q, density))
         if operands == LEFT and set(walks) != {True}:
             raise AssertionError("the cut %s missed the left walk at q=%d" % (forced[q], q))
-        supermatrix._TABLE_DENSITY, supermatrix.mul_table_into = gate
-        gated_s = best_time(lambda: a @ b, budget)
-        supermatrix._TABLE_DENSITY = {}
-        pair_s = best_time(lambda: a @ b, budget)
-        supermatrix._TABLE_DENSITY = forced
-        table_s = best_time(lambda: a @ b, budget)
+        supermatrix.mul_table_into = gate[1]
+        (pair_s, table_s, gated_s), rounds = median_times(a, b, ({}, forced, gate[0]), budget)
     finally:
         supermatrix._TABLE_DENSITY, supermatrix.mul_table_into = gate
-    return terms, kernel, pair_s, table_s, gated_s
+    return terms, kernel, pair_s, table_s, gated_s, rounds
 
 
 def peak_rss_mb():
@@ -167,11 +177,11 @@ def build_record(label, git_sha, dirty, seed, budget, tables, timings):
     """One BENCH_grassmann record from the table memory and per-cell timings.
 
     tables is `table_memory()`'s dict; timings is a list of (operands, q,
-    density, terms per entry, gate's kernel, pair s, table s, gated s), one
-    per cell.
+    density, terms per entry, gate's kernel, pair s, table s, gated s,
+    rounds), one per cell.
     """
     cells = []
-    for operands, q, density, terms, kernel, pair_s, table_s, gated_s in timings:
+    for operands, q, density, terms, kernel, pair_s, table_s, gated_s, rounds in timings:
         faster = "table" if table_s < pair_s else "pair"
         cells.append({
             "operands": operands,
@@ -182,6 +192,7 @@ def build_record(label, git_sha, dirty, seed, budget, tables, timings):
             "pair_s": pair_s,
             "table_s": table_s,
             "gated_s": gated_s,
+            "rounds": rounds,
             "table_speedup": pair_s / table_s,
             "faster": faster,
             "gate_took_faster": kernel == faster,
@@ -194,6 +205,8 @@ def build_record(label, git_sha, dirty, seed, budget, tables, timings):
         "nproc": os.cpu_count(),
         "seed": seed,
         "budget_s": budget,
+        "min_rounds": MIN_ROUNDS,
+        "timing": "median of alternating rounds",
         "tables": tables,
         "gate_took_faster": sum(c["gate_took_faster"] for c in cells),
         "cells": cells,
@@ -208,10 +221,10 @@ def summary(record):
             tables["q"], tables["pairs"], tables["rss_mb_before"], tables["rss_mb_after"])]
     for c in record["cells"]:
         lines.append("  %-9s q=%-2d density %-4s terms %7.1f  pair %9.3f ms  table %9.3f ms"
-                     "  %5.2fx  gate %-5s%s" % (
+                     "  %5.2fx  %3d rounds  gate %-5s%s" % (
                          c["operands"], c["q"], c["density"], c["terms_per_entry"],
-                         1e3 * c["pair_s"], 1e3 * c["table_s"], c["table_speedup"], c["gate"],
-                         "" if c["gate_took_faster"] else "  (slower kernel)"))
+                         1e3 * c["pair_s"], 1e3 * c["table_s"], c["table_speedup"], c["rounds"],
+                         c["gate"], "" if c["gate_took_faster"] else "  (slower kernel)"))
     return "\n".join(lines)
 
 
@@ -220,7 +233,8 @@ def main(argv=None):
     parser.add_argument("--label", help="name of the measured change, stored in the record")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--budget", type=float, default=0.3,
-                        help="seconds of repeats per timing (at least one run)")
+                        help="seconds of alternating rounds per cell (at least %d rounds)"
+                        % MIN_ROUNDS)
     args = parser.parse_args(argv)
     tables = table_memory()
     timings = []
