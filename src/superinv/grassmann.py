@@ -14,21 +14,21 @@ that reads it, for GrassmannScalar and for `sympoly`'s polynomials alike;
 a subclass supplies only its key shape.  `geometric_sum` is the one
 (1 + nilpotent)^-1 series that scalar and matrix inverses share.
 
-Matrix products run on the same numerators: `common_denominator` brings a
-matrix row or column over the lcm of its entries' denominators, rescaling
-only the entries whose denominator differs, one of two kernels then
-multiplies and adds plain ints, and each output cell is reduced by one gcd.
-The pair kernel `mul_terms_into` visits every pair of terms and skips the
-overlapping ones.  The table kernel `mul_table_into` reads its right operand
-as a dense list of 2**q coefficients and walks `disjoint_table(q, parity)`,
-which lists only the disjoint pairs, in an add and a subtract list per row:
-3**q steps for two full operands, against 4**q.  A right operand whose terms
-share one parity (`shared_parity` of its masks) walks only that half of the
-pairs; a mixed one walks them all.  A dense left operand takes the same walk
-with the factors' roles swapped, over `left_table(q, parity)`: the table
-with supercommutativity, e_m1 * e_m2 = (-1)**(|m1| |m2|) e_m2 * e_m1,
-written into its signs once, so the right term dict's terms walk the left
-operand's dense list.
+Matrix products run on the same numerators: `common_denominator` brings
+scalars over the lcm of their denominators, rescaling only those whose
+denominator differs, one of two kernels then multiplies and adds plain ints,
+and each output cell is reduced by one gcd.  The pair kernel
+`mul_terms_into` visits every pair of terms and skips the overlapping ones.
+The table kernel `mul_table_into` reads its right operand as a dense list
+of 2**q coefficients and walks `disjoint_table(q, parity)`, which lists only
+the disjoint pairs, in an add and a subtract list per row: 3**q steps for
+two full operands, against 4**q.  A dense operand whose nonzero coefficients
+share one parity walks only that half of the pairs.  A dense left operand
+takes the same walk with the factors' roles swapped, over
+`left_table(q, parity)`: the table with supercommutativity,
+e_m1 * e_m2 = (-1)**(|m1| |m2|) e_m2 * e_m1, written into its signs once.
+The kernel's one caller is `supermatrix.IntegerGrid`, a whole matrix over
+one lcm whose cells are the dense operands.
 `SuperMatrix.__matmul__` holds the one gate between the kernels, and it
 reads both factors: the table serves 4 <= q <= 10 when the right factor's
 entries average at least a quarter (q = 4), an eighth (q = 5..8) or a
@@ -147,13 +147,6 @@ def disjoint_table(q, parity):
             m2 = (m2 - 1) & rest
         table.append((tuple(row[0]), tuple(row[1])))
     return table
-
-
-def shared_parity(masks):
-    """0 or 1 when every mask in masks has a popcount of that parity, else
-    None (for none or for both)."""
-    parities = {m.bit_count() & 1 for m in masks}
-    return parities.pop() if len(parities) == 1 else None
 
 
 def mul_table_into(acc, t1, dense):

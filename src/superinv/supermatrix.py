@@ -38,7 +38,6 @@ from .grassmann import (
     mul_table_into,
     mul_terms_into,
     reduced_scalar,
-    shared_parity,
 )
 from . import linalg
 
@@ -48,12 +47,13 @@ ANY = "any"
 
 _PARITIES = (EVEN, ODD, ANY)
 
-# The gate of the table kernel in `SuperMatrix.__matmul__`: per generator
-# count it serves, the density it needs, as a fraction of the 2**gq
-# monomials an entry of the right factor (of the left one, for the left
-# walk at gq 5..10) holds on average.  The cuts are where the two kernels
-# break even on the products the benchmark workloads make: near 1/4 at
-# gq 4, near 1/8 at gq 5..7.  No workload makes products at gq 8..10.
+# The gate of `IntegerGrid`'s table walks in `SuperMatrix._product`: per
+# generator count it serves, the density it needs, as a fraction of the
+# 2**gq monomials an entry of the factor it converts (the right one, or the
+# left one for the left walk at gq 5..10) holds on average.  The cuts are
+# where the two kernels break even on the products the benchmark workloads
+# make: near 1/4 at gq 4, near 1/8 at gq 5..7.  No workload makes products
+# at gq 8..10.
 # Gq 8 keeps 1/8; at gq 9 and 10 single products (`tools/bench_kernel.py`)
 # favour the table at a tenth of the monomials and the pair kernel at a
 # twentieth, so the cut there is 1/16.
@@ -169,6 +169,25 @@ def _walked(cell, q, table):
     if any(map(cell.__getitem__, even)):
         return table(q, None if has_odd else 0), cell
     return (table(q, 1), cell) if has_odd else None
+
+
+def _walk(q, lines):
+    """The dense cells, in order, that each accumulate the table kernel over
+    one line: a pair (term dicts, dense operands)."""
+    size = 1 << q
+    cells = []
+    for terms, dense in lines:
+        acc = [0] * size
+        for t, y in zip(terms, dense):
+            if t and y:
+                mul_table_into(acc, t, y)
+        cells.append(acc)
+    return cells
+
+
+def _scalars(q, den, cells):
+    """Dense cells of numerators over den as scalars, each reduced once."""
+    return [reduced_scalar(q, {m: c for m, c in enumerate(cell) if c}, den) for cell in cells]
 
 
 def _term_rows(matrix):
@@ -347,53 +366,25 @@ class SuperMatrix:
         """self @ other, or with diagonal=True only the list of its diagonal entries."""
         self._check_compatible(other)
         gq = self.gq
-        # Integer numerators over one denominator per row of self and per
-        # column of other, so each kernel multiplies and adds plain ints,
-        # and each cell is reduced by one gcd.
-        # The one gate reads both factors, each in O(n**2) len() calls.  At a
-        # gq in _TABLE_DENSITY, a right factor whose entries average at least
-        # that share of the 2**gq monomials takes the table kernel, which
-        # reads each column entry as a dense list and visits only disjoint
-        # pairs.  Otherwise, at gq 5..10, a left factor at that share takes
-        # the left walk: the same table walk with the factors' roles swapped,
-        # each row entry a dense list over `left_table`, and each cell walked
-        # as (column, row), so the column entry's terms walk it.  Below gq
-        # 4 products are a few terms each and the table measured slower over
-        # whole verify runs, at gq 4 the left walk measured slower on the
-        # workloads' products, above gq 10 the table's memory grows 3x per
-        # generator, and on sparse factors most table steps read zeros:
-        # these stay on the pair kernel.  The table
-        # walks 2**(gq - degree) tuples per sparse term, so sparse terms of
-        # low degree still cost it more than the gate sees.
-        # Past the gate, each dense entry whose terms share one parity walks
-        # only that half of each table row.  The half is read from the
-        # entry's own masks, never from a parity label, which could be
-        # false and would then drop terms.
-        rows = [common_denominator(row) for row in self.rows]
-        cols = [common_denominator(col) for col in zip(*other.rows)]
-        size = 1 << gq
+        # The one gate, O(n**2) len() calls on each factor, makes a dense
+        # factor an `IntegerGrid` (whose docstring gives its reasons); the pair
+        # kernel reads rows of self and columns of other over their own lcm.
         cut = _TABLE_DENSITY.get(gq)
-        kernel, dense, left = mul_terms_into, False, False
-        if cut is not None:
-            if _holds_share(other.rows, gq, cut):
-                kernel, dense = mul_table_into, True
-                cols = [(d_col, [(disjoint_table(gq, shared_parity(y)), _dense(y, size))
-                                 if y else None for y in col]) for d_col, col in cols]
-            elif gq >= 5 and _holds_share(self.rows, gq, cut):
-                kernel, dense, left = mul_table_into, True, True
-                rows = [(d_row, [(left_table(gq, shared_parity(x)), _dense(x, size))
-                                 if x else None for x in row]) for d_row, row in rows]
-        cells = zip(rows, cols) if diagonal else ((row, col) for row in rows for col in cols)
-        if left:
-            cells = ((col, row) for row, col in cells)
-        out = []
-        for (d1, first), (d2, second) in cells:
-            acc = [0] * size if dense else {}
-            for x, y in zip(first, second):
-                if x and y:
-                    kernel(acc, x, y)
-            num = {m: c for m, c in (enumerate(acc) if dense else acc.items()) if c}
-            out.append(reduced_scalar(gq, num, d1 * d2))
+        if cut is not None and _holds_share(other.rows, gq, cut):
+            out = _scalars(gq, *IntegerGrid(other).under(self, diagonal))
+        elif cut is not None and gq >= 5 and _holds_share(self.rows, gq, cut):
+            out = _scalars(gq, *IntegerGrid(self).times(other, diagonal))
+        else:
+            rows = [common_denominator(row) for row in self.rows]
+            cols = [common_denominator(col) for col in zip(*other.rows)]
+            cells = zip(rows, cols) if diagonal else ((row, col) for row in rows for col in cols)
+            out = []
+            for (d1, first), (d2, second) in cells:
+                acc = {}
+                for x, y in zip(first, second):
+                    if x and y:
+                        mul_terms_into(acc, x, y)
+                out.append(reduced_scalar(gq, {m: c for m, c in acc.items() if c}, d1 * d2))
         if diagonal:
             return out
         dim = self.dim
@@ -653,24 +644,40 @@ class GroupElement:
 
 class IntegerGrid:
     """A matrix as int numerators over one denominator `den`, each cell a
-    dense list of its 2**gq numerators indexed by mask: the form in which
-    `reduction._refine` runs its filtration when `serves` passes its matrix.
+    dense list of its 2**gq numerators indexed by mask: the table kernel's
+    one dense form.  `SuperMatrix._product` converts a dense factor for one
+    product; `reduction._refine` converts its matrix and conjugator once,
+    when `serves` passes the matrix, and runs its filtration on them.
 
-    The grid multiplies with a SuperMatrix on either side through the table
-    kernel, as the dense operand: each cell walks the half table that its
-    own nonzero numerators read, and the SuperMatrix's entries, over one
-    denominator, are the term dicts.  A product leaves through one gcd over
-    its denominator and every numerator, and `matrix()` turns the cells into
-    scalars once.
+    The cells are the kernel's dense operands, and a SuperMatrix's entries,
+    over one denominator, its term dicts: `under` (matrix @ self) walks each
+    cell over `disjoint_table`, `times` (self @ matrix) over `left_table`,
+    the same disjoint pairs with the factors' roles swapped.  A cell whose
+    numerators share one parity walks only that half of each table row,
+    read from its own nonzero numerators, never from a parity label, which
+    could be false and would then drop terms.  Both walks return the
+    product's denominator and unreduced cells, row-major (the diagonal ones
+    alone with diagonal=True); `@` and `conjugate` leave through one gcd
+    over the grid, and `matrix()` makes the cells scalars once.
+
+    `_product`'s gate converts a factor only where the table measured
+    faster: at a gq in _TABLE_DENSITY a right factor whose entries average
+    that share of the 2**gq monomials, else at gq 5..10 such a left one.
+    Below gq 4 products are a few terms each and the table measured slower
+    over whole verify runs, at gq 4 the left walk measured slower on the
+    workloads' products, above gq 10 the table's memory grows 3x per
+    generator, and on sparse factors most table steps read zeros: these
+    stay on the pair kernel.  The table walks 2**(gq - degree) tuples per
+    sparse term, so sparse terms of low degree still cost it more than the
+    gate sees.
     """
 
     __slots__ = ("shape", "parity", "gq", "den", "cells")
 
     def __init__(self, matrix):
         size = 1 << matrix.gq
-        den, rows = _term_rows(matrix)
+        self.den, rows = _term_rows(matrix)
         self.shape, self.parity, self.gq = matrix.shape, matrix.parity, matrix.gq
-        self.den = den
         self.cells = [[_dense(num, size) for num in row] for row in rows]
 
     @staticmethod
@@ -692,36 +699,36 @@ class IntegerGrid:
         return reduced_scalar(self.gq, {m: cell[m] for m in _masks_by_degree(self.gq)[level]
                                         if cell[m]}, self.den)
 
-    def __matmul__(self, matrix):
-        """self @ matrix for a SuperMatrix: the left walk, each cell of self
-        over `left_table`."""
+    def times(self, matrix, diagonal=False):
+        """self @ matrix for a SuperMatrix as (den, cells): the left walk,
+        each cell of self over `left_table`, walked by a column of matrix."""
         d, terms = _term_rows(matrix)
         q = self.gq
         rows = [[_walked(cell, q, left_table) for cell in row] for row in self.cells]
         cols = list(zip(*terms))
-        return self._walk(d * self.den, ((col, row) for row in rows for col in cols))
+        lines = zip(cols, rows) if diagonal else ((col, row) for row in rows for col in cols)
+        return d * self.den, _walk(q, lines)
 
-    def conjugate(self, g):
-        """g^-1 self g for a GroupElement g: g's inverse times self on the
-        right walk, each cell of self over `disjoint_table`, then the left
-        walk by g."""
-        d, terms = _term_rows(g.inverse)
+    def under(self, matrix, diagonal=False):
+        """matrix @ self for a SuperMatrix as (den, cells): the right walk,
+        each cell of self over `disjoint_table`, walked by a row of matrix."""
+        d, terms = _term_rows(matrix)
         q = self.gq
         cols = list(zip(*[[_walked(cell, q, disjoint_table) for cell in row]
                           for row in self.cells]))
-        return self._walk(d * self.den, ((row, col) for row in terms for col in cols)) @ g.matrix
+        lines = zip(terms, cols) if diagonal else ((row, col) for row in terms for col in cols)
+        return d * self.den, _walk(q, lines)
 
-    def _walk(self, den, lines):
-        """The grid over den whose cells, row-major, each accumulate the
-        table kernel over one line: a pair (term dicts, dense operands)."""
-        size = 1 << self.gq
-        cells = []
-        for terms, dense in lines:
-            acc = [0] * size
-            for t, y in zip(terms, dense):
-                if t and y:
-                    mul_table_into(acc, t, y)
-            cells.append(acc)
+    def __matmul__(self, matrix):
+        return self._over(*self.times(matrix))
+
+    def conjugate(self, g):
+        """g^-1 self g for a GroupElement g."""
+        return self._over(*self.under(g.inverse)) @ g.matrix
+
+    def _over(self, den, cells):
+        """The grid of self's shape with the row-major cells over den, after
+        one gcd over den and every numerator."""
         g = den
         for cell in cells:
             if g == 1:
@@ -733,16 +740,14 @@ class IntegerGrid:
         dim = self.shape.dim
         out = object.__new__(IntegerGrid)
         out.shape, out.parity, out.gq = self.shape, self.parity, self.gq
-        out.den = den
-        out.cells = [cells[i:i + dim] for i in range(0, len(cells), dim)]
+        out.den, out.cells = den, [cells[i:i + dim] for i in range(0, len(cells), dim)]
         return out
 
     def matrix(self):
         """The grid as a SuperMatrix, each cell reduced to a scalar once."""
-        q, den = self.gq, self.den
         return SuperMatrix(self.shape, self.parity,
-                           [[reduced_scalar(q, {m: c for m, c in enumerate(cell) if c}, den)
-                             for cell in row] for row in self.cells], validate=False)
+                           [_scalars(self.gq, self.den, row) for row in self.cells],
+                           validate=False)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -335,6 +336,24 @@ def kinds_matrix(rng, shape, parity, q, cell_parity=None, count=None, entry_kind
     return SuperMatrix(shape, parity, rows)
 
 
+ROW_DENS, COL_DENS = (11, 13, 17, 19), (23, 29, 31, 37)
+
+
+def scaled(a):
+    """a with row i divided by ROW_DENS[i] and column j by COL_DENS[j]: its
+    lcm of denominators differs from the lcm of each row and each column."""
+    rows = [[x * Fraction(1, ROW_DENS[i] * COL_DENS[j]) for j, x in enumerate(row)]
+            for i, row in enumerate(a.rows)]
+    out = SuperMatrix(a.shape, a.parity, rows)
+
+    def lcm(xs):
+        return math.lcm(*[x.den for x in xs])
+
+    whole = lcm([x for row in out.rows for x in row])
+    assert all(lcm(line) != whole for line in [*out.rows, *zip(*out.rows)])
+    return out
+
+
 @pytest.mark.parametrize("gq", range(4, 9))
 def test_table_halves_match_naive_oracle(monkeypatch, gq):
     # the table is forced at any density: each right entry walks the half of
@@ -358,9 +377,12 @@ def test_table_halves_match_naive_oracle(monkeypatch, gq):
              (Standard(2, 2), EVEN, None), (Standard(2, 2), ODD, None),
              # "any" labels over entries of one parity each
              (Standard(2, 2), ANY, ODD), (Standard(1, 1), ANY, EVEN)]
-    for shape, parity, cell_parity in cases:
+    # last, Q(3) with rows and columns over distinct denominators
+    for k, (shape, parity, cell_parity) in enumerate(cases + [(Queer(3), ANY, None)]):
         a = kinds_matrix(rng, shape, parity, gq, cell_parity, count=2)
         b = kinds_matrix(rng, shape, parity, gq, cell_parity)
+        if k == len(cases):
+            a, b = scaled(a), scaled(b)
         want = naive_matmul(a, b)
         got = a @ b
         diagonal = a._product(b, diagonal=True)
@@ -402,10 +424,13 @@ def test_left_walk_matches_naive_oracle(monkeypatch, gq):
     else:  # the gate's top generator counts, on small shapes
         cases = [(Queer(2), ANY), (Standard(1, 1), EVEN), (Standard(1, 1), ODD),
                  (Standard(2, 2), ODD)]
-    for shape, parity in cases:
+    # last, Q(2) with rows and columns over distinct denominators
+    for k, (shape, parity) in enumerate(cases + [(Queer(2), ANY)]):
         # each nonzero left entry holds 3/8 of the 2**gq monomials
         a = kinds_matrix(rng, shape, parity, gq, count=3 << gq - 3, entry_kinds=LEFT_KINDS)
         b = kinds_matrix(rng, shape, parity, gq, count=2)
+        if k == len(cases):
+            a, b = scaled(a), scaled(b)
         want = naive_matmul(a, b)
         calls = len(swaps)
         got = a @ b

@@ -425,18 +425,19 @@ def test_reduce_odd_refines_a_without_its_square(monkeypatch, make, count, grid)
     real = SuperMatrix.__matmul__
     operands = []
     grids = []
-    real_grid = IntegerGrid.__init__
 
     def recording(x, y):
         operands.append((x, y))
         return real(x, y)
 
-    def converting(self, matrix):
-        grids.append(matrix)
-        real_grid(self, matrix)
+    class Converting(IntegerGrid):
+        # `_refine`'s own conversions: products convert dense factors too
+        def __init__(self, matrix):
+            grids.append(matrix)
+            super().__init__(matrix)
 
     monkeypatch.setattr(SuperMatrix, "__matmul__", recording)
-    monkeypatch.setattr(IntegerGrid, "__init__", converting)
+    monkeypatch.setattr(reduction, "IntegerGrid", Converting)
     dec = reduce_odd(a)
     # two products per conjugation, one per extension of the conjugator (the
     # steps above gq / 2 extend it once together): no Grassmann square of A.

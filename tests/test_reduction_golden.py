@@ -6,6 +6,7 @@ or the type, message and residual of the error the reduction raises.
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -103,6 +104,19 @@ CASES = {
         random_queer_with_spectrum(2, [1, -2], 7, seed=124), 125, 128)).to_obj(),
     "diagonalize dense queer 3 gq 6": lambda: diagonalize(_dense_conjugate(
         random_queer_with_spectrum(3, [2, -1, 3], 6, seed=126), 127, 64)).to_obj(),
+    # generator counts no benchmark workload reaches: the table's gate at gq
+    # 8..10 on dense inputs, the pair kernel on a sparse one, and a dense
+    # input with a fractional body
+    "diagonalize dense queer 2 gq 8": lambda: diagonalize(_dense_conjugate(
+        random_queer_with_spectrum(2, [1, -2], 8, seed=4), 5, 3 << 5)).to_obj(),
+    "diagonalize dense queer 2 gq 9": lambda: diagonalize(_dense_conjugate(
+        random_queer_with_spectrum(2, [1, -2], 9, seed=4), 5, 3 << 6)).to_obj(),
+    "reduce_odd dense 2|2 gq 10": lambda: reduce_odd(_dense_conjugate(
+        random_odd_reducible(2, [5, -1], 10, seed=3), 8, 512)).to_obj(),
+    "diagonalize sparse queer 3 gq 10": lambda: diagonalize(_dense_conjugate(
+        random_queer_with_spectrum(3, [1, -2, 3], 10, seed=4), 5, 2)).to_obj(),
+    "diagonalize dense queer 2 half gq 8": lambda: diagonalize(_dense_conjugate(
+        random_queer_with_spectrum(2, [Fraction(1, 2), -3], 8, seed=6), 7, 3 << 5)).to_obj(),
 }
 
 # sha256 of each case's canonical outcome JSON; a changed output or error shows here
@@ -126,11 +140,16 @@ GOLDEN = {
     "diagonalize queer 3 repeated": "4c2e83ddc522f00aec4f6cf0bf0badec712ae6055aa09aa7b63241901b7a99fe",
     "diagonalize dense queer 2 gq 7": "e1ff48db8704b293cea31abdf8700df606d3035a50be42f392824ea2b35747af",
     "diagonalize dense queer 3 gq 6": "e9244bcff8b8c8521e12dfec8260afa2f6ab738199399551ffa5b4563e1d9902",
+    "diagonalize dense queer 2 gq 8": "c5e862f036cb7a488e87acb2e006145e44d259a492d94c8252efb1695c29d864",
+    "diagonalize dense queer 2 gq 9": "0678f42165b37538b9d91b0d9a65bebc354a172cce71d26580288bd04a5a3d79",
+    "diagonalize dense queer 2 half gq 8": "1d3f6619f29677b068ff26121216941be89adf95e68f81364637ab528d976884",
+    "diagonalize sparse queer 3 gq 10": "dcf5fd1129f835da938248863b42c7d5ce3638783eb1d5c8b094e8074cd534c5",
     "reduce_odd 1|1": "78430390e9e4557f81983a40e9538ace77ca787863fedf043b5e7263f78c55e8",
     "reduce_odd 2|2": "689190484f036e737de9dd735dddae83a7f7f43f6d5dee80a3455bb7d5591ac5",
     "reduce_odd 3|3": "0d318158eedf914b22a74b9b2ce120319f4374b9a4388b22cf5aabd5f015bf65",
     "reduce_odd dense 2|2 gq 6": "53f4c0df17ae948d0a8e68593277e0209bbdbf8bb7ff2a3e8473f8322e3c4016",
     "reduce_odd dense 2|2 gq 7": "66a8586cced712e23fe86cb22a527595fa99650e5ffa4a3920432d6a046b03d2",
+    "reduce_odd dense 2|2 gq 10": "2c88bdc532e489a60b52897a85d7652fb80f4f1fa15db7b934367a8a09706424",
     "reduce_odd even input": "56abd0f039cdb3411cfd7aefee903cdb72df0b8a7de3c239144469498641f343",
     "reduce_odd nonsplitting": "52b3561a435ab69b07b1748c3d420b21a2cb60ff8ab5450b0831962e1bb55a7f",
     "reduce_odd repeated": "ea252379699aea7d40833fa64b3e1359943b0e31946b441433e527df41b1b980",

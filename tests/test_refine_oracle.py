@@ -67,7 +67,8 @@ def test_dense_refine_matches_oracle_above_half_gq(monkeypatch, gq):
 
 
 class _Taken(Exception):
-    """Raised by the spy on `IntegerGrid`'s constructor: the grid was taken."""
+    """Raised by the spy on `_refine`'s `IntegerGrid` conversions: the grid
+    was taken."""
 
 
 def _share(m):
@@ -76,7 +77,8 @@ def _share(m):
 
 
 def test_the_grid_serves_dense_inputs_at_the_tables_generator_counts(monkeypatch):
-    # the constructor's spy stops a reduction that takes the grid; every
+    # the spy on `_refine`'s conversions stops a reduction that takes the
+    # grid (products that convert a dense factor are not `_refine`'s); every
     # other reduction runs on SuperMatrix products, and the share of its
     # refine input shows which half of the gate turned it away
     shares = []
@@ -86,11 +88,12 @@ def test_the_grid_serves_dense_inputs_at_the_tables_generator_counts(monkeypatch
         shares.append(_share(m))
         return real(m, parts, g, filtration_log)
 
-    def spy(self, matrix):
-        raise _Taken(matrix.gq)
+    class Spy(IntegerGrid):
+        def __init__(self, matrix):
+            raise _Taken(matrix.gq)
 
     monkeypatch.setattr(reduction, "_refine", recording)
-    monkeypatch.setattr(IntegerGrid, "__init__", spy)
+    monkeypatch.setattr(reduction, "IntegerGrid", Spy)
     for gq in range(4, 11):
         q2 = random_queer_with_spectrum(2, [1, -2], gq, seed=40 + gq)
         odd = random_odd_reducible(2, [2, -3], gq, seed=50 + gq)

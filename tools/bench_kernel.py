@@ -23,10 +23,12 @@ for as many rounds as fit in `--budget` seconds and at least MIN_ROUNDS,
 and each time is the median of its rounds: host drift then moves all three
 alike, where the fastest repeat of one variant after another let a cell's
 pair-kernel time move by more than half between two runs.  The kernel the gate took is read from a counter on
-the table kernel, `mul_table_into`: a product on either walk (a dense right
-factor, or a dense left one) counts as the table.  The coefficients are
-ints, so each kernel call gets an entry's own term dict, and a call whose
-term dict is a right entry's is the left walk.
+the table kernel, `mul_table_into`, patched into `supermatrix`, whose
+`_walk` is its one caller: a product on either of `IntegerGrid`'s walks (a
+dense right factor made a grid, or a dense left one) counts as the table.
+The coefficients are ints, so every matrix is over the denominator 1, each
+kernel call gets an entry's own term dict, and a call whose term dict is a
+right entry's is the left walk.
 
 Before any cell, the script builds the q = 10 tables, `disjoint_table` of
 both parity halves and the full one and `left_table`'s odd half and full
