@@ -11,8 +11,9 @@ through one gcd reduction.  `terms`, the coefficients as exact values
 (integral ones as ints), is a read-only view built on first read.
 `SparseRingElement` is the ring core that holds this form and every rule
 that reads it, for GrassmannScalar and for `sympoly`'s polynomials alike;
-a subclass supplies only its key shape.  `geometric_sum` is the one
-(1 + nilpotent)^-1 series that scalar and matrix inverses share.
+a subclass supplies only its key shape.  `geometric_sum` is the scalars'
+(1 + nilpotent)^-1 series; a matrix sums its own on integer numerators
+(`supermatrix._inverse_series`).
 
 Matrix products run on the same numerators: `common_denominator` brings
 scalars over the lcm of their denominators, rescaling only those whose
@@ -27,8 +28,9 @@ share one parity walks only that half of the pairs.  A dense left operand
 takes the same walk with the factors' roles swapped, over
 `left_table(q, parity)`: the table with supercommutativity,
 e_m1 * e_m2 = (-1)**(|m1| |m2|) e_m2 * e_m1, written into its signs once.
-The kernel's one caller is `supermatrix.IntegerGrid`, a whole matrix over
-one lcm whose cells are the dense operands.
+The kernel's one caller is `supermatrix._walk`, whose dense operands are
+the cells of an `IntegerGrid`, a whole matrix over one lcm, or of the
+nilpotent matrix of an inverse series.
 `SuperMatrix.__matmul__` holds the one gate between the kernels, and it
 reads both factors: the table serves 4 <= q <= 10 when the right factor's
 entries average at least a quarter (q = 4), an eighth (q = 5..8) or a
@@ -265,8 +267,10 @@ def geometric_sum(one, x, order):
 
     The result is exactly (1 - x)^-1 when x^(order+1) = 0, as it is for a
     nilpotent x whose terms all have monomial degree > q / (order + 1).
-    Scalars and matrices alike: it only uses `*`, `+` and `is_zero`.  The
-    powers start at x itself, so order k costs at most k - 1 products.
+    It serves the scalars; it only uses `*`, `+` and `is_zero`, so on
+    SuperMatrix products it is the tests' oracle of the matrices' integer
+    series.  The powers start at x itself, so order k costs at most k - 1
+    products.
     """
     acc = one
     term = x

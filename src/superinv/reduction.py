@@ -8,9 +8,11 @@ monomials of degree >= d, and conjugating by 1 + D pushes the support to
 degree d + 1.  The Sylvester operators are rational, so each ordered pair of
 parts solves level d in the ring core: each cell of D is one sum of the
 pair's degree-d cell parts scaled by a row of the pair's inverse operator.
-After q levels the cross terms vanish identically.  Above d = q/2 the steps
-square to zero and any two multiply to zero, so each is inverted as 1 - D
-and the conjugator takes them all in one product by 1 + their sum.  When the
+After q levels the cross terms vanish identically.  Up to d = q/2 each step
+is inverted by its finite series in -D on integer numerators
+(`supermatrix._inverse_series`).  Above d = q/2 the steps square to zero
+and any two multiply to zero, so each is inverted as 1 - D and the
+conjugator takes them all in one product by 1 + their sum.  When the
 table kernel serves q and the matrix's entries average a quarter of the 2**q
 monomials, the matrix and its conjugator are converted once into integer
 grids (`supermatrix.IntegerGrid`), on which every level is read, conjugated
@@ -45,7 +47,7 @@ from .errors import (
     ValidationError,
     ZeroEigenvalue,
 )
-from .grassmann import GrassmannScalar, geometric_sum, is_coeff, is_int, parse_coeff, ratio_text
+from .grassmann import GrassmannScalar, is_coeff, is_int, parse_coeff, ratio_text
 from .supermatrix import (
     _PARITIES,
     EVEN,
@@ -55,6 +57,9 @@ from .supermatrix import (
     Queer,
     Standard,
     SuperMatrix,
+    _inverse_series,
+    _reduced_matrix,
+    _term_rows,
     to_plain,
 )
 
@@ -369,14 +374,15 @@ def _refine(m, parts, g, filtration_log=None):
     """Remove cross-partition terms degree by degree; exact conjugators.
 
     Returns the refined m and the conjugator matrix g times every step; the
-    steps 1 + D above level gq / 2 are inverted as 1 - D, and g takes them
-    in one product by 1 plus their sum, as any two of them multiply to 0.  The
-    body blocks of m on distinct parts must have disjoint spectra.  At each
-    level every ordered pair (r, s) of parts with cross terms of that degree
-    solves in the ring core: with the pair's cells column-stacked (j outer, i
-    inner), cell c of the step D is minus the combination of the cells'
-    degree-level parts weighted by row c of the inverse Sylvester operator of
-    the pair's body blocks, one `_sum` of scaled scalars.
+    steps 1 + D up to level gq / 2 are inverted by `_inverse_series`, those
+    above it as 1 - D, and g takes the latter in one product by 1 plus their
+    sum, as any two of them multiply to 0.  The body blocks of m on distinct
+    parts must have disjoint spectra.  At each level every ordered pair
+    (r, s) of parts with cross terms of that degree solves in the ring core:
+    with the pair's cells column-stacked (j outer, i inner), cell c of the
+    step D is minus the combination of the cells' degree-level parts weighted
+    by row c of the inverse Sylvester operator of the pair's body blocks, one
+    `_sum` of scaled scalars.
 
     When `IntegerGrid.serves(m)` (a gq the table serves, and entries that
     average a quarter of the monomials), m and g are converted once into
@@ -391,7 +397,6 @@ def _refine(m, parts, g, filtration_log=None):
     cross = _cross_cells(parts, dim)
     inverses = {}
     shape = m.shape
-    ident = SuperMatrix.identity(shape, gq)
     zero = GrassmannScalar.zero(gq)
     one = GrassmannScalar.one(gq)
     on_grid = IntegerGrid.serves(m)
@@ -448,7 +453,8 @@ def _refine(m, parts, g, filtration_log=None):
             for cell, x in solved.items():
                 batched.setdefault(cell, []).append(x)
         else:
-            inverse = geometric_sum(ident, -delta, gq // level)
+            inverse = _reduced_matrix(shape, shape.group_parity, gq,
+                                      *_inverse_series(*_term_rows(delta), gq, gq // level))
             g = g @ h
         m = m.conjugate(GroupElement(h, _inverse=inverse))
     if batched:

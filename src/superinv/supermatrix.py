@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 
 from .errors import (
     GeneratorCountMismatch,
@@ -32,7 +33,6 @@ from .grassmann import (
     GrassmannScalar,
     common_denominator,
     disjoint_table,
-    geometric_sum,
     is_int,
     left_table,
     mul_table_into,
@@ -137,10 +137,10 @@ def _dense(num, size):
     return dense
 
 
-def _holds_share(rows, gq, share):
-    """Whether the entries of the square grid rows average at least share of
-    the 2**gq monomials: the density test of both table gates."""
-    return sum(len(x.num) for row in rows for x in row) >= share * ((1 << gq) * len(rows) ** 2)
+def _holds_share(nums, dim, gq, share):
+    """Whether the term dicts nums of a dim x dim grid average at least share
+    of the 2**gq monomials: the density test of both table gates."""
+    return sum(map(len, nums)) >= share * ((1 << gq) * dim * dim)
 
 
 @cache
@@ -163,12 +163,13 @@ def _masks_by_parity(q):
 def _walked(cell, q, table):
     """A dense cell as the table kernel's dense operand (table(q, parity),
     cell), the parity read from the cell's own nonzero numerators; None for
-    a zero cell."""
+    a zero cell, found by one scan before the parity scans."""
+    if not any(cell):
+        return None
     even, odd = _masks_by_parity(q)
-    has_odd = any(map(cell.__getitem__, odd))
-    if any(map(cell.__getitem__, even)):
-        return table(q, None if has_odd else 0), cell
-    return (table(q, 1), cell) if has_odd else None
+    if not any(map(cell.__getitem__, odd)):
+        return table(q, 0), cell
+    return table(q, None if any(map(cell.__getitem__, even)) else 1), cell
 
 
 def _walk(q, lines):
@@ -183,6 +184,72 @@ def _walk(q, lines):
                 mul_table_into(acc, t, y)
         cells.append(acc)
     return cells
+
+
+def _paired(first, second):
+    """The pair kernel's cell over one line, two sequences of term dicts
+    multiplied entry by entry and summed, zeros pruned."""
+    acc = {}
+    for x, y in zip(first, second):
+        if x and y:
+            mul_terms_into(acc, x, y)
+    return {m: c for m, c in acc.items() if c}
+
+
+def _combination(pairs):
+    """The sum of c * t over pairs of an int c and a term dict t, zeros pruned."""
+    acc = {}
+    for c, t in pairs:
+        if c:
+            for m, v in t.items():
+                acc[m] = acc.get(m, 0) + c * v
+    return {m: v for m, v in acc.items() if v}
+
+
+def _inverse_series(den, rows, gq, order):
+    """(1 + x)^-1 = sum (-x)^k, k = 0..order, for the square grid x of term
+    dicts rows over den (`_term_rows`' form) with x^(order + 1) = 0, as
+    (den**K, term dicts, not reduced), K the last nonzero power.
+
+    Each power is the last one's term rows times the columns of -x, on the
+    table walk when x passes `_product`'s right-factor cut, else on the pair
+    kernel, and stays over den**k; the powers are summed over den**K once.
+    """
+    dim = len(rows)
+    cols = [[{m: -c for m, c in t.items()} for t in col] for col in zip(*rows)]
+    cut = _TABLE_DENSITY.get(gq)
+    if cut is not None and _holds_share(chain.from_iterable(rows), dim, gq, cut):
+        size = 1 << gq
+        dense = [[_walked(_dense(t, size), gq, disjoint_table) for t in col] for col in cols]
+
+        def times(power):
+            return [{m: c for m, c in enumerate(cell) if c}
+                    for cell in _walk(gq, ((row, col) for row in power for col in dense))]
+    else:
+        def times(power):
+            return [_paired(row, col) for row in power for col in cols]
+    powers = [list(zip(*cols))] if order and any(chain.from_iterable(rows)) else []
+    while powers and len(powers) < order:
+        cells = times(powers[-1])
+        if not any(cells):
+            break
+        powers.append([cells[i:i + dim] for i in range(0, len(cells), dim)])
+    top = len(powers)
+    out = [[{0: den ** top} if i == j else {} for j in range(dim)] for i in range(dim)]
+    for k, power in enumerate(powers, 1):
+        scale = den ** (top - k)
+        for out_row, row in zip(out, power):
+            for acc, t in zip(out_row, row):
+                for m, c in t.items():
+                    acc[m] = acc.get(m, 0) + c * scale
+    return den ** top, [[{m: c for m, c in t.items() if c} for t in row] for row in out]
+
+
+def _reduced_matrix(shape, parity, gq, den, rows):
+    """A SuperMatrix of the grid of term dicts rows over den, each cell
+    reduced once and no label checked."""
+    return SuperMatrix(shape, parity, [[reduced_scalar(gq, t, den) for t in row] for row in rows],
+                       validate=False)
 
 
 def _scalars(q, den, cells):
@@ -370,24 +437,21 @@ class SuperMatrix:
         # factor an `IntegerGrid` (whose docstring gives its reasons); the pair
         # kernel reads rows of self and columns of other over their own lcm.
         cut = _TABLE_DENSITY.get(gq)
-        if cut is not None and _holds_share(other.rows, gq, cut):
+        dim = self.dim
+        if cut is not None and _holds_share((x.num for row in other.rows for x in row),
+                                            dim, gq, cut):
             out = _scalars(gq, *IntegerGrid(other).under(self, diagonal))
-        elif cut is not None and gq >= 5 and _holds_share(self.rows, gq, cut):
+        elif cut is not None and gq >= 5 and _holds_share((x.num for row in self.rows for x in row),
+                                                           dim, gq, cut):
             out = _scalars(gq, *IntegerGrid(self).times(other, diagonal))
         else:
             rows = [common_denominator(row) for row in self.rows]
             cols = [common_denominator(col) for col in zip(*other.rows)]
             cells = zip(rows, cols) if diagonal else ((row, col) for row in rows for col in cols)
-            out = []
-            for (d1, first), (d2, second) in cells:
-                acc = {}
-                for x, y in zip(first, second):
-                    if x and y:
-                        mul_terms_into(acc, x, y)
-                out.append(reduced_scalar(gq, {m: c for m, c in acc.items() if c}, d1 * d2))
+            out = [reduced_scalar(gq, _paired(first, second), d1 * d2)
+                   for (d1, first), (d2, second) in cells]
         if diagonal:
             return out
-        dim = self.dim
         parity = _product_parity(self.parity, other.parity)
         return SuperMatrix(self.shape, parity, [out[i:i + dim] for i in range(0, len(out), dim)],
                            validate=False)
@@ -414,22 +478,27 @@ class SuperMatrix:
     def invert(self):
         """Exact inverse: rational body inverse plus a nilpotent correction.
 
-        A = B(1 + B^-1 S) with S the soul part; the geometric series in
-        -B^-1 S terminates because soul entries have monomial degree >= 1.
+        A = B(1 + U) with U = B^-1 S, S the soul part, so A^-1 is
+        (1 + U)^-1 B^-1, whose series in -U terminates because soul entries
+        have monomial degree >= 1.  It runs on integers: B^-1 over the lcm l
+        of its denominators, U and the product by B^-1 as sums of ints times
+        term dicts, the series as `_inverse_series`, each cell reduced once.
         """
         body_inv, rk = linalg.inverse_with_rank(self.body_rows())
         if body_inv is None:
             raise _singular_body(rk, self.dim)
         gq = self.gq
-        # the body inverse has the body's block pattern, so self's parity class
-        binv = SuperMatrix(
-            self.shape,
-            self.parity,
-            [[GrassmannScalar.rational(gq, x) for x in row] for row in body_inv],
-            validate=False,
-        )
-        neg_u = -(binv @ self.soul())
-        return geometric_sum(SuperMatrix.identity(self.shape, gq), neg_u, gq) @ binv
+        lcm = math.lcm(*[x.denominator for row in body_inv for x in row])
+        binv = [[x.numerator * (lcm // x.denominator) for x in row] for row in body_inv]
+        d, rows = _term_rows(self)
+        souls = [[{m: c for m, c in t.items() if m} for t in col] for col in zip(*rows)]
+        u = [[_combination(zip(brow, col)) for col in souls] for brow in binv]
+        den, series = _inverse_series(lcm * d, u, gq, gq)
+        # B^-1 has self's block pattern and U, a product of two matrices of
+        # self's class, is even: the inverse keeps self's parity class
+        return _reduced_matrix(self.shape, self.parity, gq, den * lcm,
+                               [[_combination(zip(col, row)) for col in zip(*binv)]
+                                for row in series])
 
     # ------------------------------------------------------------------
     # invariant functions
@@ -685,7 +754,8 @@ class IntegerGrid:
         """Whether the table serves matrix's gq and its entries average at
         least _GRID_DENSITY of the monomials."""
         gq = matrix.gq
-        return gq in _TABLE_DENSITY and _holds_share(matrix.rows, gq, _GRID_DENSITY)
+        return gq in _TABLE_DENSITY and _holds_share((x.num for row in matrix.rows for x in row),
+                                                     matrix.dim, gq, _GRID_DENSITY)
 
     def min_degree(self, i, j):
         """The least degree of cell (i, j)'s monomials, None when it is zero."""
