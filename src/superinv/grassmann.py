@@ -29,7 +29,7 @@ takes the same walk with the factors' roles swapped, over
 `left_table(q, parity)`: the table with supercommutativity,
 e_m1 * e_m2 = (-1)**(|m1| |m2|) e_m2 * e_m1, written into its signs once.
 The kernel's one caller is `supermatrix._walk`, whose dense operands are
-the cells of an `IntegerGrid`, a whole matrix over one lcm, or of the
+the dense cells of an `IntegerGrid`, a whole matrix over one lcm, or of the
 nilpotent matrix of an inverse series.
 `SuperMatrix.__matmul__` holds the one gate between the kernels, and it
 reads both factors: the table serves 4 <= q <= 10 when the right factor's

@@ -12,11 +12,11 @@ After q levels the cross terms vanish identically.  Up to d = q/2 each step
 is inverted by its finite series in -D on integer numerators
 (`supermatrix._inverse_series`).  Above d = q/2 the steps square to zero
 and any two multiply to zero, so each is inverted as 1 - D and the
-conjugator takes them all in one product by 1 + their sum.  When the
-table kernel serves q and the matrix's entries average a quarter of the 2**q
-monomials, the matrix and its conjugator are converted once into integer
-grids (`supermatrix.IntegerGrid`), on which every level is read, conjugated
-and extended; they become scalars once, after the last level.
+conjugator takes them all in one product by 1 + their sum.  The matrix and
+its conjugator are converted once into integer grids (`supermatrix.IntegerGrid`):
+dense cells when the table kernel serves q and the entries average a quarter
+of the 2**q monomials, term dicts otherwise.  Every level is read, conjugated
+and extended on them, and they become scalars once, after the last level.
 
 One body stage serves both shapes: a queer body is a single half, a standard
 body the two halves X and T.  reduce_odd checks its input with the one rule
@@ -47,7 +47,14 @@ from .errors import (
     ValidationError,
     ZeroEigenvalue,
 )
-from .grassmann import GrassmannScalar, is_coeff, is_int, parse_coeff, ratio_text
+from .grassmann import (
+    GrassmannScalar,
+    common_denominator,
+    is_coeff,
+    is_int,
+    parse_coeff,
+    ratio_text,
+)
 from .supermatrix import (
     _PARITIES,
     EVEN,
@@ -58,7 +65,6 @@ from .supermatrix import (
     Standard,
     SuperMatrix,
     _inverse_series,
-    _reduced_matrix,
     _term_rows,
     to_plain,
 )
@@ -337,17 +343,6 @@ def _cross_terms(parts, m):
     return [(i, j) for i, j in _cross_cells(parts, m.dim) if m.rows[i][j].num]
 
 
-def _min_degree(m, i, j):
-    """The least degree of the monomials of m's entry (i, j), None when it is zero."""
-    return m.rows[i][j].min_degree()
-
-
-def _degree_part(m, i, j, level):
-    """The terms of m's entry (i, j) whose monomials have degree level."""
-    x = m.rows[i][j]
-    return x._reduced({k: c for k, c in x.num.items() if k.bit_count() == level}, x.den)
-
-
 def _lower_identity_step(a):
     """The conjugator h = (1 C; 0 Z), C = -Z^-1 T Z, of an odd square (X Y; Z T).
 
@@ -384,11 +379,11 @@ def _refine(m, parts, g, filtration_log=None):
     by row c of the inverse Sylvester operator of the pair's body blocks, one
     `_sum` of scaled scalars.
 
-    When `IntegerGrid.serves(m)` (a gq the table serves, and entries that
-    average a quarter of the monomials), m and g are converted once into
-    integer grids, which every level reads, conjugates and extends on the
-    table kernel, and which become scalars once, at the end; otherwise the
-    same loop runs on SuperMatrix products.
+    m and g are converted once into `IntegerGrid`s, dense on the table kernel
+    when `IntegerGrid.serves(m)` (a gq the table serves, entries averaging a
+    quarter of the monomials) and sparse on the pair kernel otherwise; every
+    level reads, conjugates and extends them by steps kept as numerator rows
+    over one denominator, and they become scalars once, at the end.
     """
     gq = m.gq
     dim = m.dim
@@ -399,15 +394,11 @@ def _refine(m, parts, g, filtration_log=None):
     shape = m.shape
     zero = GrassmannScalar.zero(gq)
     one = GrassmannScalar.one(gq)
-    on_grid = IntegerGrid.serves(m)
-    if on_grid:
-        m, g = IntegerGrid(m), IntegerGrid(g)
-        min_degree, degree_part = IntegerGrid.min_degree, IntegerGrid.degree_part
-    else:
-        min_degree, degree_part = _min_degree, _degree_part
+    dense = IntegerGrid.serves(m)
+    m, g = IntegerGrid(m, dense), IntegerGrid(g, dense)
     batched = {}  # cell -> the solved values of the steps above gq / 2
     for level in range(1, gq + 1):
-        degrees = [min_degree(m, i, j) for i, j in cross]
+        degrees = [m.min_degree(i, j) for i, j in cross]
         cross_min = min((d for d in degrees if d is not None), default=None)
         if filtration_log is not None:
             filtration_log.append(cross_min)
@@ -426,7 +417,7 @@ def _refine(m, parts, g, filtration_log=None):
                 if r == s:
                     continue
                 cells = [(i, j) for j in part_s for i in part_r]
-                rhs = [degree_part(m, i, j, level) for i, j in cells]
+                rhs = [m.degree_part(i, j, level) for i, j in cells]
                 if not any(y.num for y in rhs):
                     continue
                 if (r, s) not in inverses:
@@ -437,34 +428,30 @@ def _refine(m, parts, g, filtration_log=None):
         if not solved:
             continue
         grid = [[solved.get((i, j), zero) for j in range(dim)] for i in range(dim)]
-        delta = SuperMatrix(shape, shape.group_parity, grid)
-        # delta lives on cross cells only, so 1 + delta is its grid with one
-        # on the diagonal; it has degree >= level, so its powers past
-        # gq // level vanish
-        for i in range(dim):
-            grid[i][i] = one
-        h = SuperMatrix(shape, shape.group_parity, grid, validate=False)
+        # the SuperMatrix checks delta's parity class; delta lives on cross
+        # cells only, so 1 + delta is its rows with den on the diagonal; it
+        # has degree >= level, so its powers past gq // level vanish
+        den, rows = _term_rows(SuperMatrix(shape, shape.group_parity, grid))
+        h = den, [[{0: den} if i == j else t for j, t in enumerate(row)]
+                  for i, row in enumerate(rows)]
         if 2 * level > gq:
-            # delta^2 has degree > gq, so h^-1 = 1 - delta is the grid negated
+            # delta^2 has degree > gq, so h^-1 = 1 - delta is h's rows negated
             # off the diagonal; g takes this step with the batch below
-            inverse = SuperMatrix(shape, shape.group_parity,
-                                  [[-x if x.num and i != j else x for j, x in enumerate(row)]
-                                   for i, row in enumerate(grid)], validate=False)
+            inverse = den, [[{0: den} if i == j else {k: -c for k, c in t.items()}
+                             for j, t in enumerate(row)] for i, row in enumerate(rows)]
             for cell, x in solved.items():
                 batched.setdefault(cell, []).append(x)
         else:
-            inverse = _reduced_matrix(shape, shape.group_parity, gq,
-                                      *_inverse_series(*_term_rows(delta), gq, gq // level))
+            inverse = _inverse_series(den, rows, gq, gq // level)
             g = g @ h
-        m = m.conjugate(GroupElement(h, _inverse=inverse))
+        m = m.conjugate(h, inverse)
     if batched:
         # any product of two steps above gq / 2 has degree > gq, so together
         # they are 1 + their sum: one extension of g for all of them
-        g = g @ SuperMatrix(shape, shape.group_parity,
-                            [[zero._sum(batched[i, j]) if (i, j) in batched else one if i == j
-                              else zero for j in range(dim)] for i in range(dim)], validate=False)
-    if on_grid:
-        m, g = m.matrix(), g.matrix()
+        den, nums = common_denominator([zero._sum(batched.get((i, j), [one] if i == j else []))
+                                        for i in range(dim) for j in range(dim)])
+        g = g @ (den, [nums[i:i + dim] for i in range(0, len(nums), dim)])
+    m, g = m.matrix(), g.matrix()
     if _cross_terms(parts, m):
         raise InternalError("cross terms survived the filtration")
     return m, g

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain
+from itertools import chain, product, starmap
 
 from .errors import (
     GeneratorCountMismatch,
@@ -59,12 +59,12 @@ _PARITIES = (EVEN, ODD, ANY)
 # twentieth, so the cut there is 1/16.
 _TABLE_DENSITY = {4: 1 / 4, **dict.fromkeys(range(5, 9), 1 / 8), 9: 1 / 16, 10: 1 / 16}
 
-# The gate of the `IntegerGrid` in `reduction._refine`: at a gq in
+# The gate of dense cells in `reduction._refine`'s `IntegerGrid`s: at a gq in
 # _TABLE_DENSITY, the share of the 2**gq monomials the entries of the matrix
-# to refine must average.  On Q(3) `diagonalize` runs the grid lost below a
-# quarter (gq 10: 14.5 -> 25.5 ms at 0.08, 33 -> 34-38 ms at 0.22; gq 8:
-# 7.7 -> 8.5 ms at 0.20) and won above it (gq 10: 191 -> 133 ms at 0.77;
-# gq 8: 16.4 -> 15.0 ms at 0.51).
+# to refine must average.  On Q(3) `diagonalize` runs dense cells lost to the
+# pair kernel below a quarter (gq 10: 14.5 -> 25.5 ms at 0.08, 33 -> 34-38 ms
+# at 0.22; gq 8: 7.7 -> 8.5 ms at 0.20) and won above it (gq 10: 191 -> 133
+# ms at 0.77; gq 8: 16.4 -> 15.0 ms at 0.51).
 _GRID_DENSITY = 1 / 4
 
 
@@ -440,10 +440,10 @@ class SuperMatrix:
         dim = self.dim
         if cut is not None and _holds_share((x.num for row in other.rows for x in row),
                                             dim, gq, cut):
-            out = _scalars(gq, *IntegerGrid(other).under(self, diagonal))
+            out = _scalars(gq, *IntegerGrid(other, dense=True).under(*_term_rows(self), diagonal))
         elif cut is not None and gq >= 5 and _holds_share((x.num for row in self.rows for x in row),
                                                            dim, gq, cut):
-            out = _scalars(gq, *IntegerGrid(self).times(other, diagonal))
+            out = _scalars(gq, *IntegerGrid(self, dense=True).times(*_term_rows(other), diagonal))
         else:
             rows = [common_denominator(row) for row in self.rows]
             cols = [common_denominator(col) for col in zip(*other.rows)]
@@ -480,24 +480,26 @@ class SuperMatrix:
 
         A = B(1 + U) with U = B^-1 S, S the soul part, so A^-1 is
         (1 + U)^-1 B^-1, whose series in -U terminates because soul entries
-        have monomial degree >= 1.  It runs on integers: B^-1 over the lcm l
-        of its denominators, U and the product by B^-1 as sums of ints times
-        term dicts, the series as `_inverse_series`, each cell reduced once.
+        have monomial degree >= 1.  It runs on integers: with d self's one
+        denominator, (dB)^-1 over its lcm, U = (dB)^-1 (dS) and the product
+        by B^-1 = d (dB)^-1 as sums of ints times term dicts, the series as
+        `_inverse_series`, each cell reduced once.
         """
-        body_inv, rk = linalg.inverse_with_rank(self.body_rows())
+        d, rows = _term_rows(self)
+        body_inv, rk = linalg.inverse_with_rank([[t.get(0, 0) for t in row] for row in rows])
         if body_inv is None:
             raise _singular_body(rk, self.dim)
         gq = self.gq
         lcm = math.lcm(*[x.denominator for row in body_inv for x in row])
         binv = [[x.numerator * (lcm // x.denominator) for x in row] for row in body_inv]
-        d, rows = _term_rows(self)
         souls = [[{m: c for m, c in t.items() if m} for t in col] for col in zip(*rows)]
         u = [[_combination(zip(brow, col)) for col in souls] for brow in binv]
-        den, series = _inverse_series(lcm * d, u, gq, gq)
+        den, series = _inverse_series(lcm, u, gq, gq)
+        binv_cols = [[d * c for c in col] for col in zip(*binv)]  # B^-1 = d (dB)^-1
         # B^-1 has self's block pattern and U, a product of two matrices of
         # self's class, is even: the inverse keeps self's parity class
         return _reduced_matrix(self.shape, self.parity, gq, den * lcm,
-                               [[_combination(zip(col, row)) for col in zip(*binv)]
+                               [[_combination(zip(col, row)) for col in binv_cols]
                                 for row in series])
 
     # ------------------------------------------------------------------
@@ -712,22 +714,24 @@ class GroupElement:
 
 
 class IntegerGrid:
-    """A matrix as int numerators over one denominator `den`, each cell a
-    dense list of its 2**gq numerators indexed by mask: the table kernel's
-    one dense form.  `SuperMatrix._product` converts a dense factor for one
-    product; `reduction._refine` converts its matrix and conjugator once,
-    when `serves` passes the matrix, and runs its filtration on them.
+    """A matrix as int numerators over one denominator `den`, in the cell
+    form its caller picks: dense, a list of a cell's 2**gq numerators
+    indexed by mask (the table kernel's one dense form), or sparse, a term
+    dict for the pair kernel (`_paired`).  `SuperMatrix._product` converts a
+    dense factor for one product, dense; `reduction._refine` converts its
+    matrix and conjugator once, dense when `serves` passes the matrix, and
+    runs its filtration on them.
 
-    The cells are the kernel's dense operands, and a SuperMatrix's entries,
-    over one denominator, its term dicts: `under` (matrix @ self) walks each
-    cell over `disjoint_table`, `times` (self @ matrix) over `left_table`,
-    the same disjoint pairs with the factors' roles swapped.  A cell whose
+    The other factor is term dicts over one denominator, (den, rows) as
+    `_term_rows` gives them.  On dense cells `under` (rows @ self) walks each
+    cell over `disjoint_table`, `times` (self @ rows) over `left_table`, the
+    same disjoint pairs with the factors' roles swapped.  A cell whose
     numerators share one parity walks only that half of each table row,
     read from its own nonzero numerators, never from a parity label, which
-    could be false and would then drop terms.  Both walks return the
-    product's denominator and unreduced cells, row-major (the diagonal ones
-    alone with diagonal=True); `@` and `conjugate` leave through one gcd
-    over the grid, and `matrix()` makes the cells scalars once.
+    could be false and would then drop terms.  Both return the product's
+    denominator and unreduced cells in self's form, row-major (the diagonal
+    ones alone with diagonal=True); `@` and `conjugate` leave through one
+    gcd over the grid, and `matrix()` makes the cells scalars once.
 
     `_product`'s gate converts a factor only where the table measured
     faster: at a gq in _TABLE_DENSITY a right factor whose entries average
@@ -741,18 +745,17 @@ class IntegerGrid:
     gate sees.
     """
 
-    __slots__ = ("shape", "parity", "gq", "den", "cells")
+    __slots__ = ("shape", "parity", "gq", "den", "cells", "dense")
 
-    def __init__(self, matrix):
-        size = 1 << matrix.gq
+    def __init__(self, matrix, dense):
         self.den, rows = _term_rows(matrix)
-        self.shape, self.parity, self.gq = matrix.shape, matrix.parity, matrix.gq
-        self.cells = [[_dense(num, size) for num in row] for row in rows]
+        self.shape, self.parity, self.gq, self.dense = matrix.shape, matrix.parity, matrix.gq, dense
+        self.cells = [[_dense(num, 1 << self.gq) for num in row] for row in rows] if dense else rows
 
     @staticmethod
     def serves(matrix):
         """Whether the table serves matrix's gq and its entries average at
-        least _GRID_DENSITY of the monomials."""
+        least _GRID_DENSITY of the monomials: `_refine`'s choice of form."""
         gq = matrix.gq
         return gq in _TABLE_DENSITY and _holds_share((x.num for row in matrix.rows for x in row),
                                                      matrix.dim, gq, _GRID_DENSITY)
@@ -760,64 +763,71 @@ class IntegerGrid:
     def min_degree(self, i, j):
         """The least degree of cell (i, j)'s monomials, None when it is zero."""
         cell = self.cells[i][j]
+        if not self.dense:
+            return min(map(int.bit_count, cell), default=None)
         return next((d for d, masks in enumerate(_masks_by_degree(self.gq))
                      if any(map(cell.__getitem__, masks))), None)
 
     def degree_part(self, i, j, level):
         """The scalar of cell (i, j)'s terms of degree level."""
         cell = self.cells[i][j]
-        return reduced_scalar(self.gq, {m: cell[m] for m in _masks_by_degree(self.gq)[level]
-                                        if cell[m]}, self.den)
+        masks = (_masks_by_degree(self.gq)[level] if self.dense
+                 else [m for m in cell if m.bit_count() == level])
+        return reduced_scalar(self.gq, {m: cell[m] for m in masks if cell[m]}, self.den)
 
-    def times(self, matrix, diagonal=False):
-        """self @ matrix for a SuperMatrix as (den, cells): the left walk,
-        each cell of self over `left_table`, walked by a column of matrix."""
-        d, terms = _term_rows(matrix)
-        q = self.gq
-        rows = [[_walked(cell, q, left_table) for cell in row] for row in self.cells]
-        cols = list(zip(*terms))
-        lines = zip(cols, rows) if diagonal else ((col, row) for row in rows for col in cols)
-        return d * self.den, _walk(q, lines)
+    def times(self, den, rows, diagonal=False):
+        """self @ (den, rows) as (den, cells); dense cells take the left
+        walk, each over `left_table`, walked by a column of rows."""
+        cols = list(zip(*rows))
+        if self.dense:
+            own = [[_walked(cell, self.gq, left_table) for cell in row] for row in self.cells]
+            lines = zip(cols, own) if diagonal else ((col, row) for row in own for col in cols)
+            return den * self.den, _walk(self.gq, lines)
+        lines = zip(self.cells, cols) if diagonal else product(self.cells, cols)
+        return den * self.den, list(starmap(_paired, lines))
 
-    def under(self, matrix, diagonal=False):
-        """matrix @ self for a SuperMatrix as (den, cells): the right walk,
-        each cell of self over `disjoint_table`, walked by a row of matrix."""
-        d, terms = _term_rows(matrix)
-        q = self.gq
-        cols = list(zip(*[[_walked(cell, q, disjoint_table) for cell in row]
-                          for row in self.cells]))
-        lines = zip(terms, cols) if diagonal else ((row, col) for row in terms for col in cols)
-        return d * self.den, _walk(q, lines)
+    def under(self, den, rows, diagonal=False):
+        """(den, rows) @ self as (den, cells); dense cells take the right
+        walk, each over `disjoint_table`, walked by a row of rows."""
+        own = self.cells
+        if self.dense:
+            own = [[_walked(cell, self.gq, disjoint_table) for cell in row] for row in own]
+        cols = list(zip(*own))
+        lines = zip(rows, cols) if diagonal else product(rows, cols)
+        return den * self.den, _walk(self.gq, lines) if self.dense else list(starmap(_paired, lines))
 
-    def __matmul__(self, matrix):
-        return self._over(*self.times(matrix))
+    def __matmul__(self, other):
+        return self._over(*self.times(*other))
 
-    def conjugate(self, g):
-        """g^-1 self g for a GroupElement g."""
-        return self._over(*self.under(g.inverse)) @ g.matrix
+    def conjugate(self, h, inverse):
+        """h^-1 self h, for h and its inverse each a (den, rows)."""
+        return self._over(*self.under(*inverse)) @ h
 
     def _over(self, den, cells):
-        """The grid of self's shape with the row-major cells over den, after
-        one gcd over den and every numerator."""
+        """The grid of self's shape and form with the row-major cells over
+        den, after one gcd over den and every numerator."""
+        dense = self.dense
         g = den
         for cell in cells:
             if g == 1:
                 break
-            g = math.gcd(g, *cell)
+            g = math.gcd(g, *(cell if dense else cell.values()))
         if g != 1:
-            cells = [list(map(g.__rfloordiv__, cell)) for cell in cells]
+            cells = [list(map(g.__rfloordiv__, cell)) if dense else
+                     {m: c // g for m, c in cell.items()} for cell in cells]
             den //= g
         dim = self.shape.dim
         out = object.__new__(IntegerGrid)
-        out.shape, out.parity, out.gq = self.shape, self.parity, self.gq
+        out.shape, out.parity, out.gq, out.dense = self.shape, self.parity, self.gq, dense
         out.den, out.cells = den, [cells[i:i + dim] for i in range(0, len(cells), dim)]
         return out
 
     def matrix(self):
         """The grid as a SuperMatrix, each cell reduced to a scalar once."""
-        return SuperMatrix(self.shape, self.parity,
-                           [_scalars(self.gq, self.den, row) for row in self.cells],
-                           validate=False)
+        cells = self.cells
+        if self.dense:
+            cells = [[{m: c for m, c in enumerate(cell) if c} for cell in row] for row in cells]
+        return _reduced_matrix(self.shape, self.parity, self.gq, self.den, cells)
 
 
 # ----------------------------------------------------------------------

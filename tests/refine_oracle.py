@@ -63,8 +63,8 @@ def refine(m, parts, g, filtration_log):
 
 def refine_matches(monkeypatch, reduce, a):
     """Run reduce(a) with `reduction._refine` recorded, and return, per call,
-    whether `IntegerGrid` served it, once each call's (m, g) rows and
-    filtration log are checked equal to refine's."""
+    whether its `IntegerGrid`s took the dense cell form, once each call's
+    (m, g) rows and filtration log are checked equal to refine's."""
     calls = []
     real = reduction._refine
 

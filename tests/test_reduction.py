@@ -416,13 +416,13 @@ def _dense_odd_3(q):
 
 # The ids keep the counts the test first asserted, so that its names stay
 # stable when a count changes.
-@pytest.mark.parametrize("make, count, grid", [
-    pytest.param(_worked_odd_example, 7, False, id="_worked_odd_example-9"),
-    pytest.param(lambda: random_odd_reducible(2, [3, -1], 4, seed=3), 13, False, id="<lambda>-17"),
-    pytest.param(lambda: random_odd_reducible(3, [1, 2, 5], 5, seed=7), 18, False, id="<lambda>-26"),
-    pytest.param(lambda: _dense_odd_3(5), 7, True, id="dense-16-grid"),
+@pytest.mark.parametrize("make, grid", [
+    pytest.param(_worked_odd_example, False, id="_worked_odd_example-9"),
+    pytest.param(lambda: random_odd_reducible(2, [3, -1], 4, seed=3), False, id="<lambda>-17"),
+    pytest.param(lambda: random_odd_reducible(3, [1, 2, 5], 5, seed=7), False, id="<lambda>-26"),
+    pytest.param(lambda: _dense_odd_3(5), True, id="dense-16-grid"),
 ])
-def test_reduce_odd_refines_a_without_its_square(monkeypatch, make, count, grid):
+def test_reduce_odd_refines_a_without_its_square(monkeypatch, make, grid):
     a = make()
     real = SuperMatrix.__matmul__
     operands = []
@@ -434,21 +434,21 @@ def test_reduce_odd_refines_a_without_its_square(monkeypatch, make, count, grid)
 
     class Converting(IntegerGrid):
         # `_refine`'s own conversions: products convert dense factors too
-        def __init__(self, matrix):
-            grids.append(matrix)
-            super().__init__(matrix)
+        def __init__(self, matrix, dense):
+            super().__init__(matrix, dense)
+            grids.append(self)
 
     monkeypatch.setattr(SuperMatrix, "__matmul__", recording)
     monkeypatch.setattr(reduction, "IntegerGrid", Converting)
     dec = reduce_odd(a)
-    # two products per conjugation, one per extension of the conjugator (the
-    # steps above gq / 2 extend it once together), none in a step's inverse
-    # or in `invert`: no Grassmann square of A.  On the grid the conjugations
-    # and extensions are no SuperMatrix products (the dense input makes 20 on
-    # SuperMatrix products alone): m and g are converted once
-    assert len(operands) == count
+    # two products for the body stage's conjugation, two in the lower-identity
+    # step, two for its conjugation and one to extend the conjugator by it:
+    # `_refine` makes none, and no Grassmann square of A is formed.  m and g
+    # are converted once, in the form the gate picks: dense cells on the
+    # dense input, term dicts on the others
+    assert len(operands) == 7
     assert not any(x is a and y is a for x, y in operands)
-    assert len(grids) == (2 if grid else 0)
+    assert [type(x.cells[0][0]) for x in grids] == [list if grid else dict] * 2
     monkeypatch.undo()
     assert dec.verify(a)
 

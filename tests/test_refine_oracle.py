@@ -1,5 +1,5 @@
 """The ring-core nilpotent stage against its Fraction and `linalg.matmul` oracle,
-on SuperMatrix products and on the integer grid."""
+on the integer grid's sparse and dense cell forms."""
 
 import random
 from fractions import Fraction
@@ -67,8 +67,8 @@ def test_dense_refine_matches_oracle_above_half_gq(monkeypatch, gq):
 
 
 class _Taken(Exception):
-    """Raised by the spy on `_refine`'s `IntegerGrid` conversions: the grid
-    was taken."""
+    """Raised by the spy on `_refine`'s dense `IntegerGrid` conversions: the
+    dense grid was taken."""
 
 
 def _share(m):
@@ -76,12 +76,25 @@ def _share(m):
     return sum(len(x.num) for row in m.rows for x in row) / (m.dim ** 2 << m.gq)
 
 
+def _full_queer(gq):
+    """Q(2) with body diag(1, -2) and every monomial in every entry, at
+    gq 11 only on the diagonal."""
+    full = [[GrassmannScalar(gq, {m: 1 + (m * (i + 3 * j)) % 7 for m in range(i != j, 1 << gq)})
+             if i == j or gq < 11 else GrassmannScalar.zero(gq) for j in range(2)]
+            for i in range(2)]
+    for i, lam in enumerate([1, -2]):
+        full[i][i] = full[i][i] + lam
+    return SuperMatrix(Queer(2), ANY, full)
+
+
 def test_the_grid_serves_dense_inputs_at_the_tables_generator_counts(monkeypatch):
     # the spy on `_refine`'s conversions stops a reduction that takes the
-    # grid (products that convert a dense factor are not `_refine`'s); every
-    # other reduction runs on SuperMatrix products, and the share of its
-    # refine input shows which half of the gate turned it away
+    # dense grid (products that convert a dense factor are not `_refine`'s);
+    # every other reduction runs on the sparse grid, whose conversions the
+    # spy records by gq, and the share of its refine input shows which half
+    # of the gate turned it away
     shares = []
+    sparse = []
     real = reduction._refine
 
     def recording(m, parts, g, filtration_log=None):
@@ -89,8 +102,11 @@ def test_the_grid_serves_dense_inputs_at_the_tables_generator_counts(monkeypatch
         return real(m, parts, g, filtration_log)
 
     class Spy(IntegerGrid):
-        def __init__(self, matrix):
-            raise _Taken(matrix.gq)
+        def __init__(self, matrix, dense):
+            if dense:
+                raise _Taken(matrix.gq)
+            sparse.append(matrix.gq)
+            super().__init__(matrix, dense)
 
     monkeypatch.setattr(reduction, "_refine", recording)
     monkeypatch.setattr(reduction, "IntegerGrid", Spy)
@@ -101,6 +117,7 @@ def test_the_grid_serves_dense_inputs_at_the_tables_generator_counts(monkeypatch
             with pytest.raises(_Taken):
                 reduce(_dense_conjugate(a, seed, 1 << (gq - 1)))
             assert shares.pop() >= 1 / 4
+    assert not sparse
     # below a quarter at gq 8 and 10, the first two above the product
     # gate's cut there, the last one CI's sparse Q(3)
     for gq, max_terms, cut in [(8, 12, 1 / 8), (10, 20, 1 / 16), (10, 2, 0)]:
@@ -108,17 +125,20 @@ def test_the_grid_serves_dense_inputs_at_the_tables_generator_counts(monkeypatch
         soul = random_matrix(a.shape, ANY, gq, 5, 9, max_terms=max_terms).soul()
         block_diagonalize(a.conjugate(GroupElement(SuperMatrix.identity(a.shape, gq) + soul)))
         assert cut <= shares.pop() < 1 / 4
-    # every monomial in every entry, or on the diagonal, at gq 2, 3 and 11
+    # every monomial in every entry, or on the diagonal, at gq 2, 3 and 11:
+    # no table serves them, so their full cells stay term dicts
     for gq in (2, 3, 11):
-        full = [[GrassmannScalar(gq, {m: 1 + (m * (i + 3 * j)) % 7
-                                        for m in range(i != j, 1 << gq)})
-                 if i == j or gq < 11 else GrassmannScalar.zero(gq) for j in range(2)]
-                for i in range(2)]
-        for i, lam in enumerate([1, -2]):
-            full[i][i] = full[i][i] + lam
-        block_diagonalize(SuperMatrix(Queer(2), ANY, full))
+        block_diagonalize(_full_queer(gq))
         assert shares.pop() >= 1 / 4
     assert not shares
+    # m and g of each sparse reduction, converted once each
+    assert sparse == [8, 8, 10, 10, 10, 10, 2, 2, 3, 3, 11, 11]
+
+
+@pytest.mark.parametrize("gq", [2, 3, 11])
+def test_full_cells_beyond_the_table_refine_like_the_oracle(monkeypatch, gq):
+    # no table serves these gq, so the filtration keeps full cells as term dicts
+    assert refine_matches(monkeypatch, block_diagonalize, _full_queer(gq)) == [False]
 
 
 @pytest.mark.parametrize("seed", [21, 23])
