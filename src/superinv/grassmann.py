@@ -31,13 +31,16 @@ e_m1 * e_m2 = (-1)**(|m1| |m2|) e_m2 * e_m1, written into its signs once.
 The kernel's one caller is `supermatrix._walk`, whose dense operands are
 the dense cells of an `IntegerGrid`, a whole matrix over one lcm, or of the
 nilpotent matrix of an inverse series.
-`SuperMatrix.__matmul__` holds the one gate between the kernels, and it
-reads both factors: the table serves 4 <= q <= 10 when the right factor's
-entries average at least a quarter (q = 4), an eighth (q = 5..8) or a
-sixteenth (q = 9, 10) of the 2**q monomials; otherwise its left walk serves
-5 <= q <= 10 when the left factor's entries reach that share; and the pair
-kernel serves everything else, scalar products included, whose operands
-are mostly a few terms.  The kernels take their signs from `below_parity`,
+`SuperMatrix._product` picks a product's kernel from both factors, each
+read against one density cut (`supermatrix._takes_table`): the table serves
+4 <= q <= 10 when the right factor's entries average at least a quarter
+(q = 4), an eighth (q = 5..8) or a sixteenth (q = 9, 10) of the 2**q
+monomials; otherwise its left walk serves 5 <= q <= 10 when the left
+factor's entries reach that share; and the pair kernel serves everything
+else, scalar products included, whose operands are mostly a few terms.  An
+inverse series and the filtration take the kernel their caller picks:
+`invert` reads U against the same cut, and `reduction._refine` picks one
+cell form for its whole filtration.  The kernels take their signs from `below_parity`,
 cached per monomial mask, so the cache holds at most 2**q entries.
 """
 

@@ -8,11 +8,11 @@ monomials of degree >= d, and conjugating by 1 + D pushes the support to
 degree d + 1.  The Sylvester operators are rational, so each ordered pair of
 parts solves level d in the ring core: each cell of D is one sum of the
 pair's degree-d cell parts scaled by a row of the pair's inverse operator.
-After q levels the cross terms vanish identically.  Up to d = q/2 each step
-is inverted by its finite series in -D on integer numerators
-(`supermatrix._inverse_series`).  Above d = q/2 the steps square to zero
-and any two multiply to zero, so each is inverted as 1 - D and the
-conjugator takes them all in one product by 1 + their sum.  The matrix and
+After q levels the cross terms vanish identically.  Each step is inverted
+by its finite series in -D on integer numerators, on the grids' kernel
+(`supermatrix._inverse_series`).  Above d = q/2 the steps square to zero,
+so the series is 1 - D with no product, and any two multiply to zero, so
+the conjugator takes them all in one product by 1 + their sum.  The matrix and
 its conjugator are converted once into integer grids (`supermatrix.IntegerGrid`):
 dense cells when the table kernel serves q and the entries average a quarter
 of the 2**q monomials, term dicts otherwise.  Every level is read, conjugated
@@ -368,10 +368,10 @@ def _require_odd_square(a):
 def _refine(m, parts, g, filtration_log=None):
     """Remove cross-partition terms degree by degree; exact conjugators.
 
-    Returns the refined m and the conjugator matrix g times every step; the
-    steps 1 + D up to level gq / 2 are inverted by `_inverse_series`, those
-    above it as 1 - D, and g takes the latter in one product by 1 plus their
-    sum, as any two of them multiply to 0.  The body blocks of m on distinct
+    Returns the refined m and the conjugator matrix g times every step; each
+    step 1 + D is inverted by `_inverse_series` on the grids' kernel, and g
+    takes the steps above level gq / 2 in one product by 1 plus their sum,
+    as any two of them multiply to 0.  The body blocks of m on distinct
     parts must have disjoint spectra.  At each level every ordered pair
     (r, s) of parts with cross terms of that degree solves in the ring core:
     with the pair's cells column-stacked (j outer, i inner), cell c of the
@@ -430,21 +430,18 @@ def _refine(m, parts, g, filtration_log=None):
         grid = [[solved.get((i, j), zero) for j in range(dim)] for i in range(dim)]
         # the SuperMatrix checks delta's parity class; delta lives on cross
         # cells only, so 1 + delta is its rows with den on the diagonal; it
-        # has degree >= level, so its powers past gq // level vanish
+        # has degree >= level, so its powers past gq // level vanish, and
+        # above gq / 2 the series is 1 - delta, with no product
         den, rows = _term_rows(SuperMatrix(shape, shape.group_parity, grid))
         h = den, [[{0: den} if i == j else t for j, t in enumerate(row)]
                   for i, row in enumerate(rows)]
         if 2 * level > gq:
-            # delta^2 has degree > gq, so h^-1 = 1 - delta is h's rows negated
-            # off the diagonal; g takes this step with the batch below
-            inverse = den, [[{0: den} if i == j else {k: -c for k, c in t.items()}
-                             for j, t in enumerate(row)] for i, row in enumerate(rows)]
+            # g takes this step with the batch below
             for cell, x in solved.items():
                 batched.setdefault(cell, []).append(x)
         else:
-            inverse = _inverse_series(den, rows, gq, gq // level)
             g = g @ h
-        m = m.conjugate(h, inverse)
+        m = m.conjugate(h, _inverse_series(den, rows, gq, gq // level, table=dense))
     if batched:
         # any product of two steps above gq / 2 has degree > gq, so together
         # they are 1 + their sum: one extension of g for all of them

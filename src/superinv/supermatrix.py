@@ -47,24 +47,30 @@ ANY = "any"
 
 _PARITIES = (EVEN, ODD, ANY)
 
-# The gate of `IntegerGrid`'s table walks in `SuperMatrix._product`: per
-# generator count it serves, the density it needs, as a fraction of the
-# 2**gq monomials an entry of the factor it converts (the right one, or the
-# left one for the left walk at gq 5..10) holds on average.  The cuts are
-# where the two kernels break even on the products the benchmark workloads
-# make: near 1/4 at gq 4, near 1/8 at gq 5..7.  No workload makes products
-# at gq 8..10.
-# Gq 8 keeps 1/8; at gq 9 and 10 single products (`tools/bench_kernel.py`)
-# favour the table at a tenth of the monomials and the pair kernel at a
-# twentieth, so the cut there is 1/16.
+# The table walk's cut, read only by `_takes_table`: per generator count the
+# table serves, the share of the 2**gq monomials a factor's entries must
+# average for the walk to take it (`_product`'s right factor, or at gq 5..10
+# its left one for the left walk; `invert`'s U).  The cuts are where the two
+# kernels break even on the products the benchmark workloads make: near 1/4
+# at gq 4, near 1/8 at gq 5..7.  Gq 8 keeps 1/8; at gq 9 and 10, which no
+# workload reaches, single products (`tools/bench_kernel.py`) favour the
+# table at a tenth of the monomials and the pair kernel at a twentieth, so
+# the cut there is 1/16.  Below gq 4 products are a few terms each and the
+# table measured slower over whole verify runs, at gq 4 the left walk
+# measured slower on the workloads' products, above gq 10 the table's memory
+# grows 3x per generator, and on sparse factors most table steps read zeros:
+# these stay on the pair kernel.  The table walks 2**(gq - degree) tuples per
+# sparse term, so sparse terms of low degree still cost it more than the cut
+# sees.
 _TABLE_DENSITY = {4: 1 / 4, **dict.fromkeys(range(5, 9), 1 / 8), 9: 1 / 16, 10: 1 / 16}
 
-# The gate of dense cells in `reduction._refine`'s `IntegerGrid`s: at a gq in
-# _TABLE_DENSITY, the share of the 2**gq monomials the entries of the matrix
-# to refine must average.  On Q(3) `diagonalize` runs dense cells lost to the
-# pair kernel below a quarter (gq 10: 14.5 -> 25.5 ms at 0.08, 33 -> 34-38 ms
-# at 0.22; gq 8: 7.7 -> 8.5 ms at 0.20) and won above it (gq 10: 191 -> 133
-# ms at 0.77; gq 8: 16.4 -> 15.0 ms at 0.51).
+# The gate of dense cells in `reduction._refine`'s `IntegerGrid`s, and so of
+# the table walk in its step inverses: at a gq in _TABLE_DENSITY, the share
+# of the 2**gq monomials the entries of the matrix to refine must average.
+# On Q(3) `diagonalize` runs dense cells lost to the pair kernel below a
+# quarter (gq 10: 14.5 -> 25.5 ms at 0.08, 33 -> 34-38 ms at 0.22; gq 8:
+# 7.7 -> 8.5 ms at 0.20) and won above it (gq 10: 191 -> 133 ms at 0.77;
+# gq 8: 16.4 -> 15.0 ms at 0.51).
 _GRID_DENSITY = 1 / 4
 
 
@@ -143,6 +149,14 @@ def _holds_share(nums, dim, gq, share):
     return sum(map(len, nums)) >= share * ((1 << gq) * dim * dim)
 
 
+def _takes_table(nums, dim, gq):
+    """Whether a factor whose dim x dim grid holds the term dicts nums passes
+    _TABLE_DENSITY's cut at gq: `_product`'s test on either factor, and
+    `invert`'s on U."""
+    cut = _TABLE_DENSITY.get(gq)
+    return cut is not None and _holds_share(nums, dim, gq, cut)
+
+
 @cache
 def _masks_by_degree(q):
     """The masks below 2**q grouped by popcount: list d holds those of degree d."""
@@ -206,38 +220,33 @@ def _combination(pairs):
     return {m: v for m, v in acc.items() if v}
 
 
-def _inverse_series(den, rows, gq, order):
+def _inverse_series(den, rows, gq, order, *, table):
     """(1 + x)^-1 = sum (-x)^k, k = 0..order, for the square grid x of term
     dicts rows over den (`_term_rows`' form) with x^(order + 1) = 0, as
     (den**K, term dicts, not reduced), K the last nonzero power.
 
-    Each power is the last one's term rows times the columns of -x, on the
-    table walk when x passes `_product`'s right-factor cut, else on the pair
-    kernel, and stays over den**k; the powers are summed over den**K once.
+    Each power x^k is the last one's term rows times the columns of x, on
+    the table walk when the caller asks for it (table) at a gq the table
+    serves, else on the pair kernel, and stays over den**k; the powers are
+    summed with their signs over den**K once.  At order 1 it makes no product.
     """
     dim = len(rows)
-    cols = [[{m: -c for m, c in t.items()} for t in col] for col in zip(*rows)]
-    cut = _TABLE_DENSITY.get(gq)
-    if cut is not None and _holds_share(chain.from_iterable(rows), dim, gq, cut):
-        size = 1 << gq
-        dense = [[_walked(_dense(t, size), gq, disjoint_table) for t in col] for col in cols]
-
-        def times(power):
-            return [{m: c for m, c in enumerate(cell) if c}
-                    for cell in _walk(gq, ((row, col) for row in power for col in dense))]
-    else:
-        def times(power):
-            return [_paired(row, col) for row in power for col in cols]
-    powers = [list(zip(*cols))] if order and any(chain.from_iterable(rows)) else []
+    cols = list(zip(*rows))
+    powers = [rows] if order and any(chain.from_iterable(rows)) else []
+    walk = table and gq in _TABLE_DENSITY and powers and order > 1
+    if walk:
+        cols = [[_walked(_dense(t, 1 << gq), gq, disjoint_table) for t in col] for col in cols]
     while powers and len(powers) < order:
-        cells = times(powers[-1])
+        lines = ((row, col) for row in powers[-1] for col in cols)
+        cells = ([{m: c for m, c in enumerate(cell) if c} for cell in _walk(gq, lines)] if walk
+                 else list(starmap(_paired, lines)))
         if not any(cells):
             break
         powers.append([cells[i:i + dim] for i in range(0, len(cells), dim)])
     top = len(powers)
     out = [[{0: den ** top} if i == j else {} for j in range(dim)] for i in range(dim)]
     for k, power in enumerate(powers, 1):
-        scale = den ** (top - k)
+        scale = (-1) ** k * den ** (top - k)
         for out_row, row in zip(out, power):
             for acc, t in zip(out_row, row):
                 for m, c in t.items():
@@ -433,16 +442,13 @@ class SuperMatrix:
         """self @ other, or with diagonal=True only the list of its diagonal entries."""
         self._check_compatible(other)
         gq = self.gq
-        # The one gate, O(n**2) len() calls on each factor, makes a dense
-        # factor an `IntegerGrid` (whose docstring gives its reasons); the pair
-        # kernel reads rows of self and columns of other over their own lcm.
-        cut = _TABLE_DENSITY.get(gq)
+        # The gate, O(n**2) len() calls on each factor, makes a dense factor
+        # an `IntegerGrid` (_TABLE_DENSITY's comment gives its reasons); the
+        # pair kernel reads rows of self and columns of other over their own lcm.
         dim = self.dim
-        if cut is not None and _holds_share((x.num for row in other.rows for x in row),
-                                            dim, gq, cut):
+        if _takes_table((x.num for row in other.rows for x in row), dim, gq):
             out = _scalars(gq, *IntegerGrid(other, dense=True).under(*_term_rows(self), diagonal))
-        elif cut is not None and gq >= 5 and _holds_share((x.num for row in self.rows for x in row),
-                                                           dim, gq, cut):
+        elif gq >= 5 and _takes_table((x.num for row in self.rows for x in row), dim, gq):
             out = _scalars(gq, *IntegerGrid(self, dense=True).times(*_term_rows(other), diagonal))
         else:
             rows = [common_denominator(row) for row in self.rows]
@@ -494,7 +500,8 @@ class SuperMatrix:
         binv = [[x.numerator * (lcm // x.denominator) for x in row] for row in body_inv]
         souls = [[{m: c for m, c in t.items() if m} for t in col] for col in zip(*rows)]
         u = [[_combination(zip(brow, col)) for col in souls] for brow in binv]
-        den, series = _inverse_series(lcm, u, gq, gq)
+        den, series = _inverse_series(lcm, u, gq, gq,
+                                      table=_takes_table(chain.from_iterable(u), len(u), gq))
         binv_cols = [[d * c for c in col] for col in zip(*binv)]  # B^-1 = d (dB)^-1
         # B^-1 has self's block pattern and U, a product of two matrices of
         # self's class, is even: the inverse keeps self's parity class
@@ -733,16 +740,8 @@ class IntegerGrid:
     ones alone with diagonal=True); `@` and `conjugate` leave through one
     gcd over the grid, and `matrix()` makes the cells scalars once.
 
-    `_product`'s gate converts a factor only where the table measured
-    faster: at a gq in _TABLE_DENSITY a right factor whose entries average
-    that share of the 2**gq monomials, else at gq 5..10 such a left one.
-    Below gq 4 products are a few terms each and the table measured slower
-    over whole verify runs, at gq 4 the left walk measured slower on the
-    workloads' products, above gq 10 the table's memory grows 3x per
-    generator, and on sparse factors most table steps read zeros: these
-    stay on the pair kernel.  The table walks 2**(gq - degree) tuples per
-    sparse term, so sparse terms of low degree still cost it more than the
-    gate sees.
+    `_product` converts a factor only where the table measured faster, by
+    _TABLE_DENSITY's cut, whose comment gives the reasons.
     """
 
     __slots__ = ("shape", "parity", "gq", "den", "cells", "dense")

@@ -21,6 +21,7 @@ from superinv.supermatrix import (
     Queer,
     Standard,
     SuperMatrix,
+    _TABLE_DENSITY,
     _entry_parity,
     _inverse_series,
     _reduced_matrix,
@@ -58,33 +59,19 @@ def _matrix(rng, shape, parity, q, level, share, fractional):
                                        for i in range(shape.dim)])
 
 
-def _series(x, order, monkeypatch):
+def _series(x, order, table, monkeypatch):
     """_inverse_series on x's term rows as a matrix of x's shape, labelled as
     the filtration labels its step inverses (the shape's group parity), and
     whether it walked the table."""
     walked = []
-    real = supermatrix.mul_table_into
-    monkeypatch.setattr(supermatrix, "mul_table_into",
-                        lambda acc, t, y: (walked.append(1), real(acc, t, y))[1])
+    real = supermatrix._walk
+    monkeypatch.setattr(supermatrix, "_walk", lambda q, lines: (walked.append(1), real(q, lines))[1])
     try:
         out = _reduced_matrix(x.shape, x.shape.group_parity, x.gq,
-                              *_inverse_series(*_term_rows(x), x.gq, order))
+                              *_inverse_series(*_term_rows(x), x.gq, order, table=table))
     finally:
         monkeypatch.undo()
     return out, bool(walked)
-
-
-def _takes_table(x, monkeypatch):
-    """Whether `x @ x` runs on the table walk: x passes the right-factor cut."""
-    walked = []
-    real = supermatrix.mul_table_into
-    monkeypatch.setattr(supermatrix, "mul_table_into",
-                        lambda acc, t, y: (walked.append(1), real(acc, t, y))[1])
-    try:
-        x @ x
-    finally:
-        monkeypatch.undo()
-    return bool(walked)
 
 
 def _invert_oracle(a):
@@ -108,15 +95,18 @@ def test_inverse_series_matches_the_geometric_sum(monkeypatch, shape, parity, gq
             for fractional in (False, True):
                 x = _matrix(rng, shape, parity, gq, level, share, fractional)
                 want = geometric_sum(SuperMatrix.identity(shape, gq), -x, order)
-                got, walked = _series(x, order, monkeypatch)
-                assert got.rows == want.rows, (level, share, fractional)
-                if parity == shape.group_parity:
-                    # a filtration step's label, as the products' chain gives it
-                    assert got.parity == want.parity
-                if order > 1 and not x.is_zero():
-                    assert walked == _takes_table(x, monkeypatch)
+                for table in (False, True):
+                    got, walked = _series(x, order, table, monkeypatch)
+                    assert got.rows == want.rows, (level, share, fractional, table)
+                    if parity == shape.group_parity:
+                        # a filtration step's label, as the products' chain gives it
+                        assert got.parity == want.parity
+                    # the caller's form decides, whatever x's density: the
+                    # table walks only at a gq it serves and for a second power
+                    assert walked == (table and gq in _TABLE_DENSITY and order > 1
+                                      and not x.is_zero())
                     kernels.add(walked)
-    # gq 4 and up walk the table on the dense inputs, the sparse ones pair
+    # the table form walks from gq 4 up
     assert kernels == ({False, True} if gq >= 4 else {False})
 
 
@@ -125,8 +115,9 @@ def test_inverse_series_of_zero_and_of_an_early_zero_power(monkeypatch, shape, p
     gq = 6
     ident = SuperMatrix.identity(shape, gq)
     zero = SuperMatrix.zeros(shape, gq, parity)
-    assert _inverse_series(*_term_rows(zero), gq, gq) == (
-        1, [[{0: 1} if i == j else {} for j in range(shape.dim)] for i in range(shape.dim)])
+    for table in (False, True):
+        assert _inverse_series(*_term_rows(zero), gq, gq, table=table) == (
+            1, [[{0: 1} if i == j else {} for j in range(shape.dim)] for i in range(shape.dim)])
     # every entry a multiple of the even e1 e2, which keeps the label: x^2 = 0
     # long before x^gq
     rng = random.Random(shape.dim)
@@ -135,8 +126,32 @@ def test_inverse_series_of_zero_and_of_an_early_zero_power(monkeypatch, shape, p
         x = _matrix(rng, shape, parity, gq, 1, 0.5, fractional)
         x = SuperMatrix(shape, parity, [[e12 * y for y in row] for row in x.rows])
         assert not x.is_zero() and (x @ x).is_zero()
-        got, _walked = _series(x, gq, monkeypatch)
-        assert got.rows == geometric_sum(ident, -x, gq).rows == (ident - x).rows
+        for table in (False, True):
+            got, _walked = _series(x, gq, table, monkeypatch)
+            assert got.rows == geometric_sum(ident, -x, gq).rows == (ident - x).rows
+
+
+@pytest.mark.parametrize("gq", [4, 5, 7])
+@pytest.mark.parametrize("shape, parity", SHAPES)
+def test_inverse_series_of_order_one_is_one_minus_x_with_no_product(monkeypatch, shape, parity, gq):
+    # a filtration step above gq / 2: x has degree > gq / 2, so x^2 = 0 and
+    # the series is den on the diagonal and -x's rows, in both forms, with no
+    # dense operand built
+    rng = random.Random(gq * 31 + shape.dim + len(parity))
+    built = []
+    real = supermatrix._walked
+    monkeypatch.setattr(supermatrix, "_walked", lambda *args: (built.append(1), real(*args))[1])
+    for share in (1, 0.5):
+        for fractional in (False, True):
+            x = _matrix(rng, shape, parity, gq, gq // 2 + 1, share, fractional)
+            assert not x.is_zero() and (x @ x).is_zero()
+            built.clear()
+            den, rows = _term_rows(x)
+            want = den, [[{**({0: den} if i == j else {}), **{m: -c for m, c in t.items()}}
+                          for j, t in enumerate(row)] for i, row in enumerate(rows)]
+            for table in (False, True):
+                assert _inverse_series(den, rows, gq, 1, table=table) == want
+            assert not built
 
 
 @pytest.mark.parametrize("gq", range(2, 8))

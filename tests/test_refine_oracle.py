@@ -3,11 +3,20 @@ on the integer grid's sparse and dense cell forms."""
 
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
-from superinv import GrassmannScalar, Queer, SuperMatrix, block_diagonalize, reduce_odd, reduction
-from superinv.supermatrix import ANY, GroupElement, IntegerGrid, random_matrix
+from superinv import (
+    GrassmannScalar,
+    Queer,
+    SuperMatrix,
+    block_diagonalize,
+    diagonalize,
+    reduce_odd,
+    reduction,
+)
+from superinv.supermatrix import ANY, GroupElement, IntegerGrid, _takes_table, random_matrix
 from superinv.verify import (
     random_odd_reducible,
     random_queer_with_spectrum,
@@ -55,15 +64,44 @@ def _dense_conjugate(a, seed, max_terms):
     return a.conjugate(GroupElement(SuperMatrix.identity(a.shape, a.gq) + soul))
 
 
+def _dense_inputs(gq):
+    """A dense Q(2) and a dense odd (2|2) at gq, each with its reduction."""
+    q2 = random_queer_with_spectrum(2, [1, -2], gq, seed=40 + gq)
+    odd = random_odd_reducible(2, [2, -3], gq, seed=50 + gq)
+    return [(reduce, _dense_conjugate(a, seed, 1 << (gq - 1)))
+            for a, reduce, seed in [(q2, block_diagonalize, 60 + gq), (odd, reduce_odd, 70 + gq)]]
+
+
 @pytest.mark.parametrize("gq", [4, 5, 6, 7, 8, 10])
 def test_dense_refine_matches_oracle_above_half_gq(monkeypatch, gq):
     # cross terms at every level, so levels gq // 2 + 1 .. gq (2 to 5 of them)
     # each make a step that the conjugator takes in one batch; the inputs
     # are dense, so the filtration runs on the integer grid
-    q2 = random_queer_with_spectrum(2, [1, -2], gq, seed=40 + gq)
-    odd = random_odd_reducible(2, [2, -3], gq, seed=50 + gq)
-    for a, reduce, seed in [(q2, block_diagonalize, 60 + gq), (odd, reduce_odd, 70 + gq)]:
-        assert refine_matches(monkeypatch, reduce, _dense_conjugate(a, seed, 1 << (gq - 1))) == [True]
+    for reduce, a in _dense_inputs(gq):
+        assert refine_matches(monkeypatch, reduce, a) == [True]
+
+
+def test_every_step_inverse_takes_the_grids_kernel(monkeypatch):
+    # `_refine`'s one choice of form picks every series' kernel: each step of
+    # the dense inputs above asks for the table, the sparse level-1 steps
+    # below the product cut included, and each step of CI's sparse Q(3) at
+    # gq 10 (the reduction golden's) for the pair kernel
+    calls = []
+    real = reduction._inverse_series
+
+    def spy(den, rows, gq, order, *, table):
+        calls.append((table, _takes_table(chain.from_iterable(rows), len(rows), gq)))
+        return real(den, rows, gq, order, table=table)
+
+    monkeypatch.setattr(reduction, "_inverse_series", spy)
+    for gq in [4, 5, 6, 7, 8, 10]:
+        for reduce, a in _dense_inputs(gq):
+            reduce(a)
+    assert calls and all(table for table, _cut in calls)
+    assert not all(cut for _table, cut in calls)
+    calls.clear()
+    diagonalize(_dense_conjugate(random_queer_with_spectrum(3, [1, -2, 3], 10, seed=4), 5, 2))
+    assert calls and not any(table for table, _cut in calls)
 
 
 class _Taken(Exception):
@@ -111,11 +149,9 @@ def test_the_grid_serves_dense_inputs_at_the_tables_generator_counts(monkeypatch
     monkeypatch.setattr(reduction, "_refine", recording)
     monkeypatch.setattr(reduction, "IntegerGrid", Spy)
     for gq in range(4, 11):
-        q2 = random_queer_with_spectrum(2, [1, -2], gq, seed=40 + gq)
-        odd = random_odd_reducible(2, [2, -3], gq, seed=50 + gq)
-        for a, reduce, seed in [(q2, block_diagonalize, 60 + gq), (odd, reduce_odd, 70 + gq)]:
+        for reduce, a in _dense_inputs(gq):
             with pytest.raises(_Taken):
-                reduce(_dense_conjugate(a, seed, 1 << (gq - 1)))
+                reduce(a)
             assert shares.pop() >= 1 / 4
     assert not sparse
     # below a quarter at gq 8 and 10, the first two above the product

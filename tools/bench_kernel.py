@@ -13,7 +13,7 @@ dense 3 x 3 queer left factor (density 0.25, 0.5 or 1) times a sparse one
 (density 0.05), the products the table's left walk serves.  Coefficients
 are ints in [-99, 99].  Each product is timed three ways: forced onto the
 pair kernel, forced onto the table kernel (its left walk, for "Q(3) left"),
-and through `SuperMatrix.__matmul__`'s gate.  The kernels are forced by
+and through `SuperMatrix._product`'s gate.  The kernels are forced by
 patching the gate's private table of density cuts,
 `supermatrix._TABLE_DENSITY`, for the timed calls (empty for the pair
 kernel; at q, a cut of 0 for the table, and for the left walk a cut halfway
