@@ -42,6 +42,19 @@ inverse series and the filtration take the kernel their caller picks:
 `invert` reads U against the same cut, and `reduction._refine` picks one
 cell form for its whole filtration.  The kernels take their signs from `below_parity`,
 cached per monomial mask, so the cache holds at most 2**q entries.
+
+`GrassmannScalar.from_obj` reads a scalar's JSON layout in one bulk check
+of its whole term list (`_integer_terms`), a fixed number of C-level calls
+per scalar plus, for a fractional one, one pass over its denominators.  The
+masks are looked up in `index_masks(q)`, the table of every increasing
+index tuple, built only for q <= 10 like the disjoint tables (above that
+the same routine computes each mask), and the numerators and their one
+denominator are built straight from the coefficient strings, with no
+Fraction.  Only a term list the check rejects goes through the per-term
+loop `_first_bad_term`, which diagnoses: it raises the first bad term's
+ValidationError, or InternalError if it finds none, and never returns a
+scalar.  `parse_coeff` and `indices_to_mask`, which that loop calls, also
+serve `sympoly`, a decomposition's eigenvalues and `monomial`.
 """
 
 from __future__ import annotations
@@ -49,9 +62,11 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
+from itertools import chain, repeat
+from operator import floordiv, mul
 
-from .errors import GeneratorCountMismatch, ValidationError, ZeroBody
+from .errors import GeneratorCountMismatch, InternalError, ValidationError, ZeroBody
 
 DEFAULT_GENERATOR_CAP = 16
 
@@ -220,7 +235,11 @@ class _TermsView(dict):
 
 # ASCII digits only, matched in full: `\d` takes other scripts' digits and
 # `$` a trailing newline
-_COEFF_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
+_COEFF = r"[+-]?[0-9]+(?:/[1-9][0-9]*)?"
+_COEFF_RE = re.compile(_COEFF)
+# a scalar's coefficients joined by ",", matched at once: a failed match backs
+# off one digit run at a time, so it stays linear in the text's length
+_COEFFS_RE = re.compile(r"%s(?:,%s)*" % (_COEFF, _COEFF))
 
 
 def is_int(x):
@@ -308,6 +327,79 @@ def indices_to_mask(indices, q):
         mask |= 1 << (i - 1)
         prev = i
     return mask
+
+
+@cache
+def index_masks(q):
+    """{increasing index tuple: its mask} over every monomial on q
+    generators.  Cached per q; like the disjoint tables, it is built only
+    for q <= 10, at most 2**10 entries."""
+    return {tuple(mask_to_indices(m)): m for m in range(1 << q)}
+
+
+def _index_mask(q, idx):
+    """The mask of a tuple of ints, or None unless they increase strictly
+    within 1..q: `index_masks(q).get` for q above 10."""
+    if idx and (idx[0] < 1 or idx[-1] > q) or list(idx) != sorted(set(idx)):
+        return None
+    return sum(map((1).__lshift__, idx)) >> 1
+
+
+def _integer_terms(q, items):
+    """(num, den) in lowest terms of a nonempty list of term objects, or None
+    when a term fails a check of the per-term loop `_first_bad_term`.  Each
+    check runs over the whole list at once; `dict.get` takes only dicts and
+    reads a missing field as None, which the list and string checks reject.
+    """
+    try:
+        idxs = list(map(dict.get, items, repeat("idx")))
+        coeffs = list(map(dict.get, items, repeat("coeff")))
+        text = ",".join(coeffs)
+    except TypeError:  # a term that is not a dict, or a coefficient that is not a string
+        return None
+    if not (all(map(isinstance, idxs, repeat(list)))
+            and {int}.issuperset(map(type, chain.from_iterable(idxs)))):
+        return None
+    lookup = index_masks(q).get if q <= 10 else partial(_index_mask, q)
+    masks = list(map(lookup, map(tuple, idxs)))
+    if None in masks or len(set(masks)) < len(masks) or not _COEFFS_RE.fullmatch(text):
+        return None
+    # `int` raises ValueError beyond the interpreter's integer string-conversion
+    # limit, and on a coefficient holding ",", which the match reads as a
+    # boundary between two terms
+    try:
+        if "/" not in text:
+            nums, den = list(map(int, coeffs)), 1
+        else:
+            tops, _, bottoms = zip(*map(str.partition, coeffs, repeat("/")))
+            dens = [int(b) if b else 1 for b in bottoms]
+            den = math.lcm(*dens)
+            nums = list(map(mul, map(int, tops), map(floordiv, repeat(den), dens)))
+    except ValueError:
+        return None
+    if 0 in nums:
+        return None
+    num = dict(zip(masks, nums))
+    return _lowest_terms(num, den) if den != 1 else (num, 1)
+
+
+def _first_bad_term(q, items):
+    """Raise the ValidationError of the first term of items that
+    `_integer_terms` rejects: the per-term loop, which only diagnoses.  It
+    raises InternalError when it finds no such term, and never returns."""
+    seen = set()
+    for item in items:
+        if not isinstance(item, dict) or "idx" not in item or "coeff" not in item:
+            raise ValidationError("scalar term must have 'idx' and 'coeff' fields")
+        if not isinstance(item["idx"], list):
+            raise ValidationError("scalar field 'idx' must be a list")
+        mask = indices_to_mask(item["idx"], q)
+        if parse_coeff(item["coeff"]) == 0:
+            raise ValidationError("stored coefficients must be nonzero")
+        if mask in seen:
+            raise ValidationError("duplicate monomial %r" % (item["idx"],))
+        seen.add(mask)
+    raise InternalError("the scalar check rejected terms that each pass the per-term check")
 
 
 class SparseRingElement:
@@ -655,27 +747,22 @@ class GrassmannScalar(SparseRingElement):
 
     @classmethod
     def from_obj(cls, obj):
+        """The scalar of `to_obj`'s layout, its term list read in one bulk
+        check, `_integer_terms`; only a list it rejects goes through the
+        per-term loop `_first_bad_term`, for the first bad term's error."""
         if not isinstance(obj, dict) or "q" not in obj or "terms" not in obj:
             raise ValidationError("scalar object must have 'q' and 'terms' fields")
         q = obj["q"]
         cls._check_q(q)  # before any term: the cap bounds every mask
-        terms = {}
-        if not isinstance(obj["terms"], list):
+        items = obj["terms"]
+        if not isinstance(items, list):
             raise ValidationError("scalar field 'terms' must be a list")
-        for item in obj["terms"]:
-            if not isinstance(item, dict) or "idx" not in item or "coeff" not in item:
-                raise ValidationError("scalar term must have 'idx' and 'coeff' fields")
-            if not isinstance(item["idx"], list):
-                raise ValidationError("scalar field 'idx' must be a list")
-            mask = indices_to_mask(item["idx"], q)
-            coeff = parse_coeff(item["coeff"])
-            if coeff == 0:
-                raise ValidationError("stored coefficients must be nonzero")
-            if mask in terms:
-                raise ValidationError("duplicate monomial %r" % (item["idx"],))
-            terms[mask] = coeff
-        # the loop checked every term as the constructor would
-        return _raw(q, *_integer_form(terms))
+        if not items:
+            return _raw(q, {})
+        form = _integer_terms(q, items)
+        if form is None:
+            _first_bad_term(q, items)
+        return _raw(q, *form)
 
 
 _set_q = GrassmannScalar.__dict__["q"].__set__

@@ -231,11 +231,12 @@ def _inverse_series(den, rows, gq, order, *, table):
     summed with their signs over den**K once.  At order 1 it makes no product.
     """
     dim = len(rows)
-    cols = list(zip(*rows))
     powers = [rows] if order and any(chain.from_iterable(rows)) else []
-    walk = table and gq in _TABLE_DENSITY and powers and order > 1
-    if walk:
-        cols = [[_walked(_dense(t, 1 << gq), gq, disjoint_table) for t in col] for col in cols]
+    if powers and order > 1:  # x's columns, read only when forming x^2 on
+        cols = list(zip(*rows))
+        walk = table and gq in _TABLE_DENSITY
+        if walk:
+            cols = [[_walked(_dense(t, 1 << gq), gq, disjoint_table) for t in col] for col in cols]
     while powers and len(powers) < order:
         lines = ((row, col) for row in powers[-1] for col in cols)
         cells = ([{m: c for m, c in enumerate(cell) if c} for cell in _walk(gq, lines)] if walk
