@@ -9,14 +9,14 @@ degree d + 1.  The Sylvester operators are rational, so each ordered pair of
 parts solves level d in the ring core: each cell of D is one sum of the
 pair's degree-d cell parts scaled by a row of the pair's inverse operator.
 After q levels the cross terms vanish identically.  Each step is inverted
-by its finite series in -D on integer numerators, on the grids' kernel
+by its finite series in -D on integer numerators
 (`supermatrix._inverse_series`).  Above d = q/2 the steps square to zero,
 so the series is 1 - D with no product, and any two multiply to zero, so
 the conjugator takes them all in one product by 1 + their sum.  The matrix and
-its conjugator are converted once into integer grids (`supermatrix.IntegerGrid`):
-dense cells when the table kernel serves q and the entries average a quarter
-of the 2**q monomials, term dicts otherwise.  Every level is read, conjugated
-and extended on them, and they become scalars once, after the last level.
+its conjugator are converted once into integer grids of term dicts
+(`supermatrix.IntegerGrid`).  Every level is read, conjugated and extended on
+them, each product and series power on the kernel its walked operand's
+density picks, and they become scalars once, after the last level.
 
 One body stage serves both shapes: a queer body is a single half, a standard
 body the two halves X and T.  reduce_odd checks its input with the one rule
@@ -369,9 +369,9 @@ def _refine(m, parts, g, filtration_log=None):
     """Remove cross-partition terms degree by degree; exact conjugators.
 
     Returns the refined m and the conjugator matrix g times every step; each
-    step 1 + D is inverted by `_inverse_series` on the grids' kernel, and g
-    takes the steps above level gq / 2 in one product by 1 plus their sum,
-    as any two of them multiply to 0.  The body blocks of m on distinct
+    step 1 + D is inverted by `_inverse_series`, and g takes the steps above
+    level gq / 2 in one product by 1 plus their sum, as any two of them
+    multiply to 0.  The body blocks of m on distinct
     parts must have disjoint spectra.  At each level every ordered pair
     (r, s) of parts with cross terms of that degree solves in the ring core:
     with the pair's cells column-stacked (j outer, i inner), cell c of the
@@ -379,11 +379,11 @@ def _refine(m, parts, g, filtration_log=None):
     by row c of the inverse Sylvester operator of the pair's body blocks, one
     `_sum` of scaled scalars.
 
-    m and g are converted once into `IntegerGrid`s, dense on the table kernel
-    when `IntegerGrid.serves(m)` (a gq the table serves, entries averaging a
-    quarter of the monomials) and sparse on the pair kernel otherwise; every
+    m and g are converted once into `IntegerGrid`s of term dicts; every
     level reads, conjugates and extends them by steps kept as numerator rows
-    over one denominator, and they become scalars once, at the end.
+    over one denominator, each product and series power walking the table
+    when its walked operand passes `supermatrix._takes_table`, and they
+    become scalars once, at the end.
     """
     gq = m.gq
     dim = m.dim
@@ -394,8 +394,7 @@ def _refine(m, parts, g, filtration_log=None):
     shape = m.shape
     zero = GrassmannScalar.zero(gq)
     one = GrassmannScalar.one(gq)
-    dense = IntegerGrid.serves(m)
-    m, g = IntegerGrid(m, dense), IntegerGrid(g, dense)
+    m, g = IntegerGrid(m), IntegerGrid(g)
     batched = {}  # cell -> the solved values of the steps above gq / 2
     for level in range(1, gq + 1):
         degrees = [m.min_degree(i, j) for i, j in cross]
@@ -441,7 +440,7 @@ def _refine(m, parts, g, filtration_log=None):
                 batched.setdefault(cell, []).append(x)
         else:
             g = g @ h
-        m = m.conjugate(h, _inverse_series(den, rows, gq, gq // level, table=dense))
+        m = m.conjugate(h, _inverse_series(den, rows, gq, gq // level))
     if batched:
         # any product of two steps above gq / 2 has degree > gq, so together
         # they are 1 + their sum: one extension of g for all of them

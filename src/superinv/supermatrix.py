@@ -18,7 +18,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import chain, product, starmap
 
 from .errors import (
@@ -48,30 +47,22 @@ ANY = "any"
 _PARITIES = (EVEN, ODD, ANY)
 
 # The table walk's cut, read only by `_takes_table`: per generator count the
-# table serves, the share of the 2**gq monomials a factor's entries must
-# average for the walk to take it (`_product`'s right factor, or at gq 5..10
-# its left one for the left walk; `invert`'s U).  The cuts are where the two
-# kernels break even on the products the benchmark workloads make: near 1/4
-# at gq 4, near 1/8 at gq 5..7.  Gq 8 keeps 1/8; at gq 9 and 10, which no
-# workload reaches, single products (`tools/bench_kernel.py`) favour the
-# table at a tenth of the monomials and the pair kernel at a twentieth, so
-# the cut there is 1/16.  Below gq 4 products are a few terms each and the
-# table measured slower over whole verify runs, at gq 4 the left walk
-# measured slower on the workloads' products, above gq 10 the table's memory
-# grows 3x per generator, and on sparse factors most table steps read zeros:
-# these stay on the pair kernel.  The table walks 2**(gq - degree) tuples per
-# sparse term, so sparse terms of low degree still cost it more than the cut
-# sees.
+# table serves, the share of the 2**gq monomials that the operand a product
+# would walk must average for the walk to take it.  Every product reads it:
+# `_product`'s right factor, or at gq 5..10 its left one for the left walk,
+# each `IntegerGrid` product's own grid, the filtration's included, and x of
+# each inverse series.  The cuts are where the two kernels break even on the
+# products the benchmark workloads make: near 1/4 at gq 4, near 1/8 at gq
+# 5..7.  Gq 8 keeps 1/8; at gq 9 and 10, which no workload reaches, single
+# products (`tools/bench_kernel.py`) favour the table at a tenth of the
+# monomials and the pair kernel at a twentieth, so the cut there is 1/16.
+# Below gq 4 products are a few terms each and the table measured slower
+# over whole verify runs, at gq 4 `_product`'s left walk measured slower on
+# the workloads' products, above gq 10 the table's memory grows 3x per
+# generator, and on sparse factors most table steps read zeros: these stay
+# on the pair kernel.  The table walks 2**(gq - degree) tuples per sparse
+# term, so sparse terms of low degree still cost it more than the cut sees.
 _TABLE_DENSITY = {4: 1 / 4, **dict.fromkeys(range(5, 9), 1 / 8), 9: 1 / 16, 10: 1 / 16}
-
-# The gate of dense cells in `reduction._refine`'s `IntegerGrid`s, and so of
-# the table walk in its step inverses: at a gq in _TABLE_DENSITY, the share
-# of the 2**gq monomials the entries of the matrix to refine must average.
-# On Q(3) `diagonalize` runs dense cells lost to the pair kernel below a
-# quarter (gq 10: 14.5 -> 25.5 ms at 0.08, 33 -> 34-38 ms at 0.22; gq 8:
-# 7.7 -> 8.5 ms at 0.20) and won above it (gq 10: 191 -> 133 ms at 0.77;
-# gq 8: 16.4 -> 15.0 ms at 0.51).
-_GRID_DENSITY = 1 / 4
 
 
 @dataclass(frozen=True)
@@ -135,60 +126,44 @@ def to_plain(value):
     return value
 
 
-def _dense(num, size):
-    """A term dict's numerators as a list indexed by mask, 0 where it has no term."""
-    dense = [0] * size
+def _takes_table(nums, dim, gq):
+    """Whether a factor whose dim x dim grid holds the term dicts nums
+    averages at least _TABLE_DENSITY's cut at gq of the 2**gq monomials: the
+    one test of every product's walked operand."""
+    cut = _TABLE_DENSITY.get(gq)
+    return cut is not None and sum(map(len, nums)) >= cut * ((1 << gq) * dim * dim)
+
+
+def _operand(num, q, table):
+    """A term dict as the table kernel's dense operand (table(q, parity),
+    its numerators listed by mask), the parity read from its own masks;
+    None for a zero dict."""
+    if not num:
+        return None
+    masks = iter(num)
+    parity = next(masks).bit_count() & 1
+    for m in masks:  # a mixed dict stops at its first mask of the other parity
+        if m.bit_count() & 1 != parity:
+            parity = None
+            break
+    dense = [0] * (1 << q)
     for m, c in num.items():
         dense[m] = c
-    return dense
+    return table(q, parity), dense
 
 
-def _holds_share(nums, dim, gq, share):
-    """Whether the term dicts nums of a dim x dim grid average at least share
-    of the 2**gq monomials: the density test of both table gates."""
-    return sum(map(len, nums)) >= share * ((1 << gq) * dim * dim)
-
-
-def _takes_table(nums, dim, gq):
-    """Whether a factor whose dim x dim grid holds the term dicts nums passes
-    _TABLE_DENSITY's cut at gq: `_product`'s test on either factor, and
-    `invert`'s on U."""
-    cut = _TABLE_DENSITY.get(gq)
-    return cut is not None and _holds_share(nums, dim, gq, cut)
-
-
-@cache
-def _masks_by_degree(q):
-    """The masks below 2**q grouped by popcount: list d holds those of degree d."""
-    out = [[] for _ in range(q + 1)]
-    for m in range(1 << q):
-        out[m.bit_count()].append(m)
-    return out
-
-
-@cache
-def _masks_by_parity(q):
-    """The masks below 2**q of even popcount, then those of odd popcount."""
-    by_degree = _masks_by_degree(q)
-    return ([m for masks in by_degree[0::2] for m in masks],
-            [m for masks in by_degree[1::2] for m in masks])
-
-
-def _walked(cell, q, table):
-    """A dense cell as the table kernel's dense operand (table(q, parity),
-    cell), the parity read from the cell's own nonzero numerators; None for
-    a zero cell, found by one scan before the parity scans."""
-    if not any(cell):
-        return None
-    even, odd = _masks_by_parity(q)
-    if not any(map(cell.__getitem__, odd)):
-        return table(q, 0), cell
-    return table(q, None if any(map(cell.__getitem__, even)) else 1), cell
+def _walked(rows, gq, table):
+    """The square grid rows of term dicts as the table kernel's dense
+    operands over table when it passes `_takes_table`, else None: the walked
+    operand of each grid product and inverse series power."""
+    if _takes_table(chain.from_iterable(rows), len(rows), gq):
+        return [[_operand(t, gq, table) for t in row] for row in rows]
+    return None
 
 
 def _walk(q, lines):
-    """The dense cells, in order, that each accumulate the table kernel over
-    one line: a pair (term dicts, dense operands)."""
+    """The cells, in order, that each accumulate the table kernel over one
+    line, a pair (term dicts, dense operands), as term dicts, zeros pruned."""
     size = 1 << q
     cells = []
     for terms, dense in lines:
@@ -196,8 +171,22 @@ def _walk(q, lines):
         for t, y in zip(terms, dense):
             if t and y:
                 mul_table_into(acc, t, y)
-        cells.append(acc)
+        cells.append({m: c for m, c in enumerate(acc) if c})
     return cells
+
+
+def _left_product(gq, own, rows, diagonal=False):
+    """own @ rows, two square grids of term dicts, as row-major cells (the
+    diagonal ones alone with diagonal=True): own's cells take the table's
+    left walk, each walked by a column of rows, when they pass
+    `_takes_table`, else the pair kernel multiplies the term dicts."""
+    cols = list(zip(*rows))
+    walked = _walked(own, gq, left_table)
+    if walked:
+        lines = zip(cols, walked) if diagonal else ((col, row) for row in walked for col in cols)
+        return _walk(gq, lines)
+    lines = zip(own, cols) if diagonal else product(own, cols)
+    return list(starmap(_paired, lines))
 
 
 def _paired(first, second):
@@ -220,30 +209,27 @@ def _combination(pairs):
     return {m: v for m, v in acc.items() if v}
 
 
-def _inverse_series(den, rows, gq, order, *, table):
+def _inverse_series(den, rows, gq, order):
     """(1 + x)^-1 = sum (-x)^k, k = 0..order, for the square grid x of term
     dicts rows over den (`_term_rows`' form) with x^(order + 1) = 0, as
     (den**K, term dicts, not reduced), K the last nonzero power.
 
     Each power x^k is the last one's term rows times the columns of x, on
-    the table walk when the caller asks for it (table) at a gq the table
-    serves, else on the pair kernel, and stays over den**k; the powers are
-    summed with their signs over den**K once.  At order 1 it makes no product.
+    the table walk when x passes `_takes_table`, else on the pair kernel,
+    and stays over den**k; the powers are summed with their signs over
+    den**K once.  At order 1 it makes no product.
     """
     dim = len(rows)
     powers = [rows] if order and any(chain.from_iterable(rows)) else []
     if powers and order > 1:  # x's columns, read only when forming x^2 on
-        cols = list(zip(*rows))
-        walk = table and gq in _TABLE_DENSITY
-        if walk:
-            cols = [[_walked(_dense(t, 1 << gq), gq, disjoint_table) for t in col] for col in cols]
+        walked = _walked(rows, gq, disjoint_table)
+        cols = list(zip(*(walked or rows)))
     while powers and len(powers) < order:
-        lines = ((row, col) for row in powers[-1] for col in cols)
-        cells = ([{m: c for m, c in enumerate(cell) if c} for cell in _walk(gq, lines)] if walk
-                 else list(starmap(_paired, lines)))
+        lines = product(powers[-1], cols)
+        cells = _walk(gq, lines) if walked else list(starmap(_paired, lines))
         if not any(cells):
             break
-        powers.append([cells[i:i + dim] for i in range(0, len(cells), dim)])
+        powers.append(_chunked(cells, dim))
     top = len(powers)
     out = [[{0: den ** top} if i == j else {} for j in range(dim)] for i in range(dim)]
     for k, power in enumerate(powers, 1):
@@ -263,15 +249,20 @@ def _reduced_matrix(shape, parity, gq, den, rows):
 
 
 def _scalars(q, den, cells):
-    """Dense cells of numerators over den as scalars, each reduced once."""
-    return [reduced_scalar(q, {m: c for m, c in enumerate(cell) if c}, den) for cell in cells]
+    """Term dicts over den as scalars, each reduced once."""
+    return [reduced_scalar(q, cell, den) for cell in cells]
+
+
+def _chunked(cells, dim):
+    """The row-major list cells as rows of dim."""
+    return [cells[i:i + dim] for i in range(0, len(cells), dim)]
 
 
 def _term_rows(matrix):
     """A SuperMatrix's entries as numerator dicts over one denominator d: (d, rows)."""
     dim = matrix.dim
     den, nums = common_denominator([x for row in matrix.rows for x in row])
-    return den, [nums[i:i + dim] for i in range(0, len(nums), dim)]
+    return den, _chunked(nums, dim)
 
 
 def _product_parity(p1, p2):
@@ -444,13 +435,14 @@ class SuperMatrix:
         self._check_compatible(other)
         gq = self.gq
         # The gate, O(n**2) len() calls on each factor, makes a dense factor
-        # an `IntegerGrid` (_TABLE_DENSITY's comment gives its reasons); the
-        # pair kernel reads rows of self and columns of other over their own lcm.
+        # an `IntegerGrid`, which walks it (_TABLE_DENSITY's comment gives
+        # the reasons); the pair kernel reads rows of self and columns of
+        # other over their own lcm.
         dim = self.dim
         if _takes_table((x.num for row in other.rows for x in row), dim, gq):
-            out = _scalars(gq, *IntegerGrid(other, dense=True).under(*_term_rows(self), diagonal))
+            out = _scalars(gq, *IntegerGrid(other).under(*_term_rows(self), diagonal))
         elif gq >= 5 and _takes_table((x.num for row in self.rows for x in row), dim, gq):
-            out = _scalars(gq, *IntegerGrid(self, dense=True).times(*_term_rows(other), diagonal))
+            out = _scalars(gq, *IntegerGrid(self).times(*_term_rows(other), diagonal))
         else:
             rows = [common_denominator(row) for row in self.rows]
             cols = [common_denominator(col) for col in zip(*other.rows)]
@@ -460,8 +452,7 @@ class SuperMatrix:
         if diagonal:
             return out
         parity = _product_parity(self.parity, other.parity)
-        return SuperMatrix(self.shape, parity, [out[i:i + dim] for i in range(0, len(out), dim)],
-                           validate=False)
+        return SuperMatrix(self.shape, parity, _chunked(out, dim), validate=False)
 
     def __mul__(self, other):
         if isinstance(other, SuperMatrix):
@@ -496,13 +487,12 @@ class SuperMatrix:
         body_inv, rk = linalg.inverse_with_rank([[t.get(0, 0) for t in row] for row in rows])
         if body_inv is None:
             raise _singular_body(rk, self.dim)
-        gq = self.gq
-        lcm = math.lcm(*[x.denominator for row in body_inv for x in row])
-        binv = [[x.numerator * (lcm // x.denominator) for x in row] for row in body_inv]
+        gq, dim = self.gq, self.dim
+        lcm, nums = linalg._integer_vector([x for row in body_inv for x in row])
+        binv = _chunked(nums, dim)
         souls = [[{m: c for m, c in t.items() if m} for t in col] for col in zip(*rows)]
         u = [[_combination(zip(brow, col)) for col in souls] for brow in binv]
-        den, series = _inverse_series(lcm, u, gq, gq,
-                                      table=_takes_table(chain.from_iterable(u), len(u), gq))
+        den, series = _inverse_series(lcm, u, gq, gq)
         binv_cols = [[d * c for c in col] for col in zip(*binv)]  # B^-1 = d (dB)^-1
         # B^-1 has self's block pattern and U, a product of two matrices of
         # self's class, is even: the inverse keeps self's parity class
@@ -722,112 +712,83 @@ class GroupElement:
 
 
 class IntegerGrid:
-    """A matrix as int numerators over one denominator `den`, in the cell
-    form its caller picks: dense, a list of a cell's 2**gq numerators
-    indexed by mask (the table kernel's one dense form), or sparse, a term
-    dict for the pair kernel (`_paired`).  `SuperMatrix._product` converts a
-    dense factor for one product, dense; `reduction._refine` converts its
-    matrix and conjugator once, dense when `serves` passes the matrix, and
+    """A matrix as int numerators over one denominator `den`, each cell a
+    term dict.  `SuperMatrix._product` converts a dense factor for one
+    product; `reduction._refine` converts its matrix and conjugator once and
     runs its filtration on them.
 
     The other factor is term dicts over one denominator, (den, rows) as
-    `_term_rows` gives them.  On dense cells `under` (rows @ self) walks each
-    cell over `disjoint_table`, `times` (self @ rows) over `left_table`, the
-    same disjoint pairs with the factors' roles swapped.  A cell whose
-    numerators share one parity walks only that half of each table row,
-    read from its own nonzero numerators, never from a parity label, which
-    could be false and would then drop terms.  Both return the product's
-    denominator and unreduced cells in self's form, row-major (the diagonal
-    ones alone with diagonal=True); `@` and `conjugate` leave through one
-    gcd over the grid, and `matrix()` makes the cells scalars once.
-
-    `_product` converts a factor only where the table measured faster, by
-    _TABLE_DENSITY's cut, whose comment gives the reasons.
+    `_term_rows` gives them.  `under` (rows @ self) and `times` (self @ rows)
+    each pick their kernel from self's cells alone: when they pass
+    `_takes_table`, `_walked` makes them the table kernel's dense operands,
+    walked over `disjoint_table` by `under` and over `left_table`, the same
+    disjoint pairs with the factors' roles swapped, by `times`; otherwise
+    the pair kernel (`_paired`) multiplies the term dicts.  A cell whose
+    masks share one parity walks only that half of each table row, read
+    from its own masks, never from a parity label, which could be false and
+    would then drop terms.  Both return the product's denominator and
+    unreduced cells, row-major (the diagonal ones alone with
+    diagonal=True); `@` and `conjugate`, whose two products are reduced
+    together, leave through one gcd over the grid, and `matrix()` makes the
+    cells scalars once.
     """
 
-    __slots__ = ("shape", "parity", "gq", "den", "cells", "dense")
+    __slots__ = ("shape", "parity", "gq", "den", "cells")
 
-    def __init__(self, matrix, dense):
-        self.den, rows = _term_rows(matrix)
-        self.shape, self.parity, self.gq, self.dense = matrix.shape, matrix.parity, matrix.gq, dense
-        self.cells = [[_dense(num, 1 << self.gq) for num in row] for row in rows] if dense else rows
-
-    @staticmethod
-    def serves(matrix):
-        """Whether the table serves matrix's gq and its entries average at
-        least _GRID_DENSITY of the monomials: `_refine`'s choice of form."""
-        gq = matrix.gq
-        return gq in _TABLE_DENSITY and _holds_share((x.num for row in matrix.rows for x in row),
-                                                     matrix.dim, gq, _GRID_DENSITY)
+    def __init__(self, matrix):
+        self.den, self.cells = _term_rows(matrix)
+        self.shape, self.parity, self.gq = matrix.shape, matrix.parity, matrix.gq
 
     def min_degree(self, i, j):
         """The least degree of cell (i, j)'s monomials, None when it is zero."""
-        cell = self.cells[i][j]
-        if not self.dense:
-            return min(map(int.bit_count, cell), default=None)
-        return next((d for d, masks in enumerate(_masks_by_degree(self.gq))
-                     if any(map(cell.__getitem__, masks))), None)
+        return min(map(int.bit_count, self.cells[i][j]), default=None)
 
     def degree_part(self, i, j, level):
         """The scalar of cell (i, j)'s terms of degree level."""
         cell = self.cells[i][j]
-        masks = (_masks_by_degree(self.gq)[level] if self.dense
-                 else [m for m in cell if m.bit_count() == level])
-        return reduced_scalar(self.gq, {m: cell[m] for m in masks if cell[m]}, self.den)
+        return reduced_scalar(self.gq, {m: c for m, c in cell.items() if m.bit_count() == level},
+                              self.den)
 
     def times(self, den, rows, diagonal=False):
-        """self @ (den, rows) as (den, cells); dense cells take the left
-        walk, each over `left_table`, walked by a column of rows."""
-        cols = list(zip(*rows))
-        if self.dense:
-            own = [[_walked(cell, self.gq, left_table) for cell in row] for row in self.cells]
-            lines = zip(cols, own) if diagonal else ((col, row) for row in own for col in cols)
-            return den * self.den, _walk(self.gq, lines)
-        lines = zip(self.cells, cols) if diagonal else product(self.cells, cols)
-        return den * self.den, list(starmap(_paired, lines))
+        """self @ (den, rows) as (den, cells) (`_left_product`)."""
+        return den * self.den, _left_product(self.gq, self.cells, rows, diagonal)
 
     def under(self, den, rows, diagonal=False):
-        """(den, rows) @ self as (den, cells); dense cells take the right
-        walk, each over `disjoint_table`, walked by a row of rows."""
-        own = self.cells
-        if self.dense:
-            own = [[_walked(cell, self.gq, disjoint_table) for cell in row] for row in own]
-        cols = list(zip(*own))
+        """(den, rows) @ self as (den, cells); walked cells take the right
+        walk, each walked by a row of rows."""
+        walked = _walked(self.cells, self.gq, disjoint_table)
+        cols = list(zip(*(walked or self.cells)))
         lines = zip(rows, cols) if diagonal else product(rows, cols)
-        return den * self.den, _walk(self.gq, lines) if self.dense else list(starmap(_paired, lines))
+        return den * self.den, _walk(self.gq, lines) if walked else list(starmap(_paired, lines))
 
     def __matmul__(self, other):
         return self._over(*self.times(*other))
 
     def conjugate(self, h, inverse):
-        """h^-1 self h, for h and its inverse each a (den, rows)."""
-        return self._over(*self.under(*inverse)) @ h
+        """h^-1 self h, for h and its inverse each a (den, rows), with one gcd
+        over the grid at the end."""
+        den, cells = self.under(*inverse)
+        return self._over(den * h[0], _left_product(self.gq, _chunked(cells, self.shape.dim), h[1]))
 
     def _over(self, den, cells):
-        """The grid of self's shape and form with the row-major cells over
-        den, after one gcd over den and every numerator."""
-        dense = self.dense
+        """The grid of self's shape with the row-major cells over den, after
+        one gcd over den and every numerator."""
         g = den
         for cell in cells:
             if g == 1:
                 break
-            g = math.gcd(g, *(cell if dense else cell.values()))
+            g = math.gcd(g, *cell.values())
         if g != 1:
-            cells = [list(map(g.__rfloordiv__, cell)) if dense else
-                     {m: c // g for m, c in cell.items()} for cell in cells]
+            cells = [{m: c // g for m, c in cell.items()} for cell in cells]
             den //= g
-        dim = self.shape.dim
         out = object.__new__(IntegerGrid)
-        out.shape, out.parity, out.gq, out.dense = self.shape, self.parity, self.gq, dense
-        out.den, out.cells = den, [cells[i:i + dim] for i in range(0, len(cells), dim)]
+        out.shape, out.parity, out.gq = self.shape, self.parity, self.gq
+        out.den, out.cells = den, _chunked(cells, self.shape.dim)
         return out
 
     def matrix(self):
         """The grid as a SuperMatrix, each cell reduced to a scalar once."""
-        cells = self.cells
-        if self.dense:
-            cells = [[{m: c for m, c in enumerate(cell) if c} for cell in row] for row in cells]
-        return _reduced_matrix(self.shape, self.parity, self.gq, self.den, cells)
+        return _reduced_matrix(self.shape, self.parity, self.gq, self.den, self.cells)
 
 
 # ----------------------------------------------------------------------

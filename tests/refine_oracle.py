@@ -7,14 +7,16 @@ product of its inverse Sylvester operator with a matrix whose rows are the
 pair's cells, column-stacked (j outer, i inner), and whose columns are the
 pair's monomials of that degree, sorted.  The step D is rebuilt from those
 coefficients through the validating scalar constructor, and h = 1 + D.
-It reads every level on SuperMatrix entries, whichever form the library
+It reads every level on SuperMatrix entries, whichever kernel the library
 takes, and logs each level's least cross-term degree as `filtration_log`.
 """
 
-from superinv import linalg, reduction
+from itertools import chain
+
+from superinv import linalg, reduction, supermatrix
 from superinv.errors import InternalError
 from superinv.grassmann import GrassmannScalar, geometric_sum
-from superinv.supermatrix import GroupElement, IntegerGrid, SuperMatrix
+from superinv.supermatrix import GroupElement, IntegerGrid, SuperMatrix, _takes_table
 
 
 def refine(m, parts, g, filtration_log):
@@ -61,19 +63,58 @@ def refine(m, parts, g, filtration_log):
     return m, g
 
 
+def counted_walks(monkeypatch):
+    """A list that grows by one on each call of `supermatrix._walk`, the table
+    kernel's one caller, while monkeypatch's patches hold."""
+    walks = []
+    real = supermatrix._walk
+    monkeypatch.setattr(supermatrix, "_walk", lambda q, lines: (walks.append(1), real(q, lines))[1])
+    return walks
+
+
+def _walk_checks(monkeypatch, records):
+    """Patch `IntegerGrid`'s products and `reduction._inverse_series` so that
+    each appends to records a pair: whether its walked operand (the grid's
+    cells, or the series' x when it forms a power) passes `_takes_table`,
+    and whether it called `supermatrix._walk`."""
+    walks = counted_walks(monkeypatch)
+
+    def checked(run, operand):
+        def call(*args):
+            before = len(walks)
+            out = run(*args)
+            records.append((operand(*args), len(walks) > before))
+            return out
+        return call
+
+    def passes(rows, gq):
+        return _takes_table(chain.from_iterable(rows), len(rows), gq)
+
+    for name in ("under", "times"):
+        monkeypatch.setattr(IntegerGrid, name, checked(getattr(IntegerGrid, name),
+                                                       lambda grid, *_: passes(grid.cells, grid.gq)))
+    monkeypatch.setattr(reduction, "_inverse_series", checked(
+        reduction._inverse_series, lambda den, rows, gq, order: (
+            order > 1 and any(chain.from_iterable(rows)) and passes(rows, gq))))
+
+
 def refine_matches(monkeypatch, reduce, a):
-    """Run reduce(a) with `reduction._refine` recorded, and return, per call,
-    whether its `IntegerGrid`s took the dense cell form, once each call's
-    (m, g) rows and filtration log are checked equal to refine's."""
+    """Run reduce(a) with `reduction._refine` recorded, check each call's
+    (m, g) rows and filtration log equal to refine's, and check that each
+    grid product and series power of the call walks the table exactly when
+    its walked operand passes `_takes_table`.  Return, per call, whether any
+    of them walked."""
     calls = []
     real = reduction._refine
 
     def recording(m, parts, g, filtration_log=None):
-        log = []
-        out = real(m, parts, g, filtration_log=log)
+        log, records = [], []
+        with monkeypatch.context() as patch:
+            _walk_checks(patch, records)
+            out = real(m, parts, g, filtration_log=log)
         if filtration_log is not None:
             filtration_log.extend(log)
-        calls.append(((m, parts, g), out, log))
+        calls.append(((m, parts, g), out, log, records))
         return out
 
     monkeypatch.setattr(reduction, "_refine", recording)
@@ -81,10 +122,11 @@ def refine_matches(monkeypatch, reduce, a):
         reduce(a)
     finally:
         monkeypatch.setattr(reduction, "_refine", real)
-    for args, (m, g), log in calls:
+    for args, (m, g), log, records in calls:
         want_log = []
         want_m, want_g = refine(*args, want_log)
         assert m.rows == want_m.rows
         assert g.rows == want_g.rows
         assert log == want_log
-    return [IntegerGrid.serves(args[0]) for args, _out, _log in calls]
+        assert all(passes == walked for passes, walked in records)
+    return [any(walked for _passes, walked in records) for *_call, records in calls]

@@ -4,6 +4,9 @@ checked against the geometric series on SuperMatrix products.
 The oracle is `grassmann.geometric_sum`, which builds (1 + x)^-1 from
 SuperMatrix products and sums, so its labels come from the products' label
 rules.  Values are compared entry by entry, and labels with the oracle's.
+The series runs on both kernels by forcing the table's cut: emptied, every
+power stays on the pair kernel, and at 0 for every generator count each
+power walks the table.
 """
 
 import random
@@ -21,12 +24,14 @@ from superinv.supermatrix import (
     Queer,
     Standard,
     SuperMatrix,
-    _TABLE_DENSITY,
     _entry_parity,
     _inverse_series,
     _reduced_matrix,
+    _takes_table,
     _term_rows,
 )
+
+from refine_oracle import counted_walks
 
 G = GrassmannScalar
 
@@ -34,6 +39,9 @@ SHAPES = [pytest.param(shape, parity, id="%s-%s" % (name, parity)) for name, sha
     ("Q(2)", Queer(2), ANY), ("Q(3)", Queer(3), ANY), ("(1|1)", Standard(1, 1), EVEN),
     ("(1|1)", Standard(1, 1), ODD), ("(1|1)", Standard(1, 1), ANY),
     ("(2|1)", Standard(2, 1), EVEN), ("(2|2)", Standard(2, 2), ODD)]]
+
+# the table's cut emptied (the pair kernel), and at 0 for every gq here (the table)
+CUTS = ({}, dict.fromkeys(range(8), 0))
 
 
 def _matrix(rng, shape, parity, q, level, share, fractional):
@@ -59,16 +67,17 @@ def _matrix(rng, shape, parity, q, level, share, fractional):
                                        for i in range(shape.dim)])
 
 
-def _series(x, order, table, monkeypatch):
-    """_inverse_series on x's term rows as a matrix of x's shape, labelled as
-    the filtration labels its step inverses (the shape's group parity), and
-    whether it walked the table."""
-    walked = []
-    real = supermatrix._walk
-    monkeypatch.setattr(supermatrix, "_walk", lambda q, lines: (walked.append(1), real(q, lines))[1])
+def _series(x, order, cut, monkeypatch):
+    """_inverse_series on x's term rows under the table's cut, as a matrix of
+    x's shape, labelled as the filtration labels its step inverses (the
+    shape's group parity), and whether it walked the table; cut None keeps
+    the library's own."""
+    walked = counted_walks(monkeypatch)
+    if cut is not None:
+        monkeypatch.setattr(supermatrix, "_TABLE_DENSITY", cut)
     try:
         out = _reduced_matrix(x.shape, x.shape.group_parity, x.gq,
-                              *_inverse_series(*_term_rows(x), x.gq, order, table=table))
+                              *_inverse_series(*_term_rows(x), x.gq, order))
     finally:
         monkeypatch.undo()
     return out, bool(walked)
@@ -95,19 +104,37 @@ def test_inverse_series_matches_the_geometric_sum(monkeypatch, shape, parity, gq
             for fractional in (False, True):
                 x = _matrix(rng, shape, parity, gq, level, share, fractional)
                 want = geometric_sum(SuperMatrix.identity(shape, gq), -x, order)
-                for table in (False, True):
-                    got, walked = _series(x, order, table, monkeypatch)
-                    assert got.rows == want.rows, (level, share, fractional, table)
+                for cut in CUTS:
+                    got, walked = _series(x, order, cut, monkeypatch)
+                    assert got.rows == want.rows, (level, share, fractional, cut)
                     if parity == shape.group_parity:
                         # a filtration step's label, as the products' chain gives it
                         assert got.parity == want.parity
-                    # the caller's form decides, whatever x's density: the
-                    # table walks only at a gq it serves and for a second power
-                    assert walked == (table and gq in _TABLE_DENSITY and order > 1
-                                      and not x.is_zero())
+                    # the forced cut decides, whatever x's density: the
+                    # table walks only for a second power
+                    assert walked == (bool(cut) and order > 1 and not x.is_zero())
                     kernels.add(walked)
-    # the table form walks from gq 4 up
-    assert kernels == ({False, True} if gq >= 4 else {False})
+    assert kernels == {False, True}
+
+
+@pytest.mark.parametrize("gq", [4, 5, 6, 7])
+@pytest.mark.parametrize("shape, parity", SHAPES)
+def test_inverse_series_walks_exactly_when_x_passes_the_cut(monkeypatch, shape, parity, gq):
+    # the library's own cut: a series of order > 1 whose x is below it stays
+    # on the pair kernel, whoever calls it, and one whose x passes walks
+    rng = random.Random(gq * 211 + shape.dim * 3 + len(parity))
+    passed = set()
+    for share in (1, 0.1, 0.02):
+        for fractional in (False, True):
+            x = _matrix(rng, shape, parity, gq, 1, share, fractional)
+            if x.is_zero():
+                continue
+            takes = _takes_table((t.num for row in x.rows for t in row), shape.dim, gq)
+            got, walked = _series(x, gq, None, monkeypatch)
+            assert got.rows == geometric_sum(SuperMatrix.identity(shape, gq), -x, gq).rows
+            assert walked == takes
+            passed.add(takes)
+    assert passed == {False, True}
 
 
 @pytest.mark.parametrize("shape, parity", SHAPES)
@@ -115,9 +142,11 @@ def test_inverse_series_of_zero_and_of_an_early_zero_power(monkeypatch, shape, p
     gq = 6
     ident = SuperMatrix.identity(shape, gq)
     zero = SuperMatrix.zeros(shape, gq, parity)
-    for table in (False, True):
-        assert _inverse_series(*_term_rows(zero), gq, gq, table=table) == (
+    for cut in CUTS:
+        monkeypatch.setattr(supermatrix, "_TABLE_DENSITY", cut)
+        assert _inverse_series(*_term_rows(zero), gq, gq) == (
             1, [[{0: 1} if i == j else {} for j in range(shape.dim)] for i in range(shape.dim)])
+    monkeypatch.undo()
     # every entry a multiple of the even e1 e2, which keeps the label: x^2 = 0
     # long before x^gq
     rng = random.Random(shape.dim)
@@ -126,8 +155,8 @@ def test_inverse_series_of_zero_and_of_an_early_zero_power(monkeypatch, shape, p
         x = _matrix(rng, shape, parity, gq, 1, 0.5, fractional)
         x = SuperMatrix(shape, parity, [[e12 * y for y in row] for row in x.rows])
         assert not x.is_zero() and (x @ x).is_zero()
-        for table in (False, True):
-            got, _walked = _series(x, gq, table, monkeypatch)
+        for cut in CUTS:
+            got, _walked = _series(x, gq, cut, monkeypatch)
             assert got.rows == geometric_sum(ident, -x, gq).rows == (ident - x).rows
 
 
@@ -135,8 +164,8 @@ def test_inverse_series_of_zero_and_of_an_early_zero_power(monkeypatch, shape, p
 @pytest.mark.parametrize("shape, parity", SHAPES)
 def test_inverse_series_of_order_one_is_one_minus_x_with_no_product(monkeypatch, shape, parity, gq):
     # a filtration step above gq / 2: x has degree > gq / 2, so x^2 = 0 and
-    # the series is den on the diagonal and -x's rows, in both forms, with no
-    # dense operand built
+    # the series is den on the diagonal and -x's rows, under either cut, with
+    # no dense operand built
     rng = random.Random(gq * 31 + shape.dim + len(parity))
     built = []
     real = supermatrix._walked
@@ -149,8 +178,9 @@ def test_inverse_series_of_order_one_is_one_minus_x_with_no_product(monkeypatch,
             den, rows = _term_rows(x)
             want = den, [[{**({0: den} if i == j else {}), **{m: -c for m, c in t.items()}}
                           for j, t in enumerate(row)] for i, row in enumerate(rows)]
-            for table in (False, True):
-                assert _inverse_series(den, rows, gq, 1, table=table) == want
+            for cut in CUTS:
+                monkeypatch.setattr(supermatrix, "_TABLE_DENSITY", cut)
+                assert _inverse_series(den, rows, gq, 1) == want
             assert not built
 
 

@@ -41,7 +41,7 @@ from superinv.verify import (
     random_standard_even_with_spectrum,
 )
 
-from refine_oracle import refine_matches
+from refine_oracle import counted_walks, refine_matches
 
 
 def test_rational_spectrum_examples():
@@ -224,8 +224,8 @@ def test_block_diagonalize_unequal_parts_with_jordan_bodies(monkeypatch):
     assert all(any(x for i, row in enumerate(blk.body_rows()) for j, x in enumerate(row) if i != j)
                for _lam, blk in dec.blocks)
     # one inverse per ordered part pair, built once for all four levels, and
-    # the ring-core solve equal to the coefficient-matrix oracle, on the
-    # integer grid: the input is dense at gq 4
+    # the ring-core solve equal to the coefficient-matrix oracle, walking
+    # the table: the input is dense at gq 4
     assert log == [1, 2, 3, 4]
     assert [len(inv) for inv in inverses] == [6, 6]
     assert refine_matches(monkeypatch, block_diagonalize, a) == [True]
@@ -408,7 +408,7 @@ def _worked_odd_example():
 
 def _dense_odd_3(q):
     """An odd (3|3) at q whose refine input averages over a quarter of the
-    2**q monomials, so its filtration runs on the integer grid."""
+    2**q monomials, so its filtration walks the table."""
     a = random_odd_reducible(3, [1, 2, 5], q, seed=7)
     soul = random_matrix(a.shape, EVEN, q, 12, 9, max_terms=32).soul()
     return a.conjugate(GroupElement(SuperMatrix.identity(a.shape, q) + soul))
@@ -419,7 +419,8 @@ def _dense_odd_3(q):
 @pytest.mark.parametrize("make, grid", [
     pytest.param(_worked_odd_example, False, id="_worked_odd_example-9"),
     pytest.param(lambda: random_odd_reducible(2, [3, -1], 4, seed=3), False, id="<lambda>-17"),
-    pytest.param(lambda: random_odd_reducible(3, [1, 2, 5], 5, seed=7), False, id="<lambda>-26"),
+    # its refine input averages 0.136 of the monomials, past gq 5's cut of 1/8
+    pytest.param(lambda: random_odd_reducible(3, [1, 2, 5], 5, seed=7), True, id="<lambda>-26"),
     pytest.param(lambda: _dense_odd_3(5), True, id="dense-16-grid"),
 ])
 def test_reduce_odd_refines_a_without_its_square(monkeypatch, make, grid):
@@ -434,21 +435,31 @@ def test_reduce_odd_refines_a_without_its_square(monkeypatch, make, grid):
 
     class Converting(IntegerGrid):
         # `_refine`'s own conversions: products convert dense factors too
-        def __init__(self, matrix, dense):
-            super().__init__(matrix, dense)
+        def __init__(self, matrix):
+            super().__init__(matrix)
             grids.append(self)
+
+    walks = []
+    real_refine = reduction._refine
+
+    def refine(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            walks.append(counted_walks(patch))
+            return real_refine(*args, **kwargs)
 
     monkeypatch.setattr(SuperMatrix, "__matmul__", recording)
     monkeypatch.setattr(reduction, "IntegerGrid", Converting)
+    monkeypatch.setattr(reduction, "_refine", refine)
     dec = reduce_odd(a)
     # two products for the body stage's conjugation, two in the lower-identity
     # step, two for its conjugation and one to extend the conjugator by it:
     # `_refine` makes none, and no Grassmann square of A is formed.  m and g
-    # are converted once, in the form the gate picks: dense cells on the
-    # dense input, term dicts on the others
+    # are converted once each, and the filtration walks the table on the
+    # inputs past the cut
     assert len(operands) == 7
     assert not any(x is a and y is a for x, y in operands)
-    assert [type(x.cells[0][0]) for x in grids] == [list if grid else dict] * 2
+    assert len(grids) == 2
+    assert [bool(w) for w in walks] == [grid]
     monkeypatch.undo()
     assert dec.verify(a)
 

@@ -1,5 +1,5 @@
 """The ring-core nilpotent stage against its Fraction and `linalg.matmul` oracle,
-on the integer grid's sparse and dense cell forms."""
+on the integer grid's pair kernel and its table walks."""
 
 import random
 from fractions import Fraction
@@ -23,7 +23,7 @@ from superinv.verify import (
     random_standard_even_with_spectrum,
 )
 
-from refine_oracle import refine_matches
+from refine_oracle import counted_walks, refine_matches
 
 
 @pytest.mark.parametrize("eigenvalues,gq,seed", [
@@ -37,8 +37,9 @@ from refine_oracle import refine_matches
     ([1, Fraction(1, 2), 999983], 6, 8),                   # six levels
 ])
 def test_queer_refine_matches_oracle(monkeypatch, eigenvalues, gq, seed):
+    # the filtrations of seeds 2, 5, 6 and 8 reach a matrix past the cut
     a = random_queer_with_spectrum(len(eigenvalues), eigenvalues, gq, seed, soul_terms=6)
-    assert refine_matches(monkeypatch, block_diagonalize, a) == [False]
+    assert refine_matches(monkeypatch, block_diagonalize, a) == [seed in (2, 5, 6, 8)]
 
 
 def test_even_standard_refine_matches_oracle(monkeypatch):
@@ -76,37 +77,36 @@ def _dense_inputs(gq):
 def test_dense_refine_matches_oracle_above_half_gq(monkeypatch, gq):
     # cross terms at every level, so levels gq // 2 + 1 .. gq (2 to 5 of them)
     # each make a step that the conjugator takes in one batch; the inputs
-    # are dense, so the filtration runs on the integer grid
+    # are dense, so the filtration walks the table
     for reduce, a in _dense_inputs(gq):
         assert refine_matches(monkeypatch, reduce, a) == [True]
 
 
 def test_every_step_inverse_takes_the_grids_kernel(monkeypatch):
-    # `_refine`'s one choice of form picks every series' kernel: each step of
-    # the dense inputs above asks for the table, the sparse level-1 steps
-    # below the product cut included, and each step of CI's sparse Q(3) at
-    # gq 10 (the reduction golden's) for the pair kernel
+    # each step's series picks its own kernel from its x: on the dense inputs
+    # above, the steps past the cut walk the table and the sparse level-1
+    # steps below it stay on the pair kernel, and every step of CI's sparse
+    # Q(3) at gq 10 (the reduction golden's) stays on the pair kernel
     calls = []
     real = reduction._inverse_series
 
-    def spy(den, rows, gq, order, *, table):
-        calls.append((table, _takes_table(chain.from_iterable(rows), len(rows), gq)))
-        return real(den, rows, gq, order, table=table)
+    def spy(den, rows, gq, order):
+        with monkeypatch.context() as patch:
+            walked = counted_walks(patch)
+            out = real(den, rows, gq, order)
+        power = order > 1 and any(chain.from_iterable(rows))
+        calls.append((power and _takes_table(chain.from_iterable(rows), len(rows), gq), bool(walked)))
+        return out
 
     monkeypatch.setattr(reduction, "_inverse_series", spy)
     for gq in [4, 5, 6, 7, 8, 10]:
         for reduce, a in _dense_inputs(gq):
             reduce(a)
-    assert calls and all(table for table, _cut in calls)
-    assert not all(cut for _table, cut in calls)
+    assert all(passes == walked for passes, walked in calls)
+    assert {walked for _passes, walked in calls} == {False, True}
     calls.clear()
     diagonalize(_dense_conjugate(random_queer_with_spectrum(3, [1, -2, 3], 10, seed=4), 5, 2))
-    assert calls and not any(table for table, _cut in calls)
-
-
-class _Taken(Exception):
-    """Raised by the spy on `_refine`'s dense `IntegerGrid` conversions: the
-    dense grid was taken."""
+    assert calls and not any(walked for _passes, walked in calls)
 
 
 def _share(m):
@@ -126,54 +126,54 @@ def _full_queer(gq):
 
 
 def test_the_grid_serves_dense_inputs_at_the_tables_generator_counts(monkeypatch):
-    # the spy on `_refine`'s conversions stops a reduction that takes the
-    # dense grid (products that convert a dense factor are not `_refine`'s);
-    # every other reduction runs on the sparse grid, whose conversions the
-    # spy records by gq, and the share of its refine input shows which half
-    # of the gate turned it away
-    shares = []
-    sparse = []
+    # `_refine` converts m and g once each into term dicts, and its
+    # filtration walks the table exactly when an operand passes the cut: on
+    # the dense inputs at every gq the table serves, and on Q(3)s at gq 8
+    # and 10 whose refine input is past the cut but below a quarter of the
+    # monomials; not on CI's sparse Q(3), nor at gq 2, 3 and 11, where no
+    # table serves even full cells
+    seen = []
+    grids = []
     real = reduction._refine
 
     def recording(m, parts, g, filtration_log=None):
-        shares.append(_share(m))
-        return real(m, parts, g, filtration_log)
+        with monkeypatch.context() as patch:
+            walked = counted_walks(patch)
+            out = real(m, parts, g, filtration_log)
+        seen.append((m.gq, _share(m), bool(walked)))
+        return out
 
     class Spy(IntegerGrid):
-        def __init__(self, matrix, dense):
-            if dense:
-                raise _Taken(matrix.gq)
-            sparse.append(matrix.gq)
-            super().__init__(matrix, dense)
+        def __init__(self, matrix):
+            super().__init__(matrix)
+            assert all(isinstance(cell, dict) for row in self.cells for cell in row)
+            grids.append(matrix.gq)
 
     monkeypatch.setattr(reduction, "_refine", recording)
     monkeypatch.setattr(reduction, "IntegerGrid", Spy)
     for gq in range(4, 11):
         for reduce, a in _dense_inputs(gq):
-            with pytest.raises(_Taken):
-                reduce(a)
-            assert shares.pop() >= 1 / 4
-    assert not sparse
-    # below a quarter at gq 8 and 10, the first two above the product
-    # gate's cut there, the last one CI's sparse Q(3)
-    for gq, max_terms, cut in [(8, 12, 1 / 8), (10, 20, 1 / 16), (10, 2, 0)]:
+            reduce(a)
+            _gq, share, walked = seen.pop()
+            assert share >= 1 / 4 and walked
+    assert not seen
+    for gq, max_terms, cut, walks in [(8, 12, 1 / 8, True), (10, 20, 1 / 16, True), (10, 2, 0, False)]:
         a = random_queer_with_spectrum(3, [1, -2, 3], gq, seed=4)
         soul = random_matrix(a.shape, ANY, gq, 5, 9, max_terms=max_terms).soul()
         block_diagonalize(a.conjugate(GroupElement(SuperMatrix.identity(a.shape, gq) + soul)))
-        assert cut <= shares.pop() < 1 / 4
-    # every monomial in every entry, or on the diagonal, at gq 2, 3 and 11:
-    # no table serves them, so their full cells stay term dicts
+        _gq, share, walked = seen.pop()
+        assert cut <= share < 1 / 4 and walked == walks
     for gq in (2, 3, 11):
         block_diagonalize(_full_queer(gq))
-        assert shares.pop() >= 1 / 4
-    assert not shares
-    # m and g of each sparse reduction, converted once each
-    assert sparse == [8, 8, 10, 10, 10, 10, 2, 2, 3, 3, 11, 11]
+        _gq, share, walked = seen.pop()
+        assert share >= 1 / 4 and not walked
+    assert grids == [gq for gq in range(4, 11) for _ in range(4)] + [8, 8, 10, 10, 10, 10, 2, 2, 3, 3, 11, 11]
 
 
 @pytest.mark.parametrize("gq", [2, 3, 11])
 def test_full_cells_beyond_the_table_refine_like_the_oracle(monkeypatch, gq):
-    # no table serves these gq, so the filtration keeps full cells as term dicts
+    # no table serves these gq, so the filtration multiplies full cells on
+    # the pair kernel
     assert refine_matches(monkeypatch, block_diagonalize, _full_queer(gq)) == [False]
 
 
@@ -187,8 +187,8 @@ def test_refine_with_every_step_above_half_gq_matches_oracle(monkeypatch, seed):
 def _batch_gap_queer(dense):
     """Q(3) at gq 5 with cross terms of degrees 3 and 5 and diagonal souls
     of degree 2, plus, when dense, every monomial of degree 2..5 on the
-    diagonal, which puts it on the grid and leaves the cross degrees as
-    they were."""
+    diagonal, which makes its filtration walk the table and leaves the cross
+    degrees as they were."""
     q = 5
     rows = [[GrassmannScalar.zero(q)] * 3 for _ in range(3)]
     for i, lam in enumerate([1, 2, -1]):
