@@ -15,8 +15,9 @@ so the series is 1 - D with no product, and any two multiply to zero, so
 the conjugator takes them all in one product by 1 + their sum.  The matrix and
 its conjugator are converted once into integer grids of term dicts
 (`supermatrix.IntegerGrid`).  Every level is read, conjugated and extended on
-them, each product and series power on the kernel its walked operand's
-density picks, and they become scalars once, after the last level.
+them, each product and series power on the kernel `supermatrix._route`
+picks for its two factors, and they become scalars once, after the last
+level.
 
 One body stage serves both shapes: a queer body is a single half, a standard
 body the two halves X and T.  reduce_odd checks its input with the one rule
@@ -381,9 +382,9 @@ def _refine(m, parts, g, filtration_log=None):
 
     m and g are converted once into `IntegerGrid`s of term dicts; every
     level reads, conjugates and extends them by steps kept as numerator rows
-    over one denominator, each product and series power walking the table
-    when its walked operand passes `supermatrix._takes_table`, and they
-    become scalars once, at the end.
+    over one denominator, each product and series power on the kernel
+    `supermatrix._route` picks for its two factors, and they become scalars
+    once, at the end.
     """
     gq = m.gq
     dim = m.dim

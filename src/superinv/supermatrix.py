@@ -46,22 +46,26 @@ ANY = "any"
 
 _PARITIES = (EVEN, ODD, ANY)
 
-# The table walk's cut, read only by `_takes_table`: per generator count the
-# table serves, the share of the 2**gq monomials that the operand a product
-# would walk must average for the walk to take it.  Every product reads it:
-# `_product`'s right factor, or at gq 5..10 its left one for the left walk,
-# each `IntegerGrid` product's own grid, the filtration's included, and x of
-# each inverse series.  The cuts are where the two kernels break even on the
+# The table walk's cut, read only by `_route`: per generator count the
+# table serves, the share of the 2**gq monomials that the factor a product
+# would walk, whichever of its two holds more terms, must average for the
+# walk to take it.  Every product reads it: each `SuperMatrix` product, each
+# `IntegerGrid` product, the filtration's included, and each power of an
+# inverse series.  The cuts are where the two kernels break even on the
 # products the benchmark workloads make: near 1/4 at gq 4, near 1/8 at gq
 # 5..7.  Gq 8 keeps 1/8; at gq 9 and 10, which no workload reaches, single
 # products (`tools/bench_kernel.py`) favour the table at a tenth of the
 # monomials and the pair kernel at a twentieth, so the cut there is 1/16.
 # Below gq 4 products are a few terms each and the table measured slower
-# over whole verify runs, at gq 4 `_product`'s left walk measured slower on
-# the workloads' products, above gq 10 the table's memory grows 3x per
+# over whole verify runs, above gq 10 the table's memory grows 3x per
 # generator, and on sparse factors most table steps read zeros: these stay
-# on the pair kernel.  The table walks 2**(gq - degree) tuples per sparse
-# term, so sparse terms of low degree still cost it more than the cut sees.
+# on the pair kernel.  Replaying every product of a seed-1 pass of the
+# workloads on each kernel (ROADMAP item 32's census), walking the factor
+# with more terms took 0.99x (dense_soul), 0.95x (wide_body) and 1.00x
+# (verify_suites) the kernel time of reading one fixed factor per call
+# site, within 3 % of the fastest kernel per product.  The table walks
+# 2**(gq - degree) tuples per sparse term, so sparse terms of low degree
+# still cost it more than the cut sees.
 _TABLE_DENSITY = {4: 1 / 4, **dict.fromkeys(range(5, 9), 1 / 8), 9: 1 / 16, 10: 1 / 16}
 
 
@@ -126,12 +130,20 @@ def to_plain(value):
     return value
 
 
-def _takes_table(nums, dim, gq):
-    """Whether a factor whose dim x dim grid holds the term dicts nums
-    averages at least _TABLE_DENSITY's cut at gq of the 2**gq monomials: the
-    one test of every product's walked operand."""
+def _route(gq, dim, first, second):
+    """The factor of first @ second, two dim x dim grids whose entries are
+    the term dicts first and second yield, that the table kernel walks:
+    "left" or "right", whichever holds more terms (the right one on a tie)
+    when its entries average at least _TABLE_DENSITY's cut at gq of the
+    2**gq monomials, else None, for the pair kernel.  The one kernel rule
+    of every matrix product; it reads the factors only at a gq the table
+    serves."""
     cut = _TABLE_DENSITY.get(gq)
-    return cut is not None and sum(map(len, nums)) >= cut * ((1 << gq) * dim * dim)
+    if cut is not None:
+        left, right = sum(map(len, first)), sum(map(len, second))
+        if max(left, right) >= cut * ((1 << gq) * dim * dim):
+            return "left" if left > right else "right"
+    return None
 
 
 def _operand(num, q, table):
@@ -154,11 +166,8 @@ def _operand(num, q, table):
 
 def _walked(rows, gq, table):
     """The square grid rows of term dicts as the table kernel's dense
-    operands over table when it passes `_takes_table`, else None: the walked
-    operand of each grid product and inverse series power."""
-    if _takes_table(chain.from_iterable(rows), len(rows), gq):
-        return [[_operand(t, gq, table) for t in row] for row in rows]
-    return None
+    operands over table: the walked factor of a product."""
+    return [[_operand(t, gq, table) for t in row] for row in rows]
 
 
 def _walk(q, lines):
@@ -175,18 +184,25 @@ def _walk(q, lines):
     return cells
 
 
-def _left_product(gq, own, rows, diagonal=False):
-    """own @ rows, two square grids of term dicts, as row-major cells (the
-    diagonal ones alone with diagonal=True): own's cells take the table's
-    left walk, each walked by a column of rows, when they pass
-    `_takes_table`, else the pair kernel multiplies the term dicts."""
-    cols = list(zip(*rows))
-    walked = _walked(own, gq, left_table)
-    if walked:
+def _grid_product(gq, walk, first, second, diagonal=False):
+    """first @ second, two square grids of term dicts, as row-major cells
+    (the diagonal ones alone with diagonal=True), on the kernel walk names
+    (`_route`'s answer): the table kernel walks the right factor's cells
+    over `disjoint_table`, each walked by a row of first, or the left
+    factor's over `left_table`, the same disjoint pairs with the factors'
+    roles swapped, each walked by a column of second; with walk None the
+    pair kernel multiplies the term dicts.  A walked cell whose masks share
+    one parity walks only that half of each table row, read from its own
+    masks, never from a parity label, which could be false and would then
+    drop terms."""
+    if walk == "left":
+        cols = list(zip(*second))
+        walked = _walked(first, gq, left_table)
         lines = zip(cols, walked) if diagonal else ((col, row) for row in walked for col in cols)
         return _walk(gq, lines)
-    lines = zip(own, cols) if diagonal else product(own, cols)
-    return list(starmap(_paired, lines))
+    cols = list(zip(*(_walked(second, gq, disjoint_table) if walk else second)))
+    lines = zip(first, cols) if diagonal else product(first, cols)
+    return _walk(gq, lines) if walk else list(starmap(_paired, lines))
 
 
 def _paired(first, second):
@@ -214,19 +230,16 @@ def _inverse_series(den, rows, gq, order):
     dicts rows over den (`_term_rows`' form) with x^(order + 1) = 0, as
     (den**K, term dicts, not reduced), K the last nonzero power.
 
-    Each power x^k is the last one's term rows times the columns of x, on
-    the table walk when x passes `_takes_table`, else on the pair kernel,
-    and stays over den**k; the powers are summed with their signs over
-    den**K once.  At order 1 it makes no product.
+    Each power x^k is the last one's term rows times x, on the kernel
+    `_route` names for that pair, and stays over den**k; the powers are
+    summed with their signs over den**K once.  At order 1 it makes no
+    product.
     """
     dim = len(rows)
     powers = [rows] if order and any(chain.from_iterable(rows)) else []
-    if powers and order > 1:  # x's columns, read only when forming x^2 on
-        walked = _walked(rows, gq, disjoint_table)
-        cols = list(zip(*(walked or rows)))
     while powers and len(powers) < order:
-        lines = product(powers[-1], cols)
-        cells = _walk(gq, lines) if walked else list(starmap(_paired, lines))
+        walk = _route(gq, dim, chain.from_iterable(powers[-1]), chain.from_iterable(rows))
+        cells = _grid_product(gq, walk, powers[-1], rows)
         if not any(cells):
             break
         powers.append(_chunked(cells, dim))
@@ -433,16 +446,16 @@ class SuperMatrix:
     def _product(self, other, diagonal=False):
         """self @ other, or with diagonal=True only the list of its diagonal entries."""
         self._check_compatible(other)
-        gq = self.gq
-        # The gate, O(n**2) len() calls on each factor, makes a dense factor
-        # an `IntegerGrid`, which walks it (_TABLE_DENSITY's comment gives
-        # the reasons); the pair kernel reads rows of self and columns of
-        # other over their own lcm.
-        dim = self.dim
-        if _takes_table((x.num for row in other.rows for x in row), dim, gq):
-            out = _scalars(gq, *IntegerGrid(other).under(*_term_rows(self), diagonal))
-        elif gq >= 5 and _takes_table((x.num for row in self.rows for x in row), dim, gq):
-            out = _scalars(gq, *IntegerGrid(self).times(*_term_rows(other), diagonal))
+        gq, dim = self.gq, self.dim
+        # The route reads len() of each factor's O(n**2) entries and builds
+        # nothing; a walked product brings each factor over its own lcm,
+        # and the pair kernel reads rows of self and columns of other over
+        # their own lcm.
+        walk = _route(gq, dim, (x.num for row in self.rows for x in row),
+                      (x.num for row in other.rows for x in row))
+        if walk:
+            (d1, first), (d2, second) = _term_rows(self), _term_rows(other)
+            out = _scalars(gq, d1 * d2, _grid_product(gq, walk, first, second, diagonal))
         else:
             rows = [common_denominator(row) for row in self.rows]
             cols = [common_denominator(col) for col in zip(*other.rows)]
@@ -713,24 +726,14 @@ class GroupElement:
 
 class IntegerGrid:
     """A matrix as int numerators over one denominator `den`, each cell a
-    term dict.  `SuperMatrix._product` converts a dense factor for one
-    product; `reduction._refine` converts its matrix and conjugator once and
-    runs its filtration on them.
+    term dict.  `reduction._refine` converts its matrix and conjugator once
+    and runs its filtration on them.
 
-    The other factor is term dicts over one denominator, (den, rows) as
-    `_term_rows` gives them.  `under` (rows @ self) and `times` (self @ rows)
-    each pick their kernel from self's cells alone: when they pass
-    `_takes_table`, `_walked` makes them the table kernel's dense operands,
-    walked over `disjoint_table` by `under` and over `left_table`, the same
-    disjoint pairs with the factors' roles swapped, by `times`; otherwise
-    the pair kernel (`_paired`) multiplies the term dicts.  A cell whose
-    masks share one parity walks only that half of each table row, read
-    from its own masks, never from a parity label, which could be false and
-    would then drop terms.  Both return the product's denominator and
-    unreduced cells, row-major (the diagonal ones alone with
-    diagonal=True); `@` and `conjugate`, whose two products are reduced
-    together, leave through one gcd over the grid, and `matrix()` makes the
-    cells scalars once.
+    `@` and `conjugate` multiply it by term dicts over one denominator,
+    (den, rows) as `_term_rows` gives them: each product is one
+    `_grid_product` on the kernel `_route` names for its two factors, and
+    each leaves through one gcd over the grid (`conjugate`'s two products
+    together); `matrix()` makes the cells scalars once.
     """
 
     __slots__ = ("shape", "parity", "gq", "den", "cells")
@@ -749,26 +752,22 @@ class IntegerGrid:
         return reduced_scalar(self.gq, {m: c for m, c in cell.items() if m.bit_count() == level},
                               self.den)
 
-    def times(self, den, rows, diagonal=False):
-        """self @ (den, rows) as (den, cells) (`_left_product`)."""
-        return den * self.den, _left_product(self.gq, self.cells, rows, diagonal)
-
-    def under(self, den, rows, diagonal=False):
-        """(den, rows) @ self as (den, cells); walked cells take the right
-        walk, each walked by a row of rows."""
-        walked = _walked(self.cells, self.gq, disjoint_table)
-        cols = list(zip(*(walked or self.cells)))
-        lines = zip(rows, cols) if diagonal else product(rows, cols)
-        return den * self.den, _walk(self.gq, lines) if walked else list(starmap(_paired, lines))
-
     def __matmul__(self, other):
-        return self._over(*self.times(*other))
+        """self @ other, a (den, rows), as a grid after one gcd."""
+        den, rows = other
+        walk = _route(self.gq, self.shape.dim, chain.from_iterable(self.cells),
+                      chain.from_iterable(rows))
+        return self._over(den * self.den, _grid_product(self.gq, walk, self.cells, rows))
 
     def conjugate(self, h, inverse):
         """h^-1 self h, for h and its inverse each a (den, rows), with one gcd
         over the grid at the end."""
-        den, cells = self.under(*inverse)
-        return self._over(den * h[0], _left_product(self.gq, _chunked(cells, self.shape.dim), h[1]))
+        gq, dim, flat = self.gq, self.shape.dim, chain.from_iterable
+        den, rows = inverse
+        walk = _route(gq, dim, flat(rows), flat(self.cells))
+        left = _chunked(_grid_product(gq, walk, rows, self.cells), dim)
+        walk = _route(gq, dim, flat(left), flat(h[1]))
+        return self._over(den * self.den * h[0], _grid_product(gq, walk, left, h[1]))
 
     def _over(self, den, cells):
         """The grid of self's shape with the row-major cells over den, after

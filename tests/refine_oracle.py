@@ -11,12 +11,10 @@ It reads every level on SuperMatrix entries, whichever kernel the library
 takes, and logs each level's least cross-term degree as `filtration_log`.
 """
 
-from itertools import chain
-
 from superinv import linalg, reduction, supermatrix
 from superinv.errors import InternalError
 from superinv.grassmann import GrassmannScalar, geometric_sum
-from superinv.supermatrix import GroupElement, IntegerGrid, SuperMatrix, _takes_table
+from superinv.supermatrix import GroupElement, SuperMatrix
 
 
 def refine(m, parts, g, filtration_log):
@@ -72,45 +70,58 @@ def counted_walks(monkeypatch):
     return walks
 
 
-def _walk_checks(monkeypatch, records):
-    """Patch `IntegerGrid`'s products and `reduction._inverse_series` so that
-    each appends to records a pair: whether its walked operand (the grid's
-    cells, or the series' x when it forms a power) passes `_takes_table`,
-    and whether it called `supermatrix._walk`."""
+def expected_walk(gq, first, second):
+    """The walk of first @ second, two square grids of term dicts, by the
+    kernel rule restated: the factor with more terms, the right one on a
+    tie, when its entries average `supermatrix._TABLE_DENSITY`'s cut at gq
+    of the 2**gq monomials, else None, the pair kernel."""
+    cut = supermatrix._TABLE_DENSITY.get(gq)
+    left, right = (sum(len(t) for row in grid for t in row) for grid in (first, second))
+    if cut is None or max(left, right) < cut * (len(first) ** 2 << gq):
+        return None
+    return "left" if left > right else "right"
+
+
+def counted_products(monkeypatch):
+    """A list that grows on each call of `supermatrix._grid_product`, the one
+    routine of every grid product and series power, while monkeypatch's
+    patches hold, by a triple: the walk `expected_walk` names for its
+    factors, the walk it was given, and whether it called
+    `supermatrix._walk`, the table kernel's one caller."""
+    records = []
     walks = counted_walks(monkeypatch)
+    real = supermatrix._grid_product
 
-    def checked(run, operand):
-        def call(*args):
-            before = len(walks)
-            out = run(*args)
-            records.append((operand(*args), len(walks) > before))
-            return out
-        return call
+    def spy(gq, walk, first, second, diagonal=False):
+        want = expected_walk(gq, first, second)
+        before = len(walks)
+        out = real(gq, walk, first, second, diagonal)
+        records.append((want, walk, len(walks) > before))
+        return out
 
-    def passes(rows, gq):
-        return _takes_table(chain.from_iterable(rows), len(rows), gq)
+    monkeypatch.setattr(supermatrix, "_grid_product", spy)
+    return records
 
-    for name in ("under", "times"):
-        monkeypatch.setattr(IntegerGrid, name, checked(getattr(IntegerGrid, name),
-                                                       lambda grid, *_: passes(grid.cells, grid.gq)))
-    monkeypatch.setattr(reduction, "_inverse_series", checked(
-        reduction._inverse_series, lambda den, rows, gq, order: (
-            order > 1 and any(chain.from_iterable(rows)) and passes(rows, gq))))
+
+def took_the_rule(records):
+    """Whether every product of `counted_products`' records got the walk the
+    rule names and walked the table exactly when it names a factor."""
+    return all(want == walk and walked == (walk is not None) for want, walk, walked in records)
 
 
 def refine_matches(monkeypatch, reduce, a):
     """Run reduce(a) with `reduction._refine` recorded, check each call's
     (m, g) rows and filtration log equal to refine's, and check that each
-    grid product and series power of the call walks the table exactly when
-    its walked operand passes `_takes_table`.  Return, per call, whether any
-    of them walked."""
+    grid product and series power of the call takes the walk the kernel
+    rule names for its two factors (`took_the_rule`).  Return, per call,
+    whether any of them walked."""
     calls = []
     real = reduction._refine
 
     def recording(m, parts, g, filtration_log=None):
-        log, records = [], []
+        log = []
         with monkeypatch.context() as patch:
-            _walk_checks(patch, records)
+            records = counted_products(patch)
             out = real(m, parts, g, filtration_log=log)
         if filtration_log is not None:
             filtration_log.extend(log)
@@ -128,5 +139,5 @@ def refine_matches(monkeypatch, reduce, a):
         assert m.rows == want_m.rows
         assert g.rows == want_g.rows
         assert log == want_log
-        assert all(passes == walked for passes, walked in records)
-    return [any(walked for _passes, walked in records) for *_call, records in calls]
+        assert took_the_rule(records)
+    return [any(walked for *_walks, walked in records) for *_call, records in calls]

@@ -64,7 +64,7 @@ def test_gate_choice_counts_either_walk_of_the_table(monkeypatch):
     full = scalar(q, {m: m + 1 for m in range(1 << q)})
     dense = sm.SuperMatrix(sm.Queer(3), sm.ANY, [[full] * 3] * 3)
     sparse = sm.SuperMatrix(sm.Queer(3), sm.ANY, [[scalar(q, {3: 2})] * 3] * 3)
-    gate = (sm._TABLE_DENSITY, sm.mul_table_into)
+    gate = sm._route
     for factors, kernel in (((dense, sparse), "table"), ((sparse, dense), "table"),
                             ((sparse, sparse), "pair")):
         draws = iter(factors)
@@ -72,31 +72,34 @@ def test_gate_choice_counts_either_walk_of_the_table(monkeypatch):
         terms, got, *_times, rounds = bench_kernel.time_cell("Q(3)", q, 1, 1, 0)
         assert got == kernel and terms == len(factors[1].rows[0][0].num)
         assert rounds == bench_kernel.MIN_ROUNDS
-        assert (sm._TABLE_DENSITY, sm.mul_table_into) == gate
+        assert sm._route is gate
 
 
 def test_left_cells_force_the_left_walk(monkeypatch):
-    # a dense left factor over a sparse right one: the gate and the forced
-    # cut between their densities both take the left walk (the table kernel
-    # over the left table of the dense entries, all of them mixed), the pair
-    # kernel never does, and the cell counts the dense factor's terms
+    # a dense left factor over a sparse right one: the gate and the route
+    # forced to "left" both take the left walk (the table kernel over the
+    # left table of the dense entries, all of them mixed), the route forced
+    # to the pair kernel never does, and the cell counts the dense
+    # factor's terms
     sm = bench_kernel.supermatrix
-    cuts, tables = [], set()
+    routes, tables, forced = [], set(), {}
     walk = sm.mul_table_into
+    gate = sm._route
+    make = bench_kernel.forced
+    monkeypatch.setattr(bench_kernel, "forced", lambda name: forced.setdefault(name, make(name)))
 
     def spy(acc, t1, dense):
-        cuts.append(sm._TABLE_DENSITY)
+        # the route in place, by the walk it was forced to, else the gate's
+        routes.append(next((name for name, r in forced.items() if r is sm._route), "gate"))
         tables.add(id(dense[0]))
         return walk(acc, t1, dense)
 
     monkeypatch.setattr(sm, "mul_table_into", spy)
-    gate = sm._TABLE_DENSITY
     terms, kernel, *_times = bench_kernel.time_cell(bench_kernel.LEFT, 6, 0.5, 1, 0)
     assert kernel == "table" and 16 <= terms <= 48  # about half the 64 monomials
-    assert gate in cuts and {6: (0.5 + bench_kernel.SPARSE) / 2} in cuts
-    assert {} not in cuts
+    assert set(forced) == {None, "left"} and set(routes) == {"gate", "left"}
     assert tables == {id(bench_kernel.left_table(6, None))}
-    assert sm._TABLE_DENSITY is gate and sm.mul_table_into is spy
+    assert sm._route is gate and sm.mul_table_into is spy
 
 
 def test_table_memory_reads_both_tables_of_one_set_of_pairs(monkeypatch):
@@ -116,13 +119,13 @@ def test_table_memory_reads_both_tables_of_one_set_of_pairs(monkeypatch):
 @pytest.mark.parametrize("budget, rounds", [(0, 5), (35, 7)])
 def test_cells_alternate_the_three_gates_and_report_medians(monkeypatch, budget, rounds):
     # on a fake clock: every round times the pair kernel, the forced table
-    # and the gate once, in that order, outside the patching of the gate; a
+    # and the gate once, in that order, outside the patching of the route; a
     # zero budget still runs MIN_ROUNDS rounds, and each time is the median
     sm = bench_kernel.supermatrix
     now = [0]
     monkeypatch.setattr(bench_kernel, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
-    pair, table, gate = {}, {5: 0}, sm._TABLE_DENSITY
-    monkeypatch.setattr(sm, "_TABLE_DENSITY", gate)  # restored after the patching below
+    pair, table, gate = bench_kernel.forced(None), bench_kernel.forced("right"), sm._route
+    monkeypatch.setattr(sm, "_route", gate)  # restored after the patching below
     costs = {id(pair): itertools.chain([5, 1, 4, 2, 3], itertools.repeat(1)),
              id(table): itertools.repeat(1),
              id(gate): itertools.chain([2, 1, 3, 1, 3], itertools.repeat(1))}
@@ -130,10 +133,11 @@ def test_cells_alternate_the_three_gates_and_report_medians(monkeypatch, budget,
 
     class Operand:
         def __matmul__(self, other):
-            order.append(sm._TABLE_DENSITY)
-            now[0] += next(costs[id(sm._TABLE_DENSITY)])
+            order.append(sm._route)
+            now[0] += next(costs[id(sm._route)])
 
     times, got = bench_kernel.median_times(Operand(), None, (pair, table, gate), budget)
     assert got == rounds
     assert order == [pair, table, gate] * rounds
     assert times == ([3, 1, 2] if rounds == 5 else [2, 1, 1])
+    assert (pair(4, 2, (), ()), table(4, 2, (), ())) == (None, "right")

@@ -497,16 +497,20 @@ def test_gate_picks_the_kernel(monkeypatch, gq, right, kernel):
 
 
 @pytest.mark.parametrize("gq, left, right, kernel", [
-    (4, [[4]], [[1]], "pair"),  # on the gq 4 cut, but below the left walk's floor
+    (4, [[3]], [[1]], "pair"),  # below the gq 4 cut
     (5, [[4]], [[1]], "left"),  # 2**5 / 8 terms: on the cut of gq 5..8
     (5, [[3]], [[1]], "pair"),
     (5, [[16, 0], [0, 0]], [[1, 1], [1, 1]], "left"),  # the gate reads the average entry
     (5, [[4, 4], [4, 3]], [[1, 1], [1, 1]], "pair"),
-    (5, [[32]], [[4]], "table"),  # a right factor on its cut keeps the table
+    (5, [[4]], [[32]], "table"),  # both pass: the right factor holds more terms
     (10, [[64]], [[1]], "left"),  # 2**10 / 16 terms: on the cut of gq 9 and 10
     (10, [[63]], [[1]], "pair"),
-    (10, [[64]], [[64]], "table"),
+    (10, [[64]], [[64]], "table"),  # a tie takes the right walk
     (11, [[2048]], [[1]], "pair"),  # full, but above the cap
+    (4, [[4]], [[1]], "left"),  # 2**4 / 4 terms: on the gq 4 cut, with no floor
+    (5, [[32]], [[4]], "left"),  # both pass: the left factor holds more terms
+    (5, [[4]], [[4]], "table"),  # a tie on the cut
+    (4, [[8, 8], [8, 8]], [[8, 8], [8, 7]], "left"),  # one term more on the left
 ])
 def test_gate_picks_the_left_walk(monkeypatch, gq, left, right, kernel):
     calls = gate_calls(monkeypatch, gq, left, right)

@@ -1,11 +1,12 @@
-"""`supermatrix.IntegerGrid`, whose cells are term dicts that each product
-walks on the table kernel or multiplies on the pair kernel.
+"""`supermatrix.IntegerGrid`, whose cells are term dicts, and
+`supermatrix._grid_product`, the one routine of every product of such grids.
 
-A grid is checked against the matrix it was made from on both kernels, with
-the table's cut forced empty and forced to 0 at the grid's generator count:
-its readers against the entries, its products and conjugation against
-SuperMatrix products.  The references run with the cut emptied, so no
-reference product goes through a grid itself.
+A grid is checked against the matrix it was made from: its readers against
+the entries, and its products and conjugation, on the kernels the library's
+own rule and a cut forced to 0 pick, against SuperMatrix products.  The
+routine is checked on each kernel forced by name, the right walk, the left
+walk and the pair kernel.  The references run with the cut emptied, so no
+reference product goes through the routine itself.
 """
 
 import random
@@ -24,6 +25,7 @@ from superinv.supermatrix import (
     Standard,
     SuperMatrix,
     _entry_parity,
+    _grid_product,
     _term_rows,
 )
 
@@ -59,10 +61,12 @@ def _entries(m):
 @pytest.mark.parametrize("gq", [4, 5, 6, 7])
 @pytest.mark.parametrize("shape, parity", SHAPES)
 def test_both_cell_forms_match_the_matrix_they_stand_for(monkeypatch, shape, parity, gq):
-    # one cell form, term dicts, on both kernels: with the cut emptied every
-    # product stays on the pair kernel, and with a cut of 0 each one walks
+    # one cell form, term dicts: `_grid_product` on each kernel named, and
+    # the grid's products under the library's cut and a cut of 0, which
+    # walks every product, match SuperMatrix products on the pair kernel
     walks = counted_walks(monkeypatch)
     rng = random.Random(gq * 10 + shape.dim)
+    cut = supermatrix._TABLE_DENSITY
     for fractional in (False, True):
         monkeypatch.setattr(supermatrix, "_TABLE_DENSITY", {})
         walks.clear()
@@ -71,12 +75,20 @@ def test_both_cell_forms_match_the_matrix_they_stand_for(monkeypatch, shape, par
         soul = _matrix(rng, shape, shape.group_parity, gq, fractional).soul()
         h = GroupElement(SuperMatrix.identity(shape, gq) + soul)
         h_rows, inverse_rows = _term_rows(h.matrix), _term_rows(h.inverse)
-        b_rows = _term_rows(b)
+        (b_den, b_cells), (m_den, m_cells) = _term_rows(b), _term_rows(m)
         conjugated = _entries(h.inverse @ m @ h.matrix)
         products = [_entries(b @ m), b._product(m, True), _entries(m @ b), m._product(b, True)]
         assert not walks
-        for cut in ({}, {gq: 0}):
-            monkeypatch.setattr(supermatrix, "_TABLE_DENSITY", cut)
+        for walk in (None, "right", "left"):
+            walks.clear()
+            assert [_scalars(gq, b_den * m_den, _grid_product(gq, walk, b_cells, m_cells)),
+                    _scalars(gq, b_den * m_den, _grid_product(gq, walk, b_cells, m_cells, True)),
+                    _scalars(gq, m_den * b_den, _grid_product(gq, walk, m_cells, b_cells)),
+                    _scalars(gq, m_den * b_den, _grid_product(gq, walk, m_cells, b_cells, True))
+                    ] == products
+            assert len(walks) == (4 if walk else 0)
+        for table in (cut, {gq: 0}):
+            monkeypatch.setattr(supermatrix, "_TABLE_DENSITY", table)
             grid = IntegerGrid(m)
             assert all(isinstance(cell, dict) for row in grid.cells for cell in row)
             for i, row in enumerate(m.rows):
@@ -86,16 +98,14 @@ def test_both_cell_forms_match_the_matrix_they_stand_for(monkeypatch, shape, par
                         want = {k: c for k, c in x.terms.items() if k.bit_count() == level}
                         assert grid.degree_part(i, j, level) == GrassmannScalar(gq, want)
             walks.clear()
-            assert [_scalars(gq, *grid.under(*b_rows)), _scalars(gq, *grid.under(*b_rows, True)),
-                    _scalars(gq, *grid.times(*b_rows)),
-                    _scalars(gq, *grid.times(*b_rows, True))] == products
-            assert len(walks) == (4 if cut else 0)
-            assert (grid @ b_rows).matrix() == m @ b
+            assert _entries((grid @ _term_rows(b)).matrix()) == products[2]
             assert _entries(grid.conjugate(h_rows, inverse_rows).matrix()) == conjugated
             assert grid.matrix() == m
+            if table != cut:
+                assert len(walks) == 3
 
 
-@pytest.mark.parametrize("walk, table", [("under", disjoint_table), ("times", left_table)])
+@pytest.mark.parametrize("walk, table", [("right", disjoint_table), ("left", left_table)])
 def test_each_cell_walks_the_half_its_own_masks_pick(monkeypatch, walk, table):
     # under a label of "any", an even cell walks the even half of each table
     # row, an odd one the odd half, a mixed one both, and a zero one nothing
@@ -105,8 +115,7 @@ def test_each_cell_walks_the_half_its_own_masks_pick(monkeypatch, walk, table):
         [g(gq, {0: 2, 0b0011: -1, 0b1111: 3}), g(gq, {0b0001: 5, 0b0111: Fraction(1, 2)})],
         [g(gq, {0: 1, 0b0100: -3, 0b1010: 2}), g.zero(gq)]])
     other = _matrix(random.Random(5), Queer(2), ANY, gq, True)
-    want = _entries(other @ m if walk == "under" else m @ other)
-    monkeypatch.setattr(supermatrix, "_TABLE_DENSITY", {gq: 0})
+    want = _entries(other @ m if walk == "right" else m @ other)
     halves = {}
     real = supermatrix.mul_table_into
 
@@ -116,8 +125,9 @@ def test_each_cell_walks_the_half_its_own_masks_pick(monkeypatch, walk, table):
         return real(acc, t, operand)
 
     monkeypatch.setattr(supermatrix, "mul_table_into", spy)
-    grid = IntegerGrid(m)
-    assert _scalars(gq, *getattr(grid, walk)(*_term_rows(other))) == want
+    (den, cells), (other_den, other_cells) = _term_rows(m), _term_rows(other)
+    factors = (other_cells, cells) if walk == "right" else (cells, other_cells)
+    assert _scalars(gq, den * other_den, _grid_product(gq, walk, *factors)) == want
 
     def dense(cell):
         out = [0] * (1 << gq)
@@ -125,7 +135,7 @@ def test_each_cell_walks_the_half_its_own_masks_pick(monkeypatch, walk, table):
             out[k] = c
         return tuple(out)
 
-    (even, odd), (mixed, zero) = grid.cells
+    (even, odd), (mixed, zero) = cells
     assert not zero
     assert halves.keys() == {dense(even), dense(odd), dense(mixed)}
     for cell, parity in [(even, 0), (odd, 1), (mixed, None)]:

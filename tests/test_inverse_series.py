@@ -24,14 +24,14 @@ from superinv.supermatrix import (
     Queer,
     Standard,
     SuperMatrix,
+    _chunked,
     _entry_parity,
     _inverse_series,
     _reduced_matrix,
-    _takes_table,
     _term_rows,
 )
 
-from refine_oracle import counted_walks
+from refine_oracle import counted_walks, expected_walk
 
 G = GrassmannScalar
 
@@ -120,21 +120,36 @@ def test_inverse_series_matches_the_geometric_sum(monkeypatch, shape, parity, gq
 @pytest.mark.parametrize("gq", [4, 5, 6, 7])
 @pytest.mark.parametrize("shape, parity", SHAPES)
 def test_inverse_series_walks_exactly_when_x_passes_the_cut(monkeypatch, shape, parity, gq):
-    # the library's own cut: a series of order > 1 whose x is below it stays
-    # on the pair kernel, whoever calls it, and one whose x passes walks
+    # the library's own cut: each power of a series is the last power times
+    # x, on the walk the kernel rule names for that pair, whoever calls it:
+    # the table walks x, or the last power when it holds more terms, once
+    # the one walked passes the cut, and the pair kernel runs otherwise
     rng = random.Random(gq * 211 + shape.dim * 3 + len(parity))
-    passed = set()
+    seen = set()
+    real = supermatrix._grid_product
     for share in (1, 0.1, 0.02):
         for fractional in (False, True):
             x = _matrix(rng, shape, parity, gq, 1, share, fractional)
             if x.is_zero():
                 continue
-            takes = _takes_table((t.num for row in x.rows for t in row), shape.dim, gq)
-            got, walked = _series(x, gq, None, monkeypatch)
+            den, rows = _term_rows(x)
+            powers = [rows]
+
+            def spy(q, walk, first, second, diagonal=False):
+                assert (q, first, second, diagonal) == (gq, powers[-1], rows, False)
+                assert walk == expected_walk(gq, first, second)
+                seen.add(walk)
+                out = real(q, walk, first, second, diagonal)
+                powers.append(_chunked(out, shape.dim))
+                return out
+
+            monkeypatch.setattr(supermatrix, "_grid_product", spy)
+            got = _reduced_matrix(shape, shape.group_parity, gq,
+                                  *_inverse_series(den, rows, gq, gq))
+            monkeypatch.undo()
             assert got.rows == geometric_sum(SuperMatrix.identity(shape, gq), -x, gq).rows
-            assert walked == takes
-            passed.add(takes)
-    assert passed == {False, True}
+            assert len(powers) > 1
+    assert None in seen and "right" in seen
 
 
 @pytest.mark.parametrize("shape, parity", SHAPES)

@@ -3,7 +3,6 @@ on the integer grid's pair kernel and its table walks."""
 
 import random
 from fractions import Fraction
-from itertools import chain
 
 import pytest
 
@@ -16,14 +15,14 @@ from superinv import (
     reduce_odd,
     reduction,
 )
-from superinv.supermatrix import ANY, GroupElement, IntegerGrid, _takes_table, random_matrix
+from superinv.supermatrix import ANY, GroupElement, IntegerGrid, random_matrix
 from superinv.verify import (
     random_odd_reducible,
     random_queer_with_spectrum,
     random_standard_even_with_spectrum,
 )
 
-from refine_oracle import counted_walks, refine_matches
+from refine_oracle import counted_products, counted_walks, refine_matches, took_the_rule
 
 
 @pytest.mark.parametrize("eigenvalues,gq,seed", [
@@ -83,30 +82,30 @@ def test_dense_refine_matches_oracle_above_half_gq(monkeypatch, gq):
 
 
 def test_every_step_inverse_takes_the_grids_kernel(monkeypatch):
-    # each step's series picks its own kernel from its x: on the dense inputs
-    # above, the steps past the cut walk the table and the sparse level-1
-    # steps below it stay on the pair kernel, and every step of CI's sparse
-    # Q(3) at gq 10 (the reduction golden's) stays on the pair kernel
-    calls = []
+    # each power of a step's series takes the walk the kernel rule names for
+    # the last power and the step: on the dense inputs above, some powers
+    # walk the table and some stay on the pair kernel, and every power of
+    # CI's sparse Q(3) at gq 10 (the reduction golden's) stays on the pair
+    # kernel
+    records = []
     real = reduction._inverse_series
 
     def spy(den, rows, gq, order):
         with monkeypatch.context() as patch:
-            walked = counted_walks(patch)
+            powers = counted_products(patch)
             out = real(den, rows, gq, order)
-        power = order > 1 and any(chain.from_iterable(rows))
-        calls.append((power and _takes_table(chain.from_iterable(rows), len(rows), gq), bool(walked)))
+        records.extend(powers)
         return out
 
     monkeypatch.setattr(reduction, "_inverse_series", spy)
     for gq in [4, 5, 6, 7, 8, 10]:
         for reduce, a in _dense_inputs(gq):
             reduce(a)
-    assert all(passes == walked for passes, walked in calls)
-    assert {walked for _passes, walked in calls} == {False, True}
-    calls.clear()
+    assert took_the_rule(records)
+    assert {walked for *_walks, walked in records} == {False, True}
+    records.clear()
     diagonalize(_dense_conjugate(random_queer_with_spectrum(3, [1, -2, 3], 10, seed=4), 5, 2))
-    assert calls and not any(walked for _passes, walked in calls)
+    assert records and not any(walked for *_walks, walked in records)
 
 
 def _share(m):

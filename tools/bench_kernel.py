@@ -12,23 +12,18 @@ are 0.05, 0.1, 0.15, 0.2, 0.25, 0.5 and 1.  "Q(3) left": for q = 5..10, a
 dense 3 x 3 queer left factor (density 0.25, 0.5 or 1) times a sparse one
 (density 0.05), the products the table's left walk serves.  Coefficients
 are ints in [-99, 99].  Each product is timed three ways: forced onto the
-pair kernel, forced onto the table kernel (its left walk, for "Q(3) left"),
-and through `SuperMatrix._product`'s gate.  The kernels are forced by
-patching the gate's private table of density cuts,
-`supermatrix._TABLE_DENSITY`, for the timed calls (empty for the pair
-kernel; at q, a cut of 0 for the table, and for the left walk a cut halfway
-between the two factors' densities), so all three run the same product
-code.  The three run in alternating rounds, one product each per round,
-for as many rounds as fit in `--budget` seconds and at least MIN_ROUNDS,
-and each time is the median of its rounds: host drift then moves all three
-alike, where the fastest repeat of one variant after another let a cell's
-pair-kernel time move by more than half between two runs.  The kernel the gate took is read from a counter on
-the table kernel, `mul_table_into`, patched into `supermatrix`, whose
-`_walk` is its one caller: a product on either of `IntegerGrid`'s walks (a
-dense right factor made a grid, or a dense left one) counts as the table.
-The coefficients are ints, so every matrix is over the denominator 1, each
-kernel call gets an entry's own term dict, and a call whose term dict is a
-right entry's is the left walk.
+pair kernel, forced onto the table kernel (its right walk, or its left walk
+for "Q(3) left"), and through `SuperMatrix._product`'s gate.  The kernels
+are forced by patching the gate's route function, `supermatrix._route`,
+for the timed calls, to answer None (the pair kernel), "right" or "left",
+so all three run the same product code.  The three run in alternating
+rounds, one product each per round, for as many rounds as fit in
+`--budget` seconds and at least MIN_ROUNDS, and each time is the median
+of its rounds: host drift then moves all three alike, where the fastest
+repeat of one variant after another let a cell's pair-kernel time move by
+more than half between two runs.  The kernel the gate took is read from
+the route's answer on one untimed product: either walk counts as the
+table.
 
 Before any cell, the script builds the q = 10 tables, `disjoint_table` of
 both parity halves and the full one and `left_table`'s odd half and full
@@ -98,22 +93,27 @@ def random_matrix(rng, operands, q, density):
     return supermatrix.SuperMatrix(shape, parity, rows)
 
 
-def median_times(a, b, cuts, budget):
-    """The median time of a @ b under each gate table of cuts, patched in
-    turn as `supermatrix._TABLE_DENSITY` outside the timed call, over rounds
-    that each time every cut once, for budget seconds and at least
+def median_times(a, b, routes, budget):
+    """The median time of a @ b under each route function of routes,
+    patched in turn as `supermatrix._route` outside the timed call, over
+    rounds that each time every route once, for budget seconds and at least
     MIN_ROUNDS rounds; and the round count."""
-    times = [[] for _ in cuts]
+    times = [[] for _ in routes]
     deadline = time.perf_counter() + budget
     rounds = 0
     while rounds < MIN_ROUNDS or time.perf_counter() < deadline:
-        for cut, out in zip(cuts, times):
-            supermatrix._TABLE_DENSITY = cut
+        for route, out in zip(routes, times):
+            supermatrix._route = route
             start = time.perf_counter()
             a @ b
             out.append(time.perf_counter() - start)
         rounds += 1
     return [statistics.median(t) for t in times], rounds
+
+
+def forced(walk):
+    """A route function that names walk for every product."""
+    return lambda gq, dim, first, second: walk
 
 
 def time_cell(operands, q, density, seed, budget):
@@ -126,32 +126,26 @@ def time_cell(operands, q, density, seed, budget):
     a, b = random_matrix(rng, operands, q, density), random_matrix(rng, operands, q, right)
     dense = a if operands == LEFT else b
     terms = sum(len(x.num) for row in dense.rows for x in row) / dense.dim ** 2
-    # the cuts that force the table: 0, or for "Q(3) left" one between the
-    # two factors' densities, which the left walk alone then serves
-    forced = {q: (density + right) / 2 if operands == LEFT else 0}
-    gate = (supermatrix._TABLE_DENSITY, supermatrix.mul_table_into)
-    right_terms = {id(y.num) for row in b.rows for y in row}
-    walks = []  # per table call: whether it is the left walk
+    gate = supermatrix._route
+    answers = []
 
-    def counted(acc, t1, dense):
-        walks.append(id(t1) in right_terms)
-        return gate[1](acc, t1, dense)
+    def recorded(*args):
+        answers.append(gate(*args))
+        return answers[-1]
 
+    table = forced("left" if operands == LEFT else "right")
     try:
-        supermatrix.mul_table_into = counted
+        supermatrix._route = recorded
         want = a @ b
-        kernel = "table" if walks else "pair"
-        walks.clear()
-        supermatrix._TABLE_DENSITY = forced
+        kernel = "table" if answers[0] else "pair"
+        supermatrix._route = table
         if a @ b != want:
             raise AssertionError("the kernels disagree on %s at q=%d, density %s"
                                  % (operands, q, density))
-        if operands == LEFT and set(walks) != {True}:
-            raise AssertionError("the cut %s missed the left walk at q=%d" % (forced[q], q))
-        supermatrix.mul_table_into = gate[1]
-        (pair_s, table_s, gated_s), rounds = median_times(a, b, ({}, forced, gate[0]), budget)
+        (pair_s, table_s, gated_s), rounds = median_times(a, b, (forced(None), table, gate),
+                                                          budget)
     finally:
-        supermatrix._TABLE_DENSITY, supermatrix.mul_table_into = gate
+        supermatrix._route = gate
     return terms, kernel, pair_s, table_s, gated_s, rounds
 
 
