@@ -29,13 +29,15 @@ takes the same walk with the factors' roles swapped, over
 `left_table(q, parity)`: the table with supercommutativity,
 e_m1 * e_m2 = (-1)**(|m1| |m2|) e_m2 * e_m1, written into its signs once.
 The kernel's one caller is `supermatrix._walk`, whose dense operands are
-the term dicts of a whole matrix over one lcm, laid out by mask for the
-walk.  One rule picks the kernel of every matrix product
+term dicts laid out by mask for the walk: a `SuperMatrix` product's, each
+row or column over its own lcm, or a filtration grid's, over its one
+denominator.  One rule picks the kernel of every matrix product
 (`supermatrix._route`): the table walks whichever factor holds more
 terms, the right one on a tie, for 4 <= q <= 10 when that factor's
 entries average at least a quarter (q = 4), an eighth (q = 5..8) or a
-sixteenth (q = 9, 10) of the 2**q monomials, and
-`supermatrix._grid_product` runs the kernel it names.  The pair kernel
+sixteenth (q = 9, 10) of the 2**q monomials.  `supermatrix._grid_product`,
+the one routine of every matrix product, asks it and runs the kernel it
+names.  The pair kernel
 serves everything else, scalar products included, whose operands are
 mostly a few terms.  The kernels take their signs from `below_parity`,
 cached per monomial mask, so the cache holds at most 2**q entries.

@@ -145,6 +145,10 @@ def indistinguishable(a1, a2):
     semi-invariants do; those bodies are the signed elementary values of the
     body spectrum, so they agree exactly when the spectra do.  The two
     matrices must share their shape and generator count.
+
+    It decides equality of the invariant functions (moments and spectrum),
+    not conjugacy: at q = 3 the Q(1) pair 2 + e1e2e3 and 2 + e1e2 + e1e2e3
+    is indistinguishable, yet every solution g of A g = g B has body 0.
     """
     n = a1.family_size()
     if a2.family_size() != n or a2.shape != a1.shape:

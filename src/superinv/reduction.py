@@ -13,11 +13,12 @@ by its finite series in -D on integer numerators
 (`supermatrix._inverse_series`).  Above d = q/2 the steps square to zero,
 so the series is 1 - D with no product, and any two multiply to zero, so
 the conjugator takes them all in one product by 1 + their sum.  The matrix and
-its conjugator are converted once into integer grids of term dicts
-(`supermatrix.IntegerGrid`).  Every level is read, conjugated and extended on
-them, each product and series power on the kernel `supermatrix._route`
-picks for its two factors, and they become scalars once, after the last
-level.
+its conjugator are converted once into integer grids, term dicts over one
+denominator (`supermatrix._term_rows`' form).  Every level is read,
+conjugated and extended on them (`supermatrix._integer_conjugate` and
+`_integer_product`), each product and series power on the kernel
+`supermatrix._route` picks for its two factors, and they become scalars
+once, after the last level.
 
 One body stage serves both shapes: a queer body is a single half, a standard
 body the two halves X and T.  reduce_odd checks its input with the one rule
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from . import linalg
 from .errors import (
@@ -55,17 +57,20 @@ from .grassmann import (
     is_int,
     parse_coeff,
     ratio_text,
+    reduced_scalar,
 )
 from .supermatrix import (
     _PARITIES,
     EVEN,
     ODD,
     GroupElement,
-    IntegerGrid,
     Queer,
     Standard,
     SuperMatrix,
+    _integer_conjugate,
+    _integer_product,
     _inverse_series,
+    _reduced_matrix,
     _term_rows,
     to_plain,
 )
@@ -380,11 +385,11 @@ def _refine(m, parts, g, filtration_log=None):
     by row c of the inverse Sylvester operator of the pair's body blocks, one
     `_sum` of scaled scalars.
 
-    m and g are converted once into `IntegerGrid`s of term dicts; every
-    level reads, conjugates and extends them by steps kept as numerator rows
-    over one denominator, each product and series power on the kernel
-    `supermatrix._route` picks for its two factors, and they become scalars
-    once, at the end.
+    m and g are converted once into term dicts over one denominator
+    (`_term_rows`' form); every level reads, conjugates and extends them by
+    steps kept in the same form, each product and series power on the
+    kernel `supermatrix._route` picks for its two factors, and they become
+    scalars once, at the end.
     """
     gq = m.gq
     dim = m.dim
@@ -395,11 +400,13 @@ def _refine(m, parts, g, filtration_log=None):
     shape = m.shape
     zero = GrassmannScalar.zero(gq)
     one = GrassmannScalar.one(gq)
-    m, g = IntegerGrid(m), IntegerGrid(g)
+    m_parity, g_parity = m.parity, g.parity
+    m, g = _term_rows(m), _term_rows(g)
     batched = {}  # cell -> the solved values of the steps above gq / 2
     for level in range(1, gq + 1):
-        degrees = [m.min_degree(i, j) for i, j in cross]
-        cross_min = min((d for d in degrees if d is not None), default=None)
+        m_den, m_rows = m
+        cross_min = min(map(int.bit_count, chain.from_iterable(m_rows[i][j] for i, j in cross)),
+                        default=None)
         if filtration_log is not None:
             filtration_log.append(cross_min)
         if cross_min is None:
@@ -417,7 +424,9 @@ def _refine(m, parts, g, filtration_log=None):
                 if r == s:
                     continue
                 cells = [(i, j) for j in part_s for i in part_r]
-                rhs = [m.degree_part(i, j, level) for i, j in cells]
+                rhs = [reduced_scalar(gq, {k: c for k, c in m_rows[i][j].items()
+                                           if k.bit_count() == level}, m_den)
+                       for i, j in cells]
                 if not any(y.num for y in rhs):
                     continue
                 if (r, s) not in inverses:
@@ -440,15 +449,15 @@ def _refine(m, parts, g, filtration_log=None):
             for cell, x in solved.items():
                 batched.setdefault(cell, []).append(x)
         else:
-            g = g @ h
-        m = m.conjugate(h, _inverse_series(den, rows, gq, gq // level))
+            g = _integer_product(gq, g, h)
+        m = _integer_conjugate(gq, m, h, _inverse_series(den, rows, gq, gq // level))
     if batched:
         # any product of two steps above gq / 2 has degree > gq, so together
         # they are 1 + their sum: one extension of g for all of them
         den, nums = common_denominator([zero._sum(batched.get((i, j), [one] if i == j else []))
                                         for i in range(dim) for j in range(dim)])
-        g = g @ (den, [nums[i:i + dim] for i in range(0, len(nums), dim)])
-    m, g = m.matrix(), g.matrix()
+        g = _integer_product(gq, g, (den, [nums[i:i + dim] for i in range(0, len(nums), dim)]))
+    m, g = _reduced_matrix(shape, m_parity, gq, *m), _reduced_matrix(shape, g_parity, gq, *g)
     if _cross_terms(parts, m):
         raise InternalError("cross terms survived the filtration")
     return m, g

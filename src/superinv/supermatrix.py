@@ -50,8 +50,8 @@ _PARITIES = (EVEN, ODD, ANY)
 # table serves, the share of the 2**gq monomials that the factor a product
 # would walk, whichever of its two holds more terms, must average for the
 # walk to take it.  Every product reads it: each `SuperMatrix` product, each
-# `IntegerGrid` product, the filtration's included, and each power of an
-# inverse series.  The cuts are where the two kernels break even on the
+# product of the filtration's integer grids, and each power of an inverse
+# series.  The cuts are where the two kernels break even on the
 # products the benchmark workloads make: near 1/4 at gq 4, near 1/8 at gq
 # 5..7.  Gq 8 keeps 1/8; at gq 9 and 10, which no workload reaches, single
 # products (`tools/bench_kernel.py`) favour the table at a tenth of the
@@ -130,18 +130,19 @@ def to_plain(value):
     return value
 
 
-def _route(gq, dim, first, second):
-    """The factor of first @ second, two dim x dim grids whose entries are
-    the term dicts first and second yield, that the table kernel walks:
+def _route(gq, first, second):
+    """The factor of first @ second, two square grids of term dicts, each
+    given by its rows or by its columns, that the table kernel walks:
     "left" or "right", whichever holds more terms (the right one on a tie)
     when its entries average at least _TABLE_DENSITY's cut at gq of the
     2**gq monomials, else None, for the pair kernel.  The one kernel rule
-    of every matrix product; it reads the factors only at a gq the table
+    of every matrix product; it reads the grids only at a gq the table
     serves."""
     cut = _TABLE_DENSITY.get(gq)
     if cut is not None:
-        left, right = sum(map(len, first)), sum(map(len, second))
-        if max(left, right) >= cut * ((1 << gq) * dim * dim):
+        flat = chain.from_iterable
+        left, right = sum(map(len, flat(first))), sum(map(len, flat(second)))
+        if max(left, right) >= cut * ((1 << gq) * len(first) ** 2):
             return "left" if left > right else "right"
     return None
 
@@ -184,24 +185,25 @@ def _walk(q, lines):
     return cells
 
 
-def _grid_product(gq, walk, first, second, diagonal=False):
-    """first @ second, two square grids of term dicts, as row-major cells
-    (the diagonal ones alone with diagonal=True), on the kernel walk names
-    (`_route`'s answer): the table kernel walks the right factor's cells
-    over `disjoint_table`, each walked by a row of first, or the left
-    factor's over `left_table`, the same disjoint pairs with the factors'
-    roles swapped, each walked by a column of second; with walk None the
-    pair kernel multiplies the term dicts.  A walked cell whose masks share
-    one parity walks only that half of each table row, read from its own
-    masks, never from a parity label, which could be false and would then
-    drop terms."""
+def _grid_product(gq, rows, cols, diagonal=False):
+    """The product of the square grid of term dicts whose rows are rows and
+    the one whose columns are cols, as row-major cells (the diagonal ones
+    alone with diagonal=True): the one routine of every matrix product, on
+    the kernel `_route` names for the two grids.  The table kernel walks
+    the right factor's cells over `disjoint_table`, each walked by a row,
+    or the left factor's over `left_table`, the same disjoint pairs with
+    the factors' roles swapped, each walked by a column; the pair kernel
+    multiplies the term dicts.  A walked cell whose masks share one parity
+    walks only that half of each table row, read from its own masks, never
+    from a parity label, which could be false and would then drop terms."""
+    walk = _route(gq, rows, cols)
     if walk == "left":
-        cols = list(zip(*second))
-        walked = _walked(first, gq, left_table)
+        walked = _walked(rows, gq, left_table)
         lines = zip(cols, walked) if diagonal else ((col, row) for row in walked for col in cols)
         return _walk(gq, lines)
-    cols = list(zip(*(_walked(second, gq, disjoint_table) if walk else second)))
-    lines = zip(first, cols) if diagonal else product(first, cols)
+    if walk:
+        cols = _walked(cols, gq, disjoint_table)
+    lines = zip(rows, cols) if diagonal else product(rows, cols)
     return _walk(gq, lines) if walk else list(starmap(_paired, lines))
 
 
@@ -230,16 +232,14 @@ def _inverse_series(den, rows, gq, order):
     dicts rows over den (`_term_rows`' form) with x^(order + 1) = 0, as
     (den**K, term dicts, not reduced), K the last nonzero power.
 
-    Each power x^k is the last one's term rows times x, on the kernel
-    `_route` names for that pair, and stays over den**k; the powers are
-    summed with their signs over den**K once.  At order 1 it makes no
-    product.
+    Each power x^k is the last one's term rows times x's columns
+    (`_grid_product`) and stays over den**k; the powers are summed with their signs over
+    den**K once.  At order 1 it makes no product.
     """
     dim = len(rows)
     powers = [rows] if order and any(chain.from_iterable(rows)) else []
     while powers and len(powers) < order:
-        walk = _route(gq, dim, chain.from_iterable(powers[-1]), chain.from_iterable(rows))
-        cells = _grid_product(gq, walk, powers[-1], rows)
+        cells = _grid_product(gq, powers[-1], list(zip(*rows)))
         if not any(cells):
             break
         powers.append(_chunked(cells, dim))
@@ -254,16 +254,38 @@ def _inverse_series(den, rows, gq, order):
     return den ** top, [[{m: c for m, c in t.items() if c} for t in row] for row in out]
 
 
+def _over(den, cells, dim):
+    """The row-major cells over den as (den, rows of dim), `_term_rows`'
+    form, after one gcd over den and every numerator."""
+    g = den
+    for cell in cells:
+        if g == 1:
+            break
+        g = math.gcd(g, *cell.values())
+    if g != 1:
+        cells = [{m: c // g for m, c in cell.items()} for cell in cells]
+        den //= g
+    return den, _chunked(cells, dim)
+
+
+def _integer_product(gq, x, y):
+    """x @ y for two (den, rows), as a (den, rows) after one gcd."""
+    return _over(x[0] * y[0], _grid_product(gq, x[1], list(zip(*y[1]))), len(x[1]))
+
+
+def _integer_conjugate(gq, x, h, inverse):
+    """h^-1 x h for x, h and h's inverse each a (den, rows), as a (den, rows)
+    after one gcd over the grid at the end."""
+    dim = len(x[1])
+    left = _chunked(_grid_product(gq, inverse[1], list(zip(*x[1]))), dim)
+    return _over(inverse[0] * x[0] * h[0], _grid_product(gq, left, list(zip(*h[1]))), dim)
+
+
 def _reduced_matrix(shape, parity, gq, den, rows):
     """A SuperMatrix of the grid of term dicts rows over den, each cell
     reduced once and no label checked."""
     return SuperMatrix(shape, parity, [[reduced_scalar(gq, t, den) for t in row] for row in rows],
                        validate=False)
-
-
-def _scalars(q, den, cells):
-    """Term dicts over den as scalars, each reduced once."""
-    return [reduced_scalar(q, cell, den) for cell in cells]
 
 
 def _chunked(cells, dim):
@@ -447,21 +469,13 @@ class SuperMatrix:
         """self @ other, or with diagonal=True only the list of its diagonal entries."""
         self._check_compatible(other)
         gq, dim = self.gq, self.dim
-        # The route reads len() of each factor's O(n**2) entries and builds
-        # nothing; a walked product brings each factor over its own lcm,
-        # and the pair kernel reads rows of self and columns of other over
-        # their own lcm.
-        walk = _route(gq, dim, (x.num for row in self.rows for x in row),
-                      (x.num for row in other.rows for x in row))
-        if walk:
-            (d1, first), (d2, second) = _term_rows(self), _term_rows(other)
-            out = _scalars(gq, d1 * d2, _grid_product(gq, walk, first, second, diagonal))
-        else:
-            rows = [common_denominator(row) for row in self.rows]
-            cols = [common_denominator(col) for col in zip(*other.rows)]
-            cells = zip(rows, cols) if diagonal else ((row, col) for row in rows for col in cols)
-            out = [reduced_scalar(gq, _paired(first, second), d1 * d2)
-                   for (d1, first), (d2, second) in cells]
+        # each row of self and each column of other over its own lcm, and
+        # each cell over the product of its row's and its column's
+        row_dens, rows = zip(*map(common_denominator, self.rows))
+        col_dens, cols = zip(*map(common_denominator, zip(*other.rows)))
+        dens = zip(row_dens, col_dens) if diagonal else product(row_dens, col_dens)
+        out = [reduced_scalar(gq, t, d1 * d2)
+               for t, (d1, d2) in zip(_grid_product(gq, rows, cols, diagonal), dens)]
         if diagonal:
             return out
         parity = _product_parity(self.parity, other.parity)
@@ -722,72 +736,6 @@ class GroupElement:
 
     def __repr__(self):
         return "GroupElement(%r)" % (self.matrix,)
-
-
-class IntegerGrid:
-    """A matrix as int numerators over one denominator `den`, each cell a
-    term dict.  `reduction._refine` converts its matrix and conjugator once
-    and runs its filtration on them.
-
-    `@` and `conjugate` multiply it by term dicts over one denominator,
-    (den, rows) as `_term_rows` gives them: each product is one
-    `_grid_product` on the kernel `_route` names for its two factors, and
-    each leaves through one gcd over the grid (`conjugate`'s two products
-    together); `matrix()` makes the cells scalars once.
-    """
-
-    __slots__ = ("shape", "parity", "gq", "den", "cells")
-
-    def __init__(self, matrix):
-        self.den, self.cells = _term_rows(matrix)
-        self.shape, self.parity, self.gq = matrix.shape, matrix.parity, matrix.gq
-
-    def min_degree(self, i, j):
-        """The least degree of cell (i, j)'s monomials, None when it is zero."""
-        return min(map(int.bit_count, self.cells[i][j]), default=None)
-
-    def degree_part(self, i, j, level):
-        """The scalar of cell (i, j)'s terms of degree level."""
-        cell = self.cells[i][j]
-        return reduced_scalar(self.gq, {m: c for m, c in cell.items() if m.bit_count() == level},
-                              self.den)
-
-    def __matmul__(self, other):
-        """self @ other, a (den, rows), as a grid after one gcd."""
-        den, rows = other
-        walk = _route(self.gq, self.shape.dim, chain.from_iterable(self.cells),
-                      chain.from_iterable(rows))
-        return self._over(den * self.den, _grid_product(self.gq, walk, self.cells, rows))
-
-    def conjugate(self, h, inverse):
-        """h^-1 self h, for h and its inverse each a (den, rows), with one gcd
-        over the grid at the end."""
-        gq, dim, flat = self.gq, self.shape.dim, chain.from_iterable
-        den, rows = inverse
-        walk = _route(gq, dim, flat(rows), flat(self.cells))
-        left = _chunked(_grid_product(gq, walk, rows, self.cells), dim)
-        walk = _route(gq, dim, flat(left), flat(h[1]))
-        return self._over(den * self.den * h[0], _grid_product(gq, walk, left, h[1]))
-
-    def _over(self, den, cells):
-        """The grid of self's shape with the row-major cells over den, after
-        one gcd over den and every numerator."""
-        g = den
-        for cell in cells:
-            if g == 1:
-                break
-            g = math.gcd(g, *cell.values())
-        if g != 1:
-            cells = [{m: c // g for m, c in cell.items()} for cell in cells]
-            den //= g
-        out = object.__new__(IntegerGrid)
-        out.shape, out.parity, out.gq = self.shape, self.parity, self.gq
-        out.den, out.cells = den, _chunked(cells, self.shape.dim)
-        return out
-
-    def matrix(self):
-        """The grid as a SuperMatrix, each cell reduced to a scalar once."""
-        return _reduced_matrix(self.shape, self.parity, self.gq, self.den, self.cells)
 
 
 # ----------------------------------------------------------------------

@@ -71,10 +71,11 @@ def counted_walks(monkeypatch):
 
 
 def expected_walk(gq, first, second):
-    """The walk of first @ second, two square grids of term dicts, by the
-    kernel rule restated: the factor with more terms, the right one on a
-    tie, when its entries average `supermatrix._TABLE_DENSITY`'s cut at gq
-    of the 2**gq monomials, else None, the pair kernel."""
+    """The walk of first @ second, two square grids of term dicts, each
+    given by its rows or by its columns, by the kernel rule restated: the
+    factor with more terms, the right one on a tie, when its entries
+    average `supermatrix._TABLE_DENSITY`'s cut at gq of the 2**gq
+    monomials, else None, the pair kernel."""
     cut = supermatrix._TABLE_DENSITY.get(gq)
     left, right = (sum(len(t) for row in grid for t in row) for grid in (first, second))
     if cut is None or max(left, right) < cut * (len(first) ** 2 << gq):
@@ -86,26 +87,33 @@ def counted_products(monkeypatch):
     """A list that grows on each call of `supermatrix._grid_product`, the one
     routine of every grid product and series power, while monkeypatch's
     patches hold, by a triple: the walk `expected_walk` names for its
-    factors, the walk it was given, and whether it called
-    `supermatrix._walk`, the table kernel's one caller."""
+    factors, the walk `supermatrix._route` answered inside the call, and
+    whether it called `supermatrix._walk`, the table kernel's one caller."""
     records = []
     walks = counted_walks(monkeypatch)
-    real = supermatrix._grid_product
+    routes = []
+    real_route, real = supermatrix._route, supermatrix._grid_product
 
-    def spy(gq, walk, first, second, diagonal=False):
+    def route(*args):
+        routes.append(real_route(*args))
+        return routes[-1]
+
+    def spy(gq, first, second, diagonal=False):
         want = expected_walk(gq, first, second)
-        before = len(walks)
-        out = real(gq, walk, first, second, diagonal)
-        records.append((want, walk, len(walks) > before))
+        before, routed = len(walks), len(routes)
+        out = real(gq, first, second, diagonal)
+        assert len(routes) == routed + 1
+        records.append((want, routes[-1], len(walks) > before))
         return out
 
+    monkeypatch.setattr(supermatrix, "_route", route)
     monkeypatch.setattr(supermatrix, "_grid_product", spy)
     return records
 
 
 def took_the_rule(records):
-    """Whether every product of `counted_products`' records got the walk the
-    rule names and walked the table exactly when it names a factor."""
+    """Whether every product of `counted_products`' records was routed the
+    walk the rule names and walked the table exactly when it names a factor."""
     return all(want == walk and walked == (walk is not None) for want, walk, walked in records)
 
 

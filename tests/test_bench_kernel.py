@@ -140,4 +140,4 @@ def test_cells_alternate_the_three_gates_and_report_medians(monkeypatch, budget,
     assert got == rounds
     assert order == [pair, table, gate] * rounds
     assert times == ([3, 1, 2] if rounds == 5 else [2, 1, 1])
-    assert (pair(4, 2, (), ()), table(4, 2, (), ())) == (None, "right")
+    assert (pair(4, (), ()), table(4, (), ())) == (None, "right")

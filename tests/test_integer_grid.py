@@ -1,12 +1,16 @@
-"""`supermatrix.IntegerGrid`, whose cells are term dicts, and
-`supermatrix._grid_product`, the one routine of every product of such grids.
+"""The matrix layer's integer grids, (den, rows) with each cell a term dict
+(`supermatrix._term_rows`' form), and `supermatrix._grid_product`, the one
+routine of every product of such grids, which takes the left factor's rows
+and the right factor's columns.
 
-A grid is checked against the matrix it was made from: its readers against
-the entries, and its products and conjugation, on the kernels the library's
-own rule and a cut forced to 0 pick, against SuperMatrix products.  The
-routine is checked on each kernel forced by name, the right walk, the left
-walk and the pair kernel.  The references run with the cut emptied, so no
-reference product goes through the routine itself.
+A grid is checked against the matrix it was made from: its cells' least
+degrees and degree parts against the entries, and its products and
+conjugation (`_integer_product`, `_integer_conjugate`), on the kernels the
+library's own rule and a cut forced to 0 pick, against SuperMatrix
+products.  The routine is checked on each kernel forced by name, the right
+walk, the left walk and the pair kernel, by patching `supermatrix._route`
+as `tools/bench_kernel.py` does.  The references run with the cut emptied,
+so no reference product walks the table.
 """
 
 import random
@@ -20,12 +24,14 @@ from superinv.supermatrix import (
     ANY,
     ODD,
     GroupElement,
-    IntegerGrid,
     Queer,
     Standard,
     SuperMatrix,
     _entry_parity,
     _grid_product,
+    _integer_conjugate,
+    _integer_product,
+    _reduced_matrix,
     _term_rows,
 )
 
@@ -58,6 +64,11 @@ def _entries(m):
     return [x for row in m.rows for x in row]
 
 
+def _forced(monkeypatch, walk):
+    """Make `supermatrix._route` name walk for every product."""
+    monkeypatch.setattr(supermatrix, "_route", lambda gq, first, second: walk)
+
+
 @pytest.mark.parametrize("gq", [4, 5, 6, 7])
 @pytest.mark.parametrize("shape, parity", SHAPES)
 def test_both_cell_forms_match_the_matrix_they_stand_for(monkeypatch, shape, parity, gq):
@@ -79,28 +90,36 @@ def test_both_cell_forms_match_the_matrix_they_stand_for(monkeypatch, shape, par
         conjugated = _entries(h.inverse @ m @ h.matrix)
         products = [_entries(b @ m), b._product(m, True), _entries(m @ b), m._product(b, True)]
         assert not walks
+        route = supermatrix._route
         for walk in (None, "right", "left"):
+            _forced(monkeypatch, walk)
             walks.clear()
-            assert [_scalars(gq, b_den * m_den, _grid_product(gq, walk, b_cells, m_cells)),
-                    _scalars(gq, b_den * m_den, _grid_product(gq, walk, b_cells, m_cells, True)),
-                    _scalars(gq, m_den * b_den, _grid_product(gq, walk, m_cells, b_cells)),
-                    _scalars(gq, m_den * b_den, _grid_product(gq, walk, m_cells, b_cells, True))
+            b_cols, m_cols = list(zip(*b_cells)), list(zip(*m_cells))
+            assert [_scalars(gq, b_den * m_den, _grid_product(gq, b_cells, m_cols)),
+                    _scalars(gq, b_den * m_den, _grid_product(gq, b_cells, m_cols, True)),
+                    _scalars(gq, m_den * b_den, _grid_product(gq, m_cells, b_cols)),
+                    _scalars(gq, m_den * b_den, _grid_product(gq, m_cells, b_cols, True))
                     ] == products
             assert len(walks) == (4 if walk else 0)
+        monkeypatch.setattr(supermatrix, "_route", route)
         for table in (cut, {gq: 0}):
             monkeypatch.setattr(supermatrix, "_TABLE_DENSITY", table)
-            grid = IntegerGrid(m)
-            assert all(isinstance(cell, dict) for row in grid.cells for cell in row)
+            grid = _term_rows(m)
+            den, cells = grid
+            assert all(isinstance(cell, dict) for row in cells for cell in row)
             for i, row in enumerate(m.rows):
                 for j, x in enumerate(row):
-                    assert grid.min_degree(i, j) == x.min_degree()
+                    assert min(map(int.bit_count, cells[i][j]), default=None) == x.min_degree()
                     for level in range(gq + 1):
                         want = {k: c for k, c in x.terms.items() if k.bit_count() == level}
-                        assert grid.degree_part(i, j, level) == GrassmannScalar(gq, want)
+                        part = {k: c for k, c in cells[i][j].items() if k.bit_count() == level}
+                        assert reduced_scalar(gq, part, den) == GrassmannScalar(gq, want)
             walks.clear()
-            assert _entries((grid @ _term_rows(b)).matrix()) == products[2]
-            assert _entries(grid.conjugate(h_rows, inverse_rows).matrix()) == conjugated
-            assert grid.matrix() == m
+            assert _entries(_reduced_matrix(shape, parity, gq, *_integer_product(
+                gq, grid, _term_rows(b)))) == products[2]
+            assert _entries(_reduced_matrix(shape, parity, gq, *_integer_conjugate(
+                gq, grid, h_rows, inverse_rows))) == conjugated
+            assert _reduced_matrix(shape, parity, gq, *grid) == m
             if table != cut:
                 assert len(walks) == 3
 
@@ -126,8 +145,9 @@ def test_each_cell_walks_the_half_its_own_masks_pick(monkeypatch, walk, table):
 
     monkeypatch.setattr(supermatrix, "mul_table_into", spy)
     (den, cells), (other_den, other_cells) = _term_rows(m), _term_rows(other)
-    factors = (other_cells, cells) if walk == "right" else (cells, other_cells)
-    assert _scalars(gq, den * other_den, _grid_product(gq, walk, *factors)) == want
+    left, right = (other_cells, cells) if walk == "right" else (cells, other_cells)
+    _forced(monkeypatch, walk)
+    assert _scalars(gq, den * other_den, _grid_product(gq, left, list(zip(*right)))) == want
 
     def dense(cell):
         out = [0] * (1 << gq)

@@ -280,6 +280,24 @@ def test_indistinguishable_odd_value_pairs():
         assert evaluate_invariant(a1, f) == evaluate_invariant(a2, f)
 
 
+def test_indistinguishable_does_not_decide_conjugacy():
+    # the Q(1) pair A = 2 + e1e2e3 and B = 2 + e1e2 + e1e2e3 at q = 3: every
+    # invariant function agrees on them, yet no group element conjugates A
+    # to B.  A g = g B is linear in g's 8 coordinates; its kernel has
+    # dimension 6, and every kernel vector has body 0, so no solution g is
+    # invertible
+    q = 3
+    x, y = G(q, {0: 2, 0b111: 1}), G(q, {0: 2, 0b011: 1, 0b111: 1})
+    a, b = SuperMatrix(Queer(1), ANY, [[x]]), SuperMatrix(Queer(1), ANY, [[y]])
+    assert indistinguishable(a, b)
+    assert a.tau_values(2) == b.tau_values(2)
+    columns = [x * G(q, {m: 1}) - G(q, {m: 1}) * y for m in range(1 << q)]
+    system = [[z.coefficient(k) for z in columns] for k in range(1 << q)]
+    kernel = linalg.nullspace(system)
+    assert len(kernel) == 6
+    assert all(v[0] == 0 for v in kernel)
+
+
 def test_indistinguishable_rejects_matrices_of_different_families():
     q = 2
     queer = diag_queer([1, 2], [G.zero(q), G.zero(q)], q)

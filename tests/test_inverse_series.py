@@ -6,7 +6,8 @@ SuperMatrix products and sums, so its labels come from the products' label
 rules.  Values are compared entry by entry, and labels with the oracle's.
 The series runs on both kernels by forcing the table's cut: emptied, every
 power stays on the pair kernel, and at 0 for every generator count each
-power walks the table.
+power walks the table.  Under the library's own cut, each power's kernel is
+read from `supermatrix._route`'s answer.
 """
 
 import random
@@ -126,7 +127,7 @@ def test_inverse_series_walks_exactly_when_x_passes_the_cut(monkeypatch, shape, 
     # the one walked passes the cut, and the pair kernel runs otherwise
     rng = random.Random(gq * 211 + shape.dim * 3 + len(parity))
     seen = set()
-    real = supermatrix._grid_product
+    real, real_route = supermatrix._grid_product, supermatrix._route
     for share in (1, 0.1, 0.02):
         for fractional in (False, True):
             x = _matrix(rng, shape, parity, gq, 1, share, fractional)
@@ -135,14 +136,19 @@ def test_inverse_series_walks_exactly_when_x_passes_the_cut(monkeypatch, shape, 
             den, rows = _term_rows(x)
             powers = [rows]
 
-            def spy(q, walk, first, second, diagonal=False):
-                assert (q, first, second, diagonal) == (gq, powers[-1], rows, False)
+            def route(q, first, second):
+                walk = real_route(q, first, second)
                 assert walk == expected_walk(gq, first, second)
                 seen.add(walk)
-                out = real(q, walk, first, second, diagonal)
+                return walk
+
+            def spy(q, first, second, diagonal=False):
+                assert (q, first, second, diagonal) == (gq, powers[-1], list(zip(*rows)), False)
+                out = real(q, first, second, diagonal)
                 powers.append(_chunked(out, shape.dim))
                 return out
 
+            monkeypatch.setattr(supermatrix, "_route", route)
             monkeypatch.setattr(supermatrix, "_grid_product", spy)
             got = _reduced_matrix(shape, shape.group_parity, gq,
                                   *_inverse_series(den, rows, gq, gq))

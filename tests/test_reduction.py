@@ -32,7 +32,7 @@ from superinv import cli, reduction
 from superinv.errors import InternalError
 from superinv.grassmann import GrassmannScalar as G
 from superinv.reduction import SpectralDecomposition
-from superinv.supermatrix import IntegerGrid, random_matrix
+from superinv.supermatrix import random_matrix
 from superinv.verify import (
     random_commuting_odd_pair,
     random_odd_reducible,
@@ -433,22 +433,26 @@ def test_reduce_odd_refines_a_without_its_square(monkeypatch, make, grid):
         operands.append((x, y))
         return real(x, y)
 
-    class Converting(IntegerGrid):
-        # `_refine`'s own conversions: products convert dense factors too
-        def __init__(self, matrix):
-            super().__init__(matrix)
-            grids.append(self)
+    inputs = []
+    real_rows = reduction._term_rows
+
+    def converting(matrix):
+        # `_refine`'s conversions of its m and g, not of its steps
+        if any(matrix is x for x in inputs):
+            grids.append(matrix)
+        return real_rows(matrix)
 
     walks = []
     real_refine = reduction._refine
 
-    def refine(*args, **kwargs):
+    def refine(m, parts, g, **kwargs):
+        inputs[:] = m, g
         with monkeypatch.context() as patch:
             walks.append(counted_walks(patch))
-            return real_refine(*args, **kwargs)
+            return real_refine(m, parts, g, **kwargs)
 
     monkeypatch.setattr(SuperMatrix, "__matmul__", recording)
-    monkeypatch.setattr(reduction, "IntegerGrid", Converting)
+    monkeypatch.setattr(reduction, "_term_rows", converting)
     monkeypatch.setattr(reduction, "_refine", refine)
     dec = reduce_odd(a)
     # two products for the body stage's conjugation, two in the lower-identity

@@ -15,7 +15,7 @@ from superinv import (
     reduce_odd,
     reduction,
 )
-from superinv.supermatrix import ANY, GroupElement, IntegerGrid, random_matrix
+from superinv.supermatrix import ANY, GroupElement, random_matrix
 from superinv.verify import (
     random_odd_reducible,
     random_queer_with_spectrum,
@@ -133,23 +133,27 @@ def test_the_grid_serves_dense_inputs_at_the_tables_generator_counts(monkeypatch
     # table serves even full cells
     seen = []
     grids = []
-    real = reduction._refine
+    inputs = []
+    real, real_rows = reduction._refine, reduction._term_rows
 
     def recording(m, parts, g, filtration_log=None):
+        inputs[:] = m, g
         with monkeypatch.context() as patch:
             walked = counted_walks(patch)
             out = real(m, parts, g, filtration_log)
         seen.append((m.gq, _share(m), bool(walked)))
         return out
 
-    class Spy(IntegerGrid):
-        def __init__(self, matrix):
-            super().__init__(matrix)
-            assert all(isinstance(cell, dict) for row in self.cells for cell in row)
+    def spy(matrix):
+        # `_refine`'s conversions of its m and g, not of its steps
+        den, rows = real_rows(matrix)
+        if any(matrix is x for x in inputs):
+            assert all(isinstance(cell, dict) for row in rows for cell in row)
             grids.append(matrix.gq)
+        return den, rows
 
     monkeypatch.setattr(reduction, "_refine", recording)
-    monkeypatch.setattr(reduction, "IntegerGrid", Spy)
+    monkeypatch.setattr(reduction, "_term_rows", spy)
     for gq in range(4, 11):
         for reduce, a in _dense_inputs(gq):
             reduce(a)

@@ -25,6 +25,7 @@ from superinv import (
     random_group_element,
     random_matrix,
 )
+from superinv import supermatrix
 from superinv.grassmann import generator_cap, set_generator_cap
 from superinv.supermatrix import _entry_parity
 from superinv.verify import (
@@ -36,6 +37,8 @@ from superinv.verify import (
     random_sector_conjugator,
     random_standard_even_with_spectrum,
 )
+
+from refine_oracle import counted_walks
 
 G = GrassmannScalar
 
@@ -146,6 +149,41 @@ def test_matmul_integral_result_from_fractions():
     assert got.rows[1][0].terms == {0: Fraction(49, 3)}
     assert got.rows[1][1].terms == {0: Fraction(9, 7)}
     _assert_ints_stored_as_int(got)
+
+
+@pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
+@pytest.mark.parametrize("walk", ["right", "left"])
+def test_walked_products_keep_each_rows_and_columns_denominator(monkeypatch, walk, diagonal):
+    # a left factor with one fractional row and a right factor with one
+    # fractional column, forced onto each walk as `tools/bench_kernel.py`
+    # forces it: every cell of an integral row and an integral column
+    # leaves over denominator 1, and the entries are the pair kernel's
+    gq, dim = 4, 3
+    rng = random.Random(31)
+
+    def entry(den):
+        return G(gq, {m: Fraction(rng.choice([1, 2, 4, 5, 7]), den)
+                      for m in range(1 << gq) if rng.random() < 0.5})
+
+    a = SuperMatrix(Queer(dim), ANY, [[entry(3 if i == 1 else 1) for j in range(dim)]
+                                      for i in range(dim)])
+    b = SuperMatrix(Queer(dim), ANY, [[entry(5 if j == 2 else 1) for j in range(dim)]
+                                      for i in range(dim)])
+    monkeypatch.setattr(supermatrix, "_route", lambda *args: None)
+    want = a._product(b, diagonal)
+    dens = []
+    real = supermatrix.reduced_scalar
+    monkeypatch.setattr(supermatrix, "reduced_scalar",
+                        lambda q, num, den: (dens.append(den), real(q, num, den))[1])
+    walks = counted_walks(monkeypatch)
+    monkeypatch.setattr(supermatrix, "_route", lambda *args: walk)
+    got = a._product(b, diagonal)
+    assert walks and got == want
+    cells = ([(i, i) for i in range(dim)] if diagonal
+             else [(i, j) for i in range(dim) for j in range(dim)])
+    assert len(dens) == len(cells)
+    integral = [den for den, (i, j) in zip(dens, cells) if i != 1 and j != 2]
+    assert integral == [1] * (1 if diagonal else 4)
 
 
 def test_invert_examples():

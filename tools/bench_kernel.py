@@ -113,7 +113,7 @@ def median_times(a, b, routes, budget):
 
 def forced(walk):
     """A route function that names walk for every product."""
-    return lambda gq, dim, first, second: walk
+    return lambda gq, first, second: walk
 
 
 def time_cell(operands, q, density, seed, budget):
